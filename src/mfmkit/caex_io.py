@@ -23,8 +23,8 @@ from .consistency import (
     SEVERITY_WARNING,
     Violation,
 )
-from .paths import PathError, join_path, split_path
-from .xmlio import XmlError, XmlNode, parse_tree, serialize_tree
+from .paths import PathError, join_path
+from .xmlio import XmlError, XmlNode, check_attrs, parse_tree, serialize_tree
 
 #: Supported external-data connector kinds and the interface class each one
 #: stores. The stored identifiers match the mapping rule table verbatim.
@@ -102,17 +102,8 @@ class CaexDocument:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _check_attrs(node: XmlNode, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> None:
-    for key, _value in node.attrs:
-        if key not in allowed:
-            raise XmlError(f"unsupported attribute {key!r} on <{node.tag}>", node.line, node.column)
-    for key in required:
-        if not node.has(key):
-            raise XmlError(f"missing attribute {key!r} on <{node.tag}>", node.line, node.column)
-
-
 def _parse_attribute(node: XmlNode) -> CaexAttribute:
-    _check_attrs(node, ("Name", "DataType", "Unit"), required=("Name",))
+    check_attrs(node, ("Name", "DataType", "Unit"), required=("Name",))
     value = ""
     seen_value = False
     children: list[CaexAttribute] = []
@@ -120,7 +111,7 @@ def _parse_attribute(node: XmlNode) -> CaexAttribute:
         if child.tag == "Value":
             if seen_value:
                 raise XmlError("multiple <Value> children", child.line, child.column)
-            _check_attrs(child, ())
+            check_attrs(child, ())
             value = child.text
             seen_value = True
         elif child.tag == "Attribute":
@@ -135,7 +126,7 @@ def _parse_attribute(node: XmlNode) -> CaexAttribute:
 
 
 def _parse_interface(node: XmlNode) -> CaexInterface:
-    _check_attrs(node, ("Name", "RefBaseClassPath"), required=("Name",))
+    check_attrs(node, ("Name", "RefBaseClassPath"), required=("Name",))
     attributes = []
     for child in node.children:
         if child.tag != "Attribute":
@@ -150,7 +141,7 @@ def _parse_interface(node: XmlNode) -> CaexInterface:
 
 
 def _parse_element(node: XmlNode) -> CaexElement:
-    _check_attrs(node, ("Name", "ID"), required=("Name",))
+    check_attrs(node, ("Name", "ID"), required=("Name",))
     attributes: list[CaexAttribute] = []
     roles: list[str] = []
     interfaces: list[CaexInterface] = []
@@ -162,7 +153,7 @@ def _parse_element(node: XmlNode) -> CaexElement:
         elif child.tag == "ExternalInterface":
             interfaces.append(_parse_interface(child))
         elif child.tag == "RoleRequirements":
-            _check_attrs(child, ("RefBaseRoleClassPath",), required=("RefBaseRoleClassPath",))
+            check_attrs(child, ("RefBaseRoleClassPath",), required=("RefBaseRoleClassPath",))
             roles.append(child.get("RefBaseRoleClassPath"))
         elif child.tag == "InternalElement":
             element = _parse_element(child)
@@ -190,20 +181,20 @@ def parse(data: bytes) -> CaexDocument:
     root = parse_tree(data, text_tags=frozenset({"Value"}))
     if root.tag != "CAEXFile":
         raise XmlError(f"unsupported root element <{root.tag}>", root.line, root.column)
-    _check_attrs(root, ())
+    check_attrs(root, ())
     role_refs: list[str] = []
     iface_refs: list[str] = []
     hierarchies: list[CaexHierarchy] = []
     links: list[CaexLink] = []
     for child in root.children:
         if child.tag == "RoleClassLibRef":
-            _check_attrs(child, ("Name",), required=("Name",))
+            check_attrs(child, ("Name",), required=("Name",))
             role_refs.append(child.get("Name"))
         elif child.tag == "InterfaceClassLibRef":
-            _check_attrs(child, ("Name",), required=("Name",))
+            check_attrs(child, ("Name",), required=("Name",))
             iface_refs.append(child.get("Name"))
         elif child.tag == "InstanceHierarchy":
-            _check_attrs(child, ("Name",), required=("Name",))
+            check_attrs(child, ("Name",), required=("Name",))
             elements = []
             names: set[str] = set()
             for sub in child.children:
@@ -218,7 +209,7 @@ def parse(data: bytes) -> CaexDocument:
                 elements.append(element)
             hierarchies.append(CaexHierarchy(name=child.get("Name"), elements=tuple(elements)))
         elif child.tag == "InternalLink":
-            _check_attrs(
+            check_attrs(
                 child, ("Name", "RefPartnerSideA", "RefPartnerSideB"),
                 required=("Name", "RefPartnerSideA", "RefPartnerSideB"))
             links.append(CaexLink(
@@ -308,7 +299,14 @@ def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: lis
 
 
 class _ModelBuilder:
-    """Mutable assembly state for one to_model run."""
+    """Mutable assembly state for one to_model run.
+
+    The reader walks the document along the schema (mm.SCHEMA). A value that
+    fails its validator is reported and replaced by the parameter's default;
+    an entry that cannot be added (bad or duplicate key, missing component
+    path, broken invariant) is reported and dropped with its annotations.
+    Absent and empty values take the default silently.
+    """
 
     def __init__(self, model: mm.ModuleModel):
         self.model = model
@@ -317,27 +315,14 @@ class _ModelBuilder:
     def warn(self, rule: str, path: str, message: str) -> None:
         self.violations.append(Violation(rule, SEVERITY_WARNING, path, message))
 
-    def attr_map(self, element: CaexElement, path: str, known: tuple[str, ...]) -> dict[str, str]:
-        """Extract known scalar attributes; flag unknown names and nesting."""
-        values: dict[str, str] = {}
-        for attribute in element.attributes:
-            if attribute.children:
-                self.warn(RULE_UNKNOWN_PARAMETER, path,
-                          f"nested attribute '{attribute.name}' ignored")
-                continue
-            if attribute.name in known:
-                values[attribute.name] = attribute.value
-            else:
-                self.warn(RULE_UNKNOWN_PARAMETER, path,
-                          f"unknown attribute '{attribute.name}' ignored")
-        return values
-
-    def apply(self, path: str, action, *args, **kwargs) -> None:
-        """Run a model operation; downgrade ModelError to a violation."""
+    def apply(self, path: str, action, *args) -> bool:
+        """Run a model operation; downgrade its error to a violation."""
         try:
-            self.model = action(self.model, *args, **kwargs)
-        except mm.ModelError as exc:
+            self.model = action(self.model, *args)
+        except (mm.ModelError, PathError) as exc:
             self.warn(RULE_INVALID_VALUE, path, str(exc))
+            return False
+        return True
 
     def annotate(self, element: CaexElement, path: str) -> None:
         if element.role_requirements:
@@ -353,251 +338,83 @@ class _ModelBuilder:
             self.apply(path, mm.with_external_ref, path,
                        mm.ExternalRef(interface.name, interface.interface_class, uri))
 
-    def reject_annotations(self, element: CaexElement, path: str) -> None:
+    def values(self, spec: mm.ElementSpec, element: CaexElement, path: str):
+        """Parameter texts of one element, plus its open-set attributes."""
+        given: dict[str, str] = {}
+        extra: list[CaexAttribute] = []
+        for attribute in element.attributes:
+            if attribute.children:
+                self.warn(RULE_UNKNOWN_PARAMETER, path,
+                          f"nested attribute '{attribute.name}' ignored")
+            elif attribute.name in given:
+                self.warn(RULE_INVALID_VALUE, path,
+                          f"duplicate attribute '{attribute.name}' ignored")
+            elif attribute.name in spec.names:
+                given[attribute.name] = attribute.value
+            elif spec.extra:
+                extra.append(attribute)
+            else:
+                self.warn(RULE_UNKNOWN_PARAMETER, path,
+                          f"unknown attribute '{attribute.name}' ignored")
+        fields = {}
+        for param in spec.params:
+            text = given.get(param.name) or param.default
+            if text != param.default:
+                try:
+                    mm.check_value(spec, param, text)
+                except (mm.ModelError, PathError) as exc:
+                    self.warn(RULE_INVALID_VALUE, path, str(exc))
+                    text = param.default
+            fields[param.name] = text
+        return fields, extra
+
+    def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
+        """Read a single element (root, container or singleton) and its children."""
+        fields, extra = self.values(spec, element, path)
+        if fields:
+            self.apply(path, mm.set_element, replace(mm.get(self.model, spec), **fields))
+        for attribute in extra:
+            self.apply(path, mm.add_static_attribute,
+                       attribute.name, attribute.value, attribute.unit)
+        self.annotate(element, path)
+        self.children(spec, element, path)
+
+    def read_list(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         if element.role_requirements or element.external_interfaces:
             self.warn(RULE_UNKNOWN_ELEMENT, path,
                       f"annotations on list container '{element.name}' are not supported")
+        if element.attributes:
+            self.warn(RULE_UNKNOWN_PARAMETER, path,
+                      f"attributes on list container '{element.name}' ignored")
+        indexed = spec.key == "index"
+        for position, entry in enumerate(element.children):
+            # warnings name the entry's position in the file; annotations go
+            # to the index the entry actually got
+            entry_path = join_path(path, str(position) if indexed else entry.name)
+            fields, _extra = self.values(spec, entry, entry_path)
+            if not indexed:
+                fields[spec.key] = entry.name
+            if self.apply(entry_path, mm.add_entry, spec.node_type(**fields)):
+                stored = len(mm.get(self.model, spec)) - 1
+                self.annotate(entry, join_path(path, str(stored)) if indexed else entry_path)
+            self.children(spec, entry, entry_path)
 
-
-def _entry_elements(builder: _ModelBuilder, container: CaexElement, path: str):
-    builder.reject_annotations(container, path)
-    if container.attributes:
-        builder.warn(RULE_UNKNOWN_PARAMETER, path,
-                     f"attributes on list container '{container.name}' ignored")
-    return container.children
-
-
-def _map_general(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "general")
-    builder.annotate(element, path)
-    seen_identification = False
-    for child in element.children:
-        if child.name == "identification":
-            seen_identification = True
-            ident_path = join_path(mid, "general", "identification")
-            values = builder.attr_map(child, ident_path, ("name", "identifier", "module_type"))
-            builder.apply(ident_path, mm.set_identification, **values)
-            builder.annotate(child, ident_path)
-            for sub in child.children:
-                builder.warn(RULE_UNKNOWN_ELEMENT, ident_path,
-                             f"unknown element '{sub.name}' ignored")
-        else:
-            builder.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
-    if not seen_identification:
-        builder.warn(RULE_MISSING_CONTAINER, join_path(mid, "general", "identification"),
-                     "general has no identification element")
-    for attribute in element.attributes:
-        if attribute.children:
-            builder.warn(RULE_UNKNOWN_PARAMETER, path,
-                         f"nested attribute '{attribute.name}' ignored")
-        elif attribute.name == "main_dimensions":
-            builder.apply(path, mm.set_main_dimensions, attribute.value)
-        else:
-            builder.apply(path, mm.add_static_attribute,
-                          attribute.name, attribute.value, attribute.unit)
-
-
-def _map_status(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "status")
-    builder.annotate(element, path)
-    for attribute in element.attributes:
-        builder.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{attribute.name}' ignored")
-    for child in element.children:
-        if child.name != "runtime_variables":
-            builder.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
-            continue
-        for entry in _entry_elements(builder, child, join_path(path, "runtime_variables")):
-            entry_path = join_path(path, "runtime_variables", entry.name)
-            values = builder.attr_map(entry, entry_path, ("data_type", "unit", "description"))
-            builder.apply(entry_path, mm.add_runtime_variable, entry.name,
-                          values.get("data_type", ""), values.get("unit", ""),
-                          values.get("description", ""))
-            builder.annotate(entry, entry_path)
-            for sub in entry.children:
-                builder.warn(RULE_UNKNOWN_ELEMENT, entry_path,
-                             f"unknown element '{sub.name}' ignored")
-
-
-def _map_function(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "function")
-    builder.annotate(element, path)
-    for attribute in element.attributes:
-        builder.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{attribute.name}' ignored")
-    for child in element.children:
-        if child.name == "logistic_functions":
-            for entry in _entry_elements(builder, child, join_path(path, "logistic_functions")):
-                entry_path = join_path(path, "logistic_functions", entry.name)
-                values = builder.attr_map(entry, entry_path, ("category", "behavior_ref"))
-                builder.apply(entry_path, mm.add_logistic_function, entry.name,
-                              values.get("category", "material_flow"),
-                              values.get("behavior_ref", ""))
-                builder.annotate(entry, entry_path)
-        elif child.name == "routes":
-            for i, entry in enumerate(_entry_elements(builder, child, join_path(path, "routes"))):
-                entry_path = join_path(path, "routes", str(i))
-                values = builder.attr_map(entry, entry_path, ("from_port", "to_port", "priority"))
-                priority_text = values.get("priority", "0") or "0"
-                try:
-                    priority = int(priority_text)
-                except ValueError:
-                    builder.warn(RULE_INVALID_VALUE, entry_path,
-                                 f"route priority is not an integer: {priority_text!r}")
-                    priority = 0
-                builder.apply(entry_path, mm.add_route, values.get("from_port", ""),
-                              values.get("to_port", ""), priority)
-                builder.annotate(entry, entry_path)
-        else:
-            builder.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
-
-
-def _map_interface(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "interface")
-    builder.annotate(element, path)
-    for attribute in element.attributes:
-        builder.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{attribute.name}' ignored")
-    for child in element.children:
-        if child.name == "ports":
-            for entry in _entry_elements(builder, child, join_path(path, "ports")):
-                entry_path = join_path(path, "ports", entry.name)
-                values = builder.attr_map(entry, entry_path, ("direction", "position"))
-                builder.apply(entry_path, mm.add_port, entry.name,
-                              values.get("direction", "in"), values.get("position", ""))
-                builder.annotate(entry, entry_path)
-        elif child.name == "interaction_spaces":
-            for entry in _entry_elements(builder, child, join_path(path, "interaction_spaces")):
-                entry_path = join_path(path, "interaction_spaces", entry.name)
-                values = builder.attr_map(entry, entry_path, ("min_corner", "max_corner"))
-                builder.apply(entry_path, mm.add_interaction_space, entry.name,
-                              values.get("min_corner", ""), values.get("max_corner", ""))
-                builder.annotate(entry, entry_path)
-        else:
-            builder.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
-
-
-def _map_control(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "control")
-    builder.annotate(element, path)
-    for attribute in element.attributes:
-        builder.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{attribute.name}' ignored")
-    seen_platform = False
-    for child in element.children:
-        if child.name == "control_functions":
-            for entry in _entry_elements(builder, child, join_path(path, "control_functions")):
-                entry_path = join_path(path, "control_functions", entry.name)
-                values = builder.attr_map(entry, entry_path, ("language_tag", "body_ref"))
-                builder.apply(entry_path, mm.add_control_function, entry.name,
-                              values.get("language_tag", ""), values.get("body_ref", ""))
-                builder.annotate(entry, entry_path)
-        elif child.name == "variables":
-            for entry in _entry_elements(builder, child, join_path(path, "variables")):
-                entry_path = join_path(path, "variables", entry.name)
-                values = builder.attr_map(entry, entry_path, ("data_type", "scope"))
-                builder.apply(entry_path, mm.add_variable, entry.name,
-                              values.get("data_type", ""), values.get("scope", ""))
-                builder.annotate(entry, entry_path)
-        elif child.name == "io_mapping":
-            for i, entry in enumerate(_entry_elements(builder, child, join_path(path, "io_mapping"))):
-                entry_path = join_path(path, "io_mapping", str(i))
-                values = builder.attr_map(entry, entry_path, (
-                    "component_path", "logical_address", "variable_name",
-                    "data_type", "direction"))
-                direction = values.get("direction", "input") or "input"
-                if direction not in mm.IO_DIRECTIONS:
-                    builder.warn(RULE_INVALID_VALUE, entry_path,
-                                 f"invalid io direction {direction!r}")
-                    direction = "input"
-                component_path = values.get("component_path", "")
-                if not component_path:
-                    builder.warn(RULE_INVALID_VALUE, entry_path,
-                                 "io_mapping entry has no component_path")
-                    continue
-                builder.apply(entry_path, mm.add_io_entry, component_path,
-                              values.get("logical_address", ""),
-                              values.get("variable_name", ""),
-                              values.get("data_type", ""), direction)
-                builder.annotate(entry, entry_path)
-        elif child.name == "platform":
-            seen_platform = True
-            platform_path = join_path(path, "platform")
-            values = builder.attr_map(child, platform_path,
-                                      ("controller_type", "bus_coupler_type"))
-            builder.apply(platform_path, mm.set_platform,
-                          values.get("controller_type", ""),
-                          values.get("bus_coupler_type", ""))
-            builder.annotate(child, platform_path)
-            for sub in child.children:
-                builder.warn(RULE_UNKNOWN_ELEMENT, platform_path,
-                             f"unknown element '{sub.name}' ignored")
-        else:
-            builder.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
-    if not seen_platform:
-        builder.warn(RULE_MISSING_CONTAINER, join_path(path, "platform"),
-                     "control has no platform element")
-
-
-def _map_components(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "components")
-    builder.reject_annotations(element, path)
-    for entry in element.children:
-        entry_path = join_path(path, entry.name)
-        values = builder.attr_map(entry, entry_path, (
-            "kind", "component_type", "position", "main_dimensions", "latency"))
-        kind = values.get("kind", "sensor") or "sensor"
-        if kind not in mm.COMPONENT_KINDS:
-            builder.warn(RULE_INVALID_VALUE, entry_path, f"invalid component kind {kind!r}")
-            kind = "sensor"
-        fields = {}
-        for name in ("position", "main_dimensions"):
-            value = values.get(name, "")
-            try:
-                mm._require_triple(value, name)
-            except mm.ModelError as exc:
-                builder.warn(RULE_INVALID_VALUE, entry_path, str(exc))
-                value = ""
-            fields[name] = value
-        latency = values.get("latency", "")
-        try:
-            mm._require_seconds(latency, "component latency")
-        except mm.ModelError as exc:
-            builder.warn(RULE_INVALID_VALUE, entry_path, str(exc))
-            latency = ""
-        builder.apply(entry_path, mm.add_component, mm.Component(
-            name=entry.name, kind=kind, component_type=values.get("component_type", ""),
-            position=fields["position"], main_dimensions=fields["main_dimensions"],
-            latency=latency))
-        builder.annotate(entry, entry_path)
-        for sub in entry.children:
-            builder.warn(RULE_UNKNOWN_ELEMENT, entry_path,
-                         f"unknown element '{sub.name}' ignored")
-
-
-def _map_documents(builder: _ModelBuilder, element: CaexElement, mid: str) -> None:
-    path = join_path(mid, "documents")
-    builder.reject_annotations(element, path)
-    for entry in element.children:
-        entry_path = join_path(path, entry.name)
-        values = builder.attr_map(entry, entry_path, (
-            "discipline", "stage", "name", "server_path", "assigned_element"))
-        discipline = values.get("discipline", "logistics") or "logistics"
-        if discipline not in mm.DISCIPLINES:
-            builder.warn(RULE_INVALID_VALUE, entry_path, f"invalid discipline {discipline!r}")
-            discipline = "logistics"
-        stage = values.get("stage", "logistics_planning") or "logistics_planning"
-        if stage not in mm.STAGES:
-            builder.warn(RULE_INVALID_VALUE, entry_path, f"invalid stage {stage!r}")
-            stage = "logistics_planning"
-        assigned = values.get("assigned_element", "")
-        if assigned:
-            try:
-                split_path(assigned)
-            except PathError as exc:
-                builder.warn(RULE_INVALID_VALUE, entry_path, str(exc))
-                assigned = ""
-        builder.apply(entry_path, mm.add_document, mm.DocumentReference(
-            id=entry.name, discipline=discipline, stage=stage,
-            name=values.get("name", ""), server_path=values.get("server_path", ""),
-            assigned_element=assigned))
-        builder.annotate(entry, entry_path)
+    def children(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
+        known = mm.CHILDREN[spec.path]
+        seen: set[str] = set()
+        for child in element.children:
+            child_spec = known.get(child.name)
+            if child_spec is None:
+                self.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
+                continue
+            seen.add(child.name)
+            reader = self.read_list if child_spec.key else self.read
+            reader(child_spec, child, join_path(path, child.name))
+        owner = spec.path[-1] if spec.path else "module"
+        for name, child_spec in known.items():
+            if not child_spec.key and name not in seen:
+                self.warn(RULE_MISSING_CONTAINER, join_path(path, name),
+                          f"{owner} has no {name} element")
 
 
 def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
@@ -618,46 +435,11 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     mid = "/".join(id_segments)
     try:
         model = mm.new_module(mid, "")
-    except mm.ModelError as exc:
+    except (mm.ModelError, PathError) as exc:
         raise StructureError(f"module id unusable: {exc}") from None
 
     builder = _ModelBuilder(model)
-    for attribute in root.attributes:
-        if attribute.name == "name" and not attribute.children:
-            try:
-                mm._require_clean(attribute.value, "module name")
-            except mm.ModelError as exc:
-                builder.warn(RULE_INVALID_VALUE, mid, str(exc))
-                continue
-            builder.model = replace(builder.model, name=attribute.value)
-        else:
-            builder.warn(RULE_UNKNOWN_PARAMETER, mid,
-                         f"unknown attribute '{attribute.name}' ignored")
-    builder.annotate(root, mid)
-
-    mappers = {
-        "general": _map_general,
-        "status": _map_status,
-        "function": _map_function,
-        "interface": _map_interface,
-        "control": _map_control,
-        "components": _map_components,
-        "documents": _map_documents,
-    }
-    seen: set[str] = set()
-    for child in root.children:
-        mapper = mappers.get(child.name)
-        if mapper is None:
-            builder.warn(RULE_UNKNOWN_ELEMENT, join_path(mid, child.name),
-                         f"unknown element '{child.name}' ignored")
-            continue
-        seen.add(child.name)
-        mapper(builder, child, mid)
-    for required in ("general", "status", "function", "interface", "control"):
-        if required not in seen:
-            builder.warn(RULE_MISSING_CONTAINER, join_path(mid, required),
-                         f"module has no {required} element")
-
+    builder.read(mm.ROOT, root, mid)
     for link in doc.internal_links:
         try:
             builder.model = mm.add_cross_ref(builder.model, link.side_a, link.side_b, link.name)
@@ -674,140 +456,39 @@ def _value_attr(name: str, value: str, unit: str = "") -> CaexAttribute:
     return CaexAttribute(name=name, value=value, data_type=_STRING_TYPE, unit=unit)
 
 
-class _DocBuilder:
-    def __init__(self, model: mm.ModuleModel):
-        self.model = model
-        self.annotations = dict(model.annotations)
+def from_model(model: mm.ModuleModel) -> CaexDocument:
+    """Render a model as a document; to_model(from_model(m)) reproduces m."""
+    annotations = dict(model.annotations)
 
-    def decorate(self, path: str) -> tuple[tuple[str, ...], tuple[CaexInterface, ...]]:
-        ann = self.annotations.get(path, mm.Annotation())
+    def element(spec: mm.ElementSpec, name: str, path: str, node) -> CaexElement:
+        ann = annotations.get(path, mm.Annotation())
         interfaces = tuple(
             CaexInterface(
                 name=ref.name, interface_class=ref.interface_class,
                 attributes=(_value_attr("refURI", ref.ref_uri),) if ref.ref_uri else ())
             for ref in ann.external_refs)
-        return ann.roles, interfaces
-
-    def element(self, name: str, path: str,
-                params: tuple[tuple[str, str, str], ...] = (),
-                children: tuple[CaexElement, ...] = (),
-                keep: frozenset[str] = frozenset()) -> CaexElement:
-        # Schema-defined parameters are omitted when empty (the reader restores
-        # them); open-schema names in `keep` must survive empty, or they vanish.
-        roles, interfaces = self.decorate(path)
+        # Schema parameters are omitted when empty (the reader restores them);
+        # the open attribute set has no schema, so its names survive empty.
         attributes = tuple(
             _value_attr(param, value, unit)
-            for param, value, unit in params if value or param in keep)
+            for param, value, unit in mm.param_rows(spec, node)
+            if value or param not in spec.names)
+        children = []
+        for child_name, child in mm.CHILDREN[spec.path].items():
+            value = getattr(node, child_name)
+            child_path = join_path(path, child_name)
+            if not child.key:
+                children.append(element(child, child_name, child_path, value))
+            elif value:
+                children.append(CaexElement(name=child_name, children=tuple(
+                    element(child, key, join_path(child_path, key), entry)
+                    for key, entry in mm.keyed(child, value))))
         return CaexElement(
-            name=name, attributes=attributes, role_requirements=roles,
-            external_interfaces=interfaces, children=children)
-
-    def entry_list(self, name: str, entries: tuple[CaexElement, ...]) -> CaexElement:
-        return CaexElement(name=name, children=entries)
-
-
-def from_model(model: mm.ModuleModel) -> CaexDocument:
-    """Render a model as a document; to_model(from_model(m)) reproduces m."""
-    builder = _DocBuilder(model)
-    mid = model.id
-
-    general_children = [builder.element(
-        "identification", join_path(mid, "general", "identification"),
-        mm._node_params(model.general.identification))]
-    general = builder.element(
-        "general", join_path(mid, "general"),
-        mm._node_params(model.general), tuple(general_children),
-        keep=frozenset(p.name for p in model.general.static_attributes))
-
-    status_children = []
-    if model.status.runtime_variables:
-        status_children.append(builder.entry_list("runtime_variables", tuple(
-            builder.element(
-                v.name, join_path(mid, "status", "runtime_variables", v.name),
-                mm._node_params(v))
-            for v in model.status.runtime_variables)))
-    status = builder.element("status", join_path(mid, "status"), (), tuple(status_children))
-
-    function_children = []
-    if model.function.logistic_functions:
-        function_children.append(builder.entry_list("logistic_functions", tuple(
-            builder.element(
-                f.name, join_path(mid, "function", "logistic_functions", f.name),
-                mm._node_params(f))
-            for f in model.function.logistic_functions)))
-    if model.function.routes:
-        function_children.append(builder.entry_list("routes", tuple(
-            builder.element(
-                str(i), join_path(mid, "function", "routes", str(i)),
-                mm._node_params(r))
-            for i, r in enumerate(model.function.routes))))
-    function = builder.element("function", join_path(mid, "function"), (), tuple(function_children))
-
-    interface_children = []
-    if model.interface.ports:
-        interface_children.append(builder.entry_list("ports", tuple(
-            builder.element(
-                p.name, join_path(mid, "interface", "ports", p.name),
-                mm._node_params(p))
-            for p in model.interface.ports)))
-    if model.interface.interaction_spaces:
-        interface_children.append(builder.entry_list("interaction_spaces", tuple(
-            builder.element(
-                s.name, join_path(mid, "interface", "interaction_spaces", s.name),
-                mm._node_params(s))
-            for s in model.interface.interaction_spaces)))
-    interface = builder.element(
-        "interface", join_path(mid, "interface"), (), tuple(interface_children))
-
-    control_children = []
-    if model.control.control_functions:
-        control_children.append(builder.entry_list("control_functions", tuple(
-            builder.element(
-                f.name, join_path(mid, "control", "control_functions", f.name),
-                mm._node_params(f))
-            for f in model.control.control_functions)))
-    if model.control.variables:
-        control_children.append(builder.entry_list("variables", tuple(
-            builder.element(
-                v.name, join_path(mid, "control", "variables", v.name),
-                mm._node_params(v))
-            for v in model.control.variables)))
-    if model.control.io_mapping:
-        control_children.append(builder.entry_list("io_mapping", tuple(
-            builder.element(
-                str(i), join_path(mid, "control", "io_mapping", str(i)),
-                mm._node_params(e))
-            for i, e in enumerate(model.control.io_mapping))))
-    control_children.append(builder.element(
-        "platform", join_path(mid, "control", "platform"),
-        mm._node_params(model.control.platform)))
-    control = builder.element("control", join_path(mid, "control"), (), tuple(control_children))
-
-    root_children = [general, status, function, interface, control]
-    if model.components:
-        root_children.append(builder.entry_list("components", tuple(
-            builder.element(
-                c.name, join_path(mid, "components", c.name), mm._node_params(c))
-            for c in model.components)))
-    if model.documents:
-        root_children.append(builder.entry_list("documents", tuple(
-            builder.element(
-                d.id, join_path(mid, "documents", d.id), (
-                    ("discipline", d.discipline, ""),
-                    ("stage", d.stage, ""),
-                    ("name", d.name, ""),
-                    ("server_path", d.server_path, ""),
-                    ("assigned_element", d.assigned_element, ""),
-                ))
-            for d in model.documents)))
+            name=name, attributes=attributes, role_requirements=ann.roles,
+            external_interfaces=interfaces, children=tuple(children))
 
     id_segments = model.id.split("/")
-    roles, interfaces = builder.decorate(mid)
-    root = CaexElement(
-        name=id_segments[-1],
-        attributes=(_value_attr("name", model.name),) if model.name else (),
-        role_requirements=roles, external_interfaces=interfaces,
-        children=tuple(root_children))
+    root = element(mm.ROOT, id_segments[-1], model.id, model)
     for segment in reversed(id_segments[:-1]):
         root = CaexElement(name=segment, children=(root,))
 

@@ -106,12 +106,17 @@ def _ownership_map(args: argparse.Namespace) -> cc.OwnershipMap:
         raise _CliFailure(f"bad ownership map: {error}") from None
 
 
-def _load_model(path: str) -> tuple[mm.ModuleModel, list[cc.Violation]]:
+def _load_model(path: str, fmt: str, stream=None) -> mm.ModuleModel:
+    """Read a model file and emit the reader's warnings (to stdout unless
+    `stream` names another stream). Warnings never set the exit code."""
     data = _read_bytes(path)
     try:
-        return caex_io.to_model(caex_io.parse(data))
+        model, warnings = caex_io.to_model(caex_io.parse(data))
     except (XmlError, StructureError) as error:
         raise _CliFailure(f"{path}: {error}") from None
+    for warning in warnings:
+        _emit_violation(fmt, path, warning, stream)
+    return model
 
 
 def _load_graph(path: str) -> behavior.BehaviorGraph:
@@ -134,11 +139,11 @@ def _load_trace(path: str) -> list[behavior.TraceEvent]:
 # Output
 # ---------------------------------------------------------------------------
 
-def _record(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+def _record(payload: dict, stream=None) -> None:
+    print(json.dumps(payload, sort_keys=True, ensure_ascii=False), file=stream)
 
 
-def _emit_violation(fmt: str, file: str, violation: cc.Violation) -> None:
+def _emit_violation(fmt: str, file: str, violation: cc.Violation, stream=None) -> None:
     if fmt == FORMAT_STRUCTURED:
         _record({
             "record": "violation",
@@ -149,9 +154,9 @@ def _emit_violation(fmt: str, file: str, violation: cc.Violation) -> None:
             "message": violation.message,
             "stage": violation.stage,
             "parameter": violation.parameter,
-        })
+        }, stream)
     else:
-        print(f"{file}: {cc.format_violation(violation)}")
+        print(f"{file}: {cc.format_violation(violation)}", file=stream)
 
 
 def _describe_assignment(violation: mapping.AssignmentViolation) -> str:
@@ -194,11 +199,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     table = _rule_table(args)
     exit_code = EXIT_CLEAN
     for file in args.files:
-        model, structural = _load_model(file)
+        model = _load_model(file, args.format)
         assignments = mapping.validate_assignments(model, table)
         links = cc.check_links(model)
-        for violation in structural:
-            _emit_violation(args.format, file, violation)
         for assignment in assignments:
             _emit_assignment(args.format, file, assignment)
         for violation in links:
@@ -206,7 +209,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for cls in mapping.uncovered_classes(model, table):
             _emit_note(args.format, file, "uncovered-class",
                        f"class {cls} is not covered by the rule table")
-        if assignments or cc.has_errors(structural) or cc.has_errors(links):
+        if assignments or cc.has_errors(links):
             exit_code = EXIT_FINDINGS
     return exit_code
 
@@ -216,7 +219,7 @@ def _cmd_complete_check(args: argparse.Namespace) -> int:
         raise _CliFailure(
             f"unknown stage {args.stage!r}; expected one of {', '.join(mm.STAGES)}")
     matrix = _coverage_matrix(args)
-    model, _structural = _load_model(args.file)
+    model = _load_model(args.file, args.format)
     try:
         violations = cc.check_completeness(model, args.stage, matrix)
     except cc.MatrixError as error:
@@ -229,7 +232,7 @@ def _cmd_complete_check(args: argparse.Namespace) -> int:
 def _cmd_link_check(args: argparse.Namespace) -> int:
     exit_code = EXIT_CLEAN
     for file in args.files:
-        model, _structural = _load_model(file)
+        model = _load_model(file, args.format)
         violations = cc.check_links(model)
         for violation in violations:
             _emit_violation(args.format, file, violation)
@@ -247,7 +250,7 @@ def _bound_program(model: mm.ModuleModel,
 
 
 def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
-    model, _structural = _load_model(args.model)
+    model = _load_model(args.model, args.format)
     graph = _load_graph(args.behavior)
     program = _bound_program(model, graph)
     if isinstance(program, cc.Violation):
@@ -274,7 +277,8 @@ def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model, _structural = _load_model(args.model)
+    # stdout carries the event list, so the reader's warnings go to stderr
+    model = _load_model(args.model, args.format, sys.stderr)
     graph = _load_graph(args.behavior)
     trace = _load_trace(args.trace)
     program = _bound_program(model, graph)
@@ -288,6 +292,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _emit_violation(args.format, args.trace, cc.Violation(
             cc.RULE_AMBIGUOUS_BRANCH, cc.SEVERITY_ERROR, graph.id or model.id,
             str(error)))
+        return EXIT_FINDINGS
+    except sfc.BindingError as error:
+        _emit_violation(args.format, args.trace, cc.Violation(
+            "unbound-subject", cc.SEVERITY_ERROR, model.id, str(error)))
         return EXIT_FINDINGS
     if events != replayed:
         _emit_violation(args.format, args.behavior, cc.Violation(
@@ -303,7 +311,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_table(args: argparse.Namespace) -> int:
-    model, _structural = _load_model(args.file)
+    # stdout may carry the table, so the reader's warnings go to stderr
+    model = _load_model(args.file, args.format, sys.stderr)
     matrix = _coverage_matrix(args)
     try:
         data = exchange.export_table(
@@ -311,6 +320,8 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
             missing_only=args.missing_only, matrix=matrix)
     except ExchangeError as error:
         raise _CliFailure(str(error)) from None
+    except cc.MatrixError as error:
+        raise _CliFailure(f"bad coverage matrix: {error}") from None
     if args.out:
         try:
             Path(args.out).write_bytes(data)
@@ -324,7 +335,7 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_table(args: argparse.Namespace) -> int:
-    model, _structural = _load_model(args.file)
+    model = _load_model(args.file, args.format)
     table = _read_bytes(args.table)
     ownership = _ownership_map(args)
     try:
@@ -343,7 +354,7 @@ def _cmd_import_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    model, _structural = _load_model(args.file)
+    model = _load_model(args.file, args.format)
     ownership = _ownership_map(args)
     try:
         report = cc.dependency_report(model, ownership)

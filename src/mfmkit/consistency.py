@@ -1,9 +1,9 @@
 """Cross-discipline consistency checks over a module model.
 
-Four concerns live here: aggregation of documents per discipline, reference
-integrity (every stored reference must resolve), document-to-element
-assignment, and stage-wise completeness against a coverage matrix. A
-dependency report quantifies how many references cross discipline borders.
+Three concerns live here: reference integrity (every stored reference must
+resolve), document-to-element assignment, and stage-wise completeness
+against a coverage matrix. Element ownership maps paths to disciplines, and
+a dependency report quantifies how many references cross discipline borders.
 
 All checks are pure functions of a model snapshot and return Violations;
 they never raise on bad model content, only on unusable inputs (unknown
@@ -11,11 +11,12 @@ stage, broken matrix file).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 from . import model as mm
-from .paths import PathError, join_path, split_path
+from .paths import join_path, split_path
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -149,26 +150,16 @@ def check_links(model: mm.ModuleModel) -> list[Violation]:
 # Stage completeness
 # ---------------------------------------------------------------------------
 
-_MATRIX_SELECTORS = (
-    "general",
-    "general/identification",
-    "status",
-    "function",
-    "interface",
-    "interface/ports/*",
-    "control",
-    "control/io_mapping",
-    "control/platform",
-    "components/*",
-)
-
-_CONTAINER_PARAMS = {
-    ("function", "logistic_functions"),
-    ("interface", "ports"),
-    ("control", "control_functions"),
-    ("control", "variables"),
-    ("status", "runtime_variables"),
+#: Element selectors, derived from the schema: a single element by its path
+#: below the module id, the entries of a list by the list path plus `/*`.
+_SELECTORS = {
+    "/".join(spec.path) + ("/*" if spec.key else ""): spec
+    for spec in mm.SCHEMA if spec.path and spec.surface
 }
+
+# The two structural demands, about the module as a whole rather than a cell.
+_REFS_DEMAND = ("control", "sensor_actuator_refs")
+_IO_DEMAND = ("control/io_mapping", "logical_address")
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +186,7 @@ def load_matrix(text: str) -> StageCoverageMatrix:
         stage, selector, parameter = parts
         if stage not in mm.STAGES:
             raise MatrixError(f"line {lineno}: unknown stage {stage!r}")
-        if selector not in _MATRIX_SELECTORS:
+        if selector not in _SELECTORS and selector != _IO_DEMAND[0]:
             raise MatrixError(f"line {lineno}: unknown selector {selector!r}")
         rows.append((stage, selector, parameter))
     return StageCoverageMatrix(rows=tuple(rows))
@@ -204,6 +195,32 @@ def load_matrix(text: str) -> StageCoverageMatrix:
 def default_matrix() -> StageCoverageMatrix:
     text = resources.files("mfmkit").joinpath("data/coverage_matrix.txt").read_text("utf-8")
     return load_matrix(text)
+
+
+def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tuple[str, str]] | None:
+    """(element path, display name) of each scalar cell a matrix row demands.
+
+    None for rows that demand no cell: the cross-reference demand and list
+    demands such as `function | logistic_functions`. The io demand's cells
+    are the io_mapping entries' addresses. Unsupported rows raise MatrixError.
+    """
+    if (selector, parameter) == _REFS_DEMAND:
+        return None
+    if (selector, parameter) == _IO_DEMAND:
+        selector = _IO_DEMAND[0] + "/*"
+    spec = _SELECTORS.get(selector)
+    if spec is None:
+        raise MatrixError(f"unsupported matrix row: {selector} | {parameter}")
+    child = mm.CHILDREN[spec.path].get(parameter)
+    if child is not None and child.key:
+        return None
+    if not (spec.params or spec.extra):
+        raise MatrixError(f"unsupported matrix row: {selector} | {parameter}")
+    path = join_path(model.id, *spec.path)
+    if not spec.key:
+        return [(path, spec.path[-1])]
+    return [(f"{path}/{key}", f"{spec.label} {key}")
+            for key, _entry in mm.keyed(spec, mm.get(model, spec))]
 
 
 def _sensor_actuator_components(model: mm.ModuleModel):
@@ -219,29 +236,7 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str) 
             RULE_MISSING_PARAMETER, SEVERITY_ERROR, path, message,
             stage=stage, parameter=parameter))
 
-    if selector == "general/identification":
-        value = mm.resolve(model, join_path(mid, "general", "identification", parameter))
-        if not value:
-            miss(join_path(mid, "general", "identification"), f"identification {parameter} is not set")
-    elif selector == "general":
-        value = mm.resolve(model, join_path(mid, "general", parameter))
-        if not value:
-            miss(join_path(mid, "general"), f"general {parameter} is not set")
-    elif selector == "control/platform":
-        value = mm.resolve(model, join_path(mid, "control", "platform", parameter))
-        if not value:
-            miss(join_path(mid, "control", "platform"), f"platform {parameter} is not set")
-    elif selector == "components/*":
-        for component in model.components:
-            path = join_path(mid, "components", component.name)
-            if not mm.resolve(model, join_path(path, parameter)):
-                miss(path, f"component {component.name} has no {parameter}")
-    elif selector == "interface/ports/*":
-        for port in model.interface.ports:
-            path = join_path(mid, "interface", "ports", port.name)
-            if not mm.resolve(model, join_path(path, parameter)):
-                miss(path, f"port {port.name} has no {parameter}")
-    elif selector == "control/io_mapping" and parameter == "logical_address":
+    if (selector, parameter) == _IO_DEMAND:
         for component in _sensor_actuator_components(model):
             component_path = join_path(mid, "components", component.name)
             entries = [
@@ -255,7 +250,7 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str) 
                     if not entry.logical_address:
                         miss(join_path(mid, "control", "io_mapping", str(i)),
                              f"io_mapping entry for {component.name} has no logical_address")
-    elif selector == "control" and parameter == "sensor_actuator_refs":
+    elif (selector, parameter) == _REFS_DEMAND:
         for component in _sensor_actuator_components(model):
             component_path = join_path(mid, "components", component.name)
             prefix = component_path + "/"
@@ -267,12 +262,14 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str) 
             if not covered:
                 miss(component_path,
                      f"{component.kind} {component.name} is not referenced by any cross reference")
-    elif (selector, parameter) in _CONTAINER_PARAMS:
-        container = getattr(getattr(model, selector.split("/")[0]), parameter)
-        if not container:
-            miss(join_path(mid, selector), f"no {parameter} declared")
     else:
-        raise MatrixError(f"unsupported matrix row: {selector} | {parameter}")
+        cells = row_cells(model, selector, parameter)
+        if cells is None:
+            if not mm.resolve(model, join_path(mid, selector, parameter)):
+                miss(join_path(mid, selector), f"no {parameter} declared")
+        for path, name in cells or ():
+            if not mm.resolve(model, join_path(path, parameter)):
+                miss(path, f"{name} has no {parameter}")
     return found
 
 
@@ -303,7 +300,7 @@ def check_completeness(
 
 
 # ---------------------------------------------------------------------------
-# Ownership and aggregation
+# Ownership
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -315,9 +312,6 @@ class OwnershipMap:
 
 class OwnershipError(ValueError):
     """Raised for an unusable ownership map."""
-
-
-_REQUIRED_OWNERSHIP = ("general", "status", "function", "interface", "control", "components")
 
 
 def load_ownership(text: str) -> OwnershipMap:
@@ -335,7 +329,7 @@ def load_ownership(text: str) -> OwnershipMap:
             raise OwnershipError(f"line {lineno}: unknown discipline {discipline!r}")
         rules.append((selector, discipline))
     covered = {selector for selector, _ in rules}
-    missing = [s for s in _REQUIRED_OWNERSHIP if s not in covered]
+    missing = [s for s in mm.SUBTREES if s not in covered]
     if missing:
         raise OwnershipError(f"ownership map does not cover: {', '.join(missing)}")
     return OwnershipMap(rules=tuple(rules))
@@ -348,13 +342,17 @@ def default_ownership() -> OwnershipMap:
 
 def discipline_of(model: mm.ModuleModel, path: str, ownership: OwnershipMap) -> str:
     """Owning discipline of the element at `path` (documents own themselves)."""
+    return _owner(model, path, ownership, partial(mm.resolve, model))
+
+
+def _owner(model: mm.ModuleModel, path: str, ownership: OwnershipMap, find) -> str:
     segments = split_path(path)
     id_segments = split_path(model.id)
     if segments[: len(id_segments)] != id_segments or len(segments) == len(id_segments):
         raise OwnershipError(f"path {path!r} is not inside module {model.id!r}")
     rest = "/".join(segments[len(id_segments):])
     if rest.split("/")[0] == "documents":
-        doc = mm.resolve(model, path)
+        doc = find(path)
         if isinstance(doc, mm.DocumentReference):
             return doc.discipline
         raise OwnershipError(f"unknown document path {path!r}")
@@ -366,33 +364,6 @@ def discipline_of(model: mm.ModuleModel, path: str, ownership: OwnershipMap) -> 
     if best is None:
         raise OwnershipError(f"no ownership rule covers {path!r}")
     return best[1]
-
-
-@dataclass(frozen=True, slots=True)
-class DocumentBundle:
-    """Documents and owned element paths grouped per discipline."""
-
-    buckets: tuple[tuple[str, tuple[mm.DocumentReference, ...], tuple[str, ...]], ...]
-
-
-def aggregate(model: mm.ModuleModel, ownership: OwnershipMap | None = None) -> DocumentBundle:
-    """Group documents (by their own discipline) and element paths (by owner).
-
-    Buckets appear for all five disciplines in alphabetical order, so the
-    partition is visible even when empty.
-    """
-    if ownership is None:
-        ownership = default_ownership()
-    buckets = []
-    for discipline in sorted(mm.DISCIPLINES):
-        docs = tuple(d for d in model.documents if d.discipline == discipline)
-        owned = tuple(
-            path for path, node in mm.iter_elements(model)
-            if not isinstance(node, mm.ModuleModel)
-            and discipline_of(model, path, ownership) == discipline
-        )
-        buckets.append((discipline, docs, owned))
-    return DocumentBundle(buckets=tuple(buckets))
 
 
 def assign_document(
@@ -422,9 +393,7 @@ def assign_document(
         violations.append(Violation(
             RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR, anchor,
             f"assigned element '{element_path}' does not resolve"))
-    from dataclasses import replace as _replace
-
-    updated = mm.replace_document(model, _replace(doc, assigned_element=element_path))
+    updated = mm.replace_document(model, replace(doc, assigned_element=element_path))
     return updated, violations
 
 
@@ -468,16 +437,22 @@ def dependency_report(
 ) -> DependencyReport:
     """Count cross-references between owning disciplines.
 
-    Every cross-reference endpoint must be ownable; dangling endpoints raise
-    OwnershipError (run check_links first on untrusted models).
+    Every cross-reference endpoint must be ownable; an endpoint that does not
+    resolve (a dangling-source or dangling-target of check_links) raises
+    OwnershipError. Endpoints are looked up through one resolver, so the
+    check costs one pass over the model rather than one per endpoint.
     """
     if ownership is None:
         ownership = default_ownership()
+    find = mm.resolver(model)
     counts: dict[tuple[str, str], int] = {}
     for ref in model.cross_refs:
-        source = discipline_of(model, ref.source, ownership)
-        target = discipline_of(model, ref.target, ownership)
-        counts[(source, target)] = counts.get((source, target), 0) + 1
+        for endpoint in (ref.source, ref.target):
+            if find(endpoint) is None:
+                raise OwnershipError(f"cross-reference endpoint {endpoint!r} does not resolve")
+        pair = (_owner(model, ref.source, ownership, find),
+                _owner(model, ref.target, ownership, find))
+        counts[pair] = counts.get(pair, 0) + 1
     total_refs = len(model.cross_refs)
 
     work: dict[str, int] = {d: 0 for d in sorted(mm.DISCIPLINES)}

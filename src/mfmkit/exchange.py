@@ -32,6 +32,7 @@ from .consistency import (
     default_matrix,
     default_ownership,
     discipline_of,
+    row_cells,
 )
 from .paths import PathError, join_path
 
@@ -40,7 +41,7 @@ HEADER = ("element_path", "parameter_name", "value", "unit",
           "document_name", "document_path")
 
 #: Sub-trees accepted as a class filter on export.
-CLASS_FILTERS = ("general", "status", "function", "interface", "control", "components")
+CLASS_FILTERS = mm.SUBTREES
 
 #: Stage a table-created document is filed under, by owning discipline.
 _STAGE_FOR_DISCIPLINE = {
@@ -78,49 +79,6 @@ def _docs_by_element(model: mm.ModuleModel) -> dict[str, mm.DocumentReference]:
     return out
 
 
-def _unit_of(model: mm.ModuleModel, element_path: str, parameter: str) -> str:
-    for path, node in mm.iter_elements(model):
-        if path != element_path:
-            continue
-        for name, _value, unit in mm._node_params(node):
-            if name == parameter:
-                return unit
-        return ""
-    return ""
-
-
-def _stage_cells(model: mm.ModuleModel, stage: str,
-                 matrix: StageCoverageMatrix) -> list[tuple[str, str]]:
-    """Scalar cells the stage's matrix rows address (structural demands skipped)."""
-    mid = model.id
-    cells: list[tuple[str, str]] = []
-    for row_stage, selector, parameter in matrix.rows:
-        if row_stage != stage:
-            continue
-        if selector == "general/identification":
-            cells.append((join_path(mid, "general", "identification"), parameter))
-        elif selector == "general":
-            cells.append((join_path(mid, "general"), parameter))
-        elif selector == "control/platform":
-            cells.append((join_path(mid, "control", "platform"), parameter))
-        elif selector == "components/*":
-            for component in model.components:
-                cells.append((join_path(mid, "components", component.name), parameter))
-        elif selector == "interface/ports/*":
-            for port in model.interface.ports:
-                cells.append((join_path(mid, "interface", "ports", port.name), parameter))
-        elif selector == "control/io_mapping" and parameter == "logical_address":
-            for i in range(len(model.control.io_mapping)):
-                cells.append((join_path(mid, "control", "io_mapping", str(i)), parameter))
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for cell in cells:
-        if cell not in seen:
-            seen.add(cell)
-            unique.append(cell)
-    return unique
-
-
 def export_table(
     model: mm.ModuleModel,
     *,
@@ -154,13 +112,18 @@ def export_table(
         request_stage = stage or mm.STAGES[-1]
         for violation in check_completeness(model, request_stage, matrix):
             rows.append((violation.element_path, violation.parameter, "",
-                         _unit_of(model, violation.element_path, violation.parameter)))
+                         mm.unit_of(model, violation.element_path, violation.parameter)))
     elif stage:
-        for element_path, parameter in _stage_cells(model, stage, matrix):
+        cells: dict[tuple[str, str], None] = {}
+        for row_stage, selector, parameter in matrix.rows:
+            if row_stage == stage:
+                for element_path, _name in row_cells(model, selector, parameter) or ():
+                    cells[(element_path, parameter)] = None
+        for element_path, parameter in cells:
             value = mm.resolve(model, join_path(element_path, parameter))
             if value:
                 rows.append((element_path, parameter, value,
-                             _unit_of(model, element_path, parameter)))
+                             mm.unit_of(model, element_path, parameter)))
     else:
         prefix = join_path(model.id, cls) if cls else ""
         for element_path, parameter, value, unit in mm.iter_parameters(model):
@@ -203,13 +166,12 @@ def _write_value(model: mm.ModuleModel, node: object, element_path: str,
         if all(v.name != variable for v in model.control.variables):
             model = mm.add_variable(model, variable, "BOOL", direction)
         return model
-    known = {name for name, _value, _unit in mm._node_params(node)}
-    if parameter not in known and not isinstance(node, mm.GeneralDescription):
+    if not mm.spec_of(node).writable(parameter):
         raise _RowError(RULE_UNKNOWN_PARAMETER,
                         f"element has no parameter {parameter!r}", parameter)
     try:
         return mm.set_parameter(model, element_path, parameter, value)
-    except mm.ModelError as error:
+    except (mm.ModelError, PathError) as error:
         raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
 
 
@@ -247,9 +209,9 @@ def _apply_row(model: mm.ModuleModel, element_path: str, parameter: str,
         raise _RowError(RULE_UNKNOWN_PATH, str(error)) from None
     if node is None:
         raise _RowError(RULE_UNKNOWN_ELEMENT, f"unknown element path {element_path!r}")
-    if isinstance(node, str):
+    if isinstance(node, (str, tuple)):
         raise _RowError(RULE_UNKNOWN_ELEMENT,
-                        f"{element_path!r} addresses a parameter, not an element")
+                        f"{element_path!r} addresses a parameter or a list, not an element")
     if not parameter:
         raise _RowError(RULE_UNKNOWN_PARAMETER, "empty parameter name")
     if value:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import model as mm
-from .paths import split_path
 
 KIND_ILLEGAL_ROLE = "illegal_role"
 KIND_ILLEGAL_INTERFACE = "illegal_interface"
@@ -123,63 +122,28 @@ def interfaces_for(table: MappingRuleTable, class_path: str) -> frozenset[str] |
 # Classifying model paths
 # ---------------------------------------------------------------------------
 
-_ENTRY_CLASSES = {
-    ("status", "runtime_variables"): "Status.RuntimeVariable",
-    ("function", "logistic_functions"): "Function.LogisticFunction",
-    ("function", "routes"): "Function.Route",
-    ("interface", "ports"): "Interface.Port",
-    ("interface", "interaction_spaces"): "Interface.InteractionSpace",
-    ("control", "control_functions"): "Control.ControlFunction",
-    ("control", "variables"): "Control.Variable",
-    ("control", "io_mapping"): "Control.IoMapEntry",
-}
-
-_CONTAINER_CLASSES = {
-    "general": "General",
-    "status": "Status",
-    "function": "Function",
-    "interface": "Interface",
-    "control": "Control",
-}
-
-
 def class_path_of(model: mm.ModuleModel, element_path: str) -> str | None:
-    """Meta-model class selector of the element at `element_path`."""
-    segments = split_path(element_path)
-    id_segments = split_path(model.id)
-    if segments[: len(id_segments)] != id_segments:
+    """Meta-model class selector of the element at `element_path`.
+
+    Syntactic: the entry need not exist. List paths and cross references
+    have no class.
+    """
+    found = mm.spec_at(model, element_path)
+    if found is None:
         return None
-    rest = segments[len(id_segments):]
-    if not rest:
-        return "Module"
-    if len(rest) == 1:
-        return _CONTAINER_CLASSES.get(rest[0])
-    if rest == ("general", "identification"):
-        return "General.Identification"
-    if rest == ("control", "platform"):
-        return "Control.Platform"
-    if len(rest) == 2 and rest[0] == "components":
-        return "Component"
-    if len(rest) == 2 and rest[0] == "documents":
-        return "Document"
-    if len(rest) == 3:
-        return _ENTRY_CLASSES.get((rest[0], rest[1]))
-    return None
+    spec, tail = found
+    if len(tail) != (1 if spec.key else 0):
+        return None
+    return spec.cls or None
 
 
-def _is_populated(node: object, ann: mm.Annotation) -> bool:
+def _is_populated(spec: mm.ElementSpec, node: object, ann: mm.Annotation) -> bool:
     if ann.roles or ann.external_refs:
         return True
-    params = mm._node_params(node)
-    if any(value for _name, value, _unit in params):
+    # list entries are populated by existence; single elements by a value
+    if spec.key:
         return True
-    # list entries are populated by existence; singleton containers are not
-    singleton = (
-        mm.ModuleModel, mm.GeneralDescription, mm.Identification,
-        mm.StatusDescription, mm.FunctionDescription, mm.InterfaceDescription,
-        mm.ControlDescription, mm.Platform,
-    )
-    return not isinstance(node, singleton)
+    return spec.surface and any(value for _name, value, _unit in mm.param_rows(spec, node))
 
 
 def validate_assignments(model: mm.ModuleModel, table: MappingRuleTable | None = None) -> list[AssignmentViolation]:
@@ -193,9 +157,8 @@ def validate_assignments(model: mm.ModuleModel, table: MappingRuleTable | None =
     if table is None:
         table = default_table()
     out: list[AssignmentViolation] = []
-    for path, node in mm.iter_elements(model):
-        class_path = class_path_of(model, path)
-        entry = table.entry_for(class_path) if class_path else None
+    for spec, path, node in mm.walk(model):
+        entry = table.entry_for(spec.cls) if spec.cls else None
         if entry is None:
             continue
         ann = mm.annotation_at(model, path)
@@ -206,7 +169,7 @@ def validate_assignments(model: mm.ModuleModel, table: MappingRuleTable | None =
             if ref.interface_class not in entry.permitted_interfaces:
                 out.append(AssignmentViolation(
                     path, ref.interface_class, entry.permitted_interfaces, KIND_ILLEGAL_INTERFACE))
-        if not ann.roles and _is_populated(node, ann):
+        if not ann.roles and _is_populated(spec, node, ann):
             out.append(AssignmentViolation(path, "", entry.permitted_roles, KIND_MISSING_ROLE))
     return out
 

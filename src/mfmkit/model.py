@@ -10,12 +10,21 @@ All scalar values are stored as verbatim strings ("0.1", "(50,150,800)");
 units are implied by the field (mm for geometry, seconds for latency). An
 empty string means "not populated yet". Values must not contain carriage
 returns (XML processing normalizes them away, so they could not round-trip).
+
+The shape of the model is declared once, in SCHEMA: one ElementSpec per
+element or entry list, with its parameters, units, defaults and validators.
+The builders, path resolution, set_parameter and remove_element here, and
+the file reader and writer, the rule classes, the completeness selectors and
+the table units elsewhere, all derive from it.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, indexOf
+from typing import Any, Callable
 
-from .paths import PathError, join_path, split_path
+from .paths import PathError, is_name, join_path, split_path
 
 COMPONENT_KINDS = ("sensor", "actuator", "conveyor", "switch")
 FUNCTION_CATEGORIES = ("material_flow", "handling", "waiting")
@@ -228,30 +237,8 @@ class ModuleModel:
     annotations: tuple[tuple[str, Annotation], ...] = ()
 
 
-_ELEMENT_TYPES = (
-    ModuleModel,
-    GeneralDescription,
-    Identification,
-    StatusDescription,
-    RuntimeVariable,
-    FunctionDescription,
-    LogisticFunction,
-    Route,
-    InterfaceDescription,
-    Port,
-    InteractionSpace,
-    ControlDescription,
-    ControlFunction,
-    Variable,
-    IoMapEntry,
-    Platform,
-    Component,
-    DocumentReference,
-)
-
-
 # ---------------------------------------------------------------------------
-# Validation helpers
+# Value checks
 # ---------------------------------------------------------------------------
 
 def _require_clean(value: str, what: str) -> None:
@@ -260,15 +247,8 @@ def _require_clean(value: str, what: str) -> None:
 
 
 def _require_name(name: str, what: str) -> None:
-    from .paths import is_name
-
     if not name or not is_name(name):
         raise ModelError(f"invalid {what} name {name!r}")
-
-
-def _require_enum(value: str, allowed: tuple[str, ...], what: str) -> None:
-    if value not in allowed:
-        raise ModelError(f"invalid {what} {value!r}; expected one of {', '.join(allowed)}")
 
 
 def parse_triple(text: str) -> tuple[float, float, float]:
@@ -286,23 +266,256 @@ def parse_triple(text: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def _require_triple(value: str, what: str, positive: bool = False) -> None:
-    if value == "":
-        return
-    triple = parse_triple(value)
-    if positive and not all(v > 0 for v in triple):
+# A validator takes the value and a label for messages, and returns the value
+# to store (route priorities become ints) or raises ModelError or PathError.
+
+def _enum(*allowed: str) -> Callable[[str, str], str]:
+    def check(value: str, what: str) -> str:
+        if value not in allowed:
+            raise ModelError(f"invalid {what} {value!r}; expected one of {', '.join(allowed)}")
+        return value
+    return check
+
+
+def _triple(value: str, what: str) -> str:
+    if value:
+        parse_triple(value)
+    return value
+
+
+def _positive_triple(value: str, what: str) -> str:
+    if value and not all(v > 0 for v in parse_triple(value)):
         raise ModelError(f"{what} must be strictly positive, got {value!r}")
+    return value
 
 
-def _require_seconds(value: str, what: str) -> None:
+def _seconds(value: str, what: str) -> str:
     if value == "":
-        return
+        return value
     try:
         seconds = float(value)
     except ValueError:
         raise ModelError(f"{what} is not a number: {value!r}") from None
     if seconds < 0:
         raise ModelError(f"{what} must be non-negative, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ModelError(f"{what} is not an integer: {value!r}") from None
+
+
+def _path(value: str, what: str) -> str:
+    if not value:
+        raise PathError(f"{what} is empty")
+    split_path(value)
+    return value
+
+
+def _optional_path(value: str, what: str) -> str:
+    if value:
+        split_path(value)
+    return value
+
+
+def _ordered_corners(space: InteractionSpace) -> None:
+    if space.min_corner and space.max_corner:
+        low, high = parse_triple(space.min_corner), parse_triple(space.max_corner)
+        if any(a > b for a, b in zip(low, high)):
+            raise ModelError(f"interaction space {space.name!r} has min > max")
+
+
+# ---------------------------------------------------------------------------
+# The meta-model schema
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class Param:
+    """One scalar parameter: name, implied unit, reader default, validator."""
+
+    name: str
+    unit: str = ""
+    default: str = ""
+    check: Callable[[Any, str], Any] | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class ElementSpec:
+    """One element of the meta model, or one list of entries.
+
+    `path` is the attribute path below the module root; its segments are
+    also the element path segments and the CAEX InternalElement names. `key`
+    is "" for a single element, else the entry field that names an entry in
+    paths ("name" or "id") or "index" for position-addressed lists. `cls` is
+    the rule-table class. `surface` says whether the parameters belong to the
+    parameter surface (resolve, set_parameter, tables, completeness); the
+    module name and the document fields are written to files but are not
+    parameters. `extra` names a field holding an open set of Parameters, and
+    `invariant` checks a whole element after its parameters.
+    """
+
+    path: tuple[str, ...]
+    key: str
+    node_type: type
+    cls: str
+    params: tuple[Param, ...] = ()
+    surface: bool = True
+    extra: str = ""
+    invariant: Callable[[Any], None] | None = None
+    #: "port", "runtime variable", ...: used in messages
+    label: str = field(init=False, repr=False, compare=False)
+    names: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        words = re.sub(r"(?<!^)(?=[A-Z])", " ", self.node_type.__name__).lower()
+        object.__setattr__(self, "label", words)
+        object.__setattr__(self, "names", frozenset(p.name for p in self.params))
+
+    def writable(self, name: str) -> bool:
+        """Whether `name` is a parameter set_parameter and table rows may write."""
+        return self.surface and (name in self.names or bool(self.extra))
+
+
+ROOT = ElementSpec((), "", ModuleModel, "Module", (Param("name"),), surface=False)
+
+#: Every element and entry list, in document order (the order of
+#: iter_elements and of the serialized file).
+SCHEMA: tuple[ElementSpec, ...] = (
+    ROOT,
+    ElementSpec(("general",), "", GeneralDescription, "General",
+                (Param("main_dimensions", "mm", check=_positive_triple),),
+                extra="static_attributes"),
+    ElementSpec(("general", "identification"), "", Identification, "General.Identification",
+                (Param("name"), Param("identifier"), Param("module_type"))),
+    ElementSpec(("status",), "", StatusDescription, "Status"),
+    ElementSpec(("status", "runtime_variables"), "name", RuntimeVariable,
+                "Status.RuntimeVariable",
+                (Param("data_type"), Param("unit"), Param("description"))),
+    ElementSpec(("function",), "", FunctionDescription, "Function"),
+    ElementSpec(("function", "logistic_functions"), "name", LogisticFunction,
+                "Function.LogisticFunction",
+                (Param("category", "", "material_flow", _enum(*FUNCTION_CATEGORIES)),
+                 Param("behavior_ref"))),
+    ElementSpec(("function", "routes"), "index", Route, "Function.Route",
+                (Param("from_port"), Param("to_port"), Param("priority", "", "0", _integer))),
+    ElementSpec(("interface",), "", InterfaceDescription, "Interface"),
+    ElementSpec(("interface", "ports"), "name", Port, "Interface.Port",
+                (Param("direction", "", "in", _enum(*PORT_DIRECTIONS)),
+                 Param("position", "mm", check=_triple))),
+    ElementSpec(("interface", "interaction_spaces"), "name", InteractionSpace,
+                "Interface.InteractionSpace",
+                (Param("min_corner", "mm", check=_triple), Param("max_corner", "mm", check=_triple)),
+                invariant=_ordered_corners),
+    ElementSpec(("control",), "", ControlDescription, "Control"),
+    ElementSpec(("control", "control_functions"), "name", ControlFunction,
+                "Control.ControlFunction", (Param("language_tag"), Param("body_ref"))),
+    ElementSpec(("control", "variables"), "name", Variable, "Control.Variable",
+                (Param("data_type"), Param("scope"))),
+    ElementSpec(("control", "io_mapping"), "index", IoMapEntry, "Control.IoMapEntry",
+                (Param("component_path", check=_path), Param("logical_address"),
+                 Param("variable_name"), Param("data_type"),
+                 Param("direction", "", "input", _enum(*IO_DIRECTIONS)))),
+    ElementSpec(("control", "platform"), "", Platform, "Control.Platform",
+                (Param("controller_type"), Param("bus_coupler_type"))),
+    ElementSpec(("components",), "name", Component, "Component",
+                (Param("kind", "", "sensor", _enum(*COMPONENT_KINDS)), Param("component_type"),
+                 Param("position", "mm", check=_triple),
+                 Param("main_dimensions", "mm", check=_triple),
+                 Param("latency", "s", check=_seconds))),
+    ElementSpec(("documents",), "id", DocumentReference, "Document",
+                (Param("discipline", "", "logistics", _enum(*DISCIPLINES)),
+                 Param("stage", "", "logistics_planning", _enum(*STAGES)),
+                 Param("name"), Param("server_path"),
+                 Param("assigned_element", check=_optional_path)),
+                surface=False),
+)
+
+# Cross references are addressable by index but are links, not elements: they
+# have no CAEX element, no rule class and no parameters, so SCHEMA leaves them out.
+_CROSS_REFS = ElementSpec(("cross_refs",), "index", CrossReference, "", surface=False)
+
+_BY_PATH = {spec.path: spec for spec in SCHEMA + (_CROSS_REFS,)}
+_BY_TYPE = {spec.node_type: spec for spec in SCHEMA + (_CROSS_REFS,)}
+
+#: Child specs of each spec by name, in document order.
+CHILDREN: dict[tuple[str, ...], dict[str, ElementSpec]] = {
+    spec.path: {c.path[-1]: c for c in SCHEMA if c.path and c.path[:-1] == spec.path}
+    for spec in SCHEMA
+}
+
+#: The top-level sub-trees that carry parameters.
+SUBTREES = tuple(spec.path[0] for spec in SCHEMA if len(spec.path) == 1 and spec.surface)
+
+
+def spec_of(node: object) -> ElementSpec:
+    """The schema record of an element node."""
+    return _BY_TYPE[type(node)]
+
+
+def get(model: ModuleModel, spec: ElementSpec):
+    """The element, or the tuple of entries, at `spec` in `model`."""
+    node = model
+    for segment in spec.path:
+        node = getattr(node, segment)
+    return node
+
+
+def _put(node, path: tuple[str, ...], value):
+    if not path:
+        return value
+    head = path[0]
+    return replace(node, **{head: _put(getattr(node, head), path[1:], value)})
+
+
+def _store(model: ModuleModel, spec: ElementSpec, index: int | None, node) -> ModuleModel:
+    """`model` with `node` stored at `spec` (at `index` in a list)."""
+    if index is None:
+        return _put(model, spec.path, node)
+    items = get(model, spec)
+    return _put(model, spec.path, items[:index] + (node,) + items[index + 1:])
+
+
+def keyed(spec: ElementSpec, items: tuple) -> list[tuple[str, object]]:
+    """(path segment, entry) for each entry of one list."""
+    if spec.key == "index":
+        return [(str(i), entry) for i, entry in enumerate(items)]
+    return list(zip(map(attrgetter(spec.key), items), items))
+
+
+def param_rows(spec: ElementSpec, node) -> list[tuple[str, str, str]]:
+    """(name, value, unit) of every parameter of one element, in canonical
+    order; the open attribute set, if any, comes last."""
+    rows = [(p.name, str(getattr(node, p.name)), p.unit) for p in spec.params]
+    if spec.extra:
+        rows.extend((p.name, p.value, p.unit) for p in getattr(node, spec.extra))
+    return rows
+
+
+def check_value(spec: ElementSpec, param: Param, value):
+    """Validate one parameter value; returns the value to store."""
+    what = f"{spec.label} {param.name}"
+    if isinstance(value, str):
+        _require_clean(value, what)
+    return param.check(value, what) if param.check else value
+
+
+def _validated(spec: ElementSpec, node):
+    if spec.key in ("name", "id"):
+        _require_name(getattr(node, spec.key), spec.label)
+    changes = {}
+    for param in spec.params:
+        value = getattr(node, param.name)
+        checked = check_value(spec, param, value)
+        if checked is not value:
+            changes[param.name] = checked
+    if changes:
+        node = replace(node, **changes)
+    if spec.invariant:
+        spec.invariant(node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +538,45 @@ def new_module(id: str, name: str, existing_ids: tuple[str, ...] = ()) -> Module
     return ModuleModel(id=id, name=name, annotations=((id, Annotation(roles=(BASE_ROLE,))),))
 
 
+def set_element(model: ModuleModel, node) -> ModuleModel:
+    """Replace a single element (the root, a container or a singleton) by a
+    validated `node` of the same type."""
+    spec = spec_of(node)
+    return _put(model, spec.path, _validated(spec, node))
+
+
+def add_entry(model: ModuleModel, entry) -> ModuleModel:
+    """Append a validated entry to the list its type belongs to."""
+    spec = spec_of(entry)
+    entry = _validated(spec, entry)
+    items = get(model, spec)
+    if spec.key != "index":
+        key = getattr(entry, spec.key)
+        if _find(spec, items, key) is not None:
+            raise ModelError(f"duplicate {spec.label} {key!r}")
+    return _put(model, spec.path, items + (entry,))
+
+
 def set_identification(
     model: ModuleModel,
     name: str | None = None,
     identifier: str | None = None,
     module_type: str | None = None,
 ) -> ModuleModel:
-    ident = model.general.identification
-    ident = Identification(
-        name=ident.name if name is None else name,
-        identifier=ident.identifier if identifier is None else identifier,
-        module_type=ident.module_type if module_type is None else module_type,
-    )
-    for value in (ident.name, ident.identifier, ident.module_type):
-        _require_clean(value, "identification")
-    return replace(model, general=replace(model.general, identification=ident))
+    given = {"name": name, "identifier": identifier, "module_type": module_type}
+    return set_element(model, replace(
+        model.general.identification, **{k: v for k, v in given.items() if v is not None}))
 
 
 def set_main_dimensions(model: ModuleModel, dims: str) -> ModuleModel:
-    _require_triple(dims, "main_dimensions", positive=True)
-    return replace(model, general=replace(model.general, main_dimensions=dims))
+    return set_element(model, replace(model.general, main_dimensions=dims))
 
 
 def add_static_attribute(model: ModuleModel, name: str, value: str, unit: str = "") -> ModuleModel:
     _require_name(name, "attribute")
     _require_clean(value, "attribute value")
-    if name == "main_dimensions":
-        raise ModelError("'main_dimensions' is a built-in parameter, not an attribute")
+    if name in spec_of(model.general).names:
+        raise ModelError(f"{name!r} is a built-in parameter, not an attribute")
     if any(p.name == name for p in model.general.static_attributes):
         raise ModelError(f"duplicate static attribute {name!r}")
     attrs = model.general.static_attributes + (Parameter(name, value, unit),)
@@ -361,72 +586,37 @@ def add_static_attribute(model: ModuleModel, name: str, value: str, unit: str = 
 def add_runtime_variable(
     model: ModuleModel, name: str, data_type: str = "", unit: str = "", description: str = ""
 ) -> ModuleModel:
-    _require_name(name, "runtime variable")
-    if any(v.name == name for v in model.status.runtime_variables):
-        raise ModelError(f"duplicate runtime variable {name!r}")
-    _require_clean(description, "runtime variable description")
-    variables = model.status.runtime_variables + (RuntimeVariable(name, data_type, unit, description),)
-    return replace(model, status=StatusDescription(runtime_variables=variables))
+    return add_entry(model, RuntimeVariable(name, data_type, unit, description))
 
 
 def add_logistic_function(
     model: ModuleModel, name: str, category: str, behavior_ref: str = ""
 ) -> ModuleModel:
-    _require_name(name, "logistic function")
-    _require_enum(category, FUNCTION_CATEGORIES, "function category")
-    if any(f.name == name for f in model.function.logistic_functions):
-        raise ModelError(f"duplicate logistic function {name!r}")
-    functions = model.function.logistic_functions + (LogisticFunction(name, category, behavior_ref),)
-    return replace(model, function=replace(model.function, logistic_functions=functions))
+    return add_entry(model, LogisticFunction(name, category, behavior_ref))
 
 
 def add_route(model: ModuleModel, from_port: str, to_port: str, priority: int = 0) -> ModuleModel:
-    routes = model.function.routes + (Route(from_port, to_port, int(priority)),)
-    return replace(model, function=replace(model.function, routes=routes))
+    return add_entry(model, Route(from_port, to_port, priority))
 
 
 def add_port(model: ModuleModel, name: str, direction: str, position: str = "") -> ModuleModel:
-    _require_name(name, "port")
-    _require_enum(direction, PORT_DIRECTIONS, "port direction")
-    _require_triple(position, "port position")
-    if any(p.name == name for p in model.interface.ports):
-        raise ModelError(f"duplicate port {name!r}")
-    ports = model.interface.ports + (Port(name, direction, position),)
-    return replace(model, interface=replace(model.interface, ports=ports))
+    return add_entry(model, Port(name, direction, position))
 
 
 def add_interaction_space(
     model: ModuleModel, name: str, min_corner: str, max_corner: str
 ) -> ModuleModel:
-    _require_name(name, "interaction space")
-    _require_triple(min_corner, "interaction space corner")
-    _require_triple(max_corner, "interaction space corner")
-    if min_corner and max_corner:
-        low, high = parse_triple(min_corner), parse_triple(max_corner)
-        if any(a > b for a, b in zip(low, high)):
-            raise ModelError(f"interaction space {name!r} has min > max")
-    if any(s.name == name for s in model.interface.interaction_spaces):
-        raise ModelError(f"duplicate interaction space {name!r}")
-    spaces = model.interface.interaction_spaces + (InteractionSpace(name, min_corner, max_corner),)
-    return replace(model, interface=replace(model.interface, interaction_spaces=spaces))
+    return add_entry(model, InteractionSpace(name, min_corner, max_corner))
 
 
 def add_control_function(
     model: ModuleModel, name: str, language_tag: str = "", body_ref: str = ""
 ) -> ModuleModel:
-    _require_name(name, "control function")
-    if any(f.name == name for f in model.control.control_functions):
-        raise ModelError(f"duplicate control function {name!r}")
-    functions = model.control.control_functions + (ControlFunction(name, language_tag, body_ref),)
-    return replace(model, control=replace(model.control, control_functions=functions))
+    return add_entry(model, ControlFunction(name, language_tag, body_ref))
 
 
 def add_variable(model: ModuleModel, name: str, data_type: str = "", scope: str = "") -> ModuleModel:
-    _require_name(name, "variable")
-    if any(v.name == name for v in model.control.variables):
-        raise ModelError(f"duplicate variable {name!r}")
-    variables = model.control.variables + (Variable(name, data_type, scope),)
-    return replace(model, control=replace(model.control, variables=variables))
+    return add_entry(model, Variable(name, data_type, scope))
 
 
 def add_io_entry(
@@ -437,50 +627,29 @@ def add_io_entry(
     data_type: str = "",
     direction: str = "input",
 ) -> ModuleModel:
-    _require_enum(direction, IO_DIRECTIONS, "io direction")
-    split_path(component_path)
-    entry = IoMapEntry(component_path, logical_address, variable_name, data_type, direction)
-    return replace(model, control=replace(model.control, io_mapping=model.control.io_mapping + (entry,)))
+    return add_entry(
+        model, IoMapEntry(component_path, logical_address, variable_name, data_type, direction))
 
 
 def set_platform(model: ModuleModel, controller_type: str, bus_coupler_type: str) -> ModuleModel:
-    _require_clean(controller_type, "controller type")
-    _require_clean(bus_coupler_type, "bus coupler type")
-    platform = Platform(controller_type, bus_coupler_type)
-    return replace(model, control=replace(model.control, platform=platform))
+    return set_element(model, Platform(controller_type, bus_coupler_type))
 
 
 def add_component(model: ModuleModel, component: Component) -> ModuleModel:
-    _require_name(component.name, "component")
-    _require_enum(component.kind, COMPONENT_KINDS, "component kind")
-    _require_triple(component.position, "component position")
-    _require_triple(component.main_dimensions, "component main_dimensions")
-    _require_seconds(component.latency, "component latency")
-    _require_clean(component.component_type, "component type")
-    if any(c.name == component.name for c in model.components):
-        raise ModelError(f"duplicate component {component.name!r}")
-    return replace(model, components=model.components + (component,))
+    return add_entry(model, component)
 
 
 def add_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
-    _require_name(doc.id, "document id")
-    _require_enum(doc.discipline, DISCIPLINES, "document discipline")
-    _require_enum(doc.stage, STAGES, "document stage")
-    for value in (doc.name, doc.server_path):
-        _require_clean(value, "document field")
-    if doc.assigned_element:
-        split_path(doc.assigned_element)
-    if any(d.id == doc.id for d in model.documents):
-        raise ModelError(f"duplicate document id {doc.id!r}")
-    return replace(model, documents=model.documents + (doc,))
+    return add_entry(model, doc)
 
 
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     """Swap an existing document reference (matched by id) for `doc`."""
-    if not any(d.id == doc.id for d in model.documents):
+    spec = spec_of(doc)
+    old = _find(spec, model.documents, doc.id)
+    if old is None:
         raise ModelError(f"unknown document id {doc.id!r}")
-    documents = tuple(doc if d.id == doc.id else d for d in model.documents)
-    return replace(model, documents=documents)
+    return _store(model, spec, _index(spec, model.documents, doc.id, old), doc)
 
 
 def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> ModuleModel:
@@ -521,10 +690,9 @@ def _set_annotation(model: ModuleModel, path: str, ann: Annotation) -> ModuleMod
 
 
 def _require_element(model: ModuleModel, path: str) -> None:
-    node = resolve(model, path)
-    if node is None:
-        raise ModelError(f"path does not resolve: {path!r}")
-    if not isinstance(node, _ELEMENT_TYPES):
+    if _element(_locate(model, path)) is None:
+        if resolve(model, path) is None:
+            raise ModelError(f"path does not resolve: {path!r}")
         raise ModelError(f"path does not address an element: {path!r}")
 
 
@@ -553,303 +721,160 @@ def with_external_ref(model: ModuleModel, path: str, ref: ExternalRef) -> Module
 
 
 # ---------------------------------------------------------------------------
-# Parameter surfaces
+# Traversal
 # ---------------------------------------------------------------------------
 
-def _node_params(node: object) -> tuple[tuple[str, str, str], ...]:
-    """(name, value, unit) rows for one element, in canonical order."""
-    if isinstance(node, Identification):
-        return (
-            ("name", node.name, ""),
-            ("identifier", node.identifier, ""),
-            ("module_type", node.module_type, ""),
-        )
-    if isinstance(node, GeneralDescription):
-        rows = [("main_dimensions", node.main_dimensions, "mm")]
-        rows.extend((p.name, p.value, p.unit) for p in node.static_attributes)
-        return tuple(rows)
-    if isinstance(node, RuntimeVariable):
-        return (
-            ("data_type", node.data_type, ""),
-            ("unit", node.unit, ""),
-            ("description", node.description, ""),
-        )
-    if isinstance(node, LogisticFunction):
-        return (("category", node.category, ""), ("behavior_ref", node.behavior_ref, ""))
-    if isinstance(node, Route):
-        return (
-            ("from_port", node.from_port, ""),
-            ("to_port", node.to_port, ""),
-            ("priority", str(node.priority), ""),
-        )
-    if isinstance(node, Port):
-        return (("direction", node.direction, ""), ("position", node.position, "mm"))
-    if isinstance(node, InteractionSpace):
-        return (("min_corner", node.min_corner, "mm"), ("max_corner", node.max_corner, "mm"))
-    if isinstance(node, ControlFunction):
-        return (("language_tag", node.language_tag, ""), ("body_ref", node.body_ref, ""))
-    if isinstance(node, Variable):
-        return (("data_type", node.data_type, ""), ("scope", node.scope, ""))
-    if isinstance(node, IoMapEntry):
-        return (
-            ("component_path", node.component_path, ""),
-            ("logical_address", node.logical_address, ""),
-            ("variable_name", node.variable_name, ""),
-            ("data_type", node.data_type, ""),
-            ("direction", node.direction, ""),
-        )
-    if isinstance(node, Platform):
-        return (
-            ("controller_type", node.controller_type, ""),
-            ("bus_coupler_type", node.bus_coupler_type, ""),
-        )
-    if isinstance(node, Component):
-        return (
-            ("kind", node.kind, ""),
-            ("component_type", node.component_type, ""),
-            ("position", node.position, "mm"),
-            ("main_dimensions", node.main_dimensions, "mm"),
-            ("latency", node.latency, "s"),
-        )
-    return ()
+def walk(model: ModuleModel):
+    """Yield (spec, path, node) for the root, containers, and every entry."""
+    mid = model.id
+    for spec in SCHEMA:
+        node = get(model, spec)
+        path = join_path(mid, *spec.path)
+        if not spec.key:
+            yield spec, path, node
+            continue
+        for key, entry in keyed(spec, node):
+            yield spec, f"{path}/{key}", entry
 
 
 def iter_elements(model: ModuleModel):
     """Yield (path, node) for the root, containers, and every entry."""
-    mid = model.id
-    yield mid, model
-    general = model.general
-    yield join_path(mid, "general"), general
-    yield join_path(mid, "general", "identification"), general.identification
-    yield join_path(mid, "status"), model.status
-    for variable in model.status.runtime_variables:
-        yield join_path(mid, "status", "runtime_variables", variable.name), variable
-    yield join_path(mid, "function"), model.function
-    for function in model.function.logistic_functions:
-        yield join_path(mid, "function", "logistic_functions", function.name), function
-    for i, route in enumerate(model.function.routes):
-        yield join_path(mid, "function", "routes", str(i)), route
-    yield join_path(mid, "interface"), model.interface
-    for port in model.interface.ports:
-        yield join_path(mid, "interface", "ports", port.name), port
-    for space in model.interface.interaction_spaces:
-        yield join_path(mid, "interface", "interaction_spaces", space.name), space
-    yield join_path(mid, "control"), model.control
-    for function in model.control.control_functions:
-        yield join_path(mid, "control", "control_functions", function.name), function
-    for variable in model.control.variables:
-        yield join_path(mid, "control", "variables", variable.name), variable
-    for i, entry in enumerate(model.control.io_mapping):
-        yield join_path(mid, "control", "io_mapping", str(i)), entry
-    yield join_path(mid, "control", "platform"), model.control.platform
-    for component in model.components:
-        yield join_path(mid, "components", component.name), component
-    for doc in model.documents:
-        yield join_path(mid, "documents", doc.id), doc
+    for _spec, path, node in walk(model):
+        yield path, node
 
 
 def iter_parameters(model: ModuleModel):
     """Yield (element_path, name, value, unit) for every scalar parameter."""
-    for path, node in iter_elements(model):
-        if isinstance(node, (ModuleModel, DocumentReference)):
-            continue
-        for name, value, unit in _node_params(node):
-            yield path, name, value, unit
-
-
-def elements_of_class(model: ModuleModel, cls: str) -> list[str]:
-    """Element paths belonging to one of the five sub-class trees.
-
-    Returns the entry-level elements in document order; the container itself
-    and intermediate list containers are not included.
-    """
-    _require_enum(cls, ("general", "status", "function", "interface", "control"), "sub-class")
-    mid = model.id
-    paths: list[str] = []
-    if cls == "general":
-        paths.append(join_path(mid, "general", "identification"))
-    elif cls == "status":
-        for variable in model.status.runtime_variables:
-            paths.append(join_path(mid, "status", "runtime_variables", variable.name))
-    elif cls == "function":
-        for function in model.function.logistic_functions:
-            paths.append(join_path(mid, "function", "logistic_functions", function.name))
-        for i in range(len(model.function.routes)):
-            paths.append(join_path(mid, "function", "routes", str(i)))
-    elif cls == "interface":
-        for port in model.interface.ports:
-            paths.append(join_path(mid, "interface", "ports", port.name))
-        for space in model.interface.interaction_spaces:
-            paths.append(join_path(mid, "interface", "interaction_spaces", space.name))
-    else:
-        for function in model.control.control_functions:
-            paths.append(join_path(mid, "control", "control_functions", function.name))
-        for variable in model.control.variables:
-            paths.append(join_path(mid, "control", "variables", variable.name))
-        for i in range(len(model.control.io_mapping)):
-            paths.append(join_path(mid, "control", "io_mapping", str(i)))
-        paths.append(join_path(mid, "control", "platform"))
-    return paths
+    for spec, path, node in walk(model):
+        if spec.surface:
+            for name, value, unit in param_rows(spec, node):
+                yield path, name, value, unit
 
 
 # ---------------------------------------------------------------------------
 # Resolution
 # ---------------------------------------------------------------------------
 
-def _param_value(node: object, name: str) -> str | None:
-    for param_name, value, _unit in _node_params(node):
-        if param_name == name:
-            return value
-    return None
+def spec_at(model: ModuleModel, path: str) -> tuple[ElementSpec, tuple[str, ...]] | None:
+    """The spec `path` falls under and the segments after the spec's path.
 
-
-def _lookup(items, name: str):
-    for item in items:
-        if item.name == name:
-            return item
-    return None
-
-
-def _indexed(items, segment: str):
-    if not segment.isdigit():
-        return None
-    index = int(segment)
-    return items[index] if index < len(items) else None
-
-
-def resolve(model: ModuleModel, path: str):
-    """Return the element or parameter value at `path`, or None if absent.
-
-    Not-found is a value; only a syntactically malformed path raises
-    PathError. A parameter path is an element path plus the parameter name.
+    Purely syntactic (entries need not exist); None outside the module. A
+    malformed path raises PathError.
     """
     segments = split_path(path)
     id_segments = split_path(model.id)
     if segments[: len(id_segments)] != id_segments:
         return None
     rest = segments[len(id_segments):]
-    if not rest:
-        return model
-    head, rest = rest[0], rest[1:]
+    spec = _BY_PATH.get(rest[:2]) or _BY_PATH.get(rest[:1]) or ROOT
+    return spec, rest[len(spec.path):]
 
-    if head == "general":
-        if not rest:
-            return model.general
-        if rest[0] == "identification":
-            if len(rest) == 1:
-                return model.general.identification
-            if len(rest) == 2:
-                return _param_value(model.general.identification, rest[1])
-            return None
-        if len(rest) == 1:
-            return _param_value(model.general, rest[0])
+
+def _find(spec: ElementSpec, items: tuple, segment: str):
+    """The entry of one list that `segment` names, or None."""
+    if spec.key == "index":
+        return items[int(segment)] if segment.isdigit() and int(segment) < len(items) else None
+    # The key attribute is spelled out: in a scan, access by a literal name
+    # is several times faster than getattr.
+    if spec.key == "id":
+        for item in items:
+            if item.id == segment:
+                return item
         return None
-
-    if head == "status":
-        if not rest:
-            return model.status
-        if rest[0] == "runtime_variables" and len(rest) >= 2:
-            variable = _lookup(model.status.runtime_variables, rest[1])
-            if variable is None or len(rest) == 2:
-                return variable
-            if len(rest) == 3:
-                return _param_value(variable, rest[2])
-        return None
-
-    if head == "function":
-        if not rest:
-            return model.function
-        if rest[0] == "logistic_functions" and len(rest) >= 2:
-            function = _lookup(model.function.logistic_functions, rest[1])
-            if function is None or len(rest) == 2:
-                return function
-            if len(rest) == 3:
-                return _param_value(function, rest[2])
-            return None
-        if rest[0] == "routes" and len(rest) >= 2:
-            route = _indexed(model.function.routes, rest[1])
-            if route is None or len(rest) == 2:
-                return route
-            if len(rest) == 3:
-                return _param_value(route, rest[2])
-        return None
-
-    if head == "interface":
-        if not rest:
-            return model.interface
-        if rest[0] == "ports" and len(rest) >= 2:
-            port = _lookup(model.interface.ports, rest[1])
-            if port is None or len(rest) == 2:
-                return port
-            if len(rest) == 3:
-                return _param_value(port, rest[2])
-            return None
-        if rest[0] == "interaction_spaces" and len(rest) >= 2:
-            space = _lookup(model.interface.interaction_spaces, rest[1])
-            if space is None or len(rest) == 2:
-                return space
-            if len(rest) == 3:
-                return _param_value(space, rest[2])
-        return None
-
-    if head == "control":
-        if not rest:
-            return model.control
-        if rest[0] == "control_functions" and len(rest) >= 2:
-            function = _lookup(model.control.control_functions, rest[1])
-            if function is None or len(rest) == 2:
-                return function
-            if len(rest) == 3:
-                return _param_value(function, rest[2])
-            return None
-        if rest[0] == "variables" and len(rest) >= 2:
-            variable = _lookup(model.control.variables, rest[1])
-            if variable is None or len(rest) == 2:
-                return variable
-            if len(rest) == 3:
-                return _param_value(variable, rest[2])
-            return None
-        if rest[0] == "io_mapping" and len(rest) >= 2:
-            entry = _indexed(model.control.io_mapping, rest[1])
-            if entry is None or len(rest) == 2:
-                return entry
-            if len(rest) == 3:
-                return _param_value(entry, rest[2])
-            return None
-        if rest[0] == "platform":
-            if len(rest) == 1:
-                return model.control.platform
-            if len(rest) == 2:
-                return _param_value(model.control.platform, rest[1])
-        return None
-
-    if head == "components":
-        if not rest:
-            return model.components
-        component = _lookup(model.components, rest[0])
-        if component is None or len(rest) == 1:
-            return component
-        if len(rest) == 2:
-            return _param_value(component, rest[1])
-        return None
-
-    if head == "documents":
-        if not rest:
-            return model.documents
-        if len(rest) == 1:
-            for doc in model.documents:
-                if doc.id == rest[0]:
-                    return doc
-        return None
-
-    if head == "cross_refs":
-        if not rest:
-            return model.cross_refs
-        if len(rest) == 1:
-            return _indexed(model.cross_refs, rest[0])
-        return None
-
+    for item in items:
+        if item.name == segment:
+            return item
     return None
+
+
+def _locate(model: ModuleModel, path: str, find=_find):
+    """(spec, entry key, node, segments below the node) for `path`.
+
+    The node is None for a missing entry and the tuple of entries for a list
+    path; the key is the entry's path segment, None unless the path names an
+    entry. None as a whole outside the module.
+    """
+    found = spec_at(model, path)
+    if found is None:
+        return None
+    spec, tail = found
+    node = get(model, spec)
+    if not spec.key or not tail:
+        return spec, None, node, tail
+    return spec, tail[0], find(spec, node, tail[0]), tail[1:]
+
+
+def _index(spec: ElementSpec, items: tuple, key: str, entry) -> int:
+    """Position of a found entry; in a keyed list the object itself is sought."""
+    return int(key) if spec.key == "index" else indexOf(map(id, items), id(entry))
+
+
+def _resolved(found):
+    if found is None:
+        return None
+    spec, _index, node, tail = found
+    if not tail or node is None:
+        return node
+    if len(tail) > 1 or not spec.surface:
+        return None
+    name = tail[0]
+    if name in spec.names:
+        return str(getattr(node, name))
+    for attribute in getattr(node, spec.extra) if spec.extra else ():
+        if attribute.name == name:
+            return attribute.value
+    return None
+
+
+def _element(found):
+    """(spec, key, node) when `found` addresses an existing element."""
+    if found is None:
+        return None
+    spec, key, node, tail = found
+    if node is None or tail or spec is _CROSS_REFS or type(node) is not spec.node_type:
+        return None
+    return spec, key, node
+
+
+def resolve(model: ModuleModel, path: str):
+    """Return the element, entry list or parameter value at `path`, or None.
+
+    Not-found is a value; only a syntactically malformed path raises
+    PathError. A parameter path is an element path plus the parameter name;
+    a list path (`<id>/components`, `<id>/status/runtime_variables`, ...)
+    resolves to the tuple of its entries, empty or not.
+    """
+    return _resolved(_locate(model, path))
+
+
+def resolver(model: ModuleModel):
+    """resolve() bound to one model, indexing each keyed list on first use.
+
+    For batches of lookups: each lookup then costs a dictionary probe
+    instead of a scan of its list. Agrees with resolve() on every path.
+    """
+    tables: dict[tuple[str, ...], dict[str, object]] = {}
+
+    def find(spec: ElementSpec, items: tuple, segment: str):
+        if spec.key == "index":
+            return _find(spec, items, segment)
+        table = tables.get(spec.path)
+        if table is None:
+            table = tables[spec.path] = {}
+            for key, item in zip(map(attrgetter(spec.key), items), items):
+                table.setdefault(key, item)
+        return table.get(segment)
+
+    return lambda path: _resolved(_locate(model, path, find))
+
+
+def unit_of(model: ModuleModel, element_path: str, name: str) -> str:
+    """Implied unit of one parameter; "" when it has none or is unknown."""
+    found = _element(_locate(model, element_path))
+    if found is None:
+        return ""
+    spec, _key, node = found
+    return next((unit for param, _value, unit in param_rows(spec, node) if param == name), "")
 
 
 # ---------------------------------------------------------------------------
@@ -864,137 +889,28 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     request attributes that do not exist yet).
     """
     _require_clean(value, "parameter value")
-    node = resolve(model, element_path)
-    if node is None:
+    found = _locate(model, element_path)
+    if _resolved(found) is None:
         raise ModelError(f"unknown element path {element_path!r}")
-    segments = split_path(element_path)
-    rest = segments[len(split_path(model.id)):]
-
-    if isinstance(node, Identification):
-        if name not in ("name", "identifier", "module_type"):
-            raise ModelError(f"unknown identification parameter {name!r}")
-        return set_identification(model, **{name: value})
-
-    if isinstance(node, GeneralDescription):
-        if name == "main_dimensions":
-            return set_main_dimensions(model, value)
-        attrs = node.static_attributes
+    element = _element(found)
+    if element is None or not element[0].surface or not (element[0].params or element[0].extra):
+        raise ModelError(f"element {element_path!r} has no writable parameters")
+    spec, key, node = element
+    index = None if key is None else _index(spec, get(model, spec), key, node)
+    if not spec.writable(name):
+        raise ModelError(f"unknown {spec.label} parameter {name!r}")
+    if name not in spec.names:
+        attrs = getattr(node, spec.extra)
         for i, param in enumerate(attrs):
             if param.name == name:
                 updated = attrs[:i] + (replace(param, value=value),) + attrs[i + 1:]
-                return replace(model, general=replace(node, static_attributes=updated))
+                return _store(model, spec, index, replace(node, **{spec.extra: updated}))
         return add_static_attribute(model, name, value)
-
-    if isinstance(node, RuntimeVariable):
-        if name not in ("data_type", "unit", "description"):
-            raise ModelError(f"unknown runtime variable parameter {name!r}")
-        variables = tuple(
-            replace(v, **{name: value}) if v.name == node.name else v
-            for v in model.status.runtime_variables
-        )
-        return replace(model, status=StatusDescription(runtime_variables=variables))
-
-    if isinstance(node, LogisticFunction):
-        if name == "category":
-            _require_enum(value, FUNCTION_CATEGORIES, "function category")
-        elif name != "behavior_ref":
-            raise ModelError(f"unknown logistic function parameter {name!r}")
-        functions = tuple(
-            replace(f, **{name: value}) if f.name == node.name else f
-            for f in model.function.logistic_functions
-        )
-        return replace(model, function=replace(model.function, logistic_functions=functions))
-
-    if isinstance(node, Route):
-        index = int(rest[2])
-        if name == "priority":
-            try:
-                field_value: object = int(value)
-            except ValueError:
-                raise ModelError(f"route priority is not an integer: {value!r}") from None
-        elif name in ("from_port", "to_port"):
-            field_value = value
-        else:
-            raise ModelError(f"unknown route parameter {name!r}")
-        routes = list(model.function.routes)
-        routes[index] = replace(routes[index], **{name: field_value})
-        return replace(model, function=replace(model.function, routes=tuple(routes)))
-
-    if isinstance(node, Port):
-        if name == "direction":
-            _require_enum(value, PORT_DIRECTIONS, "port direction")
-        elif name == "position":
-            _require_triple(value, "port position")
-        else:
-            raise ModelError(f"unknown port parameter {name!r}")
-        ports = tuple(
-            replace(p, **{name: value}) if p.name == node.name else p
-            for p in model.interface.ports
-        )
-        return replace(model, interface=replace(model.interface, ports=ports))
-
-    if isinstance(node, InteractionSpace):
-        if name not in ("min_corner", "max_corner"):
-            raise ModelError(f"unknown interaction space parameter {name!r}")
-        _require_triple(value, "interaction space corner")
-        spaces = tuple(
-            replace(s, **{name: value}) if s.name == node.name else s
-            for s in model.interface.interaction_spaces
-        )
-        return replace(model, interface=replace(model.interface, interaction_spaces=spaces))
-
-    if isinstance(node, ControlFunction):
-        if name not in ("language_tag", "body_ref"):
-            raise ModelError(f"unknown control function parameter {name!r}")
-        functions = tuple(
-            replace(f, **{name: value}) if f.name == node.name else f
-            for f in model.control.control_functions
-        )
-        return replace(model, control=replace(model.control, control_functions=functions))
-
-    if isinstance(node, Variable):
-        if name not in ("data_type", "scope"):
-            raise ModelError(f"unknown variable parameter {name!r}")
-        variables = tuple(
-            replace(v, **{name: value}) if v.name == node.name else v
-            for v in model.control.variables
-        )
-        return replace(model, control=replace(model.control, variables=variables))
-
-    if isinstance(node, IoMapEntry):
-        if name == "direction":
-            _require_enum(value, IO_DIRECTIONS, "io direction")
-        elif name == "component_path":
-            split_path(value)
-        elif name not in ("logical_address", "variable_name", "data_type"):
-            raise ModelError(f"unknown io mapping parameter {name!r}")
-        index = int(rest[2])
-        entries = list(model.control.io_mapping)
-        entries[index] = replace(entries[index], **{name: value})
-        return replace(model, control=replace(model.control, io_mapping=tuple(entries)))
-
-    if isinstance(node, Platform):
-        if name not in ("controller_type", "bus_coupler_type"):
-            raise ModelError(f"unknown platform parameter {name!r}")
-        platform = replace(node, **{name: value})
-        return replace(model, control=replace(model.control, platform=platform))
-
-    if isinstance(node, Component):
-        if name == "kind":
-            _require_enum(value, COMPONENT_KINDS, "component kind")
-        elif name in ("position", "main_dimensions"):
-            _require_triple(value, f"component {name}")
-        elif name == "latency":
-            _require_seconds(value, "component latency")
-        elif name != "component_type":
-            raise ModelError(f"unknown component parameter {name!r}")
-        components = tuple(
-            replace(c, **{name: value}) if c.name == node.name else c
-            for c in model.components
-        )
-        return replace(model, components=components)
-
-    raise ModelError(f"element {element_path!r} has no writable parameters")
+    param = next(p for p in spec.params if p.name == name)
+    updated = replace(node, **{name: check_value(spec, param, value)})
+    if spec.invariant:
+        spec.invariant(updated)
+    return _store(model, spec, index, updated)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,50 +925,15 @@ def remove_element(model: ModuleModel, path: str) -> ModuleModel:
     of an index-addressed list (io_mapping, routes, cross_refs) shifts the
     indexes of later entries; paths held elsewhere are the caller's concern.
     """
-    node = resolve(model, path)
-    if node is None:
+    found = _locate(model, path)
+    if _resolved(found) is None:
         raise ModelError(f"unknown element path {path!r}")
-    segments = split_path(path)
-    rest = segments[len(split_path(model.id)):]
-    updated: ModuleModel | None = None
-
-    if len(rest) == 2 and rest[0] == "components":
-        updated = replace(model, components=tuple(c for c in model.components if c.name != rest[1]))
-    elif len(rest) == 2 and rest[0] == "documents":
-        updated = replace(model, documents=tuple(d for d in model.documents if d.id != rest[1]))
-    elif len(rest) == 2 and rest[0] == "cross_refs":
-        refs = list(model.cross_refs)
-        del refs[int(rest[1])]
-        updated = replace(model, cross_refs=tuple(refs))
-    elif len(rest) == 3 and rest[:1] == ("status",) and rest[1] == "runtime_variables":
-        variables = tuple(v for v in model.status.runtime_variables if v.name != rest[2])
-        updated = replace(model, status=StatusDescription(runtime_variables=variables))
-    elif len(rest) == 3 and rest[0] == "function" and rest[1] == "logistic_functions":
-        functions = tuple(f for f in model.function.logistic_functions if f.name != rest[2])
-        updated = replace(model, function=replace(model.function, logistic_functions=functions))
-    elif len(rest) == 3 and rest[0] == "function" and rest[1] == "routes":
-        routes = list(model.function.routes)
-        del routes[int(rest[2])]
-        updated = replace(model, function=replace(model.function, routes=tuple(routes)))
-    elif len(rest) == 3 and rest[0] == "interface" and rest[1] == "ports":
-        ports = tuple(p for p in model.interface.ports if p.name != rest[2])
-        updated = replace(model, interface=replace(model.interface, ports=ports))
-    elif len(rest) == 3 and rest[0] == "interface" and rest[1] == "interaction_spaces":
-        spaces = tuple(s for s in model.interface.interaction_spaces if s.name != rest[2])
-        updated = replace(model, interface=replace(model.interface, interaction_spaces=spaces))
-    elif len(rest) == 3 and rest[0] == "control" and rest[1] == "control_functions":
-        functions = tuple(f for f in model.control.control_functions if f.name != rest[2])
-        updated = replace(model, control=replace(model.control, control_functions=functions))
-    elif len(rest) == 3 and rest[0] == "control" and rest[1] == "variables":
-        variables = tuple(v for v in model.control.variables if v.name != rest[2])
-        updated = replace(model, control=replace(model.control, variables=variables))
-    elif len(rest) == 3 and rest[0] == "control" and rest[1] == "io_mapping":
-        entries = list(model.control.io_mapping)
-        del entries[int(rest[2])]
-        updated = replace(model, control=replace(model.control, io_mapping=tuple(entries)))
-
-    if updated is None:
+    spec, key, node, tail = found
+    if key is None or tail:
         raise ModelError(f"not a removable element: {path!r}")
+    items = get(model, spec)
+    index = _index(spec, items, key, node)
+    updated = _put(model, spec.path, items[:index] + items[index + 1:])
     prefix = path + "/"
     annotations = tuple(
         (key, ann) for key, ann in updated.annotations

@@ -23,7 +23,7 @@ from .behavior import (
     _MAX_MOVES,
 )
 from .paths import join_path
-from .xmlio import XmlError, XmlNode, parse_tree, serialize_tree
+from .xmlio import XmlError, XmlNode, check_attrs, parse_tree, serialize_tree
 
 
 class SfcError(ValueError):
@@ -207,15 +207,6 @@ def emit_plcopen(program: SfcProgram) -> bytes:
     return serialize_tree(XmlNode("project", (("name", program.name),), (pou,)))
 
 
-def _require_attrs(node: XmlNode, allowed: tuple[str, ...], required: tuple[str, ...]) -> None:
-    for key, _value in node.attrs:
-        if key not in allowed:
-            raise XmlError(f"unsupported attribute {key!r} on <{node.tag}>", node.line, node.column)
-    for key in required:
-        if not node.has(key):
-            raise XmlError(f"missing attribute {key!r} on <{node.tag}>", node.line, node.column)
-
-
 def _single_child(node: XmlNode, tag: str) -> XmlNode:
     matches = [c for c in node.children if c.tag == tag]
     if len(matches) != 1:
@@ -228,9 +219,9 @@ def parse_plcopen(data: bytes) -> SfcProgram:
     root = parse_tree(data, text_tags=frozenset({"action"}))
     if root.tag != "project":
         raise XmlError(f"unsupported root element <{root.tag}>", root.line, root.column)
-    _require_attrs(root, ("name",), ("name",))
+    check_attrs(root, ("name",), ("name",))
     pou = _single_child(root, "pou")
-    _require_attrs(pou, ("name", "pouType"), ("name", "pouType"))
+    check_attrs(pou, ("name", "pouType"), ("name", "pouType"))
     if pou.get("pouType") != "program":
         raise XmlError(f"unsupported pouType {pou.get('pouType')!r}", pou.line, pou.column)
 
@@ -240,7 +231,7 @@ def parse_plcopen(data: bytes) -> SfcProgram:
         if child.tag != "variable":
             raise XmlError(f"unsupported element <{child.tag}> in interface",
                            child.line, child.column)
-        _require_attrs(child, ("name", "dataType", "kind"), ("name", "dataType", "kind"))
+        check_attrs(child, ("name", "dataType", "kind"), ("name", "dataType", "kind"))
         variables.append(SfcVariable(
             name=child.get("name"), data_type=child.get("dataType"), kind=child.get("kind")))
 
@@ -249,7 +240,7 @@ def parse_plcopen(data: bytes) -> SfcProgram:
     transitions: list[SfcTransition] = []
     for child in sfc.children:
         if child.tag == "step":
-            _require_attrs(child, ("name", "initial"), ("name",))
+            check_attrs(child, ("name", "initial"), ("name",))
             if child.has("initial") and child.get("initial") != "true":
                 raise XmlError(f"bad initial flag {child.get('initial')!r}",
                                child.line, child.column)
@@ -263,7 +254,7 @@ def parse_plcopen(data: bytes) -> SfcProgram:
                 name=child.get("name"), initial=child.has("initial"),
                 actions=tuple(actions)))
         elif child.tag == "transition":
-            _require_attrs(child, ("source", "target", "condition"),
+            check_attrs(child, ("source", "target", "condition"),
                            ("source", "target", "condition"))
             transitions.append(SfcTransition(
                 source=child.get("source"), target=child.get("target"),

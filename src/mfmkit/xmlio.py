@@ -50,6 +50,16 @@ class XmlNode:
         return any(key == name for key, _ in self.attrs)
 
 
+def check_attrs(node: XmlNode, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> None:
+    """Reject attributes outside `allowed` and require those in `required`."""
+    for key, _value in node.attrs:
+        if key not in allowed:
+            raise XmlError(f"unsupported attribute {key!r} on <{node.tag}>", node.line, node.column)
+    for key in required:
+        if not node.has(key):
+            raise XmlError(f"missing attribute {key!r} on <{node.tag}>", node.line, node.column)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

@@ -277,6 +277,74 @@ def test_to_model_recovers_from_invalid_component_kind():
     assert model.components[0].component_type == "G7"
 
 
+def _read_lists(*lists: CaexElement) -> tuple[mm.ModuleModel, list[tuple[str, str]]]:
+    """Read module `m` whose interface/control carry the given list elements."""
+    base = caex_io.from_model(mm.new_module("m", "")).instance_hierarchies[0].elements[0]
+    by_parent = {"ports": "interface", "io_mapping": "control",
+                 "logistic_functions": "function"}
+    children = tuple(
+        CaexElement(name=c.name, attributes=c.attributes, children=tuple(
+            lst for lst in lists if by_parent.get(lst.name) == c.name) + c.children)
+        for c in base.children)
+    root = CaexElement(name="m", role_requirements=base.role_requirements, children=children)
+    model, violations = caex_io.to_model(CaexDocument(
+        instance_hierarchies=(CaexHierarchy(name="h", elements=(root,)),)))
+    return model, [(v.rule_id, v.element_path) for v in violations]
+
+
+def _entry(name: str, *values: tuple[str, str], roles=(), children=()) -> CaexElement:
+    return CaexElement(name=name, role_requirements=roles, children=children, attributes=tuple(
+        CaexAttribute(name=k, value=v) for k, v in values))
+
+
+def test_to_model_defaults_a_rejected_value_and_keeps_the_entry():
+    model, warnings = _read_lists(
+        CaexElement(name="ports", children=(
+            _entry("p1", ("direction", "sideways"), ("position", "not-a-triple")),
+            _entry("p2", ("direction", "")))),
+        CaexElement(name="logistic_functions", children=(
+            _entry("f1", ("category", "teleport")),)))
+    assert model.interface.ports == (mm.Port("p1", "in", ""), mm.Port("p2", "in", ""))
+    assert model.function.logistic_functions == (mm.LogisticFunction("f1"),)
+    assert warnings == [("invalid-value", "m/function/logistic_functions/f1")] + [
+        ("invalid-value", "m/interface/ports/p1")] * 2
+
+
+def test_to_model_keeps_the_first_of_repeated_attributes():
+    model, warnings = _read_lists(CaexElement(name="ports", children=(
+        _entry("p1", ("position", "(1,2,3)"), ("position", "(4,5,6)")),)))
+    assert model.interface.ports[0].position == "(1,2,3)"
+    assert warnings == [("invalid-value", "m/interface/ports/p1")]
+
+
+def test_to_model_reports_children_of_entries_at_the_entry():
+    model, warnings = _read_lists(CaexElement(name="ports", children=(
+        _entry("p1", children=(CaexElement(name="extra"),)),)))
+    assert [p.name for p in model.interface.ports] == ["p1"]
+    assert warnings == [("unknown-element", "m/interface/ports/p1")]
+
+
+def test_to_model_drops_an_unusable_io_entry_and_annotates_the_right_index():
+    model, warnings = _read_lists(CaexElement(name="io_mapping", children=(
+        _entry("0", ("logical_address", "%I0.0")),
+        _entry("1", ("component_path", "not a path")),
+        _entry("2", ("component_path", "m/components/S1"), roles=("Resource",)))))
+    assert [e.component_path for e in model.control.io_mapping] == ["m/components/S1"]
+    assert mm.annotation_at(model, "m/control/io_mapping/0").roles == ("Resource",)
+    # entry 1: the malformed path is dropped, then the entry without one
+    assert warnings == [("invalid-value", "m/control/io_mapping/0")] + [
+        ("invalid-value", "m/control/io_mapping/1")] * 2
+
+
+def test_to_model_anchors_an_unknown_root_child_at_the_module():
+    base = caex_io.from_model(mm.new_module("m", "")).instance_hierarchies[0].elements[0]
+    root = CaexElement(name="m", role_requirements=base.role_requirements,
+                       children=base.children + (CaexElement(name="bad name"),))
+    _model, violations = caex_io.to_model(CaexDocument(
+        instance_hierarchies=(CaexHierarchy(name="h", elements=(root,)),)))
+    assert [(v.rule_id, v.element_path) for v in violations] == [("unknown-element", "m")]
+
+
 def test_to_model_keeps_dangling_links():
     model = mm.new_module("m", "")
     doc = caex_io.from_model(model)

@@ -75,6 +75,13 @@ def work(tmp_path_factory) -> dict[str, str]:
                                 "tjunction-01/components/Ghost",
                                 "tjunction-01/general", "uses")
     paths["dangling"] = save("dangling.aml", dangling)
+    # a component position the tolerant reader must drop and report
+    data = caex_io.serialize(caex_io.from_model(fixture.tjunction_model()))
+    at = data.index(b"<Value>(0,0,400)</Value>", data.index(b'Name="LB_in"'))
+    unreadable = root / "unreadable.aml"
+    unreadable.write_bytes(data[:at] + b"<Value>not-a-triple</Value>"
+                           + data[at + len(b"<Value>(0,0,400)</Value>"):])
+    paths["unreadable"] = str(unreadable)
 
     request = exchange.export_table(
         _stripped_model(), stage="electrical_eng", missing_only=True)
@@ -164,6 +171,38 @@ def test_complete_check_gate(work):
     assert run("complete-check", work["model"], "--stage", "wiring").returncode == 2
 
 
+UNREADABLE_WARNING = ("WARNING invalid-value tjunction-01/components/LB_in: "
+                      "not a triple: 'not-a-triple'")
+
+
+def _warning_records(stdout: str) -> list[dict]:
+    return [r for r in map(json.loads, stdout.splitlines())
+            if r["record"] == "violation" and r["severity"] == "warning"]
+
+
+def test_complete_check_reports_reader_warnings_first(work):
+    result = run("complete-check", work["unreadable"], "--stage", "control_hmi_eng")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == f"{work['unreadable']}: {UNREADABLE_WARNING}"
+    assert "component LB_in has no position" in lines[1]
+
+    result = run("complete-check", work["unreadable"], "--stage", "control_hmi_eng",
+                 "--format", "structured")
+    assert result.returncode == 1
+    warnings = _warning_records(result.stdout)
+    assert [(w["rule"], w["path"]) for w in warnings] == [
+        ("invalid-value", "tjunction-01/components/LB_in")]
+    assert json.loads(result.stdout.splitlines()[0]) == warnings[0]
+
+
+def test_reader_warnings_do_not_set_the_exit_code(work):
+    result = run("link-check", work["unreadable"])
+    assert result.returncode == 0
+    assert result.stdout == f"{work['unreadable']}: {UNREADABLE_WARNING}\n"
+
+
 def test_link_check(work):
     assert run("link-check", work["model"]).returncode == 0
     result = run("link-check", work["dangling"])
@@ -231,6 +270,24 @@ def test_simulate_ambiguity_is_a_finding(work, tmp_path):
     assert "ambiguous branch at step a" in result.stdout
 
 
+def test_simulate_unbound_trace_subject_is_a_finding(work, tmp_path):
+    trace = tmp_path / "ghost.trace"
+    trace.write_text("sensor LB_zzz on\n")
+    for fmt in ("text", "structured"):
+        result = run("simulate", work["model"], work["behavior"], str(trace), "--format", fmt)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "unbound-subject" in result.stdout
+        assert "LB_zzz" in result.stdout
+
+
+def test_simulate_keeps_reader_warnings_out_of_the_event_list(work):
+    result = run("simulate", work["unreadable"], work["behavior"], work["route1"])
+    assert result.returncode == 0
+    assert result.stdout == "activate Conv1\ndeactivate Conv1\n"
+    assert result.stderr == f"{work['unreadable']}: {UNREADABLE_WARNING}\n"
+
+
 def test_simulate_bad_trace_is_operational(work, tmp_path):
     trace = tmp_path / "bad.trace"
     trace.write_text("sensor LB_in maybe\n")
@@ -277,6 +334,29 @@ def test_import_table_reports_skipped_rows(work, tmp_path):
     assert merged.exists()
 
 
+def test_import_table_reports_reader_warnings(work, tmp_path):
+    merged = tmp_path / "merged.aml"
+    result = run("import-table", work["unreadable"], work["filled"], "-o", str(merged))
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert result.stdout == f"{work['unreadable']}: {UNREADABLE_WARNING}\n"
+    restored, _warnings = caex_io.to_model(caex_io.parse(merged.read_bytes()))
+    assert mm.resolve(restored, "tjunction-01/components/LB_in/position") == ""
+
+    result = run("import-table", work["unreadable"], work["filled"], "-o", str(merged),
+                 "--format", "structured")
+    assert result.returncode == 0
+    assert [(w["rule"], w["path"], w["file"]) for w in _warning_records(result.stdout)] == [
+        ("invalid-value", "tjunction-01/components/LB_in", work["unreadable"])]
+
+
+def test_export_table_sends_reader_warnings_to_stderr(work):
+    result = run_bytes("export-table", work["unreadable"])
+    assert result.returncode == 0
+    assert result.stdout.startswith(b"element_path,")
+    assert result.stderr.decode("utf-8") == f"{work['unreadable']}: {UNREADABLE_WARNING}\n"
+
+
 def test_import_table_wrong_header_is_operational(work, tmp_path):
     table = tmp_path / "wrong.csv"
     table.write_text("a,b,c\n", "utf-8")
@@ -315,6 +395,19 @@ def test_report_empty_model_notes_no_references(work):
     result = run("report", work["empty"])
     assert result.returncode == 0
     assert "no references" in result.stdout
+
+
+def test_report_dangling_endpoint_is_a_finding(work):
+    result = run("report", work["dangling"])
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout == (
+        f"{work['dangling']}: ERROR unownable-endpoint tjunction-01: cross-reference "
+        "endpoint 'tjunction-01/components/Ghost' does not resolve\n")
+    result = run("report", work["dangling"], "--format", "structured")
+    assert result.returncode == 1
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["record"], r["rule"]) for r in records] == [("violation", "unownable-endpoint")]
 
 
 def test_report_bad_ownership_map_is_operational(work, tmp_path):

@@ -250,7 +250,7 @@ def test_custom_matrix_replaces_default():
 
 
 # ---------------------------------------------------------------------------
-# Ownership and aggregation
+# Ownership
 # ---------------------------------------------------------------------------
 
 def test_discipline_of_longest_prefix():
@@ -289,22 +289,19 @@ def test_load_ownership_requires_full_coverage():
         cc.load_ownership("general | carpentry")
 
 
-def test_aggregate_partitions_every_element_once():
+def test_default_ownership_gives_every_element_one_owner():
     m = _complete()
     m = mm.add_document(m, mm.DocumentReference(
         id="wiring", discipline="electrical", stage="electrical_eng"))
-    bundle = cc.aggregate(m)
-    assert [b[0] for b in bundle.buckets] == [
-        "electrical", "logistics", "mechanical", "process", "software"]
-    by_discipline = {b[0]: b for b in bundle.buckets}
-    assert [d.id for d in by_discipline["electrical"][1]] == ["wiring"]
-    assert "m/components/S1" in by_discipline["mechanical"][2]
-    assert "m/control/io_mapping/0" in by_discipline["electrical"][2]
-    assert "m/control/variables/i_s1" in by_discipline["software"][2]
-    all_paths = [p for _d, _docs, paths in bundle.buckets for p in paths]
-    assert len(all_paths) == len(set(all_paths))
-    expected = {p for p, node in mm.iter_elements(m) if not isinstance(node, mm.ModuleModel)}
-    assert set(all_paths) == expected
+    ownership = cc.default_ownership()
+    paths = [path for path, _node in mm.iter_elements(m) if path != m.id]
+    assert len(paths) == len(set(paths))
+    owners = {path: cc.discipline_of(m, path, ownership) for path in paths}
+    assert set(owners.values()) <= set(mm.DISCIPLINES)
+    assert owners["m/documents/wiring"] == "electrical"
+    assert owners["m/components/S1"] == "mechanical"
+    assert owners["m/control/io_mapping/0"] == "electrical"
+    assert owners["m/control/variables/i_s1"] == "software"
 
 
 def test_assign_document_last_write_wins_with_info():
@@ -373,6 +370,25 @@ def test_dependency_report_requires_resolvable_endpoints():
     m = mm.add_cross_ref(m, "m", "m/general", "uses")
     with pytest.raises(OwnershipError):
         cc.dependency_report(m)
+
+
+@pytest.mark.parametrize("endpoint, dangles", [
+    ("m/components/Nope", True),
+    ("m/components/S1/nope", True),
+    ("other/components/S1", True),
+    ("m/components/S1/position", False),
+    ("m/control/io_mapping/01", False),
+    ("m/control/io_mapping/7", True),
+])
+def test_dependency_report_rejects_exactly_the_dangling_endpoints(endpoint, dangles):
+    m = mm.add_cross_ref(_complete(), "m/general", endpoint, "uses")
+    flagged = [v for v in cc.check_links(m) if v.rule_id == "dangling-target"]
+    assert bool(flagged) == dangles
+    if dangles:
+        with pytest.raises(OwnershipError, match="does not resolve"):
+            cc.dependency_report(m)
+    else:
+        assert cc.dependency_report(m).total_refs == len(m.cross_refs)
 
 
 def test_empty_model_report_is_zero():

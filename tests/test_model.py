@@ -120,26 +120,6 @@ def test_add_cross_ref_rejects_self_reference():
         mm.add_cross_ref(m, "m/components/X", "m/components/X", "k")
 
 
-def test_elements_of_class_empty_model():
-    m = mm.new_module("m", "x")
-    for cls in ("status", "function", "interface"):
-        assert mm.elements_of_class(m, cls) == []
-    # control always exposes the platform element; general its identification
-    assert mm.elements_of_class(m, "control") == ["m/control/platform"]
-    assert mm.elements_of_class(m, "general") == ["m/general/identification"]
-
-
-def test_elements_of_class_paths_resolve():
-    m = mm.new_module("m", "x")
-    m = mm.add_port(m, "input", "in", "(0,0,0)")
-    m = mm.add_logistic_function(m, "route-1", "material_flow")
-    m = mm.add_variable(m, "q_x", "BOOL", "output")
-    m = mm.add_io_entry(m, "m/components/S", "%I0.0", "i_s", "BOOL", "input")
-    for cls in ("general", "status", "function", "interface", "control"):
-        for path in mm.elements_of_class(m, cls):
-            assert mm.resolve(m, path) is not None
-
-
 def test_path_round_trip_for_all_elements():
     m = _populated()
     for path, node in mm.iter_elements(m):
