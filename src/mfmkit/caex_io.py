@@ -301,32 +301,46 @@ def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: lis
 class _ModelBuilder:
     """Mutable assembly state for one to_model run.
 
-    The reader walks the document along the schema (mm.SCHEMA). A value that
-    fails its validator is reported and replaced by the parameter's default;
-    an entry that cannot be added (bad or duplicate key, missing component
-    path, broken invariant) is reported and dropped with its annotations.
-    Absent and empty values take the default silently.
+    The reader walks the document along the schema (mm.SCHEMA) once. Each
+    element is validated by the same model.check_* functions the public
+    builders use and stored in a plain list or dict: entry lists with a set
+    of their keys, annotations by path, cross references in insertion
+    order. mm.assemble then builds the model once at the end, so reading
+    costs one pass over the file instead of a copy of a list per entry.
+
+    A value that fails its validator is reported and replaced by the
+    parameter's default; an entry that cannot be added (bad or duplicate
+    key, missing component path, broken invariant) is reported and dropped
+    with its annotations. Absent and empty values take the default silently.
     """
 
     def __init__(self, model: mm.ModuleModel):
-        self.model = model
+        """Start from `model`, a new module: its lists are empty."""
+        self.parts = {spec.path: [] if spec.key else mm.get(model, spec) for spec in mm.SCHEMA}
+        self.keys: dict[tuple[str, ...], set[str]] = {}
+        self.annotations = dict(model.annotations)
+        self.cross_refs: dict[mm.CrossReference, None] = {}
         self.violations: list[Violation] = []
 
     def warn(self, rule: str, path: str, message: str) -> None:
         self.violations.append(Violation(rule, SEVERITY_WARNING, path, message))
 
-    def apply(self, path: str, action, *args) -> bool:
-        """Run a model operation; downgrade its error to a violation."""
+    def checked(self, path: str, check, *args):
+        """The result of a model check, or None after reporting its error."""
         try:
-            self.model = action(self.model, *args)
+            return check(*args)
         except (mm.ModelError, PathError) as exc:
             self.warn(RULE_INVALID_VALUE, path, str(exc))
-            return False
-        return True
+            return None
 
     def annotate(self, element: CaexElement, path: str) -> None:
+        # paths the reader builds always name the element it has just stored
+        empty = mm.Annotation()
         if element.role_requirements:
-            self.apply(path, mm.with_roles, path, *element.role_requirements)
+            ann = self.checked(path, mm.check_roles, self.annotations.get(path, empty),
+                               element.role_requirements)
+            if ann is not None:
+                self.annotations[path] = ann
         for interface in element.external_interfaces:
             uri = ""
             for attribute in interface.attributes:
@@ -335,8 +349,10 @@ class _ModelBuilder:
                 else:
                     self.warn(RULE_UNKNOWN_PARAMETER, path,
                               f"unsupported interface attribute '{attribute.name}' ignored")
-            self.apply(path, mm.with_external_ref, path,
-                       mm.ExternalRef(interface.name, interface.interface_class, uri))
+            ann = self.checked(path, mm.check_external_ref, self.annotations.get(path, empty),
+                               path, mm.ExternalRef(interface.name, interface.interface_class, uri))
+            if ann is not None:
+                self.annotations[path] = ann
 
     def values(self, spec: mm.ElementSpec, element: CaexElement, path: str):
         """Parameter texts of one element, plus its open-set attributes."""
@@ -372,10 +388,19 @@ class _ModelBuilder:
         """Read a single element (root, container or singleton) and its children."""
         fields, extra = self.values(spec, element, path)
         if fields:
-            self.apply(path, mm.set_element, replace(mm.get(self.model, spec), **fields))
-        for attribute in extra:
-            self.apply(path, mm.add_static_attribute,
-                       attribute.name, attribute.value, attribute.unit)
+            node = self.checked(path, mm.check_node, spec, replace(self.parts[spec.path], **fields))
+            if node is not None:
+                self.parts[spec.path] = node
+        if extra:
+            attrs = list(getattr(self.parts[spec.path], spec.extra))
+            taken = {a.name for a in attrs}
+            for attribute in extra:
+                added = self.checked(path, mm.check_attribute, spec, taken,
+                                     attribute.name, attribute.value, attribute.unit)
+                if added is not None:
+                    attrs.append(added)
+                    taken.add(added.name)
+            self.parts[spec.path] = replace(self.parts[spec.path], **{spec.extra: tuple(attrs)})
         self.annotate(element, path)
         self.children(spec, element, path)
 
@@ -387,6 +412,8 @@ class _ModelBuilder:
             self.warn(RULE_UNKNOWN_PARAMETER, path,
                       f"attributes on list container '{element.name}' ignored")
         indexed = spec.key == "index"
+        entries = self.parts[spec.path]
+        taken = self.keys.setdefault(spec.path, set())
         for position, entry in enumerate(element.children):
             # warnings name the entry's position in the file; annotations go
             # to the index the entry actually got
@@ -394,9 +421,12 @@ class _ModelBuilder:
             fields, _extra = self.values(spec, entry, entry_path)
             if not indexed:
                 fields[spec.key] = entry.name
-            if self.apply(entry_path, mm.add_entry, spec.node_type(**fields)):
-                stored = len(mm.get(self.model, spec)) - 1
-                self.annotate(entry, join_path(path, str(stored)) if indexed else entry_path)
+            node = self.checked(entry_path, mm.check_entry, spec, spec.node_type(**fields), taken)
+            if node is not None:
+                entries.append(node)
+                if not indexed:
+                    taken.add(entry.name)
+                self.annotate(entry, join_path(path, str(len(entries) - 1)) if indexed else entry_path)
             self.children(spec, entry, entry_path)
 
     def children(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
@@ -415,6 +445,12 @@ class _ModelBuilder:
             if not child_spec.key and name not in seen:
                 self.warn(RULE_MISSING_CONTAINER, join_path(path, name),
                           f"{owner} has no {name} element")
+
+    def build(self) -> mm.ModuleModel:
+        self.parts[()] = replace(
+            self.parts[()], cross_refs=tuple(self.cross_refs),
+            annotations=tuple(sorted(self.annotations.items())))
+        return mm.assemble(self.parts)
 
 
 def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
@@ -441,11 +477,11 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     builder = _ModelBuilder(model)
     builder.read(mm.ROOT, root, mid)
     for link in doc.internal_links:
-        try:
-            builder.model = mm.add_cross_ref(builder.model, link.side_a, link.side_b, link.name)
-        except (mm.ModelError, PathError) as exc:
-            builder.warn(RULE_INVALID_VALUE, join_path(mid, "cross_refs"), str(exc))
-    return builder.model, builder.violations
+        ref = builder.checked(join_path(mid, "cross_refs"), mm.check_cross_ref,
+                              link.side_a, link.side_b, link.name)
+        if ref is not None:
+            builder.cross_refs[ref] = None
+    return builder.build(), builder.violations
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +493,12 @@ def _value_attr(name: str, value: str, unit: str = "") -> CaexAttribute:
 
 
 def from_model(model: mm.ModuleModel) -> CaexDocument:
-    """Render a model as a document; to_model(from_model(m)) reproduces m."""
+    """Render a model as a document; to_model(from_model(m)) reproduces m.
+
+    A module id that new_module() would reject raises ModelError or
+    PathError, so every document rendered here can be read back.
+    """
+    mm.check_module_id(model.id)
     annotations = dict(model.annotations)
 
     def element(spec: mm.ElementSpec, name: str, path: str, node) -> CaexElement:

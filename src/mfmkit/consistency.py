@@ -73,24 +73,26 @@ def check_links(model: mm.ModuleModel) -> list[Violation]:
 
     Covers cross-reference endpoints, document assignments, io_mapping
     component/variable references and direction legality, route ports, and
-    behavior/body document references.
+    behavior/body document references. Every path is looked up through one
+    resolver, so the check is linear in the size of the model.
     """
     out: list[Violation] = []
     mid = model.id
+    find = mm.Resolver(model)
 
     for i, ref in enumerate(model.cross_refs):
         anchor = join_path(mid, "cross_refs", str(i))
-        if mm.resolve(model, ref.source) is None:
+        if find(ref.source) is None:
             out.append(Violation(
                 RULE_DANGLING_SOURCE, SEVERITY_ERROR, anchor,
                 f"source '{ref.source}' does not resolve"))
-        if mm.resolve(model, ref.target) is None:
+        if find(ref.target) is None:
             out.append(Violation(
                 RULE_DANGLING_TARGET, SEVERITY_ERROR, anchor,
                 f"target '{ref.target}' does not resolve"))
 
     for doc in model.documents:
-        if doc.assigned_element and mm.resolve(model, doc.assigned_element) is None:
+        if doc.assigned_element and find(doc.assigned_element) is None:
             out.append(Violation(
                 RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR,
                 join_path(mid, "documents", doc.id),
@@ -99,7 +101,7 @@ def check_links(model: mm.ModuleModel) -> list[Violation]:
     variable_names = {v.name for v in model.control.variables}
     for i, entry in enumerate(model.control.io_mapping):
         anchor = join_path(mid, "control", "io_mapping", str(i))
-        component = mm.resolve(model, entry.component_path)
+        component = find(entry.component_path)
         if not isinstance(component, mm.Component):
             out.append(Violation(
                 RULE_IO_UNKNOWN_COMPONENT, SEVERITY_ERROR, anchor,
@@ -227,7 +229,19 @@ def _sensor_actuator_components(model: mm.ModuleModel):
     return [c for c in model.components if c.kind in ("sensor", "actuator")]
 
 
-def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str) -> list[Violation]:
+def _referenced_components(model: mm.ModuleModel) -> set[str]:
+    """Names of the components that a cross-reference endpoint is at or below."""
+    prefix = join_path(model.id, "components") + "/"
+    return {
+        endpoint[len(prefix):].partition("/")[0]
+        for ref in model.cross_refs
+        for endpoint in (ref.source, ref.target)
+        if endpoint.startswith(prefix)
+    }
+
+
+def _eval_row(model: mm.ModuleModel, find: mm.Resolver, stage: str, selector: str,
+              parameter: str) -> list[Violation]:
     mid = model.id
     found: list[Violation] = []
 
@@ -237,38 +251,31 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str) 
             stage=stage, parameter=parameter))
 
     if (selector, parameter) == _IO_DEMAND:
+        entries: dict[str, list[tuple[int, mm.IoMapEntry]]] = {}
+        for i, entry in enumerate(model.control.io_mapping):
+            entries.setdefault(entry.component_path, []).append((i, entry))
         for component in _sensor_actuator_components(model):
             component_path = join_path(mid, "components", component.name)
-            entries = [
-                (i, e) for i, e in enumerate(model.control.io_mapping)
-                if e.component_path == component_path
-            ]
-            if not entries:
+            if component_path not in entries:
                 miss(component_path, f"no io_mapping entry for {component.kind} {component.name}")
-            else:
-                for i, entry in entries:
-                    if not entry.logical_address:
-                        miss(join_path(mid, "control", "io_mapping", str(i)),
-                             f"io_mapping entry for {component.name} has no logical_address")
+                continue
+            for i, entry in entries[component_path]:
+                if not entry.logical_address:
+                    miss(join_path(mid, "control", "io_mapping", str(i)),
+                         f"io_mapping entry for {component.name} has no logical_address")
     elif (selector, parameter) == _REFS_DEMAND:
+        referenced = _referenced_components(model)
         for component in _sensor_actuator_components(model):
-            component_path = join_path(mid, "components", component.name)
-            prefix = component_path + "/"
-            covered = any(
-                endpoint == component_path or endpoint.startswith(prefix)
-                for ref in model.cross_refs
-                for endpoint in (ref.source, ref.target)
-            )
-            if not covered:
-                miss(component_path,
+            if component.name not in referenced:
+                miss(join_path(mid, "components", component.name),
                      f"{component.kind} {component.name} is not referenced by any cross reference")
     else:
         cells = row_cells(model, selector, parameter)
         if cells is None:
-            if not mm.resolve(model, join_path(mid, selector, parameter)):
+            if not find(join_path(mid, selector, parameter)):
                 miss(join_path(mid, selector), f"no {parameter} declared")
         for path, name in cells or ():
-            if not mm.resolve(model, join_path(path, parameter)):
+            if not find(join_path(path, parameter)):
                 miss(path, f"{name} has no {parameter}")
     return found
 
@@ -280,18 +287,21 @@ def check_completeness(
 
     A violation is reported once per (element, parameter) pair, labeled with
     the earliest stage that requires it. Unknown stages raise ValueError.
+    Cells are looked up through one resolver, so the check is linear in the
+    size of the model.
     """
     if stage not in mm.STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     if matrix is None:
         matrix = default_matrix()
     active = set(mm.STAGES[: mm.STAGES.index(stage) + 1])
+    find = mm.Resolver(model)
     out: list[Violation] = []
     seen: set[tuple[str, str]] = set()
     for row_stage, selector, parameter in matrix.rows:
         if row_stage not in active:
             continue
-        for violation in _eval_row(model, row_stage, selector, parameter):
+        for violation in _eval_row(model, find, row_stage, selector, parameter):
             key = (violation.element_path, violation.parameter)
             if key not in seen:
                 seen.add(key)
@@ -444,7 +454,7 @@ def dependency_report(
     """
     if ownership is None:
         ownership = default_ownership()
-    find = mm.resolver(model)
+    find = mm.Resolver(model)
     counts: dict[tuple[str, str], int] = {}
     for ref in model.cross_refs:
         for endpoint in (ref.source, ref.target):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import replace
 
 from . import model as mm
@@ -93,6 +94,7 @@ def export_table(
     stage's matrix cells or one sub-tree (`cls`); missing_only exports the
     check_completeness request set for `stage` (default: the final stage)
     with empty value cells. Rows are sorted by element_path, parameter_name.
+    Values and units are looked up through one resolver.
     """
     if stage and cls:
         raise ExchangeError("stage and class filters are mutually exclusive")
@@ -107,12 +109,13 @@ def export_table(
     if matrix is None:
         matrix = default_matrix()
 
+    find = mm.Resolver(model)
     rows: list[tuple[str, str, str, str]] = []
     if missing_only:
         request_stage = stage or mm.STAGES[-1]
         for violation in check_completeness(model, request_stage, matrix):
             rows.append((violation.element_path, violation.parameter, "",
-                         mm.unit_of(model, violation.element_path, violation.parameter)))
+                         find.unit_of(violation.element_path, violation.parameter)))
     elif stage:
         cells: dict[tuple[str, str], None] = {}
         for row_stage, selector, parameter in matrix.rows:
@@ -120,10 +123,9 @@ def export_table(
                 for element_path, _name in row_cells(model, selector, parameter) or ():
                     cells[(element_path, parameter)] = None
         for element_path, parameter in cells:
-            value = mm.resolve(model, join_path(element_path, parameter))
+            value = find(join_path(element_path, parameter))
             if value:
-                rows.append((element_path, parameter, value,
-                             mm.unit_of(model, element_path, parameter)))
+                rows.append((element_path, parameter, value, find.unit_of(element_path, parameter)))
     else:
         prefix = join_path(model.id, cls) if cls else ""
         for element_path, parameter, value, unit in mm.iter_parameters(model):
@@ -149,78 +151,122 @@ def export_table(
 # Import
 # ---------------------------------------------------------------------------
 
-def _io_entry_exists(model: mm.ModuleModel, component_path: str) -> bool:
-    return any(e.component_path == component_path for e in model.control.io_mapping)
+class _Merge:
+    """One import: a resolver over the model being merged, the rows' writes
+    to list entries, and the number of io entries per component path, all
+    kept in step with the applied rows.
 
+    A write to a list entry is kept aside under its element path (entry
+    positions do not change during an import) and stored with the others by
+    merged(), so each written list is copied once per import instead of once
+    per row. Rows read an element through the writes of earlier rows.
+    """
 
-def _write_value(model: mm.ModuleModel, node: object, element_path: str,
-                 parameter: str, value: str) -> mm.ModuleModel:
-    if (isinstance(node, mm.Component) and parameter == "logical_address"
-            and node.kind in ("sensor", "actuator")
-            and not _io_entry_exists(model, element_path)):
+    def __init__(self, model: mm.ModuleModel, ownership: OwnershipMap):
+        self.find = mm.Resolver(model)
+        self.mid = model.id
+        self.ownership = ownership
+        self.written: dict[str, tuple] = {}  # element path -> (spec, position, node)
+        self.mapped = Counter(e.component_path for e in model.control.io_mapping)
+
+    def merged(self) -> mm.ModuleModel:
+        """The model with every applied row."""
+        return mm.store(self.find.model, self.written.values())
+
+    def row(self, element_path: str, parameter: str, value: str,
+            doc_name: str, doc_path: str) -> None:
+        """Apply one row whole, or raise _RowError and apply nothing."""
+        try:
+            found = self.written.get(element_path) or self.find.element(element_path)
+            node = found[2] if found else self.find(element_path)
+        except PathError as error:
+            raise _RowError(RULE_UNKNOWN_PATH, str(error)) from None
+        if node is None:
+            raise _RowError(RULE_UNKNOWN_ELEMENT, f"unknown element path {element_path!r}")
+        if isinstance(node, (str, tuple)):
+            raise _RowError(RULE_UNKNOWN_ELEMENT,
+                            f"{element_path!r} addresses a parameter or a list, not an element")
+        if not parameter:
+            raise _RowError(RULE_UNKNOWN_PARAMETER, "empty parameter name")
+        # The row's changes are stored only when all of them succeed.
+        model = self.find.model
+        write = None
+        created = False
+        if value:
+            if (isinstance(node, mm.Component) and parameter == "logical_address"
+                    and node.kind in ("sensor", "actuator") and not self.mapped[element_path]):
+                model, created = self._with_io_entry(node, element_path, value), True
+            else:
+                spec, updated = self._write(node, parameter, value)
+                if found[1] is None:  # a single element, which may hold others: stored at once
+                    model = mm.store(model, ((spec, None, updated),))
+                else:
+                    write = spec, found[1], updated
+        if doc_name:
+            model = self._with_document(model, element_path, doc_name, doc_path)
+        elif doc_path:
+            raise _RowError(RULE_INVALID_VALUE, "document path given without a document name")
+        self.find.model = model
+        if write is not None:
+            self.written[element_path] = write
+        if created:
+            self.mapped[element_path] += 1
+        elif value and isinstance(node, mm.IoMapEntry) and parameter == "component_path":
+            self.mapped[node.component_path] -= 1  # the io entry moved
+            self.mapped[value] += 1
+
+    def _with_io_entry(self, node: mm.Component, element_path: str, value: str) -> mm.ModuleModel:
         # A request row anchored at an unmapped component: filling the address
         # creates the io_mapping entry (and its variable) rather than failing.
         direction = "input" if node.kind == "sensor" else "output"
         variable = ("i_" if node.kind == "sensor" else "q_") + node.name.lower()
-        model = mm.add_io_entry(model, element_path, value, variable, "BOOL", direction)
-        if all(v.name != variable for v in model.control.variables):
+        try:
+            model = mm.add_io_entry(self.find.model, element_path, value, variable, "BOOL", direction)
+        except mm.ModelError as error:
+            raise _RowError(RULE_INVALID_VALUE, str(error), "logical_address") from None
+        if self.find(join_path(self.mid, "control", "variables", variable)) is None:
             model = mm.add_variable(model, variable, "BOOL", direction)
         return model
-    if not mm.spec_of(node).writable(parameter):
-        raise _RowError(RULE_UNKNOWN_PARAMETER,
-                        f"element has no parameter {parameter!r}", parameter)
-    try:
-        return mm.set_parameter(model, element_path, parameter, value)
-    except (mm.ModelError, PathError) as error:
-        raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
 
-
-def _upsert_document(model: mm.ModuleModel, element_path: str, doc_name: str,
-                     doc_path: str, ownership: OwnershipMap) -> mm.ModuleModel:
-    existing = next((d for d in model.documents if d.id == doc_name), None)
-    if existing is None:
+    def _write(self, node: object, parameter: str, value: str):
+        """(spec, updated node) for one parameter write."""
+        spec = mm.spec_of(node)
+        if not spec.writable(parameter):
+            raise _RowError(RULE_UNKNOWN_PARAMETER,
+                            f"element has no parameter {parameter!r}", parameter)
         try:
-            discipline = discipline_of(model, element_path, ownership)
-        except OwnershipError as error:
-            raise _RowError(RULE_INVALID_VALUE, str(error)) from None
-        doc = mm.DocumentReference(
-            id=doc_name, discipline=discipline,
-            stage=_STAGE_FOR_DISCIPLINE[discipline],
-            server_path=doc_path, assigned_element=element_path)
+            updated = mm.write_parameter(spec, node, parameter, value)
+        except (mm.ModelError, PathError) as error:
+            raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
+        return spec, updated
+
+    def _with_document(self, model: mm.ModuleModel, element_path: str,
+                       doc_name: str, doc_path: str) -> mm.ModuleModel:
+        """`model` with the named document added or assigned to the element."""
         try:
-            return mm.add_document(model, doc)
-        except mm.ModelError as error:
-            raise _RowError(RULE_INVALID_VALUE, str(error)) from None
-    refreshed = replace(
-        existing,
-        server_path=doc_path or existing.server_path,
-        assigned_element=element_path)
-    if refreshed == existing:
-        return model
-    return mm.replace_document(model, refreshed)
-
-
-def _apply_row(model: mm.ModuleModel, element_path: str, parameter: str,
-               value: str, doc_name: str, doc_path: str,
-               ownership: OwnershipMap) -> mm.ModuleModel:
-    try:
-        node = mm.resolve(model, element_path)
-    except PathError as error:
-        raise _RowError(RULE_UNKNOWN_PATH, str(error)) from None
-    if node is None:
-        raise _RowError(RULE_UNKNOWN_ELEMENT, f"unknown element path {element_path!r}")
-    if isinstance(node, (str, tuple)):
-        raise _RowError(RULE_UNKNOWN_ELEMENT,
-                        f"{element_path!r} addresses a parameter or a list, not an element")
-    if not parameter:
-        raise _RowError(RULE_UNKNOWN_PARAMETER, "empty parameter name")
-    if value:
-        model = _write_value(model, node, element_path, parameter, value)
-    if doc_name:
-        model = _upsert_document(model, element_path, doc_name, doc_path, ownership)
-    elif doc_path:
-        raise _RowError(RULE_INVALID_VALUE, "document path given without a document name")
-    return model
+            existing = self.find(join_path(self.mid, "documents", doc_name))
+        except PathError:
+            existing = None  # not a usable document id: add_document reports it
+        if existing is None:
+            try:
+                discipline = discipline_of(model, element_path, self.ownership)
+            except OwnershipError as error:
+                raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+            doc = mm.DocumentReference(
+                id=doc_name, discipline=discipline,
+                stage=_STAGE_FOR_DISCIPLINE[discipline],
+                server_path=doc_path, assigned_element=element_path)
+            try:
+                return mm.add_document(model, doc)
+            except mm.ModelError as error:
+                raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+        refreshed = replace(
+            existing,
+            server_path=doc_path or existing.server_path,
+            assigned_element=element_path)
+        if refreshed == existing:
+            return model
+        return mm.replace_document(model, refreshed)
 
 
 def import_table(
@@ -235,7 +281,8 @@ def import_table(
     raise ExchangeError and apply nothing. A row that cannot be applied is
     skipped whole with exactly one violation; empty value cells are requests
     and are never written. Importing the same table twice is a no-op the
-    second time.
+    second time. Rows find their elements through one resolver, and each
+    list the rows write to is copied once.
     """
     if ownership is None:
         ownership = default_ownership()
@@ -252,6 +299,7 @@ def import_table(
         raise ExchangeError(
             "wrong header; expected " + ",".join(HEADER))
 
+    merge = _Merge(model, ownership)
     violations: list[Violation] = []
     for number, record in enumerate(records[1:], start=2):
         if len(record) != len(HEADER):
@@ -259,10 +307,9 @@ def import_table(
                 f"row {number}: expected {len(HEADER)} columns, found {len(record)}")
         element_path, parameter, value, _unit, doc_name, doc_path = record
         try:
-            model = _apply_row(model, element_path, parameter, value,
-                               doc_name, doc_path, ownership)
+            merge.row(element_path, parameter, value, doc_name, doc_path)
         except _RowError as error:
             violations.append(Violation(
                 error.rule_id, SEVERITY_ERROR, element_path, str(error),
                 parameter=error.parameter))
-    return model, violations
+    return merge.merged(), violations

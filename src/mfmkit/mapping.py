@@ -157,11 +157,12 @@ def validate_assignments(model: mm.ModuleModel, table: MappingRuleTable | None =
     if table is None:
         table = default_table()
     out: list[AssignmentViolation] = []
+    annotations = dict(model.annotations)
     for spec, path, node in mm.walk(model):
         entry = table.entry_for(spec.cls) if spec.cls else None
         if entry is None:
             continue
-        ann = mm.annotation_at(model, path)
+        ann = annotations.get(path, mm.Annotation())
         for role in ann.roles:
             if role not in entry.permitted_roles:
                 out.append(AssignmentViolation(path, role, entry.permitted_roles, KIND_ILLEGAL_ROLE))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, indexOf
+from operator import attrgetter
 from typing import Any, Callable
 
 from .paths import PathError, is_name, join_path, split_path
@@ -470,12 +470,22 @@ def _put(node, path: tuple[str, ...], value):
     return replace(node, **{head: _put(getattr(node, head), path[1:], value)})
 
 
-def _store(model: ModuleModel, spec: ElementSpec, index: int | None, node) -> ModuleModel:
-    """`model` with `node` stored at `spec` (at `index` in a list)."""
-    if index is None:
-        return _put(model, spec.path, node)
-    items = get(model, spec)
-    return _put(model, spec.path, items[:index] + (node,) + items[index + 1:])
+def store(model: ModuleModel, writes) -> ModuleModel:
+    """`model` with each (spec, position, node) of `writes` stored as given;
+    the position is None for an element that is not a list entry. Each list
+    is copied once, however many of its entries are replaced."""
+    lists: dict[tuple[str, ...], tuple[ElementSpec, dict[int, object]]] = {}
+    for spec, index, node in writes:
+        if index is None:
+            model = _put(model, spec.path, node)
+        else:
+            lists.setdefault(spec.path, (spec, {}))[1][index] = node
+    for spec, nodes in lists.values():
+        items = list(get(model, spec))
+        for index, node in nodes.items():
+            items[index] = node
+        model = _put(model, spec.path, tuple(items))
+    return model
 
 
 def keyed(spec: ElementSpec, items: tuple) -> list[tuple[str, object]]:
@@ -502,7 +512,9 @@ def check_value(spec: ElementSpec, param: Param, value):
     return param.check(value, what) if param.check else value
 
 
-def _validated(spec: ElementSpec, node):
+def check_node(spec: ElementSpec, node):
+    """Validate an element or entry: its key name, every parameter value and
+    the invariant. Returns the node to store."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
     changes = {}
@@ -518,9 +530,77 @@ def _validated(spec: ElementSpec, node):
     return node
 
 
+def check_entry(spec: ElementSpec, entry, taken):
+    """Validate an entry for appending to a list of `spec` whose keys are
+    `taken` (any container; ignored for index-keyed lists)."""
+    entry = check_node(spec, entry)
+    if spec.key != "index":
+        key = getattr(entry, spec.key)
+        if key in taken:
+            raise ModelError(f"duplicate {spec.label} {key!r}")
+    return entry
+
+
+def check_attribute(spec: ElementSpec, taken, name: str, value: str, unit: str) -> Parameter:
+    """Validate one attribute of an open set (`spec.extra`) whose names are `taken`."""
+    _require_name(name, "attribute")
+    _require_clean(value, "attribute value")
+    if name in spec.names:
+        raise ModelError(f"{name!r} is a built-in parameter, not an attribute")
+    if name in taken:
+        raise ModelError(f"duplicate static attribute {name!r}")
+    return Parameter(name, value, unit)
+
+
+def check_roles(ann: Annotation, roles) -> Annotation:
+    """`ann` with the validated `roles` merged in, without repeats."""
+    merged = dict.fromkeys(ann.roles)
+    for role in roles:
+        _require_name(role, "role identifier")
+        merged[role] = None
+    return replace(ann, roles=tuple(merged))
+
+
+def check_external_ref(ann: Annotation, path: str, ref: ExternalRef) -> Annotation:
+    """`ann` (at `path`) with the validated `ref` appended."""
+    _require_name(ref.name, "external reference")
+    _require_name(ref.interface_class, "interface class")
+    _require_clean(ref.ref_uri, "refURI")
+    if any(r.name == ref.name for r in ann.external_refs):
+        raise ModelError(f"duplicate external reference {ref.name!r} at {path!r}")
+    return replace(ann, external_refs=ann.external_refs + (ref,))
+
+
+def check_cross_ref(source: str, target: str, kind: str) -> CrossReference:
+    """A validated cross reference; dangling endpoints are permitted."""
+    split_path(source)
+    split_path(target)
+    if source == target:
+        raise ModelError(f"cross reference source equals target: {source!r}")
+    _require_clean(kind, "cross reference kind")
+    return CrossReference(source, target, kind)
+
+
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+#: Most segments a module id may have. A model file nests the module root
+#: under two wrapper elements and one element per id segment, and the
+#: module's own elements reach six levels below its root, so every file the
+#: writer produces stays well inside the reader's xmlio.MAX_DEPTH (256).
+MAX_ID_SEGMENTS = 200
+
+
+def check_module_id(id: str) -> None:
+    """Validate a module id: non-empty, path grammar, at most MAX_ID_SEGMENTS segments."""
+    if not id:
+        raise ModelError("module id must be non-empty")
+    segments = split_path(id)
+    if len(segments) > MAX_ID_SEGMENTS:
+        raise ModelError(
+            f"module id has {len(segments)} segments; at most {MAX_ID_SEGMENTS} are allowed")
+
 
 def new_module(id: str, name: str, existing_ids: tuple[str, ...] = ()) -> ModuleModel:
     """Create an empty module with the five sub-class containers.
@@ -529,9 +609,7 @@ def new_module(id: str, name: str, existing_ids: tuple[str, ...] = ()) -> Module
     reusing one is a construction error. The module root is pre-annotated with
     the base role class so serialized files can identify it.
     """
-    if not id:
-        raise ModelError("module id must be non-empty")
-    split_path(id)  # validates segment grammar
+    check_module_id(id)
     if id in existing_ids:
         raise ModelError(f"duplicate module id {id!r}")
     _require_clean(name, "module name")
@@ -542,19 +620,28 @@ def set_element(model: ModuleModel, node) -> ModuleModel:
     """Replace a single element (the root, a container or a singleton) by a
     validated `node` of the same type."""
     spec = spec_of(node)
-    return _put(model, spec.path, _validated(spec, node))
+    return _put(model, spec.path, check_node(spec, node))
 
 
 def add_entry(model: ModuleModel, entry) -> ModuleModel:
     """Append a validated entry to the list its type belongs to."""
     spec = spec_of(entry)
-    entry = _validated(spec, entry)
     items = get(model, spec)
-    if spec.key != "index":
-        key = getattr(entry, spec.key)
-        if _find(spec, items, key) is not None:
-            raise ModelError(f"duplicate {spec.label} {key!r}")
-    return _put(model, spec.path, items + (entry,))
+    taken = () if spec.key == "index" else map(attrgetter(spec.key), items)
+    return _put(model, spec.path, items + (check_entry(spec, entry, taken),))
+
+
+def assemble(parts: dict) -> ModuleModel:
+    """Build a whole model in one pass from one part per SCHEMA path: the
+    element itself, whose child fields are replaced by their own parts, or
+    the sequence of a list's entries. Parts are stored as given."""
+    def build(spec: ElementSpec):
+        part = parts[spec.path]
+        if spec.key:
+            return tuple(part)
+        children = {name: build(child) for name, child in CHILDREN[spec.path].items()}
+        return replace(part, **children) if children else part
+    return build(ROOT)
 
 
 def set_identification(
@@ -573,14 +660,10 @@ def set_main_dimensions(model: ModuleModel, dims: str) -> ModuleModel:
 
 
 def add_static_attribute(model: ModuleModel, name: str, value: str, unit: str = "") -> ModuleModel:
-    _require_name(name, "attribute")
-    _require_clean(value, "attribute value")
-    if name in spec_of(model.general).names:
-        raise ModelError(f"{name!r} is a built-in parameter, not an attribute")
-    if any(p.name == name for p in model.general.static_attributes):
-        raise ModelError(f"duplicate static attribute {name!r}")
-    attrs = model.general.static_attributes + (Parameter(name, value, unit),)
-    return replace(model, general=replace(model.general, static_attributes=attrs))
+    attrs = model.general.static_attributes
+    attribute = check_attribute(
+        spec_of(model.general), (p.name for p in attrs), name, value, unit)
+    return replace(model, general=replace(model.general, static_attributes=attrs + (attribute,)))
 
 
 def add_runtime_variable(
@@ -646,24 +729,21 @@ def add_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     """Swap an existing document reference (matched by id) for `doc`."""
     spec = spec_of(doc)
-    old = _find(spec, model.documents, doc.id)
-    if old is None:
+    index = _find(spec, model.documents, doc.id)
+    if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
-    return _store(model, spec, _index(spec, model.documents, doc.id, old), doc)
+    return store(model, ((spec, index, doc),))
 
 
 def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> ModuleModel:
     """Record a reference between two element paths.
 
     Dangling endpoints are permitted here; the consistency checks flag them.
-    Inserting the same (source, target, kind) triple twice is a no-op.
+    Inserting the same (source, target, kind) triple twice is a no-op. Each
+    call scans and copies the whole list; the file reader validates every
+    link with check_cross_ref and removes repeats through one set instead.
     """
-    split_path(source)
-    split_path(target)
-    if source == target:
-        raise ModelError(f"cross reference source equals target: {source!r}")
-    _require_clean(kind, "cross reference kind")
-    ref = CrossReference(source, target, kind)
+    ref = check_cross_ref(source, target, kind)
     if ref in model.cross_refs:
         return model
     return replace(model, cross_refs=model.cross_refs + (ref,))
@@ -690,8 +770,9 @@ def _set_annotation(model: ModuleModel, path: str, ann: Annotation) -> ModuleMod
 
 
 def _require_element(model: ModuleModel, path: str) -> None:
-    if _element(_locate(model, path)) is None:
-        if resolve(model, path) is None:
+    found = _locate(model, path)
+    if _element(found) is None:
+        if _resolved(found) is None:
             raise ModelError(f"path does not resolve: {path!r}")
         raise ModelError(f"path does not address an element: {path!r}")
 
@@ -699,25 +780,13 @@ def _require_element(model: ModuleModel, path: str) -> None:
 def with_roles(model: ModuleModel, path: str, *roles: str) -> ModuleModel:
     """Attach role identifiers to the element at `path` (idempotent)."""
     _require_element(model, path)
-    ann = annotation_at(model, path)
-    merged = list(ann.roles)
-    for role in roles:
-        _require_name(role, "role identifier")
-        if role not in merged:
-            merged.append(role)
-    return _set_annotation(model, path, replace(ann, roles=tuple(merged)))
+    return _set_annotation(model, path, check_roles(annotation_at(model, path), roles))
 
 
 def with_external_ref(model: ModuleModel, path: str, ref: ExternalRef) -> ModuleModel:
     """Attach an external document reference to the element at `path`."""
     _require_element(model, path)
-    _require_name(ref.name, "external reference")
-    _require_name(ref.interface_class, "interface class")
-    _require_clean(ref.ref_uri, "refURI")
-    ann = annotation_at(model, path)
-    if any(r.name == ref.name for r in ann.external_refs):
-        raise ModelError(f"duplicate external reference {ref.name!r} at {path!r}")
-    return _set_annotation(model, path, replace(ann, external_refs=ann.external_refs + (ref,)))
+    return _set_annotation(model, path, check_external_ref(annotation_at(model, path), path, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -770,29 +839,38 @@ def spec_at(model: ModuleModel, path: str) -> tuple[ElementSpec, tuple[str, ...]
     return spec, rest[len(spec.path):]
 
 
-def _find(spec: ElementSpec, items: tuple, segment: str):
-    """The entry of one list that `segment` names, or None."""
+def _position(segment: str) -> int | None:
+    """The index a canonical decimal segment names: "0", "7", "12", but not
+    "00", "+1" or non-ASCII digits."""
+    if segment.isascii() and segment.isdigit() and (segment == "0" or segment[0] != "0"):
+        return int(segment)
+    return None
+
+
+def _find(spec: ElementSpec, items: tuple, segment: str) -> int | None:
+    """Position of the entry of one list that `segment` names, or None."""
     if spec.key == "index":
-        return items[int(segment)] if segment.isdigit() and int(segment) < len(items) else None
+        index = _position(segment)
+        return index if index is not None and index < len(items) else None
     # The key attribute is spelled out: in a scan, access by a literal name
     # is several times faster than getattr.
     if spec.key == "id":
-        for item in items:
+        for index, item in enumerate(items):
             if item.id == segment:
-                return item
+                return index
         return None
-    for item in items:
+    for index, item in enumerate(items):
         if item.name == segment:
-            return item
+            return index
     return None
 
 
 def _locate(model: ModuleModel, path: str, find=_find):
-    """(spec, entry key, node, segments below the node) for `path`.
+    """(spec, entry position, node, segments below the node) for `path`.
 
     The node is None for a missing entry and the tuple of entries for a list
-    path; the key is the entry's path segment, None unless the path names an
-    entry. None as a whole outside the module.
+    path; the position is None unless the path names an existing entry.
+    None as a whole outside the module.
     """
     found = spec_at(model, path)
     if found is None:
@@ -801,12 +879,8 @@ def _locate(model: ModuleModel, path: str, find=_find):
     node = get(model, spec)
     if not spec.key or not tail:
         return spec, None, node, tail
-    return spec, tail[0], find(spec, node, tail[0]), tail[1:]
-
-
-def _index(spec: ElementSpec, items: tuple, key: str, entry) -> int:
-    """Position of a found entry; in a keyed list the object itself is sought."""
-    return int(key) if spec.key == "index" else indexOf(map(id, items), id(entry))
+    index = find(spec, node, tail[0])
+    return spec, index, None if index is None else node[index], tail[1:]
 
 
 def _resolved(found):
@@ -827,13 +901,13 @@ def _resolved(found):
 
 
 def _element(found):
-    """(spec, key, node) when `found` addresses an existing element."""
+    """(spec, position, node) when `found` addresses an existing element."""
     if found is None:
         return None
-    spec, key, node, tail = found
+    spec, index, node, tail = found
     if node is None or tail or spec is _CROSS_REFS or type(node) is not spec.node_type:
         return None
-    return spec, key, node
+    return spec, index, node
 
 
 def resolve(model: ModuleModel, path: str):
@@ -842,39 +916,61 @@ def resolve(model: ModuleModel, path: str):
     Not-found is a value; only a syntactically malformed path raises
     PathError. A parameter path is an element path plus the parameter name;
     a list path (`<id>/components`, `<id>/status/runtime_variables`, ...)
-    resolves to the tuple of its entries, empty or not.
+    resolves to the tuple of its entries, empty or not. An index segment is
+    a canonical decimal ("3", not "03").
     """
     return _resolved(_locate(model, path))
 
 
-def resolver(model: ModuleModel):
-    """resolve() bound to one model, indexing each keyed list on first use.
+class Resolver:
+    """resolve() for a batch of paths of one model.
 
-    For batches of lookups: each lookup then costs a dictionary probe
-    instead of a scan of its list. Agrees with resolve() on every path.
+    Each keyed list is indexed (key -> position) on its first lookup, so a
+    lookup costs a dictionary probe instead of a scan of its list; one
+    resolver per operation keeps a whole check or table linear. Lookups
+    agree with resolve(self.model, path) on every path.
+
+    `model` may be set to a model derived from it by builders that keep the
+    positions of existing entries (parameter writes, document replacements,
+    appended entries): the index stays valid and takes in appended entries
+    on their first lookup.
     """
-    tables: dict[tuple[str, ...], dict[str, object]] = {}
 
-    def find(spec: ElementSpec, items: tuple, segment: str):
+    def __init__(self, model: ModuleModel):
+        self.model = model
+        self._positions: dict[tuple[str, ...], dict[str, int]] = {}
+        self._indexed: dict[tuple[str, ...], int] = {}
+
+    def _find(self, spec: ElementSpec, items: tuple, segment: str) -> int | None:
         if spec.key == "index":
             return _find(spec, items, segment)
-        table = tables.get(spec.path)
-        if table is None:
-            table = tables[spec.path] = {}
-            for key, item in zip(map(attrgetter(spec.key), items), items):
-                table.setdefault(key, item)
-        return table.get(segment)
+        positions = self._positions.setdefault(spec.path, {})
+        start = self._indexed.get(spec.path, 0)
+        if start < len(items):
+            for index in range(start, len(items)):
+                positions.setdefault(getattr(items[index], spec.key), index)
+            self._indexed[spec.path] = len(items)
+        return positions.get(segment)
 
-    return lambda path: _resolved(_locate(model, path, find))
+    def _locate(self, path: str):
+        return _locate(self.model, path, self._find)
 
+    def __call__(self, path: str):
+        """resolve(self.model, path)"""
+        return _resolved(self._locate(path))
 
-def unit_of(model: ModuleModel, element_path: str, name: str) -> str:
-    """Implied unit of one parameter; "" when it has none or is unknown."""
-    found = _element(_locate(model, element_path))
-    if found is None:
-        return ""
-    spec, _key, node = found
-    return next((unit for param, _value, unit in param_rows(spec, node) if param == name), "")
+    def unit_of(self, element_path: str, name: str) -> str:
+        """Implied unit of one parameter; "" when it has none or is unknown."""
+        found = _element(self._locate(element_path))
+        if found is None:
+            return ""
+        spec, _index, node = found
+        return next((unit for param, _value, unit in param_rows(spec, node) if param == name), "")
+
+    def element(self, path: str):
+        """(spec, position, node) of the element at `path`, or None; the
+        position is None for an element that is not a list entry."""
+        return _element(self._locate(path))
 
 
 # ---------------------------------------------------------------------------
@@ -895,22 +991,30 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     element = _element(found)
     if element is None or not element[0].surface or not (element[0].params or element[0].extra):
         raise ModelError(f"element {element_path!r} has no writable parameters")
-    spec, key, node = element
-    index = None if key is None else _index(spec, get(model, spec), key, node)
+    spec, index, node = element
+    return store(model, ((spec, index, write_parameter(spec, node, name, value)),))
+
+
+def write_parameter(spec: ElementSpec, node, name: str, value: str):
+    """`node`, an element of `spec`, with one parameter written and validated
+    as set_parameter() validates it; an unknown name in an open attribute
+    set (`spec.extra`) adds a static attribute."""
+    _require_clean(value, "parameter value")
     if not spec.writable(name):
         raise ModelError(f"unknown {spec.label} parameter {name!r}")
     if name not in spec.names:
         attrs = getattr(node, spec.extra)
         for i, param in enumerate(attrs):
             if param.name == name:
-                updated = attrs[:i] + (replace(param, value=value),) + attrs[i + 1:]
-                return _store(model, spec, index, replace(node, **{spec.extra: updated}))
-        return add_static_attribute(model, name, value)
+                attrs = attrs[:i] + (replace(param, value=value),) + attrs[i + 1:]
+                return replace(node, **{spec.extra: attrs})
+        added = check_attribute(spec, (p.name for p in attrs), name, value, "")
+        return replace(node, **{spec.extra: attrs + (added,)})
     param = next(p for p in spec.params if p.name == name)
     updated = replace(node, **{name: check_value(spec, param, value)})
     if spec.invariant:
         spec.invariant(updated)
-    return _store(model, spec, index, updated)
+    return updated
 
 
 # ---------------------------------------------------------------------------
@@ -923,20 +1027,32 @@ def remove_element(model: ModuleModel, path: str) -> ModuleModel:
     References pointing at the removed element are kept and become dangling;
     annotations at or below the removed path are dropped. Removing an entry
     of an index-addressed list (io_mapping, routes, cross_refs) shifts the
-    indexes of later entries; paths held elsewhere are the caller's concern.
+    indexes of later entries, and their annotations move down with them;
+    paths held elsewhere (cross references, document assignments) are the
+    caller's concern.
     """
     found = _locate(model, path)
     if _resolved(found) is None:
         raise ModelError(f"unknown element path {path!r}")
-    spec, key, node, tail = found
-    if key is None or tail:
+    spec, index, _node, tail = found
+    if index is None or tail:
         raise ModelError(f"not a removable element: {path!r}")
     items = get(model, spec)
-    index = _index(spec, items, key, node)
     updated = _put(model, spec.path, items[:index] + items[index + 1:])
     prefix = path + "/"
-    annotations = tuple(
-        (key, ann) for key, ann in updated.annotations
+    list_prefix = path[: path.rindex("/") + 1]
+
+    def moved(key: str) -> str:
+        if spec.key != "index" or not key.startswith(list_prefix):
+            return key
+        segment, slash, below = key[len(list_prefix):].partition("/")
+        later = _position(segment)
+        if later is None or later < index:
+            return key
+        return f"{list_prefix}{later - 1}{slash}{below}"
+
+    annotations = sorted(
+        (moved(key), ann) for key, ann in updated.annotations
         if key != path and not key.startswith(prefix)
     )
-    return replace(updated, annotations=annotations)
+    return replace(updated, annotations=tuple(annotations))

@@ -2,7 +2,8 @@
 
 Every addressable thing in a module model has a slash-separated path. A
 segment is either a name matching [A-Za-z0-9_.-] or a zero-based decimal
-index for entries of unnamed lists (io_mapping, routes, cross_refs).
+index without leading zeros for entries of unnamed lists (io_mapping, routes,
+cross_refs).
 """
 from __future__ import annotations
 

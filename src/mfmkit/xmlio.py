@@ -7,8 +7,9 @@ self-closing tags for empty non-root elements. Free text lives in dedicated
 value elements; everywhere else, non-whitespace character data is rejected.
 
 Parsing is strict: unknown constructs are for the schema layers to reject,
-but DOCTYPE declarations and processing instructions fail here, and every
-node records its source line/column for error reporting.
+but DOCTYPE declarations, processing instructions and nesting deeper than
+MAX_DEPTH fail here, and every node records its source line/column for error
+reporting.
 """
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ from dataclasses import dataclass, field
 from xml.parsers import expat
 
 DECLARATION = '<?xml version="1.0" encoding="utf-8"?>'
+
+#: Deepest element nesting parse_tree accepts (the root is at depth 1). The
+#: layers above walk trees recursively; this bound keeps every such walk far
+#: below the interpreter's recursion limit.
+MAX_DEPTH = 256
 
 
 class XmlError(ValueError):
@@ -95,6 +101,8 @@ class _TreeBuilder:
 
     def _start(self, tag, attr_list):
         line, col = self._pos()
+        if len(self._stack) == MAX_DEPTH:
+            raise XmlError(f"elements nested deeper than {MAX_DEPTH} levels", line, col)
         attrs = tuple((attr_list[i], attr_list[i + 1]) for i in range(0, len(attr_list), 2))
         self._stack.append([tag, attrs, [], [], line, col])
 
@@ -139,7 +147,8 @@ def parse_tree(data: bytes, text_tags: frozenset[str] = frozenset()) -> XmlNode:
     """Parse bytes into an XmlNode tree.
 
     `text_tags` names the elements whose character data is significant;
-    non-whitespace text anywhere else is an error.
+    non-whitespace text anywhere else is an error. Nesting deeper than
+    MAX_DEPTH is an error.
     """
     return _TreeBuilder(text_tags).parse(data)
 

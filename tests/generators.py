@@ -257,3 +257,37 @@ def incident_references(m: mm.ModuleModel, path: str) -> list[tuple[str, str]]:
                     "dangling-body-ref",
                     f"{mid}/control/control_functions/{function.name}"))
     return expected
+
+
+def sized_model(n: int) -> mm.ModuleModel:
+    """A module with n components for scaling tests, alternating sensor and
+    actuator. Each component has a variable, an io entry, a cross reference
+    and a role, except that every fourth has no position and every eighth no
+    io entry (so checks, requests and tables have cells to report); one
+    document per ten components is assigned to a component.
+    """
+    mid = f"sized-{n}"
+    m = mm.new_module(mid, f"Sized {n}")
+    m = mm.set_identification(m, name="Sized", identifier=f"S-{n}", module_type="line")
+    m = mm.set_main_dimensions(m, "(1000,1000,1000)")
+    m = mm.add_control_function(m, "main", "SFC")
+    for i in range(n):
+        sensor = i % 2 == 0
+        name = f"c{i}"
+        path = f"{mid}/components/{name}"
+        variable = ("i_" if sensor else "q_") + name
+        m = mm.add_component(m, mm.Component(
+            name=name, kind="sensor" if sensor else "actuator", component_type="T",
+            position="" if i % 4 == 3 else f"({i},0,0)", main_dimensions="(1,1,1)",
+            latency="" if sensor else "0.1"))
+        m = mm.add_variable(m, variable, "BOOL", "input" if sensor else "output")
+        if i % 8 != 7:
+            m = mm.add_io_entry(m, path, f"%I{i // 8}.{i % 8}", variable, "BOOL",
+                                "input" if sensor else "output")
+        m = mm.add_cross_ref(m, path, f"{mid}/control/variables/{variable}", "signal-of")
+        m = mm.with_roles(m, path, "ControlEquipment")
+        if i % 10 == 0:
+            m = mm.add_document(m, mm.DocumentReference(
+                id=f"doc{i}", discipline="mechanical", stage="mechanical_eng",
+                assigned_element=path))
+    return m

@@ -1,6 +1,8 @@
 """Exchange-file parsing, canonical serialization, and model mapping."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from mfmkit import caex_io
@@ -14,7 +16,7 @@ from mfmkit.caex_io import (
     CaexLink,
     StructureError,
 )
-from mfmkit.xmlio import XmlError
+from mfmkit.xmlio import MAX_DEPTH, XmlError
 
 DECL = b'<?xml version="1.0" encoding="utf-8"?>\n'
 
@@ -119,6 +121,44 @@ def test_parse_rejects_multiple_value_children():
     )
     with pytest.raises(XmlError, match="Value"):
         caex_io.parse(data)
+
+
+def _nested(levels: int, innermost: bytes = b"") -> bytes:
+    """A CAEXFile whose instance hierarchy nests `levels` InternalElements."""
+    return DECL + (b'<CAEXFile><InstanceHierarchy Name="h">'
+                   + b'<InternalElement Name="e">' * levels + innermost
+                   + b"</InternalElement>" * levels + b"</InstanceHierarchy></CAEXFile>\n")
+
+
+def test_parse_rejects_nesting_beyond_the_depth_limit_with_position():
+    levels = MAX_DEPTH - 1  # CAEXFile and InstanceHierarchy take two levels
+    with pytest.raises(XmlError, match=f"deeper than {MAX_DEPTH}") as err:
+        caex_io.parse(_nested(levels))
+    # the last InternalElement opens the first level too deep
+    assert (err.value.line, err.value.column) == (2, 39 + 26 * (levels - 1))
+    caex_io.parse(_nested(levels - 1))
+
+
+def test_every_model_that_can_be_written_can_be_read_back():
+    mid = "/".join(["e"] * mm.MAX_ID_SEGMENTS)
+    m = mm.new_module(mid, "deep")
+    m = mm.add_component(m, mm.Component(name="S1", kind="sensor"))
+    # an external reference on an entry is the deepest part of a module file
+    m = mm.with_external_ref(m, f"{mid}/components/S1",
+                             mm.ExternalRef("d", "AttachmentInterface", "file:///d.pdf"))
+    read, _warnings = caex_io.to_model(caex_io.parse(caex_io.serialize(caex_io.from_model(m))))
+    assert read == m
+
+    deeper = mid + "/e"
+    with pytest.raises(mm.ModelError, match=f"at most {mm.MAX_ID_SEGMENTS}"):
+        mm.new_module(deeper, "deep")
+    with pytest.raises(mm.ModelError, match=f"at most {mm.MAX_ID_SEGMENTS}"):
+        caex_io.from_model(replace(m, id=deeper))
+    role = b'<RoleRequirements RefBaseRoleClassPath="AutomationMLBaseRoleClassLib"/>'
+    # module roots one segment too deep and at the reader's limit
+    for levels in (mm.MAX_ID_SEGMENTS + 1, MAX_DEPTH - 3):
+        with pytest.raises(StructureError, match="module id unusable"):
+            caex_io.to_model(caex_io.parse(_nested(levels, role)))
 
 
 # ---------------------------------------------------------------------------

@@ -443,5 +443,16 @@ def test_rules_dir_env_var_supplies_defaults(work, tmp_path):
     assert run("validate", work["model"]).returncode == 0
 
 
+def test_deeply_nested_file_is_operational_without_traceback(tmp_path):
+    deep = tmp_path / "deep.aml"
+    deep.write_bytes(b'<?xml version="1.0" encoding="utf-8"?>\n<CAEXFile>'
+                     b'<InstanceHierarchy Name="h">' + b'<InternalElement Name="e">' * 3000
+                     + b"</InternalElement>" * 3000 + b"</InstanceHierarchy></CAEXFile>\n")
+    result = run("validate", str(deep))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "nested deeper than" in result.stderr
+
+
 def test_unknown_subcommand_is_operational():
     assert run("frobnicate").returncode == 2

@@ -377,7 +377,8 @@ def test_dependency_report_requires_resolvable_endpoints():
     ("m/components/S1/nope", True),
     ("other/components/S1", True),
     ("m/components/S1/position", False),
-    ("m/control/io_mapping/01", False),
+    ("m/control/io_mapping/1", False),
+    ("m/control/io_mapping/01", True),
     ("m/control/io_mapping/7", True),
 ])
 def test_dependency_report_rejects_exactly_the_dangling_endpoints(endpoint, dangles):

@@ -340,3 +340,65 @@ def test_filling_an_unmapped_component_creates_its_io_entry():
     assert mm.resolve(updated, "m/control/variables/i_endstop") is not None
     again, _ = exchange.import_table(updated, table)
     assert again == updated
+
+
+def test_io_entry_rows_apply_whole_or_not_at_all():
+    m = mm.new_module("m", "Mini")
+    m = mm.add_component(m, mm.Component(name="S1", kind="sensor"))
+    m = mm.add_component(m, mm.Component(name="S2", kind="sensor"))
+    table = _table(
+        ("m/components/S1", "logical_address", "%I0.0", "", "bad/doc", ""),
+        ("m/components/S1", "logical_address", "%I0.1", "", "", ""),
+        ("m/components/S2", "kind", "conveyor", "", "", ""),
+        ("m/components/S2", "logical_address", "%I0.2", "", "", ""),
+    )
+    # a carriage return survives only in a quoted cell
+    table = table.replace(b"\n", b'\nm/components/S1,logical_address,"%I0.0\rx",,,\n', 1)
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.parameter) for v in violations] == [
+        ("invalid-value", "logical_address"), ("invalid-value", ""),
+        ("unknown-parameter", "logical_address")]
+    assert [e.logical_address for e in updated.control.io_mapping] == ["%I0.1"]
+    assert mm.resolve(updated, "m/components/S2/kind") == "conveyor"
+
+
+def test_moving_an_io_entry_unmaps_its_old_component():
+    m = mm.new_module("m", "Mini")
+    m = mm.add_component(m, mm.Component(name="S1", kind="sensor"))
+    m = mm.add_component(m, mm.Component(name="S2", kind="sensor"))
+    m = mm.add_io_entry(m, "m/components/S1", "%I0.0", "", "BOOL", "input")
+    table = _table(
+        ("m/control/io_mapping/0", "component_path", "m/components/S2", "", "", ""),
+        ("m/components/S1", "logical_address", "%I0.1", "", "", ""),
+        ("m/components/S2", "logical_address", "%I0.2", "", "", ""),
+    )
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.element_path) for v in violations] == [
+        ("unknown-parameter", "m/components/S2")]
+    assert [(e.component_path, e.logical_address) for e in updated.control.io_mapping] == [
+        ("m/components/S2", "%I0.0"), ("m/components/S1", "%I0.1")]
+
+
+def test_a_component_path_row_on_general_adds_a_static_attribute():
+    m = mm.new_module("m", "Mini")
+    table = _table(("m/general", "component_path", "x", "", "", ""))
+    updated, violations = exchange.import_table(m, table)
+    assert violations == []
+    assert updated.general.static_attributes == (mm.Parameter("component_path", "x"),)
+
+
+def test_a_parameter_row_with_an_unusable_document_applies_nothing():
+    m = mm.new_module("m", "Mini")
+    m = mm.add_component(m, mm.Component(name="S1", kind="sensor"))
+    table = _table(
+        ("m/general", "colour", "red", "", "bad/doc", ""),
+        ("m/components/S1", "position", "(1,2,3)", "", "", "layout.pdf"),
+        ("m/components/S1", "component_type", "X", "", "D1", "//d1"),
+    )
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.element_path) for v in violations] == [
+        ("invalid-value", "m/general"), ("invalid-value", "m/components/S1")]
+    assert updated.general.static_attributes == ()
+    assert mm.resolve(updated, "m/components/S1/position") == ""
+    assert mm.resolve(updated, "m/components/S1/component_type") == "X"
+    assert [(d.id, d.assigned_element) for d in updated.documents] == [("D1", "m/components/S1")]

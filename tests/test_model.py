@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from mfmkit import caex_io
 from mfmkit import model as mm
 from mfmkit.paths import PathError
 
@@ -168,6 +169,85 @@ def test_remove_component_drops_annotations_below():
     # references survive removal (they become dangling, caught by check_links)
     with pytest.raises(mm.ModelError):
         mm.remove_element(m2, "m/components/S1")
+
+
+def test_remove_io_entry_moves_the_roles_of_later_entries_down():
+    m = _populated()
+    m = mm.with_roles(m, "m/control/io_mapping/1", "SignalRole")
+    m = mm.remove_element(m, "m/control/io_mapping/0")
+    assert mm.annotation_at(m, "m/control/io_mapping/0").roles == ("SignalRole",)
+    assert mm.annotation_at(m, "m/control/io_mapping/1").roles == ()
+    reread, warnings = caex_io.to_model(caex_io.parse(caex_io.serialize(caex_io.from_model(m))))
+    assert warnings == []
+    assert mm.annotation_at(reread, "m/control/io_mapping/0").roles == ("SignalRole",)
+    assert reread == m
+
+
+def test_remove_route_keeps_annotations_sorted_past_nine():
+    m = mm.new_module("m", "x")
+    m = mm.add_port(m, "p", "in")
+    for _ in range(12):
+        m = mm.add_route(m, "p", "p")
+    for index in (8, 9, 10, 11):
+        m = mm.with_roles(m, f"m/function/routes/{index}", f"R{index}")
+    m = mm.remove_element(m, "m/function/routes/3")
+    keys = [path for path, _ann in m.annotations]
+    assert keys == sorted(keys)
+    assert [mm.annotation_at(m, f"m/function/routes/{i}").roles for i in (7, 8, 9, 10)] == [
+        ("R8",), ("R9",), ("R10",), ("R11",)]
+
+
+@pytest.mark.parametrize("segment", ["00", "01", "+1", "\u0661", "1\n"])
+def test_index_segment_must_be_a_canonical_decimal(segment):
+    m = _populated()
+    path = f"m/control/io_mapping/{segment}"
+    try:
+        assert mm.resolve(m, path) is None
+    except PathError:
+        pass  # outside the segment grammar altogether
+    for attach in (lambda: mm.with_roles(m, path, "R"),
+                   lambda: mm.with_external_ref(m, path, mm.ExternalRef("x", "AttachmentInterface"))):
+        with pytest.raises((mm.ModelError, PathError)):
+            attach()
+    if segment == "01":
+        with pytest.raises(mm.ModelError, match="does not resolve"):
+            mm.with_roles(m, path, "R")
+    assert mm.resolve(m, "m/control/io_mapping/1") == m.control.io_mapping[1]
+
+
+def test_resolver_follows_models_derived_by_writes_and_appends():
+    m = _populated()
+    find = mm.Resolver(m)
+    assert find("m/components/S1") == m.components[0]
+    for path, name, value in [("m/components/S1", "position", "(9,9,9)"),
+                              ("m/control/io_mapping/1", "logical_address", "%Q1.1"),
+                              ("m/general", "colour", "red")]:
+        find.model = mm.set_parameter(find.model, path, name, value)
+        assert find(f"{path}/{name}") == mm.resolve(find.model, f"{path}/{name}") == value
+    extra = mm.Variable("extra", "BOOL")
+    find.model = mm.add_variable(find.model, "extra", "BOOL")
+    assert find("m/control/variables/extra") == extra
+    assert find.element("m/control/variables/extra") == (
+        mm.spec_of(extra), len(find.model.control.variables) - 1, extra)
+    assert find.element("m/general")[1] is None
+    assert find.element("m/components") is None
+
+
+def test_store_copies_each_list_once_and_agrees_with_set_parameter():
+    m = _populated()
+    find = mm.Resolver(m)
+    writes = [("m/components/S1", "position", "(9,9,9)"),
+              ("m/control/io_mapping/1", "logical_address", "%Q1.1"),
+              ("m/control/io_mapping/0", "logical_address", "%I7.7"),
+              ("m/general", "colour", "red")]
+    expected, stored = m, []
+    for path, name, value in writes:
+        expected = mm.set_parameter(expected, path, name, value)
+        spec, index, node = find.element(path)
+        stored.append((spec, index, mm.write_parameter(spec, node, name, value)))
+    assert mm.store(m, stored) == expected
+    with pytest.raises(mm.ModelError, match="must be strictly positive"):
+        mm.write_parameter(mm.spec_of(m.general), m.general, "main_dimensions", "(0,1,1)")
 
 
 def test_remove_structural_container_rejected():
