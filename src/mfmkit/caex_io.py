@@ -6,12 +6,20 @@ ExternalInterface, and InternalLink. Library definitions are referenced by
 identifier only, never expanded inline. Child element names must be unique
 within a parent so element paths stay unambiguous.
 
+Parsing is one pass: a xmlio.Reader applies the byte-level rules, and the
+reader here builds the CaexDocument from its start and end events, with no
+intermediate tree. One table (_TAGS) gives each CAEX element its allowed
+and required attributes, its allowed children (none for leaves) and the
+value it builds; the first structural error is raised once the whole file
+has passed the byte-level rules.
+
 Serialization is canonical (see docs/format.md): fixed attribute order,
 2-space indent, UTF-8, LF, optional attributes omitted when empty. Equal
 documents produce equal bytes, and attribute values are never re-formatted.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import model as mm
@@ -24,7 +32,7 @@ from .consistency import (
     Violation,
 )
 from .paths import PathError, join_path
-from .xmlio import XmlError, XmlNode, check_attrs, parse_tree, serialize_tree
+from .xmlio import Reader, XmlError, XmlNode, check_attributes, serialize_tree
 
 #: Supported external-data connector kinds and the interface class each one
 #: stores. The stored identifiers match the mapping rule table verbatim.
@@ -102,74 +110,117 @@ class CaexDocument:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _parse_attribute(node: XmlNode) -> CaexAttribute:
-    check_attrs(node, ("Name", "DataType", "Unit"), required=("Name",))
-    value = ""
-    seen_value = False
-    children: list[CaexAttribute] = []
-    for child in node.children:
-        if child.tag == "Value":
-            if seen_value:
-                raise XmlError("multiple <Value> children", child.line, child.column)
-            check_attrs(child, ())
-            value = child.text
-            seen_value = True
-        elif child.tag == "Attribute":
-            children.append(_parse_attribute(child))
+@dataclass(frozen=True, slots=True)
+class _Tag:
+    """What the reader accepts in one CAEX element, and how it builds the
+    element's value from its attributes, its children's values by tag and
+    its text. `required` keeps the order of the messages, `needed` is the
+    same names as a set."""
+
+    allowed: frozenset[str]
+    required: tuple[str, ...]
+    needed: frozenset[str]
+    children: frozenset[str]
+    build: Callable[[dict, dict, str], object]
+
+
+def _tag(allowed: tuple[str, ...], required: tuple[str, ...], children: tuple[str, ...], build):
+    return _Tag(frozenset(allowed), required, frozenset(required), frozenset(children), build)
+
+
+_LINK_ATTRS = ("Name", "RefPartnerSideA", "RefPartnerSideB")
+
+#: Every CAEX element the reader accepts. Leaves take no children.
+_TAGS: dict[str, _Tag] = {
+    "CAEXFile": _tag(
+        (), (), ("RoleClassLibRef", "InterfaceClassLibRef", "InstanceHierarchy", "InternalLink"),
+        lambda attrs, kids, text: CaexDocument(
+            tuple(kids.get("RoleClassLibRef", ())), tuple(kids.get("InterfaceClassLibRef", ())),
+            tuple(kids.get("InstanceHierarchy", ())), tuple(kids.get("InternalLink", ())))),
+    "RoleClassLibRef": _tag(
+        ("Name",), ("Name",), (), lambda attrs, kids, text: attrs["Name"]),
+    "InterfaceClassLibRef": _tag(
+        ("Name",), ("Name",), (), lambda attrs, kids, text: attrs["Name"]),
+    "InstanceHierarchy": _tag(
+        ("Name",), ("Name",), ("InternalElement",),
+        lambda attrs, kids, text: CaexHierarchy(
+            attrs["Name"], tuple(kids.get("InternalElement", ())))),
+    "InternalLink": _tag(
+        _LINK_ATTRS, _LINK_ATTRS, (),
+        lambda attrs, kids, text: CaexLink(
+            attrs["Name"], attrs["RefPartnerSideA"], attrs["RefPartnerSideB"])),
+    "InternalElement": _tag(
+        ("Name", "ID"), ("Name",),
+        ("Attribute", "ExternalInterface", "RoleRequirements", "InternalElement"),
+        lambda attrs, kids, text: CaexElement(
+            attrs["Name"], attrs.get("ID", ""), tuple(kids.get("Attribute", ())),
+            tuple(kids.get("RoleRequirements", ())), tuple(kids.get("ExternalInterface", ())),
+            tuple(kids.get("InternalElement", ())))),
+    "Attribute": _tag(
+        ("Name", "DataType", "Unit"), ("Name",), ("Value", "Attribute"),
+        lambda attrs, kids, text: CaexAttribute(
+            attrs["Name"], kids["Value"][0] if "Value" in kids else "",
+            attrs.get("DataType", ""), attrs.get("Unit", ""),
+            tuple(kids.get("Attribute", ())))),
+    "Value": _tag((), (), (), lambda attrs, kids, text: text),
+    "ExternalInterface": _tag(
+        ("Name", "RefBaseClassPath"), ("Name",), ("Attribute",),
+        lambda attrs, kids, text: CaexInterface(
+            attrs["Name"], attrs.get("RefBaseClassPath", ""), tuple(kids.get("Attribute", ())))),
+    "RoleRequirements": _tag(
+        ("RefBaseRoleClassPath",), ("RefBaseRoleClassPath",), (),
+        lambda attrs, kids, text: attrs["RefBaseRoleClassPath"]),
+}
+
+
+class _DocumentReader(Reader):
+    """Builds a CaexDocument from the reader's events in one pass.
+
+    The start of an element checks it as a child of its parent and checks
+    its attributes (_TAGS); the end builds its value and hands it to the
+    parent. The names of the InternalElements in one parent must differ,
+    and an Attribute holds at most one Value.
+    """
+
+    def __init__(self):
+        super().__init__(frozenset({"Value"}))
+        self.document: CaexDocument | None = None
+        # the open elements: [tag, _Tag, attrs, line, column, child values
+        # by tag, names of the child InternalElements (None where there
+        # can be none)]
+        self._open: list[list] = []
+
+    def start(self, tag, attrs, line, column):
+        if self._open:
+            parent_tag, parent, _attrs, _line, _column, siblings, _names = self._open[-1]
+            if tag not in parent.children:
+                raise XmlError(f"unsupported element <{tag}> in {parent_tag}", line, column)
+            if tag == "Value" and tag in siblings:
+                raise XmlError("multiple <Value> children", line, column)
+        elif tag != "CAEXFile":
+            raise XmlError(f"unsupported root element <{tag}>", line, column)
+        spec = _TAGS[tag]
+        keys = attrs.keys()
+        if not (keys <= spec.allowed and keys >= spec.needed):
+            check_attributes(tag, attrs, spec.allowed, spec.required, line, column)
+        names = set() if "InternalElement" in spec.children else None
+        self._open.append([tag, spec, attrs, line, column, {}, names])
+
+    def end(self, tag, text):
+        _tag, spec, attrs, line, column, kids, _names = self._open.pop()
+        value = spec.build(attrs, kids, text)
+        if not self._open:
+            self.document = value
+            return
+        _tag, _spec, _attrs, _line, _column, siblings, names = self._open[-1]
+        if tag == "InternalElement":
+            if value.name in names:
+                raise XmlError(f"duplicate InternalElement name {value.name!r}", line, column)
+            names.add(value.name)
+        if tag in siblings:
+            siblings[tag].append(value)
         else:
-            raise XmlError(f"unsupported element <{child.tag}> in Attribute", child.line, child.column)
-    return CaexAttribute(
-        name=node.get("Name"), value=value,
-        data_type=node.get("DataType"), unit=node.get("Unit"),
-        children=tuple(children),
-    )
-
-
-def _parse_interface(node: XmlNode) -> CaexInterface:
-    check_attrs(node, ("Name", "RefBaseClassPath"), required=("Name",))
-    attributes = []
-    for child in node.children:
-        if child.tag != "Attribute":
-            raise XmlError(
-                f"unsupported element <{child.tag}> in ExternalInterface", child.line, child.column)
-        attributes.append(_parse_attribute(child))
-    return CaexInterface(
-        name=node.get("Name"),
-        interface_class=node.get("RefBaseClassPath"),
-        attributes=tuple(attributes),
-    )
-
-
-def _parse_element(node: XmlNode) -> CaexElement:
-    check_attrs(node, ("Name", "ID"), required=("Name",))
-    attributes: list[CaexAttribute] = []
-    roles: list[str] = []
-    interfaces: list[CaexInterface] = []
-    children: list[CaexElement] = []
-    child_names: set[str] = set()
-    for child in node.children:
-        if child.tag == "Attribute":
-            attributes.append(_parse_attribute(child))
-        elif child.tag == "ExternalInterface":
-            interfaces.append(_parse_interface(child))
-        elif child.tag == "RoleRequirements":
-            check_attrs(child, ("RefBaseRoleClassPath",), required=("RefBaseRoleClassPath",))
-            roles.append(child.get("RefBaseRoleClassPath"))
-        elif child.tag == "InternalElement":
-            element = _parse_element(child)
-            if element.name in child_names:
-                raise XmlError(
-                    f"duplicate InternalElement name {element.name!r}", child.line, child.column)
-            child_names.add(element.name)
-            children.append(element)
-        else:
-            raise XmlError(
-                f"unsupported element <{child.tag}> in InternalElement", child.line, child.column)
-    return CaexElement(
-        name=node.get("Name"), id=node.get("ID"),
-        attributes=tuple(attributes), role_requirements=tuple(roles),
-        external_interfaces=tuple(interfaces), children=tuple(children),
-    )
+            siblings[tag] = [value]
 
 
 def parse(data: bytes) -> CaexDocument:
@@ -178,52 +229,9 @@ def parse(data: bytes) -> CaexDocument:
     Malformed XML and unsupported constructs raise XmlError with the source
     line/column.
     """
-    root = parse_tree(data, text_tags=frozenset({"Value"}))
-    if root.tag != "CAEXFile":
-        raise XmlError(f"unsupported root element <{root.tag}>", root.line, root.column)
-    check_attrs(root, ())
-    role_refs: list[str] = []
-    iface_refs: list[str] = []
-    hierarchies: list[CaexHierarchy] = []
-    links: list[CaexLink] = []
-    for child in root.children:
-        if child.tag == "RoleClassLibRef":
-            check_attrs(child, ("Name",), required=("Name",))
-            role_refs.append(child.get("Name"))
-        elif child.tag == "InterfaceClassLibRef":
-            check_attrs(child, ("Name",), required=("Name",))
-            iface_refs.append(child.get("Name"))
-        elif child.tag == "InstanceHierarchy":
-            check_attrs(child, ("Name",), required=("Name",))
-            elements = []
-            names: set[str] = set()
-            for sub in child.children:
-                if sub.tag != "InternalElement":
-                    raise XmlError(
-                        f"unsupported element <{sub.tag}> in InstanceHierarchy", sub.line, sub.column)
-                element = _parse_element(sub)
-                if element.name in names:
-                    raise XmlError(
-                        f"duplicate InternalElement name {element.name!r}", sub.line, sub.column)
-                names.add(element.name)
-                elements.append(element)
-            hierarchies.append(CaexHierarchy(name=child.get("Name"), elements=tuple(elements)))
-        elif child.tag == "InternalLink":
-            check_attrs(
-                child, ("Name", "RefPartnerSideA", "RefPartnerSideB"),
-                required=("Name", "RefPartnerSideA", "RefPartnerSideB"))
-            links.append(CaexLink(
-                name=child.get("Name"),
-                side_a=child.get("RefPartnerSideA"),
-                side_b=child.get("RefPartnerSideB")))
-        else:
-            raise XmlError(f"unsupported element <{child.tag}> in CAEXFile", child.line, child.column)
-    return CaexDocument(
-        role_class_lib_refs=tuple(role_refs),
-        interface_class_lib_refs=tuple(iface_refs),
-        instance_hierarchies=tuple(hierarchies),
-        internal_links=tuple(links),
-    )
+    reader = _DocumentReader()
+    reader.read(data)
+    return reader.document
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +320,8 @@ class _ModelBuilder:
     parameter's default; an entry that cannot be added (bad or duplicate
     key, missing component path, broken invariant) is reported and dropped
     with its annotations. Absent and empty values take the default silently.
+    Each value is checked once: a given one by `values`, a default by
+    model.check_node, which skips the parameters `values` checked.
     """
 
     def __init__(self, model: mm.ModuleModel):
@@ -355,7 +365,9 @@ class _ModelBuilder:
                 self.annotations[path] = ann
 
     def values(self, spec: mm.ElementSpec, element: CaexElement, path: str):
-        """Parameter texts of one element, plus its open-set attributes."""
+        """Parameter values of one element, the names of those checked here
+        (given, non-empty and not the default) and its open-set attributes.
+        A rejected or absent value is the parameter's default text."""
         given: dict[str, str] = {}
         extra: list[CaexAttribute] = []
         for attribute in element.attributes:
@@ -373,22 +385,25 @@ class _ModelBuilder:
                 self.warn(RULE_UNKNOWN_PARAMETER, path,
                           f"unknown attribute '{attribute.name}' ignored")
         fields = {}
+        checked = set()
         for param in spec.params:
-            text = given.get(param.name) or param.default
-            if text != param.default:
+            text = given.get(param.name)
+            value = param.default
+            if text and text != param.default:
                 try:
-                    mm.check_value(spec, param, text)
+                    value = mm.check_value(spec, param, text)
+                    checked.add(param.name)
                 except (mm.ModelError, PathError) as exc:
                     self.warn(RULE_INVALID_VALUE, path, str(exc))
-                    text = param.default
-            fields[param.name] = text
-        return fields, extra
+            fields[param.name] = value
+        return fields, checked, extra
 
     def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         """Read a single element (root, container or singleton) and its children."""
-        fields, extra = self.values(spec, element, path)
+        fields, checked, extra = self.values(spec, element, path)
         if fields:
-            node = self.checked(path, mm.check_node, spec, replace(self.parts[spec.path], **fields))
+            node = self.checked(path, mm.check_node, spec,
+                                replace(self.parts[spec.path], **fields), checked)
             if node is not None:
                 self.parts[spec.path] = node
         if extra:
@@ -418,10 +433,11 @@ class _ModelBuilder:
             # warnings name the entry's position in the file; annotations go
             # to the index the entry actually got
             entry_path = join_path(path, str(position) if indexed else entry.name)
-            fields, _extra = self.values(spec, entry, entry_path)
+            fields, checked, _extra = self.values(spec, entry, entry_path)
             if not indexed:
                 fields[spec.key] = entry.name
-            node = self.checked(entry_path, mm.check_entry, spec, spec.node_type(**fields), taken)
+            node = self.checked(
+                entry_path, mm.check_entry, spec, spec.node_type(**fields), taken, checked)
             if node is not None:
                 entries.append(node)
                 if not indexed:

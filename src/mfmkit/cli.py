@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from importlib import resources
 from pathlib import Path
@@ -104,6 +105,31 @@ def _ownership_map(args: argparse.Namespace) -> cc.OwnershipMap:
         return cc.load_ownership(text) if text is not None else cc.default_ownership()
     except cc.OwnershipError as error:
         raise _CliFailure(f"bad ownership map: {error}") from None
+
+
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Replace `path` by `data` in one step: write a temp file in the same
+    directory, then rename it over `path`, whose permission bits it keeps.
+    On failure the temp file is removed and the OSError raised; `path` is
+    left as it was."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    out = open(temp, "xb")
+    try:
+        with out:
+            out.write(data)
+        if path.is_file():
+            os.chmod(temp, stat.S_IMODE(path.stat().st_mode))
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_output(path: str, data: bytes) -> None:
+    try:
+        _write_bytes(Path(path), data)
+    except OSError as error:
+        raise _CliFailure(f"cannot write {path}: {error.strerror or error}") from None
 
 
 def _load_model(path: str, fmt: str, stream=None) -> mm.ModuleModel:
@@ -256,12 +282,7 @@ def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
     if isinstance(program, cc.Violation):
         _emit_violation(args.format, args.behavior, program)
         return EXIT_FINDINGS
-    data = sfc.emit_plcopen(program)
-    try:
-        Path(args.out).write_bytes(data)
-    except OSError as error:
-        raise _CliFailure(
-            f"cannot write {args.out}: {error.strerror or error}") from None
+    _write_output(args.out, sfc.emit_plcopen(program))
     if args.format == FORMAT_STRUCTURED:
         _record({
             "record": "plcopen",
@@ -323,11 +344,7 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
     except cc.MatrixError as error:
         raise _CliFailure(f"bad coverage matrix: {error}") from None
     if args.out:
-        try:
-            Path(args.out).write_bytes(data)
-        except OSError as error:
-            raise _CliFailure(
-                f"cannot write {args.out}: {error.strerror or error}") from None
+        _write_output(args.out, data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -344,12 +361,7 @@ def _cmd_import_table(args: argparse.Namespace) -> int:
         raise _CliFailure(f"{args.table}: {error}") from None
     for violation in violations:
         _emit_violation(args.format, args.table, violation)
-    data = caex_io.serialize(caex_io.from_model(updated))
-    try:
-        Path(args.out).write_bytes(data)
-    except OSError as error:
-        raise _CliFailure(
-            f"cannot write {args.out}: {error.strerror or error}") from None
+    _write_output(args.out, caex_io.serialize(caex_io.from_model(updated)))
     return EXIT_FINDINGS if violations else EXIT_CLEAN
 
 
@@ -417,7 +429,7 @@ def _cmd_init_example(args: argparse.Namespace) -> int:
         for name, data in files.items():
             path = target / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
+            _write_bytes(path, data)
             print(f"wrote {path}")
     except OSError as error:
         raise _CliFailure(

@@ -512,17 +512,20 @@ def check_value(spec: ElementSpec, param: Param, value):
     return param.check(value, what) if param.check else value
 
 
-def check_node(spec: ElementSpec, node):
-    """Validate an element or entry: its key name, every parameter value and
-    the invariant. Returns the node to store."""
+def check_node(spec: ElementSpec, node, checked=()):
+    """Validate an element or entry: its key name, every parameter value
+    except those named in `checked` (the caller validated them with
+    check_value) and the invariant. Returns the node to store."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
     changes = {}
     for param in spec.params:
+        if param.name in checked:
+            continue
         value = getattr(node, param.name)
-        checked = check_value(spec, param, value)
-        if checked is not value:
-            changes[param.name] = checked
+        stored = check_value(spec, param, value)
+        if stored is not value:
+            changes[param.name] = stored
     if changes:
         node = replace(node, **changes)
     if spec.invariant:
@@ -530,10 +533,11 @@ def check_node(spec: ElementSpec, node):
     return node
 
 
-def check_entry(spec: ElementSpec, entry, taken):
+def check_entry(spec: ElementSpec, entry, taken, checked=()):
     """Validate an entry for appending to a list of `spec` whose keys are
-    `taken` (any container; ignored for index-keyed lists)."""
-    entry = check_node(spec, entry)
+    `taken` (any container; ignored for index-keyed lists); `checked` as
+    for check_node."""
+    entry = check_node(spec, entry, checked)
     if spec.key != "index":
         key = getattr(entry, spec.key)
         if key in taken:

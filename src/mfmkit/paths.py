@@ -1,15 +1,15 @@
 """Element path grammar.
 
 Every addressable thing in a module model has a slash-separated path. A
-segment is either a name matching [A-Za-z0-9_.-] or a zero-based decimal
-index without leading zeros for entries of unnamed lists (io_mapping, routes,
-cross_refs).
+segment is either a name made only of the characters [A-Za-z0-9_.-] or a
+zero-based decimal index without leading zeros for entries of unnamed lists
+(io_mapping, routes, cross_refs).
 """
 from __future__ import annotations
 
 import re
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_SEGMENT_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class PathError(ValueError):
@@ -22,7 +22,7 @@ def split_path(path: str) -> tuple[str, ...]:
         raise PathError("empty path")
     segments = path.split("/")
     for seg in segments:
-        if not _SEGMENT_RE.match(seg):
+        if not _SEGMENT_RE.fullmatch(seg):
             raise PathError(f"malformed path segment {seg!r} in {path!r}")
     return tuple(segments)
 
@@ -34,4 +34,4 @@ def join_path(*segments: str) -> str:
 
 def is_name(segment: str) -> bool:
     """True when the segment is a valid name (also true for pure indexes)."""
-    return bool(_SEGMENT_RE.match(segment))
+    return bool(_SEGMENT_RE.fullmatch(segment))

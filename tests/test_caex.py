@@ -1,9 +1,11 @@
 """Exchange-file parsing, canonical serialization, and model mapping."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from generators import random_model, sized_model
 
 from mfmkit import caex_io
 from mfmkit import model as mm
@@ -383,6 +385,25 @@ def test_to_model_anchors_an_unknown_root_child_at_the_module():
     _model, violations = caex_io.to_model(CaexDocument(
         instance_hierarchies=(CaexHierarchy(name="h", elements=(root,)),)))
     assert [(v.rule_id, v.element_path) for v in violations] == [("unknown-element", "m")]
+
+
+def test_reading_a_model_checks_each_value_at_most_once(monkeypatch):
+    real = mm.check_value
+    calls: Counter = Counter()
+
+    def counting(spec, param, value):
+        calls[spec.path, param.name] += 1
+        return real(spec, param, value)
+
+    monkeypatch.setattr(mm, "check_value", counting)
+    for model in (_populated_model(), sized_model(40), *map(random_model, range(5))):
+        docs = caex_io.parse(caex_io.serialize(caex_io.from_model(model)))
+        calls.clear()
+        read, warnings = caex_io.to_model(docs)
+        assert read == model and not warnings
+        elements = Counter(spec.path for spec, _path, _node in mm.walk(read))
+        for (path, name), count in calls.items():
+            assert count <= elements[path], (path, name, count, elements[path])
 
 
 def test_to_model_keeps_dangling_links():

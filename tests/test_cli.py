@@ -456,3 +456,55 @@ def test_deeply_nested_file_is_operational_without_traceback(tmp_path):
 
 def test_unknown_subcommand_is_operational():
     assert run("frobnicate").returncode == 2
+
+
+def test_a_child_of_a_leaf_element_is_operational(work, tmp_path):
+    data = open(work["model"], "rb").read()
+    role = b'<RoleRequirements RefBaseRoleClassPath="ControlEquipment"/>'
+    assert role in data
+    leaf = tmp_path / "leaf.aml"
+    leaf.write_bytes(data.replace(role, role[:-2] + b'><Attribute Name="lost">'
+                                  b"<Value>v</Value></Attribute></RoleRequirements>", 1))
+    result = run("validate", str(leaf))
+    assert result.returncode == 2
+    assert "unsupported element <Attribute> in RoleRequirements" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_import_table_may_write_over_its_input(work, tmp_path):
+    model = tmp_path / "m.aml"
+    model.write_bytes(open(work["stripped"], "rb").read())
+    result = run("import-table", str(model), work["filled"], "-o", str(model))
+    assert result.returncode == 0, result.stderr
+    assert model.read_bytes() == open(work["model"], "rb").read()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.aml"]
+
+
+@pytest.mark.parametrize("command", ["gen-plcopen", "export-table", "import-table",
+                                     "init-example"])
+def test_a_failed_write_leaves_no_temp_file(work, tmp_path, command):
+    # a directory where the output file should go: the temp file is written,
+    # then renaming it over the directory fails
+    target = tmp_path / "out"
+    (target / "model.aml").mkdir(parents=True)
+    args = {
+        "gen-plcopen": ("gen-plcopen", work["model"], work["behavior"], "-o", str(target)),
+        "export-table": ("export-table", work["model"], "-o", str(target)),
+        "import-table": ("import-table", work["stripped"], work["filled"], "-o", str(target)),
+        "init-example": ("init-example", str(target), "--force"),
+    }[command]
+    result = run(*args)
+    assert result.returncode == 2
+    assert "cannot write" in result.stderr and "Traceback" not in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in target.iterdir()] == ["model.aml"]
+    assert not any((target / "model.aml").iterdir())
+
+
+def test_an_overwritten_output_keeps_its_permissions(work, tmp_path):
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"old")
+    out.chmod(0o600)
+    assert run("export-table", work["model"], "-o", str(out)).returncode == 0
+    assert out.read_bytes() != b"old"
+    assert out.stat().st_mode & 0o777 == 0o600

@@ -5,7 +5,9 @@ serialize(from_model(m)), export_table(m) and export_table(m,
 missing_only=True) for the T-junction fixture and for random models of seeds
 0-19, plus the structured stdout of validate, link-check, complete-check and
 report on the init-example demo set. Any change to those bytes is a format
-change and must be deliberate. Regenerate the file with
+change and must be deliberate. The `parse` digests pin the reader: the
+sha256 of repr(parse(data)) for the files of the same models and of one
+3200-component sized_model. Regenerate the file with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from generators import random_model  # noqa: E402
+from generators import random_model, sized_model  # noqa: E402
 
 import mfmkit  # noqa: E402
 from mfmkit import caex_io, exchange, fixture  # noqa: E402
@@ -29,6 +31,7 @@ from mfmkit import caex_io, exchange, fixture  # noqa: E402
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 
 SEEDS = range(20)
+SIZED = 3200
 
 CLI_COMMANDS = {
     "validate": ("validate", "model.aml"),
@@ -48,6 +51,18 @@ def model_digests(m) -> dict[str, str]:
         "export_table": _sha(exchange.export_table(m)),
         "export_table_missing": _sha(exchange.export_table(m, missing_only=True)),
     }
+
+
+def parse_digest(m) -> str:
+    return _sha(repr(caex_io.parse(caex_io.serialize(caex_io.from_model(m)))).encode("utf-8"))
+
+
+def parse_digests() -> dict[str, str]:
+    digests = {"tjunction": parse_digest(fixture.tjunction_model())}
+    for seed in SEEDS:
+        digests[f"random-{seed}"] = parse_digest(random_model(seed))
+    digests[f"sized-{SIZED}"] = parse_digest(sized_model(SIZED))
+    return digests
 
 
 def _mfmkit(*args: str, cwd: str) -> subprocess.CompletedProcess:
@@ -76,7 +91,7 @@ def compute() -> dict:
     models = {"tjunction": model_digests(fixture.tjunction_model())}
     for seed in SEEDS:
         models[f"random-{seed}"] = model_digests(random_model(seed))
-    return {"models": models, "cli": cli_digests()}
+    return {"models": models, "cli": cli_digests(), "parse": parse_digests()}
 
 
 def test_model_digests_match_golden():
@@ -85,6 +100,11 @@ def test_model_digests_match_golden():
     assert model_digests(fixture.tjunction_model()) == golden["tjunction"]
     for seed in SEEDS:
         assert model_digests(random_model(seed)) == golden[f"random-{seed}"], seed
+
+
+def test_parse_digests_match_golden():
+    golden = json.loads(GOLDEN.read_text("utf-8"))["parse"]
+    assert parse_digests() == golden
 
 
 def test_cli_digests_match_golden():

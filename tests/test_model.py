@@ -5,7 +5,7 @@ import pytest
 
 from mfmkit import caex_io
 from mfmkit import model as mm
-from mfmkit.paths import PathError
+from mfmkit.paths import PathError, is_name, split_path
 
 
 def test_new_module_has_five_empty_subclasses():
@@ -286,3 +286,23 @@ def _populated() -> mm.ModuleModel:
         name="layout", server_path="srv://x", assigned_element="m/general"))
     m = mm.add_cross_ref(m, "m/components/S1/position", "m/control/control_functions/main", "guard-uses")
     return m
+
+
+@pytest.mark.parametrize("name", ["S1\n", "S1\r\n", "\nS1", "S 1", ""])
+def test_a_name_must_match_the_segment_grammar_whole(name):
+    assert not is_name(name)
+    with pytest.raises(PathError):
+        split_path(f"m/components/{name}")
+    with pytest.raises(mm.ModelError, match="invalid component name"):
+        mm.add_component(mm.new_module("m", "M"), mm.Component(name))
+
+
+def test_the_reader_reports_and_drops_an_entry_whose_name_ends_in_a_newline():
+    m = mm.add_component(mm.new_module("m", "M"), mm.Component("S1"))
+    m = mm.add_component(m, mm.Component("S2"))
+    data = caex_io.serialize(caex_io.from_model(m)).replace(
+        b'InternalElement Name="S1"', b'InternalElement Name="S1&#10;"')
+    read, warnings = caex_io.to_model(caex_io.parse(data))
+    assert [c.name for c in read.components] == ["S2"]
+    assert [(w.rule_id, w.element_path, w.message) for w in warnings] == [
+        ("invalid-value", "m/components/S1\n", "invalid component name 'S1\\n'")]
