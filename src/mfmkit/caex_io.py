@@ -6,12 +6,13 @@ ExternalInterface, and InternalLink. Library definitions are referenced by
 identifier only, never expanded inline. Child element names must be unique
 within a parent so element paths stay unambiguous.
 
-Parsing is one pass: a xmlio.Reader applies the byte-level rules, and the
-reader here builds the CaexDocument from its start and end events, with no
-intermediate tree. One table (_TAGS) gives each CAEX element its allowed
-and required attributes, its allowed children (none for leaves) and the
-value it builds; the first structural error is raised once the whole file
-has passed the byte-level rules.
+Reading and writing share one table (TAGS): for each CAEX element its
+attributes and children in canonical order, the value it builds and the
+inverse that splits the value again. xmlio.parse_tree reads a file against
+the table in one pass, with no intermediate tree; the first error, in the
+order the reader meets it, is raised. The CAEX rules of the table beyond
+tags and attributes: an Attribute holds at most one Value, and the
+InternalElements of one parent have distinct names.
 
 Serialization is canonical (see docs/format.md): fixed attribute order,
 2-space indent, UTF-8, LF, optional attributes omitted when empty. Equal
@@ -19,7 +20,6 @@ documents produce equal bytes, and attribute values are never re-formatted.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import model as mm
@@ -32,7 +32,7 @@ from .consistency import (
     Violation,
 )
 from .paths import PathError, join_path
-from .xmlio import Reader, XmlError, XmlNode, check_attributes, serialize_tree
+from .xmlio import Tag, every, parse_tree, serialize_tree
 
 #: Supported external-data connector kinds and the interface class each one
 #: stores. The stored identifiers match the mapping rule table verbatim.
@@ -107,120 +107,67 @@ class CaexDocument:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Reading and writing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class _Tag:
-    """What the reader accepts in one CAEX element, and how it builds the
-    element's value from its attributes, its children's values by tag and
-    its text. `required` keeps the order of the messages, `needed` is the
-    same names as a set."""
-
-    allowed: frozenset[str]
-    required: tuple[str, ...]
-    needed: frozenset[str]
-    children: frozenset[str]
-    build: Callable[[dict, dict, str], object]
-
-
-def _tag(allowed: tuple[str, ...], required: tuple[str, ...], children: tuple[str, ...], build):
-    return _Tag(frozenset(allowed), required, frozenset(required), frozenset(children), build)
-
-
-_LINK_ATTRS = ("Name", "RefPartnerSideA", "RefPartnerSideB")
-
-#: Every CAEX element the reader accepts. Leaves take no children.
-_TAGS: dict[str, _Tag] = {
-    "CAEXFile": _tag(
+#: Every CAEX element, for the reader and the writer alike. Leaves take no
+#: children.
+TAGS: dict[str, Tag] = {
+    "CAEXFile": Tag(
         (), (), ("RoleClassLibRef", "InterfaceClassLibRef", "InstanceHierarchy", "InternalLink"),
         lambda attrs, kids, text: CaexDocument(
-            tuple(kids.get("RoleClassLibRef", ())), tuple(kids.get("InterfaceClassLibRef", ())),
-            tuple(kids.get("InstanceHierarchy", ())), tuple(kids.get("InternalLink", ())))),
-    "RoleClassLibRef": _tag(
-        ("Name",), ("Name",), (), lambda attrs, kids, text: attrs["Name"]),
-    "InterfaceClassLibRef": _tag(
-        ("Name",), ("Name",), (), lambda attrs, kids, text: attrs["Name"]),
-    "InstanceHierarchy": _tag(
-        ("Name",), ("Name",), ("InternalElement",),
-        lambda attrs, kids, text: CaexHierarchy(
-            attrs["Name"], tuple(kids.get("InternalElement", ())))),
-    "InternalLink": _tag(
-        _LINK_ATTRS, _LINK_ATTRS, (),
+            every(kids, "RoleClassLibRef"), every(kids, "InterfaceClassLibRef"),
+            every(kids, "InstanceHierarchy"), every(kids, "InternalLink")),
+        lambda doc: ((), (doc.role_class_lib_refs, doc.interface_class_lib_refs,
+                          doc.instance_hierarchies, doc.internal_links), "")),
+    "RoleClassLibRef": Tag(
+        ("Name",), (), (), lambda attrs, kids, text: attrs["Name"],
+        lambda name: ((name,), (), "")),
+    "InterfaceClassLibRef": Tag(
+        ("Name",), (), (), lambda attrs, kids, text: attrs["Name"],
+        lambda name: ((name,), (), "")),
+    "InstanceHierarchy": Tag(
+        ("Name",), (), ("InternalElement",),
+        lambda attrs, kids, text: CaexHierarchy(attrs["Name"], every(kids, "InternalElement")),
+        lambda hierarchy: ((hierarchy.name,), (hierarchy.elements,), "")),
+    "InternalLink": Tag(
+        ("Name", "RefPartnerSideA", "RefPartnerSideB"), (), (),
         lambda attrs, kids, text: CaexLink(
-            attrs["Name"], attrs["RefPartnerSideA"], attrs["RefPartnerSideB"])),
-    "InternalElement": _tag(
-        ("Name", "ID"), ("Name",),
+            attrs["Name"], attrs["RefPartnerSideA"], attrs["RefPartnerSideB"]),
+        lambda link: ((link.name, link.side_a, link.side_b), (), "")),
+    "InternalElement": Tag(
+        ("Name",), ("ID",),
         ("Attribute", "ExternalInterface", "RoleRequirements", "InternalElement"),
         lambda attrs, kids, text: CaexElement(
-            attrs["Name"], attrs.get("ID", ""), tuple(kids.get("Attribute", ())),
-            tuple(kids.get("RoleRequirements", ())), tuple(kids.get("ExternalInterface", ())),
-            tuple(kids.get("InternalElement", ())))),
-    "Attribute": _tag(
-        ("Name", "DataType", "Unit"), ("Name",), ("Value", "Attribute"),
+            attrs["Name"], attrs.get("ID", ""), every(kids, "Attribute"),
+            every(kids, "RoleRequirements"), every(kids, "ExternalInterface"),
+            every(kids, "InternalElement")),
+        lambda element: ((element.name, element.id), (
+            element.attributes, element.external_interfaces, element.role_requirements,
+            element.children), ""),
+        key=lambda element: element.name),
+    "Attribute": Tag(
+        ("Name",), ("DataType", "Unit"), ("Value", "Attribute"),
         lambda attrs, kids, text: CaexAttribute(
             attrs["Name"], kids["Value"][0] if "Value" in kids else "",
-            attrs.get("DataType", ""), attrs.get("Unit", ""),
-            tuple(kids.get("Attribute", ())))),
-    "Value": _tag((), (), (), lambda attrs, kids, text: text),
-    "ExternalInterface": _tag(
-        ("Name", "RefBaseClassPath"), ("Name",), ("Attribute",),
+            attrs.get("DataType", ""), attrs.get("Unit", ""), every(kids, "Attribute")),
+        lambda attribute: (
+            (attribute.name, attribute.data_type, attribute.unit),
+            ((attribute.value,) if attribute.value else (), attribute.children), ""),
+        once=frozenset({"Value"})),
+    "Value": Tag(
+        (), (), (), lambda attrs, kids, text: text, lambda text: ((), (), text), text=True),
+    "ExternalInterface": Tag(
+        ("Name",), ("RefBaseClassPath",), ("Attribute",),
         lambda attrs, kids, text: CaexInterface(
-            attrs["Name"], attrs.get("RefBaseClassPath", ""), tuple(kids.get("Attribute", ())))),
-    "RoleRequirements": _tag(
-        ("RefBaseRoleClassPath",), ("RefBaseRoleClassPath",), (),
-        lambda attrs, kids, text: attrs["RefBaseRoleClassPath"]),
+            attrs["Name"], attrs.get("RefBaseClassPath", ""), every(kids, "Attribute")),
+        lambda interface: (
+            (interface.name, interface.interface_class), (interface.attributes,), "")),
+    "RoleRequirements": Tag(
+        ("RefBaseRoleClassPath",), (), (),
+        lambda attrs, kids, text: attrs["RefBaseRoleClassPath"],
+        lambda role: ((role,), (), "")),
 }
-
-
-class _DocumentReader(Reader):
-    """Builds a CaexDocument from the reader's events in one pass.
-
-    The start of an element checks it as a child of its parent and checks
-    its attributes (_TAGS); the end builds its value and hands it to the
-    parent. The names of the InternalElements in one parent must differ,
-    and an Attribute holds at most one Value.
-    """
-
-    def __init__(self):
-        super().__init__(frozenset({"Value"}))
-        self.document: CaexDocument | None = None
-        # the open elements: [tag, _Tag, attrs, line, column, child values
-        # by tag, names of the child InternalElements (None where there
-        # can be none)]
-        self._open: list[list] = []
-
-    def start(self, tag, attrs, line, column):
-        if self._open:
-            parent_tag, parent, _attrs, _line, _column, siblings, _names = self._open[-1]
-            if tag not in parent.children:
-                raise XmlError(f"unsupported element <{tag}> in {parent_tag}", line, column)
-            if tag == "Value" and tag in siblings:
-                raise XmlError("multiple <Value> children", line, column)
-        elif tag != "CAEXFile":
-            raise XmlError(f"unsupported root element <{tag}>", line, column)
-        spec = _TAGS[tag]
-        keys = attrs.keys()
-        if not (keys <= spec.allowed and keys >= spec.needed):
-            check_attributes(tag, attrs, spec.allowed, spec.required, line, column)
-        names = set() if "InternalElement" in spec.children else None
-        self._open.append([tag, spec, attrs, line, column, {}, names])
-
-    def end(self, tag, text):
-        _tag, spec, attrs, line, column, kids, _names = self._open.pop()
-        value = spec.build(attrs, kids, text)
-        if not self._open:
-            self.document = value
-            return
-        _tag, _spec, _attrs, _line, _column, siblings, names = self._open[-1]
-        if tag == "InternalElement":
-            if value.name in names:
-                raise XmlError(f"duplicate InternalElement name {value.name!r}", line, column)
-            names.add(value.name)
-        if tag in siblings:
-            siblings[tag].append(value)
-        else:
-            siblings[tag] = [value]
 
 
 def parse(data: bytes) -> CaexDocument:
@@ -229,68 +176,12 @@ def parse(data: bytes) -> CaexDocument:
     Malformed XML and unsupported constructs raise XmlError with the source
     line/column.
     """
-    reader = _DocumentReader()
-    reader.read(data)
-    return reader.document
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _attribute_node(attribute: CaexAttribute) -> XmlNode:
-    attrs: list[tuple[str, str]] = [("Name", attribute.name)]
-    if attribute.data_type:
-        attrs.append(("DataType", attribute.data_type))
-    if attribute.unit:
-        attrs.append(("Unit", attribute.unit))
-    children: list[XmlNode] = []
-    if attribute.value:
-        children.append(XmlNode("Value", text=attribute.value))
-    children.extend(_attribute_node(c) for c in attribute.children)
-    return XmlNode("Attribute", tuple(attrs), tuple(children))
-
-
-def _interface_node(interface: CaexInterface) -> XmlNode:
-    attrs: list[tuple[str, str]] = [("Name", interface.name)]
-    if interface.interface_class:
-        attrs.append(("RefBaseClassPath", interface.interface_class))
-    return XmlNode(
-        "ExternalInterface", tuple(attrs),
-        tuple(_attribute_node(a) for a in interface.attributes))
-
-
-def _element_node(element: CaexElement) -> XmlNode:
-    attrs: list[tuple[str, str]] = [("Name", element.name)]
-    if element.id:
-        attrs.append(("ID", element.id))
-    children: list[XmlNode] = [_attribute_node(a) for a in element.attributes]
-    children.extend(_interface_node(i) for i in element.external_interfaces)
-    children.extend(
-        XmlNode("RoleRequirements", (("RefBaseRoleClassPath", role),))
-        for role in element.role_requirements)
-    children.extend(_element_node(c) for c in element.children)
-    return XmlNode("InternalElement", tuple(attrs), tuple(children))
+    return parse_tree(data, "CAEXFile", TAGS)
 
 
 def serialize(doc: CaexDocument) -> bytes:
     """Render a document in canonical form (deterministic, byte-stable)."""
-    children: list[XmlNode] = []
-    children.extend(XmlNode("RoleClassLibRef", (("Name", r),)) for r in doc.role_class_lib_refs)
-    children.extend(
-        XmlNode("InterfaceClassLibRef", (("Name", r),)) for r in doc.interface_class_lib_refs)
-    for hierarchy in doc.instance_hierarchies:
-        children.append(XmlNode(
-            "InstanceHierarchy", (("Name", hierarchy.name),),
-            tuple(_element_node(e) for e in hierarchy.elements)))
-    children.extend(
-        XmlNode("InternalLink", (
-            ("Name", link.name),
-            ("RefPartnerSideA", link.side_a),
-            ("RefPartnerSideB", link.side_b),
-        ))
-        for link in doc.internal_links)
-    return serialize_tree(XmlNode("CAEXFile", (), tuple(children)))
+    return serialize_tree(doc, "CAEXFile", TAGS)
 
 
 # ---------------------------------------------------------------------------

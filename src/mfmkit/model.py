@@ -9,7 +9,10 @@ freely across threads.
 All scalar values are stored as verbatim strings ("0.1", "(50,150,800)");
 units are implied by the field (mm for geometry, seconds for latency). An
 empty string means "not populated yet". Values must not contain carriage
-returns (XML processing normalizes them away, so they could not round-trip).
+returns or any character XML 1.0 cannot carry (the other controls except
+tab and line feed, surrogates, U+FFFE, U+FFFF), so that every model can be
+written and read back. Route priorities are ints; given as text, they must
+be canonical decimals ("7", not "07", "+7" or " 7").
 
 The shape of the model is declared once, in SCHEMA: one ElementSpec per
 element or entry list, with its parameters, units, defaults and validators.
@@ -241,9 +244,19 @@ class ModuleModel:
 # Value checks
 # ---------------------------------------------------------------------------
 
+#: Characters that XML 1.0 cannot carry at all (controls other than tab,
+#: line feed and carriage return, surrogates, U+FFFE and U+FFFF).
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _require_clean(value: str, what: str) -> None:
     if "\r" in value:
         raise ModelError(f"{what} must not contain carriage returns")
+    found = _NOT_XML.search(value)
+    if found:
+        raise ModelError(
+            f"{what} must not contain the character U+{ord(found.group()):04X}, "
+            f"which XML cannot carry")
 
 
 def _require_name(name: str, what: str) -> None:
@@ -302,10 +315,16 @@ def _seconds(value: str, what: str) -> str:
 
 
 def _integer(value, what: str) -> int:
+    """An int, or a string that is an integer's canonical decimal form (no
+    sign other than '-', no leading zeros, spaces, underscores or non-ASCII
+    digits), so that writing the value back gives the same text."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ModelError(f"{what} is not an integer: {value!r}") from None
+    if isinstance(value, str) and str(number) != value:
+        raise ModelError(f"{what} is not a canonical decimal integer: {value!r}")
+    return number
 
 
 def _path(value: str, what: str) -> str:

@@ -7,11 +7,13 @@ and order requests to `order_<port>` variables (declared on demand).
 
 The emitted XML is a small, self-defined PLCopen-style schema
 (project > pou > interface/body > sfc), canonical exactly like the module
-exchange files; parse_plcopen recovers an equal SfcProgram.
+exchange files. One tag table (TAGS) declares its elements for both
+directions; parse_plcopen recovers an equal SfcProgram and rejects anything
+outside the subset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import model as mm
 from .behavior import (
@@ -23,7 +25,7 @@ from .behavior import (
     _MAX_MOVES,
 )
 from .paths import join_path
-from .xmlio import XmlError, XmlNode, check_attrs, parse_tree, serialize_tree
+from .xmlio import Tag, XmlError, every, parse_tree, serialize_tree
 
 
 class SfcError(ValueError):
@@ -184,86 +186,81 @@ def divergences(program: SfcProgram) -> tuple[tuple[str, int], ...]:
 # PLCopen-style XML
 # ---------------------------------------------------------------------------
 
+def _one(kids: dict, tag: str, parent: str):
+    found = kids.get(tag, ())
+    if len(found) != 1:
+        raise XmlError(f"expected one <{tag}> in <{parent}>")
+    return found[0]
+
+
+def _pou(attrs, kids, text) -> SfcProgram:
+    if attrs["pouType"] != "program":
+        raise XmlError(f"unsupported pouType {attrs['pouType']!r}")
+    variables = _one(kids, "interface", "pou")
+    steps, transitions = _one(kids, "body", "pou")
+    return SfcProgram(attrs["name"], steps, transitions, variables)
+
+
+def _step(attrs, kids, text) -> SfcStep:
+    initial = attrs.get("initial")
+    if initial is not None and initial != "true":
+        raise XmlError(f"bad initial flag {initial!r}")
+    return SfcStep(attrs["name"], initial is not None, every(kids, "action"))
+
+
+#: Every element of the PLCopen-style files, for the reader and the writer
+#: alike. The program takes the project's name; the pou repeats it, and the
+#: reader ignores the pou's. The values below <pou> are the variables
+#: (interface) and the pair of steps and transitions (body, sfc).
+TAGS: dict[str, Tag] = {
+    "project": Tag(
+        ("name",), (), ("pou",),
+        lambda attrs, kids, text: replace(_one(kids, "pou", "project"), name=attrs["name"]),
+        lambda program: ((program.name,), ((program,),), "")),
+    "pou": Tag(
+        ("name", "pouType"), (), ("interface", "body"), _pou,
+        lambda program: ((program.name, "program"), (
+            (program.variables,), ((program.steps, program.transitions),)), "")),
+    "interface": Tag(
+        (), (), ("variable",), lambda attrs, kids, text: every(kids, "variable"),
+        lambda variables: ((), (variables,), "")),
+    "variable": Tag(
+        ("name", "dataType", "kind"), (), (),
+        lambda attrs, kids, text: SfcVariable(attrs["name"], attrs["dataType"], attrs["kind"]),
+        lambda variable: ((variable.name, variable.data_type, variable.kind), (), "")),
+    "body": Tag(
+        (), (), ("sfc",), lambda attrs, kids, text: _one(kids, "sfc", "body"),
+        lambda chart: ((), ((chart,),), "")),
+    "sfc": Tag(
+        (), (), ("step", "transition"),
+        lambda attrs, kids, text: (every(kids, "step"), every(kids, "transition")),
+        lambda chart: ((), chart, "")),
+    "step": Tag(
+        ("name",), ("initial",), ("action",), _step,
+        lambda step: ((step.name, "true" if step.initial else ""), (step.actions,), "")),
+    "action": Tag(
+        (), (), (), lambda attrs, kids, text: text, lambda text: ((), (), text), text=True),
+    "transition": Tag(
+        ("source", "target", "condition"), (), (),
+        lambda attrs, kids, text: SfcTransition(
+            attrs["source"], attrs["target"], attrs["condition"]),
+        lambda transition: (
+            (transition.source, transition.target, transition.condition), (), "")),
+}
+
+
 def emit_plcopen(program: SfcProgram) -> bytes:
     """Render the program in canonical form (deterministic, byte-stable)."""
-    variables = tuple(
-        XmlNode("variable", (
-            ("name", v.name), ("dataType", v.data_type), ("kind", v.kind)))
-        for v in program.variables)
-    steps = tuple(
-        XmlNode(
-            "step",
-            (("name", s.name),) + ((("initial", "true"),) if s.initial else ()),
-            tuple(XmlNode("action", text=a) for a in s.actions))
-        for s in program.steps)
-    transitions = tuple(
-        XmlNode("transition", (
-            ("source", t.source), ("target", t.target), ("condition", t.condition)))
-        for t in program.transitions)
-    pou = XmlNode("pou", (("name", program.name), ("pouType", "program")), (
-        XmlNode("interface", (), variables),
-        XmlNode("body", (), (XmlNode("sfc", (), steps + transitions),)),
-    ))
-    return serialize_tree(XmlNode("project", (("name", program.name),), (pou,)))
-
-
-def _single_child(node: XmlNode, tag: str) -> XmlNode:
-    matches = [c for c in node.children if c.tag == tag]
-    if len(matches) != 1:
-        raise XmlError(f"expected one <{tag}> in <{node.tag}>", node.line, node.column)
-    return matches[0]
+    return serialize_tree(program, "project", TAGS)
 
 
 def parse_plcopen(data: bytes) -> SfcProgram:
-    """Parse bytes from emit_plcopen back into an equal SfcProgram."""
-    root = parse_tree(data, text_tags=frozenset({"action"}))
-    if root.tag != "project":
-        raise XmlError(f"unsupported root element <{root.tag}>", root.line, root.column)
-    check_attrs(root, ("name",), ("name",))
-    pou = _single_child(root, "pou")
-    check_attrs(pou, ("name", "pouType"), ("name", "pouType"))
-    if pou.get("pouType") != "program":
-        raise XmlError(f"unsupported pouType {pou.get('pouType')!r}", pou.line, pou.column)
+    """Parse bytes from emit_plcopen back into an equal SfcProgram.
 
-    interface = _single_child(pou, "interface")
-    variables = []
-    for child in interface.children:
-        if child.tag != "variable":
-            raise XmlError(f"unsupported element <{child.tag}> in interface",
-                           child.line, child.column)
-        check_attrs(child, ("name", "dataType", "kind"), ("name", "dataType", "kind"))
-        variables.append(SfcVariable(
-            name=child.get("name"), data_type=child.get("dataType"), kind=child.get("kind")))
-
-    sfc = _single_child(_single_child(pou, "body"), "sfc")
-    steps: list[SfcStep] = []
-    transitions: list[SfcTransition] = []
-    for child in sfc.children:
-        if child.tag == "step":
-            check_attrs(child, ("name", "initial"), ("name",))
-            if child.has("initial") and child.get("initial") != "true":
-                raise XmlError(f"bad initial flag {child.get('initial')!r}",
-                               child.line, child.column)
-            actions = []
-            for sub in child.children:
-                if sub.tag != "action":
-                    raise XmlError(f"unsupported element <{sub.tag}> in step",
-                                   sub.line, sub.column)
-                actions.append(sub.text)
-            steps.append(SfcStep(
-                name=child.get("name"), initial=child.has("initial"),
-                actions=tuple(actions)))
-        elif child.tag == "transition":
-            check_attrs(child, ("source", "target", "condition"),
-                           ("source", "target", "condition"))
-            transitions.append(SfcTransition(
-                source=child.get("source"), target=child.get("target"),
-                condition=child.get("condition")))
-        else:
-            raise XmlError(f"unsupported element <{child.tag}> in sfc", child.line, child.column)
-    return SfcProgram(
-        name=root.get("name"), steps=tuple(steps),
-        transitions=tuple(transitions), variables=tuple(variables))
+    Anything outside the subset emit_plcopen writes raises XmlError with
+    the source line/column.
+    """
+    return parse_tree(data, "project", TAGS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,28 @@
 
 Both exchange formats (the CAEX-subset module files and the generated
 control-code files) use the same byte-level conventions: UTF-8, LF line
-endings, 2-space indent, a fixed attribute order defined by the caller, and
+endings, 2-space indent, a fixed attribute order per element, and
 self-closing tags for empty non-root elements. Free text lives in dedicated
-value elements; everywhere else, non-whitespace character data is rejected.
+text elements; everywhere else, non-whitespace character data is rejected.
 
-Reading is one strict pass of expat over the bytes (`Reader`). The reader
-enforces the byte-level rules, which exist only here: UTF-8 or ASCII
-encoding, no DOCTYPE declarations or processing instructions, nesting at
-most MAX_DEPTH deep, non-whitespace text only inside the caller's text tags,
-no text tag mixing text with child elements, and expat's own errors, all as
-XmlError with the source line and column. A format layer subclasses Reader
-and builds its own objects from the start and end events; parse_tree is the
-generic one and builds an XmlNode tree.
+A format declares its elements once, in a table from tag name to Tag: the
+attributes and children each element allows, in canonical order, the
+function that builds the element's value and its inverse, which splits a
+value back into attributes, children and text. parse_tree reads a document
+against such a table and serialize_tree writes one; neither knows a format.
+
+Reading is one strict pass of expat over the bytes. The byte-level rules
+exist only here: UTF-8 or ASCII encoding, no DOCTYPE declarations or
+processing instructions, nesting at most MAX_DEPTH deep, non-whitespace
+text only inside text elements, no text element mixing text with child
+elements, and expat's own errors. The structural rules come from the
+table: the root tag, each element's tag within its parent, its attribute
+names, the children allowed once, unique keys, and whatever a `build`
+raises. Every error is an XmlError with the source line and column.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
@@ -40,41 +47,47 @@ class XmlError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class XmlNode:
-    """One element: tag, ordered attributes, children, optional text."""
+class Tag:
+    """One element of a format, for reading and for writing.
 
-    tag: str
-    attrs: tuple[tuple[str, str], ...] = ()
-    children: tuple["XmlNode", ...] = ()
-    text: str = ""
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    The allowed attributes are `required` then `optional`, which is also
+    their canonical order; the writer always writes the required ones and
+    omits an optional one whose value is empty. `children` are the allowed
+    child elements in canonical order.
 
-    def get(self, name: str, default: str = "") -> str:
-        for key, value in self.attrs:
-            if key == name:
-                return value
-        return default
+    `build(attrs, kids, text)` makes the element's value from its
+    attributes (a dict), its children's values (a dict from tag to the list
+    of values, in document order; tags that do not occur are absent) and
+    its text. It may raise XmlError without a position; the reader places
+    it at the element. `split(value)` is the inverse: the attribute values
+    in canonical order, one sequence of child values per entry of
+    `children`, and the text.
 
-    def has(self, name: str) -> bool:
-        return any(key == name for key, _ in self.attrs)
+    `text` marks an element whose character data is significant. The
+    children named in `once` may occur at most once, checked at the start
+    of the second one. With a `key`, the keys of an element's values must
+    differ among its siblings of the same tag, checked at the end of the
+    second one.
+    """
 
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    children: tuple[str, ...]
+    build: Callable[[dict, dict, str], object]
+    split: Callable[[object], tuple[tuple, tuple, str]]
+    text: bool = False
+    once: frozenset[str] = frozenset()
+    key: Callable[[object], str] | None = None
+    attrs: tuple[str, ...] = field(init=False)
+    allowed: frozenset[str] = field(init=False)
+    needed: frozenset[str] = field(init=False)
+    child_tags: frozenset[str] = field(init=False)
 
-def check_attrs(node: XmlNode, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> None:
-    """Reject attributes outside `allowed` and require those in `required`."""
-    check_attributes(node.tag, dict(node.attrs), allowed, required, node.line, node.column)
-
-
-def check_attributes(tag: str, attrs: dict[str, str], allowed, required,
-                     line: int, column: int) -> None:
-    """Reject the names in `attrs` outside `allowed`, in document order, then
-    require those in `required`, in its order."""
-    for key in attrs:
-        if key not in allowed:
-            raise XmlError(f"unsupported attribute {key!r} on <{tag}>", line, column)
-    for key in required:
-        if key not in attrs:
-            raise XmlError(f"missing attribute {key!r} on <{tag}>", line, column)
+    def __post_init__(self):
+        object.__setattr__(self, "attrs", self.required + self.optional)
+        object.__setattr__(self, "allowed", frozenset(self.attrs))
+        object.__setattr__(self, "needed", frozenset(self.required))
+        object.__setattr__(self, "child_tags", frozenset(self.children))
 
 
 # ---------------------------------------------------------------------------
@@ -85,57 +98,37 @@ class _Unplaced(Exception):
     """A text or expat error seen by the buffered pass, which cannot place it."""
 
 
-def _ignore(*_args) -> None:
-    pass
+class _Reader:
+    """One strict pass of expat over a document, building its value.
 
-
-class Reader:
-    """One strict pass over a document; subclasses consume its events.
-
-    Subclasses implement `start(tag, attrs, line, column)` and `end(tag,
-    text)`: `attrs` is a dict in document order, `text` the character data
-    of a text tag (else ""). A hook that finds a structural error raises
-    XmlError. The reader keeps the first one, stops calling the hooks and
-    raises it only after the whole input has passed the byte-level rules, so
-    a byte-level error anywhere wins over a structural error before it.
+    Each open element is a record [tag, Tag (None if unknown), attrs, line,
+    column, child values by tag, keys of the children, text parts (None
+    unless a text element), has children]. The start of an element checks
+    it against its parent and its attributes; the end builds its value and
+    hands it to the parent. The first structural error stops the building
+    but not the pass: it is raised only after the whole input has passed
+    the byte-level rules, so a byte-level error anywhere wins over a
+    structural error before it.
 
     Character data is buffered: a run of text between two tags costs one
     callback. Expat delivers a run only when the markup after it arrives and
     drops a pending run when it fails, so a buffered pass can neither place
     a text error nor tell whether one precedes an expat error. When it meets
-    either, `read` runs the byte-level rules again without buffering (and
-    without hooks), which reports the first error at its exact position.
+    either, parse_tree runs the byte-level rules again without buffering
+    (and without building), which reports the first error at its exact
+    position.
     """
 
-    def __init__(self, text_tags: frozenset[str] = frozenset()):
-        self.text_tags = text_tags
+    def __init__(self, root: str, tags: dict[str, Tag]):
+        self.root = root
+        self.tags = tags
+        self.value = None
+        self.failure: XmlError | None = None
 
-    def start(self, tag: str, attrs: dict[str, str], line: int, column: int) -> None:
-        pass
-
-    def end(self, tag: str, text: str) -> None:
-        pass
-
-    def read(self, data: bytes) -> None:
-        """Run the pass; raise the first byte-level, then structural, error."""
-        if not isinstance(data, bytes):
-            raise TypeError("expected bytes")
-        try:
-            self._scan(data, buffered=True)
-        except _Unplaced:
-            Reader(self.text_tags)._scan(data, buffered=False)
-            raise AssertionError("the unbuffered pass found no error") from None
-        if self._failure is not None:
-            raise self._failure
-
-    def _scan(self, data: bytes, buffered: bool) -> None:
-        # The open elements: a tag, or [tag, line, column, text parts,
-        # has children] for a text tag. _text is the innermost element's
-        # parts when it is a text tag, else None.
-        self._stack: list = []
-        self._text: list[str] | None = None
-        self._failure: XmlError | None = None
-        self._rooted = False
+    def scan(self, data: bytes, buffered: bool) -> None:
+        self._stack: list[list] = []
+        self._text: list[str] | None = None   # parts of the innermost text element
+        self._building = buffered
         self._buffered = buffered
         self._parser = parser = expat.ParserCreate()
         parser.buffer_text = buffered
@@ -151,12 +144,10 @@ class Reader:
             if buffered:
                 raise _Unplaced from None
             raise XmlError(expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from None
-        if not self._rooted:
-            raise XmlError("document has no root element", 1, 1)
 
     def _fail(self, error: XmlError) -> None:
-        self._failure = error
-        self.start = self.end = _ignore
+        self.failure = error
+        self._building = False
 
     def _pos(self) -> tuple[int, int]:
         return self._parser.CurrentLineNumber, self._parser.CurrentColumnNumber + 1
@@ -178,35 +169,74 @@ class Reader:
         stack = self._stack
         if len(stack) == MAX_DEPTH:
             raise XmlError(f"elements nested deeper than {MAX_DEPTH} levels", line, column)
-        self._rooted = True
         if self._text is not None:
-            stack[-1][4] = True
-        if tag in self.text_tags:
-            self._text = []
-            stack.append([tag, line, column, self._text, False])
-        else:
-            self._text = None
-            stack.append(tag)
-        try:
-            self.start(tag, attrs, line, column)
-        except XmlError as error:
-            self._fail(error)
+            stack[-1][8] = True
+        spec = self.tags.get(tag)
+        self._text = [] if spec is not None and spec.text else None
+        if self._building:
+            try:
+                self._check(tag, spec, attrs, line, column)
+            except XmlError as error:
+                self._fail(error)
+        stack.append([tag, spec, attrs, line, column, {}, None, self._text, False])
+
+    def _check(self, tag, spec, attrs, line, column):
+        stack = self._stack
+        if stack:
+            record = stack[-1]
+            parent = record[1]
+            if tag not in parent.child_tags:
+                raise XmlError(f"unsupported element <{tag}> in {record[0]}", line, column)
+            if tag in parent.once and tag in record[5]:
+                raise XmlError(f"multiple <{tag}> children", line, column)
+        elif tag != self.root:
+            raise XmlError(f"unsupported root element <{tag}>", line, column)
+        keys = attrs.keys()
+        if keys <= spec.allowed and keys >= spec.needed:
+            return
+        for key in attrs:
+            if key not in spec.allowed:
+                raise XmlError(f"unsupported attribute {key!r} on <{tag}>", line, column)
+        for key in spec.required:
+            if key not in attrs:
+                raise XmlError(f"missing attribute {key!r} on <{tag}>", line, column)
 
     def _end(self, tag):
         stack = self._stack
-        top = stack.pop()
-        if top.__class__ is str:
+        tag, spec, attrs, line, column, kids, _keys, parts, mixed = stack.pop()
+        if parts is None:
             text = ""
         else:
-            _tag, line, column, parts, has_children = top
-            if parts and has_children:
+            if parts and mixed:
                 raise XmlError(f"element <{tag}> mixes text and child elements", line, column)
             text = "".join(parts)
-        self._text = stack[-1][3] if stack and stack[-1].__class__ is list else None
+        parent = stack[-1] if stack else None
+        self._text = parent[7] if parent is not None else None
+        if not self._building:
+            return
         try:
-            self.end(tag, text)
+            value = spec.build(attrs, kids, text)
+            if parent is None:
+                self.value = value
+                return
+            if spec.key is not None:
+                key = (tag, spec.key(value))
+                keys = parent[6]
+                if keys is None:
+                    keys = parent[6] = set()
+                if key in keys:
+                    raise XmlError(f"duplicate {tag} name {key[1]!r}", line, column)
+                keys.add(key)
         except XmlError as error:
+            if error.line is None:
+                error = XmlError(error.args[0], line, column)
             self._fail(error)
+            return
+        siblings = parent[5]
+        if tag in siblings:
+            siblings[tag].append(value)
+        else:
+            siblings[tag] = [value]
 
     def _chars(self, data):
         if self._text is not None:
@@ -214,37 +244,29 @@ class Reader:
         elif self._stack and data.strip():
             if self._buffered:
                 raise _Unplaced
-            raise XmlError(f"unexpected text inside <{self._stack[-1]}>", *self._pos())
+            raise XmlError(f"unexpected text inside <{self._stack[-1][0]}>", *self._pos())
 
 
-class _TreeBuilder(Reader):
-    def __init__(self, text_tags: frozenset[str]):
-        super().__init__(text_tags)
-        self.root: XmlNode | None = None
-        self._open: list[list] = []  # [tag, attrs, children, line, column]
-
-    def start(self, tag, attrs, line, column):
-        self._open.append([tag, tuple(attrs.items()), [], line, column])
-
-    def end(self, tag, text):
-        tag, attrs, children, line, column = self._open.pop()
-        node = XmlNode(tag, attrs, tuple(children), text, line, column)
-        if self._open:
-            self._open[-1][2].append(node)
-        else:
-            self.root = node
+def every(kids: dict, tag: str) -> tuple:
+    """The values of all `tag` children in `kids` (as `build` gets them)."""
+    return tuple(kids.get(tag, ()))
 
 
-def parse_tree(data: bytes, text_tags: frozenset[str] = frozenset()) -> XmlNode:
-    """Parse bytes into an XmlNode tree.
-
-    `text_tags` names the elements whose character data is significant;
-    non-whitespace text anywhere else is an error. Nesting deeper than
-    MAX_DEPTH is an error.
-    """
-    builder = _TreeBuilder(text_tags)
-    builder.read(data)
-    return builder.root
+def parse_tree(data: bytes, root: str, tags: dict[str, Tag]):
+    """The value of a document whose root element is `root`, read against
+    `tags`: the first byte-level error, else the first structural error,
+    is raised as XmlError."""
+    if not isinstance(data, bytes):
+        raise TypeError("expected bytes")
+    reader = _Reader(root, tags)
+    try:
+        reader.scan(data, buffered=True)
+    except _Unplaced:
+        _Reader(root, tags).scan(data, buffered=False)
+        raise AssertionError("the unbuffered pass found no error") from None
+    if reader.failure is not None:
+        raise reader.failure
+    return reader.value
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +285,33 @@ def _escape_text(value: str) -> str:
     return value.replace("\r", "&#13;")
 
 
-def _render(node: XmlNode, depth: int, lines: list[str], expand_empty: bool) -> None:
-    pad = "  " * depth
-    head = node.tag
-    for key, value in node.attrs:
-        head += f' {key}="{_escape_attr(value)}"'
-    if node.children:
+def _write(value, tag: str, tags: dict[str, Tag], pad: str, lines: list[str],
+           expand_empty: bool) -> None:
+    spec = tags[tag]
+    values, kids, text = spec.split(value)
+    head = tag
+    for name, attr in zip(spec.attrs, values):
+        if attr or name in spec.needed:
+            head += f' {name}="{_escape_attr(attr)}"'
+    if any(kids):
         lines.append(f"{pad}<{head}>")
-        for child in node.children:
-            _render(child, depth + 1, lines, False)
-        lines.append(f"{pad}</{node.tag}>")
-    elif node.text:
-        lines.append(f"{pad}<{head}>{_escape_text(node.text)}</{node.tag}>")
+        inner = pad + "  "
+        for child, items in zip(spec.children, kids):
+            for item in items:
+                _write(item, child, tags, inner, lines, False)
+        lines.append(f"{pad}</{tag}>")
+    elif text:
+        lines.append(f"{pad}<{head}>{_escape_text(text)}</{tag}>")
     elif expand_empty:
         lines.append(f"{pad}<{head}>")
-        lines.append(f"{pad}</{node.tag}>")
+        lines.append(f"{pad}</{tag}>")
     else:
         lines.append(f"{pad}<{head}/>")
 
 
-def serialize_tree(root: XmlNode) -> bytes:
-    """Serialize a tree in canonical form (the root is always expanded)."""
+def serialize_tree(value, root: str, tags: dict[str, Tag]) -> bytes:
+    """Write `value` as a document whose root element is `root`, in
+    canonical form (the root is always expanded)."""
     lines = [DECLARATION]
-    _render(root, 0, lines, expand_empty=True)
+    _write(value, root, tags, "", lines, True)
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -334,6 +334,22 @@ def test_import_table_reports_skipped_rows(work, tmp_path):
     assert merged.exists()
 
 
+def test_import_table_rejects_a_value_xml_cannot_carry(work, tmp_path):
+    rows = list(csv.reader(io.StringIO(
+        run_bytes("export-table", work["model"]).stdout.decode("utf-8"))))
+    rows[1][2] = "bad\x01value"
+    table = tmp_path / "t.csv"
+    with open(table, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    merged = tmp_path / "merged.aml"
+    result = run("import-table", work["model"], str(table), "-o", str(merged))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout.count("invalid-value") == 1
+    assert "U+0001" in result.stdout
+    assert run("validate", str(merged)).returncode == 0
+
+
 def test_import_table_reports_reader_warnings(work, tmp_path):
     merged = tmp_path / "merged.aml"
     result = run("import-table", work["unreadable"], work["filled"], "-o", str(merged))

@@ -402,3 +402,16 @@ def test_a_parameter_row_with_an_unusable_document_applies_nothing():
     assert mm.resolve(updated, "m/components/S1/position") == ""
     assert mm.resolve(updated, "m/components/S1/component_type") == "X"
     assert [(d.id, d.assigned_element) for d in updated.documents] == [("D1", "m/components/S1")]
+
+
+@pytest.mark.parametrize("text", ["1_0", " 7", "+4", "٥", "007"])
+def test_a_table_row_with_a_non_canonical_route_priority_is_rejected(text):
+    m = mm.new_module("m", "Mini")
+    m = mm.add_port(m, "a", "in", "")
+    m = mm.add_port(m, "b", "out", "")
+    m = mm.add_route(m, "a", "b", 3)
+    table = _table(("m/function/routes/0", "priority", text, "", "", ""),
+                   ("m/function/routes/0", "to_port", "a", "", "", ""))
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.parameter) for v in violations] == [("invalid-value", "priority")]
+    assert updated.function.routes == (mm.Route("a", "a", 3),)

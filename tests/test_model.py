@@ -306,3 +306,53 @@ def test_the_reader_reports_and_drops_an_entry_whose_name_ends_in_a_newline():
     assert [c.name for c in read.components] == ["S2"]
     assert [(w.rule_id, w.element_path, w.message) for w in warnings] == [
         ("invalid-value", "m/components/S1\n", "invalid component name 'S1\\n'")]
+
+
+def _routed() -> mm.ModuleModel:
+    m = mm.new_module("m", "M")
+    m = mm.add_port(m, "a", "in", "")
+    m = mm.add_port(m, "b", "out", "")
+    return mm.add_route(m, "a", "b", 3)
+
+
+NON_CANONICAL_PRIORITIES = ["1_0", " 7", "+4", "٥", "007"]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_PRIORITIES)
+def test_a_route_priority_read_from_a_file_must_be_a_canonical_decimal(text):
+    data = caex_io.serialize(caex_io.from_model(_routed())).replace(
+        b"<Value>3</Value>", f"<Value>{text}</Value>".encode())
+    read, warnings = caex_io.to_model(caex_io.parse(data))
+    assert read.function.routes[0].priority == 0
+    assert [(w.rule_id, w.element_path) for w in warnings] == [
+        ("invalid-value", "m/function/routes/0")]
+    assert text in warnings[0].message
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_PRIORITIES)
+def test_set_parameter_rejects_a_non_canonical_route_priority(text):
+    with pytest.raises(mm.ModelError, match="not a canonical decimal integer"):
+        mm.set_parameter(_routed(), "m/function/routes/0", "priority", text)
+
+
+def test_route_priorities_keep_their_int_and_canonical_forms():
+    m = mm.set_parameter(_routed(), "m/function/routes/0", "priority", "-12")
+    assert m.function.routes[0].priority == -12
+    assert mm.add_route(m, "b", "a", 7).function.routes[1].priority == 7
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "￾", "￿"])
+def test_a_value_xml_cannot_carry_is_rejected(char):
+    m = mm.new_module("m", "M")
+    with pytest.raises(mm.ModelError, match="which XML cannot carry"):
+        mm.set_parameter(m, "m/general/identification", "name", f"bad{char}value")
+    with pytest.raises(mm.ModelError, match="which XML cannot carry"):
+        mm.new_module("n", f"bad{char}value")
+    with pytest.raises(mm.ModelError, match="which XML cannot carry"):
+        mm.add_component(m, mm.Component("S1", component_type=f"bad{char}value"))
+
+
+def test_tab_and_line_feed_are_still_values():
+    m = mm.set_parameter(mm.new_module("m", "M"), "m/general/identification", "name", "a\tb\nc")
+    read, warnings = caex_io.to_model(caex_io.parse(caex_io.serialize(caex_io.from_model(m))))
+    assert (read, warnings) == (m, [])

@@ -198,7 +198,7 @@ def test_malformed_input_gets_its_message_and_position(case):
 def test_parse_tree_applies_the_same_byte_level_rules(case):
     data, message, line, column = BYTE_LEVEL[case]
     with pytest.raises(XmlError) as err:
-        parse_tree(data, frozenset({"Value"}))
+        parse_tree(data, "CAEXFile", caex_io.TAGS)
     assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
