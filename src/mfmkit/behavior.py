@@ -19,7 +19,10 @@ every guard of the target step holds in the current level state.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from dataclasses import dataclass
+
+from .model import non_xml_char
 
 CONDITION_KINDS = ("sensor_true", "sensor_false", "order_request")
 ACTION_KINDS = ("activate", "deactivate")
@@ -194,7 +197,12 @@ def parse_behavior(text: str) -> BehaviorGraph:
     seen_graph_line = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _strip_comment(raw)
+        bad = non_xml_char(line)
+        if bad:
+            raise BehaviorParseError(
+                f"line {lineno}: the character {bad} is not allowed, XML cannot carry it")
+        line = line.strip()
         if not line:
             continue
         keyword, _, rest = line.partition(" ")
@@ -345,32 +353,64 @@ def to_iml(graph: BehaviorGraph) -> ImlDocument:
 # Token simulation
 # ---------------------------------------------------------------------------
 
-class _LevelState:
-    """Level-triggered signal state: sensor levels plus latched orders."""
+#: One outgoing transition of a compiled walk: the target step, the keys that
+#: must all be live and the keys that must not be live for it to be enabled.
+Arc = tuple[str, frozenset, frozenset]
 
-    __slots__ = ("sensors", "orders")
 
-    def __init__(self) -> None:
-        self.sensors: dict[str, bool] = {}
-        self.orders: set[str] = set()
+def walk(outgoing: dict[str, list[Arc]], current: str, live: set,
+         updates: Iterable[tuple[Hashable, bool]],
+         enter: Callable[[str], Iterable[Action]]) -> list[Action]:
+    """Walk one token over compiled guards: the kernel of both simulators.
 
-    def apply(self, event: TraceEvent) -> None:
-        if event.kind == "sensor":
-            self.sensors[event.subject] = event.value
-        elif event.kind == "order":
-            if event.value:
-                self.orders.add(event.subject)
+    The token starts in `current`. Before the first update and after each
+    `(key, level)` update of the live keys, it cascades: while a target of
+    its step is enabled, it moves there and emits what `enter(target)`
+    returns (`enter` may change `live` too). Two or more enabled targets at
+    once raise SimulationError; so does a walk that exceeds _MAX_MOVES moves
+    in total.
+    """
+    emitted: list[Action] = []
+    moves = 0
+    updates = iter(updates)
+    while True:
+        enabled = [
+            target for target, on, off in outgoing[current]
+            if on <= live and live.isdisjoint(off)]
+        if not enabled:
+            update = next(updates, None)
+            if update is None:
+                return emitted
+            key, level = update
+            if level:
+                live.add(key)
             else:
-                self.orders.discard(event.subject)
-        else:
-            raise SimulationError(f"unknown event kind {event.kind!r}")
+                live.discard(key)
+            continue
+        if len(enabled) > 1:
+            raise SimulationError(
+                f"ambiguous branch at step {current}: "
+                f"{' and '.join(sorted(enabled))} are both enabled")
+        moves += 1
+        if moves > _MAX_MOVES:
+            raise SimulationError("token walk does not terminate")
+        current = enabled[0]
+        emitted.extend(enter(current))
 
-    def satisfies(self, condition: Condition) -> bool:
-        if condition.kind == "sensor_true":
-            return self.sensors.get(condition.subject, False)
-        if condition.kind == "sensor_false":
-            return not self.sensors.get(condition.subject, False)
-        return condition.subject in self.orders
+
+def _guard_keys(guards: tuple[Condition, ...]) -> tuple[frozenset, frozenset]:
+    # A sensor is live while on, an order while latched; both keyed (kind, subject).
+    on = frozenset(
+        ("sensor" if g.kind == "sensor_true" else "order", g.subject)
+        for g in guards if g.kind != "sensor_false")
+    return on, frozenset(("sensor", g.subject) for g in guards if g.kind == "sensor_false")
+
+
+def _levels(trace: list[TraceEvent]) -> Iterator[tuple[tuple[str, str], bool]]:
+    for event in trace:
+        if event.kind not in ("sensor", "order"):
+            raise SimulationError(f"unknown event kind {event.kind!r}")
+        yield (event.kind, event.subject), event.value
 
 
 def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
@@ -384,39 +424,12 @@ def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
     """
     validate_graph(graph)
     by_id = {step.id: step for step in graph.steps}
-    successors: dict[str, list[str]] = {step.id: [] for step in graph.steps}
+    guards = {step.id: _guard_keys(step.guards) for step in graph.steps}
+    outgoing: dict[str, list[Arc]] = {step.id: [] for step in graph.steps}
     for source, target in graph.edges + graph.loop_edges:
-        successors[source].append(target)
-
-    state = _LevelState()
-    current = entry_step(graph).id
-    emitted: list[Action] = []
-    moves = 0
-
-    def advance() -> None:
-        nonlocal current, moves
-        while True:
-            satisfied = [
-                target for target in successors[current]
-                if all(state.satisfies(g) for g in by_id[target].guards)
-            ]
-            if not satisfied:
-                return
-            if len(satisfied) > 1:
-                raise SimulationError(
-                    f"ambiguous branch at step {current}: "
-                    f"{' and '.join(sorted(satisfied))} are both enabled")
-            moves += 1
-            if moves > _MAX_MOVES:
-                raise SimulationError("token walk does not terminate")
-            current = satisfied[0]
-            emitted.extend(by_id[current].actions)
-
-    advance()
-    for event in trace:
-        state.apply(event)
-        advance()
-    return emitted
+        outgoing[source].append((target, *guards[target]))
+    return walk(outgoing, entry_step(graph).id, set(), _levels(trace),
+                lambda step: by_id[step].actions)
 
 
 # ---------------------------------------------------------------------------

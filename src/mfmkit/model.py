@@ -249,14 +249,18 @@ class ModuleModel:
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+def non_xml_char(value: str) -> str | None:
+    """The first character of value that XML cannot carry, as U+XXXX, or None."""
+    found = _NOT_XML.search(value)
+    return f"U+{ord(found.group()):04X}" if found else None
+
+
 def _require_clean(value: str, what: str) -> None:
     if "\r" in value:
         raise ModelError(f"{what} must not contain carriage returns")
-    found = _NOT_XML.search(value)
-    if found:
-        raise ModelError(
-            f"{what} must not contain the character U+{ord(found.group()):04X}, "
-            f"which XML cannot carry")
+    bad = non_xml_char(value)
+    if bad:
+        raise ModelError(f"{what} must not contain the character {bad}, which XML cannot carry")
 
 
 def _require_name(name: str, what: str) -> None:

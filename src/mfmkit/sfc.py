@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import model as mm
-from .behavior import (
-    Action,
-    Condition,
-    ImlDocument,
-    SimulationError,
-    TraceEvent,
-    _MAX_MOVES,
-)
+from .behavior import Action, Arc, Condition, ImlDocument, SimulationError, TraceEvent, walk
 from .paths import join_path
 from .xmlio import Tag, XmlError, every, parse_tree, serialize_tree
 
@@ -267,16 +260,13 @@ def parse_plcopen(data: bytes) -> SfcProgram:
 # Program simulation
 # ---------------------------------------------------------------------------
 
-def _eval_condition(condition: str, state: dict[str, bool]) -> bool:
+def _condition_keys(condition: str) -> tuple[frozenset, frozenset]:
+    # A variable is live while TRUE; only the exact condition "TRUE" is empty.
     if condition == "TRUE":
-        return True
-    for term in condition.split(" AND "):
-        if term.startswith("NOT "):
-            if state.get(term[4:], False):
-                return False
-        elif not state.get(term, False):
-            return False
-    return True
+        return frozenset(), frozenset()
+    terms = condition.split(" AND ")
+    return (frozenset(t for t in terms if not t.startswith("NOT ")),
+            frozenset(t[4:] for t in terms if t.startswith("NOT ")))
 
 
 def simulate_sfc(
@@ -285,66 +275,51 @@ def simulate_sfc(
     """Run the bound program over a trace, reporting actuator events.
 
     Events are translated into variable writes through the model's io_mapping
-    (the same binding iml_to_sfc used); executed step actions are translated
-    back into activate/deactivate events. Semantics mirror behavior.simulate:
-    level-triggered state, cascading advance, ambiguity as an error.
+    (the same binding iml_to_sfc used); executed step actions write their
+    variables and are translated back into activate/deactivate events. The
+    token walk is behavior.walk, the one behavior.simulate runs: level
+    state, cascading advance, ambiguity and the move budget as errors.
     """
     binding = _Binding(model)
     variable_to_actuator = {var: name for name, var in binding.actuator_vars.items()}
-    state: dict[str, bool] = {v.name: False for v in program.variables}
 
     initial = [s for s in program.steps if s.initial]
     if len(initial) != 1:
         raise SfcError(f"expected exactly one initial step, found {len(initial)}")
     by_name = {s.name: s for s in program.steps}
-    outgoing: dict[str, list[SfcTransition]] = {s.name: [] for s in program.steps}
+    outgoing: dict[str, list[Arc]] = {s.name: [] for s in program.steps}
     for transition in program.transitions:
         if transition.source not in by_name or transition.target not in by_name:
             raise SfcError(
                 f"transition {transition.source} -> {transition.target} "
                 f"references unknown steps")
-        outgoing[transition.source].append(transition)
+        outgoing[transition.source].append(
+            (transition.target, *_condition_keys(transition.condition)))
+    live: set[str] = set()
 
-    current = initial[0].name
-    emitted: list[Action] = []
-    moves = 0
-
-    def execute(step: SfcStep) -> None:
-        for text in step.actions:
+    def execute(name: str) -> list[Action]:
+        actions = []
+        for text in by_name[name].actions:
             variable, _sep, value = text.partition(" := ")
             if _sep == "" or value not in ("TRUE", "FALSE"):
                 raise SfcError(f"unreadable step action {text!r}")
-            state[variable] = value == "TRUE"
+            if value == "TRUE":
+                live.add(variable)
+            else:
+                live.discard(variable)
             actuator = variable_to_actuator.get(variable)
             if actuator is None:
                 raise BindingError(
                     f"no io_mapping entry maps variable '{variable}' back to an actuator")
-            emitted.append(Action(
+            actions.append(Action(
                 "activate" if value == "TRUE" else "deactivate", actuator))
+        return actions
 
-    def advance() -> None:
-        nonlocal current, moves
-        while True:
-            enabled = [t for t in outgoing[current] if _eval_condition(t.condition, state)]
-            if not enabled:
-                return
-            if len(enabled) > 1:
-                targets = " and ".join(sorted(t.target for t in enabled))
-                raise SimulationError(
-                    f"ambiguous branch at step {current}: {targets} are both enabled")
-            moves += 1
-            if moves > _MAX_MOVES:
-                raise SimulationError("token walk does not terminate")
-            current = enabled[0].target
-            execute(by_name[current])
-
-    advance()
-    for event in trace:
+    def level(event: TraceEvent) -> tuple[str, bool]:
         if event.kind == "sensor":
-            state[binding.sensor(event.subject)] = event.value
-        elif event.kind == "order":
-            state[binding.order(event.subject)] = event.value
-        else:
-            raise SimulationError(f"unknown event kind {event.kind!r}")
-        advance()
-    return emitted
+            return binding.sensor(event.subject), event.value
+        if event.kind == "order":
+            return binding.order(event.subject), event.value
+        raise SimulationError(f"unknown event kind {event.kind!r}")
+
+    return walk(outgoing, initial[0].name, live, map(level, trace), execute)

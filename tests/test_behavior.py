@@ -105,6 +105,24 @@ def test_parse_bad_condition_and_action():
         bh.parse_behavior("node a\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ('graph tj\x01x\nstep a "idle"\n', 1),
+    ('step a "idle"\nstep b "go" when order \u00e9\x01\nedge a -> b\n', 2),
+    ('step a "idle \x0e"\n', 1),
+    ('step a "idle"\nstep b "go" do activate A\x1f\nedge a -> b\n', 2),
+    ('step a "\ud800"\n', 1),
+    ('step a "\ufffe"\n', 1),
+])
+def test_parse_rejects_characters_xml_cannot_carry(text, line):
+    with pytest.raises(BehaviorParseError, match=f"^line {line}: the character U\\+"):
+        bh.parse_behavior(text)
+
+
+def test_parse_allows_any_character_in_comments():
+    graph = bh.parse_behavior('# \x01\nstep a "idle\tquiet" # \x02 \ufffe\n')
+    assert graph.steps[0].description == "idle\tquiet"
+
+
 def test_loop_edge_back_to_entry_is_accepted():
     text = 'step a "entry"\nstep b "end" when S on\nedge a -> b\nloop b -> a\n'
     graph = bh.parse_behavior(text)

@@ -241,6 +241,21 @@ def test_gen_plcopen_binding_failure(work, tmp_path):
     assert "no io_mapping entry binds actuator 'Ghost'" in result.stdout
 
 
+@pytest.mark.parametrize("text, line", [
+    ('graph tj\x01x\nstep a "idle"\n', 1),
+    ('step a "idle"\nstep b "go" when order \u00e9\x01\nedge a -> b\n', 2),
+])
+def test_gen_plcopen_rejects_a_character_xml_cannot_carry(work, tmp_path, text, line):
+    bad = tmp_path / "bad.bhv"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "s.xml"
+    result = run("gen-plcopen", work["model"], str(bad), "-o", str(out))
+    assert result.returncode == 2
+    assert result.stderr.endswith(
+        f"line {line}: the character U+0001 is not allowed, XML cannot carry it\n")
+    assert not out.exists()
+
+
 def test_gen_plcopen_unwritable_output(work):
     result = run("gen-plcopen", work["model"], work["behavior"],
                  "-o", "/nonexistent-dir/s.xml")

@@ -2,10 +2,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfmkit import behavior, sfc
 from mfmkit import model as mm
-from mfmkit.behavior import SimulationError, TraceEvent
+from mfmkit.behavior import (
+    Action,
+    BehaviorGraph,
+    BehaviorStep,
+    Condition,
+    SimulationError,
+    TraceEvent,
+)
 from mfmkit.fixture import behavior_text, tjunction_model, trace_text
 from mfmkit.sfc import (
     BindingError,
@@ -325,6 +333,34 @@ def test_runaway_loop_is_cut_off_in_both_engines():
         sfc.simulate_sfc(program, trace, m)
 
 
+def test_a_cleared_order_no_longer_enables_its_branch():
+    graph = behavior.parse_behavior(behavior_text())
+    program = _fixture_program()
+    m = tjunction_model()
+    trace = [
+        TraceEvent("order", "output_1"),
+        TraceEvent("order", "output_1", False),
+        TraceEvent("order", "output_2"),
+        TraceEvent("sensor", "LB_in", True),
+        TraceEvent("sensor", "LB_out2", True),
+    ]
+    expected = behavior.simulate(graph, trace)
+    assert [behavior.format_event(a) for a in expected] == [
+        "activate Conv1", "activate Conv2", "activate Switch",
+        "deactivate Conv1", "deactivate Conv2", "deactivate Switch"]
+    assert sfc.simulate_sfc(program, trace, m) == expected
+
+
+def test_unknown_event_kind_fails_alike():
+    graph = behavior.parse_behavior(MINI_BEHAVIOR)
+    trace = [TraceEvent("sensor", "S1", True), TraceEvent("button", "S1")]
+    message = "unknown event kind 'button'"
+    with pytest.raises(SimulationError, match=message):
+        behavior.simulate(graph, trace)
+    with pytest.raises(SimulationError, match=message):
+        sfc.simulate_sfc(_mini_program(), trace, _mini_model())
+
+
 def test_simulation_requires_one_initial_step():
     program = SfcProgram(
         name="p",
@@ -343,3 +379,68 @@ def test_simulation_rejects_dangling_transitions():
         variables=())
     with pytest.raises(SfcError, match="references unknown steps"):
         sfc.simulate_sfc(program, [], _mini_model())
+
+
+# ---------------------------------------------------------------------------
+# Both engines over random graphs and traces
+# ---------------------------------------------------------------------------
+
+def _three_model() -> mm.ModuleModel:
+    """Binds sensors S0-S2, actuators A0-A2 and ports P0, P1."""
+    m = mm.new_module("r", "Random")
+    for port in ("P0", "P1"):
+        m = mm.add_port(m, port, "out", "(0,0,0)")
+    for j in range(3):
+        m = mm.add_component(m, mm.Component(name=f"S{j}", kind="sensor", component_type="LG5"))
+        m = mm.add_component(
+            m, mm.Component(name=f"A{j}", kind="actuator", component_type="P100"))
+        m = mm.add_io_entry(m, f"r/components/S{j}", f"%I0.{j}", f"i_s{j}", "BOOL", "input")
+        m = mm.add_io_entry(m, f"r/components/A{j}", f"%Q0.{j}", f"q_a{j}", "BOOL", "output")
+    return m
+
+
+_CONDITIONS = st.sampled_from(
+    [Condition(kind, f"S{j}") for kind in ("sensor_true", "sensor_false") for j in range(3)]
+    + [Condition("order_request", f"P{k}") for k in range(2)])
+_ACTIONS = st.sampled_from(
+    [Action(kind, f"A{j}") for kind in ("activate", "deactivate") for j in range(3)])
+_EVENTS = st.one_of(
+    st.builds(TraceEvent, st.just("sensor"), st.sampled_from(["S0", "S1", "S2"]), st.booleans()),
+    st.builds(TraceEvent, st.just("order"), st.sampled_from(["P0", "P1"]), st.booleans()))
+
+
+@st.composite
+def _looped_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+        max_size=4, unique=True))
+    edges = {(f"s{p}", f"s{i + 1}") for i, p in enumerate(parents)}
+    edges.update((f"s{a}", f"s{b}") for a, b in extra)
+    steps = tuple(
+        BehaviorStep(id=f"s{i}", description=f"step {i}",
+                     guards=tuple(draw(st.lists(_CONDITIONS, max_size=2))),
+                     actions=tuple(draw(st.lists(_ACTIONS, max_size=2))))
+        for i in range(n))
+    terminals = sorted({f"s{i}" for i in range(n)} - {source for source, _ in edges})
+    loops = ()
+    if draw(st.booleans()):
+        loops = ((draw(st.sampled_from(terminals)), "s0"),)
+    return BehaviorGraph(id="random", steps=steps, edges=tuple(sorted(edges)), loop_edges=loops)
+
+
+def _outcome(run):
+    try:
+        return "actions", run()
+    except SimulationError as error:
+        return "error", str(error)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_looped_graphs(), st.lists(_EVENTS, max_size=8))
+def test_both_engines_agree_on_random_graphs_and_traces(graph, trace):
+    m = _three_model()
+    program = sfc.iml_to_sfc(behavior.to_iml(graph), m)
+    assert _outcome(lambda: behavior.simulate(graph, trace)) == _outcome(
+        lambda: sfc.simulate_sfc(program, trace, m))
