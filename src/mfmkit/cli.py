@@ -71,40 +71,33 @@ def _read_text(path: str) -> str:
         raise _CliFailure(f"cannot read {path}: {error}") from None
 
 
-def _config_text(flag_path: str | None, filename: str) -> str | None:
-    """Resolve one config file: flag, then $MFMKIT_RULES_DIR, then None."""
-    if flag_path:
-        return _read_text(flag_path)
+def _data_text(filename: str) -> str:
+    return resources.files("mfmkit").joinpath(f"data/{filename}").read_text("utf-8")
+
+
+#: Each config file by its flag's name: its file name (in $MFMKIT_RULES_DIR
+#: and in the embedded data), loader, loader error and error label.
+_CONFIGS = {
+    "rules": ("rules.txt", mapping.load_table, mapping.RuleTableError, "bad rule table"),
+    "matrix": ("coverage_matrix.txt", cc.load_matrix, cc.MatrixError, "bad coverage matrix"),
+    "ownership": ("ownership.txt", cc.load_ownership, cc.OwnershipError, "bad ownership map"),
+}
+
+
+def _config(args: argparse.Namespace, kind: str):
+    """Load one config file: the flag's path, else the file inside
+    $MFMKIT_RULES_DIR when the variable is set and the file exists, else the
+    embedded default."""
+    filename, load, error_type, label = _CONFIGS[kind]
+    path = getattr(args, kind, None)
     rules_dir = os.environ.get(RULES_DIR_ENV)
-    if rules_dir:
-        candidate = Path(rules_dir) / filename
-        if candidate.is_file():
-            return _read_text(str(candidate))
-    return None
-
-
-def _rule_table(args: argparse.Namespace) -> mapping.MappingRuleTable:
-    text = _config_text(getattr(args, "rules", None), "rules.txt")
+    if not path and rules_dir and (Path(rules_dir) / filename).is_file():
+        path = str(Path(rules_dir) / filename)
+    text = _read_text(path) if path else _data_text(filename)
     try:
-        return mapping.load_table(text) if text is not None else mapping.default_table()
-    except mapping.RuleTableError as error:
-        raise _CliFailure(f"bad rule table: {error}") from None
-
-
-def _coverage_matrix(args: argparse.Namespace) -> cc.StageCoverageMatrix:
-    text = _config_text(getattr(args, "matrix", None), "coverage_matrix.txt")
-    try:
-        return cc.load_matrix(text) if text is not None else cc.default_matrix()
-    except cc.MatrixError as error:
-        raise _CliFailure(f"bad coverage matrix: {error}") from None
-
-
-def _ownership_map(args: argparse.Namespace) -> cc.OwnershipMap:
-    text = _config_text(getattr(args, "ownership", None), "ownership.txt")
-    try:
-        return cc.load_ownership(text) if text is not None else cc.default_ownership()
-    except cc.OwnershipError as error:
-        raise _CliFailure(f"bad ownership map: {error}") from None
+        return load(text)
+    except error_type as error:
+        raise _CliFailure(f"{label}: {error}") from None
 
 
 def _write_bytes(path: Path, data: bytes) -> None:
@@ -145,19 +138,13 @@ def _load_model(path: str, fmt: str, stream=None) -> mm.ModuleModel:
     return model
 
 
-def _load_graph(path: str) -> behavior.BehaviorGraph:
+def _load_behavior(path: str, parse):
+    """A behavior graph or a trace: the text file at `path` read by `parse`
+    (behavior.parse_behavior or behavior.parse_trace)."""
     text = _read_text(path)
     try:
-        return behavior.parse_behavior(text)
+        return parse(text)
     except (behavior.BehaviorParseError, behavior.BehaviorGraphError) as error:
-        raise _CliFailure(f"{path}: {error}") from None
-
-
-def _load_trace(path: str) -> list[behavior.TraceEvent]:
-    text = _read_text(path)
-    try:
-        return behavior.parse_trace(text)
-    except behavior.BehaviorParseError as error:
         raise _CliFailure(f"{path}: {error}") from None
 
 
@@ -222,7 +209,7 @@ def _emit_note(fmt: str, file: str, rule: str, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    table = _rule_table(args)
+    table = _config(args, "rules")
     exit_code = EXIT_CLEAN
     for file in args.files:
         model = _load_model(file, args.format)
@@ -233,7 +220,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for violation in links:
             _emit_violation(args.format, file, violation)
         for cls in mapping.uncovered_classes(model, table):
-            _emit_note(args.format, file, "uncovered-class",
+            _emit_note(args.format, file, cc.RULE_UNCOVERED_CLASS,
                        f"class {cls} is not covered by the rule table")
         if assignments or cc.has_errors(links):
             exit_code = EXIT_FINDINGS
@@ -244,7 +231,7 @@ def _cmd_complete_check(args: argparse.Namespace) -> int:
     if args.stage not in mm.STAGES:
         raise _CliFailure(
             f"unknown stage {args.stage!r}; expected one of {', '.join(mm.STAGES)}")
-    matrix = _coverage_matrix(args)
+    matrix = _config(args, "matrix")
     model = _load_model(args.file, args.format)
     try:
         violations = cc.check_completeness(model, args.stage, matrix)
@@ -272,12 +259,12 @@ def _bound_program(model: mm.ModuleModel,
     try:
         return sfc.iml_to_sfc(behavior.to_iml(graph), model)
     except sfc.SfcError as error:
-        return cc.Violation("unbound-subject", cc.SEVERITY_ERROR, model.id, str(error))
+        return cc.Violation(cc.RULE_UNBOUND_SUBJECT, cc.SEVERITY_ERROR, model.id, str(error))
 
 
 def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.format)
-    graph = _load_graph(args.behavior)
+    graph = _load_behavior(args.behavior, behavior.parse_behavior)
     program = _bound_program(model, graph)
     if isinstance(program, cc.Violation):
         _emit_violation(args.format, args.behavior, program)
@@ -300,8 +287,8 @@ def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # stdout carries the event list, so the reader's warnings go to stderr
     model = _load_model(args.model, args.format, sys.stderr)
-    graph = _load_graph(args.behavior)
-    trace = _load_trace(args.trace)
+    graph = _load_behavior(args.behavior, behavior.parse_behavior)
+    trace = _load_behavior(args.trace, behavior.parse_trace)
     program = _bound_program(model, graph)
     if isinstance(program, cc.Violation):
         _emit_violation(args.format, args.behavior, program)
@@ -316,11 +303,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_FINDINGS
     except sfc.BindingError as error:
         _emit_violation(args.format, args.trace, cc.Violation(
-            "unbound-subject", cc.SEVERITY_ERROR, model.id, str(error)))
+            cc.RULE_UNBOUND_SUBJECT, cc.SEVERITY_ERROR, model.id, str(error)))
         return EXIT_FINDINGS
     if events != replayed:
         _emit_violation(args.format, args.behavior, cc.Violation(
-            "pipeline-mismatch", cc.SEVERITY_ERROR, graph.id or model.id,
+            cc.RULE_PIPELINE_MISMATCH, cc.SEVERITY_ERROR, graph.id or model.id,
             "graph walk and generated program emit different event sequences"))
         return EXIT_FINDINGS
     for event in events:
@@ -334,7 +321,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_export_table(args: argparse.Namespace) -> int:
     # stdout may carry the table, so the reader's warnings go to stderr
     model = _load_model(args.file, args.format, sys.stderr)
-    matrix = _coverage_matrix(args)
+    matrix = _config(args, "matrix")
     try:
         data = exchange.export_table(
             model, stage=args.stage, cls=args.cls,
@@ -354,7 +341,7 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
 def _cmd_import_table(args: argparse.Namespace) -> int:
     model = _load_model(args.file, args.format)
     table = _read_bytes(args.table)
-    ownership = _ownership_map(args)
+    ownership = _config(args, "ownership")
     try:
         updated, violations = exchange.import_table(model, table, ownership=ownership)
     except ExchangeError as error:
@@ -367,12 +354,12 @@ def _cmd_import_table(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     model = _load_model(args.file, args.format)
-    ownership = _ownership_map(args)
+    ownership = _config(args, "ownership")
     try:
         report = cc.dependency_report(model, ownership)
     except cc.OwnershipError as error:
         _emit_violation(args.format, args.file, cc.Violation(
-            "unownable-endpoint", cc.SEVERITY_ERROR, model.id, str(error)))
+            cc.RULE_UNOWNABLE_ENDPOINT, cc.SEVERITY_ERROR, model.id, str(error)))
         return EXIT_FINDINGS
     if args.format == FORMAT_STRUCTURED:
         for source, target, count in report.cells:
@@ -405,10 +392,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"  {discipline}: {count} ({share:.3f})")
     print(f"  total: {report.total_params}")
     return EXIT_CLEAN
-
-
-def _data_text(filename: str) -> str:
-    return resources.files("mfmkit").joinpath(f"data/{filename}").read_text("utf-8")
 
 
 def _cmd_init_example(args: argparse.Namespace) -> int:

@@ -12,7 +12,6 @@ stage, broken matrix file).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from importlib import resources
 
 from . import model as mm
@@ -41,6 +40,9 @@ RULE_UNKNOWN_PATH = "unknown-path"
 RULE_DOCUMENT_REASSIGNED = "document-reassigned"
 RULE_UNCOVERED_CLASS = "uncovered-class"
 RULE_AMBIGUOUS_BRANCH = "ambiguous-branch"
+RULE_UNBOUND_SUBJECT = "unbound-subject"
+RULE_PIPELINE_MISMATCH = "pipeline-mismatch"
+RULE_UNOWNABLE_ENDPOINT = "unownable-endpoint"
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,18 +108,15 @@ def check_links(model: mm.ModuleModel) -> list[Violation]:
             out.append(Violation(
                 RULE_IO_UNKNOWN_COMPONENT, SEVERITY_ERROR, anchor,
                 f"component '{entry.component_path}' does not resolve to a component"))
-        elif component.kind == "sensor" and entry.direction != "input":
-            out.append(Violation(
-                RULE_IO_DIRECTION, SEVERITY_ERROR, anchor,
-                f"sensor '{component.name}' must map to direction input"))
-        elif component.kind == "actuator" and entry.direction != "output":
-            out.append(Violation(
-                RULE_IO_DIRECTION, SEVERITY_ERROR, anchor,
-                f"actuator '{component.name}' must map to direction output"))
-        elif component.kind not in ("sensor", "actuator"):
+        elif component.kind not in mm.SIGNAL_DIRECTIONS:
             out.append(Violation(
                 RULE_IO_DIRECTION, SEVERITY_ERROR, anchor,
                 f"component kind '{component.kind}' cannot carry an i/o signal"))
+        elif entry.direction != mm.SIGNAL_DIRECTIONS[component.kind]:
+            out.append(Violation(
+                RULE_IO_DIRECTION, SEVERITY_ERROR, anchor,
+                f"{component.kind} '{component.name}' must map to direction "
+                f"{mm.SIGNAL_DIRECTIONS[component.kind]}"))
         if entry.variable_name and entry.variable_name not in variable_names:
             out.append(Violation(
                 RULE_IO_UNKNOWN_VARIABLE, SEVERITY_ERROR, anchor,
@@ -225,8 +224,8 @@ def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tupl
             for key, _entry in mm.keyed(spec, mm.get(model, spec))]
 
 
-def _sensor_actuator_components(model: mm.ModuleModel):
-    return [c for c in model.components if c.kind in ("sensor", "actuator")]
+def _signal_components(model: mm.ModuleModel):
+    return [c for c in model.components if c.kind in mm.SIGNAL_DIRECTIONS]
 
 
 def _referenced_components(model: mm.ModuleModel) -> set[str]:
@@ -254,7 +253,7 @@ def _eval_row(model: mm.ModuleModel, find: mm.Resolver, stage: str, selector: st
         entries: dict[str, list[tuple[int, mm.IoMapEntry]]] = {}
         for i, entry in enumerate(model.control.io_mapping):
             entries.setdefault(entry.component_path, []).append((i, entry))
-        for component in _sensor_actuator_components(model):
+        for component in _signal_components(model):
             component_path = join_path(mid, "components", component.name)
             if component_path not in entries:
                 miss(component_path, f"no io_mapping entry for {component.kind} {component.name}")
@@ -265,7 +264,7 @@ def _eval_row(model: mm.ModuleModel, find: mm.Resolver, stage: str, selector: st
                          f"io_mapping entry for {component.name} has no logical_address")
     elif (selector, parameter) == _REFS_DEMAND:
         referenced = _referenced_components(model)
-        for component in _sensor_actuator_components(model):
+        for component in _signal_components(model):
             if component.name not in referenced:
                 miss(join_path(mid, "components", component.name),
                      f"{component.kind} {component.name} is not referenced by any cross reference")
@@ -352,28 +351,36 @@ def default_ownership() -> OwnershipMap:
 
 def discipline_of(model: mm.ModuleModel, path: str, ownership: OwnershipMap) -> str:
     """Owning discipline of the element at `path` (documents own themselves)."""
-    return _owner(model, path, ownership, partial(mm.resolve, model))
+    return _owners(mm.Resolver(model), ownership)(path)
 
 
-def _owner(model: mm.ModuleModel, path: str, ownership: OwnershipMap, find) -> str:
-    segments = split_path(path)
-    id_segments = split_path(model.id)
-    if segments[: len(id_segments)] != id_segments or len(segments) == len(id_segments):
-        raise OwnershipError(f"path {path!r} is not inside module {model.id!r}")
-    rest = "/".join(segments[len(id_segments):])
-    if rest.split("/")[0] == "documents":
-        doc = find(path)
-        if isinstance(doc, mm.DocumentReference):
-            return doc.discipline
-        raise OwnershipError(f"unknown document path {path!r}")
-    best: tuple[int, str] | None = None
-    for selector, discipline in ownership.rules:
-        if rest == selector or rest.startswith(selector + "/"):
-            if best is None or len(selector) > best[0]:
-                best = (len(selector), discipline)
-    if best is None:
+def _owners(find: mm.Resolver, ownership: OwnershipMap):
+    """The ownership decoder of `find.model`: element path -> discipline.
+
+    A document owns itself; any other element is owned by the longest rule
+    selector that its path below the module id equals or starts with.
+    """
+    model = find.model
+    rules = dict(reversed(ownership.rules))  # the first of repeated selectors wins
+
+    def owner(path: str) -> str:
+        found = mm.spec_at(model, path)
+        if found is None or path == model.id:
+            raise OwnershipError(f"path {path!r} is not inside module {model.id!r}")
+        spec, tail = found
+        if spec.path == ("documents",):
+            doc = find(path)
+            if isinstance(doc, mm.DocumentReference):
+                return doc.discipline
+            raise OwnershipError(f"unknown document path {path!r}")
+        segments = spec.path + tail
+        for end in range(len(segments), 0, -1):
+            discipline = rules.get("/".join(segments[:end]))
+            if discipline is not None:
+                return discipline
         raise OwnershipError(f"no ownership rule covers {path!r}")
-    return best[1]
+
+    return owner
 
 
 def assign_document(
@@ -449,29 +456,32 @@ def dependency_report(
 
     Every cross-reference endpoint must be ownable; an endpoint that does not
     resolve (a dangling-source or dangling-target of check_links) raises
-    OwnershipError. Endpoints are looked up through one resolver, so the
-    check costs one pass over the model rather than one per endpoint.
+    OwnershipError. Endpoints are looked up through one resolver, and the
+    workload takes each element's owner once, so the report costs one pass
+    over the model rather than one per endpoint or parameter.
     """
     if ownership is None:
         ownership = default_ownership()
     find = mm.Resolver(model)
+    owner = _owners(find, ownership)
     counts: dict[tuple[str, str], int] = {}
     for ref in model.cross_refs:
         for endpoint in (ref.source, ref.target):
             if find(endpoint) is None:
                 raise OwnershipError(f"cross-reference endpoint {endpoint!r} does not resolve")
-        pair = (_owner(model, ref.source, ownership, find),
-                _owner(model, ref.target, ownership, find))
+        pair = (owner(ref.source), owner(ref.target))
         counts[pair] = counts.get(pair, 0) + 1
     total_refs = len(model.cross_refs)
 
     work: dict[str, int] = {d: 0 for d in sorted(mm.DISCIPLINES)}
     total_params = 0
-    for path, _name, value, _unit in mm.iter_parameters(model):
-        if value == "":
+    for spec, path, node in mm.walk(model):
+        if not spec.surface:
             continue
-        total_params += 1
-        work[discipline_of(model, path, ownership)] += 1
+        filled = sum(1 for _name, value, _unit in mm.param_rows(spec, node) if value != "")
+        if filled:
+            total_params += filled
+            work[owner(path)] += filled
 
     return DependencyReport(
         cells=tuple(sorted((a, b, n) for (a, b), n in counts.items())),

@@ -194,7 +194,7 @@ class _Merge:
         created = False
         if value:
             if (isinstance(node, mm.Component) and parameter == "logical_address"
-                    and node.kind in ("sensor", "actuator") and not self.mapped[element_path]):
+                    and node.kind in mm.SIGNAL_DIRECTIONS and not self.mapped[element_path]):
                 model, created = self._with_io_entry(node, element_path, value), True
             else:
                 spec, updated = self._write(node, parameter, value)
@@ -218,8 +218,8 @@ class _Merge:
     def _with_io_entry(self, node: mm.Component, element_path: str, value: str) -> mm.ModuleModel:
         # A request row anchored at an unmapped component: filling the address
         # creates the io_mapping entry (and its variable) rather than failing.
-        direction = "input" if node.kind == "sensor" else "output"
-        variable = ("i_" if node.kind == "sensor" else "q_") + node.name.lower()
+        direction = mm.SIGNAL_DIRECTIONS[node.kind]
+        variable = ("i_" if direction == "input" else "q_") + node.name.lower()
         try:
             model = mm.add_io_entry(self.find.model, element_path, value, variable, "BOOL", direction)
         except mm.ModelError as error:

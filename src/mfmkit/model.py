@@ -22,6 +22,7 @@ the table units elsewhere, all derive from it.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -33,6 +34,10 @@ COMPONENT_KINDS = ("sensor", "actuator", "conveyor", "switch")
 FUNCTION_CATEGORIES = ("material_flow", "handling", "waiting")
 PORT_DIRECTIONS = ("in", "out")
 IO_DIRECTIONS = ("input", "output")
+
+#: The i/o signal policy: the io direction the signal of each component kind
+#: maps to. A kind not listed here carries no i/o signal.
+SIGNAL_DIRECTIONS = {"sensor": "input", "actuator": "output"}
 
 #: Engineering stages in workflow order.
 STAGES = (
@@ -269,7 +274,7 @@ def _require_name(name: str, what: str) -> None:
 
 
 def parse_triple(text: str) -> tuple[float, float, float]:
-    """Parse a "(x,y,z)" string into three floats."""
+    """Parse a "(x,y,z)" string into three finite floats."""
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ModelError(f"not a triple: {text!r}")
@@ -280,6 +285,8 @@ def parse_triple(text: str) -> tuple[float, float, float]:
         x, y, z = (float(p) for p in parts)
     except ValueError:
         raise ModelError(f"not a triple: {text!r}") from None
+    if not all(map(math.isfinite, (x, y, z))):
+        raise ModelError(f"not a triple of finite numbers: {text!r}")
     return (x, y, z)
 
 
@@ -313,6 +320,8 @@ def _seconds(value: str, what: str) -> str:
         seconds = float(value)
     except ValueError:
         raise ModelError(f"{what} is not a number: {value!r}") from None
+    if not math.isfinite(seconds):
+        raise ModelError(f"{what} must be a finite number, got {value!r}")
     if seconds < 0:
         raise ModelError(f"{what} must be non-negative, got {value!r}")
     return value
@@ -572,6 +581,7 @@ def check_attribute(spec: ElementSpec, taken, name: str, value: str, unit: str) 
     """Validate one attribute of an open set (`spec.extra`) whose names are `taken`."""
     _require_name(name, "attribute")
     _require_clean(value, "attribute value")
+    _require_clean(unit, "attribute unit")
     if name in spec.names:
         raise ModelError(f"{name!r} is a built-in parameter, not an attribute")
     if name in taken:
@@ -858,10 +868,10 @@ def spec_at(model: ModuleModel, path: str) -> tuple[ElementSpec, tuple[str, ...]
     malformed path raises PathError.
     """
     segments = split_path(path)
-    id_segments = split_path(model.id)
-    if segments[: len(id_segments)] != id_segments:
+    mid = model.id
+    if path != mid and not path.startswith(mid + "/"):
         return None
-    rest = segments[len(id_segments):]
+    rest = segments[mid.count("/") + 1:]
     spec = _BY_PATH.get(rest[:2]) or _BY_PATH.get(rest[:1]) or ROOT
     return spec, rest[len(spec.path):]
 

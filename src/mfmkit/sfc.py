@@ -2,8 +2,9 @@
 
 An IML document names components and ports; a control skeleton must speak in
 declared i/o variables instead. Binding goes through the module's io_mapping:
-sensors resolve to their input variable, actuators to their output variable,
-and order requests to `order_<port>` variables (declared on demand).
+a sensor or actuator resolves to the variable of its entry with the direction
+model.SIGNAL_DIRECTIONS gives its kind, and an order request to an
+`order_<port>` variable (declared on demand).
 
 The emitted XML is a small, self-defined PLCopen-style schema
 (project > pou > interface/body > sfc), canonical exactly like the module
@@ -63,61 +64,53 @@ class SfcProgram:
 # ---------------------------------------------------------------------------
 
 class _Binding:
-    """Lookup tables from component/port names to i/o variable names."""
+    """Lookup tables from component/port names to i/o variable names.
+
+    An io entry binds its component's variable only where the entry's
+    direction is the one model.SIGNAL_DIRECTIONS gives the component's kind.
+    """
 
     def __init__(self, model: mm.ModuleModel):
         self.model = model
         by_path = {
             join_path(model.id, "components", c.name): c for c in model.components}
-        self.sensor_vars: dict[str, str] = {}
-        self.actuator_vars: dict[str, str] = {}
+        #: (component kind, component name) -> variable name
+        self.signals: dict[tuple[str, str], str] = {}
         for entry in model.control.io_mapping:
-            if not entry.variable_name:
-                continue
             component = by_path.get(entry.component_path)
-            if component is None:
-                continue
-            if component.kind == "sensor" and entry.direction == "input":
-                self.sensor_vars.setdefault(component.name, entry.variable_name)
-            elif component.kind == "actuator" and entry.direction == "output":
-                self.actuator_vars.setdefault(component.name, entry.variable_name)
+            if (entry.variable_name and component is not None
+                    and mm.SIGNAL_DIRECTIONS.get(component.kind) == entry.direction):
+                self.signals.setdefault((component.kind, component.name), entry.variable_name)
         self.declared = {v.name: v for v in model.control.variables}
         self.extra: dict[str, SfcVariable] = {}
 
-    def sensor(self, name: str) -> str:
+    def signal(self, kind: str, name: str) -> str:
+        """The variable bound to the component `name` of `kind`, declared."""
         try:
-            return self.sensor_vars[name]
+            variable = self.signals[kind, name]
         except KeyError:
             raise BindingError(
-                f"no io_mapping entry binds sensor '{name}' to an input variable") from None
-
-    def actuator(self, name: str) -> str:
-        try:
-            return self.actuator_vars[name]
-        except KeyError:
-            raise BindingError(
-                f"no io_mapping entry binds actuator '{name}' to an output variable") from None
+                f"no io_mapping entry binds {kind} '{name}' to an "
+                f"{mm.SIGNAL_DIRECTIONS[kind]} variable") from None
+        return self._declare(variable, mm.SIGNAL_DIRECTIONS[kind])
 
     def order(self, port: str) -> str:
-        name = f"order_{port}"
-        if name not in self.declared and name not in self.extra:
-            self.extra[name] = SfcVariable(name=name, data_type="BOOL", kind="input")
-        return name
+        return self._declare(f"order_{port}", "input")
 
     def term(self, condition: Condition) -> str:
         if condition.kind == "sensor_true":
-            return self._declare(self.sensor(condition.subject), "input")
+            return self.signal("sensor", condition.subject)
         if condition.kind == "sensor_false":
-            return "NOT " + self._declare(self.sensor(condition.subject), "input")
+            return "NOT " + self.signal("sensor", condition.subject)
         return self.order(condition.subject)
 
     def assignment(self, action: Action) -> str:
-        variable = self._declare(self.actuator(action.subject), "output")
+        variable = self.signal("actuator", action.subject)
         value = "TRUE" if action.kind == "activate" else "FALSE"
         return f"{variable} := {value}"
 
     def _declare(self, variable: str, kind: str) -> str:
-        # A variable named only in io_mapping still needs a declaration.
+        # A variable named only in io_mapping, or an order request, needs a declaration.
         if variable not in self.declared and variable not in self.extra:
             self.extra[variable] = SfcVariable(name=variable, data_type="BOOL", kind=kind)
         return variable
@@ -281,7 +274,8 @@ def simulate_sfc(
     state, cascading advance, ambiguity and the move budget as errors.
     """
     binding = _Binding(model)
-    variable_to_actuator = {var: name for name, var in binding.actuator_vars.items()}
+    variable_to_actuator = {
+        var: name for (kind, name), var in binding.signals.items() if kind == "actuator"}
 
     initial = [s for s in program.steps if s.initial]
     if len(initial) != 1:
@@ -317,7 +311,7 @@ def simulate_sfc(
 
     def level(event: TraceEvent) -> tuple[str, bool]:
         if event.kind == "sensor":
-            return binding.sensor(event.subject), event.value
+            return binding.signal("sensor", event.subject), event.value
         if event.kind == "order":
             return binding.order(event.subject), event.value
         raise SimulationError(f"unknown event kind {event.kind!r}")

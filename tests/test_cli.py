@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mfmkit import caex_io, exchange, fixture, sfc
+from mfmkit import caex_io, cli, exchange, fixture, sfc
 from mfmkit import model as mm
 
 
@@ -472,6 +472,37 @@ def test_rules_dir_env_var_supplies_defaults(work, tmp_path):
     assert result.returncode == 1
     assert "illegal_role" in result.stdout
     assert run("validate", work["model"]).returncode == 0
+
+
+@pytest.mark.parametrize("flag, filename, command, label", [
+    ("--rules", "rules.txt", ("validate",), "bad rule table"),
+    ("--matrix", "coverage_matrix.txt", ("complete-check", "--stage", "control_hmi_eng"),
+     "bad coverage matrix"),
+    ("--ownership", "ownership.txt", ("report",), "bad ownership map"),
+])
+def test_a_config_file_comes_from_the_flag_then_the_rules_dir_then_the_embedded_data(
+        work, tmp_path, monkeypatch, capsys, flag, filename, command, label):
+    (tmp_path / filename).write_text("nonsense\n", "utf-8")
+    shipped = os.path.join(work["demo"], filename)  # init-example writes the embedded file
+
+    def outcome(*extra: str, rules_dir: str | None = None):
+        if rules_dir is None:
+            monkeypatch.delenv("MFMKIT_RULES_DIR", raising=False)
+        else:
+            monkeypatch.setenv("MFMKIT_RULES_DIR", rules_dir)
+        code = cli.main([*command, work["stripped"], *extra])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    embedded = outcome()
+    assert embedded[0] in (0, 1) and embedded[2] == ""
+    assert outcome(rules_dir=str(tmp_path / "absent")) == embedded
+    assert outcome(rules_dir=work["demo"]) == embedded
+    code, _out, err = outcome(rules_dir=str(tmp_path))
+    assert code == 2 and err.startswith(f"mfmkit: {label}: ")
+    assert outcome(flag, shipped, rules_dir=str(tmp_path)) == embedded
+    code, _out, err = outcome(flag, str(tmp_path / filename), rules_dir=work["demo"])
+    assert code == 2 and err.startswith(f"mfmkit: {label}: ")
 
 
 def test_deeply_nested_file_is_operational_without_traceback(tmp_path):

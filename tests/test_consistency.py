@@ -1,9 +1,15 @@
 """Link integrity, stage completeness, ownership, and dependency reporting."""
 from __future__ import annotations
 
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from generators import random_model
 
 from mfmkit import consistency as cc
+from mfmkit import exchange, fixture, mapping, sfc
 from mfmkit import model as mm
 from mfmkit.consistency import (
     MatrixError,
@@ -68,6 +74,17 @@ def test_has_errors():
     assert cc.has_errors([warn, err])
 
 
+def test_every_emitted_rule_id_is_registered_and_documented():
+    registry = {value for name, value in vars(cc).items() if name.startswith("RULE_")}
+    registry |= {value for name, value in vars(mapping).items() if name.startswith("KIND_")}
+    text = (Path(__file__).resolve().parent.parent / "docs" / "rules.md").read_text("utf-8")
+    rows = set(re.findall(r"^\| `([a-z][a-z_-]*)` \|", text, re.MULTILINE))
+    assert len(rows) == 23
+    # uncovered-class is a note of `validate`, documented in prose, not in a table
+    assert "`uncovered-class` notes" in text
+    assert registry == rows | {cc.RULE_UNCOVERED_CLASS}
+
+
 # ---------------------------------------------------------------------------
 # Link integrity
 # ---------------------------------------------------------------------------
@@ -125,6 +142,29 @@ def test_io_direction_must_match_component_kind():
     violations = cc.check_links(m)
     assert [v.rule_id for v in violations] == ["io-direction"] * 3
     assert "cannot carry an i/o signal" in violations[2].message
+
+
+@pytest.mark.parametrize("kind", mm.COMPONENT_KINDS)
+@pytest.mark.parametrize("direction", mm.IO_DIRECTIONS)
+def test_checks_binding_and_table_import_share_one_signal_policy(kind, direction):
+    m = mm.add_component(mm.new_module("m", ""), mm.Component("C1", kind))
+    m = mm.add_variable(m, "v", "BOOL")
+    mapped = mm.add_io_entry(m, "m/components/C1", "%X0.0", "v", "BOOL", direction)
+    flagged = [v.rule_id for v in cc.check_links(mapped)] == ["io-direction"]
+    bound = (kind, "C1") in sfc._Binding(mapped).signals
+    assert flagged == (not bound)
+    assert bound == (mm.SIGNAL_DIRECTIONS.get(kind) == direction)
+
+    table = b"\n".join([",".join(exchange.HEADER).encode(),
+                        b"m/components/C1,logical_address,%X0.0,,,", b""])
+    merged, _violations = exchange.import_table(m, table)
+    if kind in mm.SIGNAL_DIRECTIONS:
+        [entry] = merged.control.io_mapping
+        assert entry.direction == mm.SIGNAL_DIRECTIONS[kind]
+        assert "io-direction" not in [v.rule_id for v in cc.check_links(merged)]
+        assert (kind, "C1") in sfc._Binding(merged).signals
+    else:
+        assert merged.control.io_mapping == ()
 
 
 def test_io_variable_must_be_declared():
@@ -302,6 +342,29 @@ def test_default_ownership_gives_every_element_one_owner():
     assert owners["m/components/S1"] == "mechanical"
     assert owners["m/control/io_mapping/0"] == "electrical"
     assert owners["m/control/variables/i_s1"] == "software"
+
+
+def _recount(m: mm.ModuleModel, ownership: cc.OwnershipMap) -> tuple:
+    """The workload counted one parameter at a time."""
+    work = Counter({d: 0 for d in mm.DISCIPLINES})
+    for path, _name, value, _unit in mm.iter_parameters(m):
+        if value != "":
+            work[cc.discipline_of(m, path, ownership)] += 1
+    return tuple(sorted(work.items()))
+
+
+@pytest.mark.parametrize("m", [fixture.tjunction_model(), *map(random_model, range(20))],
+                         ids=["fixture", *(f"random-{seed}" for seed in range(20))])
+def test_the_workload_takes_each_owner_as_a_per_parameter_recount_does(m):
+    default = cc.default_ownership()
+    maps = [default]
+    if m.components:
+        name = m.components[-1].name
+        maps.append(cc.OwnershipMap(default.rules + ((f"components/{name}", "electrical"),)))
+    for ownership in maps:
+        assert cc.dependency_report(m, ownership).workload == _recount(m, ownership)
+    if len(maps) == 2:
+        assert _recount(m, maps[0]) != _recount(m, maps[1])
 
 
 def test_assign_document_last_write_wins_with_info():

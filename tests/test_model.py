@@ -356,3 +356,51 @@ def test_tab_and_line_feed_are_still_values():
     m = mm.set_parameter(mm.new_module("m", "M"), "m/general/identification", "name", "a\tb\nc")
     read, warnings = caex_io.to_model(caex_io.parse(caex_io.serialize(caex_io.from_model(m))))
     assert (read, warnings) == (m, [])
+
+
+@pytest.mark.parametrize("unit", ["k\x01g", "k\rg"])
+def test_a_static_attribute_unit_must_be_clean(unit):
+    with pytest.raises(mm.ModelError, match="attribute unit"):
+        mm.add_static_attribute(mm.new_module("m1", "x"), "w", "5", unit)
+
+
+def test_the_reader_reports_and_drops_an_attribute_whose_unit_holds_a_carriage_return():
+    m = mm.add_static_attribute(mm.new_module("m", "M"), "w", "5", "kg")
+    m = mm.add_static_attribute(m, "h", "2", "m")
+    data = caex_io.serialize(caex_io.from_model(m)).replace(b'Unit="kg"', b'Unit="k&#13;g"')
+    read, warnings = caex_io.to_model(caex_io.parse(data))
+    assert [p.name for p in read.general.static_attributes] == ["h"]
+    assert [(w.rule_id, w.element_path) for w in warnings] == [("invalid-value", "m/general")]
+
+
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_a_latency_must_be_a_finite_number(text):
+    with pytest.raises(mm.ModelError, match="finite"):
+        mm.add_component(mm.new_module("m", "M"), mm.Component("A1", "actuator", latency=text))
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_a_triple_must_hold_finite_numbers(text):
+    with pytest.raises(mm.ModelError, match="finite"):
+        mm.parse_triple(f"({text},0,0)")
+    with pytest.raises(mm.ModelError, match="finite"):
+        mm.add_port(mm.new_module("m", "M"), "p", "in", f"(0,{text},0)")
+    with pytest.raises(mm.ModelError, match="finite"):
+        mm.add_interaction_space(mm.new_module("m", "M"), "s", "(0,0,0)", f"({text},{text},{text})")
+
+
+def test_whitespace_around_a_number_is_still_accepted():
+    assert mm.parse_triple(" (0.10, 0.00, 0.80) ") == (0.1, 0.0, 0.8)
+    m = mm.add_component(mm.new_module("m", "M"), mm.Component("A1", "actuator", latency=" 0.5"))
+    assert m.components[0].latency == " 0.5"
+
+
+def test_the_reader_defaults_a_non_finite_latency():
+    m = mm.add_component(mm.new_module("m", "M"), mm.Component("A1", "actuator", latency="0.5"))
+    data = caex_io.serialize(caex_io.from_model(m)).replace(b"<Value>0.5</Value>", b"<Value>nan</Value>")
+    read, warnings = caex_io.to_model(caex_io.parse(data))
+    assert read.components[0].latency == ""
+    assert [(w.rule_id, w.element_path) for w in warnings] == [("invalid-value", "m/components/A1")]
