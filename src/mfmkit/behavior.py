@@ -27,8 +27,9 @@ from .model import non_xml_char
 CONDITION_KINDS = ("sensor_true", "sensor_false", "order_request")
 ACTION_KINDS = ("activate", "deactivate")
 
-#: Upper bound on token moves per simulation; beyond it the walk is treated
-#: as nonterminating (possible with loop edges and latched order requests).
+#: Upper bound on token moves in one cascade, the moves between two trace
+#: updates; beyond it the cascade is treated as nonterminating (possible
+#: with loop edges and latched order requests).
 _MAX_MOVES = 10_000
 
 
@@ -120,6 +121,8 @@ def guard_expr(guards: tuple[Condition, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     quoted = False
     for i, ch in enumerate(line):
         if ch == '"':
@@ -367,34 +370,57 @@ def walk(outgoing: dict[str, list[Arc]], current: str, live: set,
     `(key, level)` update of the live keys, it cascades: while a target of
     its step is enabled, it moves there and emits what `enter(target)`
     returns (`enter` may change `live` too). Two or more enabled targets at
-    once raise SimulationError; so does a walk that exceeds _MAX_MOVES moves
-    in total.
+    once raise SimulationError; so does one cascade that exceeds _MAX_MOVES
+    moves.
     """
+    # Per step: the keys its arcs read, the keys that every arc needs live
+    # and those that every arc needs not live. An update of a key the step
+    # does not read cannot enable an arc, and no arc is enabled while the
+    # shared keys fail.
+    steps = {}
+    for step, arcs in outgoing.items():
+        ons = [on for _target, on, _off in arcs]
+        offs = [off for _target, _on, off in arcs]
+        steps[step] = (
+            frozenset().union(*ons, *offs),
+            frozenset.intersection(*ons) if arcs else frozenset(),
+            frozenset.intersection(*offs) if arcs else frozenset(),
+            arcs)
     emitted: list[Action] = []
-    moves = 0
     updates = iter(updates)
+    moves = 0
+    reads, shared_on, shared_off, arcs = steps[current]
     while True:
-        enabled = [
-            target for target, on, off in outgoing[current]
-            if on <= live and live.isdisjoint(off)]
-        if not enabled:
-            update = next(updates, None)
-            if update is None:
-                return emitted
-            key, level = update
-            if level:
-                live.add(key)
+        found = None
+        if shared_on <= live and live.isdisjoint(shared_off):
+            for target, on, off in arcs:
+                if on <= live and live.isdisjoint(off):
+                    if found is not None:
+                        enabled = sorted(
+                            target for target, on, off in arcs
+                            if on <= live and live.isdisjoint(off))
+                        raise SimulationError(
+                            f"ambiguous branch at step {current}: "
+                            f"{' and '.join(enabled)} are both enabled")
+                    found = target
+        if found is None:
+            # The cascade is over; the next one starts with a full budget.
+            moves = 0
+            for key, level in updates:
+                if level:
+                    live.add(key)
+                else:
+                    live.discard(key)
+                if key in reads:
+                    break
             else:
-                live.discard(key)
+                return emitted
             continue
-        if len(enabled) > 1:
-            raise SimulationError(
-                f"ambiguous branch at step {current}: "
-                f"{' and '.join(sorted(enabled))} are both enabled")
         moves += 1
         if moves > _MAX_MOVES:
             raise SimulationError("token walk does not terminate")
-        current = enabled[0]
+        current = found
+        reads, shared_on, shared_off, arcs = steps[current]
         emitted.extend(enter(current))
 
 
@@ -419,17 +445,16 @@ def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
     The token starts in the entry step. After each event (and once before the
     first), it advances along an outgoing edge whenever all guards of that
     edge's target hold, repeatedly, until no target is satisfied. Two or more
-    satisfied targets at once raise SimulationError; so does a walk that
-    exceeds the move budget (possible only with loop edges).
+    satisfied targets at once raise SimulationError; so does one such cascade
+    that exceeds the move budget (possible only with loop edges).
     """
     validate_graph(graph)
-    by_id = {step.id: step for step in graph.steps}
+    actions = {step.id: step.actions for step in graph.steps}
     guards = {step.id: _guard_keys(step.guards) for step in graph.steps}
     outgoing: dict[str, list[Arc]] = {step.id: [] for step in graph.steps}
     for source, target in graph.edges + graph.loop_edges:
         outgoing[source].append((target, *guards[target]))
-    return walk(outgoing, entry_step(graph).id, set(), _levels(trace),
-                lambda step: by_id[step].actions)
+    return walk(outgoing, entry_step(graph).id, set(), _levels(trace), actions.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +462,34 @@ def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
 # ---------------------------------------------------------------------------
 
 def parse_trace(text: str) -> list[TraceEvent]:
-    """Parse a trace file: `sensor <name> on|off` / `order <port>` lines."""
+    """Parse a trace file: `sensor <name> on|off` / `order <port>` lines.
+
+    Equal lines give one shared TraceEvent (it is frozen).
+    """
     events: list[TraceEvent] = []
+    read: dict[str, TraceEvent | None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "sensor" and len(parts) == 3 and parts[2] in ("on", "off"):
-            events.append(TraceEvent("sensor", parts[1], parts[2] == "on"))
-        elif parts[0] == "order" and len(parts) == 2:
-            events.append(TraceEvent("order", parts[1]))
-        else:
-            raise BehaviorParseError(
-                f"line {lineno}: bad trace event {line!r}; "
-                f"expected 'sensor <name> on|off' or 'order <port>'")
+        try:
+            event = read[raw]
+        except KeyError:
+            event = read[raw] = _trace_event(raw, lineno)
+        if event is not None:
+            events.append(event)
     return events
+
+
+def _trace_event(raw: str, lineno: int) -> TraceEvent | None:
+    line = _strip_comment(raw).strip()
+    if not line:
+        return None
+    parts = line.split()
+    if parts[0] == "sensor" and len(parts) == 3 and parts[2] in ("on", "off"):
+        return TraceEvent("sensor", parts[1], parts[2] == "on")
+    if parts[0] == "order" and len(parts) == 2:
+        return TraceEvent("order", parts[1])
+    raise BehaviorParseError(
+        f"line {lineno}: bad trace event {line!r}; "
+        f"expected 'sensor <name> on|off' or 'order <port>'")
 
 
 def format_event(action: Action) -> str:

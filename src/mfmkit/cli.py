@@ -310,11 +310,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cc.RULE_PIPELINE_MISMATCH, cc.SEVERITY_ERROR, graph.id or model.id,
             "graph walk and generated program emit different event sequences"))
         return EXIT_FINDINGS
-    for event in events:
-        if args.format == FORMAT_STRUCTURED:
+    if args.format == FORMAT_STRUCTURED:
+        for event in events:
             _record({"record": "event", "kind": event.kind, "subject": event.subject})
-        else:
-            print(behavior.format_event(event))
+    else:
+        sys.stdout.write("".join([f"{behavior.format_event(e)}\n" for e in events]))
     return EXIT_CLEAN
 
 

@@ -273,6 +273,15 @@ def _require_name(name: str, what: str) -> None:
         raise ModelError(f"invalid {what} name {name!r}")
 
 
+def _number(text: str) -> float:
+    """float() of a plain ASCII number, whitespace around it allowed: float()
+    alone also reads digit-group underscores (`1_0`) and non-ASCII digits."""
+    core = text if text.isascii() else text.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return float(core)
+
+
 def parse_triple(text: str) -> tuple[float, float, float]:
     """Parse a "(x,y,z)" string into three finite floats."""
     stripped = text.strip()
@@ -282,7 +291,7 @@ def parse_triple(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ModelError(f"not a triple: {text!r}")
     try:
-        x, y, z = (float(p) for p in parts)
+        x, y, z = map(_number, parts)
     except ValueError:
         raise ModelError(f"not a triple: {text!r}") from None
     if not all(map(math.isfinite, (x, y, z))):
@@ -317,7 +326,7 @@ def _seconds(value: str, what: str) -> str:
     if value == "":
         return value
     try:
-        seconds = float(value)
+        seconds = _number(value)
     except ValueError:
         raise ModelError(f"{what} is not a number: {value!r}") from None
     if not math.isfinite(seconds):

@@ -271,7 +271,10 @@ def simulate_sfc(
     (the same binding iml_to_sfc used); executed step actions write their
     variables and are translated back into activate/deactivate events. The
     token walk is behavior.walk, the one behavior.simulate runs: level
-    state, cascading advance, ambiguity and the move budget as errors.
+    state, cascading advance, ambiguity and the per-cascade move budget as
+    errors. A step's actions are read on its first entry, and each traced
+    subject is bound on its first event, so an error in either is raised
+    where the walk first reaches it.
     """
     binding = _Binding(model)
     variable_to_actuator = {
@@ -290,30 +293,49 @@ def simulate_sfc(
         outgoing[transition.source].append(
             (transition.target, *_condition_keys(transition.condition)))
     live: set[str] = set()
+    # step name -> (variables set TRUE, variables set FALSE, actions), for
+    # the steps entered so far; a step's last write to a variable wins.
+    compiled: dict[str, tuple[frozenset, frozenset, tuple[Action, ...]]] = {}
 
-    def execute(name: str) -> list[Action]:
+    def compile_step(name: str) -> tuple[frozenset, frozenset, tuple[Action, ...]]:
+        levels: dict[str, bool] = {}
         actions = []
         for text in by_name[name].actions:
             variable, _sep, value = text.partition(" := ")
             if _sep == "" or value not in ("TRUE", "FALSE"):
                 raise SfcError(f"unreadable step action {text!r}")
-            if value == "TRUE":
-                live.add(variable)
-            else:
-                live.discard(variable)
+            levels[variable] = value == "TRUE"
             actuator = variable_to_actuator.get(variable)
             if actuator is None:
                 raise BindingError(
                     f"no io_mapping entry maps variable '{variable}' back to an actuator")
             actions.append(Action(
                 "activate" if value == "TRUE" else "deactivate", actuator))
+        compiled[name] = (
+            frozenset(v for v, on in levels.items() if on),
+            frozenset(v for v, on in levels.items() if not on),
+            tuple(actions))
+        return compiled[name]
+
+    def execute(name: str) -> tuple[Action, ...]:
+        on, off, actions = compiled.get(name) or compile_step(name)
+        live.update(on)
+        live.difference_update(off)
         return actions
 
+    bound: dict[tuple[str, str], str] = {}
+
     def level(event: TraceEvent) -> tuple[str, bool]:
-        if event.kind == "sensor":
-            return binding.signal("sensor", event.subject), event.value
-        if event.kind == "order":
-            return binding.order(event.subject), event.value
-        raise SimulationError(f"unknown event kind {event.kind!r}")
+        subject = event.kind, event.subject
+        variable = bound.get(subject)
+        if variable is None:
+            if event.kind == "sensor":
+                variable = binding.signal("sensor", event.subject)
+            elif event.kind == "order":
+                variable = binding.order(event.subject)
+            else:
+                raise SimulationError(f"unknown event kind {event.kind!r}")
+            bound[subject] = variable
+        return variable, event.value
 
     return walk(outgoing, initial[0].name, live, map(level, trace), execute)

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 from importlib import resources
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mfmkit import behavior as bh
 from mfmkit.behavior import (
@@ -259,6 +260,105 @@ def test_simulate_level_semantics_not_edge():
     assert bh.simulate(graph, [TraceEvent("sensor", "S", True)]) == [Action("activate", "A")]
 
 
+# ---------------------------------------------------------------------------
+# The walk kernel against a reference walk
+# ---------------------------------------------------------------------------
+
+def _reference_walk(outgoing, current, live, updates, enter):
+    """The plain walk: every arc tried after every update, the budget per cascade."""
+    emitted = []
+    moves = 0
+    updates = iter(updates)
+    while True:
+        enabled = [
+            target for target, on, off in outgoing[current]
+            if on <= live and live.isdisjoint(off)]
+        if not enabled:
+            update = next(updates, None)
+            if update is None:
+                return emitted
+            key, level = update
+            if level:
+                live.add(key)
+            else:
+                live.discard(key)
+            moves = 0
+            continue
+        if len(enabled) > 1:
+            raise SimulationError(
+                f"ambiguous branch at step {current}: "
+                f"{' and '.join(sorted(enabled))} are both enabled")
+        moves += 1
+        if moves > bh._MAX_MOVES:
+            raise SimulationError("token walk does not terminate")
+        current = enabled[0]
+        emitted.extend(enter(current))
+
+
+# Arcs select on _SELECTORS and share literals on _SHARED; no arc reads _UNREAD.
+_SELECTORS = ("x0", "x1")
+_SHARED = ("s0", "s1")
+_UNREAD = ("u0", "u1")
+_KEYS = st.sampled_from(_SELECTORS + _SHARED + _UNREAD)
+
+
+@st.composite
+def _compiled_walks(draw):
+    """Compiled arcs, per-step writes of `enter`, and a list of updates."""
+    steps = [f"q{i}" for i in range(draw(st.integers(min_value=2, max_value=5)))]
+    outgoing = {}
+    for step in steps:
+        fan_out = draw(st.sampled_from((3, 4) if step == "q0" else (0, 0, 3, 4)))
+        # Distinct selector patterns keep the arcs exclusive, until the
+        # drawn arc drops one of its `off` selectors.
+        patterns = draw(st.permutations(range(4)))[:fan_out]
+        others = [other for other in steps if other != step]
+        targets = draw(st.lists(st.sampled_from(others), min_size=fan_out, max_size=fan_out))
+        loose = draw(st.integers(0, fan_out))
+        shared_on = draw(st.frozensets(st.sampled_from(_SHARED), max_size=1))
+        shared_off = draw(st.frozensets(st.sampled_from(_SHARED), max_size=1)) - shared_on
+        arcs = []
+        for i, (pattern, target) in enumerate(zip(patterns, targets)):
+            on = {k for bit, k in enumerate(_SELECTORS) if pattern >> bit & 1}
+            off = set(_SELECTORS) - on
+            if i == loose:
+                off = set(sorted(off)[1:])
+            arcs.append((target, frozenset(on) | shared_on, frozenset(off) | shared_off))
+        outgoing[step] = arcs
+    writes = {step: draw(st.lists(st.tuples(_KEYS, st.booleans()), max_size=2))
+              for step in steps}
+    updates = draw(st.lists(st.tuples(_KEYS, st.booleans()), min_size=8, max_size=40))
+    return outgoing, writes, updates
+
+
+def _walk_outcome(run, outgoing, writes, updates):
+    live = set()
+
+    def enter(step):
+        for key, level in writes[step]:
+            if level:
+                live.add(key)
+            else:
+                live.discard(key)
+        return [step]
+
+    try:
+        return "emitted", run(outgoing, "q0", live, updates, enter)
+    except SimulationError as error:
+        return "error", str(error)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_compiled_walks())
+def test_walk_agrees_with_the_reference_walk(case):
+    outgoing, writes, updates = case
+    # A small budget makes runaway cascades, and cascades after many
+    # earlier moves, cheap to reach.
+    with mock.patch.object(bh, "_MAX_MOVES", 3):
+        assert _walk_outcome(bh.walk, outgoing, writes, updates) == _walk_outcome(
+            _reference_walk, outgoing, writes, updates)
+
+
 def test_simulate_nonterminating_loop_is_an_error():
     text = 'step a "entry"\nstep b "bounce"\nedge a -> b\nloop b -> a\n'
     graph = bh.parse_behavior(text)
@@ -280,6 +380,81 @@ def test_parse_trace_files():
 def test_parse_trace_bad_line():
     with pytest.raises(BehaviorParseError, match="line 2"):
         bh.parse_trace("sensor S on\npress the button\n")
+
+
+def test_parse_trace_of_the_demo_traces():
+    for name, expected in (("route-1", _route_1()), ("route-2", _route_2())):
+        text = resources.files("mfmkit").joinpath(f"data/traces/{name}.trace").read_text("utf-8")
+        assert bh.parse_trace(text) == expected
+
+
+_EXPECTED_TRACE_EVENT = "expected 'sensor <name> on|off' or 'order <port>'"
+
+
+@pytest.mark.parametrize("text, events", [
+    ("#only\n\n#\n   \n", []),
+    ('sensor "a#b" on\n', [TraceEvent("sensor", '"a#b"', True)]),
+    ('sensor "open#quote on\n', [TraceEvent("sensor", '"open#quote', True)]),
+    ('order "p#" # c "q#"\nsensor S on\n',
+     [TraceEvent("order", '"p#"'), TraceEvent("sensor", "S", True)]),
+    ("sensor S on\nsensor S on\nsensor S on#\n\norder p # x\n",
+     [TraceEvent("sensor", "S", True)] * 3 + [TraceEvent("order", "p")]),
+])
+def test_parse_trace_strips_comments_outside_quotes_only(text, events):
+    assert bh.parse_trace(text) == events
+
+
+@pytest.mark.parametrize("text, message", [
+    ('# header\nsensor S on   # trailing\n\n   \nsensor "a#b" on\norder p # x\n'
+     "   # indented\nsensor S on\nsensor T sideways # bad\n",
+     "line 9: bad trace event 'sensor T sideways'"),
+    ('sensor "x#y" sideways\n', "line 1: bad trace event 'sensor \"x#y\" sideways'"),
+    ("sensor S on\n\n# c\norder p q # note\n", "line 4: bad trace event 'order p q'"),
+    ("sensor a#b on\n", "line 1: bad trace event 'sensor a'"),
+    ('sensor "a # b" on\n', "line 1: bad trace event 'sensor \"a # b\" on'"),
+    ("sensor S on\npress the # button\n", "line 2: bad trace event 'press the'"),
+    ('sensor S on\npress "the # button\n', "line 2: bad trace event 'press \"the # button'"),
+])
+def test_parse_trace_messages_keep_their_line_and_text(text, message):
+    with pytest.raises(BehaviorParseError) as caught:
+        bh.parse_trace(text)
+    assert str(caught.value) == f"{message}; {_EXPECTED_TRACE_EVENT}"
+
+
+def test_equal_trace_lines_share_one_event():
+    events = bh.parse_trace("sensor S on\norder p\nsensor S on\norder p\nsensor S off\n")
+    assert events[0] is events[2] and events[1] is events[3]
+    assert events[4] == TraceEvent("sensor", "S", False)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('graph g # name\n\nstep a "has # inside" # c\nstep b "x" when S sideways # c\n',
+     "line 4: bad condition 'S sideways'; expected '<sensor> on|off' or 'order <port>'"),
+    ('# lead\n\nstep a "idle"\nstep b "q#" when S on do activate A # act\n'
+     "edge a -> b # e\nedge a -> c\n",
+     "line 6: unknown edge target 'c'"),
+    ('step a "unterminated # desc\n', "line 1: unterminated description string"),
+    ('step a "idle" # "quoted # in comment"\nstep b "#" when S on # c\nedge a -> b\n'
+     "bogus line # c\n",
+     "line 4: unknown keyword 'bogus'"),
+    ('step a "ok" do activate A, # x\n',
+     "line 1: bad action ''; expected 'activate <name>' or 'deactivate <name>'"),
+    ("graph g\ngraph h # again\n", "line 2: duplicate graph line"),
+])
+def test_parse_behavior_messages_keep_their_line_and_text(text, message):
+    with pytest.raises(BehaviorParseError) as caught:
+        bh.parse_behavior(text)
+    assert str(caught.value) == message
+
+
+def test_parse_behavior_keeps_a_hash_inside_quotes():
+    graph = bh.parse_behavior(
+        'graph g # name\n\nstep a "has # inside" # c\n'
+        'step b "q#" when S on do activate A # act\nedge a -> b # e\n')
+    assert graph.id == "g"
+    assert [(s.id, s.description) for s in graph.steps] == [("a", "has # inside"), ("b", "q#")]
+    assert graph.steps[1].actions == (Action("activate", "A"),)
+    assert graph.edges == (("a", "b"),)
 
 
 # ---------------------------------------------------------------------------

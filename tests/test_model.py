@@ -341,6 +341,42 @@ def test_route_priorities_keep_their_int_and_canonical_forms():
     assert mm.add_route(m, "b", "a", 7).function.routes[1].priority == 7
 
 
+@pytest.mark.parametrize("text", ["1_0", "٥", "1٥", " 1_0 ", "0.1_5"])
+def test_a_latency_must_be_a_plain_ascii_number(text):
+    with pytest.raises(mm.ModelError, match="component latency is not a number"):
+        mm.add_component(mm.new_module("m", "M"), mm.Component("A1", "actuator", latency=text))
+
+
+@pytest.mark.parametrize("text", ["(1_0,0,0)", "(0,٥,0)", "(1_0,٥,0)", "(0, 0, ٥ )"])
+def test_a_triple_must_hold_plain_ascii_numbers(text):
+    with pytest.raises(mm.ModelError, match="not a triple"):
+        mm.add_component(mm.new_module("m", "M"), mm.Component("A1", "actuator", position=text))
+
+
+def test_whitespace_around_a_number_stays_allowed():
+    m = mm.add_component(mm.new_module("m", "M"), mm.Component(
+        "A1", "actuator", position="( 1 ,\t2, 3 )", latency="\u2003 0.5 "))
+    assert (m.components[0].position, m.components[0].latency) == ("( 1 ,\t2, 3 )", "\u2003 0.5 ")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("<Value>0.125</Value>", "<Value>1_0</Value>", "component latency is not a number: '1_0'"),
+    ("<Value>0.125</Value>", "<Value>٥</Value>", "component latency is not a number: '٥'"),
+    ("<Value>(1,2,3)</Value>", "<Value>(1_0,٥,0)</Value>", "not a triple: '(1_0,٥,0)'"),
+])
+def test_the_reader_drops_a_number_with_underscores_or_non_ascii_digits(old, new, message):
+    m = mm.add_component(mm.new_module("m", "M"), mm.Component(
+        "A1", "actuator", position="(1,2,3)", latency="0.125"))
+    data = caex_io.serialize(caex_io.from_model(m)).replace(old.encode(), new.encode())
+    read, warnings = caex_io.to_model(caex_io.parse(data))
+    kept = {"position": "(1,2,3)", "latency": "0.125"}
+    kept["position" if "(" in old else "latency"] = ""
+    assert (read.components[0].position, read.components[0].latency) == (
+        kept["position"], kept["latency"])
+    assert [(w.rule_id, w.element_path, w.message) for w in warnings] == [
+        ("invalid-value", "m/components/A1", message)]
+
+
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "￾", "￿"])
 def test_a_value_xml_cannot_carry_is_rejected(char):
     m = mm.new_module("m", "M")

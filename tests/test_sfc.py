@@ -333,6 +333,30 @@ def test_runaway_loop_is_cut_off_in_both_engines():
         sfc.simulate_sfc(program, trace, m)
 
 
+def test_a_long_looped_trace_runs_to_its_end_in_both_engines():
+    # Four moves per pass (a -> b -> c -> d -> a); the budget bounds each
+    # cascade, so 3000 passes (12 000 moves in all) stay within it.
+    text = ('graph ring\n'
+            'step a "wait" when S1 off\n'
+            'step b "take" when S1 on, order out do activate A1\n'
+            'step c "carry"\n'
+            'step d "drop" when S1 off do deactivate A1\n'
+            "edge a -> b\n"
+            "edge b -> c\n"
+            "edge c -> d\n"
+            "loop d -> a\n")
+    graph = behavior.parse_behavior(text)
+    m = _mini_model()
+    program = sfc.iml_to_sfc(behavior.to_iml(graph), m)
+    passes = 3000
+    trace = behavior.parse_trace(
+        "order out\n" + "sensor S1 on\nsensor S1 off\n" * passes)
+    expected = behavior.simulate(graph, trace)
+    assert [behavior.format_event(a) for a in expected] == [
+        "activate A1", "deactivate A1"] * passes
+    assert sfc.simulate_sfc(program, trace, m) == expected
+
+
 def test_a_cleared_order_no_longer_enables_its_branch():
     graph = behavior.parse_behavior(behavior_text())
     program = _fixture_program()

@@ -1,13 +1,14 @@
-"""Time the two simulators layer by layer, in process, into a BENCH_*.json file.
+"""Time the trace reader and the two simulators in process, into a BENCH_*.json file.
 
     python3 tools/layers.py LABEL OUT.json
 
 The input is one `bench/gen.py` model (seed 1, 200 components) with a
 looped 12-arm behavior graph, and one trace per length in PASSES (the
 transport units of the behavior-replay workload, 10^3 to 10^5 trace
-events). Each of `behavior.simulate` and `sfc.simulate_sfc` runs RUNS times
-per trace under `perf_counter`; the median and quartiles are kept. A walk
-that raises SimulationError is recorded as its message, not as a time.
+events). Each of `behavior.parse_trace` (on the trace's text),
+`behavior.simulate` and `sfc.simulate_sfc` runs RUNS times per trace under
+`perf_counter`; the median and quartiles are kept. A walk that raises
+SimulationError is recorded as its message, not as a time.
 
 mfmkit is imported from the `src/` next to this script, so running the
 copy in another checkout measures that checkout. The figures are merged
@@ -48,7 +49,7 @@ def _inputs():
     traces = {}
     for passes in PASSES:
         text, _expected, events = gen.build_trace(spec, rng, passes)
-        traces[passes] = (events, behavior.parse_trace(text))
+        traces[passes] = (events, text, behavior.parse_trace(text))
     return model, graph, program, traces
 
 
@@ -68,14 +69,15 @@ def _time(call) -> dict:
 def main(label: str, out: Path) -> None:
     model, graph, program, traces = _inputs()
     layers = {
-        "behavior.simulate": lambda trace: behavior.simulate(graph, trace),
-        "sfc.simulate_sfc": lambda trace: sfc.simulate_sfc(program, trace, model),
+        "behavior.parse_trace": lambda text, trace: behavior.parse_trace(text),
+        "behavior.simulate": lambda text, trace: behavior.simulate(graph, trace),
+        "sfc.simulate_sfc": lambda text, trace: sfc.simulate_sfc(program, trace, model),
     }
     for run in layers.values():  # warm-up, untimed
-        run(traces[PASSES[0]][1])
+        run(*traces[PASSES[0]][1:])
     figures = {
-        name: [{"passes": passes, "events": events, **_time(lambda: run(trace))}
-               for passes, (events, trace) in traces.items()]
+        name: [{"passes": passes, "events": events, **_time(lambda: run(text, trace))}
+               for passes, (events, text, trace) in traces.items()]
         for name, run in layers.items()}
     data = json.loads(out.read_text("utf-8")) if out.exists() else {}
     data["input"] = {
