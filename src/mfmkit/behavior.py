@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .model import non_xml_char
 
-CONDITION_KINDS = ("sensor_true", "sensor_false", "order_request")
 ACTION_KINDS = ("activate", "deactivate")
 
 #: Upper bound on token moves in one cascade, the moves between two trace

@@ -202,10 +202,11 @@ class _ModelBuilder:
 
     The reader walks the document along the schema (mm.SCHEMA) once. Each
     element is validated by the same model.check_* functions the public
-    builders use and stored in a plain list or dict: entry lists with a set
-    of their keys, annotations by path, cross references in insertion
-    order. mm.assemble then builds the model once at the end, so reading
-    costs one pass over the file instead of a copy of a list per entry.
+    builders use and stored in a working copy of the new module (a
+    mm.Resolver), whose key index checks entry keys; annotations are kept
+    by path and cross references in insertion order. The working copy
+    builds the model once at the end, so reading costs one pass over the
+    file instead of a copy of a list per entry.
 
     A value that fails its validator is reported and replaced by the
     parameter's default; an entry that cannot be added (bad or duplicate
@@ -217,8 +218,7 @@ class _ModelBuilder:
 
     def __init__(self, model: mm.ModuleModel):
         """Start from `model`, a new module: its lists are empty."""
-        self.parts = {spec.path: [] if spec.key else mm.get(model, spec) for spec in mm.SCHEMA}
-        self.keys: dict[tuple[str, ...], set[str]] = {}
+        self.edit = mm.Resolver(model)
         self.annotations = dict(model.annotations)
         self.cross_refs: dict[mm.CrossReference, None] = {}
         self.violations: list[Violation] = []
@@ -292,13 +292,11 @@ class _ModelBuilder:
     def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         """Read a single element (root, container or singleton) and its children."""
         fields, checked, extra = self.values(spec, element, path)
+        node = self.edit.part(spec)
         if fields:
-            node = self.checked(path, mm.check_node, spec,
-                                replace(self.parts[spec.path], **fields), checked)
-            if node is not None:
-                self.parts[spec.path] = node
+            node = self.checked(path, mm.check_node, spec, replace(node, **fields), checked) or node
         if extra:
-            attrs = list(getattr(self.parts[spec.path], spec.extra))
+            attrs = list(getattr(node, spec.extra))
             taken = {a.name for a in attrs}
             for attribute in extra:
                 added = self.checked(path, mm.check_attribute, spec, taken,
@@ -306,7 +304,8 @@ class _ModelBuilder:
                 if added is not None:
                     attrs.append(added)
                     taken.add(added.name)
-            self.parts[spec.path] = replace(self.parts[spec.path], **{spec.extra: tuple(attrs)})
+            node = replace(node, **{spec.extra: tuple(attrs)})
+        self.edit.put(spec, None, node)
         self.annotate(element, path)
         self.children(spec, element, path)
 
@@ -318,8 +317,7 @@ class _ModelBuilder:
             self.warn(RULE_UNKNOWN_PARAMETER, path,
                       f"attributes on list container '{element.name}' ignored")
         indexed = spec.key == "index"
-        entries = self.parts[spec.path]
-        taken = self.keys.setdefault(spec.path, set())
+        taken = () if indexed else self.edit.keys(spec)
         for position, entry in enumerate(element.children):
             # warnings name the entry's position in the file; annotations go
             # to the index the entry actually got
@@ -330,10 +328,8 @@ class _ModelBuilder:
             node = self.checked(
                 entry_path, mm.check_entry, spec, spec.node_type(**fields), taken, checked)
             if node is not None:
-                entries.append(node)
-                if not indexed:
-                    taken.add(entry.name)
-                self.annotate(entry, join_path(path, str(len(entries) - 1)) if indexed else entry_path)
+                added = self.edit.append(spec, node)
+                self.annotate(entry, join_path(path, str(added)) if indexed else entry_path)
             self.children(spec, entry, entry_path)
 
     def children(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
@@ -354,10 +350,10 @@ class _ModelBuilder:
                           f"{owner} has no {name} element")
 
     def build(self) -> mm.ModuleModel:
-        self.parts[()] = replace(
-            self.parts[()], cross_refs=tuple(self.cross_refs),
-            annotations=tuple(sorted(self.annotations.items())))
-        return mm.assemble(self.parts)
+        self.edit.put(mm.ROOT, None, replace(
+            self.edit.part(mm.ROOT), cross_refs=tuple(self.cross_refs),
+            annotations=tuple(sorted(self.annotations.items()))))
+        return self.edit.model()
 
 
 def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:

@@ -152,8 +152,12 @@ def _load_behavior(path: str, parse):
 # Output
 # ---------------------------------------------------------------------------
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+
+
 def _record(payload: dict, stream=None) -> None:
-    print(json.dumps(payload, sort_keys=True, ensure_ascii=False), file=stream)
+    print(_json(payload), file=stream)
 
 
 def _emit_violation(fmt: str, file: str, violation: cc.Violation, stream=None) -> None:
@@ -311,10 +315,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "graph walk and generated program emit different event sequences"))
         return EXIT_FINDINGS
     if args.format == FORMAT_STRUCTURED:
-        for event in events:
-            _record({"record": "event", "kind": event.kind, "subject": event.subject})
+        records = {event: _json({"record": "event", "kind": event.kind, "subject": event.subject})
+                   + "\n" for event in set(events)}  # each distinct event rendered once
+        lines = [records[event] for event in events]
     else:
-        sys.stdout.write("".join([f"{behavior.format_event(e)}\n" for e in events]))
+        lines = [f"{behavior.format_event(e)}\n" for e in events]
+    sys.stdout.write("".join(lines))
     return EXIT_CLEAN
 
 

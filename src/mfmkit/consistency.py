@@ -351,22 +351,22 @@ def default_ownership() -> OwnershipMap:
 
 def discipline_of(model: mm.ModuleModel, path: str, ownership: OwnershipMap) -> str:
     """Owning discipline of the element at `path` (documents own themselves)."""
-    return _owners(mm.Resolver(model), ownership)(path)
+    return owners(mm.Resolver(model), ownership)(path)
 
 
-def _owners(find: mm.Resolver, ownership: OwnershipMap):
-    """The ownership decoder of `find.model`: element path -> discipline.
+def owners(find: mm.Resolver, ownership: OwnershipMap):
+    """The ownership decoder of the model `find` reads: element path -> discipline.
 
     A document owns itself; any other element is owned by the longest rule
     selector that its path below the module id equals or starts with.
     """
-    model = find.model
+    mid = find.id
     rules = dict(reversed(ownership.rules))  # the first of repeated selectors wins
 
     def owner(path: str) -> str:
-        found = mm.spec_at(model, path)
-        if found is None or path == model.id:
-            raise OwnershipError(f"path {path!r} is not inside module {model.id!r}")
+        found = mm.spec_at(mid, path)
+        if found is None or path == mid:
+            raise OwnershipError(f"path {path!r} is not inside module {mid!r}")
         spec, tail = found
         if spec.path == ("documents",):
             doc = find(path)
@@ -463,7 +463,7 @@ def dependency_report(
     if ownership is None:
         ownership = default_ownership()
     find = mm.Resolver(model)
-    owner = _owners(find, ownership)
+    owner = owners(find, ownership)
     counts: dict[tuple[str, str], int] = {}
     for ref in model.cross_refs:
         for endpoint in (ref.source, ref.target):

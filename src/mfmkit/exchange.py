@@ -17,6 +17,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 from . import model as mm
 from .consistency import (
@@ -32,7 +33,7 @@ from .consistency import (
     check_completeness,
     default_matrix,
     default_ownership,
-    discipline_of,
+    owners,
     row_cells,
 )
 from .paths import PathError, join_path
@@ -152,33 +153,28 @@ def export_table(
 # ---------------------------------------------------------------------------
 
 class _Merge:
-    """One import: a resolver over the model being merged, the rows' writes
-    to list entries, and the number of io entries per component path, all
-    kept in step with the applied rows.
+    """One import: the working copy of the model being merged (a
+    mm.Resolver), the ownership decoder over it, and the number of io
+    entries per component path, kept in step with the applied rows.
 
-    A write to a list entry is kept aside under its element path (entry
-    positions do not change during an import) and stored with the others by
-    merged(), so each written list is copied once per import instead of once
-    per row. Rows read an element through the writes of earlier rows.
+    A row is checked whole first; only then are its edits applied to the
+    working copy, so a row that fails changes nothing and later rows see the
+    edits of earlier ones. New io entries, variables and documents are
+    checked against the working copy's key index, so a row costs the same
+    however many entries the rows before it added.
     """
 
     def __init__(self, model: mm.ModuleModel, ownership: OwnershipMap):
-        self.find = mm.Resolver(model)
-        self.mid = model.id
-        self.ownership = ownership
-        self.written: dict[str, tuple] = {}  # element path -> (spec, position, node)
+        self.edit = mm.Resolver(model)
+        self.owner = owners(self.edit, ownership)
         self.mapped = Counter(e.component_path for e in model.control.io_mapping)
-
-    def merged(self) -> mm.ModuleModel:
-        """The model with every applied row."""
-        return mm.store(self.find.model, self.written.values())
 
     def row(self, element_path: str, parameter: str, value: str,
             doc_name: str, doc_path: str) -> None:
         """Apply one row whole, or raise _RowError and apply nothing."""
         try:
-            found = self.written.get(element_path) or self.find.element(element_path)
-            node = found[2] if found else self.find(element_path)
+            found = self.edit.element(element_path)
+            node = found[2] if found else self.edit(element_path)
         except PathError as error:
             raise _RowError(RULE_UNKNOWN_PATH, str(error)) from None
         if node is None:
@@ -188,45 +184,43 @@ class _Merge:
                             f"{element_path!r} addresses a parameter or a list, not an element")
         if not parameter:
             raise _RowError(RULE_UNKNOWN_PARAMETER, "empty parameter name")
-        # The row's changes are stored only when all of them succeed.
-        model = self.find.model
-        write = None
+        edits = []  # calls on the working copy, made once the whole row is checked
         created = False
         if value:
             if (isinstance(node, mm.Component) and parameter == "logical_address"
                     and node.kind in mm.SIGNAL_DIRECTIONS and not self.mapped[element_path]):
-                model, created = self._with_io_entry(node, element_path, value), True
+                edits += self._io_entry(node, element_path, value)
+                created = True
             else:
                 spec, updated = self._write(node, parameter, value)
-                if found[1] is None:  # a single element, which may hold others: stored at once
-                    model = mm.store(model, ((spec, None, updated),))
-                else:
-                    write = spec, found[1], updated
+                edits.append(partial(self.edit.put, spec, found[1], updated))
         if doc_name:
-            model = self._with_document(model, element_path, doc_name, doc_path)
+            edits += self._document(element_path, doc_name, doc_path)
         elif doc_path:
             raise _RowError(RULE_INVALID_VALUE, "document path given without a document name")
-        self.find.model = model
-        if write is not None:
-            self.written[element_path] = write
+        for edit in edits:
+            edit()
         if created:
             self.mapped[element_path] += 1
         elif value and isinstance(node, mm.IoMapEntry) and parameter == "component_path":
             self.mapped[node.component_path] -= 1  # the io entry moved
             self.mapped[value] += 1
 
-    def _with_io_entry(self, node: mm.Component, element_path: str, value: str) -> mm.ModuleModel:
+    def _io_entry(self, node: mm.Component, element_path: str, value: str) -> list:
         # A request row anchored at an unmapped component: filling the address
         # creates the io_mapping entry (and its variable) rather than failing.
         direction = mm.SIGNAL_DIRECTIONS[node.kind]
-        variable = ("i_" if direction == "input" else "q_") + node.name.lower()
+        variable = mm.Variable(("i_" if direction == "input" else "q_") + node.name.lower(),
+                               "BOOL", direction)
+        entry = mm.IoMapEntry(element_path, value, variable.name, "BOOL", direction)
         try:
-            model = mm.add_io_entry(self.find.model, element_path, value, variable, "BOOL", direction)
+            entry = mm.check_entry(mm.spec_of(entry), entry, ())
         except mm.ModelError as error:
             raise _RowError(RULE_INVALID_VALUE, str(error), "logical_address") from None
-        if self.find(join_path(self.mid, "control", "variables", variable)) is None:
-            model = mm.add_variable(model, variable, "BOOL", direction)
-        return model
+        edits = [partial(self.edit.append, mm.spec_of(entry), entry)]
+        if variable.name not in self.edit.keys(mm.spec_of(variable)):
+            edits.append(partial(self.edit.append, mm.spec_of(variable), variable))
+        return edits
 
     def _write(self, node: object, parameter: str, value: str):
         """(spec, updated node) for one parameter write."""
@@ -240,33 +234,31 @@ class _Merge:
             raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
         return spec, updated
 
-    def _with_document(self, model: mm.ModuleModel, element_path: str,
-                       doc_name: str, doc_path: str) -> mm.ModuleModel:
-        """`model` with the named document added or assigned to the element."""
+    def _document(self, element_path: str, doc_name: str, doc_path: str) -> list:
+        """The edits that add the named document or assign it to the element."""
         try:
-            existing = self.find(join_path(self.mid, "documents", doc_name))
+            existing = self.edit.element(join_path(self.edit.id, "documents", doc_name))
         except PathError:
-            existing = None  # not a usable document id: add_document reports it
+            existing = None  # not a usable document id: check_entry reports it
         if existing is None:
             try:
-                discipline = discipline_of(model, element_path, self.ownership)
+                discipline = self.owner(element_path)
             except OwnershipError as error:
                 raise _RowError(RULE_INVALID_VALUE, str(error)) from None
             doc = mm.DocumentReference(
                 id=doc_name, discipline=discipline,
                 stage=_STAGE_FOR_DISCIPLINE[discipline],
                 server_path=doc_path, assigned_element=element_path)
+            spec = mm.spec_of(doc)
             try:
-                return mm.add_document(model, doc)
+                doc = mm.check_entry(spec, doc, self.edit.keys(spec))
             except mm.ModelError as error:
                 raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+            return [partial(self.edit.append, spec, doc)]
+        spec, position, doc = existing
         refreshed = replace(
-            existing,
-            server_path=doc_path or existing.server_path,
-            assigned_element=element_path)
-        if refreshed == existing:
-            return model
-        return mm.replace_document(model, refreshed)
+            doc, server_path=doc_path or doc.server_path, assigned_element=element_path)
+        return [] if refreshed == doc else [partial(self.edit.put, spec, position, refreshed)]
 
 
 def import_table(
@@ -281,8 +273,10 @@ def import_table(
     raise ExchangeError and apply nothing. A row that cannot be applied is
     skipped whole with exactly one violation; empty value cells are requests
     and are never written. Importing the same table twice is a no-op the
-    second time. Rows find their elements through one resolver, and each
-    list the rows write to is copied once.
+    second time. The rows edit one working copy of the model (a
+    mm.Resolver), which finds their elements and checks new keys through
+    its index, copies each list the rows write to once, and builds the
+    merged model once at the end.
     """
     if ownership is None:
         ownership = default_ownership()
@@ -312,4 +306,4 @@ def import_table(
             violations.append(Violation(
                 error.rule_id, SEVERITY_ERROR, element_path, str(error),
                 parameter=error.parameter))
-    return merge.merged(), violations
+    return merge.edit.model(), violations

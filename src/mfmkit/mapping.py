@@ -128,7 +128,7 @@ def class_path_of(model: mm.ModuleModel, element_path: str) -> str | None:
     Syntactic: the entry need not exist. List paths and cross references
     have no class.
     """
-    found = mm.spec_at(model, element_path)
+    found = mm.spec_at(model.id, element_path)
     if found is None:
         return None
     spec, tail = found

@@ -16,9 +16,9 @@ be canonical decimals ("7", not "07", "+7" or " 7").
 
 The shape of the model is declared once, in SCHEMA: one ElementSpec per
 element or entry list, with its parameters, units, defaults and validators.
-The builders, path resolution, set_parameter and remove_element here, and
-the file reader and writer, the rule classes, the completeness selectors and
-the table units elsewhere, all derive from it.
+The builders, path resolution, the Resolver's bulk edits, set_parameter and
+remove_element here, and the file reader and writer, the rule classes, the
+completeness selectors and the table units elsewhere, all derive from it.
 """
 from __future__ import annotations
 
@@ -511,24 +511,6 @@ def _put(node, path: tuple[str, ...], value):
     return replace(node, **{head: _put(getattr(node, head), path[1:], value)})
 
 
-def store(model: ModuleModel, writes) -> ModuleModel:
-    """`model` with each (spec, position, node) of `writes` stored as given;
-    the position is None for an element that is not a list entry. Each list
-    is copied once, however many of its entries are replaced."""
-    lists: dict[tuple[str, ...], tuple[ElementSpec, dict[int, object]]] = {}
-    for spec, index, node in writes:
-        if index is None:
-            model = _put(model, spec.path, node)
-        else:
-            lists.setdefault(spec.path, (spec, {}))[1][index] = node
-    for spec, nodes in lists.values():
-        items = list(get(model, spec))
-        for index, node in nodes.items():
-            items[index] = node
-        model = _put(model, spec.path, tuple(items))
-    return model
-
-
 def keyed(spec: ElementSpec, items: tuple) -> list[tuple[str, object]]:
     """(path segment, entry) for each entry of one list."""
     if spec.key == "index":
@@ -677,19 +659,6 @@ def add_entry(model: ModuleModel, entry) -> ModuleModel:
     return _put(model, spec.path, items + (check_entry(spec, entry, taken),))
 
 
-def assemble(parts: dict) -> ModuleModel:
-    """Build a whole model in one pass from one part per SCHEMA path: the
-    element itself, whose child fields are replaced by their own parts, or
-    the sequence of a list's entries. Parts are stored as given."""
-    def build(spec: ElementSpec):
-        part = parts[spec.path]
-        if spec.key:
-            return tuple(part)
-        children = {name: build(child) for name, child in CHILDREN[spec.path].items()}
-        return replace(part, **children) if children else part
-    return build(ROOT)
-
-
 def set_identification(
     model: ModuleModel,
     name: str | None = None,
@@ -775,10 +744,12 @@ def add_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     """Swap an existing document reference (matched by id) for `doc`."""
     spec = spec_of(doc)
-    index = _find(spec, model.documents, doc.id)
+    edit = Resolver(model)
+    index = edit.keys(spec).get(doc.id)
     if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
-    return store(model, ((spec, index, doc),))
+    edit.put(spec, index, doc)
+    return edit.model()
 
 
 def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> ModuleModel:
@@ -816,7 +787,7 @@ def _set_annotation(model: ModuleModel, path: str, ann: Annotation) -> ModuleMod
 
 
 def _require_element(model: ModuleModel, path: str) -> None:
-    found = _locate(model, path)
+    found = Resolver(model)._locate(path)
     if _element(found) is None:
         if _resolved(found) is None:
             raise ModelError(f"path does not resolve: {path!r}")
@@ -870,14 +841,14 @@ def iter_parameters(model: ModuleModel):
 # Resolution
 # ---------------------------------------------------------------------------
 
-def spec_at(model: ModuleModel, path: str) -> tuple[ElementSpec, tuple[str, ...]] | None:
-    """The spec `path` falls under and the segments after the spec's path.
+def spec_at(mid: str, path: str) -> tuple[ElementSpec, tuple[str, ...]] | None:
+    """The spec `path` falls under and the segments after the spec's path,
+    in the module whose id is `mid`.
 
     Purely syntactic (entries need not exist); None outside the module. A
     malformed path raises PathError.
     """
     segments = split_path(path)
-    mid = model.id
     if path != mid and not path.startswith(mid + "/"):
         return None
     rest = segments[mid.count("/") + 1:]
@@ -891,42 +862,6 @@ def _position(segment: str) -> int | None:
     if segment.isascii() and segment.isdigit() and (segment == "0" or segment[0] != "0"):
         return int(segment)
     return None
-
-
-def _find(spec: ElementSpec, items: tuple, segment: str) -> int | None:
-    """Position of the entry of one list that `segment` names, or None."""
-    if spec.key == "index":
-        index = _position(segment)
-        return index if index is not None and index < len(items) else None
-    # The key attribute is spelled out: in a scan, access by a literal name
-    # is several times faster than getattr.
-    if spec.key == "id":
-        for index, item in enumerate(items):
-            if item.id == segment:
-                return index
-        return None
-    for index, item in enumerate(items):
-        if item.name == segment:
-            return index
-    return None
-
-
-def _locate(model: ModuleModel, path: str, find=_find):
-    """(spec, entry position, node, segments below the node) for `path`.
-
-    The node is None for a missing entry and the tuple of entries for a list
-    path; the position is None unless the path names an existing entry.
-    None as a whole outside the module.
-    """
-    found = spec_at(model, path)
-    if found is None:
-        return None
-    spec, tail = found
-    node = get(model, spec)
-    if not spec.key or not tail:
-        return spec, None, node, tail
-    index = find(spec, node, tail[0])
-    return spec, index, None if index is None else node[index], tail[1:]
 
 
 def _resolved(found):
@@ -965,45 +900,77 @@ def resolve(model: ModuleModel, path: str):
     resolves to the tuple of its entries, empty or not. An index segment is
     a canonical decimal ("3", not "03").
     """
-    return _resolved(_locate(model, path))
+    return Resolver(model)(path)
 
 
 class Resolver:
-    """resolve() for a batch of paths of one model.
+    """resolve() for a batch of paths of one model, and the working copy of
+    a bulk edit of it.
 
     Each keyed list is indexed (key -> position) on its first lookup, so a
     lookup costs a dictionary probe instead of a scan of its list; one
-    resolver per operation keeps a whole check or table linear. Lookups
-    agree with resolve(self.model, path) on every path.
+    resolver per operation keeps a whole check, table or file read linear.
+    A resolver that is never edited looks up the model it was given, and
+    model() is that model.
 
-    `model` may be set to a model derived from it by builders that keep the
-    positions of existing entries (parameter writes, document replacements,
-    appended entries): the index stays valid and takes in appended entries
-    on their first lookup.
+    put() replaces an element or an entry, append() adds an entry and
+    updates that list's index; each list is copied once, on its first
+    write. Lookups see every edit, except that an element's fields holding
+    its child elements and lists are not refreshed: read those by their own
+    paths. model() builds the edited model once.
     """
 
     def __init__(self, model: ModuleModel):
-        self.model = model
+        self._model = model
+        self.id = model.id
+        self._parts: dict[tuple[str, ...], Any] = {}  # edited elements and lists
         self._positions: dict[tuple[str, ...], dict[str, int]] = {}
-        self._indexed: dict[tuple[str, ...], int] = {}
 
-    def _find(self, spec: ElementSpec, items: tuple, segment: str) -> int | None:
-        if spec.key == "index":
-            return _find(spec, items, segment)
-        positions = self._positions.setdefault(spec.path, {})
-        start = self._indexed.get(spec.path, 0)
-        if start < len(items):
-            for index in range(start, len(items)):
-                positions.setdefault(getattr(items[index], spec.key), index)
-            self._indexed[spec.path] = len(items)
-        return positions.get(segment)
+    def part(self, spec: ElementSpec):
+        """The current element, or sequence of entries, at `spec`: as last
+        put, else the field of its parent's current part."""
+        part = self._parts.get(spec.path)
+        if part is not None:
+            return part
+        if not spec.path:
+            return self._model
+        return getattr(self.part(_BY_PATH[spec.path[:-1]]), spec.path[-1])
+
+    def keys(self, spec: ElementSpec) -> dict[str, int]:
+        """Key -> position of the current entries of a name- or id-keyed list."""
+        positions = self._positions.get(spec.path)
+        if positions is None:
+            positions = self._positions[spec.path] = {}
+            for index, entry in enumerate(self.part(spec)):
+                positions.setdefault(getattr(entry, spec.key), index)
+        return positions
 
     def _locate(self, path: str):
-        return _locate(self.model, path, self._find)
+        """(spec, entry position, node, segments below the node) for `path`.
+
+        The node is None for a missing entry and the entries for a list
+        path; the position is None unless the path names an existing entry.
+        None as a whole outside the module.
+        """
+        found = spec_at(self.id, path)
+        if found is None:
+            return None
+        spec, tail = found
+        node = self.part(spec)
+        if not spec.key or not tail:
+            return spec, None, node, tail
+        if spec.key == "index":
+            index = _position(tail[0])
+        else:
+            index = self.keys(spec).get(tail[0])
+        if index is None or index >= len(node):
+            return spec, None, None, tail[1:]
+        return spec, index, node[index], tail[1:]
 
     def __call__(self, path: str):
-        """resolve(self.model, path)"""
-        return _resolved(self._locate(path))
+        """resolve(self.model(), path)"""
+        found = _resolved(self._locate(path))
+        return tuple(found) if type(found) is list else found
 
     def unit_of(self, element_path: str, name: str) -> str:
         """Implied unit of one parameter; "" when it has none or is unknown."""
@@ -1018,6 +985,41 @@ class Resolver:
         position is None for an element that is not a list entry."""
         return _element(self._locate(path))
 
+    def _entries(self, spec: ElementSpec) -> list:
+        entries = self._parts.get(spec.path)
+        if entries is None:
+            entries = self._parts[spec.path] = list(self.part(spec))
+        return entries
+
+    def put(self, spec: ElementSpec, position: int | None, node) -> None:
+        """Store `node` as given: as the element at `spec` when `position`
+        is None, else as the entry at `position` of its list, whose key it
+        keeps."""
+        if position is None:
+            self._parts[spec.path] = node
+        else:
+            self._entries(spec)[position] = node
+
+    def append(self, spec: ElementSpec, entry) -> int:
+        """Add `entry`, stored as given, to the list of `spec`; returns its position."""
+        entries = self._entries(spec)
+        entries.append(entry)
+        positions = self._positions.get(spec.path)
+        if positions is not None:
+            positions.setdefault(getattr(entry, spec.key), len(entries) - 1)
+        return len(entries) - 1
+
+    def model(self) -> ModuleModel:
+        """The model with every edit."""
+        return self._build(ROOT) if self._parts else self._model
+
+    def _build(self, spec: ElementSpec):
+        part = self.part(spec)
+        if spec.key:
+            return tuple(part)
+        children = {name: self._build(child) for name, child in CHILDREN[spec.path].items()}
+        return replace(part, **children) if children else part
+
 
 # ---------------------------------------------------------------------------
 # Generic parameter writes (used by the table exchange)
@@ -1031,14 +1033,16 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     request attributes that do not exist yet).
     """
     _require_clean(value, "parameter value")
-    found = _locate(model, element_path)
+    edit = Resolver(model)
+    found = edit._locate(element_path)
     if _resolved(found) is None:
         raise ModelError(f"unknown element path {element_path!r}")
     element = _element(found)
     if element is None or not element[0].surface or not (element[0].params or element[0].extra):
         raise ModelError(f"element {element_path!r} has no writable parameters")
     spec, index, node = element
-    return store(model, ((spec, index, write_parameter(spec, node, name, value)),))
+    edit.put(spec, index, write_parameter(spec, node, name, value))
+    return edit.model()
 
 
 def write_parameter(spec: ElementSpec, node, name: str, value: str):
@@ -1077,7 +1081,7 @@ def remove_element(model: ModuleModel, path: str) -> ModuleModel:
     paths held elsewhere (cross references, document assignments) are the
     caller's concern.
     """
-    found = _locate(model, path)
+    found = Resolver(model)._locate(path)
     if _resolved(found) is None:
         raise ModelError(f"unknown element path {path!r}")
     spec, index, _node, tail = found

@@ -272,6 +272,23 @@ def test_simulate_routes(work):
                              "deactivate Conv1\ndeactivate Conv2\ndeactivate Switch\n")
 
 
+def test_simulate_lists_every_event_of_a_looped_trace_in_both_formats(work, tmp_path):
+    graph = tmp_path / "looped.bhv"
+    with open(work["behavior"], encoding="utf-8") as source:
+        graph.write_text(source.read() + "loop 1.3 -> 1.0\nloop 2.3 -> 1.0\n")
+    trace = tmp_path / "looped.trace"
+    trace.write_text("order output_1\n" + "sensor LB_in on\nsensor LB_in off\n"
+                     "sensor LB_out1 on\nsensor LB_out1 off\n" * 20)
+    result = run("simulate", work["model"], str(graph), str(trace))
+    assert result.returncode == 0
+    assert result.stdout == "activate Conv1\ndeactivate Conv1\n" * 20
+    result = run("simulate", work["model"], str(graph), str(trace), "--format", "structured")
+    assert result.returncode == 0
+    assert result.stdout == (
+        '{"kind": "activate", "record": "event", "subject": "Conv1"}\n'
+        '{"kind": "deactivate", "record": "event", "subject": "Conv1"}\n') * 20
+
+
 def test_simulate_ambiguity_is_a_finding(work, tmp_path):
     graph = tmp_path / "fork.bhv"
     graph.write_text('step a "idle"\n'

@@ -215,20 +215,50 @@ def test_index_segment_must_be_a_canonical_decimal(segment):
     assert mm.resolve(m, "m/control/io_mapping/1") == m.control.io_mapping[1]
 
 
+def _lookup_paths(m: mm.ModuleModel) -> list[str]:
+    """Every entry and parameter path of `m`, list paths, and paths that miss."""
+    entries = [path for spec, path, _node in mm.walk(m) if spec.key]
+    parameters = [f"{path}/{name}" for path, name, _value, _unit in mm.iter_parameters(m)]
+    return entries + parameters + [
+        "m/components", "m/control/io_mapping", "m/control/variables/none",
+        "m/control/io_mapping/9", "m/documents/doc-1/name", "other/general"]
+
+
+def test_an_unedited_resolver_agrees_with_resolve_and_returns_its_model():
+    m = _populated()
+    find = mm.Resolver(m)
+    paths = _lookup_paths(m) + [path for path, _node in mm.iter_elements(m)]
+    assert [find(path) for path in paths] == [mm.resolve(m, path) for path in paths]
+    assert find.model() is m
+    assert find.element("m/general")[1] is None
+    assert find.element("m/components") is None
+
+
 def test_resolver_follows_models_derived_by_writes_and_appends():
     m = _populated()
     find = mm.Resolver(m)
-    assert find("m/components/S1") == m.components[0]
+    expected = m
     for path, name, value in [("m/components/S1", "position", "(9,9,9)"),
                               ("m/control/io_mapping/1", "logical_address", "%Q1.1"),
+                              ("m/general/identification", "name", "Renamed"),
                               ("m/general", "colour", "red")]:
-        find.model = mm.set_parameter(find.model, path, name, value)
-        assert find(f"{path}/{name}") == mm.resolve(find.model, f"{path}/{name}") == value
+        expected = mm.set_parameter(expected, path, name, value)
+        spec, index, node = find.element(path)
+        find.put(spec, index, mm.write_parameter(spec, node, name, value))
+        assert find(f"{path}/{name}") == mm.resolve(expected, f"{path}/{name}") == value
+    assert find("m/control/variables/extra") is None  # the list's index is built now
     extra = mm.Variable("extra", "BOOL")
-    find.model = mm.add_variable(find.model, "extra", "BOOL")
+    for entry in (extra, mm.IoMapEntry("m/components/A1", "%Q2.0")):
+        spec = mm.spec_of(entry)
+        position = find.append(spec, entry)
+        expected = mm.add_entry(expected, entry)
+        assert position == len(mm.get(expected, spec)) - 1
+    position = len(expected.control.variables) - 1
     assert find("m/control/variables/extra") == extra
-    assert find.element("m/control/variables/extra") == (
-        mm.spec_of(extra), len(find.model.control.variables) - 1, extra)
+    assert find.element("m/control/variables/extra") == (mm.spec_of(extra), position, extra)
+    assert find.keys(mm.spec_of(extra))["extra"] == position
+    paths = _lookup_paths(expected)
+    assert [find(path) for path in paths] == [mm.resolve(expected, path) for path in paths]
     assert find.element("m/general")[1] is None
     assert find.element("m/components") is None
 
@@ -240,12 +270,17 @@ def test_store_copies_each_list_once_and_agrees_with_set_parameter():
               ("m/control/io_mapping/1", "logical_address", "%Q1.1"),
               ("m/control/io_mapping/0", "logical_address", "%I7.7"),
               ("m/general", "colour", "red")]
-    expected, stored = m, []
+    expected, copies = m, {}
     for path, name, value in writes:
         expected = mm.set_parameter(expected, path, name, value)
         spec, index, node = find.element(path)
-        stored.append((spec, index, mm.write_parameter(spec, node, name, value)))
-    assert mm.store(m, stored) == expected
+        find.put(spec, index, mm.write_parameter(spec, node, name, value))
+        if index is not None:
+            part = find.part(spec)
+            assert part is not mm.get(m, spec)
+            assert copies.setdefault(spec.path, part) is part  # one copy per list
+    assert find.model() == expected
+    assert m == _populated()  # the given model is left as it was
     with pytest.raises(mm.ModelError, match="must be strictly positive"):
         mm.write_parameter(mm.spec_of(m.general), m.general, "main_dimensions", "(0,1,1)")
 

@@ -3,9 +3,9 @@
 Work is counted as Python line events (sys.settrace), not timed, so the test
 does not depend on the machine: quadrupling the model size multiplies the
 count by about 4 for linear code and by about 16 for quadratic code. Work
-inside C functions (tuple copies, dictionary probes) is not counted: an
-import_table row that adds an io entry or a document, or reassigns a
-document, still copies that list, which this test does not see.
+inside C functions is not counted: a quadratic cost that lives only there
+(a tuple copy per row, a membership test over a `map` of keys per entry)
+does not show here, and is left to the timings of `tools/layers.py`.
 """
 from __future__ import annotations
 
@@ -61,16 +61,30 @@ def _filled_table(m: mm.ModuleModel) -> bytes:
     return buffer.getvalue().encode()
 
 
+def _component_table(m: mm.ModuleModel, document) -> bytes:
+    """A new type for every component, filed under document(i, component)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(exchange.HEADER)
+    writer.writerows((f"{m.id}/components/{c.name}", "component_type", f"T{i}", "",
+                      document(i), "") for i, c in enumerate(m.components))
+    return buffer.getvalue().encode()
+
+
 def _operations(n: int) -> dict:
     m = sized_model(n)
     doc = caex_io.parse(caex_io.serialize(caex_io.from_model(m)))
     table = _filled_table(m)
+    new_documents = _component_table(m, lambda i: f"new-{i}")
+    reassigned = _component_table(m, lambda i: m.documents[i % len(m.documents)].id)
     return {
         "to_model": lambda: caex_io.to_model(doc),
         "check_links": lambda: cc.check_links(m),
         "check_completeness": lambda: cc.check_completeness(m, "control_hmi_eng"),
         "export_table --missing-only": lambda: exchange.export_table(m, missing_only=True),
         "import_table": lambda: exchange.import_table(m, table),
+        "import_table new document per row": lambda: exchange.import_table(m, new_documents),
+        "import_table reassign per row": lambda: exchange.import_table(m, reassigned),
     }
 
 
@@ -82,7 +96,7 @@ def counts() -> dict:
 
 @pytest.mark.parametrize("operation", [
     "to_model", "check_links", "check_completeness", "export_table --missing-only",
-    "import_table"])
+    "import_table", "import_table new document per row", "import_table reassign per row"])
 def test_work_grows_linearly_with_model_size(counts, operation):
     small, large = counts[operation]
     assert large / small <= MAX_RATIO, f"{operation}: {small} -> {large} line events"
@@ -102,3 +116,12 @@ def test_sized_model_reads_back_and_has_cells_to_report():
     assert open_cells(updated) == []
     assert len(updated.control.io_mapping) == len(m.components)
     assert updated.documents[0].assigned_element == f"{m.id}/components/c10"
+    updated, violations = exchange.import_table(m, _component_table(m, lambda i: f"new-{i}"))
+    assert violations == []
+    assert [d.assigned_element for d in updated.documents[len(m.documents):]] == [
+        f"{m.id}/components/c{i}" for i in range(16)]
+    updated, violations = exchange.import_table(
+        m, _component_table(m, lambda i: m.documents[i % 2].id))
+    assert violations == []
+    assert [d.assigned_element for d in updated.documents] == [
+        f"{m.id}/components/c14", f"{m.id}/components/c15"]

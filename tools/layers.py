@@ -1,14 +1,23 @@
-"""Time the trace reader and the two simulators in process, into a BENCH_*.json file.
+"""Time the trace reader, the two simulators and the bulk model writers in
+process, into a BENCH_*.json file.
 
     python3 tools/layers.py LABEL OUT.json
 
-The input is one `bench/gen.py` model (seed 1, 200 components) with a
+The replay input is one `bench/gen.py` model (seed 1, 200 components) with a
 looped 12-arm behavior graph, and one trace per length in PASSES (the
 transport units of the behavior-replay workload, 10^3 to 10^5 trace
 events). Each of `behavior.parse_trace` (on the trace's text),
 `behavior.simulate` and `sfc.simulate_sfc` runs RUNS times per trace under
 `perf_counter`; the median and quartiles are kept. A walk that raises
 SimulationError is recorded as its message, not as a time.
+
+The bulk writers run on `bench/gen.py` models (seed 1, a quarter of the
+cells withheld) of each size in SIZES, MODEL_RUNS times each, keeping the
+best time as well: `caex_io.to_model` on the parsed file,
+`exchange.import_table` on the filled request of the table-merge workload,
+and `exchange.import_table` on a table that gives every component a new
+type and a new document. `caex_io.to_model.calls` is the cProfile count
+of function calls of one `to_model` run.
 
 mfmkit is imported from the `src/` next to this script, so running the
 copy in another checkout measures that checkout. The figures are merged
@@ -17,8 +26,12 @@ holds both sides measured on one machine. Only the standard library is used.
 """
 from __future__ import annotations
 
+import cProfile
+import csv
+import io
 import json
 import os
+import pstats
 import platform
 import random
 import statistics
@@ -30,13 +43,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (bench/gen.py, read as is)
-from mfmkit import behavior, caex_io, sfc  # noqa: E402
+from mfmkit import behavior, caex_io, exchange, sfc  # noqa: E402
 
 SEED = 1
 COMPONENTS = 200
 BRANCHES = 12
 PASSES = (170, 425, 1070, 2690, 6760, 17000)
 RUNS = 5
+SIZES = (800, 3200)
+MODEL_RUNS = 7
 
 
 def _inputs():
@@ -53,9 +68,41 @@ def _inputs():
     return model, graph, program, traces
 
 
-def _time(call) -> dict:
+def _new_document_table(model) -> bytes:
+    """One row per component: a new type, filed under a new document."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(exchange.HEADER)
+    writer.writerows((f"{model.id}/components/{c.name}", "component_type", f"T{i}", "",
+                      f"new-{i}", "") for i, c in enumerate(model.components))
+    return buffer.getvalue().encode("utf-8")
+
+
+def _model_layers() -> dict:
+    figures: dict[str, list] = {}
+    for n in SIZES:
+        planted = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers")
+        doc = caex_io.parse(planted.data)
+        model, _warnings = caex_io.to_model(doc)
+        filled, _params, _broken = gen.fill_request(planted, random.Random(f"layers-{n}"), 0)
+        new_documents = _new_document_table(model)
+        for name, call in (
+                ("caex_io.to_model", lambda: caex_io.to_model(doc)),
+                ("exchange.import_table filled request",
+                 lambda: exchange.import_table(model, filled)),
+                ("exchange.import_table new document per row",
+                 lambda: exchange.import_table(model, new_documents))):
+            figures.setdefault(name, []).append({"n": n, **_time(call, MODEL_RUNS)})
+        profile = cProfile.Profile()
+        profile.runcall(caex_io.to_model, doc)
+        figures.setdefault("caex_io.to_model.calls", []).append(
+            {"n": n, "calls": pstats.Stats(profile).total_calls})
+    return figures
+
+
+def _time(call, runs: int = RUNS) -> dict:
     times = []
-    for _ in range(RUNS):
+    for _ in range(runs):
         start = perf_counter()
         try:
             call()
@@ -63,7 +110,8 @@ def _time(call) -> dict:
             return {"error": str(error)}
         times.append(perf_counter() - start)
     q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_s": round(median, 6), "q1_s": round(q1, 6), "q3_s": round(q3, 6)}
+    return {"median_s": round(median, 6), "q1_s": round(q1, 6), "q3_s": round(q3, 6),
+            "best_s": round(min(times), 6)}
 
 
 def main(label: str, out: Path) -> None:
@@ -79,10 +127,12 @@ def main(label: str, out: Path) -> None:
         name: [{"passes": passes, "events": events, **_time(lambda: run(text, trace))}
                for passes, (events, text, trace) in traces.items()]
         for name, run in layers.items()}
+    figures.update(_model_layers())
     data = json.loads(out.read_text("utf-8")) if out.exists() else {}
     data["input"] = {
         "model": f"bench/gen.py seed {SEED}, {COMPONENTS} components, {BRANCHES} arms",
         "passes": list(PASSES), "runs": RUNS,
+        "sizes": list(SIZES), "model_runs": MODEL_RUNS,
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count()}
     data[label] = figures
