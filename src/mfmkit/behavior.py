@@ -104,10 +104,6 @@ def format_condition(condition: Condition) -> str:
     return f"order({condition.subject})"
 
 
-def format_action(action: Action) -> str:
-    return f"{action.kind} {action.subject}"
-
-
 def guard_expr(guards: tuple[Condition, ...]) -> str:
     """Normalized conjunction: sorted terms joined by AND, TRUE when empty."""
     if not guards:
@@ -195,7 +191,7 @@ def parse_behavior(text: str) -> BehaviorGraph:
     step_lines: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
     loops: list[tuple[str, str]] = []
-    edge_lines: list[tuple[tuple[str, str], int, bool]] = []
+    edge_lines: list[tuple[tuple[str, str], int]] = []
     seen_graph_line = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -227,22 +223,22 @@ def parse_behavior(text: str) -> BehaviorGraph:
         elif keyword == "edge":
             pair = _parse_edge(rest, lineno)
             edges.append(pair)
-            edge_lines.append((pair, lineno, False))
+            edge_lines.append((pair, lineno))
         elif keyword == "loop":
             pair = _parse_edge(rest, lineno)
             loops.append(pair)
-            edge_lines.append((pair, lineno, True))
+            edge_lines.append((pair, lineno))
         else:
             raise BehaviorParseError(f"line {lineno}: unknown keyword {keyword!r}")
 
     known = set(step_lines)
-    for (source, target), lineno, _is_loop in edge_lines:
+    for (source, target), lineno in edge_lines:
         if source not in known:
             raise BehaviorParseError(f"line {lineno}: unknown edge source {source!r}")
         if target not in known:
             raise BehaviorParseError(f"line {lineno}: unknown edge target {target!r}")
     seen_pairs: set[tuple[str, str]] = set()
-    for (pair, lineno, _is_loop) in edge_lines:
+    for pair, lineno in edge_lines:
         if pair in seen_pairs:
             raise BehaviorParseError(
                 f"line {lineno}: duplicate edge {pair[0]} -> {pair[1]}")
@@ -254,19 +250,24 @@ def parse_behavior(text: str) -> BehaviorGraph:
     return graph
 
 
-def validate_graph(graph: BehaviorGraph) -> None:
-    """Check the structural invariants; raise BehaviorGraphError otherwise."""
+def validate_graph(graph: BehaviorGraph) -> list[str]:
+    """Check the structural invariants; raise BehaviorGraphError otherwise.
+
+    Returns the step ids in topological order, ties broken by step id; the
+    entry step comes first.
+    """
     ids = [s.id for s in graph.steps]
-    known = set(ids)
-    if len(known) != len(ids):
+    indegree = dict.fromkeys(ids, 0)
+    if len(indegree) != len(ids):
         raise BehaviorGraphError("duplicate step ids")
     for source, target in graph.edges + graph.loop_edges:
-        if source not in known or target not in known:
+        if source not in indegree or target not in indegree:
             raise BehaviorGraphError(f"edge {source} -> {target} references unknown steps")
 
-    indegree = {step_id: 0 for step_id in ids}
-    for _source, target in graph.edges:
+    successors: dict[str, list[str]] = {step_id: [] for step_id in ids}
+    for source, target in graph.edges:
         indegree[target] += 1
+        successors[source].append(target)
     entries = [step_id for step_id in ids if indegree[step_id] == 0]
     if not graph.steps:
         raise BehaviorGraphError("graph has no steps")
@@ -276,39 +277,7 @@ def validate_graph(graph: BehaviorGraph) -> None:
             + (f" ({', '.join(entries)})" if entries else ""))
 
     # Kahn pass doubles as the cycle check.
-    order = _topological_ids(graph)
-    if len(order) != len(ids):
-        raise BehaviorGraphError("edges form a cycle")
-
-    outgoing: dict[str, int] = {step_id: 0 for step_id in ids}
-    for source, _target in graph.edges:
-        outgoing[source] += 1
-    entry = entries[0]
-    for source, target in graph.loop_edges:
-        if target != entry:
-            raise BehaviorGraphError(
-                f"loop {source} -> {target} must return to the entry step {entry!r}")
-        if outgoing[source]:
-            raise BehaviorGraphError(
-                f"loop source {source!r} must be a terminal step")
-
-
-def entry_step(graph: BehaviorGraph) -> BehaviorStep:
-    targets = {target for _source, target in graph.edges}
-    for step in graph.steps:
-        if step.id not in targets:
-            return step
-    raise BehaviorGraphError("graph has no entry step")
-
-
-def _topological_ids(graph: BehaviorGraph) -> list[str]:
-    indegree = {step.id: 0 for step in graph.steps}
-    successors: dict[str, list[str]] = {step.id: [] for step in graph.steps}
-    for source, target in graph.edges:
-        indegree[target] += 1
-        successors[source].append(target)
-    heap = [step_id for step_id, degree in indegree.items() if degree == 0]
-    heapq.heapify(heap)
+    heap = entries
     order: list[str] = []
     while heap:
         current = heapq.heappop(heap)
@@ -317,6 +286,17 @@ def _topological_ids(graph: BehaviorGraph) -> list[str]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heapq.heappush(heap, nxt)
+    if len(order) != len(ids):
+        raise BehaviorGraphError("edges form a cycle")
+
+    entry = order[0]
+    for source, target in graph.loop_edges:
+        if target != entry:
+            raise BehaviorGraphError(
+                f"loop {source} -> {target} must return to the entry step {entry!r}")
+        if successors[source]:
+            raise BehaviorGraphError(
+                f"loop source {source!r} must be a terminal step")
     return order
 
 
@@ -331,7 +311,7 @@ def to_iml(graph: BehaviorGraph) -> ImlDocument:
     guard expression, and record their predecessors, so the conversion is
     lossless.
     """
-    validate_graph(graph)
+    order = validate_graph(graph)
     by_id = {step.id: step for step in graph.steps}
     predecessors: dict[str, list[str]] = {step.id: [] for step in graph.steps}
     for source, target in graph.edges:
@@ -345,7 +325,7 @@ def to_iml(graph: BehaviorGraph) -> ImlDocument:
             actions=by_id[step_id].actions,
             predecessors=tuple(sorted(predecessors[step_id])),
         )
-        for step_id in _topological_ids(graph)
+        for step_id in order
     )
     return ImlDocument(
         entries=entries, source_graph_id=graph.id, loop_edges=graph.loop_edges)
@@ -447,13 +427,13 @@ def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
     satisfied targets at once raise SimulationError; so does one such cascade
     that exceeds the move budget (possible only with loop edges).
     """
-    validate_graph(graph)
+    entry = validate_graph(graph)[0]
     actions = {step.id: step.actions for step in graph.steps}
     guards = {step.id: _guard_keys(step.guards) for step in graph.steps}
     outgoing: dict[str, list[Arc]] = {step.id: [] for step in graph.steps}
     for source, target in graph.edges + graph.loop_edges:
         outgoing[source].append((target, *guards[target]))
-    return walk(outgoing, entry_step(graph).id, set(), _levels(trace), actions.__getitem__)
+    return walk(outgoing, entry, set(), _levels(trace), actions.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -492,4 +472,4 @@ def _trace_event(raw: str, lineno: int) -> TraceEvent | None:
 
 
 def format_event(action: Action) -> str:
-    return format_action(action)
+    return f"{action.kind} {action.subject}"

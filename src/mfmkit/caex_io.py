@@ -34,18 +34,13 @@ from .consistency import (
 from .paths import PathError, join_path
 from .xmlio import Tag, every, parse_tree, serialize_tree
 
-#: Supported external-data connector kinds and the interface class each one
-#: stores. The stored identifiers match the mapping rule table verbatim.
+#: Supported external-data connector kinds: the interface class each one
+#: stores and the base name of its connectors. The stored identifiers match
+#: the mapping rule table verbatim.
 CONNECTOR_KINDS = {
-    "COLLADAInterface": "COLLADAInterface",
-    "PLCopenXMLInterface": "ExternalDataConnector.PLOpenXMLInterface",
-    "AttachmentInterface": "AttachmentInterface",
-}
-
-_CONNECTOR_BASENAMES = {
-    "COLLADAInterface": "collada",
-    "PLCopenXMLInterface": "plcopen",
-    "AttachmentInterface": "attachment",
+    "COLLADAInterface": ("COLLADAInterface", "collada"),
+    "PLCopenXMLInterface": ("ExternalDataConnector.PLOpenXMLInterface", "plcopen"),
+    "AttachmentInterface": ("AttachmentInterface", "attachment"),
 }
 
 _STRING_TYPE = "xs:string"
@@ -465,12 +460,12 @@ def attach_external_document(
         raise mm.ModelError(
             f"unknown connector kind {connector_kind!r}; "
             f"expected one of {', '.join(sorted(CONNECTOR_KINDS))}")
-    base = _CONNECTOR_BASENAMES[connector_kind]
+    interface_class, base = CONNECTOR_KINDS[connector_kind]
     taken = {ref.name for ref in mm.annotation_at(model, element_path).external_refs}
     name = base
     counter = 2
     while name in taken:
         name = f"{base}-{counter}"
         counter += 1
-    ref = mm.ExternalRef(name=name, interface_class=CONNECTOR_KINDS[connector_kind], ref_uri=uri)
+    ref = mm.ExternalRef(name=name, interface_class=interface_class, ref_uri=uri)
     return mm.with_external_ref(model, element_path, ref)

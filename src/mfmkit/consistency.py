@@ -174,17 +174,25 @@ class MatrixError(ValueError):
     """Raised for an unreadable coverage matrix file."""
 
 
-def load_matrix(text: str) -> StageCoverageMatrix:
-    """Parse the line-oriented matrix format: `stage | selector | parameter`."""
-    rows = []
+def _bar_lines(text: str, shape: str, error: type[ValueError]):
+    """Yield (line number, fields) of each `a | b | ...` line with as many
+    non-empty fields as `shape` names; blank and `#` lines are skipped, any
+    other line raises `error`."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3 or not all(parts):
-            raise MatrixError(f"line {lineno}: expected 'stage | selector | parameter'")
-        stage, selector, parameter = parts
+        if len(parts) != shape.count("|") + 1 or not all(parts):
+            raise error(f"line {lineno}: expected '{shape}'")
+        yield lineno, parts
+
+
+def load_matrix(text: str) -> StageCoverageMatrix:
+    """Parse the line-oriented matrix format: `stage | selector | parameter`."""
+    rows = []
+    for lineno, (stage, selector, parameter) in _bar_lines(
+            text, "stage | selector | parameter", MatrixError):
         if stage not in mm.STAGES:
             raise MatrixError(f"line {lineno}: unknown stage {stage!r}")
         if selector not in _SELECTORS and selector != _IO_DEMAND[0]:
@@ -326,14 +334,8 @@ class OwnershipError(ValueError):
 def load_ownership(text: str) -> OwnershipMap:
     """Parse the line-oriented ownership format: `selector | discipline`."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 2 or not all(parts):
-            raise OwnershipError(f"line {lineno}: expected 'selector | discipline'")
-        selector, discipline = parts
+    for lineno, (selector, discipline) in _bar_lines(
+            text, "selector | discipline", OwnershipError):
         if discipline not in mm.DISCIPLINES:
             raise OwnershipError(f"line {lineno}: unknown discipline {discipline!r}")
         rules.append((selector, discipline))
@@ -347,11 +349,6 @@ def load_ownership(text: str) -> OwnershipMap:
 def default_ownership() -> OwnershipMap:
     text = resources.files("mfmkit").joinpath("data/ownership.txt").read_text("utf-8")
     return load_ownership(text)
-
-
-def discipline_of(model: mm.ModuleModel, path: str, ownership: OwnershipMap) -> str:
-    """Owning discipline of the element at `path` (documents own themselves)."""
-    return owners(mm.Resolver(model), ownership)(path)
 
 
 def owners(find: mm.Resolver, ownership: OwnershipMap):

@@ -258,7 +258,13 @@ class _Merge:
         spec, position, doc = existing
         refreshed = replace(
             doc, server_path=doc_path or doc.server_path, assigned_element=element_path)
-        return [] if refreshed == doc else [partial(self.edit.put, spec, position, refreshed)]
+        if refreshed == doc:
+            return []
+        try:
+            refreshed = mm.check_node(spec, refreshed)
+        except (mm.ModelError, PathError) as error:
+            raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+        return [partial(self.edit.put, spec, position, refreshed)]
 
 
 def import_table(

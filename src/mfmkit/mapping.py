@@ -106,18 +106,6 @@ def default_table() -> MappingRuleTable:
     return load_table(text)
 
 
-def roles_for(table: MappingRuleTable, class_path: str) -> frozenset[str] | None:
-    """Permitted roles, or None when the class is not covered by the table."""
-    entry = table.entry_for(class_path)
-    return None if entry is None else frozenset(entry.permitted_roles)
-
-
-def interfaces_for(table: MappingRuleTable, class_path: str) -> frozenset[str] | None:
-    """Permitted interfaces, or None when the class is not covered."""
-    entry = table.entry_for(class_path)
-    return None if entry is None else frozenset(entry.permitted_interfaces)
-
-
 # ---------------------------------------------------------------------------
 # Classifying model paths
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ class ElementSpec:
 ROOT = ElementSpec((), "", ModuleModel, "Module", (Param("name"),), surface=False)
 
 #: Every element and entry list, in document order (the order of
-#: iter_elements and of the serialized file).
+#: walk and of the serialized file).
 SCHEMA: tuple[ElementSpec, ...] = (
     ROOT,
     ElementSpec(("general",), "", GeneralDescription, "General",
@@ -742,13 +742,14 @@ def add_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
 
 
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
-    """Swap an existing document reference (matched by id) for `doc`."""
+    """Swap an existing document reference (matched by id) for `doc`,
+    validated as check_node validates it."""
     spec = spec_of(doc)
     edit = Resolver(model)
     index = edit.keys(spec).get(doc.id)
     if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
-    edit.put(spec, index, doc)
+    edit.put(spec, index, check_node(spec, doc))
     return edit.model()
 
 
@@ -821,12 +822,6 @@ def walk(model: ModuleModel):
             continue
         for key, entry in keyed(spec, node):
             yield spec, f"{path}/{key}", entry
-
-
-def iter_elements(model: ModuleModel):
-    """Yield (path, node) for the root, containers, and every entry."""
-    for _spec, path, node in walk(model):
-        yield path, node
 
 
 def iter_parameters(model: ModuleModel):
@@ -1032,7 +1027,6 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     parameter name creates a new static attribute (the table workflow may
     request attributes that do not exist yet).
     """
-    _require_clean(value, "parameter value")
     edit = Resolver(model)
     found = edit._locate(element_path)
     if _resolved(found) is None:

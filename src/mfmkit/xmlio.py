@@ -285,8 +285,7 @@ def _escape_text(value: str) -> str:
     return value.replace("\r", "&#13;")
 
 
-def _write(value, tag: str, tags: dict[str, Tag], pad: str, lines: list[str],
-           expand_empty: bool) -> None:
+def _write(value, tag: str, tags: dict[str, Tag], pad: str, lines: list[str]) -> None:
     spec = tags[tag]
     values, kids, text = spec.split(value)
     head = tag
@@ -298,11 +297,11 @@ def _write(value, tag: str, tags: dict[str, Tag], pad: str, lines: list[str],
         inner = pad + "  "
         for child, items in zip(spec.children, kids):
             for item in items:
-                _write(item, child, tags, inner, lines, False)
+                _write(item, child, tags, inner, lines)
         lines.append(f"{pad}</{tag}>")
     elif text:
         lines.append(f"{pad}<{head}>{_escape_text(text)}</{tag}>")
-    elif expand_empty:
+    elif not pad:  # the root, the one element written at pad ""
         lines.append(f"{pad}<{head}>")
         lines.append(f"{pad}</{tag}>")
     else:
@@ -313,5 +312,5 @@ def serialize_tree(value, root: str, tags: dict[str, Tag]) -> bytes:
     """Write `value` as a document whose root element is `root`, in
     canonical form (the root is always expanded)."""
     lines = [DECLARATION]
-    _write(value, root, tags, "", lines, True)
+    _write(value, root, tags, "", lines)
     return ("\n".join(lines) + "\n").encode("utf-8")

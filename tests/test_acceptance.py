@@ -55,8 +55,9 @@ def test_criterion_1_mapping_table_conformance():
         table = mapping.default_table()
         assert {entry.class_path for entry in table.entries} == set(_PUBLISHED)
         for class_path, (roles, interfaces) in _PUBLISHED.items():
-            assert mapping.roles_for(table, class_path) == frozenset(roles)
-            assert mapping.interfaces_for(table, class_path) == frozenset(interfaces)
+            entry = table.entry_for(class_path)
+            assert frozenset(entry.permitted_roles) == frozenset(roles)
+            assert frozenset(entry.permitted_interfaces) == frozenset(interfaces)
         for entry in table.entries:
             assert len(set(entry.permitted_roles)) == len(entry.permitted_roles)
             assert len(set(entry.permitted_interfaces)) == len(entry.permitted_interfaces)

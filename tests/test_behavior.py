@@ -58,7 +58,7 @@ def test_parse_single_step():
     graph = bh.parse_behavior('step only "the lone step"\n')
     assert len(graph.steps) == 1
     assert graph.edges == ()
-    assert bh.entry_step(graph).id == "only"
+    assert bh.validate_graph(graph)[0] == "only"
 
 
 def test_parse_edge_to_missing_step_fails_with_line():
@@ -129,7 +129,74 @@ def test_loop_edge_back_to_entry_is_accepted():
     graph = bh.parse_behavior(text)
     assert graph.edges == (("a", "b"),)
     assert graph.loop_edges == (("b", "a"),)
-    assert bh.entry_step(graph).id == "a"
+    assert bh.validate_graph(graph)[0] == "a"
+
+
+def _graph(steps, edges=(), loops=()) -> BehaviorGraph:
+    return BehaviorGraph(id="g", steps=tuple(BehaviorStep(s) for s in steps),
+                         edges=tuple(edges), loop_edges=tuple(loops))
+
+
+# Each graph breaks its own invariant and, where it can, every later one too,
+# so the message pins which check runs first.
+@pytest.mark.parametrize("graph, message", [
+    (_graph("aab", [("a", "z"), ("b", "b")], [("b", "z")]), "duplicate step ids"),
+    (_graph("", [("a", "b")]), "edge a -> b references unknown steps"),
+    (_graph("abcd", [("c", "d"), ("d", "c"), ("a", "x")]),
+     "edge a -> x references unknown steps"),
+    (_graph("ab", [("a", "b")], [("b", "z")]), "edge b -> z references unknown steps"),
+    (_graph(""), "graph has no steps"),
+    (_graph("abcd", [("c", "d"), ("d", "c")], [("d", "c")]),
+     "expected exactly one entry step, found 2 (a, b)"),
+    (_graph("ab", [("a", "b"), ("b", "a")]), "expected exactly one entry step, found 0"),
+    (_graph("eab", [("e", "a"), ("a", "b"), ("b", "a")], [("a", "b")]), "edges form a cycle"),
+    (_graph("eab", [("e", "a"), ("a", "b")], [("a", "a")]),
+     "loop a -> a must return to the entry step 'e'"),
+    (_graph("eab", [("e", "a"), ("a", "b")], [("b", "a"), ("a", "e")]),
+     "loop b -> a must return to the entry step 'e'"),
+    (_graph("eab", [("e", "a"), ("a", "b")], [("a", "e"), ("b", "a")]),
+     "loop source 'a' must be a terminal step"),
+])
+def test_graph_errors_keep_their_message_and_precedence(graph, message):
+    for call in (bh.validate_graph, bh.to_iml, lambda g: bh.simulate(g, [])):
+        with pytest.raises(BehaviorGraphError) as caught:
+            call(graph)
+        assert str(caught.value) == message
+
+
+def _fork(arms: int) -> BehaviorGraph:
+    """An entry `start`, declared last, forking into `arms` three-step arms
+    that loop back to it; arm b is selected by order p<b> and left on S<b>."""
+    steps, edges, loops = [], [], []
+    for b in range(arms):
+        steps += [BehaviorStep(f"a{b}.1", guards=(Condition("order_request", f"p{b}"),
+                                                  Condition("sensor_false", f"S{b}"))),
+                  BehaviorStep(f"a{b}.2", actions=(Action("activate", f"C{b}"),)),
+                  BehaviorStep(f"a{b}.3", guards=(Condition("sensor_true", f"S{b}"),),
+                               actions=(Action("deactivate", f"C{b}"),))]
+        edges += [("start", f"a{b}.1"), (f"a{b}.1", f"a{b}.2"), (f"a{b}.2", f"a{b}.3")]
+        loops.append((f"a{b}.3", "start"))
+    steps.append(BehaviorStep("start"))
+    return BehaviorGraph(id="fork", steps=tuple(steps), edges=tuple(edges),
+                         loop_edges=tuple(loops))
+
+
+@pytest.mark.parametrize("graph, order", [
+    (_fixture_graph(), ["1.0", "1.1", "1.2", "1.3", "2.1", "2.2", "2.3"]),
+    (_fork(12), ["start"] + [f"a{b}.{k}" for b in (0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9)
+                             for k in (1, 2, 3)]),
+])
+def test_to_iml_order_and_the_entry_simulate_starts_from(graph, order):
+    assert [e.step_id for e in bh.to_iml(graph).entries] == order
+    with mock.patch.object(bh, "walk", wraps=bh.walk) as spy:
+        bh.simulate(graph, [])
+    assert spy.call_args.args[1] == order[0]
+
+
+def test_simulate_walks_the_fork_from_its_entry():
+    trace = [TraceEvent("order", "p10"), TraceEvent("sensor", "S10", True)]
+    assert bh.simulate(_fork(12), trace) == [Action("activate", "C10"),
+                                             Action("deactivate", "C10")]
 
 
 def test_loop_edge_must_target_entry_from_terminal():
@@ -204,12 +271,12 @@ def _route_2() -> list[TraceEvent]:
 
 def test_simulate_route_1():
     actions = bh.simulate(_fixture_graph(), _route_1())
-    assert [bh.format_action(a) for a in actions] == ["activate Conv1", "deactivate Conv1"]
+    assert [bh.format_event(a) for a in actions] == ["activate Conv1", "deactivate Conv1"]
 
 
 def test_simulate_route_2():
     actions = bh.simulate(_fixture_graph(), _route_2())
-    assert [bh.format_action(a) for a in actions] == [
+    assert [bh.format_event(a) for a in actions] == [
         "activate Conv1", "activate Conv2", "activate Switch",
         "deactivate Conv1", "deactivate Conv2", "deactivate Switch"]
 
@@ -222,7 +289,7 @@ def test_simulate_order_before_arrival():
     trace = [TraceEvent("order", "output_1"), TraceEvent("sensor", "LB_in", True),
              TraceEvent("sensor", "LB_out1", True)]
     actions = bh.simulate(_fixture_graph(), trace)
-    assert [bh.format_action(a) for a in actions] == ["activate Conv1", "deactivate Conv1"]
+    assert [bh.format_event(a) for a in actions] == ["activate Conv1", "deactivate Conv1"]
 
 
 def test_simulate_ambiguous_branch_is_an_error():
@@ -234,8 +301,8 @@ def test_simulate_ambiguous_branch_is_an_error():
 
 def test_simulate_is_deterministic():
     graph = _fixture_graph()
-    first = "\n".join(bh.format_action(a) for a in bh.simulate(graph, _route_2()))
-    second = "\n".join(bh.format_action(a) for a in bh.simulate(graph, _route_2()))
+    first = "\n".join(bh.format_event(a) for a in bh.simulate(graph, _route_2()))
+    second = "\n".join(bh.format_event(a) for a in bh.simulate(graph, _route_2()))
     assert first == second
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from mfmkit.consistency import (
     OwnershipError,
     Violation,
 )
+from mfmkit.paths import PathError
 
 
 def _complete() -> mm.ModuleModel:
@@ -294,31 +296,31 @@ def test_custom_matrix_replaces_default():
 # ---------------------------------------------------------------------------
 
 def test_discipline_of_longest_prefix():
-    m = _complete()
-    ownership = cc.default_ownership()
-    assert cc.discipline_of(m, "m/control/variables/i_s1", ownership) == "software"
-    assert cc.discipline_of(m, "m/control/io_mapping/0", ownership) == "electrical"
-    assert cc.discipline_of(m, "m/control/platform", ownership) == "electrical"
-    assert cc.discipline_of(m, "m/components/S1", ownership) == "mechanical"
-    assert cc.discipline_of(m, "m/interface/ports/input", ownership) == "logistics"
-    assert cc.discipline_of(m, "m/general/identification", ownership) == "logistics"
+    owner = cc.owners(mm.Resolver(_complete()), cc.default_ownership())
+    assert owner("m/control/variables/i_s1") == "software"
+    assert owner("m/control/io_mapping/0") == "electrical"
+    assert owner("m/control/platform") == "electrical"
+    assert owner("m/components/S1") == "mechanical"
+    assert owner("m/interface/ports/input") == "logistics"
+    assert owner("m/general/identification") == "logistics"
 
 
 def test_documents_own_themselves():
     m = mm.new_module("m", "")
     m = mm.add_document(m, mm.DocumentReference(
         id="wiring", discipline="electrical", stage="electrical_eng"))
-    assert cc.discipline_of(m, "m/documents/wiring", cc.default_ownership()) == "electrical"
+    owner = cc.owners(mm.Resolver(m), cc.default_ownership())
+    assert owner("m/documents/wiring") == "electrical"
     with pytest.raises(OwnershipError):
-        cc.discipline_of(m, "m/documents/nope", cc.default_ownership())
+        owner("m/documents/nope")
 
 
 def test_root_and_foreign_paths_are_not_ownable():
-    m = mm.new_module("m", "")
+    owner = cc.owners(mm.Resolver(mm.new_module("m", "")), cc.default_ownership())
     with pytest.raises(OwnershipError):
-        cc.discipline_of(m, "m", cc.default_ownership())
+        owner("m")
     with pytest.raises(OwnershipError):
-        cc.discipline_of(m, "other/general", cc.default_ownership())
+        owner("other/general")
 
 
 def test_load_ownership_requires_full_coverage():
@@ -333,10 +335,10 @@ def test_default_ownership_gives_every_element_one_owner():
     m = _complete()
     m = mm.add_document(m, mm.DocumentReference(
         id="wiring", discipline="electrical", stage="electrical_eng"))
-    ownership = cc.default_ownership()
-    paths = [path for path, _node in mm.iter_elements(m) if path != m.id]
+    owner = cc.owners(mm.Resolver(m), cc.default_ownership())
+    paths = [path for _spec, path, _node in mm.walk(m) if path != m.id]
     assert len(paths) == len(set(paths))
-    owners = {path: cc.discipline_of(m, path, ownership) for path in paths}
+    owners = {path: owner(path) for path in paths}
     assert set(owners.values()) <= set(mm.DISCIPLINES)
     assert owners["m/documents/wiring"] == "electrical"
     assert owners["m/components/S1"] == "mechanical"
@@ -347,9 +349,10 @@ def test_default_ownership_gives_every_element_one_owner():
 def _recount(m: mm.ModuleModel, ownership: cc.OwnershipMap) -> tuple:
     """The workload counted one parameter at a time."""
     work = Counter({d: 0 for d in mm.DISCIPLINES})
+    owner = cc.owners(mm.Resolver(m), ownership)
     for path, _name, value, _unit in mm.iter_parameters(m):
         if value != "":
-            work[cc.discipline_of(m, path, ownership)] += 1
+            work[owner(path)] += 1
     return tuple(sorted(work.items()))
 
 
@@ -392,6 +395,33 @@ def test_assign_document_to_dangling_path_is_recorded_and_flagged():
 def test_assign_unknown_document_is_an_error():
     with pytest.raises(mm.ModelError, match="nope"):
         cc.assign_document(mm.new_module("m", ""), "nope", "m/general")
+
+
+_D1 = mm.DocumentReference(id="d1", discipline="mechanical", stage="mechanical_eng")
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"discipline": "bogus"}, mm.ModelError,
+     "invalid document reference discipline 'bogus'; "
+     "expected one of mechanical, electrical, software, logistics, process"),
+    ({"server_path": "bad\x01path"}, mm.ModelError,
+     "document reference server_path must not contain the character U+0001, "
+     "which XML cannot carry"),
+    ({"server_path": "bad\rpath"}, mm.ModelError,
+     "document reference server_path must not contain carriage returns"),
+    ({"assigned_element": "m/bad path"}, PathError,
+     "malformed path segment 'bad path' in 'm/bad path'"),
+])
+def test_documents_are_replaced_and_assigned_only_when_valid(fields, error, message):
+    m = mm.add_document(mm.new_module("m", ""), _D1)
+    bad = replace(_D1, **fields)
+    with pytest.raises(error) as caught:
+        mm.replace_document(m, bad)
+    assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        cc.assign_document(replace(m, documents=(bad,)), "d1",
+                           fields.get("assigned_element", "m/general"))
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import io
 import pytest
 
 from mfmkit import consistency as cc
-from mfmkit import exchange, fixture
+from mfmkit import caex_io, exchange, fixture
 from mfmkit import model as mm
 from mfmkit.exchange import HEADER, ExchangeError
 
@@ -313,6 +313,24 @@ def test_document_refreshed_by_name():
     assert doc.server_path == "srv://docs/layout/tjunction-v2.dae"
     assert doc.assigned_element == f"{m.id}/general"
     assert doc.discipline == "mechanical"
+
+
+@pytest.mark.parametrize("doc_path, message", [
+    ("bad\x01path", "document reference server_path must not contain the character U+0001, "
+                    "which XML cannot carry"),
+    ("bad\rpath", "document reference server_path must not contain carriage returns"),
+])
+def test_a_document_refresh_the_file_cannot_carry_applies_nothing(doc_path, message):
+    m = fixture.tjunction_model()
+    # a carriage return survives only in a quoted cell
+    row = f'{m.id}/components/Conv1,component_type,X,,layout-3d,"{doc_path}"\n'
+    table = _table() + row.encode()
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.element_path, v.message) for v in violations] == [
+        ("invalid-value", f"{m.id}/components/Conv1", message)]
+    assert updated == m
+    data = caex_io.serialize(caex_io.from_model(updated))
+    assert caex_io.to_model(caex_io.parse(data))[0] == m
 
 
 def test_document_path_without_name_skips_the_whole_row():

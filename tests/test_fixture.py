@@ -114,7 +114,7 @@ def test_behavior_graph_matches_manifest():
     assert graph.id == expected["graph_id"]
     assert [s.id for s in graph.steps] == expected["steps"]
     assert len(graph.edges) == expected["edge_count"]
-    assert behavior.entry_step(graph).id == expected["entry"]
+    assert behavior.validate_graph(graph)[0] == expected["entry"]
     assert graph.loop_edges == ()
 
 

@@ -128,7 +128,7 @@ def _import_row(rng: random.Random, m, elements: list[str]) -> tuple[str, ...]:
 def import_table_for(m, seed: int) -> bytes:
     """A seeded random table over `m` (see the module docstring)."""
     rng = random.Random(f"import-{m.id}-{seed}")
-    elements = [path for path, _node in mm.iter_elements(m)]
+    elements = [path for _spec, path, _node in mm.walk(m)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(exchange.HEADER)

@@ -40,15 +40,15 @@ def test_default_table_matches_published_sets():
     table = mapping.default_table()
     assert {e.class_path for e in table.entries} == set(PUBLISHED)
     for class_path, (interfaces, roles) in PUBLISHED.items():
-        assert mapping.interfaces_for(table, class_path) == frozenset(interfaces)
-        assert mapping.roles_for(table, class_path) == frozenset(roles)
+        entry = table.entry_for(class_path)
+        assert frozenset(entry.permitted_interfaces) == frozenset(interfaces)
+        assert frozenset(entry.permitted_roles) == frozenset(roles)
 
 
 def test_not_covered_class_is_none_not_empty():
     table = mapping.default_table()
-    assert mapping.roles_for(table, "Interface.Port") is None
-    assert mapping.interfaces_for(table, "Interface.Port") is None
-    assert mapping.roles_for(table, "Module") is None
+    assert table.entry_for("Interface.Port") is None
+    assert table.entry_for("Module") is None
 
 
 def test_every_entry_has_both_sides():

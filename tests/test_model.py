@@ -123,7 +123,7 @@ def test_add_cross_ref_rejects_self_reference():
 
 def test_path_round_trip_for_all_elements():
     m = _populated()
-    for path, node in mm.iter_elements(m):
+    for _spec, path, node in mm.walk(m):
         assert mm.resolve(m, path) == node
 
 
@@ -227,7 +227,7 @@ def _lookup_paths(m: mm.ModuleModel) -> list[str]:
 def test_an_unedited_resolver_agrees_with_resolve_and_returns_its_model():
     m = _populated()
     find = mm.Resolver(m)
-    paths = _lookup_paths(m) + [path for path, _node in mm.iter_elements(m)]
+    paths = _lookup_paths(m) + [path for _spec, path, _node in mm.walk(m)]
     assert [find(path) for path in paths] == [mm.resolve(m, path) for path in paths]
     assert find.model() is m
     assert find.element("m/general")[1] is None

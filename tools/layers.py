@@ -1,5 +1,5 @@
-"""Time the trace reader, the two simulators and the bulk model writers in
-process, into a BENCH_*.json file.
+"""Time the behavior readers, the two simulators, the SFC generation and the
+bulk model writers in process, into a BENCH_*.json file.
 
     python3 tools/layers.py LABEL OUT.json
 
@@ -9,7 +9,9 @@ transport units of the behavior-replay workload, 10^3 to 10^5 trace
 events). Each of `behavior.parse_trace` (on the trace's text),
 `behavior.simulate` and `sfc.simulate_sfc` runs RUNS times per trace under
 `perf_counter`; the median and quartiles are kept. A walk that raises
-SimulationError is recorded as its message, not as a time.
+SimulationError is recorded as its message, not as a time. The graph itself
+goes through `behavior.parse_behavior` (on its text), `behavior.to_iml` and
+`sfc.iml_to_sfc` RUNS times each, with the same statistics.
 
 The bulk writers run on `bench/gen.py` models (seed 1, a quarter of the
 cells withheld) of each size in SIZES, MODEL_RUNS times each, keeping the
@@ -65,7 +67,19 @@ def _inputs():
     for passes in PASSES:
         text, _expected, events = gen.build_trace(spec, rng, passes)
         traces[passes] = (events, text, behavior.parse_trace(text))
-    return model, graph, program, traces
+    return model, spec.text, graph, program, traces
+
+
+def _graph_layers(model, text: str, graph) -> dict:
+    iml = behavior.to_iml(graph)
+    layers = {
+        "behavior.parse_behavior": lambda: behavior.parse_behavior(text),
+        "behavior.to_iml": lambda: behavior.to_iml(graph),
+        "sfc.iml_to_sfc": lambda: sfc.iml_to_sfc(iml, model),
+    }
+    for call in layers.values():  # warm-up, untimed
+        call()
+    return {name: _time(call) for name, call in layers.items()}
 
 
 def _new_document_table(model) -> bytes:
@@ -115,7 +129,7 @@ def _time(call, runs: int = RUNS) -> dict:
 
 
 def main(label: str, out: Path) -> None:
-    model, graph, program, traces = _inputs()
+    model, behavior_text, graph, program, traces = _inputs()
     layers = {
         "behavior.parse_trace": lambda text, trace: behavior.parse_trace(text),
         "behavior.simulate": lambda text, trace: behavior.simulate(graph, trace),
@@ -127,6 +141,7 @@ def main(label: str, out: Path) -> None:
         name: [{"passes": passes, "events": events, **_time(lambda: run(text, trace))}
                for passes, (events, text, trace) in traces.items()]
         for name, run in layers.items()}
+    figures.update(_graph_layers(model, behavior_text, graph))
     figures.update(_model_layers())
     data = json.loads(out.read_text("utf-8")) if out.exists() else {}
     data["input"] = {
