@@ -16,83 +16,53 @@ The package splits along the workflow:
 - exchange: the six-column parameter table round trip
 - fixture: the T-junction example module
 - cli: the `mfmkit` command
+
+`import mfmkit` loads none of them. Each submodule is loaded on first use:
+`mfmkit.parse`, `mfmkit.caex_io` and `from mfmkit import caex_io` import
+`caex_io` then (PEP 562), so a command pays at start-up only for the
+modules it runs. Every name in `__all__` is the object of its home module.
 """
 from __future__ import annotations
 
-from .behavior import (
-    BehaviorGraph,
-    BehaviorGraphError,
-    BehaviorParseError,
-    ImlDocument,
-    SimulationError,
-    TraceEvent,
-    parse_behavior,
-    parse_trace,
-    simulate,
-    to_iml,
-)
-from .caex_io import StructureError, from_model, parse, serialize, to_model
-from .consistency import (
-    DependencyReport,
-    OwnershipError,
-    Violation,
-    check_completeness,
-    check_links,
-    dependency_report,
-    format_violation,
-)
-from .exchange import ExchangeError, export_table, import_table
-from .fixture import tjunction_model
-from .mapping import (
-    AssignmentViolation,
-    MappingRuleTable,
-    class_path_of,
-    default_table,
-    validate_assignments,
-)
-from .model import ModelError, ModuleModel
-from .sfc import BindingError, SfcProgram, emit_plcopen, iml_to_sfc, parse_plcopen, simulate_sfc
+import sys
 
-__all__ = [
-    "AssignmentViolation",
-    "BehaviorGraph",
-    "BehaviorGraphError",
-    "BehaviorParseError",
-    "BindingError",
-    "DependencyReport",
-    "ExchangeError",
-    "ImlDocument",
-    "MappingRuleTable",
-    "ModelError",
-    "ModuleModel",
-    "OwnershipError",
-    "SfcProgram",
-    "SimulationError",
-    "StructureError",
-    "TraceEvent",
-    "Violation",
-    "check_completeness",
-    "check_links",
-    "class_path_of",
-    "default_table",
-    "dependency_report",
-    "emit_plcopen",
-    "export_table",
-    "format_violation",
-    "from_model",
-    "import_table",
-    "iml_to_sfc",
-    "parse",
-    "parse_behavior",
-    "parse_plcopen",
-    "parse_trace",
-    "serialize",
-    "simulate",
-    "simulate_sfc",
-    "tjunction_model",
-    "to_iml",
-    "to_model",
-    "validate_assignments",
-]
+#: The public names, by home module.
+_EXPORTS = {
+    "behavior": (
+        "BehaviorGraph", "BehaviorGraphError", "BehaviorParseError", "ImlDocument",
+        "SimulationError", "TraceEvent", "parse_behavior", "parse_trace", "simulate", "to_iml"),
+    "caex_io": ("StructureError", "from_model", "parse", "serialize", "to_model"),
+    "consistency": (
+        "DependencyReport", "OwnershipError", "Violation", "check_completeness", "check_links",
+        "dependency_report", "format_violation"),
+    "exchange": ("ExchangeError", "export_table", "import_table"),
+    "fixture": ("tjunction_model",),
+    "mapping": (
+        "AssignmentViolation", "MappingRuleTable", "class_path_of", "default_table",
+        "validate_assignments"),
+    "model": ("ModelError", "ModuleModel"),
+    "sfc": (
+        "BindingError", "SfcProgram", "emit_plcopen", "iml_to_sfc", "parse_plcopen",
+        "simulate_sfc"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "paths", "xmlio"}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name, name if name in _SUBMODULES else None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{home}"
+    __import__(module)  # the import statement's own path, which -X importtime reports
+    value = sys.modules[module] if home == name else getattr(sys.modules[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

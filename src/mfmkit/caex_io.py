@@ -20,7 +20,8 @@ documents produce equal bytes, and attribute values are never re-formatted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import model as mm
 from .consistency import (
@@ -53,9 +54,10 @@ class StructureError(ValueError):
 # ---------------------------------------------------------------------------
 # Document tree
 # ---------------------------------------------------------------------------
+# Plain named tuples: the reader builds one per element, and a tuple costs a
+# fraction of a frozen dataclass to define at import and to build per record.
 
-@dataclass(frozen=True, slots=True)
-class CaexAttribute:
+class CaexAttribute(NamedTuple):
     name: str
     value: str = ""
     data_type: str = ""
@@ -63,15 +65,13 @@ class CaexAttribute:
     children: tuple["CaexAttribute", ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CaexInterface:
+class CaexInterface(NamedTuple):
     name: str
     interface_class: str = ""
     attributes: tuple[CaexAttribute, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CaexElement:
+class CaexElement(NamedTuple):
     name: str
     id: str = ""
     attributes: tuple[CaexAttribute, ...] = ()
@@ -80,21 +80,18 @@ class CaexElement:
     children: tuple["CaexElement", ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CaexHierarchy:
+class CaexHierarchy(NamedTuple):
     name: str
     elements: tuple[CaexElement, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CaexLink:
+class CaexLink(NamedTuple):
     name: str
     side_a: str
     side_b: str
 
 
-@dataclass(frozen=True, slots=True)
-class CaexDocument:
+class CaexDocument(NamedTuple):
     role_class_lib_refs: tuple[str, ...] = ()
     interface_class_lib_refs: tuple[str, ...] = ()
     instance_hierarchies: tuple[CaexHierarchy, ...] = ()
@@ -229,47 +226,47 @@ class _ModelBuilder:
             self.warn(RULE_INVALID_VALUE, path, str(exc))
             return None
 
-    def annotate(self, element: CaexElement, path: str) -> None:
+    def annotate(self, roles: tuple[str, ...], interfaces: tuple[CaexInterface, ...],
+                 path: str) -> None:
         # paths the reader builds always name the element it has just stored
         empty = mm.Annotation()
-        if element.role_requirements:
-            ann = self.checked(path, mm.check_roles, self.annotations.get(path, empty),
-                               element.role_requirements)
+        if roles:
+            ann = self.checked(path, mm.check_roles, self.annotations.get(path, empty), roles)
             if ann is not None:
                 self.annotations[path] = ann
-        for interface in element.external_interfaces:
+        for name, interface_class, attributes in interfaces:
             uri = ""
-            for attribute in interface.attributes:
+            for attribute in attributes:
                 if attribute.name == "refURI" and not attribute.children:
                     uri = attribute.value
                 else:
                     self.warn(RULE_UNKNOWN_PARAMETER, path,
                               f"unsupported interface attribute '{attribute.name}' ignored")
             ann = self.checked(path, mm.check_external_ref, self.annotations.get(path, empty),
-                               path, mm.ExternalRef(interface.name, interface.interface_class, uri))
+                               path, mm.ExternalRef(name, interface_class, uri))
             if ann is not None:
                 self.annotations[path] = ann
 
-    def values(self, spec: mm.ElementSpec, element: CaexElement, path: str):
-        """Parameter values of one element, the names of those checked here
-        (given, non-empty and not the default) and its open-set attributes.
-        A rejected or absent value is the parameter's default text."""
+    def values(self, spec: mm.ElementSpec, attributes: tuple[CaexAttribute, ...], path: str):
+        """Parameter values of one element, given its attributes, the names
+        of those checked here (given, non-empty and not the default) and its
+        open-set attributes. A rejected or absent value is the parameter's
+        default text."""
         given: dict[str, str] = {}
         extra: list[CaexAttribute] = []
-        for attribute in element.attributes:
-            if attribute.children:
-                self.warn(RULE_UNKNOWN_PARAMETER, path,
-                          f"nested attribute '{attribute.name}' ignored")
-            elif attribute.name in given:
-                self.warn(RULE_INVALID_VALUE, path,
-                          f"duplicate attribute '{attribute.name}' ignored")
-            elif attribute.name in spec.names:
-                given[attribute.name] = attribute.value
+        names = spec.names
+        for attribute in attributes:
+            name, value, _data_type, _unit, children = attribute
+            if children:
+                self.warn(RULE_UNKNOWN_PARAMETER, path, f"nested attribute '{name}' ignored")
+            elif name in given:
+                self.warn(RULE_INVALID_VALUE, path, f"duplicate attribute '{name}' ignored")
+            elif name in names:
+                given[name] = value
             elif spec.extra:
                 extra.append(attribute)
             else:
-                self.warn(RULE_UNKNOWN_PARAMETER, path,
-                          f"unknown attribute '{attribute.name}' ignored")
+                self.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{name}' ignored")
         fields = {}
         checked = set()
         for param in spec.params:
@@ -286,7 +283,7 @@ class _ModelBuilder:
 
     def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         """Read a single element (root, container or singleton) and its children."""
-        fields, checked, extra = self.values(spec, element, path)
+        fields, checked, extra = self.values(spec, element.attributes, path)
         node = self.edit.part(spec)
         if fields:
             node = self.checked(path, mm.check_node, spec, replace(node, **fields), checked) or node
@@ -301,8 +298,8 @@ class _ModelBuilder:
                     taken.add(added.name)
             node = replace(node, **{spec.extra: tuple(attrs)})
         self.edit.put(spec, None, node)
-        self.annotate(element, path)
-        self.children(spec, element, path)
+        self.annotate(element.role_requirements, element.external_interfaces, path)
+        self.children(spec, element.children, path)
 
     def read_list(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         if element.role_requirements or element.external_interfaces:
@@ -314,23 +311,26 @@ class _ModelBuilder:
         indexed = spec.key == "index"
         taken = () if indexed else self.edit.keys(spec)
         for position, entry in enumerate(element.children):
+            name, _id, attributes, roles, interfaces, children = entry
             # warnings name the entry's position in the file; annotations go
             # to the index the entry actually got
-            entry_path = join_path(path, str(position) if indexed else entry.name)
-            fields, checked, _extra = self.values(spec, entry, entry_path)
+            entry_path = join_path(path, str(position) if indexed else name)
+            fields, checked, _extra = self.values(spec, attributes, entry_path)
             if not indexed:
-                fields[spec.key] = entry.name
+                fields[spec.key] = name
             node = self.checked(
                 entry_path, mm.check_entry, spec, spec.node_type(**fields), taken, checked)
             if node is not None:
                 added = self.edit.append(spec, node)
-                self.annotate(entry, join_path(path, str(added)) if indexed else entry_path)
-            self.children(spec, entry, entry_path)
+                self.annotate(roles, interfaces,
+                              join_path(path, str(added)) if indexed else entry_path)
+            self.children(spec, children, entry_path)
 
-    def children(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
+    def children(self, spec: mm.ElementSpec, elements: tuple[CaexElement, ...],
+                 path: str) -> None:
         known = mm.CHILDREN[spec.path]
         seen: set[str] = set()
-        for child in element.children:
+        for child in elements:
             child_spec = known.get(child.name)
             if child_spec is None:
                 self.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")

@@ -21,6 +21,12 @@ structured` switches the human-readable lines to JSON records, one per line.
 Rule table, coverage matrix, and ownership map resolve in this order: an
 explicit flag path, then the matching file inside $MFMKIT_RULES_DIR (when
 the variable is set and the file exists), then the embedded default.
+
+Each command imports the modules it runs when it runs: reading and checking
+a model loads `caex_io`, `consistency` and `model`, while `mapping`,
+`exchange`, `behavior`, `sfc` and `fixture` are imported inside the
+commands that use them. They stay attributes of this module (`cli.mapping`),
+loaded on first access.
 """
 from __future__ import annotations
 
@@ -32,12 +38,22 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import behavior, caex_io, exchange, fixture, mapping, sfc
+from . import caex_io
 from . import consistency as cc
 from . import model as mm
 from .caex_io import StructureError
-from .exchange import ExchangeError
 from .xmlio import XmlError
+
+#: Submodules that only some commands run: imported inside those commands,
+#: and on first access as attributes of this module.
+_ON_USE = frozenset({"behavior", "exchange", "fixture", "mapping", "sfc"})
+
+
+def __getattr__(name: str):
+    if name in _ON_USE:
+        return getattr(sys.modules[__package__], name)  # the package imports it
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 RULES_DIR_ENV = "MFMKIT_RULES_DIR"
 
@@ -76,11 +92,15 @@ def _data_text(filename: str) -> str:
 
 
 #: Each config file by its flag's name: its file name (in $MFMKIT_RULES_DIR
-#: and in the embedded data), loader, loader error and error label.
+#: and in the embedded data), the module holding its loader, the loader and
+#: its error, and the error label. The module is imported when the file is
+#: loaded.
 _CONFIGS = {
-    "rules": ("rules.txt", mapping.load_table, mapping.RuleTableError, "bad rule table"),
-    "matrix": ("coverage_matrix.txt", cc.load_matrix, cc.MatrixError, "bad coverage matrix"),
-    "ownership": ("ownership.txt", cc.load_ownership, cc.OwnershipError, "bad ownership map"),
+    "rules": ("rules.txt", "mapping", "load_table", "RuleTableError", "bad rule table"),
+    "matrix": ("coverage_matrix.txt", "consistency", "load_matrix", "MatrixError",
+               "bad coverage matrix"),
+    "ownership": ("ownership.txt", "consistency", "load_ownership", "OwnershipError",
+                  "bad ownership map"),
 }
 
 
@@ -88,7 +108,9 @@ def _config(args: argparse.Namespace, kind: str):
     """Load one config file: the flag's path, else the file inside
     $MFMKIT_RULES_DIR when the variable is set and the file exists, else the
     embedded default."""
-    filename, load, error_type, label = _CONFIGS[kind]
+    filename, home, loader, error_name, label = _CONFIGS[kind]
+    module = getattr(sys.modules[__package__], home)
+    load, error_type = getattr(module, loader), getattr(module, error_name)
     path = getattr(args, kind, None)
     rules_dir = os.environ.get(RULES_DIR_ENV)
     if not path and rules_dir and (Path(rules_dir) / filename).is_file():
@@ -141,6 +163,8 @@ def _load_model(path: str, fmt: str, stream=None) -> mm.ModuleModel:
 def _load_behavior(path: str, parse):
     """A behavior graph or a trace: the text file at `path` read by `parse`
     (behavior.parse_behavior or behavior.parse_trace)."""
+    from . import behavior
+
     text = _read_text(path)
     try:
         return parse(text)
@@ -177,6 +201,8 @@ def _emit_violation(fmt: str, file: str, violation: cc.Violation, stream=None) -
 
 
 def _describe_assignment(violation: mapping.AssignmentViolation) -> str:
+    from . import mapping
+
     permitted = ", ".join(violation.permitted) or "none"
     if violation.kind == mapping.KIND_MISSING_ROLE:
         return f"no role assigned; permitted: {permitted}"
@@ -213,6 +239,8 @@ def _emit_note(fmt: str, file: str, rule: str, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from . import mapping
+
     table = _config(args, "rules")
     exit_code = EXIT_CLEAN
     for file in args.files:
@@ -260,6 +288,8 @@ def _cmd_link_check(args: argparse.Namespace) -> int:
 
 def _bound_program(model: mm.ModuleModel,
                    graph: behavior.BehaviorGraph) -> sfc.SfcProgram | cc.Violation:
+    from . import behavior, sfc
+
     try:
         return sfc.iml_to_sfc(behavior.to_iml(graph), model)
     except sfc.SfcError as error:
@@ -267,6 +297,8 @@ def _bound_program(model: mm.ModuleModel,
 
 
 def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
+    from . import behavior, sfc
+
     model = _load_model(args.model, args.format)
     graph = _load_behavior(args.behavior, behavior.parse_behavior)
     program = _bound_program(model, graph)
@@ -289,6 +321,8 @@ def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import behavior, sfc
+
     # stdout carries the event list, so the reader's warnings go to stderr
     model = _load_model(args.model, args.format, sys.stderr)
     graph = _load_behavior(args.behavior, behavior.parse_behavior)
@@ -325,6 +359,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_table(args: argparse.Namespace) -> int:
+    from . import exchange
+
     # stdout may carry the table, so the reader's warnings go to stderr
     model = _load_model(args.file, args.format, sys.stderr)
     matrix = _config(args, "matrix")
@@ -332,7 +368,7 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
         data = exchange.export_table(
             model, stage=args.stage, cls=args.cls,
             missing_only=args.missing_only, matrix=matrix)
-    except ExchangeError as error:
+    except exchange.ExchangeError as error:
         raise _CliFailure(str(error)) from None
     except cc.MatrixError as error:
         raise _CliFailure(f"bad coverage matrix: {error}") from None
@@ -345,12 +381,14 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_table(args: argparse.Namespace) -> int:
+    from . import exchange
+
     model = _load_model(args.file, args.format)
     table = _read_bytes(args.table)
     ownership = _config(args, "ownership")
     try:
         updated, violations = exchange.import_table(model, table, ownership=ownership)
-    except ExchangeError as error:
+    except exchange.ExchangeError as error:
         raise _CliFailure(f"{args.table}: {error}") from None
     for violation in violations:
         _emit_violation(args.format, args.table, violation)
@@ -367,17 +405,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _emit_violation(args.format, args.file, cc.Violation(
             cc.RULE_UNOWNABLE_ENDPOINT, cc.SEVERITY_ERROR, model.id, str(error)))
         return EXIT_FINDINGS
+    refs, workload = report.ref_shares(), report.workload_shares()
     if args.format == FORMAT_STRUCTURED:
-        for source, target, count in report.cells:
+        for source, target, count, share in refs:
             _record({
                 "record": "dependency", "source": source, "target": target,
-                "refs": count, "share": round(count / report.total_refs, 6),
+                "refs": count, "share": round(share, 6),
             })
-        for discipline, count in report.workload:
+        for discipline, count, share in workload:
             _record({
                 "record": "workload", "discipline": discipline, "parameters": count,
-                "share": (round(count / report.total_params, 6)
-                          if report.total_params else 0.0),
+                "share": round(share, 6),
             })
         _record({
             "record": "summary",
@@ -388,19 +426,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print("dependencies (cross-references between disciplines):")
     if report.total_refs == 0:
         print("  no references")
-    for source, target, count in report.cells:
-        share = count / report.total_refs
+    for source, target, count, share in refs:
         print(f"  {source} -> {target}: {count} ({share:.3f})")
     print(f"  total: {report.total_refs}")
     print("workload (populated parameters per discipline):")
-    for discipline, count in report.workload:
-        share = count / report.total_params if report.total_params else 0.0
+    for discipline, count, share in workload:
         print(f"  {discipline}: {count} ({share:.3f})")
     print(f"  total: {report.total_params}")
     return EXIT_CLEAN
 
 
 def _cmd_init_example(args: argparse.Namespace) -> int:
+    from . import fixture, mapping
+
     target = Path(args.dir)
     try:
         target.mkdir(parents=True, exist_ok=True)

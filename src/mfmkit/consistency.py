@@ -420,8 +420,10 @@ class DependencyReport:
     """Cross-reference counts between disciplines plus workload shares.
 
     `cells` holds (source discipline, target discipline, count) for every
-    non-empty cell, sorted; fractions are count/total_refs. `workload` holds
-    (discipline, populated parameter count) for all disciplines.
+    non-empty cell, sorted. `workload` holds (discipline, populated
+    parameter count) for all disciplines. A share is a count over its total,
+    0.0 when the total is 0; `ref_shares` and `workload_shares` give every
+    row with its share, and `fraction` and `workload_fraction` one share.
     """
 
     cells: tuple[tuple[str, str, int], ...]
@@ -429,21 +431,25 @@ class DependencyReport:
     workload: tuple[tuple[str, int], ...]
     total_params: int
 
+    def ref_shares(self) -> list[tuple[str, str, int, float]]:
+        """(source, target, count, share) for every cell."""
+        return [(a, b, count, _share(count, self.total_refs)) for a, b, count in self.cells]
+
+    def workload_shares(self) -> list[tuple[str, int, float]]:
+        """(discipline, count, share) for every discipline."""
+        return [(d, count, _share(count, self.total_params)) for d, count in self.workload]
+
     def fraction(self, source: str, target: str) -> float:
-        if self.total_refs == 0:
-            return 0.0
-        for a, b, count in self.cells:
-            if (a, b) == (source, target):
-                return count / self.total_refs
-        return 0.0
+        shares = {(a, b): share for a, b, _count, share in self.ref_shares()}
+        return shares.get((source, target), 0.0)
 
     def workload_fraction(self, discipline: str) -> float:
-        if self.total_params == 0:
-            return 0.0
-        for d, count in self.workload:
-            if d == discipline:
-                return count / self.total_params
-        return 0.0
+        shares = {d: share for d, _count, share in self.workload_shares()}
+        return shares.get(discipline, 0.0)
+
+
+def _share(count: int, total: int) -> float:
+    return count / total if total else 0.0
 
 
 def dependency_report(

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, indexOf
 from typing import Any, Callable
 
 from .paths import PathError, is_name, join_path, split_path
@@ -746,7 +747,7 @@ def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     validated as check_node validates it."""
     spec = spec_of(doc)
     edit = Resolver(model)
-    index = edit.keys(spec).get(doc.id)
+    index = edit._find(spec, doc.id)
     if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
     edit.put(spec, index, check_node(spec, doc))
@@ -758,33 +759,40 @@ def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> Mo
 
     Dangling endpoints are permitted here; the consistency checks flag them.
     Inserting the same (source, target, kind) triple twice is a no-op. Each
-    call scans and copies the whole list; the file reader validates every
-    link with check_cross_ref and removes repeats through one set instead.
+    call compares the sources, then, if one is equal, the triples of every
+    reference, and copies the list, all at C level; the file reader
+    validates every link with check_cross_ref and removes repeats through
+    one set instead.
     """
     ref = check_cross_ref(source, target, kind)
-    if ref in model.cross_refs:
+    refs = model.cross_refs
+    fields = attrgetter("source", "target", "kind")
+    if ref.source in map(attrgetter("source"), refs) and fields(ref) in map(fields, refs):
         return model
-    return replace(model, cross_refs=model.cross_refs + (ref,))
+    return replace(model, cross_refs=refs + (ref,))
 
 
 # ---------------------------------------------------------------------------
 # Annotations
 # ---------------------------------------------------------------------------
 
+def _slot(annotations: tuple, path: str) -> tuple[int, bool]:
+    """Where `path` sits in annotations sorted by path: its position, and
+    whether an annotation is stored there (a binary search)."""
+    index = bisect_left(annotations, (path,))
+    return index, index < len(annotations) and annotations[index][0] == path
+
+
 def annotation_at(model: ModuleModel, path: str) -> Annotation:
-    for key, ann in model.annotations:
-        if key == path:
-            return ann
-    return Annotation()
+    index, found = _slot(model.annotations, path)
+    return model.annotations[index][1] if found else Annotation()
 
 
 def _set_annotation(model: ModuleModel, path: str, ann: Annotation) -> ModuleModel:
-    items = {k: a for k, a in model.annotations}
-    if ann.roles or ann.external_refs:
-        items[path] = ann
-    else:
-        items.pop(path, None)
-    return replace(model, annotations=tuple(sorted(items.items())))
+    annotations = model.annotations
+    index, found = _slot(annotations, path)
+    kept = ((path, ann),) if ann.roles or ann.external_refs else ()
+    return replace(model, annotations=annotations[:index] + kept + annotations[index + found:])
 
 
 def _require_element(model: ModuleModel, path: str) -> None:
@@ -902,9 +910,11 @@ class Resolver:
     """resolve() for a batch of paths of one model, and the working copy of
     a bulk edit of it.
 
-    Each keyed list is indexed (key -> position) on its first lookup, so a
-    lookup costs a dictionary probe instead of a scan of its list; one
-    resolver per operation keeps a whole check, table or file read linear.
+    The first lookup of a key in a keyed list finds it by a C-level scan of
+    the list's keys, so a resolver made for one lookup does no Python-level
+    work per entry. From the second lookup on, the list is indexed (key ->
+    position) and a lookup costs a dictionary probe; one resolver per
+    operation keeps a whole check, table or file read linear.
     A resolver that is never edited looks up the model it was given, and
     model() is that model.
 
@@ -920,6 +930,7 @@ class Resolver:
         self.id = model.id
         self._parts: dict[tuple[str, ...], Any] = {}  # edited elements and lists
         self._positions: dict[tuple[str, ...], dict[str, int]] = {}
+        self._scanned: set[tuple[str, ...]] = set()  # lists searched once, unindexed
 
     def part(self, spec: ElementSpec):
         """The current element, or sequence of entries, at `spec`: as last
@@ -940,6 +951,16 @@ class Resolver:
                 positions.setdefault(getattr(entry, spec.key), index)
         return positions
 
+    def _find(self, spec: ElementSpec, key: str) -> int | None:
+        """Position of the first entry keyed `key` in the list of `spec`, or None."""
+        if spec.path in self._positions or spec.path in self._scanned:
+            return self.keys(spec).get(key)
+        self._scanned.add(spec.path)
+        try:
+            return indexOf(map(attrgetter(spec.key), self.part(spec)), key)
+        except ValueError:
+            return None
+
     def _locate(self, path: str):
         """(spec, entry position, node, segments below the node) for `path`.
 
@@ -957,7 +978,7 @@ class Resolver:
         if spec.key == "index":
             index = _position(tail[0])
         else:
-            index = self.keys(spec).get(tail[0])
+            index = self._find(spec, tail[0])
         if index is None or index >= len(node):
             return spec, None, None, tail[1:]
         return spec, index, node[index], tail[1:]

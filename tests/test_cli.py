@@ -426,6 +426,31 @@ def test_report_text(work):
     assert "  total: 25" in lines
 
 
+DEMO_REPORT = """\
+dependencies (cross-references between disciplines):
+  electrical -> software: 8 (0.320)
+  logistics -> mechanical: 6 (0.240)
+  logistics -> software: 2 (0.080)
+  mechanical -> electrical: 3 (0.120)
+  mechanical -> mechanical: 2 (0.080)
+  mechanical -> software: 3 (0.120)
+  software -> electrical: 1 (0.040)
+  total: 25
+workload (populated parameters per discipline):
+  electrical: 42 (0.316)
+  logistics: 18 (0.135)
+  mechanical: 43 (0.323)
+  process: 0 (0.000)
+  software: 30 (0.226)
+  total: 133
+"""
+
+
+def test_report_text_on_demo_is_pinned(work, capsys):
+    assert cli.main(["report", work["model"]]) == 0
+    assert capsys.readouterr().out == DEMO_REPORT
+
+
 def test_report_structured_normalizes_to_one(work):
     result = run("report", work["model"], "--format", "structured")
     records = [json.loads(line) for line in result.stdout.splitlines()]

@@ -1,4 +1,4 @@
-"""The read path, the checks and the table exchange scale linearly.
+"""The builders, the read path, the checks and the table exchange scale linearly.
 
 Work is counted as Python line events (sys.settrace), not timed, so the test
 does not depend on the machine: quadrupling the model size multiplies the
@@ -78,6 +78,7 @@ def _operations(n: int) -> dict:
     new_documents = _component_table(m, lambda i: f"new-{i}")
     reassigned = _component_table(m, lambda i: m.documents[i % len(m.documents)].id)
     return {
+        "builders (sized_model)": lambda: sized_model(n),
         "to_model": lambda: caex_io.to_model(doc),
         "check_links": lambda: cc.check_links(m),
         "check_completeness": lambda: cc.check_completeness(m, "control_hmi_eng"),
@@ -95,8 +96,9 @@ def counts() -> dict:
 
 
 @pytest.mark.parametrize("operation", [
-    "to_model", "check_links", "check_completeness", "export_table --missing-only",
-    "import_table", "import_table new document per row", "import_table reassign per row"])
+    "builders (sized_model)", "to_model", "check_links", "check_completeness",
+    "export_table --missing-only", "import_table", "import_table new document per row",
+    "import_table reassign per row"])
 def test_work_grows_linearly_with_model_size(counts, operation):
     small, large = counts[operation]
     assert large / small <= MAX_RATIO, f"{operation}: {small} -> {large} line events"

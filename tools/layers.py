@@ -1,5 +1,6 @@
 """Time the behavior readers, the two simulators, the SFC generation and the
-bulk model writers in process, into a BENCH_*.json file.
+bulk model writers in process, and the start-up of whole commands, into a
+BENCH_*.json file.
 
     python3 tools/layers.py LABEL OUT.json
 
@@ -21,6 +22,15 @@ and `exchange.import_table` on a table that gives every component a new
 type and a new document. `caex_io.to_model.calls` is the cProfile count
 of function calls of one `to_model` run.
 
+The start-up section runs commands as fresh processes on the init-example
+demo set. `python -X importtime` gives each mfmkit module's self time (the
+median over STARTUP_RUNS runs, in microseconds, compiling included) for
+`-c "import mfmkit.cli"` and for `-m mfmkit validate model.aml`; the wall
+time of whole processes (median and quartiles over STARTUP_RUNS rounds, the
+commands alternating within a round) is taken for bare `python3 -c pass`,
+`-m mfmkit --help` and the validate, report, export-table and simulate
+commands.
+
 mfmkit is imported from the `src/` next to this script, so running the
 copy in another checkout measures that checkout. The figures are merged
 into OUT.json under LABEL (for example `parent` and `change`), so one file
@@ -37,7 +47,9 @@ import pstats
 import platform
 import random
 import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -54,6 +66,16 @@ PASSES = (170, 425, 1070, 2690, 6760, 17000)
 RUNS = 5
 SIZES = (800, 3200)
 MODEL_RUNS = 7
+STARTUP_RUNS = 11
+#: Start-up command lines, run in the demo directory; None is bare `python3 -c pass`.
+STARTUP_COMMANDS = {
+    "python3 -c pass": None,
+    "mfmkit --help": ["--help"],
+    "mfmkit validate": ["validate", "model.aml"],
+    "mfmkit report": ["report", "model.aml"],
+    "mfmkit export-table": ["export-table", "model.aml"],
+    "mfmkit simulate": ["simulate", "model.aml", "behavior.bhv", "traces/route-1.trace"],
+}
 
 
 def _inputs():
@@ -114,6 +136,48 @@ def _model_layers() -> dict:
     return figures
 
 
+def _startup() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(args: list, cwd, stderr=subprocess.DEVNULL) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
+                              stdout=subprocess.DEVNULL, stderr=stderr, text=True)
+
+    def module_self_us(args: list, cwd) -> dict:
+        runs: dict[str, list] = {}
+        for _ in range(STARTUP_RUNS):
+            report = run(["-X", "importtime", *args], cwd, subprocess.PIPE).stderr
+            for line in report.splitlines():  # "import time: SELF | CUMULATIVE | NAME"
+                self_us, _cumulative, name = line.removeprefix("import time:").split("|")
+                name = name.strip()
+                if name.startswith("mfmkit") and self_us.strip().isdigit():
+                    runs.setdefault(name, []).append(int(self_us))
+        return {name: statistics.median(times) for name, times in sorted(runs.items())}
+
+    with tempfile.TemporaryDirectory() as scratch:
+        demo = Path(scratch) / "demo"
+        run(["-m", "mfmkit", "init-example", str(demo)], scratch)
+        walls: dict[str, list] = {name: [] for name in STARTUP_COMMANDS}
+        for _ in range(STARTUP_RUNS):
+            for name, argv in STARTUP_COMMANDS.items():
+                start = perf_counter()
+                run(["-c", "pass"] if argv is None else ["-m", "mfmkit", *argv], demo)
+                walls[name].append(perf_counter() - start)
+        figures = {
+            "importtime_self_us": {
+                "import mfmkit.cli": module_self_us(["-c", "import mfmkit.cli"], demo),
+                "mfmkit validate": module_self_us(
+                    ["-m", "mfmkit", "validate", "model.aml"], demo)},
+            "wall": {name: _quartiles(times) for name, times in walls.items()}}
+    return figures
+
+
+def _quartiles(times: list) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": round(median, 6), "q1_s": round(q1, 6), "q3_s": round(q3, 6),
+            "best_s": round(min(times), 6)}
+
+
 def _time(call, runs: int = RUNS) -> dict:
     times = []
     for _ in range(runs):
@@ -123,12 +187,11 @@ def _time(call, runs: int = RUNS) -> dict:
         except behavior.SimulationError as error:
             return {"error": str(error)}
         times.append(perf_counter() - start)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_s": round(median, 6), "q1_s": round(q1, 6), "q3_s": round(q3, 6),
-            "best_s": round(min(times), 6)}
+    return _quartiles(times)
 
 
 def main(label: str, out: Path) -> None:
+    startup = _startup()
     model, behavior_text, graph, program, traces = _inputs()
     layers = {
         "behavior.parse_trace": lambda text, trace: behavior.parse_trace(text),
@@ -143,11 +206,13 @@ def main(label: str, out: Path) -> None:
         for name, run in layers.items()}
     figures.update(_graph_layers(model, behavior_text, graph))
     figures.update(_model_layers())
+    figures["startup"] = startup
     data = json.loads(out.read_text("utf-8")) if out.exists() else {}
     data["input"] = {
         "model": f"bench/gen.py seed {SEED}, {COMPONENTS} components, {BRANCHES} arms",
         "passes": list(PASSES), "runs": RUNS,
-        "sizes": list(SIZES), "model_runs": MODEL_RUNS,
+        "sizes": list(SIZES), "model_runs": MODEL_RUNS, "startup_runs": STARTUP_RUNS,
+        "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count()}
     data[label] = figures
