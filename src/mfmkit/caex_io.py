@@ -189,6 +189,9 @@ def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: lis
         _find_module_roots(child, path, roots)
 
 
+_NO_ATTRIBUTE = CaexAttribute("")
+
+
 class _ModelBuilder:
     """Mutable assembly state for one to_model run.
 
@@ -200,10 +203,11 @@ class _ModelBuilder:
     builds the model once at the end, so reading costs one pass over the
     file instead of a copy of a list per entry.
 
-    A value that fails its validator is reported and replaced by the
-    parameter's default; an entry that cannot be added (bad or duplicate
-    key, missing component path, broken invariant) is reported and dropped
-    with its annotations. Absent and empty values take the default silently.
+    A value that fails its validator, or whose Unit is given and differs
+    from its parameter's unit, is reported and replaced by the parameter's
+    default; an entry that cannot be added (bad or duplicate key, missing
+    component path, broken invariant) is reported and dropped with its
+    annotations. Absent and empty values take the default silently.
     Each value is checked once: a given one by `values`, a default by
     model.check_node, which skips the parameters `values` checked.
     """
@@ -250,19 +254,19 @@ class _ModelBuilder:
     def values(self, spec: mm.ElementSpec, attributes: tuple[CaexAttribute, ...], path: str):
         """Parameter values of one element, given its attributes, the names
         of those checked here (given, non-empty and not the default) and its
-        open-set attributes. A rejected or absent value is the parameter's
-        default text."""
-        given: dict[str, str] = {}
+        open-set attributes. A value in a unit other than its parameter's,
+        a rejected value and an absent one are the parameter's default text."""
+        given: dict[str, CaexAttribute] = {}
         extra: list[CaexAttribute] = []
         names = spec.names
         for attribute in attributes:
-            name, value, _data_type, _unit, children = attribute
+            name, _value, _data_type, _unit, children = attribute
             if children:
                 self.warn(RULE_UNKNOWN_PARAMETER, path, f"nested attribute '{name}' ignored")
             elif name in given:
                 self.warn(RULE_INVALID_VALUE, path, f"duplicate attribute '{name}' ignored")
             elif name in names:
-                given[name] = value
+                given[name] = attribute
             elif spec.extra:
                 extra.append(attribute)
             else:
@@ -270,9 +274,12 @@ class _ModelBuilder:
         fields = {}
         checked = set()
         for param in spec.params:
-            text = given.get(param.name)
+            _name, text, _data_type, unit, _children = given.get(param.name, _NO_ATTRIBUTE)
             value = param.default
-            if text and text != param.default:
+            if unit and unit != param.unit:
+                self.warn(RULE_INVALID_VALUE, path, f"{spec.label} {param.name} has unit "
+                          f"{unit!r}; expected {repr(param.unit) if param.unit else 'none'}")
+            elif text and text != param.default:
                 try:
                     value = mm.check_value(spec, param, text)
                     checked.add(param.name)

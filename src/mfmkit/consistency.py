@@ -389,13 +389,12 @@ def assign_document(
     anyway and reported as a violation; replacing an existing assignment is
     reported as info.
     """
-    doc = None
-    for candidate in model.documents:
-        if candidate.id == doc_id:
-            doc = candidate
-            break
-    if doc is None:
+    edit = mm.Resolver(model)
+    spec = mm.CHILDREN[()]["documents"]
+    index = edit.position(spec, doc_id)
+    if index is None:
         raise mm.ModelError(f"unknown document id {doc_id!r}")
+    doc = model.documents[index]
     split_path(element_path)
     violations: list[Violation] = []
     anchor = join_path(model.id, "documents", doc.id)
@@ -403,12 +402,12 @@ def assign_document(
         violations.append(Violation(
             RULE_DOCUMENT_REASSIGNED, SEVERITY_INFO, anchor,
             f"assignment moved from '{doc.assigned_element}' to '{element_path}'"))
-    if mm.resolve(model, element_path) is None:
+    if edit(element_path) is None:
         violations.append(Violation(
             RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR, anchor,
             f"assigned element '{element_path}' does not resolve"))
-    updated = mm.replace_document(model, replace(doc, assigned_element=element_path))
-    return updated, violations
+    edit.put(spec, index, mm.check_node(spec, replace(doc, assigned_element=element_path)))
+    return edit.model(), violations
 
 
 # ---------------------------------------------------------------------------

@@ -6,26 +6,28 @@ cross-references. Models are immutable value snapshots: every operation
 returns a new model and never mutates its input, so snapshots can be shared
 freely across threads.
 
-All scalar values are stored as verbatim strings ("0.1", "(50,150,800)");
-units are implied by the field (mm for geometry, seconds for latency). An
+All scalar values are stored as verbatim strings ("0.1", "(50,150,800)"),
+in the unit their field declares (mm for geometry, s for latency). An
 empty string means "not populated yet". Values must not contain carriage
 returns or any character XML 1.0 cannot carry (the other controls except
 tab and line feed, surrogates, U+FFFE, U+FFFF), so that every model can be
 written and read back. Route priorities are ints; given as text, they must
 be canonical decimals ("7", not "07", "+7" or " 7").
 
-The shape of the model is declared once, in SCHEMA: one ElementSpec per
-element or entry list, with its parameters, units, defaults and validators.
-The builders, path resolution, the Resolver's bulk edits, set_parameter and
+Each parameter is declared once, as a param() field of its dataclass with
+its default, unit and validator. SCHEMA holds the structure: one ElementSpec
+per element or entry list, with its path, key, rule-table class and
+dataclass, whose param() fields become the spec's params. The builders,
+path resolution, the Resolver's bulk edits, set_parameter and
 remove_element here, and the file reader and writer, the rule classes, the
-completeness selectors and the table units elsewhere, all derive from it.
+completeness selectors and the table units elsewhere, all derive from them.
 """
 from __future__ import annotations
 
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter, indexOf
 from typing import Any, Callable
 
@@ -59,191 +61,6 @@ BASE_ROLE = "AutomationMLBaseRoleClassLib"
 
 class ModelError(ValueError):
     """Raised when a construction-time invariant would be broken."""
-
-
-# ---------------------------------------------------------------------------
-# Value types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Parameter:
-    """A named engineering-time value with an optional unit."""
-
-    name: str
-    value: str = ""
-    unit: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class Identification:
-    name: str = ""
-    identifier: str = ""
-    module_type: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class GeneralDescription:
-    """Static, engineering-time information about the module."""
-
-    identification: Identification = field(default_factory=Identification)
-    main_dimensions: str = ""  # "(length,width,height)" in mm
-    static_attributes: tuple[Parameter, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeVariable:
-    """Declaration of a runtime value (no engineering-time valuation)."""
-
-    name: str
-    data_type: str = ""
-    unit: str = ""
-    description: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class StatusDescription:
-    runtime_variables: tuple[RuntimeVariable, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class LogisticFunction:
-    name: str
-    category: str = "material_flow"
-    behavior_ref: str = ""  # document id of a behavior description
-
-
-@dataclass(frozen=True, slots=True)
-class Route:
-    from_port: str
-    to_port: str
-    priority: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class FunctionDescription:
-    logistic_functions: tuple[LogisticFunction, ...] = ()
-    routes: tuple[Route, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Port:
-    name: str
-    direction: str = "in"
-    position: str = ""  # "(x,y,z)" in mm
-
-
-@dataclass(frozen=True, slots=True)
-class InteractionSpace:
-    name: str
-    min_corner: str = ""
-    max_corner: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class InterfaceDescription:
-    ports: tuple[Port, ...] = ()
-    interaction_spaces: tuple[InteractionSpace, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class ControlFunction:
-    name: str
-    language_tag: str = ""  # IEC 61131-3 language name, free string
-    body_ref: str = ""  # document id of the code body
-
-
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
-    data_type: str = ""
-    scope: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class IoMapEntry:
-    """Mapping of one electrical signal to a control variable."""
-
-    component_path: str
-    logical_address: str = ""
-    variable_name: str = ""
-    data_type: str = ""
-    direction: str = "input"
-
-
-@dataclass(frozen=True, slots=True)
-class Platform:
-    controller_type: str = ""
-    bus_coupler_type: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class ControlDescription:
-    control_functions: tuple[ControlFunction, ...] = ()
-    variables: tuple[Variable, ...] = ()
-    io_mapping: tuple[IoMapEntry, ...] = ()
-    platform: Platform = field(default_factory=Platform)
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
-    name: str
-    kind: str = "sensor"
-    component_type: str = ""
-    position: str = ""
-    main_dimensions: str = ""
-    latency: str = ""  # seconds
-
-
-@dataclass(frozen=True, slots=True)
-class DocumentReference:
-    id: str
-    discipline: str = "logistics"
-    stage: str = "logistics_planning"
-    name: str = ""
-    server_path: str = ""  # stored verbatim, never validated as a filesystem path
-    assigned_element: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class CrossReference:
-    source: str
-    target: str
-    kind: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class ExternalRef:
-    """Reference to an external document via an interface class."""
-
-    name: str
-    interface_class: str
-    ref_uri: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class Annotation:
-    """Role and interface identifiers attached to one element."""
-
-    roles: tuple[str, ...] = ()
-    external_refs: tuple[ExternalRef, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class ModuleModel:
-    """Root aggregate for one module."""
-
-    id: str
-    name: str = ""
-    general: GeneralDescription = field(default_factory=GeneralDescription)
-    status: StatusDescription = field(default_factory=StatusDescription)
-    function: FunctionDescription = field(default_factory=FunctionDescription)
-    interface: InterfaceDescription = field(default_factory=InterfaceDescription)
-    control: ControlDescription = field(default_factory=ControlDescription)
-    components: tuple[Component, ...] = ()
-    documents: tuple[DocumentReference, ...] = ()
-    cross_refs: tuple[CrossReference, ...] = ()
-    #: (element path, Annotation) pairs, kept sorted by path.
-    annotations: tuple[tuple[str, Annotation], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +188,205 @@ def _ordered_corners(space: InteractionSpace) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+def param(default: Any = "", unit: str = "", check: Callable[[Any, str], Any] | None = None):
+    """Declare a dataclass field as a parameter: its default (MISSING for a
+    required field, whose reader default is ""), its unit and its validator.
+    ElementSpec derives an element's parameters from these fields."""
+    text = "" if default is MISSING else str(default)
+    return field(default=default, metadata={"param": (unit, text, check)})
+
+
+@dataclass(frozen=True, slots=True)
+class Parameter:
+    """A named engineering-time value with an optional unit."""
+
+    name: str
+    value: str = ""
+    unit: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class Identification:
+    name: str = param()
+    identifier: str = param()
+    module_type: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class GeneralDescription:
+    """Static, engineering-time information about the module."""
+
+    identification: Identification = field(default_factory=Identification)
+    main_dimensions: str = param(unit="mm", check=_positive_triple)  # "(length,width,height)"
+    static_attributes: tuple[Parameter, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class RuntimeVariable:
+    """Declaration of a runtime value (no engineering-time valuation)."""
+
+    name: str
+    data_type: str = param()
+    unit: str = param()
+    description: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class StatusDescription:
+    runtime_variables: tuple[RuntimeVariable, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class LogisticFunction:
+    name: str
+    category: str = param("material_flow", check=_enum(*FUNCTION_CATEGORIES))
+    behavior_ref: str = param()  # document id of a behavior description
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    from_port: str = param(MISSING)
+    to_port: str = param(MISSING)
+    priority: int = param(0, check=_integer)
+
+
+@dataclass(frozen=True, slots=True)
+class FunctionDescription:
+    logistic_functions: tuple[LogisticFunction, ...] = ()
+    routes: tuple[Route, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Port:
+    name: str
+    direction: str = param("in", check=_enum(*PORT_DIRECTIONS))
+    position: str = param(unit="mm", check=_triple)  # "(x,y,z)"
+
+
+@dataclass(frozen=True, slots=True)
+class InteractionSpace:
+    name: str
+    min_corner: str = param(unit="mm", check=_triple)
+    max_corner: str = param(unit="mm", check=_triple)
+
+
+@dataclass(frozen=True, slots=True)
+class InterfaceDescription:
+    ports: tuple[Port, ...] = ()
+    interaction_spaces: tuple[InteractionSpace, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class ControlFunction:
+    name: str
+    language_tag: str = param()  # IEC 61131-3 language name, free string
+    body_ref: str = param()  # document id of the code body
+
+
+@dataclass(frozen=True, slots=True)
+class Variable:
+    name: str
+    data_type: str = param()
+    scope: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class IoMapEntry:
+    """Mapping of one electrical signal to a control variable."""
+
+    component_path: str = param(MISSING, check=_path)
+    logical_address: str = param()
+    variable_name: str = param()
+    data_type: str = param()
+    direction: str = param("input", check=_enum(*IO_DIRECTIONS))
+
+
+@dataclass(frozen=True, slots=True)
+class Platform:
+    controller_type: str = param()
+    bus_coupler_type: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class ControlDescription:
+    control_functions: tuple[ControlFunction, ...] = ()
+    variables: tuple[Variable, ...] = ()
+    io_mapping: tuple[IoMapEntry, ...] = ()
+    platform: Platform = field(default_factory=Platform)
+
+
+@dataclass(frozen=True, slots=True)
+class Component:
+    name: str
+    kind: str = param("sensor", check=_enum(*COMPONENT_KINDS))
+    component_type: str = param()
+    position: str = param(unit="mm", check=_triple)
+    main_dimensions: str = param(unit="mm", check=_triple)
+    latency: str = param(unit="s", check=_seconds)
+
+
+@dataclass(frozen=True, slots=True)
+class DocumentReference:
+    id: str
+    discipline: str = param("logistics", check=_enum(*DISCIPLINES))
+    stage: str = param("logistics_planning", check=_enum(*STAGES))
+    name: str = param()
+    server_path: str = param()  # stored verbatim, never validated as a filesystem path
+    assigned_element: str = param(check=_optional_path)
+
+
+@dataclass(frozen=True, slots=True)
+class CrossReference:
+    source: str
+    target: str
+    kind: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class ExternalRef:
+    """Reference to an external document via an interface class."""
+
+    name: str
+    interface_class: str
+    ref_uri: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class Annotation:
+    """Role and interface identifiers attached to one element."""
+
+    roles: tuple[str, ...] = ()
+    external_refs: tuple[ExternalRef, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class ModuleModel:
+    """Root aggregate for one module."""
+
+    id: str
+    name: str = param()
+    general: GeneralDescription = field(default_factory=GeneralDescription)
+    status: StatusDescription = field(default_factory=StatusDescription)
+    function: FunctionDescription = field(default_factory=FunctionDescription)
+    interface: InterfaceDescription = field(default_factory=InterfaceDescription)
+    control: ControlDescription = field(default_factory=ControlDescription)
+    components: tuple[Component, ...] = ()
+    documents: tuple[DocumentReference, ...] = ()
+    cross_refs: tuple[CrossReference, ...] = ()
+    #: (element path, Annotation) pairs, kept sorted by path.
+    annotations: tuple[tuple[str, Annotation], ...] = ()
+
+
+# ---------------------------------------------------------------------------
 # The meta-model schema
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class Param:
-    """One scalar parameter: name, implied unit, reader default, validator."""
+    """One parameter as its param() field declares it: name, unit, default text, validator."""
 
     name: str
     unit: str = ""
@@ -396,83 +406,62 @@ class ElementSpec:
     parameter surface (resolve, set_parameter, tables, completeness); the
     module name and the document fields are written to files but are not
     parameters. `extra` names a field holding an open set of Parameters, and
-    `invariant` checks a whole element after its parameters.
+    `invariant` checks a whole element after its parameters. `params` are
+    the param() fields of `node_type`, in field order.
     """
 
     path: tuple[str, ...]
     key: str
     node_type: type
     cls: str
-    params: tuple[Param, ...] = ()
     surface: bool = True
     extra: str = ""
     invariant: Callable[[Any], None] | None = None
+    params: tuple[Param, ...] = field(init=False)
     #: "port", "runtime variable", ...: used in messages
     label: str = field(init=False, repr=False, compare=False)
     names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        params = tuple(Param(f.name, *f.metadata["param"])
+                       for f in fields(self.node_type) if "param" in f.metadata)
         words = re.sub(r"(?<!^)(?=[A-Z])", " ", self.node_type.__name__).lower()
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "label", words)
-        object.__setattr__(self, "names", frozenset(p.name for p in self.params))
+        object.__setattr__(self, "names", frozenset(p.name for p in params))
 
     def writable(self, name: str) -> bool:
         """Whether `name` is a parameter set_parameter and table rows may write."""
         return self.surface and (name in self.names or bool(self.extra))
 
 
-ROOT = ElementSpec((), "", ModuleModel, "Module", (Param("name"),), surface=False)
+ROOT = ElementSpec((), "", ModuleModel, "Module", surface=False)
 
 #: Every element and entry list, in document order (the order of
 #: walk and of the serialized file).
 SCHEMA: tuple[ElementSpec, ...] = (
     ROOT,
-    ElementSpec(("general",), "", GeneralDescription, "General",
-                (Param("main_dimensions", "mm", check=_positive_triple),),
-                extra="static_attributes"),
-    ElementSpec(("general", "identification"), "", Identification, "General.Identification",
-                (Param("name"), Param("identifier"), Param("module_type"))),
+    ElementSpec(("general",), "", GeneralDescription, "General", extra="static_attributes"),
+    ElementSpec(("general", "identification"), "", Identification, "General.Identification"),
     ElementSpec(("status",), "", StatusDescription, "Status"),
     ElementSpec(("status", "runtime_variables"), "name", RuntimeVariable,
-                "Status.RuntimeVariable",
-                (Param("data_type"), Param("unit"), Param("description"))),
+                "Status.RuntimeVariable"),
     ElementSpec(("function",), "", FunctionDescription, "Function"),
     ElementSpec(("function", "logistic_functions"), "name", LogisticFunction,
-                "Function.LogisticFunction",
-                (Param("category", "", "material_flow", _enum(*FUNCTION_CATEGORIES)),
-                 Param("behavior_ref"))),
-    ElementSpec(("function", "routes"), "index", Route, "Function.Route",
-                (Param("from_port"), Param("to_port"), Param("priority", "", "0", _integer))),
+                "Function.LogisticFunction"),
+    ElementSpec(("function", "routes"), "index", Route, "Function.Route"),
     ElementSpec(("interface",), "", InterfaceDescription, "Interface"),
-    ElementSpec(("interface", "ports"), "name", Port, "Interface.Port",
-                (Param("direction", "", "in", _enum(*PORT_DIRECTIONS)),
-                 Param("position", "mm", check=_triple))),
+    ElementSpec(("interface", "ports"), "name", Port, "Interface.Port"),
     ElementSpec(("interface", "interaction_spaces"), "name", InteractionSpace,
-                "Interface.InteractionSpace",
-                (Param("min_corner", "mm", check=_triple), Param("max_corner", "mm", check=_triple)),
-                invariant=_ordered_corners),
+                "Interface.InteractionSpace", invariant=_ordered_corners),
     ElementSpec(("control",), "", ControlDescription, "Control"),
     ElementSpec(("control", "control_functions"), "name", ControlFunction,
-                "Control.ControlFunction", (Param("language_tag"), Param("body_ref"))),
-    ElementSpec(("control", "variables"), "name", Variable, "Control.Variable",
-                (Param("data_type"), Param("scope"))),
-    ElementSpec(("control", "io_mapping"), "index", IoMapEntry, "Control.IoMapEntry",
-                (Param("component_path", check=_path), Param("logical_address"),
-                 Param("variable_name"), Param("data_type"),
-                 Param("direction", "", "input", _enum(*IO_DIRECTIONS)))),
-    ElementSpec(("control", "platform"), "", Platform, "Control.Platform",
-                (Param("controller_type"), Param("bus_coupler_type"))),
-    ElementSpec(("components",), "name", Component, "Component",
-                (Param("kind", "", "sensor", _enum(*COMPONENT_KINDS)), Param("component_type"),
-                 Param("position", "mm", check=_triple),
-                 Param("main_dimensions", "mm", check=_triple),
-                 Param("latency", "s", check=_seconds))),
-    ElementSpec(("documents",), "id", DocumentReference, "Document",
-                (Param("discipline", "", "logistics", _enum(*DISCIPLINES)),
-                 Param("stage", "", "logistics_planning", _enum(*STAGES)),
-                 Param("name"), Param("server_path"),
-                 Param("assigned_element", check=_optional_path)),
-                surface=False),
+                "Control.ControlFunction"),
+    ElementSpec(("control", "variables"), "name", Variable, "Control.Variable"),
+    ElementSpec(("control", "io_mapping"), "index", IoMapEntry, "Control.IoMapEntry"),
+    ElementSpec(("control", "platform"), "", Platform, "Control.Platform"),
+    ElementSpec(("components",), "name", Component, "Component"),
+    ElementSpec(("documents",), "id", DocumentReference, "Document", surface=False),
 )
 
 # Cross references are addressable by index but are links, not elements: they
@@ -747,7 +736,7 @@ def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     validated as check_node validates it."""
     spec = spec_of(doc)
     edit = Resolver(model)
-    index = edit._find(spec, doc.id)
+    index = edit.position(spec, doc.id)
     if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
     edit.put(spec, index, check_node(spec, doc))
@@ -951,7 +940,7 @@ class Resolver:
                 positions.setdefault(getattr(entry, spec.key), index)
         return positions
 
-    def _find(self, spec: ElementSpec, key: str) -> int | None:
+    def position(self, spec: ElementSpec, key: str) -> int | None:
         """Position of the first entry keyed `key` in the list of `spec`, or None."""
         if spec.path in self._positions or spec.path in self._scanned:
             return self.keys(spec).get(key)
@@ -978,7 +967,7 @@ class Resolver:
         if spec.key == "index":
             index = _position(tail[0])
         else:
-            index = self._find(spec, tail[0])
+            index = self.position(spec, tail[0])
         if index is None or index >= len(node):
             return spec, None, None, tail[1:]
         return spec, index, node[index], tail[1:]

@@ -366,6 +366,36 @@ def test_to_model_reports_children_of_entries_at_the_entry():
     assert warnings == [("unknown-element", "m/interface/ports/p1")]
 
 
+def _unit_file(unit: bytes) -> bytes:
+    """A module with a component position in mm, its Unit attribute replaced by `unit`."""
+    m = mm.add_component(mm.new_module("m", ""), mm.Component("c1", position="(1,2,3)"))
+    m = mm.add_static_attribute(m, "width", "5", "cm")
+    return caex_io.serialize(caex_io.from_model(m)).replace(b' Unit="mm"', unit)
+
+
+@pytest.mark.parametrize("unit, position, messages", [
+    (b' Unit="cm"', "", ["component position has unit 'cm'; expected 'mm'"]),
+    (b' Unit="mm"', "(1,2,3)", []),
+    (b"", "(1,2,3)", []),
+])
+def test_to_model_reads_a_parameter_only_in_its_declared_unit(unit, position, messages):
+    model, violations = caex_io.to_model(caex_io.parse(_unit_file(unit)))
+    assert model.components[0].position == position
+    assert model.general.static_attributes == (mm.Parameter("width", "5", "cm"),)
+    assert [(v.rule_id, v.element_path, v.message) for v in violations] == [
+        ("invalid-value", "m/components/c1", message) for message in messages]
+
+
+def test_to_model_refuses_a_unit_on_a_parameter_that_has_none():
+    m = mm.add_route(mm.new_module("m", ""), "a", "b", 3)
+    data = caex_io.serialize(caex_io.from_model(m)).replace(
+        b'Name="priority" DataType="xs:string"', b'Name="priority" DataType="xs:string" Unit="s"')
+    model, violations = caex_io.to_model(caex_io.parse(data))
+    assert model.function.routes == (mm.Route("a", "b", 0),)
+    assert [(v.rule_id, v.message) for v in violations] == [
+        ("invalid-value", "route priority has unit 's'; expected none")]
+
+
 def test_to_model_drops_an_unusable_io_entry_and_annotates_the_right_index():
     model, warnings = _read_lists(CaexElement(name="io_mapping", children=(
         _entry("0", ("logical_address", "%I0.0")),

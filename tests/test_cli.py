@@ -203,6 +203,19 @@ def test_reader_warnings_do_not_set_the_exit_code(work):
     assert result.stdout == f"{work['unreadable']}: {UNREADABLE_WARNING}\n"
 
 
+def test_validate_warns_of_a_parameter_in_another_unit(work, tmp_path):
+    with open(work["model"], "rb") as handle:
+        data = handle.read()
+    at = data.index(b'Unit="mm"', data.index(b'Name="LB_in"'))
+    target = tmp_path / "cm.aml"
+    target.write_bytes(data[:at] + b'Unit="cm"' + data[at + len(b'Unit="mm"'):])
+    result = run("validate", str(target))
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[0] == (
+        f"{target}: WARNING invalid-value tjunction-01/components/LB_in: "
+        "component position has unit 'cm'; expected 'mm'")
+
+
 def test_link_check(work):
     assert run("link-check", work["model"]).returncode == 0
     result = run("link-check", work["dangling"])

@@ -1,7 +1,9 @@
 """The meta-model schema: every element the table declares works end to end."""
 from __future__ import annotations
 
-from dataclasses import fields, replace
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ CANDIDATES = (
     "(4,5,6)", "(1,2,3)", "0.5", "3", "7", "m/general", "m/components/c1",
     *mm.FUNCTION_CATEGORIES, *mm.PORT_DIRECTIONS, *mm.IO_DIRECTIONS,
     *mm.COMPONENT_KINDS, *mm.DISCIPLINES, *mm.STAGES,
+    "(0,-1,2)", "-1", "07",
 )
 
 
@@ -65,12 +68,88 @@ def test_schema_element_round_trips(spec):
     assert restored == m
 
 
-def test_schema_defaults_match_the_dataclasses():
-    for spec in mm.SCHEMA:
-        defaults = {f.name: f.default for f in fields(spec.node_type)}
-        for param in spec.params:
-            if param.name in defaults and isinstance(defaults[param.name], str):
-                assert param.default == defaults[param.name], (spec.label, param.name)
+#: The parameter surface: (spec path, name, unit, default text, and one digit
+#: per CANDIDATES value, 1 where the parameter's validator accepts it).
+SURFACE = (
+    ("", "name", "", "", "11111111111111111111111111111111"),
+    ("general", "main_dimensions", "mm", "", "11000000000000000000000000000000"),
+    ("general/identification", "name", "", "", "11111111111111111111111111111111"),
+    ("general/identification", "identifier", "", "", "11111111111111111111111111111111"),
+    ("general/identification", "module_type", "", "", "11111111111111111111111111111111"),
+    ("status/runtime_variables", "data_type", "", "", "11111111111111111111111111111111"),
+    ("status/runtime_variables", "unit", "", "", "11111111111111111111111111111111"),
+    ("status/runtime_variables", "description", "", "", "11111111111111111111111111111111"),
+    ("function/logistic_functions", "category", "", "material_flow", "00000001110000000000000000000000"),
+    ("function/logistic_functions", "behavior_ref", "", "", "11111111111111111111111111111111"),
+    ("function/routes", "from_port", "", "", "11111111111111111111111111111111"),
+    ("function/routes", "to_port", "", "", "11111111111111111111111111111111"),
+    ("function/routes", "priority", "", "0", "00011000000000000000000000000010"),
+    ("interface/ports", "direction", "", "in", "00000000001100000000000000000000"),
+    ("interface/ports", "position", "mm", "", "11000000000000000000000000000100"),
+    ("interface/interaction_spaces", "min_corner", "mm", "", "11000000000000000000000000000100"),
+    ("interface/interaction_spaces", "max_corner", "mm", "", "11000000000000000000000000000100"),
+    ("control/control_functions", "language_tag", "", "", "11111111111111111111111111111111"),
+    ("control/control_functions", "body_ref", "", "", "11111111111111111111111111111111"),
+    ("control/variables", "data_type", "", "", "11111111111111111111111111111111"),
+    ("control/variables", "scope", "", "", "11111111111111111111111111111111"),
+    ("control/io_mapping", "component_path", "", "", "00111111111111111111111111111011"),
+    ("control/io_mapping", "logical_address", "", "", "11111111111111111111111111111111"),
+    ("control/io_mapping", "variable_name", "", "", "11111111111111111111111111111111"),
+    ("control/io_mapping", "data_type", "", "", "11111111111111111111111111111111"),
+    ("control/io_mapping", "direction", "", "input", "00000000000011000000000000000000"),
+    ("control/platform", "controller_type", "", "", "11111111111111111111111111111111"),
+    ("control/platform", "bus_coupler_type", "", "", "11111111111111111111111111111111"),
+    ("components", "kind", "", "sensor", "00000000000000111100000000000000"),
+    ("components", "component_type", "", "", "11111111111111111111111111111111"),
+    ("components", "position", "mm", "", "11000000000000000000000000000100"),
+    ("components", "main_dimensions", "mm", "", "11000000000000000000000000000100"),
+    ("components", "latency", "s", "", "00111000000000000000000000000001"),
+    ("documents", "discipline", "", "logistics", "00000000000000000011111000000000"),
+    ("documents", "stage", "", "logistics_planning", "00000000000000000000000111111000"),
+    ("documents", "name", "", "", "11111111111111111111111111111111"),
+    ("documents", "server_path", "", "", "11111111111111111111111111111111"),
+    ("documents", "assigned_element", "", "", "00111111111111111111111111111011"),
+)
+
+
+def test_parameter_surface_is_pinned():
+    surface = tuple(
+        ("/".join(spec.path), param.name, param.unit, param.default,
+         "".join("1" if _accepts(spec, param, value) else "0" for value in CANDIDATES))
+        for spec in mm.SCHEMA for param in spec.params)
+    assert surface == SURFACE
+
+
+def _accepts(spec: mm.ElementSpec, param: mm.Param, value: str) -> bool:
+    try:
+        mm.check_value(spec, param, value)
+    except (mm.ModelError, ValueError):
+        return False
+    return True
+
+
+def test_required_parameters_keep_no_default():
+    with pytest.raises(TypeError):
+        mm.Route("a")
+    with pytest.raises(TypeError):
+        mm.IoMapEntry()
+    assert repr(mm.Route("a", "b")) == "Route(from_port='a', to_port='b', priority=0)"
+    assert mm.Route("a", "b") == mm.Route("a", "b", 0)
+
+
+def test_module_layout_table_matches_the_schema():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "format.md").read_text("utf-8")
+    layout = text[text.index("## Module layout"):text.index("List containers")]
+    rows = dict(re.findall(r"^\| `([a-z_]+)` \| (.*) \|$", layout, re.MULTILINE))
+    subtrees = [spec.path[0] for spec in mm.SCHEMA if len(spec.path) == 1]
+    assert list(rows) == subtrees
+    for subtree, content in rows.items():
+        specs = [spec for spec in mm.SCHEMA if spec.path[:1] == (subtree,)]
+        params = {param.name for spec in specs for param in spec.params}
+        parts = {segment for spec in specs for segment in spec.path[1:]}
+        named = set(re.findall(r"`([a-z_]+)`", content))
+        assert params <= named, (subtree, params - named)
+        assert named <= params | parts, (subtree, named - params - parts)
 
 
 @pytest.mark.parametrize("path", ["m/components", "m/status/runtime_variables",

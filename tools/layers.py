@@ -31,6 +31,14 @@ commands alternating within a round) is taken for bare `python3 -c pass`,
 `-m mfmkit --help` and the validate, report, export-table and simulate
 commands.
 
+Each invocation also times `reference_loop` of `bench/run.py` (imported
+as is, the benchmark's fixed pure-Python loop) REFERENCE_RUNS times at its
+start and again at its end, and records the median and quartiles of each
+under `reference_loop`. Two invocations, such as the `parent` and the
+`change` side of one file, run minutes apart, and the machine's speed can
+drift in between; the loop's times show how fast each side's machine ran,
+so their figures can be set against that speed rather than taken as is.
+
 mfmkit is imported from the `src/` next to this script, so running the
 copy in another checkout measures that checkout. The figures are merged
 into OUT.json under LABEL (for example `parent` and `change`), so one file
@@ -57,6 +65,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (bench/gen.py, read as is)
+from run import reference_loop  # noqa: E402  (bench/run.py, read as is)
 from mfmkit import behavior, caex_io, exchange, sfc  # noqa: E402
 
 SEED = 1
@@ -67,6 +76,7 @@ RUNS = 5
 SIZES = (800, 3200)
 MODEL_RUNS = 7
 STARTUP_RUNS = 11
+REFERENCE_RUNS = 25
 #: Start-up command lines, run in the demo directory; None is bare `python3 -c pass`.
 STARTUP_COMMANDS = {
     "python3 -c pass": None,
@@ -190,7 +200,12 @@ def _time(call, runs: int = RUNS) -> dict:
     return _quartiles(times)
 
 
+def _reference() -> dict:
+    return _quartiles([reference_loop() for _ in range(REFERENCE_RUNS)])
+
+
 def main(label: str, out: Path) -> None:
+    reference = {"start": _reference()}
     startup = _startup()
     model, behavior_text, graph, program, traces = _inputs()
     layers = {
@@ -207,11 +222,14 @@ def main(label: str, out: Path) -> None:
     figures.update(_graph_layers(model, behavior_text, graph))
     figures.update(_model_layers())
     figures["startup"] = startup
+    reference["end"] = _reference()
+    figures["reference_loop"] = reference
     data = json.loads(out.read_text("utf-8")) if out.exists() else {}
     data["input"] = {
         "model": f"bench/gen.py seed {SEED}, {COMPONENTS} components, {BRANCHES} arms",
         "passes": list(PASSES), "runs": RUNS,
         "sizes": list(SIZES), "model_runs": MODEL_RUNS, "startup_runs": STARTUP_RUNS,
+        "reference_runs": REFERENCE_RUNS,
         "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count()}
