@@ -197,11 +197,11 @@ class _ModelBuilder:
 
     The reader walks the document along the schema (mm.SCHEMA) once. Each
     element is validated by the same model.check_* functions the public
-    builders use and stored in a working copy of the new module (a
-    mm.Resolver), whose key index checks entry keys; annotations are kept
-    by path and cross references in insertion order. The working copy
-    builds the model once at the end, so reading costs one pass over the
-    file instead of a copy of a list per entry.
+    builders use, given its annotation, and stored in a working copy of the
+    new module (a mm.Resolver), whose key index checks entry keys; cross
+    references are kept in insertion order. The working copy builds the
+    model once at the end, so reading costs one pass over the file instead
+    of a copy of a list per entry.
 
     A value that fails its validator, or whose Unit is given and differs
     from its parameter's unit, is reported and replaced by the parameter's
@@ -215,7 +215,6 @@ class _ModelBuilder:
     def __init__(self, model: mm.ModuleModel):
         """Start from `model`, a new module: its lists are empty."""
         self.edit = mm.Resolver(model)
-        self.annotations = dict(model.annotations)
         self.cross_refs: dict[mm.CrossReference, None] = {}
         self.violations: list[Violation] = []
 
@@ -230,14 +229,12 @@ class _ModelBuilder:
             self.warn(RULE_INVALID_VALUE, path, str(exc))
             return None
 
-    def annotate(self, roles: tuple[str, ...], interfaces: tuple[CaexInterface, ...],
-                 path: str) -> None:
-        # paths the reader builds always name the element it has just stored
-        empty = mm.Annotation()
+    def annotate(self, node, roles: tuple[str, ...], interfaces: tuple[CaexInterface, ...],
+                 path: str):
+        """`node` (at `path`) with the valid roles and interfaces added to its annotation."""
+        ann = node.annotation
         if roles:
-            ann = self.checked(path, mm.check_roles, self.annotations.get(path, empty), roles)
-            if ann is not None:
-                self.annotations[path] = ann
+            ann = self.checked(path, mm.check_roles, ann, roles) or ann
         for name, interface_class, attributes in interfaces:
             uri = ""
             for attribute in attributes:
@@ -246,10 +243,9 @@ class _ModelBuilder:
                 else:
                     self.warn(RULE_UNKNOWN_PARAMETER, path,
                               f"unsupported interface attribute '{attribute.name}' ignored")
-            ann = self.checked(path, mm.check_external_ref, self.annotations.get(path, empty),
-                               path, mm.ExternalRef(name, interface_class, uri))
-            if ann is not None:
-                self.annotations[path] = ann
+            ann = self.checked(path, mm.check_external_ref, ann, path,
+                               mm.ExternalRef(name, interface_class, uri)) or ann
+        return node if ann is node.annotation else replace(node, annotation=ann)
 
     def values(self, spec: mm.ElementSpec, attributes: tuple[CaexAttribute, ...], path: str):
         """Parameter values of one element, given its attributes, the names
@@ -277,8 +273,8 @@ class _ModelBuilder:
             _name, text, _data_type, unit, _children = given.get(param.name, _NO_ATTRIBUTE)
             value = param.default
             if unit and unit != param.unit:
-                self.warn(RULE_INVALID_VALUE, path, f"{spec.label} {param.name} has unit "
-                          f"{unit!r}; expected {repr(param.unit) if param.unit else 'none'}")
+                self.warn(RULE_INVALID_VALUE, path,
+                          mm.unit_mismatch(spec, param.name, unit, param.unit))
             elif text and text != param.default:
                 try:
                     value = mm.check_value(spec, param, text)
@@ -304,8 +300,8 @@ class _ModelBuilder:
                     attrs.append(added)
                     taken.add(added.name)
             node = replace(node, **{spec.extra: tuple(attrs)})
+        node = self.annotate(node, element.role_requirements, element.external_interfaces, path)
         self.edit.put(spec, None, node)
-        self.annotate(element.role_requirements, element.external_interfaces, path)
         self.children(spec, element.children, path)
 
     def read_list(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
@@ -319,8 +315,8 @@ class _ModelBuilder:
         taken = () if indexed else self.edit.keys(spec)
         for position, entry in enumerate(element.children):
             name, _id, attributes, roles, interfaces, children = entry
-            # warnings name the entry's position in the file; annotations go
-            # to the index the entry actually got
+            # warnings name the entry's position in the file; annotation
+            # warnings name the index the entry gets
             entry_path = join_path(path, str(position) if indexed else name)
             fields, checked, _extra = self.values(spec, attributes, entry_path)
             if not indexed:
@@ -328,9 +324,8 @@ class _ModelBuilder:
             node = self.checked(
                 entry_path, mm.check_entry, spec, spec.node_type(**fields), taken, checked)
             if node is not None:
-                added = self.edit.append(spec, node)
-                self.annotate(roles, interfaces,
-                              join_path(path, str(added)) if indexed else entry_path)
+                at = join_path(path, str(len(self.edit.part(spec)))) if indexed else entry_path
+                self.edit.append(spec, self.annotate(node, roles, interfaces, at))
             self.children(spec, children, entry_path)
 
     def children(self, spec: mm.ElementSpec, elements: tuple[CaexElement, ...],
@@ -353,8 +348,7 @@ class _ModelBuilder:
 
     def build(self) -> mm.ModuleModel:
         self.edit.put(mm.ROOT, None, replace(
-            self.edit.part(mm.ROOT), cross_refs=tuple(self.cross_refs),
-            annotations=tuple(sorted(self.annotations.items()))))
+            self.edit.part(mm.ROOT), cross_refs=tuple(self.cross_refs)))
         return self.edit.model()
 
 
@@ -404,10 +398,13 @@ def from_model(model: mm.ModuleModel) -> CaexDocument:
     PathError, so every document rendered here can be read back.
     """
     mm.check_module_id(model.id)
-    annotations = dict(model.annotations)
+    role_libs: set[str] = set()
+    iface_libs: set[str] = set()
 
-    def element(spec: mm.ElementSpec, name: str, path: str, node) -> CaexElement:
-        ann = annotations.get(path, mm.Annotation())
+    def element(spec: mm.ElementSpec, name: str, node) -> CaexElement:
+        ann = node.annotation
+        role_libs.update(ann.roles)
+        iface_libs.update(ref.interface_class for ref in ann.external_refs)
         interfaces = tuple(
             CaexInterface(
                 name=ref.name, interface_class=ref.interface_class,
@@ -422,28 +419,22 @@ def from_model(model: mm.ModuleModel) -> CaexDocument:
         children = []
         for child_name, child in mm.CHILDREN[spec.path].items():
             value = getattr(node, child_name)
-            child_path = join_path(path, child_name)
             if not child.key:
-                children.append(element(child, child_name, child_path, value))
+                children.append(element(child, child_name, value))
             elif value:
                 children.append(CaexElement(name=child_name, children=tuple(
-                    element(child, key, join_path(child_path, key), entry)
-                    for key, entry in mm.keyed(child, value))))
+                    element(child, key, entry) for key, entry in mm.keyed(child, value))))
         return CaexElement(
             name=name, attributes=attributes, role_requirements=ann.roles,
             external_interfaces=interfaces, children=tuple(children))
 
     id_segments = model.id.split("/")
-    root = element(mm.ROOT, id_segments[-1], model.id, model)
+    root = element(mm.ROOT, id_segments[-1], model)
     for segment in reversed(id_segments[:-1]):
         root = CaexElement(name=segment, children=(root,))
-
-    role_libs = sorted({role for _path, ann in model.annotations for role in ann.roles})
-    iface_libs = sorted({
-        ref.interface_class for _path, ann in model.annotations for ref in ann.external_refs})
     return CaexDocument(
-        role_class_lib_refs=tuple(role_libs),
-        interface_class_lib_refs=tuple(iface_libs),
+        role_class_lib_refs=tuple(sorted(role_libs)),
+        interface_class_lib_refs=tuple(sorted(iface_libs)),
         instance_hierarchies=(CaexHierarchy(name="modules", elements=(root,)),),
         internal_links=tuple(
             CaexLink(name=ref.kind, side_a=ref.source, side_b=ref.target)

@@ -169,7 +169,7 @@ class _Merge:
         self.owner = owners(self.edit, ownership)
         self.mapped = Counter(e.component_path for e in model.control.io_mapping)
 
-    def row(self, element_path: str, parameter: str, value: str,
+    def row(self, element_path: str, parameter: str, value: str, unit: str,
             doc_name: str, doc_path: str) -> None:
         """Apply one row whole, or raise _RowError and apply nothing."""
         try:
@@ -189,10 +189,13 @@ class _Merge:
         if value:
             if (isinstance(node, mm.Component) and parameter == "logical_address"
                     and node.kind in mm.SIGNAL_DIRECTIONS and not self.mapped[element_path]):
+                if unit:
+                    raise _RowError(RULE_INVALID_VALUE, mm.unit_mismatch(
+                        mm.spec_of(node), parameter, unit, ""), parameter)
                 edits += self._io_entry(node, element_path, value)
                 created = True
             else:
-                spec, updated = self._write(node, parameter, value)
+                spec, updated = self._write(node, parameter, value, unit)
                 edits.append(partial(self.edit.put, spec, found[1], updated))
         if doc_name:
             edits += self._document(element_path, doc_name, doc_path)
@@ -222,17 +225,25 @@ class _Merge:
             edits.append(partial(self.edit.append, mm.spec_of(variable), variable))
         return edits
 
-    def _write(self, node: object, parameter: str, value: str):
-        """(spec, updated node) for one parameter write."""
+    def _write(self, node: object, parameter: str, value: str, unit: str):
+        """(spec, updated node) for one parameter write. A given unit must be
+        the unit the cell exports with; a new attribute takes it as its own."""
         spec = mm.spec_of(node)
         if not spec.writable(parameter):
             raise _RowError(RULE_UNKNOWN_PARAMETER,
                             f"element has no parameter {parameter!r}", parameter)
         try:
-            updated = mm.write_parameter(spec, node, parameter, value)
+            if unit:
+                cells = spec.params + getattr(node, spec.extra) if spec.extra else spec.params
+                expected = next((cell.unit for cell in cells if cell.name == parameter), None)
+                if expected is None:  # a new attribute
+                    added = mm.check_attribute(spec, (), parameter, value, unit)
+                    return spec, replace(node, **{spec.extra: getattr(node, spec.extra) + (added,)})
+                if unit != expected:
+                    raise mm.ModelError(mm.unit_mismatch(spec, parameter, unit, expected))
+            return spec, mm.write_parameter(spec, node, parameter, value)
         except (mm.ModelError, PathError) as error:
             raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
-        return spec, updated
 
     def _document(self, element_path: str, doc_name: str, doc_path: str) -> list:
         """The edits that add the named document or assign it to the element."""
@@ -305,9 +316,9 @@ def import_table(
         if len(record) != len(HEADER):
             raise ExchangeError(
                 f"row {number}: expected {len(HEADER)} columns, found {len(record)}")
-        element_path, parameter, value, _unit, doc_name, doc_path = record
+        element_path, parameter = record[:2]
         try:
-            merge.row(element_path, parameter, value, doc_name, doc_path)
+            merge.row(*record)
         except _RowError as error:
             violations.append(Violation(
                 error.rule_id, SEVERITY_ERROR, element_path, str(error),

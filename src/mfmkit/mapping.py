@@ -145,12 +145,11 @@ def validate_assignments(model: mm.ModuleModel, table: MappingRuleTable | None =
     if table is None:
         table = default_table()
     out: list[AssignmentViolation] = []
-    annotations = dict(model.annotations)
     for spec, path, node in mm.walk(model):
-        entry = table.entry_for(spec.cls) if spec.cls else None
+        entry = table.entry_for(spec.cls)
         if entry is None:
             continue
-        ann = annotations.get(path, mm.Annotation())
+        ann = node.annotation
         for role in ann.roles:
             if role not in entry.permitted_roles:
                 out.append(AssignmentViolation(path, role, entry.permitted_roles, KIND_ILLEGAL_ROLE))
@@ -168,8 +167,8 @@ def uncovered_classes(model: mm.ModuleModel, table: MappingRuleTable | None = No
     if table is None:
         table = default_table()
     found: set[str] = set()
-    for path, _ann in model.annotations:
-        class_path = class_path_of(model, path)
-        if class_path and table.entry_for(class_path) is None:
-            found.add(class_path)
+    for spec, _path, node in mm.walk(model):
+        ann = node.annotation
+        if (ann.roles or ann.external_refs) and table.entry_for(spec.cls) is None:
+            found.add(spec.cls)
     return sorted(found)

@@ -21,12 +21,14 @@ dataclass, whose param() fields become the spec's params. The builders,
 path resolution, the Resolver's bulk edits, set_parameter and
 remove_element here, and the file reader and writer, the rule classes, the
 completeness selectors and the table units elsewhere, all derive from them.
+
+Every element carries its own annotation (roles and external interfaces),
+which moves and disappears with it; edits that replace an element keep it.
 """
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter, indexOf
 from typing import Any, Callable
@@ -209,143 +211,6 @@ class Parameter:
 
 
 @dataclass(frozen=True, slots=True)
-class Identification:
-    name: str = param()
-    identifier: str = param()
-    module_type: str = param()
-
-
-@dataclass(frozen=True, slots=True)
-class GeneralDescription:
-    """Static, engineering-time information about the module."""
-
-    identification: Identification = field(default_factory=Identification)
-    main_dimensions: str = param(unit="mm", check=_positive_triple)  # "(length,width,height)"
-    static_attributes: tuple[Parameter, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeVariable:
-    """Declaration of a runtime value (no engineering-time valuation)."""
-
-    name: str
-    data_type: str = param()
-    unit: str = param()
-    description: str = param()
-
-
-@dataclass(frozen=True, slots=True)
-class StatusDescription:
-    runtime_variables: tuple[RuntimeVariable, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class LogisticFunction:
-    name: str
-    category: str = param("material_flow", check=_enum(*FUNCTION_CATEGORIES))
-    behavior_ref: str = param()  # document id of a behavior description
-
-
-@dataclass(frozen=True, slots=True)
-class Route:
-    from_port: str = param(MISSING)
-    to_port: str = param(MISSING)
-    priority: int = param(0, check=_integer)
-
-
-@dataclass(frozen=True, slots=True)
-class FunctionDescription:
-    logistic_functions: tuple[LogisticFunction, ...] = ()
-    routes: tuple[Route, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Port:
-    name: str
-    direction: str = param("in", check=_enum(*PORT_DIRECTIONS))
-    position: str = param(unit="mm", check=_triple)  # "(x,y,z)"
-
-
-@dataclass(frozen=True, slots=True)
-class InteractionSpace:
-    name: str
-    min_corner: str = param(unit="mm", check=_triple)
-    max_corner: str = param(unit="mm", check=_triple)
-
-
-@dataclass(frozen=True, slots=True)
-class InterfaceDescription:
-    ports: tuple[Port, ...] = ()
-    interaction_spaces: tuple[InteractionSpace, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class ControlFunction:
-    name: str
-    language_tag: str = param()  # IEC 61131-3 language name, free string
-    body_ref: str = param()  # document id of the code body
-
-
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
-    data_type: str = param()
-    scope: str = param()
-
-
-@dataclass(frozen=True, slots=True)
-class IoMapEntry:
-    """Mapping of one electrical signal to a control variable."""
-
-    component_path: str = param(MISSING, check=_path)
-    logical_address: str = param()
-    variable_name: str = param()
-    data_type: str = param()
-    direction: str = param("input", check=_enum(*IO_DIRECTIONS))
-
-
-@dataclass(frozen=True, slots=True)
-class Platform:
-    controller_type: str = param()
-    bus_coupler_type: str = param()
-
-
-@dataclass(frozen=True, slots=True)
-class ControlDescription:
-    control_functions: tuple[ControlFunction, ...] = ()
-    variables: tuple[Variable, ...] = ()
-    io_mapping: tuple[IoMapEntry, ...] = ()
-    platform: Platform = field(default_factory=Platform)
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
-    name: str
-    kind: str = param("sensor", check=_enum(*COMPONENT_KINDS))
-    component_type: str = param()
-    position: str = param(unit="mm", check=_triple)
-    main_dimensions: str = param(unit="mm", check=_triple)
-    latency: str = param(unit="s", check=_seconds)
-
-
-@dataclass(frozen=True, slots=True)
-class DocumentReference:
-    id: str
-    discipline: str = param("logistics", check=_enum(*DISCIPLINES))
-    stage: str = param("logistics_planning", check=_enum(*STAGES))
-    name: str = param()
-    server_path: str = param()  # stored verbatim, never validated as a filesystem path
-    assigned_element: str = param(check=_optional_path)
-
-
-@dataclass(frozen=True, slots=True)
-class CrossReference:
-    source: str
-    target: str
-    kind: str = ""
-
-
-@dataclass(frozen=True, slots=True)
 class ExternalRef:
     """Reference to an external document via an interface class."""
 
@@ -363,7 +228,151 @@ class Annotation:
 
 
 @dataclass(frozen=True, slots=True)
-class ModuleModel:
+class Element:
+    """Base of the element and entry types: the element's own annotation."""
+
+    annotation: Annotation = field(default=Annotation(), repr=False, kw_only=True)
+
+
+@dataclass(frozen=True, slots=True)
+class Identification(Element):
+    name: str = param()
+    identifier: str = param()
+    module_type: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class GeneralDescription(Element):
+    """Static, engineering-time information about the module."""
+
+    identification: Identification = field(default_factory=Identification)
+    main_dimensions: str = param(unit="mm", check=_positive_triple)  # "(length,width,height)"
+    static_attributes: tuple[Parameter, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class RuntimeVariable(Element):
+    """Declaration of a runtime value (no engineering-time valuation)."""
+
+    name: str
+    data_type: str = param()
+    unit: str = param()
+    description: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class StatusDescription(Element):
+    runtime_variables: tuple[RuntimeVariable, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class LogisticFunction(Element):
+    name: str
+    category: str = param("material_flow", check=_enum(*FUNCTION_CATEGORIES))
+    behavior_ref: str = param()  # document id of a behavior description
+
+
+@dataclass(frozen=True, slots=True)
+class Route(Element):
+    from_port: str = param(MISSING)
+    to_port: str = param(MISSING)
+    priority: int = param(0, check=_integer)
+
+
+@dataclass(frozen=True, slots=True)
+class FunctionDescription(Element):
+    logistic_functions: tuple[LogisticFunction, ...] = ()
+    routes: tuple[Route, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Port(Element):
+    name: str
+    direction: str = param("in", check=_enum(*PORT_DIRECTIONS))
+    position: str = param(unit="mm", check=_triple)  # "(x,y,z)"
+
+
+@dataclass(frozen=True, slots=True)
+class InteractionSpace(Element):
+    name: str
+    min_corner: str = param(unit="mm", check=_triple)
+    max_corner: str = param(unit="mm", check=_triple)
+
+
+@dataclass(frozen=True, slots=True)
+class InterfaceDescription(Element):
+    ports: tuple[Port, ...] = ()
+    interaction_spaces: tuple[InteractionSpace, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class ControlFunction(Element):
+    name: str
+    language_tag: str = param()  # IEC 61131-3 language name, free string
+    body_ref: str = param()  # document id of the code body
+
+
+@dataclass(frozen=True, slots=True)
+class Variable(Element):
+    name: str
+    data_type: str = param()
+    scope: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class IoMapEntry(Element):
+    """Mapping of one electrical signal to a control variable."""
+
+    component_path: str = param(MISSING, check=_path)
+    logical_address: str = param()
+    variable_name: str = param()
+    data_type: str = param()
+    direction: str = param("input", check=_enum(*IO_DIRECTIONS))
+
+
+@dataclass(frozen=True, slots=True)
+class Platform(Element):
+    controller_type: str = param()
+    bus_coupler_type: str = param()
+
+
+@dataclass(frozen=True, slots=True)
+class ControlDescription(Element):
+    control_functions: tuple[ControlFunction, ...] = ()
+    variables: tuple[Variable, ...] = ()
+    io_mapping: tuple[IoMapEntry, ...] = ()
+    platform: Platform = field(default_factory=Platform)
+
+
+@dataclass(frozen=True, slots=True)
+class Component(Element):
+    name: str
+    kind: str = param("sensor", check=_enum(*COMPONENT_KINDS))
+    component_type: str = param()
+    position: str = param(unit="mm", check=_triple)
+    main_dimensions: str = param(unit="mm", check=_triple)
+    latency: str = param(unit="s", check=_seconds)
+
+
+@dataclass(frozen=True, slots=True)
+class DocumentReference(Element):
+    id: str
+    discipline: str = param("logistics", check=_enum(*DISCIPLINES))
+    stage: str = param("logistics_planning", check=_enum(*STAGES))
+    name: str = param()
+    server_path: str = param()  # stored verbatim, never validated as a filesystem path
+    assigned_element: str = param(check=_optional_path)
+
+
+@dataclass(frozen=True, slots=True)
+class CrossReference:
+    source: str
+    target: str
+    kind: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class ModuleModel(Element):
     """Root aggregate for one module."""
 
     id: str
@@ -376,8 +385,6 @@ class ModuleModel:
     components: tuple[Component, ...] = ()
     documents: tuple[DocumentReference, ...] = ()
     cross_refs: tuple[CrossReference, ...] = ()
-    #: (element path, Annotation) pairs, kept sorted by path.
-    annotations: tuple[tuple[str, Annotation], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +524,12 @@ def param_rows(spec: ElementSpec, node) -> list[tuple[str, str, str]]:
     return rows
 
 
+def unit_mismatch(spec: ElementSpec, name: str, unit: str, expected: str) -> str:
+    """The message for a value of parameter `name` given in `unit`, not in `expected`."""
+    return (f"{spec.label} {name} has unit {unit!r}; "
+            f"expected {repr(expected) if expected else 'none'}")
+
+
 def check_value(spec: ElementSpec, param: Param, value):
     """Validate one parameter value; returns the value to store."""
     what = f"{spec.label} {param.name}"
@@ -528,7 +541,8 @@ def check_value(spec: ElementSpec, param: Param, value):
 def check_node(spec: ElementSpec, node, checked=()):
     """Validate an element or entry: its key name, every parameter value
     except those named in `checked` (the caller validated them with
-    check_value) and the invariant. Returns the node to store."""
+    check_value), its annotation as with_roles and with_external_ref check
+    theirs, and the invariant. Returns the node to store."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
     changes = {}
@@ -539,6 +553,12 @@ def check_node(spec: ElementSpec, node, checked=()):
         stored = check_value(spec, param, value)
         if stored is not value:
             changes[param.name] = stored
+    given = node.annotation
+    if given.roles or given.external_refs:
+        ann = check_roles(Annotation(), given.roles)
+        for ref in given.external_refs:
+            ann = check_external_ref(ann, spec.label, ref)
+        changes["annotation"] = ann
     if changes:
         node = replace(node, **changes)
     if spec.invariant:
@@ -620,18 +640,15 @@ def check_module_id(id: str) -> None:
             f"module id has {len(segments)} segments; at most {MAX_ID_SEGMENTS} are allowed")
 
 
-def new_module(id: str, name: str, existing_ids: tuple[str, ...] = ()) -> ModuleModel:
+def new_module(id: str, name: str) -> ModuleModel:
     """Create an empty module with the five sub-class containers.
 
-    `existing_ids` lists module ids already taken in the surrounding project;
-    reusing one is a construction error. The module root is pre-annotated with
-    the base role class so serialized files can identify it.
+    The module root is pre-annotated with the base role class so serialized
+    files can identify it.
     """
     check_module_id(id)
-    if id in existing_ids:
-        raise ModelError(f"duplicate module id {id!r}")
     _require_clean(name, "module name")
-    return ModuleModel(id=id, name=name, annotations=((id, Annotation(roles=(BASE_ROLE,))),))
+    return ModuleModel(id=id, name=name, annotation=Annotation(roles=(BASE_ROLE,)))
 
 
 def set_element(model: ModuleModel, node) -> ModuleModel:
@@ -720,7 +737,8 @@ def add_io_entry(
 
 
 def set_platform(model: ModuleModel, controller_type: str, bus_coupler_type: str) -> ModuleModel:
-    return set_element(model, Platform(controller_type, bus_coupler_type))
+    return set_element(model, Platform(
+        controller_type, bus_coupler_type, annotation=model.control.platform.annotation))
 
 
 def add_component(model: ModuleModel, component: Component) -> ModuleModel:
@@ -733,12 +751,13 @@ def add_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
 
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     """Swap an existing document reference (matched by id) for `doc`,
-    validated as check_node validates it."""
+    validated as check_node validates it; the stored annotation is kept."""
     spec = spec_of(doc)
     edit = Resolver(model)
     index = edit.position(spec, doc.id)
     if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
+    doc = replace(doc, annotation=model.documents[index].annotation)
     edit.put(spec, index, check_node(spec, doc))
     return edit.model()
 
@@ -765,43 +784,38 @@ def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> Mo
 # Annotations
 # ---------------------------------------------------------------------------
 
-def _slot(annotations: tuple, path: str) -> tuple[int, bool]:
-    """Where `path` sits in annotations sorted by path: its position, and
-    whether an annotation is stored there (a binary search)."""
-    index = bisect_left(annotations, (path,))
-    return index, index < len(annotations) and annotations[index][0] == path
-
-
 def annotation_at(model: ModuleModel, path: str) -> Annotation:
-    index, found = _slot(model.annotations, path)
-    return model.annotations[index][1] if found else Annotation()
+    """The annotation of the element at `path`; empty when none is there."""
+    try:
+        found = _element(Resolver(model)._locate(path))
+    except PathError:
+        found = None
+    return found[2].annotation if found else Annotation()
 
 
-def _set_annotation(model: ModuleModel, path: str, ann: Annotation) -> ModuleModel:
-    annotations = model.annotations
-    index, found = _slot(annotations, path)
-    kept = ((path, ann),) if ann.roles or ann.external_refs else ()
-    return replace(model, annotations=annotations[:index] + kept + annotations[index + found:])
-
-
-def _require_element(model: ModuleModel, path: str) -> None:
+def _annotate(model: ModuleModel, path: str, change) -> ModuleModel:
     found = Resolver(model)._locate(path)
-    if _element(found) is None:
+    element = _element(found)
+    if element is None:
         if _resolved(found) is None:
             raise ModelError(f"path does not resolve: {path!r}")
         raise ModelError(f"path does not address an element: {path!r}")
+    spec, index, node = element
+    node = replace(node, annotation=change(node.annotation))
+    if index is not None:
+        items = get(model, spec)
+        node = items[:index] + (node,) + items[index + 1:]
+    return _put(model, spec.path, node)
 
 
 def with_roles(model: ModuleModel, path: str, *roles: str) -> ModuleModel:
     """Attach role identifiers to the element at `path` (idempotent)."""
-    _require_element(model, path)
-    return _set_annotation(model, path, check_roles(annotation_at(model, path), roles))
+    return _annotate(model, path, lambda ann: check_roles(ann, roles))
 
 
 def with_external_ref(model: ModuleModel, path: str, ref: ExternalRef) -> ModuleModel:
     """Attach an external document reference to the element at `path`."""
-    _require_element(model, path)
-    return _set_annotation(model, path, check_external_ref(annotation_at(model, path), path, ref))
+    return _annotate(model, path, lambda ann: check_external_ref(ann, path, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -1078,12 +1092,11 @@ def write_parameter(spec: ElementSpec, node, name: str, value: str):
 def remove_element(model: ModuleModel, path: str) -> ModuleModel:
     """Remove one removable element (list entries only, not containers).
 
-    References pointing at the removed element are kept and become dangling;
-    annotations at or below the removed path are dropped. Removing an entry
-    of an index-addressed list (io_mapping, routes, cross_refs) shifts the
-    indexes of later entries, and their annotations move down with them;
-    paths held elsewhere (cross references, document assignments) are the
-    caller's concern.
+    The entry's annotation goes with it. References pointing at the removed
+    element are kept and become dangling. Removing an entry of an
+    index-addressed list (io_mapping, routes, cross_refs) shifts the indexes
+    of later entries, which keep their annotations; paths held elsewhere
+    (cross references, document assignments) are the caller's concern.
     """
     found = Resolver(model)._locate(path)
     if _resolved(found) is None:
@@ -1092,21 +1105,4 @@ def remove_element(model: ModuleModel, path: str) -> ModuleModel:
     if index is None or tail:
         raise ModelError(f"not a removable element: {path!r}")
     items = get(model, spec)
-    updated = _put(model, spec.path, items[:index] + items[index + 1:])
-    prefix = path + "/"
-    list_prefix = path[: path.rindex("/") + 1]
-
-    def moved(key: str) -> str:
-        if spec.key != "index" or not key.startswith(list_prefix):
-            return key
-        segment, slash, below = key[len(list_prefix):].partition("/")
-        later = _position(segment)
-        if later is None or later < index:
-            return key
-        return f"{list_prefix}{later - 1}{slash}{below}"
-
-    annotations = sorted(
-        (moved(key), ann) for key, ann in updated.annotations
-        if key != path and not key.startswith(prefix)
-    )
-    return replace(updated, annotations=tuple(annotations))
+    return _put(model, spec.path, items[:index] + items[index + 1:])

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 from generators import incident_references, random_model, removable_paths
 
@@ -180,11 +181,12 @@ def test_criterion_7_cli_contract(tmp_path):
         clean.write_bytes(caex_io.serialize(caex_io.from_model(
             fixture.tjunction_model())))
 
-        tampered_model = fixture.tjunction_model()
-        path = f"{tampered_model.id}/control/control_functions/route"
-        tampered_model = mm._set_annotation(
-            tampered_model, path,
-            mm.Annotation(roles=("DiscManufacturingEquipment",)))
+        clean_model = fixture.tjunction_model()
+        functions = tuple(
+            replace(f, annotation=mm.Annotation(roles=("DiscManufacturingEquipment",)))
+            if f.name == "route" else f for f in clean_model.control.control_functions)
+        tampered_model = mm.set_element(
+            clean_model, replace(clean_model.control, control_functions=functions))
         tampered = tmp_path / "tampered.aml"
         tampered.write_bytes(caex_io.serialize(caex_io.from_model(tampered_model)))
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -30,11 +31,13 @@ def run_bytes(*args: str) -> subprocess.CompletedProcess:
 
 
 def _tampered_model() -> mm.ModuleModel:
+    """The demo model with the roles of control function `route` replaced
+    by one its rule-table class does not permit."""
     m = fixture.tjunction_model()
-    path = f"{m.id}/control/control_functions/route"
-    ann = mm.annotation_at(m, path)
-    return mm._set_annotation(m, path, mm.Annotation(
-        roles=("DiscManufacturingEquipment",), external_refs=ann.external_refs))
+    functions = tuple(
+        replace(f, annotation=replace(f.annotation, roles=("DiscManufacturingEquipment",)))
+        if f.name == "route" else f for f in m.control.control_functions)
+    return mm.set_element(m, replace(m.control, control_functions=functions))
 
 
 def _stripped_model() -> mm.ModuleModel:

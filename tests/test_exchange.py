@@ -433,3 +433,44 @@ def test_a_table_row_with_a_non_canonical_route_priority_is_rejected(text):
     updated, violations = exchange.import_table(m, table)
     assert [(v.rule_id, v.parameter) for v in violations] == [("invalid-value", "priority")]
     assert updated.function.routes == (mm.Route("a", "a", 3),)
+
+
+def test_a_row_in_a_unit_other_than_its_cells_is_skipped():
+    m = fixture.tjunction_model()
+    table = _table((f"{m.id}/components/LB_in", "position", "(1,2,3)", "cm", "", ""))
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.element_path, v.parameter, v.message) for v in violations] == [
+        ("invalid-value", f"{m.id}/components/LB_in", "position",
+         "component position has unit 'cm'; expected 'mm'")]
+    assert updated == m
+
+
+@pytest.mark.parametrize("unit", ["mm", ""])
+def test_a_row_in_its_cells_unit_or_with_no_unit_applies(unit):
+    m = fixture.tjunction_model()
+    table = _table((f"{m.id}/components/LB_in", "position", "(1,2,3)", unit, "", ""))
+    updated, violations = exchange.import_table(m, table)
+    assert violations == []
+    assert mm.resolve(updated, f"{m.id}/components/LB_in/position") == "(1,2,3)"
+
+
+def test_a_new_attribute_takes_the_rows_unit():
+    m = fixture.tjunction_model()
+    table = _table((f"{m.id}/general", "width", "5", "kg", "", ""),
+                   (f"{m.id}/general", "width", "6", "g", "", ""))
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.message) for v in violations] == [
+        ("invalid-value", "general description width has unit 'g'; expected 'kg'")]
+    assert updated.general.static_attributes[-1] == mm.Parameter("width", "5", "kg")
+    assert b'Name="width" DataType="xs:string" Unit="kg"' in caex_io.serialize(
+        caex_io.from_model(updated))
+
+
+def test_a_unit_on_a_new_io_entrys_address_is_rejected():
+    m = mm.new_module("m", "Mini")
+    m = mm.add_component(m, mm.Component(name="S1", kind="sensor"))
+    updated, violations = exchange.import_table(
+        m, _table(("m/components/S1", "logical_address", "%I0.0", "V", "", "")))
+    assert [(v.rule_id, v.message) for v in violations] == [
+        ("invalid-value", "component logical_address has unit 'V'; expected none")]
+    assert updated == m

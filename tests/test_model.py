@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from mfmkit import caex_io
+from dataclasses import replace
+
+from mfmkit import caex_io, exchange
+from mfmkit import consistency as cc
 from mfmkit import model as mm
 from mfmkit.paths import PathError, is_name, split_path
 
@@ -23,11 +26,6 @@ def test_new_module_has_five_empty_subclasses():
 def test_new_module_rejects_empty_id():
     with pytest.raises(mm.ModelError):
         mm.new_module("", "x")
-
-
-def test_new_module_rejects_duplicate_id():
-    with pytest.raises(mm.ModelError, match="duplicate"):
-        mm.new_module("m1", "x", existing_ids=("m0", "m1"))
 
 
 def test_new_module_accepts_hierarchical_id():
@@ -191,10 +189,74 @@ def test_remove_route_keeps_annotations_sorted_past_nine():
     for index in (8, 9, 10, 11):
         m = mm.with_roles(m, f"m/function/routes/{index}", f"R{index}")
     m = mm.remove_element(m, "m/function/routes/3")
-    keys = [path for path, _ann in m.annotations]
-    assert keys == sorted(keys)
     assert [mm.annotation_at(m, f"m/function/routes/{i}").roles for i in (7, 8, 9, 10)] == [
         ("R8",), ("R9",), ("R10",), ("R11",)]
+
+
+#: Elements that _annotated() gives a role and an external reference.
+ANNOTATED = ("m", "m/general", "m/general/identification", "m/control/platform",
+             "m/documents/doc-1", "m/components/A1", "m/control/io_mapping/1")
+
+
+def _annotated() -> mm.ModuleModel:
+    m = _populated()
+    for path in ANNOTATED:
+        m = mm.with_roles(m, path, "KeptRole")
+        m = mm.with_external_ref(m, path, mm.ExternalRef("kept", "AttachmentInterface", "f.pdf"))
+    return m
+
+
+_A1_TYPE_ROW = ",".join(exchange.HEADER) + "\nm/components/A1,component_type,M2,,,\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: mm.set_identification(m, name="Other"),
+    lambda m: mm.set_main_dimensions(m, "(1,2,3)"),
+    lambda m: mm.add_static_attribute(m, "color", "red"),
+    lambda m: mm.set_platform(m, "S7-300", "ET200M"),
+    lambda m: mm.replace_document(m, mm.DocumentReference(
+        id="doc-1", discipline="mechanical", stage="mechanical_eng", name="plan")),
+    lambda m: cc.assign_document(m, "doc-1", "m/components/S1")[0],
+    lambda m: mm.set_parameter(m, "m/components/A1", "latency", "0.5"),
+    lambda m: mm.set_parameter(m, "m/control/io_mapping/1", "logical_address", "%Q1.0"),
+    lambda m: exchange.import_table(m, _A1_TYPE_ROW.encode())[0],
+    lambda m: mm.remove_element(m, "m/components/S1"),
+], ids=["set_identification", "set_main_dimensions", "add_static_attribute", "set_platform",
+        "replace_document", "assign_document", "set_parameter", "set_parameter io entry",
+        "import row", "remove earlier sibling"])
+def test_an_edit_keeps_the_roles_and_external_refs_of_every_element(edit):
+    m = _annotated()
+    edited = edit(m)
+    assert edited != m
+    for path in ANNOTATED:
+        assert mm.annotation_at(edited, path) == mm.annotation_at(m, path), path
+        assert "KeptRole" in mm.annotation_at(edited, path).roles
+
+
+@pytest.mark.parametrize("ann", [
+    mm.Annotation(roles=("a b",)),
+    mm.Annotation(external_refs=(mm.ExternalRef("x", "bad class"),)),
+    mm.Annotation(external_refs=(mm.ExternalRef("x", "I"), mm.ExternalRef("x", "I"))),
+    mm.Annotation(external_refs=(mm.ExternalRef("x", "I", "a\rb"),)),
+], ids=["role", "interface class", "duplicate reference", "refURI"])
+def test_an_invalid_annotation_given_to_a_constructor_is_rejected(ann):
+    m = _populated()
+    with pytest.raises(mm.ModelError):
+        mm.add_component(m, mm.Component("x", annotation=ann))
+    with pytest.raises(mm.ModelError):
+        mm.set_element(m, replace(m.control.platform, annotation=ann))
+    with pytest.raises(mm.ModelError):
+        mm.add_document(m, mm.DocumentReference("doc-2", annotation=ann))
+
+
+def test_a_constructor_annotation_is_stored_as_the_builders_store_it():
+    ann = mm.Annotation(roles=("R", "R", "S"), external_refs=(mm.ExternalRef("x", "I"),))
+    m = mm.add_component(_populated(), mm.Component("x", annotation=ann))
+    assert m.components[-1].annotation == mm.Annotation(
+        roles=("R", "S"), external_refs=(mm.ExternalRef("x", "I"),))
+    assert repr(m.components[-1]) == repr(mm.Component("x"))
+    reread, warnings = caex_io.to_model(caex_io.parse(caex_io.serialize(caex_io.from_model(m))))
+    assert warnings == [] and reread == m
 
 
 @pytest.mark.parametrize("segment", ["00", "01", "+1", "\u0661", "1\n"])

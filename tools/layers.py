@@ -1,5 +1,5 @@
-"""Time the behavior readers, the two simulators, the SFC generation and the
-bulk model writers in process, and the start-up of whole commands, into a
+"""Time the behavior readers, the two simulators, the SFC generation, the
+model layers in process, and the start-up of whole commands, into a
 BENCH_*.json file.
 
     python3 tools/layers.py LABEL OUT.json
@@ -14,13 +14,17 @@ SimulationError is recorded as its message, not as a time. The graph itself
 goes through `behavior.parse_behavior` (on its text), `behavior.to_iml` and
 `sfc.iml_to_sfc` RUNS times each, with the same statistics.
 
-The bulk writers run on `bench/gen.py` models (seed 1, a quarter of the
+The model layers run on `bench/gen.py` models (seed 1, a quarter of the
 cells withheld) of each size in SIZES, MODEL_RUNS times each, keeping the
 best time as well: `caex_io.to_model` on the parsed file,
-`exchange.import_table` on the filled request of the table-merge workload,
-and `exchange.import_table` on a table that gives every component a new
-type and a new document. `caex_io.to_model.calls` is the cProfile count
-of function calls of one `to_model` run.
+`caex_io.from_model` on its model and `caex_io.serialize` on that
+document, `mapping.validate_assignments` and `mapping.uncovered_classes`
+with the default rule table, `exchange.import_table` on the filled request
+of the table-merge workload, and `exchange.import_table` on a table that
+gives every component a new type and a new document. The builder chain
+`tests/generators.sized_model` runs at the same sizes (n components, one
+public builder call after another). `caex_io.to_model.calls` is the
+cProfile count of function calls of one `to_model` run.
 
 The start-up section runs commands as fresh processes on the init-example
 demo set. `python -X importtime` gives each mfmkit module's self time (the
@@ -62,11 +66,12 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import gen  # noqa: E402  (bench/gen.py, read as is)
+import generators  # noqa: E402  (tests/generators.py)
 from run import reference_loop  # noqa: E402  (bench/run.py, read as is)
-from mfmkit import behavior, caex_io, exchange, sfc  # noqa: E402
+from mfmkit import behavior, caex_io, exchange, mapping, sfc  # noqa: E402
 
 SEED = 1
 COMPONENTS = 200
@@ -126,14 +131,22 @@ def _new_document_table(model) -> bytes:
 
 def _model_layers() -> dict:
     figures: dict[str, list] = {}
+    table = mapping.default_table()
     for n in SIZES:
         planted = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers")
         doc = caex_io.parse(planted.data)
         model, _warnings = caex_io.to_model(doc)
+        rendered = caex_io.from_model(model)
         filled, _params, _broken = gen.fill_request(planted, random.Random(f"layers-{n}"), 0)
         new_documents = _new_document_table(model)
         for name, call in (
                 ("caex_io.to_model", lambda: caex_io.to_model(doc)),
+                ("caex_io.from_model", lambda: caex_io.from_model(model)),
+                ("caex_io.serialize", lambda: caex_io.serialize(rendered)),
+                ("mapping.validate_assignments",
+                 lambda: mapping.validate_assignments(model, table)),
+                ("mapping.uncovered_classes", lambda: mapping.uncovered_classes(model, table)),
+                ("tests/generators.sized_model", lambda: generators.sized_model(n)),
                 ("exchange.import_table filled request",
                  lambda: exchange.import_table(model, filled)),
                 ("exchange.import_table new document per row",
