@@ -11,7 +11,8 @@ attributes and children in canonical order, the value it builds and the
 inverse that splits the value again. xmlio.parse_tree reads a file against
 the table in one pass, with no intermediate tree; the first error, in the
 order the reader meets it, is raised. The CAEX rules of the table beyond
-tags and attributes: an Attribute holds at most one Value, and the
+tags and attributes: an Attribute holds at most one Value, folded into it
+(xmlio.Tag: the Value's text is the Attribute's value), and the
 InternalElements of one parent have distinct names.
 
 Serialization is canonical (see docs/format.md): fixed attribute order,
@@ -33,7 +34,7 @@ from .consistency import (
     Violation,
 )
 from .paths import PathError, join_path
-from .xmlio import Tag, every, parse_tree, serialize_tree
+from .xmlio import Tag, parse_tree, serialize_tree
 
 #: Supported external-data connector kinds: the interface class each one
 #: stores and the base name of its connectors. The stored identifiers match
@@ -56,6 +57,9 @@ class StructureError(ValueError):
 # ---------------------------------------------------------------------------
 # Plain named tuples: the reader builds one per element, and a tuple costs a
 # fraction of a frozen dataclass to define at import and to build per record.
+# The reader and from_model make them with `_new`, which skips the generated
+# constructor's defaults: every field is given.
+_new = tuple.__new__
 
 class CaexAttribute(NamedTuple):
     name: str
@@ -107,9 +111,9 @@ class CaexDocument(NamedTuple):
 TAGS: dict[str, Tag] = {
     "CAEXFile": Tag(
         (), (), ("RoleClassLibRef", "InterfaceClassLibRef", "InstanceHierarchy", "InternalLink"),
-        lambda attrs, kids, text: CaexDocument(
-            every(kids, "RoleClassLibRef"), every(kids, "InterfaceClassLibRef"),
-            every(kids, "InstanceHierarchy"), every(kids, "InternalLink")),
+        lambda attrs, kids, text: _new(CaexDocument, (
+            tuple(kids.get("RoleClassLibRef", ())), tuple(kids.get("InterfaceClassLibRef", ())),
+            tuple(kids.get("InstanceHierarchy", ())), tuple(kids.get("InternalLink", ())))),
         lambda doc: ((), (doc.role_class_lib_refs, doc.interface_class_lib_refs,
                           doc.instance_hierarchies, doc.internal_links), "")),
     "RoleClassLibRef": Tag(
@@ -120,39 +124,39 @@ TAGS: dict[str, Tag] = {
         lambda name: ((name,), (), "")),
     "InstanceHierarchy": Tag(
         ("Name",), (), ("InternalElement",),
-        lambda attrs, kids, text: CaexHierarchy(attrs["Name"], every(kids, "InternalElement")),
+        lambda attrs, kids, text: _new(CaexHierarchy, (
+            attrs["Name"], tuple(kids.get("InternalElement", ())))),
         lambda hierarchy: ((hierarchy.name,), (hierarchy.elements,), "")),
     "InternalLink": Tag(
         ("Name", "RefPartnerSideA", "RefPartnerSideB"), (), (),
-        lambda attrs, kids, text: CaexLink(
-            attrs["Name"], attrs["RefPartnerSideA"], attrs["RefPartnerSideB"]),
+        lambda attrs, kids, text: _new(CaexLink, (
+            attrs["Name"], attrs["RefPartnerSideA"], attrs["RefPartnerSideB"])),
         lambda link: ((link.name, link.side_a, link.side_b), (), "")),
     "InternalElement": Tag(
         ("Name",), ("ID",),
         ("Attribute", "ExternalInterface", "RoleRequirements", "InternalElement"),
-        lambda attrs, kids, text: CaexElement(
-            attrs["Name"], attrs.get("ID", ""), every(kids, "Attribute"),
-            every(kids, "RoleRequirements"), every(kids, "ExternalInterface"),
-            every(kids, "InternalElement")),
+        lambda attrs, kids, text: _new(CaexElement, (
+            attrs["Name"], attrs.get("ID", ""), tuple(kids.get("Attribute", ())),
+            tuple(kids.get("RoleRequirements", ())), tuple(kids.get("ExternalInterface", ())),
+            tuple(kids.get("InternalElement", ())))),
         lambda element: ((element.name, element.id), (
             element.attributes, element.external_interfaces, element.role_requirements,
             element.children), ""),
         key=lambda element: element.name),
     "Attribute": Tag(
         ("Name",), ("DataType", "Unit"), ("Value", "Attribute"),
-        lambda attrs, kids, text: CaexAttribute(
-            attrs["Name"], kids["Value"][0] if "Value" in kids else "",
-            attrs.get("DataType", ""), attrs.get("Unit", ""), every(kids, "Attribute")),
+        lambda attrs, kids, text: _new(CaexAttribute, (
+            attrs["Name"], text, attrs.get("DataType", ""), attrs.get("Unit", ""),
+            tuple(kids.get("Attribute", ())))),
         lambda attribute: (
             (attribute.name, attribute.data_type, attribute.unit),
-            ((attribute.value,) if attribute.value else (), attribute.children), ""),
+            ((), attribute.children), attribute.value),
         once=frozenset({"Value"})),
-    "Value": Tag(
-        (), (), (), lambda attrs, kids, text: text, lambda text: ((), (), text), text=True),
+    "Value": Tag((), (), (), None, None, text=True, folded=True),
     "ExternalInterface": Tag(
         ("Name",), ("RefBaseClassPath",), ("Attribute",),
-        lambda attrs, kids, text: CaexInterface(
-            attrs["Name"], attrs.get("RefBaseClassPath", ""), every(kids, "Attribute")),
+        lambda attrs, kids, text: _new(CaexInterface, (
+            attrs["Name"], attrs.get("RefBaseClassPath", ""), tuple(kids.get("Attribute", ())))),
         lambda interface: (
             (interface.name, interface.interface_class), (interface.attributes,), "")),
     "RoleRequirements": Tag(
@@ -190,14 +194,16 @@ def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: lis
 
 
 _NO_ATTRIBUTE = CaexAttribute("")
+_NO_ANNOTATION = mm.Annotation()
 
 
 class _ModelBuilder:
     """Mutable assembly state for one to_model run.
 
     The reader walks the document along the schema (mm.SCHEMA) once. Each
-    element is validated by the same model.check_* functions the public
-    builders use, given its annotation, and stored in a working copy of the
+    element is built with its annotation, validated by the same
+    model.check_* functions the public builders use (the annotation by
+    `annotation`, once), and stored in a working copy of the
     new module (a mm.Resolver), whose key index checks entry keys; cross
     references are kept in insertion order. The working copy builds the
     model once at the end, so reading costs one pass over the file instead
@@ -229,10 +235,12 @@ class _ModelBuilder:
             self.warn(RULE_INVALID_VALUE, path, str(exc))
             return None
 
-    def annotate(self, node, roles: tuple[str, ...], interfaces: tuple[CaexInterface, ...],
-                 path: str):
-        """`node` (at `path`) with the valid roles and interfaces added to its annotation."""
-        ann = node.annotation
+    def annotation(self, ann: mm.Annotation, roles: tuple[str, ...],
+                   interfaces: tuple[CaexInterface, ...], path: str):
+        """`ann` with the valid roles and interfaces of the element at `path`
+        added, and the warnings about the others, which the caller reports
+        after the element's own."""
+        reported, self.violations = self.violations, []
         if roles:
             ann = self.checked(path, mm.check_roles, ann, roles) or ann
         for name, interface_class, attributes in interfaces:
@@ -245,7 +253,8 @@ class _ModelBuilder:
                               f"unsupported interface attribute '{attribute.name}' ignored")
             ann = self.checked(path, mm.check_external_ref, ann, path,
                                mm.ExternalRef(name, interface_class, uri)) or ann
-        return node if ann is node.annotation else replace(node, annotation=ann)
+        notes, self.violations = self.violations, reported
+        return ann, notes
 
     def values(self, spec: mm.ElementSpec, attributes: tuple[CaexAttribute, ...], path: str):
         """Parameter values of one element, given its attributes, the names
@@ -288,8 +297,10 @@ class _ModelBuilder:
         """Read a single element (root, container or singleton) and its children."""
         fields, checked, extra = self.values(spec, element.attributes, path)
         node = self.edit.part(spec)
-        if fields:
-            node = self.checked(path, mm.check_node, spec, replace(node, **fields), checked) or node
+        fields["annotation"], notes = self.annotation(
+            node.annotation, element.role_requirements, element.external_interfaces, path)
+        checked.add("annotation")
+        node = self.checked(path, mm.check_node, spec, replace(node, **fields), checked) or node
         if extra:
             attrs = list(getattr(node, spec.extra))
             taken = {a.name for a in attrs}
@@ -300,7 +311,7 @@ class _ModelBuilder:
                     attrs.append(added)
                     taken.add(added.name)
             node = replace(node, **{spec.extra: tuple(attrs)})
-        node = self.annotate(node, element.role_requirements, element.external_interfaces, path)
+        self.violations += notes
         self.edit.put(spec, None, node)
         self.children(spec, element.children, path)
 
@@ -321,11 +332,16 @@ class _ModelBuilder:
             fields, checked, _extra = self.values(spec, attributes, entry_path)
             if not indexed:
                 fields[spec.key] = name
+            notes = ()
+            if roles or interfaces:
+                at = join_path(path, str(len(self.edit.part(spec)))) if indexed else entry_path
+                fields["annotation"], notes = self.annotation(_NO_ANNOTATION, roles, interfaces, at)
+                checked.add("annotation")
             node = self.checked(
                 entry_path, mm.check_entry, spec, spec.node_type(**fields), taken, checked)
             if node is not None:
-                at = join_path(path, str(len(self.edit.part(spec)))) if indexed else entry_path
-                self.edit.append(spec, self.annotate(node, roles, interfaces, at))
+                self.edit.append(spec, node)
+                self.violations += notes
             self.children(spec, children, entry_path)
 
     def children(self, spec: mm.ElementSpec, elements: tuple[CaexElement, ...],
@@ -387,10 +403,6 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
 # Model -> document
 # ---------------------------------------------------------------------------
 
-def _value_attr(name: str, value: str, unit: str = "") -> CaexAttribute:
-    return CaexAttribute(name=name, value=value, data_type=_STRING_TYPE, unit=unit)
-
-
 def from_model(model: mm.ModuleModel) -> CaexDocument:
     """Render a model as a document; to_model(from_model(m)) reproduces m.
 
@@ -405,41 +417,33 @@ def from_model(model: mm.ModuleModel) -> CaexDocument:
         ann = node.annotation
         role_libs.update(ann.roles)
         iface_libs.update(ref.interface_class for ref in ann.external_refs)
-        interfaces = tuple(
-            CaexInterface(
-                name=ref.name, interface_class=ref.interface_class,
-                attributes=(_value_attr("refURI", ref.ref_uri),) if ref.ref_uri else ())
-            for ref in ann.external_refs)
+        interfaces = tuple([_new(CaexInterface, (ref.name, ref.interface_class, (
+            _new(CaexAttribute, ("refURI", ref.ref_uri, _STRING_TYPE, "", ())),) if ref.ref_uri
+            else ())) for ref in ann.external_refs])
         # Schema parameters are omitted when empty (the reader restores them);
         # the open attribute set has no schema, so its names survive empty.
-        attributes = tuple(
-            _value_attr(param, value, unit)
+        attributes = tuple([
+            _new(CaexAttribute, (param, value, _STRING_TYPE, unit, ()))
             for param, value, unit in mm.param_rows(spec, node)
-            if value or param not in spec.names)
+            if value or param not in spec.names])
         children = []
         for child_name, child in mm.CHILDREN[spec.path].items():
             value = getattr(node, child_name)
             if not child.key:
                 children.append(element(child, child_name, value))
             elif value:
-                children.append(CaexElement(name=child_name, children=tuple(
-                    element(child, key, entry) for key, entry in mm.keyed(child, value))))
-        return CaexElement(
-            name=name, attributes=attributes, role_requirements=ann.roles,
-            external_interfaces=interfaces, children=tuple(children))
+                children.append(_new(CaexElement, (child_name, "", (), (), (), tuple([
+                    element(child, key, entry) for key, entry in mm.keyed(child, value)]))))
+        return _new(CaexElement, (name, "", attributes, ann.roles, interfaces, tuple(children)))
 
     id_segments = model.id.split("/")
     root = element(mm.ROOT, id_segments[-1], model)
     for segment in reversed(id_segments[:-1]):
-        root = CaexElement(name=segment, children=(root,))
+        root = CaexElement(segment, "", (), (), (), (root,))
     return CaexDocument(
-        role_class_lib_refs=tuple(sorted(role_libs)),
-        interface_class_lib_refs=tuple(sorted(iface_libs)),
-        instance_hierarchies=(CaexHierarchy(name="modules", elements=(root,)),),
-        internal_links=tuple(
-            CaexLink(name=ref.kind, side_a=ref.source, side_b=ref.target)
-            for ref in model.cross_refs),
-    )
+        tuple(sorted(role_libs)), tuple(sorted(iface_libs)),
+        (CaexHierarchy("modules", (root,)),),
+        tuple([CaexLink(ref.kind, ref.source, ref.target) for ref in model.cross_refs]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import model as mm
-from .paths import join_path, split_path
+from .paths import is_name, join_path, split_path
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -197,6 +197,8 @@ def load_matrix(text: str) -> StageCoverageMatrix:
             raise MatrixError(f"line {lineno}: unknown stage {stage!r}")
         if selector not in _SELECTORS and selector != _IO_DEMAND[0]:
             raise MatrixError(f"line {lineno}: unknown selector {selector!r}")
+        if not is_name(parameter):
+            raise MatrixError(f"line {lineno}: malformed parameter name {parameter!r}")
         rows.append((stage, selector, parameter))
     return StageCoverageMatrix(rows=tuple(rows))
 
@@ -206,11 +208,11 @@ def default_matrix() -> StageCoverageMatrix:
     return load_matrix(text)
 
 
-def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tuple[str, str]] | None:
-    """(element path, display name) of each scalar cell a matrix row demands.
-
-    None for rows that demand no cell: the cross-reference demand and list
-    demands such as `function | logistic_functions`. The io demand's cells
+def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tuple] | None:
+    """(element path, display name, element) of each element whose cell
+    (mm.cell of `parameter`) a matrix row demands. None for rows that demand
+    no cell: the cross-reference demand, lists (`function | logistic_functions`)
+    and child elements (`general | identification`). The io demand's cells
     are the io_mapping entries' addresses. Unsupported rows raise MatrixError.
     """
     if (selector, parameter) == _REFS_DEMAND:
@@ -225,11 +227,13 @@ def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tupl
         return None
     if not (spec.params or spec.extra):
         raise MatrixError(f"unsupported matrix row: {selector} | {parameter}")
+    if child is not None:
+        return None
     path = join_path(model.id, *spec.path)
+    node = mm.get(model, spec)
     if not spec.key:
-        return [(path, spec.path[-1])]
-    return [(f"{path}/{key}", f"{spec.label} {key}")
-            for key, _entry in mm.keyed(spec, mm.get(model, spec))]
+        return [(path, spec.path[-1], node)]
+    return [(f"{path}/{key}", f"{spec.label} {key}", entry) for key, entry in mm.keyed(spec, node)]
 
 
 def _signal_components(model: mm.ModuleModel):
@@ -281,8 +285,9 @@ def _eval_row(model: mm.ModuleModel, find: mm.Resolver, stage: str, selector: st
         if cells is None:
             if not find(join_path(mid, selector, parameter)):
                 miss(join_path(mid, selector), f"no {parameter} declared")
-        for path, name in cells or ():
-            if not find(join_path(path, parameter)):
+        for path, name, node in cells or ():
+            value = mm.cell(mm.spec_of(node), node, parameter)
+            if not (value and value[0]):
                 miss(path, f"{name} has no {parameter}")
     return found
 

@@ -95,7 +95,8 @@ def export_table(
     stage's matrix cells or one sub-tree (`cls`); missing_only exports the
     check_completeness request set for `stage` (default: the final stage)
     with empty value cells. Rows are sorted by element_path, parameter_name.
-    Values and units are looked up through one resolver.
+    A stage export reads each cell from the element row_cells gives; a
+    request looks its units up through one resolver.
     """
     if stage and cls:
         raise ExchangeError("stage and class filters are mutually exclusive")
@@ -110,23 +111,23 @@ def export_table(
     if matrix is None:
         matrix = default_matrix()
 
-    find = mm.Resolver(model)
     rows: list[tuple[str, str, str, str]] = []
     if missing_only:
+        find = mm.Resolver(model)
         request_stage = stage or mm.STAGES[-1]
         for violation in check_completeness(model, request_stage, matrix):
             rows.append((violation.element_path, violation.parameter, "",
                          find.unit_of(violation.element_path, violation.parameter)))
     elif stage:
-        cells: dict[tuple[str, str], None] = {}
+        cells: dict[tuple[str, str], object] = {}
         for row_stage, selector, parameter in matrix.rows:
             if row_stage == stage:
-                for element_path, _name in row_cells(model, selector, parameter) or ():
-                    cells[(element_path, parameter)] = None
-        for element_path, parameter in cells:
-            value = find(join_path(element_path, parameter))
-            if value:
-                rows.append((element_path, parameter, value, find.unit_of(element_path, parameter)))
+                for element_path, _name, node in row_cells(model, selector, parameter) or ():
+                    cells[(element_path, parameter)] = node
+        for (element_path, parameter), node in cells.items():
+            found = mm.cell(mm.spec_of(node), node, parameter)
+            if found and found[0]:
+                rows.append((element_path, parameter, *found))
     else:
         prefix = join_path(model.id, cls) if cls else ""
         for element_path, parameter, value, unit in mm.iter_parameters(model):
@@ -234,13 +235,12 @@ class _Merge:
                             f"element has no parameter {parameter!r}", parameter)
         try:
             if unit:
-                cells = spec.params + getattr(node, spec.extra) if spec.extra else spec.params
-                expected = next((cell.unit for cell in cells if cell.name == parameter), None)
-                if expected is None:  # a new attribute
+                found = mm.cell(spec, node, parameter)
+                if found is None:  # a new attribute
                     added = mm.check_attribute(spec, (), parameter, value, unit)
                     return spec, replace(node, **{spec.extra: getattr(node, spec.extra) + (added,)})
-                if unit != expected:
-                    raise mm.ModelError(mm.unit_mismatch(spec, parameter, unit, expected))
+                if unit != found[1]:
+                    raise mm.ModelError(mm.unit_mismatch(spec, parameter, unit, found[1]))
             return spec, mm.write_parameter(spec, node, parameter, value)
         except (mm.ModelError, PathError) as error:
             raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None

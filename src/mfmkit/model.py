@@ -414,7 +414,7 @@ class ElementSpec:
     module name and the document fields are written to files but are not
     parameters. `extra` names a field holding an open set of Parameters, and
     `invariant` checks a whole element after its parameters. `params` are
-    the param() fields of `node_type`, in field order.
+    the param() fields of `node_type`, in field order; `names` by name.
     """
 
     path: tuple[str, ...]
@@ -427,7 +427,7 @@ class ElementSpec:
     params: tuple[Param, ...] = field(init=False)
     #: "port", "runtime variable", ...: used in messages
     label: str = field(init=False, repr=False, compare=False)
-    names: frozenset[str] = field(init=False, repr=False, compare=False)
+    names: dict[str, Param] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         params = tuple(Param(f.name, *f.metadata["param"])
@@ -435,7 +435,7 @@ class ElementSpec:
         words = re.sub(r"(?<!^)(?=[A-Z])", " ", self.node_type.__name__).lower()
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "label", words)
-        object.__setattr__(self, "names", frozenset(p.name for p in params))
+        object.__setattr__(self, "names", {p.name: p for p in params})
 
     def writable(self, name: str) -> bool:
         """Whether `name` is a parameter set_parameter and table rows may write."""
@@ -539,10 +539,10 @@ def check_value(spec: ElementSpec, param: Param, value):
 
 
 def check_node(spec: ElementSpec, node, checked=()):
-    """Validate an element or entry: its key name, every parameter value
-    except those named in `checked` (the caller validated them with
-    check_value), its annotation as with_roles and with_external_ref check
-    theirs, and the invariant. Returns the node to store."""
+    """Validate an element or entry and return the node to store: its key
+    name, its parameter values and its annotation (as with_roles and
+    with_external_ref check theirs) except those that `checked` names (the
+    caller validated them), and the invariant."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
     changes = {}
@@ -554,7 +554,7 @@ def check_node(spec: ElementSpec, node, checked=()):
         if stored is not value:
             changes[param.name] = stored
     given = node.annotation
-    if given.roles or given.external_refs:
+    if (given.roles or given.external_refs) and "annotation" not in checked:
         ann = check_roles(Annotation(), given.roles)
         for ref in given.external_refs:
             ann = check_external_ref(ann, spec.label, ref)
@@ -870,6 +870,18 @@ def _position(segment: str) -> int | None:
     return None
 
 
+def cell(spec: ElementSpec, node, name: str) -> tuple[str, str] | None:
+    """(value, unit) of parameter `name` of `node`, an element of `spec`:
+    a schema parameter, else an open-set attribute; None if there is none."""
+    param = spec.names.get(name)
+    if param is not None:
+        return str(getattr(node, name)), param.unit
+    for attribute in getattr(node, spec.extra) if spec.extra else ():
+        if attribute.name == name:
+            return attribute.value, attribute.unit
+    return None
+
+
 def _resolved(found):
     if found is None:
         return None
@@ -878,13 +890,8 @@ def _resolved(found):
         return node
     if len(tail) > 1 or not spec.surface:
         return None
-    name = tail[0]
-    if name in spec.names:
-        return str(getattr(node, name))
-    for attribute in getattr(node, spec.extra) if spec.extra else ():
-        if attribute.name == name:
-            return attribute.value
-    return None
+    value = cell(spec, node, tail[0])
+    return value and value[0]
 
 
 def _element(found):
@@ -994,10 +1001,8 @@ class Resolver:
     def unit_of(self, element_path: str, name: str) -> str:
         """Implied unit of one parameter; "" when it has none or is unknown."""
         found = _element(self._locate(element_path))
-        if found is None:
-            return ""
-        spec, _index, node = found
-        return next((unit for param, _value, unit in param_rows(spec, node) if param == name), "")
+        value = found and cell(found[0], found[2], name)
+        return value[1] if value else ""
 
     def element(self, path: str):
         """(spec, position, node) of the element at `path`, or None; the
@@ -1078,8 +1083,7 @@ def write_parameter(spec: ElementSpec, node, name: str, value: str):
                 return replace(node, **{spec.extra: attrs})
         added = check_attribute(spec, (p.name for p in attrs), name, value, "")
         return replace(node, **{spec.extra: attrs + (added,)})
-    param = next(p for p in spec.params if p.name == name)
-    updated = replace(node, **{name: check_value(spec, param, value)})
+    updated = replace(node, **{name: check_value(spec, spec.names[name], value)})
     if spec.invariant:
         spec.invariant(updated)
     return updated

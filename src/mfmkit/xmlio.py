@@ -11,6 +11,8 @@ attributes and children each element allows, in canonical order, the
 function that builds the element's value and its inverse, which splits a
 value back into attributes, children and text. parse_tree reads a document
 against such a table and serialize_tree writes one; neither knows a format.
+A text element that only carries its parent's value (CAEX `Value`) is
+declared folded: it is checked as an element, but its text is its parent's.
 
 Reading is one strict pass of expat over the bytes. The byte-level rules
 exist only here: UTF-8 or ASCII encoding, no DOCTYPE declarations or
@@ -19,10 +21,14 @@ text only inside text elements, no text element mixing text with child
 elements, and expat's own errors. The structural rules come from the
 table: the root tag, each element's tag within its parent, its attribute
 names, the children allowed once, unique keys, and whatever a `build`
-raises. Every error is an XmlError with the source line and column.
+raises. Every error is an XmlError with the source line and column. The
+writer escapes only an attribute value that holds `&`, `<`, `>`, `"`, a tab,
+line feed or carriage return, and only text that holds `&`, `<`, `>` or a
+carriage return.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from xml.parsers import expat
@@ -68,16 +74,21 @@ class Tag:
     of the second one. With a `key`, the keys of an element's values must
     differ among its siblings of the same tag, checked at the end of the
     second one.
+
+    A `folded` text element (never the root) has no build or split: its
+    text is its parent's `text` for `build` and from `split`, which gives
+    the folded child an empty sequence; an empty text is not written.
     """
 
     required: tuple[str, ...]
     optional: tuple[str, ...]
     children: tuple[str, ...]
-    build: Callable[[dict, dict, str], object]
-    split: Callable[[object], tuple[tuple, tuple, str]]
+    build: Callable[[dict, dict, str], object] | None
+    split: Callable[[object], tuple[tuple, tuple, str]] | None
     text: bool = False
     once: frozenset[str] = frozenset()
     key: Callable[[object], str] | None = None
+    folded: bool = False
     attrs: tuple[str, ...] = field(init=False)
     allowed: frozenset[str] = field(init=False)
     needed: frozenset[str] = field(init=False)
@@ -103,12 +114,13 @@ class _Reader:
 
     Each open element is a record [tag, Tag (None if unknown), attrs, line,
     column, child values by tag, keys of the children, text parts (None
-    unless a text element), has children]. The start of an element checks
-    it against its parent and its attributes; the end builds its value and
-    hands it to the parent. The first structural error stops the building
-    but not the pass: it is raised only after the whole input has passed
-    the byte-level rules, so a byte-level error anywhere wins over a
-    structural error before it.
+    unless a text element), has children, folded child's text]. The start
+    of an element checks it against its parent and its attributes (`_error`
+    names a failure); the end builds its value, or takes a folded element's
+    text, for the parent. The first structural error stops the building but
+    not the pass: it is raised only after the whole input has passed the
+    byte-level rules, so a byte-level error anywhere wins over a structural
+    error before it.
 
     Character data is buffered: a run of text between two tags costs one
     callback. Expat delivers a run only when the markup after it arrives and
@@ -144,6 +156,8 @@ class _Reader:
             if buffered:
                 raise _Unplaced from None
             raise XmlError(expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from None
+        finally:  # its handlers hold this reader, and with it the value
+            self._parser = None
 
     def _fail(self, error: XmlError) -> None:
         self.failure = error
@@ -174,38 +188,38 @@ class _Reader:
         spec = self.tags.get(tag)
         self._text = [] if spec is not None and spec.text else None
         if self._building:
-            try:
-                self._check(tag, spec, attrs, line, column)
-            except XmlError as error:
-                self._fail(error)
-        stack.append([tag, spec, attrs, line, column, {}, None, self._text, False])
+            if stack:
+                parent = stack[-1]
+                allowed = parent[1]
+                known = tag in allowed.child_tags and (tag not in allowed.once or (
+                    parent[9] is None if spec.folded else tag not in parent[5]))
+            else:
+                known = tag == self.root
+            keys = attrs.keys()
+            if not (known and keys <= spec.allowed and keys >= spec.needed):
+                self._fail(self._error(tag, spec, attrs, line, column, known))
+        stack.append([tag, spec, attrs, line, column, {}, None, self._text, False, None])
 
-    def _check(self, tag, spec, attrs, line, column):
-        stack = self._stack
-        if stack:
-            record = stack[-1]
-            parent = record[1]
-            if tag not in parent.child_tags:
-                raise XmlError(f"unsupported element <{tag}> in {record[0]}", line, column)
-            if tag in parent.once and tag in record[5]:
-                raise XmlError(f"multiple <{tag}> children", line, column)
-        elif tag != self.root:
-            raise XmlError(f"unsupported root element <{tag}>", line, column)
-        keys = attrs.keys()
-        if keys <= spec.allowed and keys >= spec.needed:
-            return
+    def _error(self, tag, spec, attrs, line, column, known) -> XmlError:
+        """The error `_start` found; `known`: the tag may stand where it is."""
+        if not known:
+            if not self._stack:
+                return XmlError(f"unsupported root element <{tag}>", line, column)
+            record = self._stack[-1]
+            if tag not in record[1].child_tags:
+                return XmlError(f"unsupported element <{tag}> in {record[0]}", line, column)
+            return XmlError(f"multiple <{tag}> children", line, column)
         for key in attrs:
             if key not in spec.allowed:
-                raise XmlError(f"unsupported attribute {key!r} on <{tag}>", line, column)
-        for key in spec.required:
-            if key not in attrs:
-                raise XmlError(f"missing attribute {key!r} on <{tag}>", line, column)
+                return XmlError(f"unsupported attribute {key!r} on <{tag}>", line, column)
+        key = next(key for key in spec.required if key not in attrs)
+        return XmlError(f"missing attribute {key!r} on <{tag}>", line, column)
 
     def _end(self, tag):
         stack = self._stack
-        tag, spec, attrs, line, column, kids, _keys, parts, mixed = stack.pop()
+        tag, spec, attrs, line, column, kids, _keys, parts, mixed, folded = stack.pop()
         if parts is None:
-            text = ""
+            text = folded or ""
         else:
             if parts and mixed:
                 raise XmlError(f"element <{tag}> mixes text and child elements", line, column)
@@ -213,6 +227,9 @@ class _Reader:
         parent = stack[-1] if stack else None
         self._text = parent[7] if parent is not None else None
         if not self._building:
+            return
+        if spec.folded:
+            parent[9] = text
             return
         try:
             value = spec.build(attrs, kids, text)
@@ -273,16 +290,20 @@ def parse_tree(data: bytes, root: str, tags: dict[str, Tag]):
 # Serialization
 # ---------------------------------------------------------------------------
 
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+# literal whitespace in attribute values would be normalized on re-parse
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                               "\r": "&#13;", "\n": "&#10;", "\t": "&#9;"})
+_TEXT_SPECIAL = re.compile("[&<>\r]")
+_ATTR_SPECIAL = re.compile('[&<>"\r\n\t]')
+
+
 def _escape_attr(value: str) -> str:
-    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    value = value.replace('"', "&quot;")
-    # literal whitespace in attribute values would be normalized on re-parse
-    return value.replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#9;")
+    return value.translate(_ATTR_ESCAPES) if _ATTR_SPECIAL.search(value) else value
 
 
 def _escape_text(value: str) -> str:
-    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return value.replace("\r", "&#13;")
+    return value.translate(_TEXT_ESCAPES) if _TEXT_SPECIAL.search(value) else value
 
 
 def _write(value, tag: str, tags: dict[str, Tag], pad: str, lines: list[str]) -> None:
@@ -292,15 +313,17 @@ def _write(value, tag: str, tags: dict[str, Tag], pad: str, lines: list[str]) ->
     for name, attr in zip(spec.attrs, values):
         if attr or name in spec.needed:
             head += f' {name}="{_escape_attr(attr)}"'
-    if any(kids):
+    if spec.text and text:
+        lines.append(f"{pad}<{head}>{_escape_text(text)}</{tag}>")
+    elif text or any(kids):  # any text here is a folded child's
         lines.append(f"{pad}<{head}>")
         inner = pad + "  "
         for child, items in zip(spec.children, kids):
             for item in items:
                 _write(item, child, tags, inner, lines)
+            if text and tags[child].folded:
+                lines.append(f"{inner}<{child}>{_escape_text(text)}</{child}>")
         lines.append(f"{pad}</{tag}>")
-    elif text:
-        lines.append(f"{pad}<{head}>{_escape_text(text)}</{tag}>")
     elif not pad:  # the root, the one element written at pad ""
         lines.append(f"{pad}<{head}>")
         lines.append(f"{pad}</{tag}>")
@@ -313,4 +336,7 @@ def serialize_tree(value, root: str, tags: dict[str, Tag]) -> bytes:
     canonical form (the root is always expanded)."""
     lines = [DECLARATION]
     _write(value, root, tags, "", lines)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines.append("")  # the final line feed
+    text = "\n".join(lines)
+    del lines  # freed before the bytes are made
+    return text.encode("utf-8")

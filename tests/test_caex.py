@@ -1,13 +1,16 @@
 """Exchange-file parsing, canonical serialization, and model mapping."""
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from generators import random_model, sized_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfmkit import caex_io
+from mfmkit import caex_io, sfc, xmlio
 from mfmkit import model as mm
 from mfmkit.caex_io import (
     CaexAttribute,
@@ -163,6 +166,80 @@ def test_every_model_that_can_be_written_can_be_read_back():
             caex_io.to_model(caex_io.parse(_nested(levels, role)))
 
 
+def _attribute_file(body: bytes) -> bytes:
+    """A file whose element `e` holds the attribute `a` with `body` inside."""
+    return DECL + (b'<CAEXFile>\n  <InstanceHierarchy Name="h">\n'
+                   b'    <InternalElement Name="e">\n      <Attribute Name="a">' + body
+                   + b"</Attribute>\n    </InternalElement>\n  </InstanceHierarchy>\n</CAEXFile>\n")
+
+
+@pytest.mark.parametrize("body, value, children", [
+    (b"<Value/>", "", ()),
+    (b"<Value></Value>", "", ()),
+    (b"<Value>1 &amp; 2</Value>", "1 & 2", ()),
+    (b'<Attribute Name="b"><Value>x</Value></Attribute><Value>y</Value>', "y",
+     (CaexAttribute("b", "x"),)),
+    (b"<Value>a&#13;b</Value>", "a\rb", ()),
+])
+def test_a_value_is_read_as_the_text_of_its_attribute(body, value, children):
+    attribute = caex_io.parse(_attribute_file(body)).instance_hierarchies[0].elements[0] \
+        .attributes[0]
+    assert attribute == CaexAttribute("a", value, children=children)
+
+
+def test_a_folded_value_is_written_inline_and_read_back():
+    data = _attribute_file(b"<Value>a&#13;b &lt;c&gt;</Value>")
+    written = caex_io.serialize(caex_io.parse(data))
+    assert b'<Attribute Name="a">\n        <Value>a&#13;b &lt;c&gt;</Value>\n' in written
+    assert caex_io.serialize(caex_io.parse(written)) == written
+    # an empty value is not written, and a value comes before nested attributes
+    nested = caex_io.serialize(caex_io.parse(_attribute_file(
+        b'<Attribute Name="b"/><Value>y</Value>')))
+    assert b'<Attribute Name="a">\n        <Value>y</Value>\n' \
+           b'        <Attribute Name="b"/>\n      </Attribute>' in nested
+    assert b"<Value" not in caex_io.serialize(caex_io.parse(_attribute_file(b"<Value/>")))
+
+
+def test_a_folded_value_keeps_the_element_rules():
+    for body, message in (
+            (b"<Value>1</Value><Value/>", "multiple <Value> children"),
+            (b'<Value Unit="mm">1</Value>', "unsupported attribute 'Unit' on <Value>"),
+            (b"<Value><Value/></Value>", "unsupported element <Value> in Value"),
+            (b"<Value>1<RoleRequirements/></Value>", "element <Value> mixes text and child")):
+        with pytest.raises(XmlError, match=message) as err:
+            caex_io.parse(_attribute_file(body))
+        assert err.value.line == 5
+
+
+BASE_PLCOPEN = b"""<?xml version="1.0" encoding="utf-8"?>
+<project name="p">
+  <pou name="p" pouType="program">
+    <interface>
+      <variable name="v" dataType="BOOL" kind="input"/>
+    </interface>
+    <body>
+      <sfc>
+        <step name="a" initial="true"/>
+        <transition source="a" target="a" condition="v"/>
+      </sfc>
+    </body>
+  </pou>
+</project>
+"""
+
+
+def test_a_parsed_document_is_freed_when_dropped():
+    data = caex_io.serialize(caex_io.from_model(sized_model(40)))
+    plcopen = sfc.emit_plcopen(sfc.parse_plcopen(BASE_PLCOPEN))
+    gc.collect()
+    doc = caex_io.parse(data)
+    del doc
+    assert gc.collect() == 0
+    program = sfc.parse_plcopen(plcopen)
+    del program
+    assert gc.collect() == 0
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -210,6 +287,24 @@ def test_value_whitespace_survives_round_trip():
         attributes=(CaexAttribute(name="note", value="line one\nline two\ttabbed"),),
     ),)),))
     assert caex_io.parse(caex_io.serialize(doc)) == doc
+
+
+def _replace_all(value: str, pairs) -> str:
+    for old, new in pairs:
+        value = value.replace(old, new)
+    return value
+
+
+_MARKUP = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_XML_SAFE = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\ufffe\uffff")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from('&<>"\r\n\t'), _XML_SAFE)))
+def test_the_escapes_equal_the_full_replacement_chains(value):
+    attr = _MARKUP + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#9;"))
+    assert xmlio._escape_attr(value) == _replace_all(value, attr)
+    assert xmlio._escape_text(value) == _replace_all(value, _MARKUP + (("\r", "&#13;"),))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +501,53 @@ def test_to_model_drops_an_unusable_io_entry_and_annotates_the_right_index():
     # entry 1: the malformed path is dropped, then the entry without one
     assert warnings == [("invalid-value", "m/control/io_mapping/0")] + [
         ("invalid-value", "m/control/io_mapping/1")] * 2
+
+
+def test_annotation_warnings_follow_the_entry_and_name_its_index():
+    interfaces = (
+        CaexInterface("doc", "AttachmentInterface",
+                      (CaexAttribute("foo", "x"), CaexAttribute("refURI", "u"))),
+        CaexInterface("doc", "AttachmentInterface"))
+    model, warnings = _read_lists(
+        CaexElement(name="ports", children=(
+            _entry("p1", ("direction", "sideways"), roles=("bad role",))._replace(
+                external_interfaces=interfaces),
+            _entry("bad name", roles=("R",)),
+            _entry("p2", roles=("R", "R", "S")))),
+        CaexElement(name="io_mapping", children=(
+            _entry("0", ("component_path", "not a path"), roles=("R",)),
+            _entry("1", ("component_path", "m/x"), roles=("bad role",)))))
+    assert warnings == [
+        ("invalid-value", "m/interface/ports/p1"),   # the direction
+        ("invalid-value", "m/interface/ports/p1"),   # the role
+        ("unknown-parameter", "m/interface/ports/p1"),
+        ("invalid-value", "m/interface/ports/p1"),   # the second 'doc'
+        ("invalid-value", "m/interface/ports/bad name"),  # dropped with its role
+        ("invalid-value", "m/control/io_mapping/0"),
+        ("invalid-value", "m/control/io_mapping/0"),
+        ("invalid-value", "m/control/io_mapping/0"),  # the role of entry 1, now at 0
+    ]
+    assert mm.annotation_at(model, "m/interface/ports/p1") == mm.Annotation(
+        external_refs=(mm.ExternalRef("doc", "AttachmentInterface", "u"),))
+    assert mm.annotation_at(model, "m/interface/ports/p2").roles == ("R", "S")
+    assert mm.annotation_at(model, "m/control/io_mapping/0") == mm.Annotation()
+
+
+def test_reading_a_model_validates_each_annotation_once(monkeypatch):
+    calls: Counter = Counter()
+    for name in ("check_roles", "check_external_ref"):
+        real = getattr(mm, name)
+        monkeypatch.setattr(mm, name, lambda *args, real=real, name=name: (
+            calls.update([name]), real(*args))[1])
+    model = _populated_model()
+    doc = caex_io.parse(caex_io.serialize(caex_io.from_model(model)))
+    calls.clear()
+    read, _warnings = caex_io.to_model(doc)
+    assert read == model
+    annotations = [node.annotation for _spec, _path, node in mm.walk(read)]
+    assert calls == {
+        "check_roles": sum(1 for ann in annotations if ann.roles),
+        "check_external_ref": sum(len(ann.external_refs) for ann in annotations)}
 
 
 def test_to_model_anchors_an_unknown_root_child_at_the_module():

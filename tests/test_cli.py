@@ -628,3 +628,14 @@ def test_an_overwritten_output_keeps_its_permissions(work, tmp_path):
     assert run("export-table", work["model"], "-o", str(out)).returncode == 0
     assert out.read_bytes() != b"old"
     assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_a_matrix_with_a_malformed_parameter_is_unusable(work, tmp_path, capsys):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("process_planning | general | a b\n", "utf-8")
+    for command in (("complete-check", work["model"], "--stage", "control_hmi_eng"),
+                    ("export-table", work["model"], "--stage", "process_planning")):
+        assert cli.main([*command, "--matrix", str(matrix)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "mfmkit: bad coverage matrix: line 1: malformed parameter name 'a b'\n")

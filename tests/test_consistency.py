@@ -291,6 +291,49 @@ def test_custom_matrix_replaces_default():
         ("m/general", "main_dimensions")]
 
 
+_CUSTOM_MATRIX = """
+process_planning | general | width
+process_planning | general | height
+process_planning | general | identification
+logistics_planning | interface | ports
+logistics_planning | function | routes
+logistics_planning | status | runtime_variables
+mechanical_eng | components/* | latency
+mechanical_eng | general | width
+"""
+
+
+def _custom_model() -> mm.ModuleModel:
+    m = mm.new_module("m", "Mini")
+    m = mm.add_static_attribute(m, "width", "120", "mm")
+    m = mm.add_runtime_variable(m, "mode", "INT")
+    m = mm.add_component(m, mm.Component(name="S1", kind="sensor", latency="0.5"))
+    return mm.add_component(m, mm.Component(name="A1", kind="actuator"))
+
+
+def test_a_custom_matrix_reads_attributes_child_elements_and_lists():
+    # recorded before cells were read from the elements row_cells yields
+    matrix = cc.load_matrix(_CUSTOM_MATRIX)
+    height = ("m/general", "height", "process_planning", "general has no height")
+    lists = [("m/interface", "ports", "logistics_planning", "no ports declared"),
+             ("m/function", "routes", "logistics_planning", "no routes declared")]
+    latency = ("m/components/A1", "latency", "mechanical_eng", "component A1 has no latency")
+    expected = [[height]] + [[height] + lists] * 2 + [[height] + lists + [latency]] * 3
+    for stage, want in zip(mm.STAGES, expected):
+        got = cc.check_completeness(_custom_model(), stage, matrix)
+        assert [(v.element_path, v.parameter, v.stage, v.message) for v in got] == want
+
+
+def test_a_matrix_cell_is_one_parameter_name():
+    for parameter in ("a b", "identification/name", "x;y"):
+        with pytest.raises(MatrixError, match=re.escape(
+                f"line 2: malformed parameter name {parameter!r}")):
+            cc.load_matrix(f"# cells\nprocess_planning | general | {parameter}")
+    with pytest.raises(MatrixError, match=re.escape("unsupported matrix row: control | platform")):
+        cc.check_completeness(mm.new_module("m", ""), "process_planning",
+                              cc.load_matrix("process_planning | control | platform"))
+
+
 # ---------------------------------------------------------------------------
 # Ownership
 # ---------------------------------------------------------------------------

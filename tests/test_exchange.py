@@ -112,6 +112,19 @@ def test_stage_view_lists_that_stages_cells():
     assert len(records) == 20
 
 
+def test_stage_view_reads_attributes_and_skips_child_elements():
+    m = mm.add_static_attribute(mm.new_module("m", ""), "width", "120", "mm")
+    m = mm.add_component(m, mm.Component(name="S1", latency="0.5"))
+    m = mm.add_component(m, mm.Component(name="A1"))
+    matrix = cc.load_matrix("process_planning | general | width\n"
+                            "process_planning | general | height\n"
+                            "process_planning | general | identification\n"
+                            "process_planning | components/* | latency\n")
+    data = exchange.export_table(m, stage="process_planning", matrix=matrix)
+    assert data.decode("utf-8").splitlines()[1:] == [
+        "m/components/S1,latency,0.5,s,,", "m/general,width,120,mm,,"]
+
+
 def test_class_filter_keeps_one_subtree():
     data = exchange.export_table(fixture.tjunction_model(), cls="components")
     records = list(csv.reader(io.StringIO(data.decode("utf-8"))))[1:]

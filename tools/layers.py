@@ -16,9 +16,12 @@ goes through `behavior.parse_behavior` (on its text), `behavior.to_iml` and
 
 The model layers run on `bench/gen.py` models (seed 1, a quarter of the
 cells withheld) of each size in SIZES, MODEL_RUNS times each, keeping the
-best time as well: `caex_io.to_model` on the parsed file,
-`caex_io.from_model` on its model and `caex_io.serialize` on that
-document, `mapping.validate_assignments` and `mapping.uncovered_classes`
+best time as well: `caex_io.parse` on the file's bytes, `caex_io.to_model`
+on the parsed file, `caex_io.from_model` on its model and
+`caex_io.serialize` on that document,
+`consistency.check_completeness` at the final stage and both forms of
+`exchange.export_table` (the dump and the `missing_only` request) with the
+default matrix, `mapping.validate_assignments` and `mapping.uncovered_classes`
 with the default rule table, `exchange.import_table` on the filled request
 of the table-merge workload, and `exchange.import_table` on a table that
 gives every component a new type and a new document. The builder chain
@@ -71,7 +74,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 import gen  # noqa: E402  (bench/gen.py, read as is)
 import generators  # noqa: E402  (tests/generators.py)
 from run import reference_loop  # noqa: E402  (bench/run.py, read as is)
-from mfmkit import behavior, caex_io, exchange, mapping, sfc  # noqa: E402
+from mfmkit import behavior, caex_io, consistency, exchange, mapping, sfc  # noqa: E402
 
 SEED = 1
 COMPONENTS = 200
@@ -140,9 +143,15 @@ def _model_layers() -> dict:
         filled, _params, _broken = gen.fill_request(planted, random.Random(f"layers-{n}"), 0)
         new_documents = _new_document_table(model)
         for name, call in (
+                ("caex_io.parse", lambda: caex_io.parse(planted.data)),
                 ("caex_io.to_model", lambda: caex_io.to_model(doc)),
                 ("caex_io.from_model", lambda: caex_io.from_model(model)),
                 ("caex_io.serialize", lambda: caex_io.serialize(rendered)),
+                ("consistency.check_completeness final stage",
+                 lambda: consistency.check_completeness(model, "control_hmi_eng")),
+                ("exchange.export_table dump", lambda: exchange.export_table(model)),
+                ("exchange.export_table missing_only",
+                 lambda: exchange.export_table(model, missing_only=True)),
                 ("mapping.validate_assignments",
                  lambda: mapping.validate_assignments(model, table)),
                 ("mapping.uncovered_classes", lambda: mapping.uncovered_classes(model, table)),
