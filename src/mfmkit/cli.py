@@ -265,10 +265,7 @@ def _cmd_complete_check(args: argparse.Namespace) -> int:
             f"unknown stage {args.stage!r}; expected one of {', '.join(mm.STAGES)}")
     matrix = _config(args, "matrix")
     model = _load_model(args.file, args.format)
-    try:
-        violations = cc.check_completeness(model, args.stage, matrix)
-    except cc.MatrixError as error:
-        raise _CliFailure(f"bad coverage matrix: {error}") from None
+    violations = cc.check_completeness(model, args.stage, matrix)
     for violation in violations:
         _emit_violation(args.format, args.file, violation)
     return EXIT_FINDINGS if violations else EXIT_CLEAN
@@ -370,8 +367,6 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
             missing_only=args.missing_only, matrix=matrix)
     except exchange.ExchangeError as error:
         raise _CliFailure(str(error)) from None
-    except cc.MatrixError as error:
-        raise _CliFailure(f"bad coverage matrix: {error}") from None
     if args.out:
         _write_output(args.out, data)
     else:

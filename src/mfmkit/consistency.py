@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import model as mm
-from .paths import is_name, join_path, split_path
+from .paths import is_name, join_path
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -189,7 +189,8 @@ def _bar_lines(text: str, shape: str, error: type[ValueError]):
 
 
 def load_matrix(text: str) -> StageCoverageMatrix:
-    """Parse the line-oriented matrix format: `stage | selector | parameter`."""
+    """Parse the line-oriented matrix format: `stage | selector | parameter`;
+    every row is checked as its evaluation would check it, whatever its stage."""
     rows = []
     for lineno, (stage, selector, parameter) in _bar_lines(
             text, "stage | selector | parameter", MatrixError):
@@ -199,6 +200,7 @@ def load_matrix(text: str) -> StageCoverageMatrix:
             raise MatrixError(f"line {lineno}: unknown selector {selector!r}")
         if not is_name(parameter):
             raise MatrixError(f"line {lineno}: malformed parameter name {parameter!r}")
+        _row_target(selector, parameter, f"line {lineno}: ")
         rows.append((stage, selector, parameter))
     return StageCoverageMatrix(rows=tuple(rows))
 
@@ -208,6 +210,23 @@ def default_matrix() -> StageCoverageMatrix:
     return load_matrix(text)
 
 
+def _row_target(selector: str, parameter: str, where: str = "") -> tuple | None:
+    """(selected spec, child spec its parameter names or None) of a matrix row;
+    None for the cross-reference demand. Unsupported rows raise MatrixError,
+    whose message starts with `where`."""
+    if (selector, parameter) == _REFS_DEMAND:
+        return None
+    if (selector, parameter) == _IO_DEMAND:
+        selector = _IO_DEMAND[0] + "/*"
+    spec = _SELECTORS.get(selector)
+    if spec is None:
+        raise MatrixError(f"{where}unsupported matrix row: {selector} | {parameter}")
+    child = mm.CHILDREN[spec.path].get(parameter)
+    if (child is None or not child.key) and not (spec.params or spec.extra):
+        raise MatrixError(f"{where}unsupported matrix row: {selector} | {parameter}")
+    return spec, child
+
+
 def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tuple] | None:
     """(element path, display name, element) of each element whose cell
     (mm.cell of `parameter`) a matrix row demands. None for rows that demand
@@ -215,20 +234,10 @@ def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tupl
     and child elements (`general | identification`). The io demand's cells
     are the io_mapping entries' addresses. Unsupported rows raise MatrixError.
     """
-    if (selector, parameter) == _REFS_DEMAND:
+    target = _row_target(selector, parameter)
+    if target is None or target[1] is not None:
         return None
-    if (selector, parameter) == _IO_DEMAND:
-        selector = _IO_DEMAND[0] + "/*"
-    spec = _SELECTORS.get(selector)
-    if spec is None:
-        raise MatrixError(f"unsupported matrix row: {selector} | {parameter}")
-    child = mm.CHILDREN[spec.path].get(parameter)
-    if child is not None and child.key:
-        return None
-    if not (spec.params or spec.extra):
-        raise MatrixError(f"unsupported matrix row: {selector} | {parameter}")
-    if child is not None:
-        return None
+    spec = target[0]
     path = join_path(model.id, *spec.path)
     node = mm.get(model, spec)
     if not spec.key:
@@ -251,7 +260,7 @@ def _referenced_components(model: mm.ModuleModel) -> set[str]:
     }
 
 
-def _eval_row(model: mm.ModuleModel, find: mm.Resolver, stage: str, selector: str,
+def _eval_row(model: mm.ModuleModel, stage: str, selector: str,
               parameter: str) -> list[Violation]:
     mid = model.id
     found: list[Violation] = []
@@ -282,9 +291,8 @@ def _eval_row(model: mm.ModuleModel, find: mm.Resolver, stage: str, selector: st
                      f"{component.kind} {component.name} is not referenced by any cross reference")
     else:
         cells = row_cells(model, selector, parameter)
-        if cells is None:
-            if not find(join_path(mid, selector, parameter)):
-                miss(join_path(mid, selector), f"no {parameter} declared")
+        if cells is None and not mm.get(model, _row_target(selector, parameter)[1]):
+            miss(join_path(mid, selector), f"no {parameter} declared")
         for path, name, node in cells or ():
             value = mm.cell(mm.spec_of(node), node, parameter)
             if not (value and value[0]):
@@ -299,21 +307,20 @@ def check_completeness(
 
     A violation is reported once per (element, parameter) pair, labeled with
     the earliest stage that requires it. Unknown stages raise ValueError.
-    Cells are looked up through one resolver, so the check is linear in the
-    size of the model.
+    Each row reads the elements it selects once, so the check is linear in
+    the size of the model.
     """
     if stage not in mm.STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     if matrix is None:
         matrix = default_matrix()
     active = set(mm.STAGES[: mm.STAGES.index(stage) + 1])
-    find = mm.Resolver(model)
     out: list[Violation] = []
     seen: set[tuple[str, str]] = set()
     for row_stage, selector, parameter in matrix.rows:
         if row_stage not in active:
             continue
-        for violation in _eval_row(model, find, row_stage, selector, parameter):
+        for violation in _eval_row(model, row_stage, selector, parameter):
             key = (violation.element_path, violation.parameter)
             if key not in seen:
                 seen.add(key)
@@ -356,26 +363,24 @@ def default_ownership() -> OwnershipMap:
     return load_ownership(text)
 
 
-def owners(find: mm.Resolver, ownership: OwnershipMap):
-    """The ownership decoder of the model `find` reads: element path -> discipline.
+def owners(ownership: OwnershipMap):
+    """owner(path, found, mid) -> discipline of `path` in module `mid`, read
+    from `found`, its Resolver.locate record (or a tuple of the same fields).
 
-    A document owns itself; any other element is owned by the longest rule
-    selector that its path below the module id equals or starts with.
+    A document owns itself: the record's node carries its discipline. Any
+    other element is owned by the longest rule selector that its segments
+    below the module id equal or start with. No path is decoded again.
     """
-    mid = find.id
     rules = dict(reversed(ownership.rules))  # the first of repeated selectors wins
 
-    def owner(path: str) -> str:
-        found = mm.spec_at(mid, path)
-        if found is None or path == mid:
+    def owner(path: str, found, mid: str) -> str:
+        if found is None or not found[4]:
             raise OwnershipError(f"path {path!r} is not inside module {mid!r}")
-        spec, tail = found
+        spec, _index, node, tail, segments = found
         if spec.path == ("documents",):
-            doc = find(path)
-            if isinstance(doc, mm.DocumentReference):
-                return doc.discipline
+            if type(node) is mm.DocumentReference and not tail:
+                return node.discipline
             raise OwnershipError(f"unknown document path {path!r}")
-        segments = spec.path + tail
         for end in range(len(segments), 0, -1):
             discipline = rules.get("/".join(segments[:end]))
             if discipline is not None:
@@ -400,14 +405,14 @@ def assign_document(
     if index is None:
         raise mm.ModelError(f"unknown document id {doc_id!r}")
     doc = model.documents[index]
-    split_path(element_path)
+    found = edit.locate(element_path)
     violations: list[Violation] = []
     anchor = join_path(model.id, "documents", doc.id)
     if doc.assigned_element and doc.assigned_element != element_path:
         violations.append(Violation(
             RULE_DOCUMENT_REASSIGNED, SEVERITY_INFO, anchor,
             f"assignment moved from '{doc.assigned_element}' to '{element_path}'"))
-    if edit(element_path) is None:
+    if found is None or found.value is None:
         violations.append(Violation(
             RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR, anchor,
             f"assigned element '{element_path}' does not resolve"))
@@ -463,20 +468,22 @@ def dependency_report(
 
     Every cross-reference endpoint must be ownable; an endpoint that does not
     resolve (a dangling-source or dangling-target of check_links) raises
-    OwnershipError. Endpoints are looked up through one resolver, and the
-    workload takes each element's owner once, so the report costs one pass
-    over the model rather than one per endpoint or parameter.
+    OwnershipError. Each endpoint is located once, through one resolver, and
+    the workload takes each walked element's owner from the walk's spec and
+    key, decoding no path, so the report costs one pass over the model
+    rather than one per endpoint or parameter.
     """
     if ownership is None:
         ownership = default_ownership()
     find = mm.Resolver(model)
-    owner = owners(find, ownership)
+    owner = owners(ownership)
     counts: dict[tuple[str, str], int] = {}
     for ref in model.cross_refs:
-        for endpoint in (ref.source, ref.target):
-            if find(endpoint) is None:
+        source, target = find.locate(ref.source), find.locate(ref.target)
+        for endpoint, found in ((ref.source, source), (ref.target, target)):
+            if found is None or found.value is None:
                 raise OwnershipError(f"cross-reference endpoint {endpoint!r} does not resolve")
-        pair = (owner(ref.source), owner(ref.target))
+        pair = (owner(ref.source, source, find.id), owner(ref.target, target, find.id))
         counts[pair] = counts.get(pair, 0) + 1
     total_refs = len(model.cross_refs)
 
@@ -488,7 +495,8 @@ def dependency_report(
         filled = sum(1 for _name, value, _unit in mm.param_rows(spec, node) if value != "")
         if filled:
             total_params += filled
-            work[owner(path)] += filled
+            rest = spec.path + (path[path.rindex("/") + 1:],) if spec.key else spec.path
+            work[owner(path, (spec, None, node, (), rest), find.id)] += filled
 
     return DependencyReport(
         cells=tuple(sorted((a, b, n) for (a, b), n in counts.items())),

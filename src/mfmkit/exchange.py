@@ -116,8 +116,10 @@ def export_table(
         find = mm.Resolver(model)
         request_stage = stage or mm.STAGES[-1]
         for violation in check_completeness(model, request_stage, matrix):
+            found = find.locate(violation.element_path)
+            cell = found.is_element and mm.cell(found.spec, found.node, violation.parameter)
             rows.append((violation.element_path, violation.parameter, "",
-                         find.unit_of(violation.element_path, violation.parameter)))
+                         cell[1] if cell else ""))
     elif stage:
         cells: dict[tuple[str, str], object] = {}
         for row_stage, selector, parameter in matrix.rows:
@@ -155,7 +157,7 @@ def export_table(
 
 class _Merge:
     """One import: the working copy of the model being merged (a
-    mm.Resolver), the ownership decoder over it, and the number of io
+    mm.Resolver), the ownership decoder, and the number of io
     entries per component path, kept in step with the applied rows.
 
     A row is checked whole first; only then are its edits applied to the
@@ -167,17 +169,18 @@ class _Merge:
 
     def __init__(self, model: mm.ModuleModel, ownership: OwnershipMap):
         self.edit = mm.Resolver(model)
-        self.owner = owners(self.edit, ownership)
+        self.owner = owners(ownership)
         self.mapped = Counter(e.component_path for e in model.control.io_mapping)
 
     def row(self, element_path: str, parameter: str, value: str, unit: str,
             doc_name: str, doc_path: str) -> None:
-        """Apply one row whole, or raise _RowError and apply nothing."""
+        """Apply one row whole, or raise _RowError and apply nothing. The
+        element path is located once; every check of the row reads that."""
         try:
-            found = self.edit.element(element_path)
-            node = found[2] if found else self.edit(element_path)
+            found = self.edit.locate(element_path)
         except PathError as error:
             raise _RowError(RULE_UNKNOWN_PATH, str(error)) from None
+        node = None if found is None else found.node if found.is_element else found.value
         if node is None:
             raise _RowError(RULE_UNKNOWN_ELEMENT, f"unknown element path {element_path!r}")
         if isinstance(node, (str, tuple)):
@@ -192,14 +195,14 @@ class _Merge:
                     and node.kind in mm.SIGNAL_DIRECTIONS and not self.mapped[element_path]):
                 if unit:
                     raise _RowError(RULE_INVALID_VALUE, mm.unit_mismatch(
-                        mm.spec_of(node), parameter, unit, ""), parameter)
+                        found.spec, parameter, unit, ""), parameter)
                 edits += self._io_entry(node, element_path, value)
                 created = True
             else:
-                spec, updated = self._write(node, parameter, value, unit)
-                edits.append(partial(self.edit.put, spec, found[1], updated))
+                updated = self._write(found.spec, node, parameter, value, unit)
+                edits.append(partial(self.edit.put, found.spec, found.index, updated))
         if doc_name:
-            edits += self._document(element_path, doc_name, doc_path)
+            edits += self._document(element_path, found, doc_name, doc_path)
         elif doc_path:
             raise _RowError(RULE_INVALID_VALUE, "document path given without a document name")
         for edit in edits:
@@ -226,10 +229,9 @@ class _Merge:
             edits.append(partial(self.edit.append, mm.spec_of(variable), variable))
         return edits
 
-    def _write(self, node: object, parameter: str, value: str, unit: str):
-        """(spec, updated node) for one parameter write. A given unit must be
-        the unit the cell exports with; a new attribute takes it as its own."""
-        spec = mm.spec_of(node)
+    def _write(self, spec: mm.ElementSpec, node: object, parameter: str, value: str, unit: str):
+        """`node`, an element of `spec`, with one parameter written. A given unit
+        must be the unit the cell exports with; a new attribute takes it as its own."""
         if not spec.writable(parameter):
             raise _RowError(RULE_UNKNOWN_PARAMETER,
                             f"element has no parameter {parameter!r}", parameter)
@@ -238,35 +240,33 @@ class _Merge:
                 found = mm.cell(spec, node, parameter)
                 if found is None:  # a new attribute
                     added = mm.check_attribute(spec, (), parameter, value, unit)
-                    return spec, replace(node, **{spec.extra: getattr(node, spec.extra) + (added,)})
+                    return replace(node, **{spec.extra: getattr(node, spec.extra) + (added,)})
                 if unit != found[1]:
                     raise mm.ModelError(mm.unit_mismatch(spec, parameter, unit, found[1]))
-            return spec, mm.write_parameter(spec, node, parameter, value)
+            return mm.write_parameter(spec, node, parameter, value)
         except (mm.ModelError, PathError) as error:
             raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
 
-    def _document(self, element_path: str, doc_name: str, doc_path: str) -> list:
-        """The edits that add the named document or assign it to the element."""
-        try:
-            existing = self.edit.element(join_path(self.edit.id, "documents", doc_name))
-        except PathError:
-            existing = None  # not a usable document id: check_entry reports it
-        if existing is None:
+    def _document(self, element_path: str, found, doc_name: str, doc_path: str) -> list:
+        """The edits that add the document keyed `doc_name` or assign it to
+        the element at `element_path`, whose locate record is `found`."""
+        spec = mm.CHILDREN[()]["documents"]
+        position = self.edit.position(spec, doc_name)
+        if position is None:
             try:
-                discipline = self.owner(element_path)
+                discipline = self.owner(element_path, found, self.edit.id)
             except OwnershipError as error:
                 raise _RowError(RULE_INVALID_VALUE, str(error)) from None
             doc = mm.DocumentReference(
                 id=doc_name, discipline=discipline,
                 stage=_STAGE_FOR_DISCIPLINE[discipline],
                 server_path=doc_path, assigned_element=element_path)
-            spec = mm.spec_of(doc)
             try:
                 doc = mm.check_entry(spec, doc, self.edit.keys(spec))
             except mm.ModelError as error:
                 raise _RowError(RULE_INVALID_VALUE, str(error)) from None
             return [partial(self.edit.append, spec, doc)]
-        spec, position, doc = existing
+        doc = self.edit.part(spec)[position]
         refreshed = replace(
             doc, server_path=doc_path or doc.server_path, assigned_element=element_path)
         if refreshed == doc:

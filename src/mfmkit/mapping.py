@@ -113,16 +113,14 @@ def default_table() -> MappingRuleTable:
 def class_path_of(model: mm.ModuleModel, element_path: str) -> str | None:
     """Meta-model class selector of the element at `element_path`.
 
-    Syntactic: the entry need not exist. List paths and cross references
-    have no class.
+    Read from the path's Resolver.locate record, by its spec and its
+    segments below the module id, so it is syntactic: the entry need not
+    exist. List paths, parameter paths and cross references have no class.
     """
-    found = mm.spec_at(model.id, element_path)
-    if found is None:
+    found = mm.Resolver(model).locate(element_path)
+    if found is None or len(found.rest) != len(found.spec.path) + bool(found.spec.key):
         return None
-    spec, tail = found
-    if len(tail) != (1 if spec.key else 0):
-        return None
-    return spec.cls or None
+    return found.spec.cls or None
 
 
 def _is_populated(spec: mm.ElementSpec, node: object, ann: mm.Annotation) -> bool:

@@ -21,6 +21,8 @@ dataclass, whose param() fields become the spec's params. The builders,
 path resolution, the Resolver's bulk edits, set_parameter and
 remove_element here, and the file reader and writer, the rule classes, the
 completeness selectors and the table units elsewhere, all derive from them.
+Resolver.locate alone decodes a path string; every reader of a path reads
+the record it returns, so a path is decoded once for each use.
 
 Every element carries its own annotation (roles and external interfaces),
 which moves and disappears with it; edits that replace an element keep it.
@@ -31,7 +33,7 @@ import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter, indexOf
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .paths import PathError, is_name, join_path, split_path
 
@@ -787,20 +789,19 @@ def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> Mo
 def annotation_at(model: ModuleModel, path: str) -> Annotation:
     """The annotation of the element at `path`; empty when none is there."""
     try:
-        found = _element(Resolver(model)._locate(path))
+        found = Resolver(model).locate(path)
     except PathError:
         found = None
-    return found[2].annotation if found else Annotation()
+    return found.node.annotation if found is not None and found.is_element else Annotation()
 
 
 def _annotate(model: ModuleModel, path: str, change) -> ModuleModel:
-    found = Resolver(model)._locate(path)
-    element = _element(found)
-    if element is None:
-        if _resolved(found) is None:
+    found = Resolver(model).locate(path)
+    if found is None or not found.is_element:
+        if _value(found) is None:
             raise ModelError(f"path does not resolve: {path!r}")
         raise ModelError(f"path does not address an element: {path!r}")
-    spec, index, node = element
+    spec, index, node = found[:3]
     node = replace(node, annotation=change(node.annotation))
     if index is not None:
         items = get(model, spec)
@@ -847,21 +848,6 @@ def iter_parameters(model: ModuleModel):
 # Resolution
 # ---------------------------------------------------------------------------
 
-def spec_at(mid: str, path: str) -> tuple[ElementSpec, tuple[str, ...]] | None:
-    """The spec `path` falls under and the segments after the spec's path,
-    in the module whose id is `mid`.
-
-    Purely syntactic (entries need not exist); None outside the module. A
-    malformed path raises PathError.
-    """
-    segments = split_path(path)
-    if path != mid and not path.startswith(mid + "/"):
-        return None
-    rest = segments[mid.count("/") + 1:]
-    spec = _BY_PATH.get(rest[:2]) or _BY_PATH.get(rest[:1]) or ROOT
-    return spec, rest[len(spec.path):]
-
-
 def _position(segment: str) -> int | None:
     """The index a canonical decimal segment names: "0", "7", "12", but not
     "00", "+1" or non-ASCII digits."""
@@ -882,26 +868,43 @@ def cell(spec: ElementSpec, node, name: str) -> tuple[str, str] | None:
     return None
 
 
-def _resolved(found):
+def _value(found):
+    """resolve()'s answer for a Resolver.locate record (or None)."""
     if found is None:
         return None
-    spec, _index, node, tail = found
+    spec, _index, node, tail, _rest = found
     if not tail or node is None:
-        return node
+        return tuple(node) if type(node) is list else node
     if len(tail) > 1 or not spec.surface:
         return None
     value = cell(spec, node, tail[0])
     return value and value[0]
 
 
-def _element(found):
-    """(spec, position, node) when `found` addresses an existing element."""
-    if found is None:
-        return None
-    spec, index, node, tail = found
-    if node is None or tail or spec is _CROSS_REFS or type(node) is not spec.node_type:
-        return None
-    return spec, index, node
+_new = tuple.__new__  # builds a _Located without its generated __new__
+
+
+class _Located(NamedTuple):
+    """Where a path lands, as Resolver.locate decodes it: the spec it falls
+    under; the entry's position (None unless it names an existing entry);
+    the node (the element, the entry, None for a missing entry, or a list
+    path's entries); the segments below the node (a parameter name) and
+    those below the module id. `value` is resolve()'s answer, `is_element`
+    whether the path names an existing element, not a list, parameter,
+    missing entry or cross reference."""
+
+    spec: ElementSpec
+    index: int | None
+    node: Any
+    tail: tuple[str, ...]
+    rest: tuple[str, ...]
+
+    value = property(_value)
+
+    @property
+    def is_element(self) -> bool:
+        spec = self.spec
+        return not self.tail and type(self.node) is spec.node_type and bool(spec.cls)
 
 
 def resolve(model: ModuleModel, path: str):
@@ -928,6 +931,9 @@ class Resolver:
     A resolver that is never edited looks up the model it was given, and
     model() is that model.
 
+    locate() decodes a path once into the _Located record that resolution,
+    element(), the edits, ownership, rule classes and table rows all read.
+
     put() replaces an element or an entry, append() adds an entry and
     updates that list's index; each list is copied once, on its first
     write. Lookups see every edit, except that an element's fields holding
@@ -938,6 +944,8 @@ class Resolver:
     def __init__(self, model: ModuleModel):
         self._model = model
         self.id = model.id
+        self._prefix = model.id + "/"
+        self._depth = model.id.count("/") + 1
         self._parts: dict[tuple[str, ...], Any] = {}  # edited elements and lists
         self._positions: dict[tuple[str, ...], dict[str, int]] = {}
         self._scanned: set[tuple[str, ...]] = set()  # lists searched once, unindexed
@@ -971,43 +979,35 @@ class Resolver:
         except ValueError:
             return None
 
-    def _locate(self, path: str):
-        """(spec, entry position, node, segments below the node) for `path`.
-
-        The node is None for a missing entry and the entries for a list
-        path; the position is None unless the path names an existing entry.
-        None as a whole outside the module.
-        """
-        found = spec_at(self.id, path)
-        if found is None:
+    def locate(self, path: str) -> _Located | None:
+        """The _Located record of `path`, or None outside the module; the
+        spec and `rest` need no entry to exist. A malformed path raises PathError."""
+        segments = split_path(path)
+        if path != self.id and not path.startswith(self._prefix):
             return None
-        spec, tail = found
+        rest = segments[self._depth:]
+        spec = _BY_PATH.get(rest[:2]) or _BY_PATH.get(rest[:1]) or ROOT
+        tail = rest[len(spec.path):]
         node = self.part(spec)
-        if not spec.key or not tail:
-            return spec, None, node, tail
-        if spec.key == "index":
-            index = _position(tail[0])
-        else:
-            index = self.position(spec, tail[0])
-        if index is None or index >= len(node):
-            return spec, None, None, tail[1:]
-        return spec, index, node[index], tail[1:]
+        index = None
+        if spec.key and tail:
+            key, tail = tail[0], tail[1:]
+            index = _position(key) if spec.key == "index" else self.position(spec, key)
+            if index is None or index >= len(node):
+                index = node = None
+            else:
+                node = node[index]
+        return _new(_Located, (spec, index, node, tail, rest))
 
     def __call__(self, path: str):
         """resolve(self.model(), path)"""
-        found = _resolved(self._locate(path))
-        return tuple(found) if type(found) is list else found
-
-    def unit_of(self, element_path: str, name: str) -> str:
-        """Implied unit of one parameter; "" when it has none or is unknown."""
-        found = _element(self._locate(element_path))
-        value = found and cell(found[0], found[2], name)
-        return value[1] if value else ""
+        return _value(self.locate(path))
 
     def element(self, path: str):
         """(spec, position, node) of the element at `path`, or None; the
         position is None for an element that is not a list entry."""
-        return _element(self._locate(path))
+        found = self.locate(path)
+        return found[:3] if found is not None and found.is_element else None
 
     def _entries(self, spec: ElementSpec) -> list:
         entries = self._parts.get(spec.path)
@@ -1057,13 +1057,12 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     request attributes that do not exist yet).
     """
     edit = Resolver(model)
-    found = edit._locate(element_path)
-    if _resolved(found) is None:
+    found = edit.locate(element_path)
+    if _value(found) is None:
         raise ModelError(f"unknown element path {element_path!r}")
-    element = _element(found)
-    if element is None or not element[0].surface or not (element[0].params or element[0].extra):
+    spec, index, node = found[:3]
+    if not found.is_element or not spec.surface or not (spec.params or spec.extra):
         raise ModelError(f"element {element_path!r} has no writable parameters")
-    spec, index, node = element
     edit.put(spec, index, write_parameter(spec, node, name, value))
     return edit.model()
 
@@ -1102,11 +1101,10 @@ def remove_element(model: ModuleModel, path: str) -> ModuleModel:
     of later entries, which keep their annotations; paths held elsewhere
     (cross references, document assignments) are the caller's concern.
     """
-    found = Resolver(model)._locate(path)
-    if _resolved(found) is None:
+    found = Resolver(model).locate(path)
+    if _value(found) is None:
         raise ModelError(f"unknown element path {path!r}")
-    spec, index, _node, tail = found
-    if index is None or tail:
+    if found.index is None or found.tail:
         raise ModelError(f"not a removable element: {path!r}")
-    items = get(model, spec)
-    return _put(model, spec.path, items[:index] + items[index + 1:])
+    items = get(model, found.spec)
+    return _put(model, found.spec.path, items[:found.index] + items[found.index + 1:])

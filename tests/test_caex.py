@@ -1,7 +1,10 @@
 """Exchange-file parsing, canonical serialization, and model mapping."""
 from __future__ import annotations
 
+import functools
 import gc
+import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -632,3 +635,107 @@ def test_connectors_survive_file_round_trip():
         caex_io.serialize(caex_io.from_model(model))))
     assert violations == []
     assert restored == model
+
+
+# ---------------------------------------------------------------------------
+# The tolerant reader drops no value without a warning
+# ---------------------------------------------------------------------------
+
+_VALUE_SPAN = re.compile(rb"<Value>([^<]*)</Value>")
+_UNIT_SPAN = re.compile(rb' Unit="([^"]*)"')
+#: Replacement texts: valid and invalid for the validators of every kind.
+_TEXTS = ("", "x", "(1,2,3)", "(0,0,0)", "(-1,2,3)", "(9,9,9)", "(1,2)", "(1,2,3", "1",
+          "-1", "0.5", "07", "+7", " 7", "1e999", "nan", "sensor", "actuator", "bogus",
+          "in", "out", "input", "output", "handling", "waiting", "mechanical",
+          "electrical_eng", "m/components/x", "bad//path", "mm", "s")
+_UNITS = ("", "mm", "s", "m", "kg", "MM", "ms")
+
+
+def _mutant(data: bytes, rng: random.Random) -> bytes:
+    """`data` with 1 to 3 Value texts or Unit attributes replaced."""
+    sites = [(m.span(1), _TEXTS) for m in _VALUE_SPAN.finditer(data)]
+    sites += [(m.span(1), _UNITS) for m in _UNIT_SPAN.finditer(data)]
+    for (start, end), pool in sorted(rng.sample(sites, rng.randint(1, 3)), reverse=True):
+        data = data[:start] + rng.choice(pool).encode() + data[end:]
+    return data
+
+
+def _elements(doc: caex_io.CaexDocument) -> tuple[dict, dict]:
+    """(cells, index lists) of the module in `doc`: element path ->
+    {attribute: (value, unit)}, and the path of each index-keyed list -> its
+    entries' paths in file order. A schema parameter reads as the reader
+    documents it: absent or empty, its default; without a Unit, in its
+    declared unit."""
+    cells, lists = {}, {}
+
+    def visit(spec: mm.ElementSpec, element: caex_io.CaexElement, path: str) -> None:
+        own = cells[path] = {param.name: (param.default, param.unit) for param in spec.params}
+        for name, value, _type, unit, _children in element.attributes:
+            param = spec.names.get(name)
+            own[name] = (value or param.default, unit or param.unit) if param else (value, unit)
+        for child in element.children:
+            child_spec, child_path = mm.CHILDREN[spec.path][child.name], f"{path}/{child.name}"
+            if not child_spec.key:
+                visit(child_spec, child, child_path)
+                continue
+            entries = [f"{child_path}/{entry.name}" for entry in child.children]
+            if child_spec.key == "index":
+                lists[child_path] = entries
+            for entry, entry_path in zip(child.children, entries):
+                visit(child_spec, entry, entry_path)
+
+    root = doc.instance_hierarchies[0].elements[0]
+    visit(mm.ROOT, root, root.name)
+    return cells, lists
+
+
+def _silent_changes(read: caex_io.CaexDocument, written: caex_io.CaexDocument,
+                    warned: set[str]) -> list:
+    """The (element path, attribute) pairs that differ between the file read
+    and the file written back with no warning at that path. The entries of
+    an index-keyed list are renumbered when one is dropped, so they are
+    aligned in order, each entry dropped or changed only under a warning."""
+    before, lists = _elements(read)
+    after, written_lists = _elements(written)
+    silent = []
+    listed = set()
+    for list_path, entries in lists.items():
+        listed.update(entries)
+        kept = [after[path] for path in written_lists.get(list_path, ())]
+
+        @functools.cache
+        def aligns(i: int, j: int) -> bool:
+            if i == len(entries):
+                return j == len(kept)
+            loud = entries[i] in warned
+            return ((loud and aligns(i + 1, j))
+                    or (j < len(kept) and (loud or before[entries[i]] == kept[j])
+                        and aligns(i + 1, j + 1)))
+
+        if not aligns(0, 0):
+            silent.append((list_path, "entries"))
+    for path, cells in before.items():
+        if path in listed or path in warned:
+            continue
+        written_cells = after.get(path, {})
+        silent += [(path, name) for name in cells.keys() | written_cells.keys()
+                   if cells.get(name) != written_cells.get(name)]
+    return silent
+
+
+#: Mutants of the oracle's model; each changes 1 to 3 Value texts or Units.
+DROP_MUTANTS = 40
+
+
+def test_the_reader_changes_no_value_without_a_warning():
+    data = caex_io.serialize(caex_io.from_model(random_model(3)))
+    rng = random.Random("silent-drops")
+    warned_mutants = 0
+    for _ in range(DROP_MUTANTS):
+        mutant = _mutant(data, rng)  # the replacement texts need no escaping: every mutant parses
+        doc = caex_io.parse(mutant)
+        model, warnings = caex_io.to_model(doc)
+        warned_mutants += bool(warnings)
+        written = caex_io.from_model(model)
+        assert _silent_changes(doc, written, {v.element_path for v in warnings}) == [], mutant
+    assert 0 < warned_mutants < DROP_MUTANTS

@@ -639,3 +639,22 @@ def test_a_matrix_with_a_malformed_parameter_is_unusable(work, tmp_path, capsys)
         out, err = capsys.readouterr()
         assert out == "" and err == (
             "mfmkit: bad coverage matrix: line 1: malformed parameter name 'a b'\n")
+
+
+def test_an_unsupported_matrix_row_is_rejected_at_load_whatever_the_stage(
+        work, tmp_path, capsys):
+    with open(os.path.join(work["demo"], "coverage_matrix.txt"), encoding="utf-8") as file:
+        shipped = file.read()
+    matrix = tmp_path / "bad.txt"
+    matrix.write_text(shipped + "control_hmi_eng | control | platform\n", "utf-8")
+    line = len(shipped.splitlines()) + 1
+    commands = [("complete-check", work["model"], "--stage", stage) for stage in mm.STAGES]
+    commands += [("export-table", work["model"], *stage)
+                 for stage in ((), ("--stage", "mechanical_eng"), ("--stage", "control_hmi_eng"))]
+    commands.append(("export-table", work["model"], "--missing-only"))
+    for command in commands:
+        assert cli.main([*command, "--matrix", str(matrix)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"mfmkit: bad coverage matrix: line {line}: "
+            "unsupported matrix row: control | platform\n"), command

@@ -329,17 +329,24 @@ def test_a_matrix_cell_is_one_parameter_name():
         with pytest.raises(MatrixError, match=re.escape(
                 f"line 2: malformed parameter name {parameter!r}")):
             cc.load_matrix(f"# cells\nprocess_planning | general | {parameter}")
-    with pytest.raises(MatrixError, match=re.escape("unsupported matrix row: control | platform")):
-        cc.check_completeness(mm.new_module("m", ""), "process_planning",
-                              cc.load_matrix("process_planning | control | platform"))
+    with pytest.raises(MatrixError, match=re.escape(
+            "line 1: unsupported matrix row: control | platform")):
+        cc.load_matrix("process_planning | control | platform")
 
 
 # ---------------------------------------------------------------------------
 # Ownership
 # ---------------------------------------------------------------------------
 
+def _owner(m: mm.ModuleModel, ownership: cc.OwnershipMap | None = None):
+    """path -> discipline in `m`: the path located, then its record owned."""
+    find = mm.Resolver(m)
+    owner = cc.owners(ownership or cc.default_ownership())
+    return lambda path: owner(path, find.locate(path), m.id)
+
+
 def test_discipline_of_longest_prefix():
-    owner = cc.owners(mm.Resolver(_complete()), cc.default_ownership())
+    owner = _owner(_complete())
     assert owner("m/control/variables/i_s1") == "software"
     assert owner("m/control/io_mapping/0") == "electrical"
     assert owner("m/control/platform") == "electrical"
@@ -352,14 +359,14 @@ def test_documents_own_themselves():
     m = mm.new_module("m", "")
     m = mm.add_document(m, mm.DocumentReference(
         id="wiring", discipline="electrical", stage="electrical_eng"))
-    owner = cc.owners(mm.Resolver(m), cc.default_ownership())
+    owner = _owner(m)
     assert owner("m/documents/wiring") == "electrical"
     with pytest.raises(OwnershipError):
         owner("m/documents/nope")
 
 
 def test_root_and_foreign_paths_are_not_ownable():
-    owner = cc.owners(mm.Resolver(mm.new_module("m", "")), cc.default_ownership())
+    owner = _owner(mm.new_module("m", ""))
     with pytest.raises(OwnershipError):
         owner("m")
     with pytest.raises(OwnershipError):
@@ -378,7 +385,7 @@ def test_default_ownership_gives_every_element_one_owner():
     m = _complete()
     m = mm.add_document(m, mm.DocumentReference(
         id="wiring", discipline="electrical", stage="electrical_eng"))
-    owner = cc.owners(mm.Resolver(m), cc.default_ownership())
+    owner = _owner(m)
     paths = [path for _spec, path, _node in mm.walk(m) if path != m.id]
     assert len(paths) == len(set(paths))
     owners = {path: owner(path) for path in paths}
@@ -392,7 +399,7 @@ def test_default_ownership_gives_every_element_one_owner():
 def _recount(m: mm.ModuleModel, ownership: cc.OwnershipMap) -> tuple:
     """The workload counted one parameter at a time."""
     work = Counter({d: 0 for d in mm.DISCIPLINES})
-    owner = cc.owners(mm.Resolver(m), ownership)
+    owner = _owner(m, ownership)
     for path, _name, value, _unit in mm.iter_parameters(m):
         if value != "":
             work[owner(path)] += 1
@@ -482,6 +489,16 @@ def test_dependency_report_counts_by_owning_discipline():
     assert report.fraction("electrical", "software") == pytest.approx(0.5)
     assert report.fraction("software", "electrical") == 0.0
     assert sum(n for _a, _b, n in report.cells) == report.total_refs
+
+
+def test_dependency_report_decodes_each_endpoint_once(monkeypatch):
+    m = fixture.tjunction_model()
+    calls = []
+    split_path = mm.split_path
+    monkeypatch.setattr(mm, "split_path", lambda path: calls.append(path) or split_path(path))
+    cc.dependency_report(m)
+    assert len(m.cross_refs) > 0
+    assert calls == [endpoint for ref in m.cross_refs for endpoint in (ref.source, ref.target)]
 
 
 def test_dependency_report_fractions_sum_to_one():

@@ -487,3 +487,21 @@ def test_a_unit_on_a_new_io_entrys_address_is_rejected():
     assert [(v.rule_id, v.message) for v in violations] == [
         ("invalid-value", "component logical_address has unit 'V'; expected none")]
     assert updated == m
+
+
+def test_an_import_decodes_each_rows_element_path_once(monkeypatch):
+    m = fixture.tjunction_model()
+    component = f"{m.id}/components/{m.components[0].name}"
+    table = _table((component, "component_type", "T9", "", "", ""),
+                   (component, "position", "(1,2,3)", "mm", "", ""),
+                   (component, "no_such_parameter", "1", "", "", ""),
+                   (f"{component}/position", "x", "1", "", "", ""),
+                   (f"{m.id}/components/Ghost", "kind", "sensor", "", "", ""),
+                   (f"{m.id}/general", "colour", "red", "", "", ""),
+                   (f"{m.id}/control/platform", "controller_type", "PLC-2", "", "", ""))
+    calls = []
+    split_path = mm.split_path
+    monkeypatch.setattr(mm, "split_path", lambda path: calls.append(path) or split_path(path))
+    _updated, violations = exchange.import_table(m, table)
+    assert len(violations) == 3
+    assert calls == [row[0] for row in csv.reader(io.StringIO(table.decode()))][1:]

@@ -18,7 +18,8 @@ The model layers run on `bench/gen.py` models (seed 1, a quarter of the
 cells withheld) of each size in SIZES, MODEL_RUNS times each, keeping the
 best time as well: `caex_io.parse` on the file's bytes, `caex_io.to_model`
 on the parsed file, `caex_io.from_model` on its model and
-`caex_io.serialize` on that document,
+`caex_io.serialize` on that document, `consistency.check_links` and
+`consistency.dependency_report` with the default ownership map,
 `consistency.check_completeness` at the final stage and both forms of
 `exchange.export_table` (the dump and the `missing_only` request) with the
 default matrix, `mapping.validate_assignments` and `mapping.uncovered_classes`
@@ -135,6 +136,7 @@ def _new_document_table(model) -> bytes:
 def _model_layers() -> dict:
     figures: dict[str, list] = {}
     table = mapping.default_table()
+    ownership = consistency.default_ownership()
     for n in SIZES:
         planted = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers")
         doc = caex_io.parse(planted.data)
@@ -147,6 +149,9 @@ def _model_layers() -> dict:
                 ("caex_io.to_model", lambda: caex_io.to_model(doc)),
                 ("caex_io.from_model", lambda: caex_io.from_model(model)),
                 ("caex_io.serialize", lambda: caex_io.serialize(rendered)),
+                ("consistency.check_links", lambda: consistency.check_links(model)),
+                ("consistency.dependency_report",
+                 lambda: consistency.dependency_report(model, ownership)),
                 ("consistency.check_completeness final stage",
                  lambda: consistency.check_completeness(model, "control_hmi_eng")),
                 ("exchange.export_table dump", lambda: exchange.export_table(model)),
