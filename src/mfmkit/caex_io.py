@@ -150,8 +150,7 @@ TAGS: dict[str, Tag] = {
             tuple(kids.get("Attribute", ())))),
         lambda attribute: (
             (attribute.name, attribute.data_type, attribute.unit),
-            ((), attribute.children), attribute.value),
-        once=frozenset({"Value"})),
+            ((), attribute.children), attribute.value)),
     "Value": Tag((), (), (), None, None, text=True, folded=True),
     "ExternalInterface": Tag(
         ("Name",), ("RefBaseClassPath",), ("Attribute",),
@@ -194,7 +193,6 @@ def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: lis
 
 
 _NO_ATTRIBUTE = CaexAttribute("")
-_NO_ANNOTATION = mm.Annotation()
 
 
 class _ModelBuilder:
@@ -210,12 +208,12 @@ class _ModelBuilder:
     of a copy of a list per entry.
 
     A value that fails its validator, or whose Unit is given and differs
-    from its parameter's unit, is reported and replaced by the parameter's
-    default; an entry that cannot be added (bad or duplicate key, missing
-    component path, broken invariant) is reported and dropped with its
-    annotations. Absent and empty values take the default silently.
-    Each value is checked once: a given one by `values`, a default by
-    model.check_node, which skips the parameters `values` checked.
+    from its parameter's unit, is reported and left out, so the element
+    keeps the default; an entry that cannot be added (bad or duplicate key,
+    missing component path, broken invariant) is reported and dropped with
+    its annotations. Absent and empty values take the default silently.
+    `values` checks each given value once and no default, which is valid by
+    declaration; model.check_shape checks the rest of the element.
     """
 
     def __init__(self, model: mm.ModuleModel):
@@ -257,10 +255,9 @@ class _ModelBuilder:
         return ann, notes
 
     def values(self, spec: mm.ElementSpec, attributes: tuple[CaexAttribute, ...], path: str):
-        """Parameter values of one element, given its attributes, the names
-        of those checked here (given, non-empty and not the default) and its
-        open-set attributes. A value in a unit other than its parameter's,
-        a rejected value and an absent one are the parameter's default text."""
+        """The given values of one element's parameters that pass their
+        checks, and its open-set attributes. A required parameter given no
+        valid value is "", checked after the others: None if that fails."""
         given: dict[str, CaexAttribute] = {}
         extra: list[CaexAttribute] = []
         names = spec.names
@@ -277,30 +274,31 @@ class _ModelBuilder:
             else:
                 self.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{name}' ignored")
         fields = {}
-        checked = set()
         for param in spec.params:
             _name, text, _data_type, unit, _children = given.get(param.name, _NO_ATTRIBUTE)
-            value = param.default
             if unit and unit != param.unit:
                 self.warn(RULE_INVALID_VALUE, path,
                           mm.unit_mismatch(spec, param.name, unit, param.unit))
             elif text and text != param.default:
                 try:
-                    value = mm.check_value(spec, param, text)
-                    checked.add(param.name)
+                    fields[param.name] = mm.check_value(spec, param, text)
                 except (mm.ModelError, PathError) as exc:
                     self.warn(RULE_INVALID_VALUE, path, str(exc))
-            fields[param.name] = value
-        return fields, checked, extra
+        for param in spec.required:
+            if param.name not in fields:
+                value = self.checked(path, mm.check_value, spec, param, "")
+                if value is None:
+                    return None, extra
+                fields[param.name] = value
+        return fields, extra
 
     def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         """Read a single element (root, container or singleton) and its children."""
-        fields, checked, extra = self.values(spec, element.attributes, path)
+        fields, extra = self.values(spec, element.attributes, path)
         node = self.edit.part(spec)
         fields["annotation"], notes = self.annotation(
             node.annotation, element.role_requirements, element.external_interfaces, path)
-        checked.add("annotation")
-        node = self.checked(path, mm.check_node, spec, replace(node, **fields), checked) or node
+        node = self.checked(path, mm.check_shape, spec, replace(node, **fields)) or node
         if extra:
             attrs = list(getattr(node, spec.extra))
             taken = {a.name for a in attrs}
@@ -329,19 +327,20 @@ class _ModelBuilder:
             # warnings name the entry's position in the file; annotation
             # warnings name the index the entry gets
             entry_path = join_path(path, str(position) if indexed else name)
-            fields, checked, _extra = self.values(spec, attributes, entry_path)
-            if not indexed:
-                fields[spec.key] = name
-            notes = ()
-            if roles or interfaces:
-                at = join_path(path, str(len(self.edit.part(spec)))) if indexed else entry_path
-                fields["annotation"], notes = self.annotation(_NO_ANNOTATION, roles, interfaces, at)
-                checked.add("annotation")
-            node = self.checked(
-                entry_path, mm.check_entry, spec, spec.node_type(**fields), taken, checked)
-            if node is not None:
-                self.edit.append(spec, node)
-                self.violations += notes
+            fields, _extra = self.values(spec, attributes, entry_path)
+            if fields is not None:
+                if not indexed:
+                    fields[spec.key] = name
+                notes = ()
+                if roles or interfaces:
+                    at = join_path(path, str(len(self.edit.part(spec)))) if indexed else entry_path
+                    fields["annotation"], notes = self.annotation(
+                        mm.Annotation(), roles, interfaces, at)
+                node = self.checked(
+                    entry_path, mm.check_shape, spec, spec.node_type(**fields), taken)
+                if node is not None:
+                    self.edit.append(spec, node)
+                    self.violations += notes
             self.children(spec, children, entry_path)
 
     def children(self, spec: mm.ElementSpec, elements: tuple[CaexElement, ...],

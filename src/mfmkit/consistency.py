@@ -75,8 +75,9 @@ def check_links(model: mm.ModuleModel) -> list[Violation]:
 
     Covers cross-reference endpoints, document assignments, io_mapping
     component/variable references and direction legality, route ports, and
-    behavior/body document references. Every path is looked up through one
-    resolver, so the check is linear in the size of the model.
+    behavior/body document references. Each path is looked up through one
+    resolver, and each io entry's component in mm.component_paths, so the
+    check is linear in the size of the model; a malformed path does not resolve.
     """
     out: list[Violation] = []
     mid = model.id
@@ -84,27 +85,28 @@ def check_links(model: mm.ModuleModel) -> list[Violation]:
 
     for i, ref in enumerate(model.cross_refs):
         anchor = join_path(mid, "cross_refs", str(i))
-        if find(ref.source) is None:
+        if find.resolved(ref.source) is None:
             out.append(Violation(
                 RULE_DANGLING_SOURCE, SEVERITY_ERROR, anchor,
                 f"source '{ref.source}' does not resolve"))
-        if find(ref.target) is None:
+        if find.resolved(ref.target) is None:
             out.append(Violation(
                 RULE_DANGLING_TARGET, SEVERITY_ERROR, anchor,
                 f"target '{ref.target}' does not resolve"))
 
     for doc in model.documents:
-        if doc.assigned_element and find(doc.assigned_element) is None:
+        if doc.assigned_element and find.resolved(doc.assigned_element) is None:
             out.append(Violation(
                 RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR,
                 join_path(mid, "documents", doc.id),
                 f"assigned element '{doc.assigned_element}' does not resolve"))
 
     variable_names = {v.name for v in model.control.variables}
+    components = mm.component_paths(model)
     for i, entry in enumerate(model.control.io_mapping):
         anchor = join_path(mid, "control", "io_mapping", str(i))
-        component = find(entry.component_path)
-        if not isinstance(component, mm.Component):
+        component = components.get(entry.component_path)
+        if component is None:
             out.append(Violation(
                 RULE_IO_UNKNOWN_COMPONENT, SEVERITY_ERROR, anchor,
                 f"component '{entry.component_path}' does not resolve to a component"))
@@ -245,8 +247,9 @@ def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tupl
     return [(f"{path}/{key}", f"{spec.label} {key}", entry) for key, entry in mm.keyed(spec, node)]
 
 
-def _signal_components(model: mm.ModuleModel):
-    return [c for c in model.components if c.kind in mm.SIGNAL_DIRECTIONS]
+def _signal_components(model: mm.ModuleModel) -> list[tuple[str, mm.Component]]:
+    return [(path, component) for path, component in mm.component_paths(model).items()
+            if component.kind in mm.SIGNAL_DIRECTIONS]
 
 
 def _referenced_components(model: mm.ModuleModel) -> set[str]:
@@ -260,44 +263,55 @@ def _referenced_components(model: mm.ModuleModel) -> set[str]:
     }
 
 
-def _eval_row(model: mm.ModuleModel, stage: str, selector: str,
-              parameter: str) -> list[Violation]:
+def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str):
+    """Yield (violation, unit) for each cell one matrix row finds missing."""
     mid = model.id
-    found: list[Violation] = []
 
-    def miss(path: str, message: str) -> None:
-        found.append(Violation(
-            RULE_MISSING_PARAMETER, SEVERITY_ERROR, path, message,
-            stage=stage, parameter=parameter))
+    def miss(path: str, message: str, unit: str = ""):
+        return Violation(RULE_MISSING_PARAMETER, SEVERITY_ERROR, path, message,
+                         stage=stage, parameter=parameter), unit
 
     if (selector, parameter) == _IO_DEMAND:
         entries: dict[str, list[tuple[int, mm.IoMapEntry]]] = {}
         for i, entry in enumerate(model.control.io_mapping):
             entries.setdefault(entry.component_path, []).append((i, entry))
-        for component in _signal_components(model):
-            component_path = join_path(mid, "components", component.name)
+        for component_path, component in _signal_components(model):
             if component_path not in entries:
-                miss(component_path, f"no io_mapping entry for {component.kind} {component.name}")
-                continue
-            for i, entry in entries[component_path]:
+                yield miss(component_path,
+                           f"no io_mapping entry for {component.kind} {component.name}")
+            for i, entry in entries.get(component_path, ()):
                 if not entry.logical_address:
-                    miss(join_path(mid, "control", "io_mapping", str(i)),
-                         f"io_mapping entry for {component.name} has no logical_address")
+                    yield miss(join_path(mid, "control", "io_mapping", str(i)),
+                               f"io_mapping entry for {component.name} has no logical_address")
     elif (selector, parameter) == _REFS_DEMAND:
         referenced = _referenced_components(model)
-        for component in _signal_components(model):
+        for component_path, component in _signal_components(model):
             if component.name not in referenced:
-                miss(join_path(mid, "components", component.name),
-                     f"{component.kind} {component.name} is not referenced by any cross reference")
+                yield miss(component_path, f"{component.kind} {component.name} "
+                           "is not referenced by any cross reference")
     else:
         cells = row_cells(model, selector, parameter)
         if cells is None and not mm.get(model, _row_target(selector, parameter)[1]):
-            miss(join_path(mid, selector), f"no {parameter} declared")
+            yield miss(join_path(mid, selector), f"no {parameter} declared")
         for path, name, node in cells or ():
             value = mm.cell(mm.spec_of(node), node, parameter)
             if not (value and value[0]):
-                miss(path, f"{name} has no {parameter}")
-    return found
+                yield miss(path, f"{name} has no {parameter}", value[1] if value else "")
+
+
+def missing_cells(model: mm.ModuleModel, stage: str, matrix: StageCoverageMatrix):
+    """Yield (violation, unit) for each check_completeness violation, in its
+    order: the unit of the cell it finds missing, "" where none is declared."""
+    active = set(mm.STAGES[: mm.STAGES.index(stage) + 1])
+    seen: set[tuple[str, str]] = set()
+    for row_stage, selector, parameter in matrix.rows:
+        if row_stage not in active:
+            continue
+        for violation, unit in _eval_row(model, row_stage, selector, parameter):
+            key = (violation.element_path, violation.parameter)
+            if key not in seen:
+                seen.add(key)
+                yield violation, unit
 
 
 def check_completeness(
@@ -314,18 +328,7 @@ def check_completeness(
         raise ValueError(f"unknown stage {stage!r}")
     if matrix is None:
         matrix = default_matrix()
-    active = set(mm.STAGES[: mm.STAGES.index(stage) + 1])
-    out: list[Violation] = []
-    seen: set[tuple[str, str]] = set()
-    for row_stage, selector, parameter in matrix.rows:
-        if row_stage not in active:
-            continue
-        for violation in _eval_row(model, row_stage, selector, parameter):
-            key = (violation.element_path, violation.parameter)
-            if key not in seen:
-                seen.add(key)
-                out.append(violation)
-    return out
+    return [violation for violation, _unit in missing_cells(model, stage, matrix)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +470,11 @@ def dependency_report(
     """Count cross-references between owning disciplines.
 
     Every cross-reference endpoint must be ownable; an endpoint that does not
-    resolve (a dangling-source or dangling-target of check_links) raises
-    OwnershipError. Each endpoint is located once, through one resolver, and
-    the workload takes each walked element's owner from the walk's spec and
-    key, decoding no path, so the report costs one pass over the model
-    rather than one per endpoint or parameter.
+    resolve (a dangling-source or dangling-target of check_links, malformed
+    or not) raises OwnershipError. Each endpoint is located once, through one
+    resolver, and the workload takes each walked element's owner from the
+    walk's spec and key, decoding no path, so the report costs one pass over
+    the model rather than one per endpoint or parameter.
     """
     if ownership is None:
         ownership = default_ownership()
@@ -479,9 +482,9 @@ def dependency_report(
     owner = owners(ownership)
     counts: dict[tuple[str, str], int] = {}
     for ref in model.cross_refs:
-        source, target = find.locate(ref.source), find.locate(ref.target)
+        source, target = find.resolved(ref.source), find.resolved(ref.target)
         for endpoint, found in ((ref.source, source), (ref.target, target)):
-            if found is None or found.value is None:
+            if found is None:
                 raise OwnershipError(f"cross-reference endpoint {endpoint!r} does not resolve")
         pair = (owner(ref.source, source, find.id), owner(ref.target, target, find.id))
         counts[pair] = counts.get(pair, 0) + 1

@@ -30,9 +30,9 @@ from .consistency import (
     OwnershipMap,
     StageCoverageMatrix,
     Violation,
-    check_completeness,
     default_matrix,
     default_ownership,
+    missing_cells,
     owners,
     row_cells,
 )
@@ -72,15 +72,6 @@ class _RowError(Exception):
 # Export
 # ---------------------------------------------------------------------------
 
-def _docs_by_element(model: mm.ModuleModel) -> dict[str, mm.DocumentReference]:
-    """First assigned document per element path, in document order."""
-    out: dict[str, mm.DocumentReference] = {}
-    for doc in model.documents:
-        if doc.assigned_element:
-            out.setdefault(doc.assigned_element, doc)
-    return out
-
-
 def export_table(
     model: mm.ModuleModel,
     *,
@@ -96,7 +87,7 @@ def export_table(
     check_completeness request set for `stage` (default: the final stage)
     with empty value cells. Rows are sorted by element_path, parameter_name.
     A stage export reads each cell from the element row_cells gives; a
-    request looks its units up through one resolver.
+    request takes each unit from the check that finds the cell missing.
     """
     if stage and cls:
         raise ExchangeError("stage and class filters are mutually exclusive")
@@ -113,13 +104,8 @@ def export_table(
 
     rows: list[tuple[str, str, str, str]] = []
     if missing_only:
-        find = mm.Resolver(model)
-        request_stage = stage or mm.STAGES[-1]
-        for violation in check_completeness(model, request_stage, matrix):
-            found = find.locate(violation.element_path)
-            cell = found.is_element and mm.cell(found.spec, found.node, violation.parameter)
-            rows.append((violation.element_path, violation.parameter, "",
-                         cell[1] if cell else ""))
+        for violation, unit in missing_cells(model, stage or mm.STAGES[-1], matrix):
+            rows.append((violation.element_path, violation.parameter, "", unit))
     elif stage:
         cells: dict[tuple[str, str], object] = {}
         for row_stage, selector, parameter in matrix.rows:
@@ -139,7 +125,8 @@ def export_table(
                 continue
             rows.append((element_path, parameter, value, unit))
 
-    docs = _docs_by_element(model)
+    # the first document assigned to each element
+    docs = {doc.assigned_element: doc for doc in reversed(model.documents)}
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(HEADER)
@@ -221,7 +208,7 @@ class _Merge:
                                "BOOL", direction)
         entry = mm.IoMapEntry(element_path, value, variable.name, "BOOL", direction)
         try:
-            entry = mm.check_entry(mm.spec_of(entry), entry, ())
+            entry = mm.check_node(mm.spec_of(entry), entry)
         except mm.ModelError as error:
             raise _RowError(RULE_INVALID_VALUE, str(error), "logical_address") from None
         edits = [partial(self.edit.append, mm.spec_of(entry), entry)]
@@ -262,7 +249,7 @@ class _Merge:
                 stage=_STAGE_FOR_DISCIPLINE[discipline],
                 server_path=doc_path, assigned_element=element_path)
             try:
-                doc = mm.check_entry(spec, doc, self.edit.keys(spec))
+                doc = mm.check_node(spec, doc, self.edit.keys(spec))
             except mm.ModelError as error:
                 raise _RowError(RULE_INVALID_VALUE, str(error)) from None
             return [partial(self.edit.append, spec, doc)]

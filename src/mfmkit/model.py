@@ -21,6 +21,9 @@ dataclass, whose param() fields become the spec's params. The builders,
 path resolution, the Resolver's bulk edits, set_parameter and
 remove_element here, and the file reader and writer, the rule classes, the
 completeness selectors and the table units elsewhere, all derive from them.
+A default is valid by declaration: the builders validate whole nodes
+(check_node), the file reader the values it is given, the required
+parameters and, with check_shape, the rest.
 Resolver.locate alone decodes a path string; every reader of a path reads
 the record it returns, so a path is decoded once for each use.
 
@@ -196,9 +199,9 @@ def _ordered_corners(space: InteractionSpace) -> None:
 # ---------------------------------------------------------------------------
 
 def param(default: Any = "", unit: str = "", check: Callable[[Any, str], Any] | None = None):
-    """Declare a dataclass field as a parameter: its default (MISSING for a
-    required field, whose reader default is ""), its unit and its validator.
-    ElementSpec derives an element's parameters from these fields."""
+    """Declare a dataclass field as a parameter: its default (valid by
+    declaration; MISSING for a required field, read as "" when not given),
+    its unit and its validator. ElementSpec derives its params from these."""
     text = "" if default is MISSING else str(default)
     return field(default=default, metadata={"param": (unit, text, check)})
 
@@ -416,7 +419,8 @@ class ElementSpec:
     module name and the document fields are written to files but are not
     parameters. `extra` names a field holding an open set of Parameters, and
     `invariant` checks a whole element after its parameters. `params` are
-    the param() fields of `node_type`, in field order; `names` by name.
+    the param() fields of `node_type`, in field order; `names` by name;
+    `required` those declared param(MISSING).
     """
 
     path: tuple[str, ...]
@@ -427,15 +431,18 @@ class ElementSpec:
     extra: str = ""
     invariant: Callable[[Any], None] | None = None
     params: tuple[Param, ...] = field(init=False)
+    required: tuple[Param, ...] = field(init=False, repr=False, compare=False)
     #: "port", "runtime variable", ...: used in messages
     label: str = field(init=False, repr=False, compare=False)
     names: dict[str, Param] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        params = tuple(Param(f.name, *f.metadata["param"])
-                       for f in fields(self.node_type) if "param" in f.metadata)
+        declared = [f for f in fields(self.node_type) if "param" in f.metadata]
+        params = tuple(Param(f.name, *f.metadata["param"]) for f in declared)
         words = re.sub(r"(?<!^)(?=[A-Z])", " ", self.node_type.__name__).lower()
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "required", tuple(
+            p for p, f in zip(params, declared) if f.default is MISSING))
         object.__setattr__(self, "label", words)
         object.__setattr__(self, "names", {p.name: p for p in params})
 
@@ -540,44 +547,42 @@ def check_value(spec: ElementSpec, param: Param, value):
     return param.check(value, what) if param.check else value
 
 
-def check_node(spec: ElementSpec, node, checked=()):
+def check_node(spec: ElementSpec, node, taken=()):
     """Validate an element or entry and return the node to store: its key
-    name, its parameter values and its annotation (as with_roles and
-    with_external_ref check theirs) except those that `checked` names (the
-    caller validated them), and the invariant."""
+    name first, its parameter values and its annotation (as with_roles and
+    with_external_ref check theirs), then the rest of check_shape."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
     changes = {}
     for param in spec.params:
-        if param.name in checked:
-            continue
         value = getattr(node, param.name)
         stored = check_value(spec, param, value)
         if stored is not value:
             changes[param.name] = stored
     given = node.annotation
-    if (given.roles or given.external_refs) and "annotation" not in checked:
+    if given.roles or given.external_refs:
         ann = check_roles(Annotation(), given.roles)
         for ref in given.external_refs:
             ann = check_external_ref(ann, spec.label, ref)
         changes["annotation"] = ann
     if changes:
         node = replace(node, **changes)
+    return check_shape(spec, node, taken)
+
+
+def check_shape(spec: ElementSpec, node, taken=()):
+    """Validate what check_node does beyond the values and return `node`:
+    its key name, the invariant and, for an entry to be appended to a list
+    whose keys are `taken` (any container; unused for index-keyed lists),
+    that its key is new."""
+    keyed = spec.key in ("name", "id")
+    if keyed:
+        _require_name(getattr(node, spec.key), spec.label)
     if spec.invariant:
         spec.invariant(node)
+    if keyed and getattr(node, spec.key) in taken:
+        raise ModelError(f"duplicate {spec.label} {getattr(node, spec.key)!r}")
     return node
-
-
-def check_entry(spec: ElementSpec, entry, taken, checked=()):
-    """Validate an entry for appending to a list of `spec` whose keys are
-    `taken` (any container; ignored for index-keyed lists); `checked` as
-    for check_node."""
-    entry = check_node(spec, entry, checked)
-    if spec.key != "index":
-        key = getattr(entry, spec.key)
-        if key in taken:
-            raise ModelError(f"duplicate {spec.label} {key!r}")
-    return entry
 
 
 def check_attribute(spec: ElementSpec, taken, name: str, value: str, unit: str) -> Parameter:
@@ -665,7 +670,7 @@ def add_entry(model: ModuleModel, entry) -> ModuleModel:
     spec = spec_of(entry)
     items = get(model, spec)
     taken = () if spec.key == "index" else map(attrgetter(spec.key), items)
-    return _put(model, spec.path, items + (check_entry(spec, entry, taken),))
+    return _put(model, spec.path, items + (check_node(spec, entry, taken),))
 
 
 def set_identification(
@@ -788,10 +793,7 @@ def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> Mo
 
 def annotation_at(model: ModuleModel, path: str) -> Annotation:
     """The annotation of the element at `path`; empty when none is there."""
-    try:
-        found = Resolver(model).locate(path)
-    except PathError:
-        found = None
+    found = Resolver(model).resolved(path)
     return found.node.annotation if found is not None and found.is_element else Annotation()
 
 
@@ -834,6 +836,16 @@ def walk(model: ModuleModel):
             continue
         for key, entry in keyed(spec, node):
             yield spec, f"{path}/{key}", entry
+
+
+def component_paths(model: ModuleModel) -> dict[str, Component]:
+    """Each component by its element path (the first of a repeated name, as
+    resolve() finds it), for looking stored paths up without decoding them."""
+    prefix = join_path(model.id, "components") + "/"
+    found: dict[str, Component] = {}
+    for component in model.components:
+        found.setdefault(prefix + component.name, component)
+    return found
 
 
 def iter_parameters(model: ModuleModel):
@@ -932,7 +944,7 @@ class Resolver:
     model() is that model.
 
     locate() decodes a path once into the _Located record that resolution,
-    element(), the edits, ownership, rule classes and table rows all read.
+    the edits, ownership, rule classes and table rows all read.
 
     put() replaces an element or an entry, append() adds an entry and
     updates that list's index; each list is copied once, on its first
@@ -1003,11 +1015,14 @@ class Resolver:
         """resolve(self.model(), path)"""
         return _value(self.locate(path))
 
-    def element(self, path: str):
-        """(spec, position, node) of the element at `path`, or None; the
-        position is None for an element that is not a list entry."""
-        found = self.locate(path)
-        return found[:3] if found is not None and found.is_element else None
+    def resolved(self, path: str) -> _Located | None:
+        """The _Located record of `path` if it resolves, else None, also for
+        a malformed path (a model built without the builders can hold one)."""
+        try:
+            found = self.locate(path)
+        except PathError:
+            return None
+        return found if _value(found) is not None else None
 
     def _entries(self, spec: ElementSpec) -> list:
         entries = self._parts.get(spec.path)

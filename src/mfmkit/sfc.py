@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from . import model as mm
 from .behavior import Action, Arc, Condition, ImlDocument, SimulationError, TraceEvent, walk
-from .paths import join_path
 from .xmlio import Tag, XmlError, every, parse_tree, serialize_tree
 
 
@@ -72,8 +71,7 @@ class _Binding:
 
     def __init__(self, model: mm.ModuleModel):
         self.model = model
-        by_path = {
-            join_path(model.id, "components", c.name): c for c in model.components}
+        by_path = mm.component_paths(model)
         #: (component kind, component name) -> variable name
         self.signals: dict[tuple[str, str], str] = {}
         for entry in model.control.io_mapping:

@@ -12,7 +12,8 @@ function that builds the element's value and its inverse, which splits a
 value back into attributes, children and text. parse_tree reads a document
 against such a table and serialize_tree writes one; neither knows a format.
 A text element that only carries its parent's value (CAEX `Value`) is
-declared folded: it is checked as an element, but its text is its parent's.
+declared folded: it is checked as an element and may occur once in its
+parent, and its text is its parent's.
 
 Reading is one strict pass of expat over the bytes. The byte-level rules
 exist only here: UTF-8 or ASCII encoding, no DOCTYPE declarations or
@@ -20,7 +21,7 @@ processing instructions, nesting at most MAX_DEPTH deep, non-whitespace
 text only inside text elements, no text element mixing text with child
 elements, and expat's own errors. The structural rules come from the
 table: the root tag, each element's tag within its parent, its attribute
-names, the children allowed once, unique keys, and whatever a `build`
+names, at most one folded child, unique keys, and whatever a `build`
 raises. Every error is an XmlError with the source line and column. The
 writer escapes only an attribute value that holds `&`, `<`, `>`, `"`, a tab,
 line feed or carriage return, and only text that holds `&`, `<`, `>` or a
@@ -69,15 +70,14 @@ class Tag:
     in canonical order, one sequence of child values per entry of
     `children`, and the text.
 
-    `text` marks an element whose character data is significant. The
-    children named in `once` may occur at most once, checked at the start
-    of the second one. With a `key`, the keys of an element's values must
-    differ among its siblings of the same tag, checked at the end of the
-    second one.
+    `text` marks an element whose character data is significant. With a
+    `key`, the keys of an element's values must differ among its siblings
+    of the same tag, checked at the end of the second one.
 
     A `folded` text element (never the root) has no build or split: its
     text is its parent's `text` for `build` and from `split`, which gives
-    the folded child an empty sequence; an empty text is not written.
+    the folded child an empty sequence; an empty text is not written. It
+    occurs at most once in its parent, checked at the start of the second.
     """
 
     required: tuple[str, ...]
@@ -86,7 +86,6 @@ class Tag:
     build: Callable[[dict, dict, str], object] | None
     split: Callable[[object], tuple[tuple, tuple, str]] | None
     text: bool = False
-    once: frozenset[str] = frozenset()
     key: Callable[[object], str] | None = None
     folded: bool = False
     attrs: tuple[str, ...] = field(init=False)
@@ -190,9 +189,7 @@ class _Reader:
         if self._building:
             if stack:
                 parent = stack[-1]
-                allowed = parent[1]
-                known = tag in allowed.child_tags and (tag not in allowed.once or (
-                    parent[9] is None if spec.folded else tag not in parent[5]))
+                known = tag in parent[1].child_tags and (not spec.folded or parent[9] is None)
             else:
                 known = tag == self.root
             keys = attrs.keys()

@@ -6,7 +6,7 @@ import gc
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 from generators import random_model, sized_model
@@ -579,6 +579,25 @@ def test_reading_a_model_checks_each_value_at_most_once(monkeypatch):
         elements = Counter(spec.path for spec, _path, _node in mm.walk(read))
         for (path, name), count in calls.items():
             assert count <= elements[path], (path, name, count, elements[path])
+
+
+def test_reading_a_model_checks_no_declared_default(monkeypatch):
+    real = mm.check_value
+    defaults = []
+
+    def recording(spec, param, value):
+        declared = next(f for f in fields(spec.node_type) if f.name == param.name)
+        if value == param.default and declared.default is not MISSING:
+            defaults.append((spec.path, param.name))
+        return real(spec, param, value)
+
+    models = (_populated_model(), sized_model(40), *map(random_model, range(5)))
+    monkeypatch.setattr(mm, "check_value", recording)
+    for model in models:
+        doc = caex_io.parse(caex_io.serialize(caex_io.from_model(model)))
+        read, _warnings = caex_io.to_model(doc)
+        assert read == model
+    assert defaults == []
 
 
 def test_to_model_keeps_dangling_links():

@@ -133,6 +133,33 @@ def test_io_entry_component_must_exist_and_be_a_component():
     ]
 
 
+def test_check_links_reports_a_malformed_stored_path_as_not_resolving():
+    m = _complete()
+    m = replace(
+        m, cross_refs=m.cross_refs + (mm.CrossReference("m/components/c 1", "m/general", "x"),
+                                      mm.CrossReference("m/general", "m//general", "x")),
+        documents=(mm.DocumentReference("d1", assigned_element="m/bad path"),),
+        control=replace(m.control, io_mapping=m.control.io_mapping + (
+            mm.IoMapEntry("m/components/S 1"),)))
+    assert [(v.rule_id, v.element_path) for v in cc.check_links(m)] == [
+        ("dangling-source", "m/cross_refs/4"),
+        ("dangling-target", "m/cross_refs/5"),
+        ("dangling-assignment", "m/documents/d1"),
+        ("io-unknown-component", "m/control/io_mapping/2"),
+    ]
+
+
+def test_check_links_decodes_only_link_endpoints_and_assignments(monkeypatch):
+    m = fixture.tjunction_model()
+    calls = []
+    split_path = mm.split_path
+    monkeypatch.setattr(mm, "split_path", lambda path: calls.append(path) or split_path(path))
+    assert cc.check_links(m) == []
+    assert m.control.io_mapping
+    assert calls == [endpoint for ref in m.cross_refs for endpoint in (ref.source, ref.target)] + [
+        doc.assigned_element for doc in m.documents if doc.assigned_element]
+
+
 def test_io_direction_must_match_component_kind():
     m = mm.new_module("m", "")
     m = mm.add_component(m, mm.Component(name="S1", kind="sensor"))
@@ -522,6 +549,14 @@ def test_dependency_report_requires_resolvable_endpoints():
     m = mm.new_module("m", "")
     m = mm.add_cross_ref(m, "m", "m/general", "uses")
     with pytest.raises(OwnershipError):
+        cc.dependency_report(m)
+
+
+@pytest.mark.parametrize("source, target", [
+    ("m/components/c 1", "m/general"), ("m/general", "m//general"), ("m/general", "")])
+def test_dependency_report_rejects_a_malformed_endpoint_as_not_resolving(source, target):
+    m = replace(_complete(), cross_refs=(mm.CrossReference(source, target, "x"),))
+    with pytest.raises(OwnershipError, match="does not resolve"):
         cc.dependency_report(m)
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 
 import pytest
+from generators import sized_model
 
 from mfmkit import consistency as cc
 from mfmkit import caex_io, exchange, fixture
@@ -505,3 +506,31 @@ def test_an_import_decodes_each_rows_element_path_once(monkeypatch):
     _updated, violations = exchange.import_table(m, table)
     assert len(violations) == 3
     assert calls == [row[0] for row in csv.reader(io.StringIO(table.decode()))][1:]
+
+
+def test_a_request_takes_its_units_from_the_completeness_check(monkeypatch):
+    m = sized_model(40)
+    for component in m.components[:3]:
+        for name in ("position", "component_type"):
+            m = mm.set_parameter(m, f"{m.id}/components/{component.name}", name, "")
+    m = mm.set_parameter(m, f"{m.id}/general", "main_dimensions", "")
+    find = mm.Resolver(m)
+    expected = [HEADER]
+    for violation in cc.check_completeness(m, mm.STAGES[-1]):
+        found = find.locate(violation.element_path)
+        cell = found.is_element and mm.cell(found.spec, found.node, violation.parameter)
+        expected.append((violation.element_path, violation.parameter, "",
+                         cell[1] if cell else "", "", ""))
+    calls = []
+    split_path = mm.split_path
+    monkeypatch.setattr(mm, "split_path", lambda path: calls.append(path) or split_path(path))
+    request = exchange.export_table(m, missing_only=True)
+    assert calls == []
+    rows = [tuple(row) for row in csv.reader(io.StringIO(request.decode()))]
+    docs = {doc.assigned_element: doc for doc in reversed(m.documents) if doc.assigned_element}
+    assert rows[0] == HEADER and len(rows) == len(expected)
+    assert rows[1:] == sorted(
+        (path, name, value, unit, docs[path].id if path in docs else "",
+         docs[path].server_path if path in docs else "")
+        for path, name, value, unit, _doc, _server in expected[1:])
+    assert {unit for _path, _name, _value, unit, _doc, _server in rows[1:]} == {"", "mm"}

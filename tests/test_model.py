@@ -292,8 +292,9 @@ def test_an_unedited_resolver_agrees_with_resolve_and_returns_its_model():
     paths = _lookup_paths(m) + [path for _spec, path, _node in mm.walk(m)]
     assert [find(path) for path in paths] == [mm.resolve(m, path) for path in paths]
     assert find.model() is m
-    assert find.element("m/general")[1] is None
-    assert find.element("m/components") is None
+    general = find.locate("m/general")
+    assert general.is_element and general.index is None
+    assert not find.locate("m/components").is_element
 
 
 def test_resolver_follows_models_derived_by_writes_and_appends():
@@ -305,7 +306,9 @@ def test_resolver_follows_models_derived_by_writes_and_appends():
                               ("m/general/identification", "name", "Renamed"),
                               ("m/general", "colour", "red")]:
         expected = mm.set_parameter(expected, path, name, value)
-        spec, index, node = find.element(path)
+        found = find.locate(path)
+        assert found.is_element
+        spec, index, node = found[:3]
         find.put(spec, index, mm.write_parameter(spec, node, name, value))
         assert find(f"{path}/{name}") == mm.resolve(expected, f"{path}/{name}") == value
     assert find("m/control/variables/extra") is None  # the list's index is built now
@@ -317,12 +320,14 @@ def test_resolver_follows_models_derived_by_writes_and_appends():
         assert position == len(mm.get(expected, spec)) - 1
     position = len(expected.control.variables) - 1
     assert find("m/control/variables/extra") == extra
-    assert find.element("m/control/variables/extra") == (mm.spec_of(extra), position, extra)
+    found = find.locate("m/control/variables/extra")
+    assert found.is_element and found[:3] == (mm.spec_of(extra), position, extra)
     assert find.keys(mm.spec_of(extra))["extra"] == position
     paths = _lookup_paths(expected)
     assert [find(path) for path in paths] == [mm.resolve(expected, path) for path in paths]
-    assert find.element("m/general")[1] is None
-    assert find.element("m/components") is None
+    general = find.locate("m/general")
+    assert general.is_element and general.index is None
+    assert not find.locate("m/components").is_element
 
 
 def test_store_copies_each_list_once_and_agrees_with_set_parameter():
@@ -335,7 +340,9 @@ def test_store_copies_each_list_once_and_agrees_with_set_parameter():
     expected, copies = m, {}
     for path, name, value in writes:
         expected = mm.set_parameter(expected, path, name, value)
-        spec, index, node = find.element(path)
+        found = find.locate(path)
+        assert found.is_element
+        spec, index, node = found[:3]
         find.put(spec, index, mm.write_parameter(spec, node, name, value))
         if index is not None:
             part = find.part(spec)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -135,6 +135,30 @@ def test_required_parameters_keep_no_default():
         mm.IoMapEntry()
     assert repr(mm.Route("a", "b")) == "Route(from_port='a', to_port='b', priority=0)"
     assert mm.Route("a", "b") == mm.Route("a", "b", 0)
+
+
+def test_every_default_is_valid_by_declaration():
+    """The file reader keeps a declared default unchecked: each default text
+    passes its validator and stores the default itself."""
+    for spec in mm.SCHEMA:
+        defaults = {f.name: f.default for f in fields(spec.node_type)}
+        for param in spec.params:
+            if param not in spec.required:
+                stored = mm.check_value(spec, param, param.default)
+                assert stored == defaults[param.name], (spec.path, param.name)
+                assert type(stored) is type(defaults[param.name]), (spec.path, param.name)
+    routes = mm.CHILDREN[("function",)]["routes"]
+    assert mm.check_value(routes, routes.names["priority"], "0") == 0
+
+
+def test_required_parameters_are_the_route_ports_and_the_io_component_path():
+    required = {("/".join(spec.path), f.name) for spec in mm.SCHEMA
+                for f in fields(spec.node_type) if "param" in f.metadata and f.default is MISSING}
+    assert required == {("function/routes", "from_port"), ("function/routes", "to_port"),
+                        ("control/io_mapping", "component_path")}
+    assert required == {("/".join(spec.path), p.name) for spec in mm.SCHEMA for p in spec.required}
+    assert {("/".join(spec.path), p.name) for spec in mm.SCHEMA for p in spec.required
+            if not _accepts(spec, p, "")} == {("control/io_mapping", "component_path")}
 
 
 def test_module_layout_table_matches_the_schema():
