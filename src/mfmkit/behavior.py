@@ -31,6 +31,11 @@ ACTION_KINDS = ("activate", "deactivate")
 #: with loop edges and latched order requests).
 _MAX_MOVES = 10_000
 
+#: Upper bound on the cascades one walk remembers by the state they start
+#: from (about 1 MB); a cascade from a new state beyond it is worked out and
+#: not kept, so a trace that keeps reaching new states costs no more memory.
+_MAX_MEMO = 4096
+
 
 class BehaviorParseError(ValueError):
     """Unreadable behavior text or trace text; message carries the line."""
@@ -339,68 +344,120 @@ def to_iml(graph: BehaviorGraph) -> ImlDocument:
 #: must all be live and the keys that must not be live for it to be enabled.
 Arc = tuple[str, frozenset, frozenset]
 
+#: What `enter` returns for a step: its actions, the keys it sets live and the
+#: keys it clears.
+Entry = tuple[Iterable[Action], Iterable[Hashable], Iterable[Hashable]]
 
-def walk(outgoing: dict[str, list[Arc]], current: str, live: set,
+
+def walk(outgoing: dict[str, list[Arc]], current: str,
          updates: Iterable[tuple[Hashable, bool]],
-         enter: Callable[[str], Iterable[Action]]) -> list[Action]:
+         enter: Callable[[str], Entry]) -> list[Action]:
     """Walk one token over compiled guards: the kernel of both simulators.
 
-    The token starts in `current`. Before the first update and after each
-    `(key, level)` update of the live keys, it cascades: while a target of
-    its step is enabled, it moves there and emits what `enter(target)`
-    returns (`enter` may change `live` too). Two or more enabled targets at
-    once raise SimulationError; so does one cascade that exceeds _MAX_MOVES
-    moves.
+    The token starts in `current`, no key live. Before the first update and
+    after each `(key, level)` update of the live keys, it cascades: while a
+    target of its step is enabled, it moves there, emits the actions of
+    `enter(target)` and sets and clears the keys it names. `enter` is called
+    once per step, on its first entry. Two or more enabled targets at once
+    raise SimulationError; so does one cascade that exceeds _MAX_MOVES moves.
+
+    The live keys are an int bitmask over the keys that some arc reads; a key
+    that no arc reads cannot enable an arc and is not kept. No arc is enabled
+    when a cascade ends, so an update can only enable an arc that reads its
+    key, and only while the keys that every arc of the step needs hold: the
+    walk tests those arcs alone. A cascade depends on nothing but its step
+    and mask, so the walk remembers the end of up to _MAX_MEMO of them by
+    that state and replays a repeated one. Neither changes the result.
     """
-    # Per step: the keys its arcs read, the keys that every arc needs live
-    # and those that every arc needs not live. An update of a key the step
-    # does not read cannot enable an arc, and no arc is enabled while the
-    # shared keys fail.
-    steps = {}
+    bits: dict[Hashable, int] = {}
+    for arcs in outgoing.values():
+        for _target, on, off in arcs:
+            for key in on | off:
+                bits.setdefault(key, 1 << len(bits))
+
+    def mask(keys: Iterable[Hashable]) -> int:
+        return sum({bits[key] for key in keys if key in bits})
+
+    # An arc is enabled when `live & care == want`: its `on` keys live and
+    # its `off` keys not (want -1 if a key is in both: never). Per step: the
+    # test every enabled arc passes (the keys that all arcs need live and
+    # those that all need not live; -1 for a step without arcs, which no
+    # mask passes), its arcs, its arcs by each bit they read, and its memo:
+    # the mask a cascade from the step starts with -> where it ends.
+    steps: dict[str, tuple[int, int, list, dict[int, list], dict[int, tuple]]] = {}
     for step, arcs in outgoing.items():
-        ons = [on for _target, on, _off in arcs]
-        offs = [off for _target, _on, off in arcs]
-        steps[step] = (
-            frozenset().union(*ons, *offs),
-            frozenset.intersection(*ons) if arcs else frozenset(),
-            frozenset.intersection(*offs) if arcs else frozenset(),
-            arcs)
-    emitted: list[Action] = []
-    updates = iter(updates)
-    moves = 0
-    reads, shared_on, shared_off, arcs = steps[current]
-    while True:
-        found = None
-        if shared_on <= live and live.isdisjoint(shared_off):
-            for target, on, off in arcs:
-                if on <= live and live.isdisjoint(off):
-                    if found is not None:
-                        enabled = sorted(
-                            target for target, on, off in arcs
-                            if on <= live and live.isdisjoint(off))
-                        raise SimulationError(
-                            f"ambiguous branch at step {current}: "
-                            f"{' and '.join(enabled)} are both enabled")
-                    found = target
-        if found is None:
-            # The cascade is over; the next one starts with a full budget.
-            moves = 0
-            for key, level in updates:
-                if level:
-                    live.add(key)
-                else:
-                    live.discard(key)
-                if key in reads:
+        shared_on, shared_off, compiled, watch = -1, -1, [], {}
+        for target, on, off in arcs:
+            on_bits, off_bits = mask(on), mask(off)
+            shared_on &= on_bits
+            shared_off &= off_bits
+            arc = target, on_bits | off_bits, -1 if on_bits & off_bits else on_bits
+            compiled.append(arc)
+            for key in on | off:
+                watch.setdefault(bits[key], []).append(arc)
+        steps[step] = shared_on | shared_off, shared_on, compiled, watch, {}
+
+    # Per entered step: its actions, the bits it sets and the bits it keeps.
+    entered: dict[str, tuple[tuple[Action, ...], int, int]] = {}
+
+    def enter_once(step: str) -> tuple[tuple[Action, ...], int, int]:
+        actions, on, off = enter(step)
+        entered[step] = record = (tuple(actions), mask(on), ~mask(off))
+        return record
+
+    def cascade(step: str, live: int) -> tuple[str, int, tuple[Action, ...]]:
+        emitted: list[Action] = []
+        moves = 0
+        while True:
+            shared_care, shared_want, arcs, _watch, _memo = steps[step]
+            found = None
+            if live & shared_care == shared_want:
+                for target, care, want in arcs:
+                    if live & care == want:
+                        if found is not None:
+                            enabled = sorted(
+                                target for target, care, want in arcs if live & care == want)
+                            raise SimulationError(
+                                f"ambiguous branch at step {step}: "
+                                f"{' and '.join(enabled)} are both enabled")
+                        found = target
+            if found is None:
+                return step, live, tuple(emitted)
+            moves += 1
+            if moves > _MAX_MOVES:
+                raise SimulationError("token walk does not terminate")
+            step = found
+            actions, sets, keeps = entered.get(step) or enter_once(step)
+            live = live & keeps | sets
+            emitted += actions
+
+    room = _MAX_MEMO
+    current, live, actions = cascade(current, 0)
+    emitted = list(actions)
+    shared_care, shared_want, _arcs, watch, memo = steps[current]
+    for key, level in updates:
+        bit = bits.get(key, 0)
+        changed = live | bit if level else live & ~bit
+        if changed == live:
+            continue
+        live = changed
+        if bit not in watch or live & shared_care != shared_want:
+            continue
+        end = memo.get(live)
+        if end is None:
+            for _target, care, want in watch[bit]:
+                if live & care == want:
+                    end = cascade(current, live)
                     break
             else:
-                return emitted
-            continue
-        moves += 1
-        if moves > _MAX_MOVES:
-            raise SimulationError("token walk does not terminate")
-        current = found
-        reads, shared_on, shared_off, arcs = steps[current]
-        emitted.extend(enter(current))
+                end = current, live, ()
+            if room:
+                memo[live] = end
+                room -= 1
+        current, live, actions = end
+        shared_care, shared_want, _arcs, watch, memo = steps[current]
+        emitted += actions
+    return emitted
 
 
 def _guard_keys(guards: tuple[Condition, ...]) -> tuple[frozenset, frozenset]:
@@ -425,15 +482,16 @@ def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
     first), it advances along an outgoing edge whenever all guards of that
     edge's target hold, repeatedly, until no target is satisfied. Two or more
     satisfied targets at once raise SimulationError; so does one such cascade
-    that exceeds the move budget (possible only with loop edges).
+    that exceeds the move budget (possible only with loop edges). The token
+    walk is `walk`; a step writes no keys, it only emits its actions.
     """
     entry = validate_graph(graph)[0]
-    actions = {step.id: step.actions for step in graph.steps}
+    entries: dict[str, Entry] = {step.id: (step.actions, (), ()) for step in graph.steps}
     guards = {step.id: _guard_keys(step.guards) for step in graph.steps}
     outgoing: dict[str, list[Arc]] = {step.id: [] for step in graph.steps}
     for source, target in graph.edges + graph.loop_edges:
         outgoing[source].append((target, *guards[target]))
-    return walk(outgoing, entry, set(), _levels(trace), actions.__getitem__)
+    return walk(outgoing, entry, _levels(trace), entries.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import model as mm
-from .behavior import Action, Arc, Condition, ImlDocument, SimulationError, TraceEvent, walk
+from .behavior import (
+    Action,
+    Arc,
+    Condition,
+    Entry,
+    ImlDocument,
+    SimulationError,
+    TraceEvent,
+    walk,
+)
 from .xmlio import Tag, XmlError, every, parse_tree, serialize_tree
 
 
@@ -270,9 +279,11 @@ def simulate_sfc(
     variables and are translated back into activate/deactivate events. The
     token walk is behavior.walk, the one behavior.simulate runs: level
     state, cascading advance, ambiguity and the per-cascade move budget as
-    errors. A step's actions are read on its first entry, and each traced
-    subject is bound on its first event, so an error in either is raised
-    where the walk first reaches it.
+    errors. A step's actions are read on its first entry into the events it
+    emits and the variables it sets TRUE and FALSE, which the walk applies on
+    every entry. Each traced subject is bound on its first event, also one
+    that no transition reads, so an error in either is raised where the walk
+    first reaches it.
     """
     binding = _Binding(model)
     variable_to_actuator = {
@@ -290,12 +301,9 @@ def simulate_sfc(
                 f"references unknown steps")
         outgoing[transition.source].append(
             (transition.target, *_condition_keys(transition.condition)))
-    live: set[str] = set()
-    # step name -> (variables set TRUE, variables set FALSE, actions), for
-    # the steps entered so far; a step's last write to a variable wins.
-    compiled: dict[str, tuple[frozenset, frozenset, tuple[Action, ...]]] = {}
 
-    def compile_step(name: str) -> tuple[frozenset, frozenset, tuple[Action, ...]]:
+    def enter(name: str) -> Entry:
+        # A step's last write to a variable wins.
         levels: dict[str, bool] = {}
         actions = []
         for text in by_name[name].actions:
@@ -309,17 +317,8 @@ def simulate_sfc(
                     f"no io_mapping entry maps variable '{variable}' back to an actuator")
             actions.append(Action(
                 "activate" if value == "TRUE" else "deactivate", actuator))
-        compiled[name] = (
-            frozenset(v for v, on in levels.items() if on),
-            frozenset(v for v, on in levels.items() if not on),
-            tuple(actions))
-        return compiled[name]
-
-    def execute(name: str) -> tuple[Action, ...]:
-        on, off, actions = compiled.get(name) or compile_step(name)
-        live.update(on)
-        live.difference_update(off)
-        return actions
+        return (actions, [v for v, on in levels.items() if on],
+                [v for v, on in levels.items() if not on])
 
     bound: dict[tuple[str, str], str] = {}
 
@@ -336,4 +335,4 @@ def simulate_sfc(
             bound[subject] = variable
         return variable, event.value
 
-    return walk(outgoing, initial[0].name, live, map(level, trace), execute)
+    return walk(outgoing, initial[0].name, map(level, trace), enter)

@@ -375,7 +375,7 @@ def _compiled_walks(draw):
     steps = [f"q{i}" for i in range(draw(st.integers(min_value=2, max_value=5)))]
     outgoing = {}
     for step in steps:
-        fan_out = draw(st.sampled_from((3, 4) if step == "q0" else (0, 0, 3, 4)))
+        fan_out = draw(st.sampled_from((3, 4) if step == "q0" else (0, 1, 2, 3, 4)))
         # Distinct selector patterns keep the arcs exclusive, until the
         # drawn arc drops one of its `off` selectors.
         patterns = draw(st.permutations(range(4)))[:fan_out]
@@ -394,11 +394,11 @@ def _compiled_walks(draw):
         outgoing[step] = arcs
     writes = {step: draw(st.lists(st.tuples(_KEYS, st.booleans()), max_size=2))
               for step in steps}
-    updates = draw(st.lists(st.tuples(_KEYS, st.booleans()), min_size=8, max_size=40))
+    updates = draw(st.lists(st.tuples(_KEYS, st.booleans()), min_size=40, max_size=120))
     return outgoing, writes, updates
 
 
-def _walk_outcome(run, outgoing, writes, updates):
+def _reference_outcome(outgoing, writes, updates):
     live = set()
 
     def enter(step):
@@ -410,20 +410,35 @@ def _walk_outcome(run, outgoing, writes, updates):
         return [step]
 
     try:
-        return "emitted", run(outgoing, "q0", live, updates, enter)
+        return "emitted", _reference_walk(outgoing, "q0", live, updates, enter)
     except SimulationError as error:
         return "error", str(error)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+def _walk_outcome(outgoing, writes, updates):
+    def enter(step):
+        levels = dict(writes[step])  # the last write to a key wins
+        return ([step], [key for key, on in levels.items() if on],
+                [key for key, on in levels.items() if not on])
+
+    try:
+        return "emitted", bh.walk(outgoing, "q0", updates, enter)
+    except SimulationError as error:
+        return "error", str(error)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(_compiled_walks())
 def test_walk_agrees_with_the_reference_walk(case):
     outgoing, writes, updates = case
     # A small budget makes runaway cascades, and cascades after many
-    # earlier moves, cheap to reach.
+    # earlier moves, cheap to reach. The walk runs without a memo, with one
+    # that fills up at once and with the default one.
     with mock.patch.object(bh, "_MAX_MOVES", 3):
-        assert _walk_outcome(bh.walk, outgoing, writes, updates) == _walk_outcome(
-            _reference_walk, outgoing, writes, updates)
+        expected = _reference_outcome(outgoing, writes, updates)
+        for memo in (0, 2, bh._MAX_MEMO):
+            with mock.patch.object(bh, "_MAX_MEMO", memo):
+                assert _walk_outcome(outgoing, writes, updates) == expected, memo
 
 
 def test_simulate_nonterminating_loop_is_an_error():
@@ -431,6 +446,57 @@ def test_simulate_nonterminating_loop_is_an_error():
     graph = bh.parse_behavior(text)
     with pytest.raises(SimulationError, match="terminate"):
         bh.simulate(graph, [])
+
+
+def test_walk_enters_each_step_once_and_applies_its_writes_on_every_entry():
+    # b sets y, which b -> c needs; c clears it again. Each pass: x on, x off.
+    outgoing = {"a": [("b", frozenset({"x"}), frozenset())],
+                "b": [("c", frozenset({"y"}), frozenset({"x"}))],
+                "c": [("a", frozenset(), frozenset())],
+                "d": []}
+    writes = {"a": ((), ()), "b": (("y",), ()), "c": ((), ("y",))}
+    calls = []
+
+    def enter(step):
+        calls.append(step)
+        return ([step], *writes[step])
+
+    updates = [("x", True), ("x", False)] * 50
+    assert bh.walk(outgoing, "a", updates, enter) == ["b", "c", "a"] * 50
+    assert calls == ["b", "c", "a"]
+
+
+#: Passes through p and q return to a; three arcs of a are enabled at once by
+#: S, and r loops back to a as long as U is on.
+_LOOPED_ERRORS = """\
+step a "idle"
+step p "take" when T on do activate A
+step q "drop" when T off do deactivate A
+step r "spin" when U on
+step z "right" when S on
+step b "left" when S on
+step m "middle" when S on
+edge a -> p
+edge p -> q
+edge a -> z
+edge a -> b
+edge a -> m
+edge a -> r
+loop q -> a
+loop r -> a
+"""
+
+
+def test_walk_errors_after_many_repeated_cascades():
+    graph = bh.parse_behavior(_LOOPED_ERRORS)
+    passes = [TraceEvent("sensor", "T", True), TraceEvent("sensor", "T", False)] * 20
+    assert bh.simulate(graph, passes) == [
+        Action("activate", "A"), Action("deactivate", "A")] * 20
+    with pytest.raises(SimulationError) as error:
+        bh.simulate(graph, passes + [TraceEvent("sensor", "S", True)])
+    assert str(error.value) == "ambiguous branch at step a: b and m and z are both enabled"
+    with pytest.raises(SimulationError, match="^token walk does not terminate$"):
+        bh.simulate(graph, passes + [TraceEvent("sensor", "U", True)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,30 @@
-"""The builders, the read path, the checks and the table exchange scale linearly.
+"""The builders, the read path, the checks and the table exchange scale linearly,
+and the token walk of both simulators costs a bounded amount per trace event.
 
 Work is counted as Python line events (sys.settrace), not timed, so the test
 does not depend on the machine: quadrupling the model size multiplies the
 count by about 4 for linear code and by about 16 for quadratic code. Work
 inside C functions is not counted: a quadratic cost that lives only there
 (a tuple copy per row, a membership test over a `map` of keys per entry)
-does not show here, and is left to the timings of `tools/layers.py`.
+does not show here, and is left to the timings of `tools/layers.py`. The
+walk's memory is measured with tracemalloc.
 """
 from __future__ import annotations
 
 import csv
 import io
+import random
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 
-from mfmkit import caex_io, exchange
+from mfmkit import behavior, caex_io, exchange, sfc
 from mfmkit import consistency as cc
 from mfmkit import model as mm
+from mfmkit.behavior import TraceEvent
+from mfmkit.fixture import behavior_text, tjunction_model
 
 from generators import sized_model
 
@@ -127,3 +134,81 @@ def test_sized_model_reads_back_and_has_cells_to_report():
     assert violations == []
     assert [d.assigned_element for d in updated.documents] == [
         f"{m.id}/components/c14", f"{m.id}/components/c15"]
+
+
+# ---------------------------------------------------------------------------
+# The token walk
+# ---------------------------------------------------------------------------
+
+#: Line events per trace event that either simulator may spend on a looped
+#: graph whose passes revisit the same few states.
+MAX_LINES_PER_EVENT = 16
+
+
+def _looped_replay(passes: int):
+    """The fixture graph with loop edges back to its entry, its program, its
+    model, and a trace of `passes` transport units, each routed to a random
+    output: order, arrive, leave the input, clear the order, reach the
+    output and leave it."""
+    graph = behavior.parse_behavior(behavior_text() + "loop 1.3 -> 1.0\nloop 2.3 -> 1.0\n")
+    m = tjunction_model()
+    program = sfc.iml_to_sfc(behavior.to_iml(graph), m)
+    rng = random.Random(1)
+    trace = []
+    for _ in range(passes):
+        output = rng.choice((1, 2))
+        trace += [TraceEvent("order", f"output_{output}"),
+                  TraceEvent("sensor", "LB_in", True), TraceEvent("sensor", "LB_in", False),
+                  TraceEvent("order", f"output_{output}", False),
+                  TraceEvent("sensor", f"LB_out{output}", True),
+                  TraceEvent("sensor", f"LB_out{output}", False)]
+    return graph, program, m, trace
+
+
+def test_the_looped_replay_routes_every_transport_unit():
+    graph, program, m, trace = _looped_replay(40)
+    events = behavior.simulate(graph, trace)
+    assert sfc.simulate_sfc(program, trace, m) == events
+    routed = sum(event.kind == "deactivate" and event.subject == "Conv1" for event in events)
+    assert routed == 40
+
+
+@pytest.mark.parametrize("engine", ["behavior.simulate", "sfc.simulate_sfc"])
+def test_a_looped_replay_costs_a_bounded_number_of_lines_per_event(engine):
+    graph, program, m, trace = _looped_replay(500)
+    run = {"behavior.simulate": lambda: behavior.simulate(graph, trace),
+           "sfc.simulate_sfc": lambda: sfc.simulate_sfc(program, trace, m)}[engine]
+    per_event = _line_events(run) / len(trace)
+    assert per_event <= MAX_LINES_PER_EVENT, f"{engine}: {per_event:.1f} line events per event"
+
+
+def _walk_peak(updates: int) -> int:
+    """The tracemalloc peak of a walk whose every update reaches a new state.
+
+    Two arcs leave `idle` and share no key, so every update of a key they
+    read starts a cascade, and neither is ever enabled (`g0` and `g1` stay
+    off). The updates toggle `x0`-`x15` in Gray code order, one key each,
+    so no state repeats.
+    """
+    keys = [f"x{i}" for i in range(16)]
+    outgoing = {"idle": [("a", frozenset(keys + ["g0"]), frozenset()),
+                         ("b", frozenset(["g1"]), frozenset(keys))],
+                "a": [], "b": []}
+    trace = []
+    for i in range(1, updates + 1):
+        bit = (i & -i).bit_length() - 1
+        trace.append((keys[bit], bool((i ^ i >> 1) >> bit & 1)))
+    tracemalloc.start()
+    try:
+        assert behavior.walk(outgoing, "idle", trace, lambda step: ((), (), ())) == []
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_walk_through_new_states_keeps_its_memory_within_the_memo_cap():
+    full = _walk_peak(behavior._MAX_MEMO)
+    assert _walk_peak(50_000) <= full * 1.25 + 64_000
+    # Without the cap, the memo would hold every state.
+    with mock.patch.object(behavior, "_MAX_MEMO", 10**6):
+        assert _walk_peak(50_000) > full * 4

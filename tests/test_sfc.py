@@ -385,6 +385,41 @@ def test_unknown_event_kind_fails_alike():
         sfc.simulate_sfc(_mini_program(), trace, _mini_model())
 
 
+AMBIGUOUS_BEHAVIOR = ('step a "idle"\n'
+                      'step b "left" when S1 on\n'
+                      'step c "right" when S1 on\n'
+                      "edge a -> b\n"
+                      "edge a -> c\n")
+
+
+def _ambiguous_program() -> SfcProgram:
+    iml = behavior.to_iml(behavior.parse_behavior(AMBIGUOUS_BEHAVIOR))
+    return sfc.iml_to_sfc(iml, _mini_model())
+
+
+def test_an_unbound_sensor_that_no_guard_reads_fails_at_its_first_event():
+    program, m = _ambiguous_program(), _mini_model()
+    ghost, ambiguous = TraceEvent("sensor", "S9", True), TraceEvent("sensor", "S1", True)
+    with pytest.raises(BindingError, match="binds sensor 'S9' to an input variable"):
+        sfc.simulate_sfc(program, [ghost, ambiguous], m)
+    with pytest.raises(SimulationError, match="ambiguous branch at step a"):
+        sfc.simulate_sfc(program, [ambiguous, ghost], m)
+    with pytest.raises(BindingError, match="sensor 'S9'"):
+        sfc.simulate_sfc(_mini_program(), [TraceEvent("sensor", "S1", True), ghost], m)
+
+
+def test_an_unknown_event_kind_fails_where_the_walk_reaches_it():
+    graph = behavior.parse_behavior(AMBIGUOUS_BEHAVIOR)
+    program, m = _ambiguous_program(), _mini_model()
+    button, ambiguous = TraceEvent("button", "S1"), TraceEvent("sensor", "S1", True)
+    for run in (lambda trace: behavior.simulate(graph, trace),
+                lambda trace: sfc.simulate_sfc(program, trace, m)):
+        with pytest.raises(SimulationError, match="unknown event kind 'button'"):
+            run([button, ambiguous])
+        with pytest.raises(SimulationError, match="ambiguous branch at step a"):
+            run([ambiguous, button])
+
+
 def test_simulation_requires_one_initial_step():
     program = SfcProgram(
         name="p",
