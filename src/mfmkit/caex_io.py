@@ -183,13 +183,22 @@ def serialize(doc: CaexDocument) -> bytes:
 # Document -> model
 # ---------------------------------------------------------------------------
 
-def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: list) -> None:
+def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: list,
+                       wrappers: list) -> bool:
+    """Add the module roots at or below `element` to `roots`; whether there
+    is one. Each wrapper element above a root goes to `wrappers`, outermost
+    first, as (path, element, names of the children with no root below)."""
     path = prefix + (element.name,)
     if element.role_requirements:
         roots.append((path, element))
-        return
-    for child in element.children:
-        _find_module_roots(child, path, roots)
+        return True
+    mark = len(wrappers)
+    bare = [child.name for child in element.children
+            if not _find_module_roots(child, path, roots, wrappers)]
+    if len(bare) == len(element.children):
+        return False
+    wrappers.insert(mark, (path, element, bare))
+    return True
 
 
 _NO_ATTRIBUTE = CaexAttribute("")
@@ -212,6 +221,9 @@ class _ModelBuilder:
     keeps the default; an entry that cannot be added (bad or duplicate key,
     missing component path, broken invariant) is reported and dropped with
     its annotations. Absent and empty values take the default silently.
+    What the model has no place for is reported as ignored: an element's
+    ID, a DataType other than xs:string, and all that the wrapper elements
+    above the module root hold besides the way down to it.
     `values` checks each given value once and no default, which is valid by
     declaration; model.check_shape checks the rest of the element.
     """
@@ -224,6 +236,28 @@ class _ModelBuilder:
 
     def warn(self, rule: str, path: str, message: str) -> None:
         self.violations.append(Violation(rule, SEVERITY_WARNING, path, message))
+
+    def ignored_id(self, element_id: str, path: str) -> None:
+        self.warn(RULE_UNKNOWN_PARAMETER, path, f"ID '{element_id}' ignored")
+
+    def ignored_type(self, attribute: CaexAttribute, path: str) -> None:
+        self.warn(RULE_UNKNOWN_PARAMETER, path, f"DataType '{attribute.data_type}' "
+                  f"of attribute '{attribute.name}' ignored")
+
+    def wrapper(self, path: str, element: CaexElement, bare: list[str]) -> None:
+        """Report what a wrapper element above the module root holds besides
+        the way down to the root."""
+        if element.id:
+            self.ignored_id(element.id, path)
+        for attribute in element.attributes:
+            self.warn(RULE_UNKNOWN_PARAMETER, path,
+                      f"attribute '{attribute.name}' above the module root ignored")
+        for interface in element.external_interfaces:
+            self.warn(RULE_UNKNOWN_ELEMENT, path,
+                      f"interface '{interface.name}' above the module root ignored")
+        for name in bare:
+            self.warn(RULE_UNKNOWN_ELEMENT, path,
+                      f"element '{name}' holds no module root and is ignored")
 
     def checked(self, path: str, check, *args):
         """The result of a model check, or None after reporting its error."""
@@ -246,6 +280,8 @@ class _ModelBuilder:
             for attribute in attributes:
                 if attribute.name == "refURI" and not attribute.children:
                     uri = attribute.value
+                    if attribute.data_type != _STRING_TYPE and attribute.data_type:
+                        self.ignored_type(attribute, path)
                 else:
                     self.warn(RULE_UNKNOWN_PARAMETER, path,
                               f"unsupported interface attribute '{attribute.name}' ignored")
@@ -262,7 +298,9 @@ class _ModelBuilder:
         extra: list[CaexAttribute] = []
         names = spec.names
         for attribute in attributes:
-            name, _value, _data_type, _unit, children = attribute
+            name, _value, data_type, _unit, children = attribute
+            if data_type != _STRING_TYPE and data_type:
+                self.ignored_type(attribute, path)
             if children:
                 self.warn(RULE_UNKNOWN_PARAMETER, path, f"nested attribute '{name}' ignored")
             elif name in given:
@@ -294,6 +332,8 @@ class _ModelBuilder:
 
     def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
         """Read a single element (root, container or singleton) and its children."""
+        if element.id:
+            self.ignored_id(element.id, path)
         fields, extra = self.values(spec, element.attributes, path)
         node = self.edit.part(spec)
         fields["annotation"], notes = self.annotation(
@@ -314,6 +354,8 @@ class _ModelBuilder:
         self.children(spec, element.children, path)
 
     def read_list(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
+        if element.id:
+            self.ignored_id(element.id, path)
         if element.role_requirements or element.external_interfaces:
             self.warn(RULE_UNKNOWN_ELEMENT, path,
                       f"annotations on list container '{element.name}' are not supported")
@@ -323,10 +365,12 @@ class _ModelBuilder:
         indexed = spec.key == "index"
         taken = () if indexed else self.edit.keys(spec)
         for position, entry in enumerate(element.children):
-            name, _id, attributes, roles, interfaces, children = entry
+            name, element_id, attributes, roles, interfaces, children = entry
             # warnings name the entry's position in the file; annotation
             # warnings name the index the entry gets
             entry_path = join_path(path, str(position) if indexed else name)
+            if element_id:
+                self.ignored_id(element_id, entry_path)
             fields, _extra = self.values(spec, attributes, entry_path)
             if fields is not None:
                 if not indexed:
@@ -376,9 +420,10 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     are returned as warnings; structural problems raise StructureError.
     """
     roots: list[tuple[tuple[str, ...], CaexElement]] = []
+    wrappers: list = []
     for hierarchy in doc.instance_hierarchies:
         for element in hierarchy.elements:
-            _find_module_roots(element, (), roots)
+            _find_module_roots(element, (), roots, wrappers)
     if len(roots) != 1:
         raise StructureError(f"expected exactly one module root, found {len(roots)}")
     id_segments, root = roots[0]
@@ -389,6 +434,8 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
         raise StructureError(f"module id unusable: {exc}") from None
 
     builder = _ModelBuilder(model)
+    for path, element, bare in wrappers:
+        builder.wrapper("/".join(path), element, bare)
     builder.read(mm.ROOT, root, mid)
     for link in doc.internal_links:
         ref = builder.checked(join_path(mid, "cross_refs"), mm.check_cross_ref,

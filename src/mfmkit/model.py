@@ -11,8 +11,9 @@ in the unit their field declares (mm for geometry, s for latency). An
 empty string means "not populated yet". Values must not contain carriage
 returns or any character XML 1.0 cannot carry (the other controls except
 tab and line feed, surrogates, U+FFFE, U+FFFF), so that every model can be
-written and read back. Route priorities are ints; given as text, they must
-be canonical decimals ("7", not "07", "+7" or " 7").
+written and read back. Route priorities are ints (never bools or floats);
+given as text, they must be canonical decimals ("7", not "07", "+7" or
+" 7"). A value of any other type raises ModelError naming the parameter.
 
 Each parameter is declared once, as a param() field of its dataclass with
 its default, unit and validator. SCHEMA holds the structure: one ElementSpec
@@ -86,6 +87,8 @@ def non_xml_char(value: str) -> str | None:
 
 
 def _require_clean(value: str, what: str) -> None:
+    if not isinstance(value, str):
+        raise ModelError(f"{what} must be a string, not {type(value).__name__}")
     if "\r" in value:
         raise ModelError(f"{what} must not contain carriage returns")
     bad = non_xml_char(value)
@@ -94,7 +97,7 @@ def _require_clean(value: str, what: str) -> None:
 
 
 def _require_name(name: str, what: str) -> None:
-    if not name or not is_name(name):
+    if not isinstance(name, str) or not is_name(name):
         raise ModelError(f"invalid {what} name {name!r}")
 
 
@@ -162,14 +165,20 @@ def _seconds(value: str, what: str) -> str:
 
 
 def _integer(value, what: str) -> int:
-    """An int, or a string that is an integer's canonical decimal form (no
-    sign other than '-', no leading zeros, spaces, underscores or non-ASCII
-    digits), so that writing the value back gives the same text."""
+    """An int (not a bool), or a string that is an integer's canonical
+    decimal form (no sign other than '-', no leading zeros, spaces,
+    underscores or non-ASCII digits), so that writing the value back gives
+    the same text."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise ModelError(f"{what} must be an int or a string, not {type(value).__name__}")
+    _require_clean(value, what)
     try:
         number = int(value)
     except ValueError:
         raise ModelError(f"{what} is not an integer: {value!r}") from None
-    if isinstance(value, str) and str(number) != value:
+    if str(number) != value:
         raise ModelError(f"{what} is not a canonical decimal integer: {value!r}")
     return number
 
@@ -540,9 +549,12 @@ def unit_mismatch(spec: ElementSpec, name: str, unit: str, expected: str) -> str
 
 
 def check_value(spec: ElementSpec, param: Param, value):
-    """Validate one parameter value; returns the value to store."""
+    """Validate one parameter value; returns the value to store. A value is
+    a str, except that an int-declared parameter (a route priority) also
+    takes an int, never a bool or a float: any other value could not be
+    written to a file and read back equal."""
     what = f"{spec.label} {param.name}"
-    if isinstance(value, str):
+    if param.check is not _integer:
         _require_clean(value, what)
     return param.check(value, what) if param.check else value
 

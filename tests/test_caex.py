@@ -662,18 +662,25 @@ def test_connectors_survive_file_round_trip():
 
 _VALUE_SPAN = re.compile(rb"<Value>([^<]*)</Value>")
 _UNIT_SPAN = re.compile(rb' Unit="([^"]*)"')
+_TYPE_SPAN = re.compile(rb' DataType="([^"]*)"')
+_ID_SPOT = re.compile(rb'<InternalElement Name="[^"]*"()')
 #: Replacement texts: valid and invalid for the validators of every kind.
 _TEXTS = ("", "x", "(1,2,3)", "(0,0,0)", "(-1,2,3)", "(9,9,9)", "(1,2)", "(1,2,3", "1",
           "-1", "0.5", "07", "+7", " 7", "1e999", "nan", "sensor", "actuator", "bogus",
           "in", "out", "input", "output", "handling", "waiting", "mechanical",
           "electrical_eng", "m/components/x", "bad//path", "mm", "s")
 _UNITS = ("", "mm", "s", "m", "kg", "MM", "ms")
+_TYPES = ("", "xs:string", "xs:int", "xs:double")
+_IDS = ("", ' ID="e1"', ' ID="{0b7e}"')
 
 
 def _mutant(data: bytes, rng: random.Random) -> bytes:
-    """`data` with 1 to 3 Value texts or Unit attributes replaced."""
+    """`data` with 1 to 3 Value texts, Unit or DataType attributes replaced
+    or ID attributes added."""
     sites = [(m.span(1), _TEXTS) for m in _VALUE_SPAN.finditer(data)]
     sites += [(m.span(1), _UNITS) for m in _UNIT_SPAN.finditer(data)]
+    sites += [(m.span(1), _TYPES) for m in _TYPE_SPAN.finditer(data)]
+    sites += [(m.span(1), _IDS) for m in _ID_SPOT.finditer(data)]
     for (start, end), pool in sorted(rng.sample(sites, rng.randint(1, 3)), reverse=True):
         data = data[:start] + rng.choice(pool).encode() + data[end:]
     return data
@@ -681,22 +688,29 @@ def _mutant(data: bytes, rng: random.Random) -> bytes:
 
 def _elements(doc: caex_io.CaexDocument) -> tuple[dict, dict]:
     """(cells, index lists) of the module in `doc`: element path ->
-    {attribute: (value, unit)}, and the path of each index-keyed list -> its
-    entries' paths in file order. A schema parameter reads as the reader
-    documents it: absent or empty, its default; without a Unit, in its
-    declared unit."""
+    {attribute: (value, unit, DataType)}, with "ID" -> the element's ID when
+    it has one, and the path of each index-keyed list -> its entries' paths
+    in file order. A schema parameter reads as the reader documents it:
+    absent or empty, its default; without a Unit, in its declared unit; an
+    attribute without a DataType as xs:string."""
     cells, lists = {}, {}
 
     def visit(spec: mm.ElementSpec, element: caex_io.CaexElement, path: str) -> None:
-        own = cells[path] = {param.name: (param.default, param.unit) for param in spec.params}
-        for name, value, _type, unit, _children in element.attributes:
+        own = cells[path] = {param.name: (param.default, param.unit, "xs:string")
+                             for param in spec.params}
+        if element.id:
+            own["ID"] = element.id
+        for name, value, data_type, unit, _children in element.attributes:
             param = spec.names.get(name)
-            own[name] = (value or param.default, unit or param.unit) if param else (value, unit)
+            own[name] = (value or param.default if param else value,
+                         unit or param.unit if param else unit, data_type or "xs:string")
         for child in element.children:
             child_spec, child_path = mm.CHILDREN[spec.path][child.name], f"{path}/{child.name}"
             if not child_spec.key:
                 visit(child_spec, child, child_path)
                 continue
+            if child.id:
+                cells[child_path] = {"ID": child.id}
             entries = [f"{child_path}/{entry.name}" for entry in child.children]
             if child_spec.key == "index":
                 lists[child_path] = entries
@@ -742,7 +756,8 @@ def _silent_changes(read: caex_io.CaexDocument, written: caex_io.CaexDocument,
     return silent
 
 
-#: Mutants of the oracle's model; each changes 1 to 3 Value texts or Units.
+#: Mutants of the oracle's model; each changes 1 to 3 Value texts, Units,
+#: DataTypes or IDs.
 DROP_MUTANTS = 40
 
 
@@ -758,3 +773,34 @@ def test_the_reader_changes_no_value_without_a_warning():
         written = caex_io.from_model(model)
         assert _silent_changes(doc, written, {v.element_path for v in warnings}) == [], mutant
     assert 0 < warned_mutants < DROP_MUTANTS
+
+
+def test_the_reader_reports_what_the_model_has_no_place_for():
+    m = mm.with_external_ref(mm.new_module("plant/line/m", "M"), "plant/line/m",
+                             mm.ExternalRef("doc", "AttachmentInterface", "srv://x"))
+    doc = caex_io.from_model(m)
+    hierarchy = doc.instance_hierarchies[0]
+    plant = hierarchy.elements[0]
+    line = plant.children[0]
+    root = line.children[0]
+    interface = root.external_interfaces[0]
+    uri = interface.attributes[0]._replace(data_type="xs:anyURI")
+    root = root._replace(id="r1", external_interfaces=(interface._replace(attributes=(uri,)),))
+    plant = plant._replace(
+        id="p1", attributes=(CaexAttribute("site", "north"),),
+        external_interfaces=(CaexInterface("map", "AttachmentInterface"),),
+        children=(line._replace(children=(CaexElement("spare"), root)), CaexElement("store")))
+    doc = doc._replace(instance_hierarchies=(hierarchy._replace(elements=(plant,)),))
+    model, warnings = caex_io.to_model(doc)
+    assert model == m
+    assert [(w.rule_id, w.severity, w.element_path, w.message) for w in warnings] == [
+        ("unknown-parameter", "warning", "plant", "ID 'p1' ignored"),
+        ("unknown-parameter", "warning", "plant", "attribute 'site' above the module root ignored"),
+        ("unknown-element", "warning", "plant", "interface 'map' above the module root ignored"),
+        ("unknown-element", "warning", "plant", "element 'store' holds no module root and is ignored"),
+        ("unknown-element", "warning", "plant/line",
+         "element 'spare' holds no module root and is ignored"),
+        ("unknown-parameter", "warning", "plant/line/m", "ID 'r1' ignored"),
+        ("unknown-parameter", "warning", "plant/line/m",
+         "DataType 'xs:anyURI' of attribute 'refURI' ignored"),
+    ]

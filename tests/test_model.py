@@ -445,6 +445,34 @@ def test_route_priorities_keep_their_int_and_canonical_forms():
     assert mm.add_route(m, "b", "a", 7).function.routes[1].priority == 7
 
 
+def _with_component() -> mm.ModuleModel:
+    return mm.add_component(mm.new_module("m", "M"), mm.Component("c"))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda m: mm.set_identification(m, name=5), "identification name"),
+    (lambda m: mm.add_runtime_variable(m, "v", "INT", 5), "runtime variable unit"),
+    (lambda m: mm.add_io_entry(m, "m/components/c", None), "io map entry logical_address"),
+    (lambda m: mm.set_platform(m, None, "x"), "platform controller_type"),
+    (lambda m: mm.add_document(m, mm.DocumentReference("d", name=7)), "document reference name"),
+    (lambda m: mm.add_port(m, "p", "in", None), "port position"),
+    (lambda m: mm.add_route(m, "a", "b", 2.7), "route priority"),
+    (lambda m: mm.add_route(m, "a", "b", True), "route priority"),
+    (lambda m: mm.add_static_attribute(m, "w", None), "attribute value"),
+    (lambda m: mm.set_parameter(m, "m/components/c", "component_type", None), "parameter value"),
+    (lambda m: mm.with_roles(m, "m", 5), "role identifier"),
+    (lambda m: mm.new_module("m", None), "module name"),
+    (lambda m: mm.add_cross_ref(m, "m/components/c", "m/general", None), "cross reference kind"),
+    (lambda m: mm.set_main_dimensions(m, 5), "main_dimensions"),
+    (lambda m: mm.add_io_entry(m, 5), "io map entry component_path"),
+], ids=["identification", "runtime-variable", "io-entry", "platform", "document", "port",
+        "float-priority", "bool-priority", "static-attribute", "set-parameter", "roles",
+        "module-name", "cross-ref", "main-dimensions", "io-component-path"])
+def test_a_builder_rejects_a_value_a_file_cannot_carry_back(call, named):
+    with pytest.raises(mm.ModelError, match=named):
+        call(_with_component())
+
+
 @pytest.mark.parametrize("text", ["1_0", "٥", "1٥", " 1_0 ", "0.1_5"])
 def test_a_latency_must_be_a_plain_ascii_number(text):
     with pytest.raises(mm.ModelError, match="component latency is not a number"):

@@ -1,66 +1,45 @@
-"""Time the behavior readers, the two simulators, the SFC generation, the
-model layers in process, and the start-up of whole commands, into a
-BENCH_*.json file.
+"""Time the layers of two mfmkit checkouts side by side into a BENCH_*.json file.
 
-    python3 tools/layers.py LABEL OUT.json
+    python3 tools/layers.py PARENT_CHECKOUT OUT.json [ROUNDS] [LAYER ...]
 
-The replay input is one `bench/gen.py` model (seed 1, 200 components) with a
-looped 12-arm behavior graph, and one trace per length in PASSES (the
-transport units of the behavior-replay workload, 10^3 to 10^5 trace
-events). Each of `behavior.parse_trace` (on the trace's text),
-`behavior.simulate` and `sfc.simulate_sfc` runs RUNS times per trace under
-`perf_counter`; the median and quartiles are kept. A walk that raises
-SimulationError is recorded as its message, not as a time. The graph itself
-goes through `behavior.parse_behavior` (on its text), `behavior.to_iml` and
-`sfc.iml_to_sfc` RUNS times each, with the same statistics.
+The change is the checkout holding this script; PARENT_CHECKOUT is another
+one, such as a `git archive` of the parent commit (pass this checkout to
+time it alone). Each side is a worker process that imports `mfmkit`, and so
+its data files, from its own `src/`. Both build each set of inputs on its
+first use with this checkout's `bench/gen.py` and `tests/generators.py`.
+LAYERS gives each layer with the builder of its inputs by n: seed 1 models
+of n components with a quarter of the cells withheld; a looped 12-arm graph
+on a 200-component model (n: the arms) and its traces (n: the events);
+three adversarial replays of the token walk; whole start-up processes in an
+`init-example` demo (n: the command).
 
-The model layers run on `bench/gen.py` models (seed 1, a quarter of the
-cells withheld) of each size in SIZES, MODEL_RUNS times each, keeping the
-best time as well: `caex_io.parse` on the file's bytes, `caex_io.to_model`
-on the parsed file, `caex_io.from_model` on its model and
-`caex_io.serialize` on that document, `consistency.check_links` and
-`consistency.dependency_report` with the default ownership map,
-`consistency.check_completeness` at the final stage and both forms of
-`exchange.export_table` (the dump and the `missing_only` request) with the
-default matrix, `mapping.validate_assignments` and `mapping.uncovered_classes`
-with the default rule table, `exchange.import_table` on the filled request
-of the table-merge workload, and `exchange.import_table` on a table that
-gives every component a new type and a new document. The builder chain
-`tests/generators.sized_model` runs at the same sizes (n components, one
-public builder call after another). `caex_io.to_model.calls` is the
-cProfile count of function calls of one `to_model` run.
+A round times every named layer (default: all), every n of a layer back to
+back, both sides one right after the other, and alternates which side goes
+first (ROUNDS, default 21). One timing is the best of REPEATS calls, each
+after a garbage collection. Sides timed seconds apart in alternating order
+keep the machine's drift out of the ratios; runs minutes apart can differ by
+more than the change being measured.
 
-The start-up section runs commands as fresh processes on the init-example
-demo set. `python -X importtime` gives each mfmkit module's self time (the
-median over STARTUP_RUNS runs, in microseconds, compiling included) for
-`-c "import mfmkit.cli"` and for `-m mfmkit validate model.aml`; the wall
-time of whole processes (median and quartiles over STARTUP_RUNS rounds, the
-commands alternating within a round) is taken for bare `python3 -c pass`,
-`-m mfmkit --help` and the validate, report, export-table and simulate
-commands.
-
-Each invocation also times `reference_loop` of `bench/run.py` (imported
-as is, the benchmark's fixed pure-Python loop) REFERENCE_RUNS times at its
-start and again at its end, and records the median and quartiles of each
-under `reference_loop`. Two invocations, such as the `parent` and the
-`change` side of one file, run minutes apart, and the machine's speed can
-drift in between; the loop's times show how fast each side's machine ran,
-so their figures can be set against that speed rather than taken as is.
-
-mfmkit is imported from the `src/` next to this script, so running the
-copy in another checkout measures that checkout. The figures are merged
-into OUT.json under LABEL (for example `parent` and `change`), so one file
-holds both sides measured on one machine. Only the standard library is used.
+OUT.json keeps, for each layer and n, each side's median, quartiles and best
+time, the change/parent ratio (median and quartiles of the per-round ratios,
+and the rounds the change won) and whether both sides' results were equal
+(by a digest of their repr); per side, the exponent k of time ~ n^k from a
+layer's smallest to its largest n, from the median of the per-round size
+ratios (1.0 is linear); with `startup`, the `-X importtime` self times of
+the mfmkit modules (median over the rounds, in us); with `to_model`, its
+cProfile count of function calls. The ratio table is printed.
 """
 from __future__ import annotations
 
 import cProfile
-import csv
-import io
+import functools
+import gc
+import hashlib
 import json
+import math
 import os
-import pstats
 import platform
+import pstats
 import random
 import statistics
 import subprocess
@@ -70,201 +49,348 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
-
-import gen  # noqa: E402  (bench/gen.py, read as is)
-import generators  # noqa: E402  (tests/generators.py)
-from run import reference_loop  # noqa: E402  (bench/run.py, read as is)
-from mfmkit import behavior, caex_io, consistency, exchange, mapping, sfc  # noqa: E402
-
 SEED = 1
+SIZES = (800, 3200)
 COMPONENTS = 200
 BRANCHES = 12
 PASSES = (170, 425, 1070, 2690, 6760, 17000)
-RUNS = 5
-SIZES = (800, 3200)
-MODEL_RUNS = 7
-STARTUP_RUNS = 11
-REFERENCE_RUNS = 25
-#: Start-up command lines, run in the demo directory; None is bare `python3 -c pass`.
-STARTUP_COMMANDS = {
-    "python3 -c pass": None,
-    "mfmkit --help": ["--help"],
-    "mfmkit validate": ["validate", "model.aml"],
-    "mfmkit report": ["report", "model.aml"],
-    "mfmkit export-table": ["export-table", "model.aml"],
-    "mfmkit simulate": ["simulate", "model.aml", "behavior.bhv", "traces/route-1.trace"],
+ADVERSARIAL_UPDATES = 200_000
+REPEATS = 3
+ROUNDS = 21
+SIDES = ("parent", "change")
+#: The start-up commands, run in the demo directory.
+STARTUP = {"python3 -c pass": ["-c", "pass"]} | {
+    f"mfmkit {c.split()[0]}": ["-m", "mfmkit", *c.split()] for c in (
+        "--help", "validate model.aml", "report model.aml", "export-table model.aml",
+        "simulate model.aml behavior.bhv traces/route-1.trace")}
+IMPORTTIME = {"import mfmkit.cli": ["-c", "import mfmkit.cli"],
+              "mfmkit validate": STARTUP["mfmkit validate"]}
+
+
+# Each input builder takes the worker's `mfmkit` package and returns the
+# inputs of its layers by n.
+
+def _models(m) -> dict:
+    import gen  # bench/gen.py
+    import generators  # tests/generators.py
+    inputs = {}
+    for n in SIZES:
+        planted = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers")
+        doc = m.caex_io.parse(planted.data)
+        model, _warnings = m.caex_io.to_model(doc)
+        filled, _params, _broken = gen.fill_request(planted, random.Random(f"layers-{n}"), 0)
+        # every component gets a new type, filed under a new document
+        renamed = [",".join(m.exchange.HEADER)] + [
+            f"{model.id}/components/{c.name},component_type,T{i},,new-{i},"
+            for i, c in enumerate(model.components)]
+        inputs[n] = {"n": n, "data": planted.data, "doc": doc, "model": model,
+                     "rendered": m.caex_io.from_model(model), "filled": filled,
+                     "renamed": "\n".join(renamed + [""]).encode(),
+                     "table": m.mapping.default_table(),
+                     "ownership": m.consistency.default_ownership(),
+                     "sized_model": generators.sized_model}
+    return inputs
+
+
+def _replay_model(m):
+    import gen
+    planted = gen.build_model(SEED, COMPONENTS, gen.Faults(), tag="layers")
+    return gen, planted, m.caex_io.to_model(m.caex_io.parse(planted.data))[0]
+
+
+def _bound(m, model, text: str) -> dict:
+    graph = m.behavior.parse_behavior(text)
+    iml = m.behavior.to_iml(graph)
+    return {"model": model, "text": text, "graph": graph, "iml": iml,
+            "program": m.sfc.iml_to_sfc(iml, model)}
+
+
+def _traces(m) -> dict:
+    gen, planted, model = _replay_model(m)
+    rng = random.Random(f"layers-{SEED}")
+    spec = gen.build_behavior(planted, rng, BRANCHES)
+    bound = _bound(m, model, spec.text)
+    inputs = {}
+    for passes in PASSES:
+        text, _expected, events = gen.build_trace(spec, rng, passes)
+        inputs[events] = {**bound, "trace text": text, "trace": m.behavior.parse_trace(text)}
+    return inputs
+
+
+def _graph(m) -> dict:
+    return {BRANCHES: next(iter(_traces(m).values()))}
+
+
+def _noise(m) -> dict:
+    """The 10^5 trace, each event followed by a toggle of one of 200 sensors no guard reads."""
+    replay = _traces(m)
+    replay = replay[max(replay)]
+    rng = random.Random(f"noise-{SEED}")
+    levels = [False] * 200
+    trace = []
+    for event in replay["trace"]:
+        k = rng.randrange(200)
+        levels[k] = not levels[k]
+        trace += [event, m.behavior.TraceEvent("sensor", f"noise{k}", levels[k])]
+    return {len(trace): {**replay, "trace": trace}}
+
+
+def _toggled(m, bound: dict, sensors: list, seed: str) -> dict:
+    rng = random.Random(seed)
+    levels = dict.fromkeys(sensors, False)
+    lines = []
+    for _ in range(ADVERSARIAL_UPDATES):
+        sensor = rng.choice(sensors)
+        levels[sensor] = not levels[sensor]
+        lines.append(f"sensor {sensor} {'on' if levels[sensor] else 'off'}")
+    trace = m.behavior.parse_trace("\n".join(lines) + "\n")
+    return {len(trace): {**bound, "trace": trace}}
+
+
+def _new_states(m) -> dict:
+    """`go` guarded by 20 sensors, 19 toggled at random: almost every update is a new state."""
+    _gen, planted, model = _replay_model(m)
+    sensors = planted.sensors[:20]
+    text = ('step idle "idle"\nstep go "go" when '
+            + ", ".join(f"{s} on" for s in sensors) + "\nedge idle -> go\n")
+    return _toggled(m, _bound(m, model, text), sensors[:19], f"new-states-{SEED}")
+
+
+def _shared_pass(m) -> dict:
+    """16 arcs from the entry, each guarded by two sensors of its own, only the
+    first of each toggled: no arc is ever enabled, the states outnumber the memo."""
+    _gen, planted, model = _replay_model(m)
+    pairs = [planted.sensors[2 * k:2 * k + 2] for k in range(16)]
+    lines = ['step idle "idle"']
+    for k, (first, second) in enumerate(pairs):
+        lines += [f'step arm{k} "arm {k}" when {first} on, {second} on', f"edge idle -> arm{k}"]
+    return _toggled(m, _bound(m, model, "\n".join(lines) + "\n"), [p[0] for p in pairs],
+                    f"shared-pass-{SEED}")
+
+
+def _demo(m) -> dict:
+    scratch = tempfile.TemporaryDirectory()  # removed when the worker exits
+    place = {"cwd": Path(scratch.name) / "demo", "scratch": scratch,
+             "env": dict(os.environ, PYTHONPATH=str(Path(m.__file__).parents[1]))}
+    subprocess.run([sys.executable, "-m", "mfmkit", "init-example", str(place["cwd"])],
+                   env=place["env"], check=True, capture_output=True)
+    return {name: {**place, "argv": argv} for name, argv in STARTUP.items()}
+
+
+def _run(place: dict, argv: list) -> tuple[int, str, str]:
+    done = subprocess.run([sys.executable, *argv], cwd=place["cwd"], env=place["env"],
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _simulate(m, i):
+    return m.behavior.simulate(i["graph"], i["trace"])
+
+
+def _simulate_sfc(m, i):
+    return m.sfc.simulate_sfc(i["program"], i["trace"], i["model"])
+
+
+#: Each layer: the builder of its inputs by n, and its call given the
+#: worker's `mfmkit` package and the inputs of one n.
+LAYERS = {
+    "parse": (_models, lambda m, i: m.caex_io.parse(i["data"])),
+    "to_model": (_models, lambda m, i: m.caex_io.to_model(i["doc"])),
+    "parse+to_model": (_models, lambda m, i: m.caex_io.to_model(m.caex_io.parse(i["data"]))),
+    "from_model": (_models, lambda m, i: m.caex_io.from_model(i["model"])),
+    "serialize": (_models, lambda m, i: m.caex_io.serialize(i["rendered"])),
+    "check_links": (_models, lambda m, i: m.consistency.check_links(i["model"])),
+    "check_completeness": (
+        _models, lambda m, i: m.consistency.check_completeness(i["model"], "control_hmi_eng")),
+    "dependency_report": (
+        _models, lambda m, i: m.consistency.dependency_report(i["model"], i["ownership"])),
+    "validate_assignments": (
+        _models, lambda m, i: m.mapping.validate_assignments(i["model"], i["table"])),
+    "uncovered_classes": (
+        _models, lambda m, i: m.mapping.uncovered_classes(i["model"], i["table"])),
+    "export_table dump": (_models, lambda m, i: m.exchange.export_table(i["model"])),
+    "export_table request": (
+        _models, lambda m, i: m.exchange.export_table(i["model"], missing_only=True)),
+    "import_table filled request": (
+        _models, lambda m, i: m.exchange.import_table(i["model"], i["filled"])),
+    "import_table new documents": (
+        _models, lambda m, i: m.exchange.import_table(i["model"], i["renamed"])),
+    "sized_model": (_models, lambda m, i: i["sized_model"](i["n"])),
+    "parse_trace": (_traces, lambda m, i: m.behavior.parse_trace(i["trace text"])),
+    "simulate": (_traces, _simulate),
+    "simulate_sfc": (_traces, _simulate_sfc),
+    "parse_behavior": (_graph, lambda m, i: m.behavior.parse_behavior(i["text"])),
+    "to_iml": (_graph, lambda m, i: m.behavior.to_iml(i["graph"])),
+    "iml_to_sfc": (_graph, lambda m, i: m.sfc.iml_to_sfc(i["iml"], i["model"])),
+    "simulate unread noise": (_noise, _simulate),
+    "simulate new states": (_new_states, _simulate),
+    "simulate_sfc new states": (_new_states, _simulate_sfc),
+    "simulate shared-pass arcs": (_shared_pass, _simulate),
+    "simulate_sfc shared-pass arcs": (_shared_pass, _simulate_sfc),
+    "startup": (_demo, lambda m, i: _run(i, i["argv"])),
 }
 
 
-def _inputs():
-    planted = gen.build_model(SEED, COMPONENTS, gen.Faults(), tag="layers")
-    model, _warnings = caex_io.to_model(caex_io.parse(planted.data))
-    rng = random.Random(f"layers-{SEED}")
-    spec = gen.build_behavior(planted, rng, BRANCHES)
-    graph = behavior.parse_behavior(spec.text)
-    program = sfc.iml_to_sfc(behavior.to_iml(graph), model)
-    traces = {}
-    for passes in PASSES:
-        text, _expected, events = gen.build_trace(spec, rng, passes)
-        traces[passes] = (events, text, behavior.parse_trace(text))
-    return model, spec.text, graph, program, traces
+def worker(src: str) -> None:
+    """Serve requests on stdin, one JSON line each: ["sizes", layer] for the
+    layer's n, [layer, n] for a timing and the digest of its result,
+    ["importtime"] and ["calls", n] for the records beside the timings."""
+    sys.path[:0] = [src, str(ROOT / "bench"), str(ROOT / "tests")]
+    import mfmkit as m
+    built = functools.cache(lambda build: build(m))  # each input set, built on first use
 
-
-def _graph_layers(model, text: str, graph) -> dict:
-    iml = behavior.to_iml(graph)
-    layers = {
-        "behavior.parse_behavior": lambda: behavior.parse_behavior(text),
-        "behavior.to_iml": lambda: behavior.to_iml(graph),
-        "sfc.iml_to_sfc": lambda: sfc.iml_to_sfc(iml, model),
-    }
-    for call in layers.values():  # warm-up, untimed
-        call()
-    return {name: _time(call) for name, call in layers.items()}
-
-
-def _new_document_table(model) -> bytes:
-    """One row per component: a new type, filed under a new document."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(exchange.HEADER)
-    writer.writerows((f"{model.id}/components/{c.name}", "component_type", f"T{i}", "",
-                      f"new-{i}", "") for i, c in enumerate(model.components))
-    return buffer.getvalue().encode("utf-8")
-
-
-def _model_layers() -> dict:
-    figures: dict[str, list] = {}
-    table = mapping.default_table()
-    ownership = consistency.default_ownership()
-    for n in SIZES:
-        planted = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers")
-        doc = caex_io.parse(planted.data)
-        model, _warnings = caex_io.to_model(doc)
-        rendered = caex_io.from_model(model)
-        filled, _params, _broken = gen.fill_request(planted, random.Random(f"layers-{n}"), 0)
-        new_documents = _new_document_table(model)
-        for name, call in (
-                ("caex_io.parse", lambda: caex_io.parse(planted.data)),
-                ("caex_io.to_model", lambda: caex_io.to_model(doc)),
-                ("caex_io.from_model", lambda: caex_io.from_model(model)),
-                ("caex_io.serialize", lambda: caex_io.serialize(rendered)),
-                ("consistency.check_links", lambda: consistency.check_links(model)),
-                ("consistency.dependency_report",
-                 lambda: consistency.dependency_report(model, ownership)),
-                ("consistency.check_completeness final stage",
-                 lambda: consistency.check_completeness(model, "control_hmi_eng")),
-                ("exchange.export_table dump", lambda: exchange.export_table(model)),
-                ("exchange.export_table missing_only",
-                 lambda: exchange.export_table(model, missing_only=True)),
-                ("mapping.validate_assignments",
-                 lambda: mapping.validate_assignments(model, table)),
-                ("mapping.uncovered_classes", lambda: mapping.uncovered_classes(model, table)),
-                ("tests/generators.sized_model", lambda: generators.sized_model(n)),
-                ("exchange.import_table filled request",
-                 lambda: exchange.import_table(model, filled)),
-                ("exchange.import_table new document per row",
-                 lambda: exchange.import_table(model, new_documents))):
-            figures.setdefault(name, []).append({"n": n, **_time(call, MODEL_RUNS)})
-        profile = cProfile.Profile()
-        profile.runcall(caex_io.to_model, doc)
-        figures.setdefault("caex_io.to_model.calls", []).append(
-            {"n": n, "calls": pstats.Stats(profile).total_calls})
-    return figures
-
-
-def _startup() -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-
-    def run(args: list, cwd, stderr=subprocess.DEVNULL) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
-                              stdout=subprocess.DEVNULL, stderr=stderr, text=True)
-
-    def module_self_us(args: list, cwd) -> dict:
-        runs: dict[str, list] = {}
-        for _ in range(STARTUP_RUNS):
-            report = run(["-X", "importtime", *args], cwd, subprocess.PIPE).stderr
-            for line in report.splitlines():  # "import time: SELF | CUMULATIVE | NAME"
-                self_us, _cumulative, name = line.removeprefix("import time:").split("|")
-                name = name.strip()
-                if name.startswith("mfmkit") and self_us.strip().isdigit():
-                    runs.setdefault(name, []).append(int(self_us))
-        return {name: statistics.median(times) for name, times in sorted(runs.items())}
-
-    with tempfile.TemporaryDirectory() as scratch:
-        demo = Path(scratch) / "demo"
-        run(["-m", "mfmkit", "init-example", str(demo)], scratch)
-        walls: dict[str, list] = {name: [] for name in STARTUP_COMMANDS}
-        for _ in range(STARTUP_RUNS):
-            for name, argv in STARTUP_COMMANDS.items():
+    for line in sys.stdin:
+        kind, *args = json.loads(line)
+        if kind == "sizes":
+            answer = list(built(LAYERS[args[0]][0]))
+        elif kind == "importtime":  # {command: {module: self time in us}}
+            answer = {}
+            for name, argv in IMPORTTIME.items():
+                report = _run(built(_demo)["python3 -c pass"], ["-X", "importtime", *argv])[2]
+                answer[name] = {}
+                for row in report.splitlines():  # "import time: SELF | CUMULATIVE | NAME"
+                    own, _cumulative, module = row.removeprefix("import time:").split("|")
+                    if module.strip().startswith("mfmkit") and own.strip().isdigit():
+                        answer[name][module.strip()] = int(own)
+        elif kind == "calls":
+            profile = cProfile.Profile()
+            profile.runcall(m.caex_io.to_model, built(_models)[args[0]]["doc"])
+            answer = pstats.Stats(profile).total_calls
+        else:
+            build, call = LAYERS[kind]
+            given = built(build)[args[0]]
+            best = math.inf
+            for _ in range(REPEATS):
+                gc.collect()
                 start = perf_counter()
-                run(["-c", "pass"] if argv is None else ["-m", "mfmkit", *argv], demo)
-                walls[name].append(perf_counter() - start)
-        figures = {
-            "importtime_self_us": {
-                "import mfmkit.cli": module_self_us(["-c", "import mfmkit.cli"], demo),
-                "mfmkit validate": module_self_us(
-                    ["-m", "mfmkit", "validate", "model.aml"], demo)},
-            "wall": {name: _quartiles(times) for name, times in walls.items()}}
-    return figures
+                result = call(m, given)
+                best = min(best, perf_counter() - start)
+            answer = [best, hashlib.sha256(repr(result).encode()).hexdigest()]
+            del result
+        print(json.dumps(answer), flush=True)
 
 
-def _quartiles(times: list) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4)
+def _ask(process: subprocess.Popen, request: list):
+    process.stdin.write(json.dumps(request) + "\n")
+    process.stdin.flush()
+    line = process.stdout.readline()
+    if not line:
+        raise SystemExit(f"worker for {request!r} stopped")
+    return json.loads(line)
+
+
+def quartiles(values: list) -> list:
+    """First quartile, median and third quartile (inclusive method)."""
+    return statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
+
+
+def times(seconds: list) -> dict:
+    q1, median, q3 = quartiles(seconds)
     return {"median_s": round(median, 6), "q1_s": round(q1, 6), "q3_s": round(q3, 6),
-            "best_s": round(min(times), 6)}
+            "best_s": round(min(seconds), 6)}
 
 
-def _time(call, runs: int = RUNS) -> dict:
-    times = []
-    for _ in range(runs):
-        start = perf_counter()
-        try:
-            call()
-        except behavior.SimulationError as error:
-            return {"error": str(error)}
-        times.append(perf_counter() - start)
-    return _quartiles(times)
+def ratio(parent: list, change: list) -> dict:
+    """The per-round change/parent ratios: median, quartiles and the rounds the change won."""
+    ratios = [after / before for before, after in zip(parent, change)]
+    q1, median, q3 = quartiles(ratios)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "wins": sum(r < 1 for r in ratios)}
 
 
-def _reference() -> dict:
-    return _quartiles([reference_loop() for _ in range(REFERENCE_RUNS)])
+def exponent(small: list, large: list, n_small: int, n_large: int) -> float:
+    """k in time ~ n^k, from the median of the per-round ratios large/small."""
+    middle = statistics.median(b / a for a, b in zip(small, large))
+    return round(math.log(middle) / math.log(n_large / n_small), 3)
 
 
-def main(label: str, out: Path) -> None:
-    reference = {"start": _reference()}
-    startup = _startup()
-    model, behavior_text, graph, program, traces = _inputs()
-    layers = {
-        "behavior.parse_trace": lambda text, trace: behavior.parse_trace(text),
-        "behavior.simulate": lambda text, trace: behavior.simulate(graph, trace),
-        "sfc.simulate_sfc": lambda text, trace: sfc.simulate_sfc(program, trace, model),
-    }
-    for run in layers.values():  # warm-up, untimed
-        run(*traces[PASSES[0]][1:])
-    figures = {
-        name: [{"passes": passes, "events": events, **_time(lambda: run(text, trace))}
-               for passes, (events, text, trace) in traces.items()]
-        for name, run in layers.items()}
-    figures.update(_graph_layers(model, behavior_text, graph))
-    figures.update(_model_layers())
-    figures["startup"] = startup
-    reference["end"] = _reference()
-    figures["reference_loop"] = reference
-    data = json.loads(out.read_text("utf-8")) if out.exists() else {}
-    data["input"] = {
-        "model": f"bench/gen.py seed {SEED}, {COMPONENTS} components, {BRANCHES} arms",
-        "passes": list(PASSES), "runs": RUNS,
-        "sizes": list(SIZES), "model_runs": MODEL_RUNS, "startup_runs": STARTUP_RUNS,
-        "reference_runs": REFERENCE_RUNS,
-        "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "python": platform.python_version(), "machine": platform.machine(),
-        "cpus": os.cpu_count()}
-    data[label] = figures
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", "utf-8")
+def measure(parent: Path, rounds: int, layers: list) -> dict:
+    """Run the rounds; returns the record OUT.json holds."""
+    sides = {side: subprocess.Popen(
+        [sys.executable, "-B", __file__, "worker", str(checkout / "src")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side, checkout in zip(SIDES, (parent, ROOT))}
+    timed: dict[tuple, list] = {}
+    digests: dict[tuple, set] = {}
+    imports: dict[str, list] = {side: [] for side in SIDES}
+    try:
+        sizes = {layer: _ask(sides["change"], ["sizes", layer]) for layer in layers}
+        for number in range(rounds):
+            order = SIDES if number % 2 == 0 else SIDES[::-1]
+            for layer in layers:
+                for n in sizes[layer]:
+                    for side in order:
+                        best, digest = _ask(sides[side], [layer, n])
+                        timed.setdefault((layer, n, side), []).append(best)
+                        digests.setdefault((layer, n), set()).add(digest)
+            for side in order if "startup" in layers else ():
+                imports[side].append(_ask(sides[side], ["importtime"]))
+            print(f"round {number + 1} of {rounds} done", file=sys.stderr, flush=True)
+        calls = {side: {n: _ask(sides[side], ["calls", n]) for n in SIZES}
+                 for side in SIDES} if "to_model" in layers else {}
+    finally:
+        for process in sides.values():
+            process.stdin.close()
+            process.wait()
+    record = {
+        "input": {"seed": SEED, "sizes": SIZES, "components": COMPONENTS, "arms": BRANCHES,
+                  "passes": PASSES, "adversarial_updates": ADVERSARIAL_UPDATES,
+                  "repeats": REPEATS, "rounds": rounds, "python": platform.python_version(),
+                  "cpus": os.cpu_count(), "machine": platform.machine(),
+                  "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE")},
+        "layers": {}, "exponents": {}, "to_model_calls": calls,
+        "importtime_self_us": {side: {
+            command: {module: statistics.median(run[command][module] for run in runs)
+                      for module in sorted(runs[0][command])}
+            for command in IMPORTTIME} for side, runs in imports.items() if runs}}
+    for layer in layers:
+        ns = sizes[layer]
+        record["layers"][layer] = {n: {
+            "parent": times(timed[layer, n, "parent"]),
+            "change": times(timed[layer, n, "change"]),
+            "change/parent": ratio(timed[layer, n, "parent"], timed[layer, n, "change"]),
+            "equal": len(digests[layer, n]) == 1} for n in ns}
+        if len(ns) > 1 and isinstance(ns[0], int):
+            record["exponents"][layer] = {side: exponent(
+                timed[layer, ns[0], side], timed[layer, ns[-1], side], ns[0], ns[-1])
+                for side in SIDES}
+    return record
+
+
+def report(record: dict) -> str:
+    """The ratio table: one line per layer and n, a layer's exponents on the line of its last n."""
+    lines = ["layer, n: change/parent ratio [q1, q3], wins, parent and change ms, results, "
+             "exponent (parent/change)"]
+    for layer, by_n in record["layers"].items():
+        k = record["exponents"].get(layer)
+        for n, row in by_n.items():
+            r, same = row["change/parent"], "equal" if row["equal"] else "DIFFERENT"
+            lines.append(
+                f"{layer:30} {n!s:>15} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}] "
+                f"{r['wins']:>3} {row['parent']['median_s'] * 1e3:9.1f} "
+                f"{row['change']['median_s'] * 1e3:9.1f}  {same}"
+                + (f"  {k['parent']:.3f}/{k['change']:.3f}" if k and n == list(by_n)[-1] else ""))
+    return "\n".join(lines)
+
+
+def main(argv: list) -> None:
+    if argv[:1] == ["worker"]:
+        worker(argv[1])
+        return
+    if len(argv) < 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    parent = Path(argv[0]).resolve()
+    if not (parent / "src" / "mfmkit").is_dir():
+        raise SystemExit(f"{parent} holds no src/mfmkit")
+    rounds = int(argv[2]) if len(argv) > 2 else ROUNDS
+    layers = argv[3:] or list(LAYERS)
+    unknown = [layer for layer in layers if layer not in LAYERS]
+    if unknown:
+        raise SystemExit(f"unknown layers: {', '.join(unknown)}; known: {', '.join(LAYERS)}")
+    record = measure(parent, rounds, layers)
+    Path(argv[1]).write_text(json.dumps(record, indent=2) + "\n", "utf-8")
+    print(report(record))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit(__doc__.split("\n\n")[1])
-    main(sys.argv[1], Path(sys.argv[2]))
+    main(sys.argv[1:])
