@@ -19,8 +19,9 @@ every guard of the target step holds in the current level state.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import non_xml_char
 
@@ -31,8 +32,9 @@ ACTION_KINDS = ("activate", "deactivate")
 #: with loop edges and latched order requests).
 _MAX_MOVES = 10_000
 
-#: Upper bound on the cascades one walk remembers by the state they start
-#: from (about 1 MB); a cascade from a new state beyond it is worked out and
+#: Upper bound on what one walk remembers: its transition rows, their
+#: entries and its cascades together, and apart from them the translations
+#: of update values (about 1 MB in all); past it an update is worked out and
 #: not kept, so a trace that keeps reaching new states costs no more memory.
 _MAX_MEMO = 4096
 
@@ -348,26 +350,42 @@ Arc = tuple[str, frozenset, frozenset]
 #: keys it clears.
 Entry = tuple[Iterable[Action], Iterable[Hashable], Iterable[Hashable]]
 
+#: One shared Action object per (kind, subject) that a walk emits, so that
+#: the equal results of both simulators hold the same objects.
+_ACTIONS: dict[Action, Action] = {}
 
-def walk(outgoing: dict[str, list[Arc]], current: str,
-         updates: Iterable[tuple[Hashable, bool]],
-         enter: Callable[[str], Entry]) -> list[Action]:
+#: The value of a trace event, as the walk reads it: (kind, subject, value).
+event_value = attrgetter("kind", "subject", "value")
+
+
+def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashable],
+         enter: Callable[[str], Entry],
+         translate: Callable[[Hashable], tuple[Hashable, bool]] = lambda update: update
+         ) -> list[Action]:
     """Walk one token over compiled guards: the kernel of both simulators.
 
     The token starts in `current`, no key live. Before the first update and
-    after each `(key, level)` update of the live keys, it cascades: while a
-    target of its step is enabled, it moves there, emits the actions of
-    `enter(target)` and sets and clears the keys it names. `enter` is called
-    once per step, on its first entry. Two or more enabled targets at once
-    raise SimulationError; so does one cascade that exceeds _MAX_MOVES moves.
+    after each update, which `translate` reads as a `(key, level)` update of
+    the live keys, it cascades: while a target of its step is enabled, it
+    moves there, emits the actions of `enter(target)` and sets and clears the
+    keys it names. `enter` is called once per step, on its first entry. Two
+    or more enabled targets at once raise SimulationError; so does one
+    cascade that exceeds _MAX_MOVES moves.
 
     The live keys are an int bitmask over the keys that some arc reads; a key
     that no arc reads cannot enable an arc and is not kept. No arc is enabled
     when a cascade ends, so an update can only enable an arc that reads its
     key, and only while the keys that every arc of the step needs hold: the
-    walk tests those arcs alone. A cascade depends on nothing but its step
-    and mask, so the walk remembers the end of up to _MAX_MEMO of them by
-    that state and replays a repeated one. Neither changes the result.
+    walk tests those arcs alone. What an update does depends on nothing but
+    the walk state (step and mask) and the update's value, so each state has
+    a row: for each value that changed the state there, the actions emitted
+    and the next state's row. The walk follows a row as long as it holds the
+    value; on a miss it translates the value (each distinct one once), works
+    the update out, remembering a cascade by the state it starts from, and
+    fills the row. The rows, their entries and the cascades kept share
+    _MAX_MEMO, and up to _MAX_MEMO translations are kept; once the rows are
+    full, the rest of the updates are worked out one by one. An error is
+    never kept. None of this changes the result, only its cost.
     """
     bits: dict[Hashable, int] = {}
     for arcs in outgoing.values():
@@ -382,9 +400,10 @@ def walk(outgoing: dict[str, list[Arc]], current: str,
     # its `off` keys not (want -1 if a key is in both: never). Per step: the
     # test every enabled arc passes (the keys that all arcs need live and
     # those that all need not live; -1 for a step without arcs, which no
-    # mask passes), its arcs, its arcs by each bit they read, and its memo:
-    # the mask a cascade from the step starts with -> where it ends.
-    steps: dict[str, tuple[int, int, list, dict[int, list], dict[int, tuple]]] = {}
+    # mask passes), its arcs by each bit they read, its memo (the mask a
+    # cascade from the step starts with -> where it ends, () for nowhere),
+    # its rows by mask and its arcs.
+    steps: dict[str, tuple[int, int, dict[int, list], dict[int, tuple], dict, list]] = {}
     for step, arcs in outgoing.items():
         shared_on, shared_off, compiled, watch = -1, -1, [], {}
         for target, on, off in arcs:
@@ -395,21 +414,24 @@ def walk(outgoing: dict[str, list[Arc]], current: str,
             compiled.append(arc)
             for key in on | off:
                 watch.setdefault(bits[key], []).append(arc)
-        steps[step] = shared_on | shared_off, shared_on, compiled, watch, {}
+        steps[step] = shared_on | shared_off, shared_on, watch, {}, {}, compiled
 
     # Per entered step: its actions, the bits it sets and the bits it keeps.
     entered: dict[str, tuple[tuple[Action, ...], int, int]] = {}
 
     def enter_once(step: str) -> tuple[tuple[Action, ...], int, int]:
         actions, on, off = enter(step)
-        entered[step] = record = (tuple(actions), mask(on), ~mask(off))
+        if len(_ACTIONS) > _MAX_MEMO:
+            _ACTIONS.clear()
+        actions = tuple(_ACTIONS.setdefault(action, action) for action in actions)
+        entered[step] = record = (actions, mask(on), ~mask(off))
         return record
 
     def cascade(step: str, live: int) -> tuple[str, int, tuple[Action, ...]]:
         emitted: list[Action] = []
         moves = 0
         while True:
-            shared_care, shared_want, arcs, _watch, _memo = steps[step]
+            shared_care, shared_want, _watch, _memo, _rows, arcs = steps[step]
             found = None
             if live & shared_care == shared_want:
                 for target, care, want in arcs:
@@ -432,31 +454,57 @@ def walk(outgoing: dict[str, list[Arc]], current: str,
             emitted += actions
 
     room = _MAX_MEMO
+    moved: dict[Hashable, tuple[int, bool]] = {}  # update -> (bit, level)
     current, live, actions = cascade(current, 0)
     emitted = list(actions)
-    shared_care, shared_want, _arcs, watch, memo = steps[current]
-    for key, level in updates:
-        bit = bits.get(key, 0)
+    shared_care, shared_want, watch, memo, rows, _arcs = steps[current]
+    # A row entry: the actions emitted, then the next state's row, step and
+    # mask and the fields of that step, all that a following update reads.
+    row = rows[live] = {}
+    for update in updates:
+        if room > 0:
+            hit = row.get(update)
+            if hit is not None:
+                actions, row, current, live, shared_care, shared_want, watch, memo, rows = hit
+                if actions:
+                    emitted += actions
+                continue
+            actions = ()  # what the update emits unless it sets off a cascade
+        move = moved.get(update)
+        if move is None:
+            key, level = translate(update)
+            move = bits.get(key, 0), level
+            if len(moved) < _MAX_MEMO:
+                moved[update] = move
+        bit, level = move
         changed = live | bit if level else live & ~bit
         if changed == live:
             continue
         live = changed
-        if bit not in watch or live & shared_care != shared_want:
-            continue
-        end = memo.get(live)
-        if end is None:
-            for _target, care, want in watch[bit]:
-                if live & care == want:
-                    end = cascade(current, live)
-                    break
-            else:
-                end = current, live, ()
-            if room:
-                memo[live] = end
+        if bit in watch and live & shared_care == shared_want:
+            end = memo.get(live)
+            if end is None:
+                end = ()
+                for _target, care, want in watch[bit]:
+                    if live & care == want:
+                        end = cascade(current, live)
+                        break
+                if room > 0:
+                    memo[live] = end
+                    room -= 1
+            if end:
+                current, live, actions = end
+                emitted += actions
+                shared_care, shared_want, watch, memo, rows, _arcs = steps[current]
+        if room > 0:
+            after = rows.get(live)
+            if after is None:
+                after = rows[live] = {}
                 room -= 1
-        current, live, actions = end
-        shared_care, shared_want, _arcs, watch, memo = steps[current]
-        emitted += actions
+            row[update] = (
+                actions, after, current, live, shared_care, shared_want, watch, memo, rows)
+            row = after
+            room -= 1
     return emitted
 
 
@@ -468,11 +516,11 @@ def _guard_keys(guards: tuple[Condition, ...]) -> tuple[frozenset, frozenset]:
     return on, frozenset(("sensor", g.subject) for g in guards if g.kind == "sensor_false")
 
 
-def _levels(trace: list[TraceEvent]) -> Iterator[tuple[tuple[str, str], bool]]:
-    for event in trace:
-        if event.kind not in ("sensor", "order"):
-            raise SimulationError(f"unknown event kind {event.kind!r}")
-        yield (event.kind, event.subject), event.value
+def _level(event: tuple[str, str, bool]) -> tuple[tuple[str, str], bool]:
+    kind, subject, value = event
+    if kind not in ("sensor", "order"):
+        raise SimulationError(f"unknown event kind {kind!r}")
+    return (kind, subject), value
 
 
 def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
@@ -491,7 +539,7 @@ def simulate(graph: BehaviorGraph, trace: list[TraceEvent]) -> list[Action]:
     outgoing: dict[str, list[Arc]] = {step.id: [] for step in graph.steps}
     for source, target in graph.edges + graph.loop_edges:
         outgoing[source].append((target, *guards[target]))
-    return walk(outgoing, entry, _levels(trace), entries.__getitem__)
+    return walk(outgoing, entry, map(event_value, trace), entries.__getitem__, _level)
 
 
 # ---------------------------------------------------------------------------

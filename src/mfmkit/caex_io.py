@@ -223,7 +223,8 @@ class _ModelBuilder:
     its annotations. Absent and empty values take the default silently.
     What the model has no place for is reported as ignored: an element's
     ID, a DataType other than xs:string, and all that the wrapper elements
-    above the module root hold besides the way down to it.
+    above the module root and the InstanceHierarchies hold besides the way
+    down to it, and a hierarchy name other than the writer's.
     `values` checks each given value once and no default, which is valid by
     declaration; model.check_shape checks the rest of the element.
     """
@@ -421,9 +422,12 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     """
     roots: list[tuple[tuple[str, ...], CaexElement]] = []
     wrappers: list = []
+    hierarchies = []  # (name, whether it holds a root, its elements with none below)
     for hierarchy in doc.instance_hierarchies:
-        for element in hierarchy.elements:
-            _find_module_roots(element, (), roots, wrappers)
+        found = len(roots)
+        bare = [element.name for element in hierarchy.elements
+                if not _find_module_roots(element, (), roots, wrappers)]
+        hierarchies.append((hierarchy.name, len(roots) > found, bare))
     if len(roots) != 1:
         raise StructureError(f"expected exactly one module root, found {len(roots)}")
     id_segments, root = roots[0]
@@ -434,6 +438,14 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
         raise StructureError(f"module id unusable: {exc}") from None
 
     builder = _ModelBuilder(model)
+    for name, holds_root, bare in hierarchies:  # reported at the module's path
+        if not holds_root:
+            builder.warn(RULE_UNKNOWN_ELEMENT, mid,
+                         f"instance hierarchy '{name}' holds no module root and is ignored")
+            continue
+        if name != "modules":
+            builder.warn(RULE_UNKNOWN_PARAMETER, mid, f"instance hierarchy name '{name}' ignored")
+        builder.wrapper(mid, CaexElement(name), bare)
     for path, element, bare in wrappers:
         builder.wrapper("/".join(path), element, bare)
     builder.read(mm.ROOT, root, mid)

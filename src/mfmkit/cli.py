@@ -345,13 +345,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cc.RULE_PIPELINE_MISMATCH, cc.SEVERITY_ERROR, graph.id or model.id,
             "graph walk and generated program emit different event sequences"))
         return EXIT_FINDINGS
+    # Both simulators emit one Action object per (kind, subject), so the
+    # comparison above meets identical objects, and each is rendered once.
     if args.format == FORMAT_STRUCTURED:
-        records = {event: _json({"record": "event", "kind": event.kind, "subject": event.subject})
-                   + "\n" for event in set(events)}  # each distinct event rendered once
-        lines = [records[event] for event in events]
+        def render(e: behavior.Action) -> str:
+            return _json({"record": "event", "kind": e.kind, "subject": e.subject})
     else:
-        lines = [f"{behavior.format_event(e)}\n" for e in events]
-    sys.stdout.write("".join(lines))
+        render = behavior.format_event
+    distinct = dict(zip(map(id, events), events))
+    lines = {key: f"{render(event)}\n" for key, event in distinct.items()}
+    sys.stdout.write("".join(map(lines.__getitem__, map(id, events))))
     return EXIT_CLEAN
 
 

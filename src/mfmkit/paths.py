@@ -19,7 +19,8 @@ class PathError(ValueError):
 def split_path(path: str) -> tuple[str, ...]:
     """Split and validate a path into its segments."""
     if not isinstance(path, str) or not path:
-        raise PathError("empty path")
+        raise PathError("empty path" if isinstance(path, str)
+                        else f"path must be a str, not {type(path).__name__}")
     segments = path.split("/")
     for seg in segments:
         if not _SEGMENT_RE.fullmatch(seg):

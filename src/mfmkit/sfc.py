@@ -25,6 +25,7 @@ from .behavior import (
     ImlDocument,
     SimulationError,
     TraceEvent,
+    event_value,
     walk,
 )
 from .xmlio import Tag, XmlError, every, parse_tree, serialize_tree
@@ -320,19 +321,12 @@ def simulate_sfc(
         return (actions, [v for v, on in levels.items() if on],
                 [v for v, on in levels.items() if not on])
 
-    bound: dict[tuple[str, str], str] = {}
+    def level(event: tuple[str, str, bool]) -> tuple[str, bool]:
+        kind, subject, value = event
+        if kind == "sensor":
+            return binding.signal("sensor", subject), value
+        if kind == "order":
+            return binding.order(subject), value
+        raise SimulationError(f"unknown event kind {kind!r}")
 
-    def level(event: TraceEvent) -> tuple[str, bool]:
-        subject = event.kind, event.subject
-        variable = bound.get(subject)
-        if variable is None:
-            if event.kind == "sensor":
-                variable = binding.signal("sensor", event.subject)
-            elif event.kind == "order":
-                variable = binding.order(event.subject)
-            else:
-                raise SimulationError(f"unknown event kind {event.kind!r}")
-            bound[subject] = variable
-        return variable, event.value
-
-    return walk(outgoing, initial[0].name, map(level, trace), enter)
+    return walk(outgoing, initial[0].name, map(event_value, trace), enter, level)

@@ -428,7 +428,7 @@ def _read_lists(*lists: CaexElement) -> tuple[mm.ModuleModel, list[tuple[str, st
         for c in base.children)
     root = CaexElement(name="m", role_requirements=base.role_requirements, children=children)
     model, violations = caex_io.to_model(CaexDocument(
-        instance_hierarchies=(CaexHierarchy(name="h", elements=(root,)),)))
+        instance_hierarchies=(CaexHierarchy(name="modules", elements=(root,)),)))
     return model, [(v.rule_id, v.element_path) for v in violations]
 
 
@@ -558,7 +558,7 @@ def test_to_model_anchors_an_unknown_root_child_at_the_module():
     root = CaexElement(name="m", role_requirements=base.role_requirements,
                        children=base.children + (CaexElement(name="bad name"),))
     _model, violations = caex_io.to_model(CaexDocument(
-        instance_hierarchies=(CaexHierarchy(name="h", elements=(root,)),)))
+        instance_hierarchies=(CaexHierarchy(name="modules", elements=(root,)),)))
     assert [(v.rule_id, v.element_path) for v in violations] == [("unknown-element", "m")]
 
 
@@ -804,3 +804,26 @@ def test_the_reader_reports_what_the_model_has_no_place_for():
         ("unknown-parameter", "warning", "plant/line/m",
          "DataType 'xs:anyURI' of attribute 'refURI' ignored"),
     ]
+
+
+def test_the_reader_reports_a_renamed_or_further_instance_hierarchy():
+    m = mm.new_module("m", "M")
+    doc = caex_io.from_model(m)
+    hierarchy = doc.instance_hierarchies[0]
+    assert hierarchy.name == "modules"
+    doc = doc._replace(instance_hierarchies=(
+        CaexHierarchy("spare"),
+        hierarchy._replace(name="plant", elements=hierarchy.elements + (CaexElement("store"),)),
+        CaexHierarchy("other", (CaexElement("x", children=(CaexElement("y"),)),))))
+    model, warnings = caex_io.to_model(doc)
+    assert model == m
+    assert [(w.rule_id, w.severity, w.element_path, w.message) for w in warnings] == [
+        ("unknown-element", "warning", "m",
+         "instance hierarchy 'spare' holds no module root and is ignored"),
+        ("unknown-parameter", "warning", "m", "instance hierarchy name 'plant' ignored"),
+        ("unknown-element", "warning", "m",
+         "element 'store' holds no module root and is ignored"),
+        ("unknown-element", "warning", "m",
+         "instance hierarchy 'other' holds no module root and is ignored"),
+    ]
+    assert caex_io.to_model(caex_io.from_model(m))[1] == []

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -327,6 +328,22 @@ def test_simulate_unbound_trace_subject_is_a_finding(work, tmp_path):
         assert "Traceback" not in result.stderr
         assert "unbound-subject" in result.stdout
         assert "LB_zzz" in result.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_simulate_reports_a_program_that_drops_an_action_as_a_mismatch(work, fmt, capsys):
+    replay = sfc.simulate_sfc
+
+    def dropping(program, trace, model):
+        return replay(program, trace, model)[:-1]
+
+    with mock.patch.object(sfc, "simulate_sfc", dropping):
+        code = cli.main(["simulate", work["model"], work["behavior"], work["route2"],
+                         "--format", fmt])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "pipeline-mismatch" in out
+    assert "graph walk and generated program emit different event sequences" in out
 
 
 def test_simulate_keeps_reader_warnings_out_of_the_event_list(work):

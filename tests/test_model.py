@@ -89,6 +89,22 @@ def test_resolve_malformed_path_raises():
         mm.resolve(m, "")
 
 
+@pytest.mark.parametrize("build", [
+    lambda m: mm.new_module(5, "x"),
+    lambda m: mm.with_roles(m, 5, "R"),
+    lambda m: mm.with_external_ref(m, 5, mm.ExternalRef("doc", "AttachmentInterface")),
+    lambda m: mm.add_cross_ref(m, 5, "m/general", "k"),
+    lambda m: mm.add_cross_ref(m, "m/general", 5, "k"),
+    lambda m: mm.set_parameter(m, 5, "name", "x"),
+    lambda m: mm.remove_element(m, 5),
+    lambda m: mm.resolve(m, 5),
+], ids=["new_module", "with_roles", "with_external_ref", "add_cross_ref source",
+        "add_cross_ref target", "set_parameter", "remove_element", "resolve"])
+def test_a_path_that_is_no_str_is_named_by_its_type(build):
+    with pytest.raises(PathError, match="^path must be a str, not int$"):
+        build(mm.new_module("m", "M"))
+
+
 def test_resolve_io_entry_by_index():
     m = mm.new_module("m", "x")
     m = mm.add_io_entry(m, "m/components/S1", "%I0.0", "i_s1", "BOOL", "input")

@@ -175,6 +175,42 @@ def test_the_looped_replay_routes_every_transport_unit():
     assert routed == 40
 
 
+def test_both_simulators_emit_the_same_action_objects_also_for_copied_events():
+    graph, program, m, trace = _looped_replay(40)
+    copied = [TraceEvent(e.kind, e.subject, e.value) for e in trace]
+    events = behavior.simulate(graph, trace)
+    for replayed in (sfc.simulate_sfc(program, trace, m), behavior.simulate(graph, copied),
+                     sfc.simulate_sfc(program, copied, m)):
+        assert len(replayed) == len(events) > 0
+        assert all(a is b for a, b in zip(events, replayed))
+
+
+class _Counted(list):
+    """A trace that counts the events a simulator has read from it."""
+
+    def __iter__(self):
+        self.read = 0
+        for event in list.__iter__(self):
+            self.read += 1
+            yield event
+
+
+@pytest.mark.parametrize("engine, bad, error", [
+    ("behavior.simulate", TraceEvent("alarm", "LB_in"), "unknown event kind 'alarm'"),
+    ("sfc.simulate_sfc", TraceEvent("alarm", "LB_in"), "unknown event kind 'alarm'"),
+    ("sfc.simulate_sfc", TraceEvent("sensor", "LB_zzz"), "no io_mapping entry binds sensor 'LB_zzz'"),
+])
+def test_an_untranslatable_event_fails_where_it_first_comes_after_many_passes(engine, bad, error):
+    graph, program, m, passes = _looped_replay(40)
+    run = {"behavior.simulate": lambda trace: behavior.simulate(graph, trace),
+           "sfc.simulate_sfc": lambda trace: sfc.simulate_sfc(program, trace, m)}[engine]
+    assert run(_Counted(passes + passes)) == run(passes) * 2
+    trace = _Counted(passes + [bad] + passes)
+    with pytest.raises((behavior.SimulationError, sfc.BindingError), match=error):
+        run(trace)
+    assert trace.read == len(passes) + 1
+
+
 @pytest.mark.parametrize("engine", ["behavior.simulate", "sfc.simulate_sfc"])
 def test_a_looped_replay_costs_a_bounded_number_of_lines_per_event(engine):
     graph, program, m, trace = _looped_replay(500)

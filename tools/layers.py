@@ -10,7 +10,8 @@ first use with this checkout's `bench/gen.py` and `tests/generators.py`.
 LAYERS gives each layer with the builder of its inputs by n: seed 1 models
 of n components with a quarter of the cells withheld; a looped 12-arm graph
 on a 200-component model (n: the arms) and its traces (n: the events);
-three adversarial replays of the token walk; whole start-up processes in an
+three adversarial replays of the token walk and the longest trace as
+fresh, equal event objects; whole start-up processes in an
 `init-example` demo (n: the command).
 
 A round times every named layer (default: all), every n of a layer back to
@@ -135,6 +136,15 @@ def _noise(m) -> dict:
     return {len(trace): {**replay, "trace": trace}}
 
 
+def _copied(m) -> dict:
+    """The 10^5 trace with every event rebuilt as a fresh, equal TraceEvent,
+    which parse_trace, sharing one object per distinct line, never gives."""
+    replay = _traces(m)
+    replay = replay[max(replay)]
+    trace = [m.behavior.TraceEvent(e.kind, e.subject, e.value) for e in replay["trace"]]
+    return {len(trace): {**replay, "trace": trace}}
+
+
 def _toggled(m, bound: dict, sensors: list, seed: str) -> dict:
     rng = random.Random(seed)
     levels = dict.fromkeys(sensors, False)
@@ -227,6 +237,8 @@ LAYERS = {
     "simulate_sfc new states": (_new_states, _simulate_sfc),
     "simulate shared-pass arcs": (_shared_pass, _simulate),
     "simulate_sfc shared-pass arcs": (_shared_pass, _simulate_sfc),
+    "simulate copied events": (_copied, _simulate),
+    "simulate_sfc copied events": (_copied, _simulate_sfc),
     "startup": (_demo, lambda m, i: _run(i, i["argv"])),
 }
 
