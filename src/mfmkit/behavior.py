@@ -32,10 +32,10 @@ ACTION_KINDS = ("activate", "deactivate")
 #: with loop edges and latched order requests).
 _MAX_MOVES = 10_000
 
-#: Upper bound on what one walk remembers: its transition rows, their
-#: entries and its cascades together, and apart from them the translations
-#: of update values (about 1 MB in all); past it an update is worked out and
-#: not kept, so a trace that keeps reaching new states costs no more memory.
+#: Upper bound on what one walk remembers: its transition rows and their
+#: entries together, and apart from them the translations of update values
+#: (about 1 MB in all); past it an update is worked out and not kept, so a
+#: trace that keeps reaching new states costs no more memory.
 _MAX_MEMO = 4096
 
 
@@ -381,8 +381,7 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
     a row: for each value that changed the state there, the actions emitted
     and the next state's row. The walk follows a row as long as it holds the
     value; on a miss it translates the value (each distinct one once), works
-    the update out, remembering a cascade by the state it starts from, and
-    fills the row. The rows, their entries and the cascades kept share
+    the update out and fills the row. The rows and their entries share
     _MAX_MEMO, and up to _MAX_MEMO translations are kept; once the rows are
     full, the rest of the updates are worked out one by one. An error is
     never kept. None of this changes the result, only its cost.
@@ -400,10 +399,9 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
     # its `off` keys not (want -1 if a key is in both: never). Per step: the
     # test every enabled arc passes (the keys that all arcs need live and
     # those that all need not live; -1 for a step without arcs, which no
-    # mask passes), its arcs by each bit they read, its memo (the mask a
-    # cascade from the step starts with -> where it ends, () for nowhere),
-    # its rows by mask and its arcs.
-    steps: dict[str, tuple[int, int, dict[int, list], dict[int, tuple], dict, list]] = {}
+    # mask passes), its arcs by each bit they read, its rows by mask and its
+    # arcs.
+    steps: dict[str, tuple[int, int, dict[int, list], dict, list]] = {}
     for step, arcs in outgoing.items():
         shared_on, shared_off, compiled, watch = -1, -1, [], {}
         for target, on, off in arcs:
@@ -414,7 +412,7 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
             compiled.append(arc)
             for key in on | off:
                 watch.setdefault(bits[key], []).append(arc)
-        steps[step] = shared_on | shared_off, shared_on, watch, {}, {}, compiled
+        steps[step] = shared_on | shared_off, shared_on, watch, {}, compiled
 
     # Per entered step: its actions, the bits it sets and the bits it keeps.
     entered: dict[str, tuple[tuple[Action, ...], int, int]] = {}
@@ -431,7 +429,7 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
         emitted: list[Action] = []
         moves = 0
         while True:
-            shared_care, shared_want, _watch, _memo, _rows, arcs = steps[step]
+            shared_care, shared_want, _watch, _rows, arcs = steps[step]
             found = None
             if live & shared_care == shared_want:
                 for target, care, want in arcs:
@@ -457,7 +455,7 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
     moved: dict[Hashable, tuple[int, bool]] = {}  # update -> (bit, level)
     current, live, actions = cascade(current, 0)
     emitted = list(actions)
-    shared_care, shared_want, watch, memo, rows, _arcs = steps[current]
+    shared_care, shared_want, watch, rows, _arcs = steps[current]
     # A row entry: the actions emitted, then the next state's row, step and
     # mask and the fields of that step, all that a following update reads.
     row = rows[live] = {}
@@ -465,7 +463,7 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
         if room > 0:
             hit = row.get(update)
             if hit is not None:
-                actions, row, current, live, shared_care, shared_want, watch, memo, rows = hit
+                actions, row, current, live, shared_care, shared_want, watch, rows = hit
                 if actions:
                     emitted += actions
                 continue
@@ -482,27 +480,18 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
             continue
         live = changed
         if bit in watch and live & shared_care == shared_want:
-            end = memo.get(live)
-            if end is None:
-                end = ()
-                for _target, care, want in watch[bit]:
-                    if live & care == want:
-                        end = cascade(current, live)
-                        break
-                if room > 0:
-                    memo[live] = end
-                    room -= 1
-            if end:
-                current, live, actions = end
-                emitted += actions
-                shared_care, shared_want, watch, memo, rows, _arcs = steps[current]
+            for _target, care, want in watch[bit]:
+                if live & care == want:
+                    current, live, actions = cascade(current, live)
+                    emitted += actions
+                    shared_care, shared_want, watch, rows, _arcs = steps[current]
+                    break
         if room > 0:
             after = rows.get(live)
             if after is None:
                 after = rows[live] = {}
                 room -= 1
-            row[update] = (
-                actions, after, current, live, shared_care, shared_want, watch, memo, rows)
+            row[update] = actions, after, current, live, shared_care, shared_want, watch, rows
             row = after
             room -= 1
     return emitted

@@ -22,6 +22,8 @@ dataclass, whose param() fields become the spec's params. The builders,
 path resolution, the Resolver's bulk edits, set_parameter and
 remove_element here, and the file reader and writer, the rule classes, the
 completeness selectors and the table units elsewhere, all derive from them.
+The entry builders (add_port, add_route, ...) are made from their
+dataclasses: each takes its dataclass's fields and appends with add_entry.
 A default is valid by declaration: the builders validate whole nodes
 (check_node), the file reader the values it is given, the required
 parameters and, with check_shape, the rest.
@@ -33,6 +35,7 @@ which moves and disappears with it; edits that replace an element keep it.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -707,65 +710,36 @@ def add_static_attribute(model: ModuleModel, name: str, value: str, unit: str = 
     return replace(model, general=replace(model.general, static_attributes=attrs + (attribute,)))
 
 
-def add_runtime_variable(
-    model: ModuleModel, name: str, data_type: str = "", unit: str = "", description: str = ""
-) -> ModuleModel:
-    return add_entry(model, RuntimeVariable(name, data_type, unit, description))
+def _adder(node_type: type, name: str):
+    """The builder `name`: it appends node_type(...) with add_entry, and its
+    signature is the dataclass's with `model` in front."""
+    def build(model: ModuleModel, *args, **kwargs) -> ModuleModel:
+        return add_entry(model, node_type(*args, **kwargs))
+
+    own = inspect.signature(node_type)
+    first = inspect.Parameter("model", inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              annotation="ModuleModel")
+    build.__signature__ = own.replace(
+        parameters=(first, *own.parameters.values()), return_annotation="ModuleModel")
+    build.__name__ = build.__qualname__ = name
+    build.__doc__ = f"Append {node_type.__name__}(...) to its list, as add_entry does."
+    return build
 
 
-def add_logistic_function(
-    model: ModuleModel, name: str, category: str, behavior_ref: str = ""
-) -> ModuleModel:
-    return add_entry(model, LogisticFunction(name, category, behavior_ref))
-
-
-def add_route(model: ModuleModel, from_port: str, to_port: str, priority: int = 0) -> ModuleModel:
-    return add_entry(model, Route(from_port, to_port, priority))
-
-
-def add_port(model: ModuleModel, name: str, direction: str, position: str = "") -> ModuleModel:
-    return add_entry(model, Port(name, direction, position))
-
-
-def add_interaction_space(
-    model: ModuleModel, name: str, min_corner: str, max_corner: str
-) -> ModuleModel:
-    return add_entry(model, InteractionSpace(name, min_corner, max_corner))
-
-
-def add_control_function(
-    model: ModuleModel, name: str, language_tag: str = "", body_ref: str = ""
-) -> ModuleModel:
-    return add_entry(model, ControlFunction(name, language_tag, body_ref))
-
-
-def add_variable(model: ModuleModel, name: str, data_type: str = "", scope: str = "") -> ModuleModel:
-    return add_entry(model, Variable(name, data_type, scope))
-
-
-def add_io_entry(
-    model: ModuleModel,
-    component_path: str,
-    logical_address: str = "",
-    variable_name: str = "",
-    data_type: str = "",
-    direction: str = "input",
-) -> ModuleModel:
-    return add_entry(
-        model, IoMapEntry(component_path, logical_address, variable_name, data_type, direction))
+add_runtime_variable = _adder(RuntimeVariable, "add_runtime_variable")
+add_logistic_function = _adder(LogisticFunction, "add_logistic_function")
+add_route = _adder(Route, "add_route")
+add_port = _adder(Port, "add_port")
+add_interaction_space = _adder(InteractionSpace, "add_interaction_space")
+add_control_function = _adder(ControlFunction, "add_control_function")
+add_variable = _adder(Variable, "add_variable")
+add_io_entry = _adder(IoMapEntry, "add_io_entry")
+add_component = add_document = add_entry  # given the whole entry
 
 
 def set_platform(model: ModuleModel, controller_type: str, bus_coupler_type: str) -> ModuleModel:
     return set_element(model, Platform(
         controller_type, bus_coupler_type, annotation=model.control.platform.annotation))
-
-
-def add_component(model: ModuleModel, component: Component) -> ModuleModel:
-    return add_entry(model, component)
-
-
-def add_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
-    return add_entry(model, doc)
 
 
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:

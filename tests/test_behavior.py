@@ -432,8 +432,8 @@ def _walk_outcome(outgoing, writes, updates):
 def test_walk_agrees_with_the_reference_walk(case):
     outgoing, writes, updates = case
     # A small budget makes runaway cascades, and cascades after many
-    # earlier moves, cheap to reach. The walk runs without a memo, with one
-    # that fills up at once and with the default one.
+    # earlier moves, cheap to reach. The walk runs without rows, with rows
+    # that fill up at once and with the default cap.
     with mock.patch.object(bh, "_MAX_MOVES", 3):
         expected = _reference_outcome(outgoing, writes, updates)
         for memo in (0, 2, bh._MAX_MEMO):

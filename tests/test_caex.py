@@ -335,6 +335,24 @@ def test_model_round_trip_keeps_latency_text():
     assert restored.components[0].latency == "0.1"
 
 
+def test_library_refs_are_derived_again_and_repeated_roles_and_links_read_as_one():
+    model = _populated_model()
+    data = caex_io.serialize(caex_io.from_model(model))
+    role = b'<RoleRequirements RefBaseRoleClassPath="ControlEquipment"/>'
+    link = re.search(rb"  <InternalLink [^\n]*\n", data).group()
+    edits = [(b'<RoleClassLibRef Name="ControlEquipment"/>', b'<RoleClassLibRef Name="Renamed"/>'),
+             (b"<InterfaceClassLibRef ", b'<InterfaceClassLibRef Name="Extra"/><InterfaceClassLibRef '),
+             (role, role + role), (link, link + link)]
+    edited = data
+    for old, new in edits:
+        assert data.count(old) == 1
+        edited = edited.replace(old, new)
+    restored, warnings = caex_io.to_model(caex_io.parse(edited))
+    assert warnings == []
+    assert restored == model
+    assert caex_io.serialize(caex_io.from_model(restored)) == data
+
+
 def test_to_model_flags_missing_container():
     doc = caex_io.from_model(mm.new_module("m", ""))
     root = doc.instance_hierarchies[0].elements[0]

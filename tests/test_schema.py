@@ -1,6 +1,7 @@
 """The meta-model schema: every element the table declares works end to end."""
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -66,6 +67,63 @@ def test_schema_element_round_trips(spec):
     restored, warnings = caex_io.to_model(caex_io.parse(caex_io.serialize(caex_io.from_model(m))))
     assert warnings == []
     assert restored == m
+
+
+#: The builder of each entry type, made from its dataclass. Components and
+#: document references are given whole, to add_entry.
+BUILDERS = {
+    mm.RuntimeVariable: mm.add_runtime_variable,
+    mm.LogisticFunction: mm.add_logistic_function,
+    mm.Route: mm.add_route,
+    mm.Port: mm.add_port,
+    mm.InteractionSpace: mm.add_interaction_space,
+    mm.ControlFunction: mm.add_control_function,
+    mm.Variable: mm.add_variable,
+    mm.IoMapEntry: mm.add_io_entry,
+}
+WHOLE = {mm.Component: mm.add_component, mm.DocumentReference: mm.add_document}
+
+
+def test_every_entry_list_has_a_builder():
+    assert BUILDERS.keys() | WHOLE.keys() == {spec.node_type for spec in LISTS}
+    assert all(builder is mm.add_entry for builder in WHOLE.values())
+
+
+@pytest.mark.parametrize("spec", [s for s in LISTS if s.node_type not in WHOLE],
+                         ids=lambda s: "/".join(s.path))
+def test_a_made_builder_takes_its_dataclass_fields_and_adds_as_add_entry(spec):
+    build = BUILDERS[spec.node_type]
+    assert getattr(mm, build.__name__) is build
+    assert build.__doc__ and "\n" not in build.__doc__
+    own, made = inspect.signature(spec.node_type), inspect.signature(build)
+    assert list(made.parameters.values())[1:] == list(own.parameters.values())
+    assert list(made.parameters)[0] == "model" and made.return_annotation == "ModuleModel"
+    m = mm.new_module("m", "M")
+    values = {p.name: _valid(spec, p, p.default) for p in spec.params}
+    if spec.key != "index":
+        values[spec.key] = "e1"
+    entry = spec.node_type(**values)
+    expected = mm.add_entry(m, entry)
+    assert build(m, **values) == expected
+    ordered = [getattr(entry, f.name) for f in fields(entry) if f.name != "annotation"]
+    assert build(m, *ordered) == expected
+    bad = {**values, spec.params[0].name: "x\ry"}
+    with pytest.raises(mm.ModelError) as made_error:
+        build(m, **bad)
+    with pytest.raises(mm.ModelError) as entry_error:
+        mm.add_entry(m, spec.node_type(**bad))
+    assert str(made_error.value) == str(entry_error.value)
+
+
+def test_made_builders_take_the_defaults_of_their_dataclasses():
+    m = mm.new_module("m", "M")
+    assert mm.add_port(m, "p").interface.ports == (mm.Port("p", "in"),)
+    assert mm.add_logistic_function(m, "f").function.logistic_functions == (
+        mm.LogisticFunction("f", "material_flow"),)
+    assert mm.add_interaction_space(m, "z").interface.interaction_spaces == (
+        mm.InteractionSpace("z", "", ""),)
+    with pytest.raises(mm.ModelError, match="invalid port direction 'up'"):
+        mm.add_port(m, "p", "up")
 
 
 #: The parameter surface: (spec path, name, unit, default text, and one digit

@@ -11,8 +11,9 @@ LAYERS gives each layer with the builder of its inputs by n: seed 1 models
 of n components with a quarter of the cells withheld; a looped 12-arm graph
 on a 200-component model (n: the arms) and its traces (n: the events);
 three adversarial replays of the token walk and the longest trace as
-fresh, equal event objects; whole start-up processes in an
-`init-example` demo (n: the command).
+fresh, equal event objects; the builder chain of the T-junction demo model
+(n: its components); whole start-up processes in an `init-example` demo
+(n: the command).
 
 A round times every named layer (default: all), every n of a layer back to
 back, both sides one right after the other, and alternates which side goes
@@ -178,6 +179,10 @@ def _shared_pass(m) -> dict:
                     f"shared-pass-{SEED}")
 
 
+def _tjunction(m) -> dict:
+    return {len(m.fixture.tjunction_model().components): {}}
+
+
 def _demo(m) -> dict:
     scratch = tempfile.TemporaryDirectory()  # removed when the worker exits
     place = {"cwd": Path(scratch.name) / "demo", "scratch": scratch,
@@ -239,6 +244,7 @@ LAYERS = {
     "simulate_sfc shared-pass arcs": (_shared_pass, _simulate_sfc),
     "simulate copied events": (_copied, _simulate),
     "simulate_sfc copied events": (_copied, _simulate_sfc),
+    "tjunction_model": (_tjunction, lambda m, i: m.fixture.tjunction_model()),
     "startup": (_demo, lambda m, i: _run(i, i["argv"])),
 }
 
