@@ -21,7 +21,7 @@ documents produce equal bytes, and attribute values are never re-formatted.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import model as mm
@@ -204,6 +204,18 @@ def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: lis
 _NO_ATTRIBUTE = CaexAttribute("")
 
 
+@dataclass(init=False, repr=False, eq=False)
+class ExternalInterface:
+    """The one attribute of an ExternalInterface, declared as a parameter
+    without a unit, so that `_ModelBuilder.values` reads it as it reads an
+    element's. (Its docstring also spares `dataclass` a signature lookup.)"""
+
+    refURI: str = mm.param()
+
+
+_INTERFACE = mm.ElementSpec((), "", ExternalInterface, "")
+
+
 class _ModelBuilder:
     """Mutable assembly state for one to_model run.
 
@@ -218,13 +230,15 @@ class _ModelBuilder:
 
     A value that fails its validator, or whose Unit is given and differs
     from its parameter's unit, is reported and left out, so the element
-    keeps the default; an entry that cannot be added (bad or duplicate key,
-    missing component path, broken invariant) is reported and dropped with
-    its annotations. Absent and empty values take the default silently.
-    What the model has no place for is reported as ignored: an element's
-    ID, a DataType other than xs:string, and all that the wrapper elements
-    above the module root and the InstanceHierarchies hold besides the way
-    down to it, and a hierarchy name other than the writer's.
+    keeps the default; an interface's refURI is read as such a value, of a
+    parameter without a unit. An entry that cannot be added (bad or
+    duplicate key, missing component path, broken invariant) is reported
+    and dropped with its annotations. Absent and empty values take the
+    default silently. What the model has no place for is reported as
+    ignored: an element's ID, a DataType other than xs:string, the name of
+    an index-addressed entry other than its position, all that the wrapper
+    elements above the module root and the InstanceHierarchies hold besides
+    the way down to it, and a hierarchy name other than the writer's.
     `values` checks each given value once and no default, which is valid by
     declaration; model.check_shape checks the rest of the element.
     """
@@ -277,15 +291,7 @@ class _ModelBuilder:
         if roles:
             ann = self.checked(path, mm.check_roles, ann, roles) or ann
         for name, interface_class, attributes in interfaces:
-            uri = ""
-            for attribute in attributes:
-                if attribute.name == "refURI" and not attribute.children:
-                    uri = attribute.value
-                    if attribute.data_type != _STRING_TYPE and attribute.data_type:
-                        self.ignored_type(attribute, path)
-                else:
-                    self.warn(RULE_UNKNOWN_PARAMETER, path,
-                              f"unsupported interface attribute '{attribute.name}' ignored")
+            uri = self.values(_INTERFACE, attributes, path)[0].get("refURI", "")
             ann = self.checked(path, mm.check_external_ref, ann, path,
                                mm.ExternalRef(name, interface_class, uri)) or ann
         notes, self.violations = self.violations, reported
@@ -370,6 +376,8 @@ class _ModelBuilder:
             # warnings name the entry's position in the file; annotation
             # warnings name the index the entry gets
             entry_path = join_path(path, str(position) if indexed else name)
+            if indexed and name != str(position):
+                self.warn(RULE_UNKNOWN_PARAMETER, entry_path, f"entry name '{name}' ignored")
             if element_id:
                 self.ignored_id(element_id, entry_path)
             fields, _extra = self.values(spec, attributes, entry_path)

@@ -13,10 +13,11 @@ Subcommands:
   report          discipline dependency matrix and workload shares
   init-example    write the T-junction example set
 
-Exit codes, stable across commands: 0 = clean, 1 = findings in readable
-input, 2 = operational failure (unreadable or unparsable file, bad flag or
-stage name). Output is deterministic for identical inputs; `--format
-structured` switches the human-readable lines to JSON records, one per line.
+Exit codes, stable across commands: 0 = clean, 1 = an error-severity
+finding was reported (warnings and notes never set it), 2 = operational
+failure (unreadable or unparsable file, bad flag or stage name). Output is
+deterministic for identical inputs; `--format structured` switches the
+human-readable lines to JSON records, one per line.
 
 Rule table, coverage matrix, and ownership map resolve in this order: an
 explicit flag path, then the matching file inside $MFMKIT_RULES_DIR (when
@@ -147,16 +148,16 @@ def _write_output(path: str, data: bytes) -> None:
         raise _CliFailure(f"cannot write {path}: {error.strerror or error}") from None
 
 
-def _load_model(path: str, fmt: str, stream=None) -> mm.ModuleModel:
-    """Read a model file and emit the reader's warnings (to stdout unless
-    `stream` names another stream). Warnings never set the exit code."""
+def _load_model(path: str, out: _Output, stream=None) -> mm.ModuleModel:
+    """Read a model file and report the reader's warnings (to stdout unless
+    `stream` names another stream)."""
     data = _read_bytes(path)
     try:
         model, warnings = caex_io.to_model(caex_io.parse(data))
     except (XmlError, StructureError) as error:
         raise _CliFailure(f"{path}: {error}") from None
     for warning in warnings:
-        _emit_violation(fmt, path, warning, stream)
+        out.violation(path, warning, stream)
     return model
 
 
@@ -172,6 +173,24 @@ def _load_behavior(path: str, parse):
         raise _CliFailure(f"{path}: {error}") from None
 
 
+def _load_program(args: argparse.Namespace, out: _Output, stream=None):
+    """The model, behavior graph and trace (None without a `trace`
+    argument) that `args` names, and the SFC program of the graph bound to
+    the model: None after reporting a graph that does not bind."""
+    from . import behavior, sfc
+
+    model = _load_model(args.model, out, stream)
+    graph = _load_behavior(args.behavior, behavior.parse_behavior)
+    trace = _load_behavior(args.trace, behavior.parse_trace) if "trace" in args else None
+    try:
+        program = sfc.iml_to_sfc(behavior.to_iml(graph), model)
+    except sfc.SfcError as error:
+        out.violation(args.behavior, cc.Violation(
+            cc.RULE_UNBOUND_SUBJECT, cc.SEVERITY_ERROR, model.id, str(error)))
+        program = None
+    return model, graph, trace, program
+
+
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -180,174 +199,131 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
 
-def _record(payload: dict, stream=None) -> None:
-    print(_json(payload), file=stream)
+class _Output:
+    """Where one command reports: each finding or result record is printed
+    as a text line, or as a JSON record under `--format structured`, and the
+    error-severity findings among them are counted. main reads the exit code
+    from that count, so warnings and notes never set it."""
 
+    def __init__(self, fmt: str):
+        self.structured = fmt == FORMAT_STRUCTURED
+        self.errors = 0
 
-def _emit_violation(fmt: str, file: str, violation: cc.Violation, stream=None) -> None:
-    if fmt == FORMAT_STRUCTURED:
-        _record({
-            "record": "violation",
-            "file": file,
-            "rule": violation.rule_id,
-            "severity": violation.severity,
-            "path": violation.element_path,
+    def emit(self, record: dict, text: str, stream=None) -> None:
+        """Print `record`, or `text` in the text format, to `stream` (stdout
+        unless given)."""
+        if record.get("severity") == cc.SEVERITY_ERROR:
+            self.errors += 1
+        print(_json(record) if self.structured else text, file=stream)
+
+    def violation(self, file: str, violation: cc.Violation, stream=None, **fields) -> None:
+        """A violation of `file`; `fields` stand in for its record's stage
+        and parameter."""
+        self.emit({
+            "record": "violation", "file": file, "rule": violation.rule_id,
+            "severity": violation.severity, "path": violation.element_path,
             "message": violation.message,
-            "stage": violation.stage,
-            "parameter": violation.parameter,
-        }, stream)
-    else:
-        print(f"{file}: {cc.format_violation(violation)}", file=stream)
+            **(fields or {"stage": violation.stage, "parameter": violation.parameter}),
+        }, f"{file}: {cc.format_violation(violation)}", stream)
 
+    def assignment(self, file: str, violation: mapping.AssignmentViolation) -> None:
+        from . import mapping
 
-def _describe_assignment(violation: mapping.AssignmentViolation) -> str:
-    from . import mapping
+        permitted = ", ".join(violation.permitted) or "none"
+        if violation.kind == mapping.KIND_MISSING_ROLE:
+            message = f"no role assigned; permitted: {permitted}"
+        else:
+            what = "role" if violation.kind == mapping.KIND_ILLEGAL_ROLE else "interface"
+            message = (f"{what} '{violation.found_identifier}' not permitted; "
+                       f"permitted: {permitted}")
+        self.violation(file, cc.Violation(
+            violation.kind, cc.SEVERITY_ERROR, violation.element_path, message),
+            found=violation.found_identifier, permitted=list(violation.permitted))
 
-    permitted = ", ".join(violation.permitted) or "none"
-    if violation.kind == mapping.KIND_MISSING_ROLE:
-        return f"no role assigned; permitted: {permitted}"
-    what = "role" if violation.kind == mapping.KIND_ILLEGAL_ROLE else "interface"
-    return f"{what} '{violation.found_identifier}' not permitted; permitted: {permitted}"
-
-
-def _emit_assignment(fmt: str, file: str, violation: mapping.AssignmentViolation) -> None:
-    if fmt == FORMAT_STRUCTURED:
-        _record({
-            "record": "violation",
-            "file": file,
-            "rule": violation.kind,
-            "severity": cc.SEVERITY_ERROR,
-            "path": violation.element_path,
-            "message": _describe_assignment(violation),
-            "found": violation.found_identifier,
-            "permitted": list(violation.permitted),
-        })
-    else:
-        print(f"{file}: ERROR {violation.kind} {violation.element_path}: "
-              f"{_describe_assignment(violation)}")
-
-
-def _emit_note(fmt: str, file: str, rule: str, message: str) -> None:
-    if fmt == FORMAT_STRUCTURED:
-        _record({"record": "note", "file": file, "rule": rule, "message": message})
-    else:
-        print(f"{file}: INFO {rule}: {message}")
+    def note(self, file: str, rule: str, message: str) -> None:
+        self.emit({"record": "note", "file": file, "rule": rule, "message": message},
+                  f"{file}: INFO {rule}: {message}")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+# Each command reports through `out` and returns nothing; a _CliFailure is
+# an operational failure.
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace, out: _Output) -> None:
     from . import mapping
 
     table = _config(args, "rules")
-    exit_code = EXIT_CLEAN
     for file in args.files:
-        model = _load_model(file, args.format)
-        assignments = mapping.validate_assignments(model, table)
-        links = cc.check_links(model)
-        for assignment in assignments:
-            _emit_assignment(args.format, file, assignment)
-        for violation in links:
-            _emit_violation(args.format, file, violation)
+        model = _load_model(file, out)
+        for assignment in mapping.validate_assignments(model, table):
+            out.assignment(file, assignment)
+        for violation in cc.check_links(model):
+            out.violation(file, violation)
         for cls in mapping.uncovered_classes(model, table):
-            _emit_note(args.format, file, cc.RULE_UNCOVERED_CLASS,
-                       f"class {cls} is not covered by the rule table")
-        if assignments or cc.has_errors(links):
-            exit_code = EXIT_FINDINGS
-    return exit_code
+            out.note(file, cc.RULE_UNCOVERED_CLASS,
+                     f"class {cls} is not covered by the rule table")
 
 
-def _cmd_complete_check(args: argparse.Namespace) -> int:
+def _cmd_complete_check(args: argparse.Namespace, out: _Output) -> None:
     if args.stage not in mm.STAGES:
         raise _CliFailure(
             f"unknown stage {args.stage!r}; expected one of {', '.join(mm.STAGES)}")
     matrix = _config(args, "matrix")
-    model = _load_model(args.file, args.format)
-    violations = cc.check_completeness(model, args.stage, matrix)
-    for violation in violations:
-        _emit_violation(args.format, args.file, violation)
-    return EXIT_FINDINGS if violations else EXIT_CLEAN
+    model = _load_model(args.file, out)
+    for violation in cc.check_completeness(model, args.stage, matrix):
+        out.violation(args.file, violation)
 
 
-def _cmd_link_check(args: argparse.Namespace) -> int:
-    exit_code = EXIT_CLEAN
+def _cmd_link_check(args: argparse.Namespace, out: _Output) -> None:
     for file in args.files:
-        model = _load_model(file, args.format)
-        violations = cc.check_links(model)
-        for violation in violations:
-            _emit_violation(args.format, file, violation)
-        if cc.has_errors(violations):
-            exit_code = EXIT_FINDINGS
-    return exit_code
+        for violation in cc.check_links(_load_model(file, out)):
+            out.violation(file, violation)
 
 
-def _bound_program(model: mm.ModuleModel,
-                   graph: behavior.BehaviorGraph) -> sfc.SfcProgram | cc.Violation:
-    from . import behavior, sfc
+def _cmd_gen_plcopen(args: argparse.Namespace, out: _Output) -> None:
+    from . import sfc
 
-    try:
-        return sfc.iml_to_sfc(behavior.to_iml(graph), model)
-    except sfc.SfcError as error:
-        return cc.Violation(cc.RULE_UNBOUND_SUBJECT, cc.SEVERITY_ERROR, model.id, str(error))
-
-
-def _cmd_gen_plcopen(args: argparse.Namespace) -> int:
-    from . import behavior, sfc
-
-    model = _load_model(args.model, args.format)
-    graph = _load_behavior(args.behavior, behavior.parse_behavior)
-    program = _bound_program(model, graph)
-    if isinstance(program, cc.Violation):
-        _emit_violation(args.format, args.behavior, program)
-        return EXIT_FINDINGS
+    program = _load_program(args, out)[-1]
+    if program is None:
+        return
     _write_output(args.out, sfc.emit_plcopen(program))
-    if args.format == FORMAT_STRUCTURED:
-        _record({
-            "record": "plcopen",
-            "out": args.out,
-            "steps": len(program.steps),
-            "transitions": len(program.transitions),
-            "divergences": [[step, count] for step, count in sfc.divergences(program)],
-        })
-    else:
-        print(f"{args.out}: {len(program.steps)} steps, "
-              f"{len(program.transitions)} transitions")
-    return EXIT_CLEAN
+    out.emit({
+        "record": "plcopen",
+        "out": args.out,
+        "steps": len(program.steps),
+        "transitions": len(program.transitions),
+        "divergences": [[step, count] for step, count in sfc.divergences(program)],
+    }, f"{args.out}: {len(program.steps)} steps, {len(program.transitions)} transitions")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, out: _Output) -> None:
     from . import behavior, sfc
 
     # stdout carries the event list, so the reader's warnings go to stderr
-    model = _load_model(args.model, args.format, sys.stderr)
-    graph = _load_behavior(args.behavior, behavior.parse_behavior)
-    trace = _load_behavior(args.trace, behavior.parse_trace)
-    program = _bound_program(model, graph)
-    if isinstance(program, cc.Violation):
-        _emit_violation(args.format, args.behavior, program)
-        return EXIT_FINDINGS
+    model, graph, trace, program = _load_program(args, out, sys.stderr)
+    if program is None:
+        return
     try:
         events = behavior.simulate(graph, trace)
         replayed = sfc.simulate_sfc(program, trace, model)
     except behavior.SimulationError as error:
-        _emit_violation(args.format, args.trace, cc.Violation(
-            cc.RULE_AMBIGUOUS_BRANCH, cc.SEVERITY_ERROR, graph.id or model.id,
-            str(error)))
-        return EXIT_FINDINGS
+        out.violation(args.trace, cc.Violation(
+            cc.RULE_AMBIGUOUS_BRANCH, cc.SEVERITY_ERROR, graph.id or model.id, str(error)))
+        return
     except sfc.BindingError as error:
-        _emit_violation(args.format, args.trace, cc.Violation(
+        out.violation(args.trace, cc.Violation(
             cc.RULE_UNBOUND_SUBJECT, cc.SEVERITY_ERROR, model.id, str(error)))
-        return EXIT_FINDINGS
+        return
     if events != replayed:
-        _emit_violation(args.format, args.behavior, cc.Violation(
+        out.violation(args.behavior, cc.Violation(
             cc.RULE_PIPELINE_MISMATCH, cc.SEVERITY_ERROR, graph.id or model.id,
             "graph walk and generated program emit different event sequences"))
-        return EXIT_FINDINGS
+        return
     # Both simulators emit one Action object per (kind, subject), so the
     # comparison above meets identical objects, and each is rendered once.
-    if args.format == FORMAT_STRUCTURED:
+    if out.structured:
         def render(e: behavior.Action) -> str:
             return _json({"record": "event", "kind": e.kind, "subject": e.subject})
     else:
@@ -355,14 +331,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     distinct = dict(zip(map(id, events), events))
     lines = {key: f"{render(event)}\n" for key, event in distinct.items()}
     sys.stdout.write("".join(map(lines.__getitem__, map(id, events))))
-    return EXIT_CLEAN
 
 
-def _cmd_export_table(args: argparse.Namespace) -> int:
+def _cmd_export_table(args: argparse.Namespace, out: _Output) -> None:
     from . import exchange
 
     # stdout may carry the table, so the reader's warnings go to stderr
-    model = _load_model(args.file, args.format, sys.stderr)
+    model = _load_model(args.file, out, sys.stderr)
     matrix = _config(args, "matrix")
     try:
         data = exchange.export_table(
@@ -375,13 +350,12 @@ def _cmd_export_table(args: argparse.Namespace) -> int:
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    return EXIT_CLEAN
 
 
-def _cmd_import_table(args: argparse.Namespace) -> int:
+def _cmd_import_table(args: argparse.Namespace, out: _Output) -> None:
     from . import exchange
 
-    model = _load_model(args.file, args.format)
+    model = _load_model(args.file, out)
     table = _read_bytes(args.table)
     ownership = _config(args, "ownership")
     try:
@@ -389,38 +363,30 @@ def _cmd_import_table(args: argparse.Namespace) -> int:
     except exchange.ExchangeError as error:
         raise _CliFailure(f"{args.table}: {error}") from None
     for violation in violations:
-        _emit_violation(args.format, args.table, violation)
+        out.violation(args.table, violation)
     _write_output(args.out, caex_io.serialize(caex_io.from_model(updated)))
-    return EXIT_FINDINGS if violations else EXIT_CLEAN
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    model = _load_model(args.file, args.format)
+def _cmd_report(args: argparse.Namespace, out: _Output) -> None:
+    model = _load_model(args.file, out)
     ownership = _config(args, "ownership")
     try:
         report = cc.dependency_report(model, ownership)
     except cc.OwnershipError as error:
-        _emit_violation(args.format, args.file, cc.Violation(
+        out.violation(args.file, cc.Violation(
             cc.RULE_UNOWNABLE_ENDPOINT, cc.SEVERITY_ERROR, model.id, str(error)))
-        return EXIT_FINDINGS
+        return
     refs, workload = report.ref_shares(), report.workload_shares()
-    if args.format == FORMAT_STRUCTURED:
+    if out.structured:
         for source, target, count, share in refs:
-            _record({
-                "record": "dependency", "source": source, "target": target,
-                "refs": count, "share": round(share, 6),
-            })
+            print(_json({"record": "dependency", "source": source, "target": target,
+                         "refs": count, "share": round(share, 6)}))
         for discipline, count, share in workload:
-            _record({
-                "record": "workload", "discipline": discipline, "parameters": count,
-                "share": round(share, 6),
-            })
-        _record({
-            "record": "summary",
-            "total_refs": report.total_refs,
-            "total_params": report.total_params,
-        })
-        return EXIT_CLEAN
+            print(_json({"record": "workload", "discipline": discipline,
+                         "parameters": count, "share": round(share, 6)}))
+        print(_json({"record": "summary", "total_refs": report.total_refs,
+                     "total_params": report.total_params}))
+        return
     print("dependencies (cross-references between disciplines):")
     if report.total_refs == 0:
         print("  no references")
@@ -431,10 +397,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for discipline, count, share in workload:
         print(f"  {discipline}: {count} ({share:.3f})")
     print(f"  total: {report.total_params}")
-    return EXIT_CLEAN
 
 
-def _cmd_init_example(args: argparse.Namespace) -> int:
+def _cmd_init_example(args: argparse.Namespace, out: _Output) -> None:
     from . import fixture, mapping
 
     target = Path(args.dir)
@@ -459,7 +424,6 @@ def _cmd_init_example(args: argparse.Namespace) -> int:
     except OSError as error:
         raise _CliFailure(
             f"cannot write into {args.dir}: {error.strerror or error}") from None
-    return EXIT_CLEAN
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +508,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out = _Output(args.format)
     try:
-        return args.func(args)
+        args.func(args, out)
     except _CliFailure as failure:
         print(f"mfmkit: {failure}", file=sys.stderr)
         return EXIT_FAILURE
+    return EXIT_FINDINGS if out.errors else EXIT_CLEAN
 
 
 if __name__ == "__main__":

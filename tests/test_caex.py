@@ -7,13 +7,14 @@ import random
 import re
 from collections import Counter
 from dataclasses import MISSING, fields, replace
+from xml.dom import minidom
 
 import pytest
 from generators import random_model, sized_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfmkit import caex_io, sfc, xmlio
+from mfmkit import caex_io, fixture, sfc, xmlio
 from mfmkit import model as mm
 from mfmkit.caex_io import (
     CaexAttribute,
@@ -791,6 +792,144 @@ def test_the_reader_changes_no_value_without_a_warning():
         written = caex_io.from_model(model)
         assert _silent_changes(doc, written, {v.element_path for v in warnings}) == [], mutant
     assert 0 < warned_mutants < DROP_MUTANTS
+
+
+def test_an_interface_reads_its_refuri_by_the_attribute_rules():
+    ref = mm.ExternalRef("doc", "AttachmentInterface", "srv://a")
+    doc = caex_io.from_model(mm.with_external_ref(mm.new_module("m", "M"), "m", ref))
+    hierarchy = doc.instance_hierarchies[0]
+    root = hierarchy.elements[0]
+    interface = root.external_interfaces[0]
+    uri = interface.attributes[0]
+
+    def read(*attributes: CaexAttribute):
+        changed = root._replace(external_interfaces=(interface._replace(attributes=attributes),))
+        model, warnings = caex_io.to_model(
+            doc._replace(instance_hierarchies=(hierarchy._replace(elements=(changed,)),)))
+        return model.annotation.external_refs, [
+            (w.rule_id, w.severity, w.element_path, w.message) for w in warnings]
+
+    assert read(uri) == ((ref,), [])
+    assert read(uri, uri._replace(value="srv://b")) == ((ref,), [
+        ("invalid-value", "warning", "m", "duplicate attribute 'refURI' ignored")])
+    assert read(uri._replace(unit="mm")) == ((replace(ref, ref_uri=""),), [
+        ("invalid-value", "warning", "m", "external interface refURI has unit 'mm'; expected none")])
+
+
+def test_an_index_addressed_entry_is_read_at_its_position_whatever_its_name():
+    m = fixture.tjunction_model()
+    data = caex_io.serialize(caex_io.from_model(m))
+    at = data.index(b'<InternalElement Name="io_mapping">')
+    three, four = data.index(b'Name="3"', at), data.index(b'Name="4"', at)
+
+    def read(mutant: bytes):
+        model, warnings = caex_io.to_model(caex_io.parse(mutant))
+        assert model == m
+        return [(w.rule_id, w.severity, w.element_path, w.message) for w in warnings]
+
+    assert read(data[:three] + b'Name="3Z"' + data[three + 8:]) == [
+        ("unknown-parameter", "warning", "tjunction-01/control/io_mapping/3",
+         "entry name '3Z' ignored")]
+    swapped = data[:three] + b'Name="4"' + data[three + 8:four] + b'Name="3"' + data[four + 8:]
+    assert read(swapped) == [
+        ("unknown-parameter", "warning", f"tjunction-01/control/io_mapping/{n}",
+         f"entry name '{name}' ignored") for n, name in ((3, 4), (4, 3))]
+
+
+def _documented(doc: CaexDocument) -> CaexDocument:
+    """`doc` less what docs/format.md says the reader derives again or merges."""
+
+    def element(e: CaexElement, inside: bool) -> CaexElement:
+        # "A role repeated in the `RoleRequirements` of one element is read
+        # as one role, at its first position, as `with_roles` merges it."
+        roles = tuple(dict.fromkeys(e.role_requirements))
+        root = bool(roles) and not inside
+        if root:
+            # "new modules carry `AutomationMLBaseRoleClassLib` from construction"
+            roles = tuple(role for role in roles if role != mm.BASE_ROLE)
+        return e._replace(role_requirements=roles, children=tuple(
+            element(child, inside or root) for child in e.children))
+
+    return doc._replace(
+        # "The reader keeps none of the ones it is given: the writer derives
+        # them again from the role requirements and external interfaces"
+        role_class_lib_refs=(), interface_class_lib_refs=(),
+        instance_hierarchies=tuple(
+            h._replace(elements=tuple(element(e, False) for e in h.elements))
+            for h in doc.instance_hierarchies),
+        # "A repeated `InternalLink` (same `Name` and partners) is read as one
+        # cross-reference, at its first position"
+        internal_links=tuple(dict.fromkeys(doc.internal_links)))
+
+
+def _tag_sites(dom) -> dict:
+    """Where the format's mutants go: for each tag of TAGS its first element
+    under each parent tag, and for InternalElement its first in each context
+    of the module."""
+    sites = {}
+    for node in dom.documentElement.getElementsByTagName("*"):
+        if node.tagName != "InternalElement":
+            sites.setdefault((node.tagName, node.parentNode.tagName), node)
+
+    def visit(node, spec: mm.ElementSpec, context: str) -> None:
+        sites.setdefault(("InternalElement", context), node)
+        for child in node.childNodes:
+            if getattr(child, "tagName", "") != "InternalElement":
+                continue
+            child_spec = mm.CHILDREN[spec.path][child.getAttribute("Name")]
+            if not child_spec.key:
+                visit(child, child_spec, "singleton" if spec.path else "container")
+                continue
+            sites.setdefault(("InternalElement", "list container"), child)
+            for entry in child.getElementsByTagName("InternalElement"):
+                visit(entry, child_spec, f"{child_spec.key}-keyed entry")
+
+    hierarchy = dom.documentElement.getElementsByTagName("InstanceHierarchy")[0]
+    visit(hierarchy.getElementsByTagName("InternalElement")[0], mm.ROOT, "module root")
+    return sites
+
+
+def _tag_mutants(data: bytes):
+    """(label, file) for each mutant of `data`: every attribute that TAGS
+    allows a tag changed at each site of the tag, or added where absent,
+    and each leaf tag repeated."""
+    dom = minidom.parseString(data)
+    for (tag, where), node in _tag_sites(dom).items():
+        for attribute in caex_io.TAGS[tag].attrs:
+            had, value = node.hasAttribute(attribute), node.getAttribute(attribute)
+            node.setAttribute(attribute, f"{value}x")
+            yield f"{tag} {attribute} in {where}", dom.toxml("utf-8")
+            if had:
+                node.setAttribute(attribute, value)
+            else:
+                node.removeAttribute(attribute)
+        if not caex_io.TAGS[tag].children:
+            copy = node.parentNode.insertBefore(node.cloneNode(True), node)
+            yield f"{tag} repeated in {where}", dom.toxml("utf-8")
+            node.parentNode.removeChild(copy)
+
+
+def test_every_tag_and_attribute_of_the_format_is_kept_derived_or_warned():
+    """The oracle of the format, generated from TAGS: each mutant reads back
+    through the writer to itself, apart from what docs/format.md says the
+    reader derives or merges, or the reader warns (or refuses the file)."""
+    data = caex_io.serialize(caex_io.from_model(fixture.tjunction_model()))
+    labels, silent = [], []
+    for label, mutant in _tag_mutants(data):
+        labels.append(label)
+        try:
+            doc = caex_io.parse(mutant)
+            model, warnings = caex_io.to_model(doc)
+        except (XmlError, StructureError):
+            continue
+        back = caex_io.parse(caex_io.serialize(caex_io.from_model(model)))
+        if not warnings and _documented(back) != _documented(doc):
+            silent.append(label)
+    assert silent == []
+    assert {label.split()[0] for label in labels} == set(caex_io.TAGS) - {"CAEXFile"}
+    assert {label.split(" in ")[1] for label in labels if label.startswith("InternalElement")} == {
+        "module root", "container", "singleton", "list container", "name-keyed entry",
+        "id-keyed entry", "index-keyed entry"}
 
 
 def test_the_reader_reports_what_the_model_has_no_place_for():

@@ -528,6 +528,58 @@ def test_report_bad_ownership_map_is_operational(work, tmp_path):
 # Contract-wide properties
 # ---------------------------------------------------------------------------
 
+EXIT_RULE_COMMANDS = ("validate", "link-check", "complete-check", "gen-plcopen", "simulate",
+                      "import-table", "report", "export-table")
+
+
+def _exit_rule_runs(work: dict, tmp_path, command: str) -> list[tuple[list[str], str]]:
+    """The runs of `command` on the demo set, on the model with a reader
+    warning, and on a copy damaged to give the command an error finding
+    (export-table reports nothing but reader warnings, so it has none)."""
+    unbound = tmp_path / "unbound.bhv"
+    unbound.write_text('step a "idle"\nstep b "go" do activate Ghost\nedge a -> b\n')
+    ghost = tmp_path / "ghost.trace"
+    ghost.write_text("sensor LB_zzz on\n")
+    table = tmp_path / "bad.csv"
+    table.write_text(
+        "element_path,parameter_name,value,unit,document_name,document_path\n"
+        "tjunction-01/components/Ghost,component_type,X,,,\n", "utf-8")
+    out = str(tmp_path / "out")
+    runs = {  # command: (arguments after the model, the damaged run's model and arguments)
+        "validate": ([], [work["tampered"]]),
+        "link-check": ([], [work["dangling"]]),
+        "complete-check": (["--stage", "control_hmi_eng"],
+                           [work["stripped"], "--stage", "control_hmi_eng"]),
+        "gen-plcopen": ([work["behavior"], "-o", out], [work["model"], str(unbound), "-o", out]),
+        "simulate": ([work["behavior"], work["route1"]],
+                     [work["model"], work["behavior"], str(ghost)]),
+        "import-table": ([work["filled"], "-o", out], [work["model"], str(table), "-o", out]),
+        "report": ([], [work["dangling"]]),
+        "export-table": (["-o", out], [work["unreadable"], "-o", out]),
+    }
+    given, damaged = runs[command]
+    return [([command, work["model"], *given], "clean"),
+            ([command, work["unreadable"], *given], "warned"),
+            ([command, *damaged], "damaged")]
+
+
+@pytest.mark.parametrize("command", EXIT_RULE_COMMANDS)
+def test_a_command_exits_1_exactly_when_it_reports_an_error_finding(
+        work, tmp_path, capsys, command):
+    for argv, kind in _exit_rule_runs(work, tmp_path, command):
+        structured = argv if command == "export-table" else [*argv, "--format", "structured"]
+        code = cli.main(structured)
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in (captured.out + captured.err).splitlines()
+                   if line.startswith("{")]
+        severities = {record.get("severity") for record in records}
+        assert code == (1 if "error" in severities else 0), (argv, captured)
+        if kind == "damaged":
+            assert code == (0 if command == "export-table" else 1), (argv, captured)
+        elif kind == "warned" and command != "export-table":
+            assert "warning" in severities, (argv, captured)
+
+
 def test_outputs_are_byte_identical_across_runs(work):
     for args in (("validate", work["tampered"], "--format", "structured"),
                  ("report", work["model"]),

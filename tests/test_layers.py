@@ -47,3 +47,16 @@ def test_one_round_of_one_layer_on_this_checkout_as_both_sides(tmp_path, capsys)
     assert (record["exponents"], record["to_model_calls"], record["importtime_self_us"]) == (
         {}, {}, {})
     assert "to_iml" in capsys.readouterr().out
+
+
+def test_the_gate_command_layers_run_the_cli_on_the_written_model_files(monkeypatch):
+    import mfmkit
+    monkeypatch.syspath_prepend(str(TOOL.parents[1] / "bench"))
+    inputs = layers._model_files(mfmkit)
+    assert list(inputs) == list(layers.SIZES)
+    code, out, err = layers.LAYERS["cli export-table"][1](mfmkit, inputs[800])
+    assert (code, err) == (0, "")
+    assert out.startswith(b"element_path,parameter_name,")
+    code, out, err = layers.LAYERS["cli complete-check"][1](mfmkit, inputs[800])
+    assert (code, err) == (1, "")
+    assert out.startswith(b"model-800.aml: ERROR missing-parameter ")

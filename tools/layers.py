@@ -13,7 +13,8 @@ on a 200-component model (n: the arms) and its traces (n: the events);
 three adversarial replays of the token walk and the longest trace as
 fresh, equal event objects; the builder chain of the T-junction demo model
 (n: its components); whole start-up processes in an `init-example` demo
-(n: the command).
+(n: the command); whole gate commands run in process through
+`mfmkit.cli.main` on the seed 1 model files, their output captured.
 
 A round times every named layer (default: all), every n of a layer back to
 back, both sides one right after the other, and alternates which side goes
@@ -33,10 +34,12 @@ cProfile count of function calls. The ratio table is printed.
 """
 from __future__ import annotations
 
+import contextlib
 import cProfile
 import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -192,6 +195,37 @@ def _demo(m) -> dict:
     return {name: {**place, "argv": argv} for name, argv in STARTUP.items()}
 
 
+def _model_files(m) -> dict:
+    """The seed 1 models of `_models` written once, as files in one directory."""
+    import gen
+    scratch = tempfile.TemporaryDirectory()  # removed when the worker exits
+    inputs = {}
+    for n in SIZES:
+        name = f"model-{n}.aml"
+        planted = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers")
+        (Path(scratch.name) / name).write_bytes(planted.data)
+        inputs[n] = {"cwd": scratch.name, "file": name, "scratch": scratch}
+    return inputs
+
+
+def _command(command: str, *flags: str):
+    """A layer's call: `mfmkit <command> <model file> <flags>` through
+    `mfmkit.cli.main` in the files' directory; its exit code, stdout (bytes:
+    export-table writes to sys.stdout.buffer) and stderr."""
+    def call(m, i):
+        out, err = io.TextIOWrapper(io.BytesIO(), "utf-8"), io.StringIO()
+        home = os.getcwd()
+        os.chdir(i["cwd"])  # both sides' output names the file alike
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = m.cli.main([command, i["file"], *flags])
+        finally:
+            os.chdir(home)
+        out.flush()
+        return code, out.buffer.getvalue(), err.getvalue()
+    return call
+
+
 def _run(place: dict, argv: list) -> tuple[int, str, str]:
     done = subprocess.run([sys.executable, *argv], cwd=place["cwd"], env=place["env"],
                           capture_output=True, text=True)
@@ -246,6 +280,12 @@ LAYERS = {
     "simulate_sfc copied events": (_copied, _simulate_sfc),
     "tjunction_model": (_tjunction, lambda m, i: m.fixture.tjunction_model()),
     "startup": (_demo, lambda m, i: _run(i, i["argv"])),
+    "cli validate": (_model_files, _command("validate")),
+    "cli link-check": (_model_files, _command("link-check")),
+    "cli complete-check": (
+        _model_files, _command("complete-check", "--stage", "control_hmi_eng")),
+    "cli report": (_model_files, _command("report")),
+    "cli export-table": (_model_files, _command("export-table")),
 }
 
 
