@@ -53,18 +53,24 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Condition:
+    """One guard of a step: a sensor level (sensor_true, sensor_false) or an order request."""
+
     kind: str
     subject: str
 
 
 @dataclass(frozen=True, slots=True)
 class Action:
+    """One action a step emits: its kind and the subject it acts on."""
+
     kind: str
     subject: str
 
 
 @dataclass(frozen=True, slots=True)
 class BehaviorStep:
+    """One step of a behavior graph, with the guards that enable it and its actions."""
+
     id: str
     description: str = ""
     guards: tuple[Condition, ...] = ()
@@ -73,6 +79,8 @@ class BehaviorStep:
 
 @dataclass(frozen=True, slots=True)
 class BehaviorGraph:
+    """A parsed behavior graph: its steps, forward edges and loop edges."""
+
     id: str = ""
     steps: tuple[BehaviorStep, ...] = ()
     edges: tuple[tuple[str, str], ...] = ()
@@ -81,6 +89,8 @@ class BehaviorGraph:
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
+    """One trace line: a sensor level change or an order request."""
+
     kind: str  # "sensor" | "order"
     subject: str
     value: bool = True
@@ -88,6 +98,8 @@ class TraceEvent:
 
 @dataclass(frozen=True, slots=True)
 class ImlEntry:
+    """One step of an IML document, with its guard expression and predecessors."""
+
     step_id: str
     description: str
     guard_expr: str
@@ -98,6 +110,8 @@ class ImlEntry:
 
 @dataclass(frozen=True, slots=True)
 class ImlDocument:
+    """The IML form of a behavior graph: one entry per step, in order."""
+
     entries: tuple[ImlEntry, ...]
     source_graph_id: str = ""
     loop_edges: tuple[tuple[str, str], ...] = ()

@@ -402,13 +402,12 @@ def assign_document(
     anyway and reported as a violation; replacing an existing assignment is
     reported as info.
     """
-    edit = mm.Resolver(model)
-    spec = mm.CHILDREN[()]["documents"]
-    index = edit.position(spec, doc_id)
+    find = mm.Resolver(model)
+    index = find.position(mm.CHILDREN[()]["documents"], doc_id)
     if index is None:
         raise mm.ModelError(f"unknown document id {doc_id!r}")
     doc = model.documents[index]
-    found = edit.locate(element_path)
+    found = find.locate(element_path)
     violations: list[Violation] = []
     anchor = join_path(model.id, "documents", doc.id)
     if doc.assigned_element and doc.assigned_element != element_path:
@@ -419,8 +418,7 @@ def assign_document(
         violations.append(Violation(
             RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR, anchor,
             f"assigned element '{element_path}' does not resolve"))
-    edit.put(spec, index, mm.check_node(spec, replace(doc, assigned_element=element_path)))
-    return edit.model(), violations
+    return mm.replace_document(model, replace(doc, assigned_element=element_path)), violations
 
 
 # ---------------------------------------------------------------------------

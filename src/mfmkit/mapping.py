@@ -19,6 +19,8 @@ KIND_MISSING_ROLE = "missing_role"
 
 @dataclass(frozen=True, slots=True)
 class RuleEntry:
+    """The roles and interfaces permitted on one rule-table class."""
+
     class_path: str
     permitted_interfaces: tuple[str, ...]
     permitted_roles: tuple[str, ...]
@@ -26,6 +28,8 @@ class RuleEntry:
 
 @dataclass(frozen=True, slots=True)
 class MappingRuleTable:
+    """The role/interface rule table: one entry per class path."""
+
     entries: tuple[RuleEntry, ...]
 
     def entry_for(self, class_path: str) -> RuleEntry | None:

@@ -19,7 +19,7 @@ Each parameter is declared once, as a param() field of its dataclass with
 its default, unit and validator. SCHEMA holds the structure: one ElementSpec
 per element or entry list, with its path, key, rule-table class and
 dataclass, whose param() fields become the spec's params. The builders,
-path resolution, the Resolver's bulk edits, set_parameter and
+path resolution, the Resolver's batch edits, set_parameter and
 remove_element here, and the file reader and writer, the rule classes, the
 completeness selectors and the table units elsewhere, all derive from them.
 The entry builders (add_port, add_route, ...) are made from their
@@ -28,7 +28,11 @@ A default is valid by declaration: the builders validate whole nodes
 (check_node), the file reader the values it is given, the required
 parameters and, with check_shape, the rest.
 Resolver.locate alone decodes a path string; every reader of a path reads
-the record it returns, so a path is decoded once for each use.
+the record it returns, so a path is decoded once for each use. _put alone
+copies a changed part (an element, a whole list or one entry) into a model:
+a single edit (a builder call, set_parameter, assign_document) is one _put,
+and a Resolver, the working copy of a batch (a file read, a table import),
+reassembles the model with one _put per edited part.
 
 Every element carries its own annotation (roles and external interfaces),
 which moves and disappears with it; edits that replace an element keep it.
@@ -253,6 +257,8 @@ class Element:
 
 @dataclass(frozen=True, slots=True)
 class Identification(Element):
+    """The module's name, identifier and type."""
+
     name: str = param()
     identifier: str = param()
     module_type: str = param()
@@ -279,11 +285,15 @@ class RuntimeVariable(Element):
 
 @dataclass(frozen=True, slots=True)
 class StatusDescription(Element):
+    """The runtime variables the module exposes."""
+
     runtime_variables: tuple[RuntimeVariable, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class LogisticFunction(Element):
+    """One logistic function of the module, with its behavior reference."""
+
     name: str
     category: str = param("material_flow", check=_enum(*FUNCTION_CATEGORIES))
     behavior_ref: str = param()  # document id of a behavior description
@@ -291,6 +301,8 @@ class LogisticFunction(Element):
 
 @dataclass(frozen=True, slots=True)
 class Route(Element):
+    """A route of material between two ports, with its priority."""
+
     from_port: str = param(MISSING)
     to_port: str = param(MISSING)
     priority: int = param(0, check=_integer)
@@ -298,12 +310,16 @@ class Route(Element):
 
 @dataclass(frozen=True, slots=True)
 class FunctionDescription(Element):
+    """The module's logistic functions and routes."""
+
     logistic_functions: tuple[LogisticFunction, ...] = ()
     routes: tuple[Route, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Port(Element):
+    """A named point where material enters or leaves the module."""
+
     name: str
     direction: str = param("in", check=_enum(*PORT_DIRECTIONS))
     position: str = param(unit="mm", check=_triple)  # "(x,y,z)"
@@ -311,6 +327,8 @@ class Port(Element):
 
 @dataclass(frozen=True, slots=True)
 class InteractionSpace(Element):
+    """A named box, by its corners, where the module meets its neighbours."""
+
     name: str
     min_corner: str = param(unit="mm", check=_triple)
     max_corner: str = param(unit="mm", check=_triple)
@@ -318,12 +336,16 @@ class InteractionSpace(Element):
 
 @dataclass(frozen=True, slots=True)
 class InterfaceDescription(Element):
+    """The module's ports and interaction spaces."""
+
     ports: tuple[Port, ...] = ()
     interaction_spaces: tuple[InteractionSpace, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class ControlFunction(Element):
+    """One control function and the document holding its code body."""
+
     name: str
     language_tag: str = param()  # IEC 61131-3 language name, free string
     body_ref: str = param()  # document id of the code body
@@ -331,6 +353,8 @@ class ControlFunction(Element):
 
 @dataclass(frozen=True, slots=True)
 class Variable(Element):
+    """One control variable of the module's program."""
+
     name: str
     data_type: str = param()
     scope: str = param()
@@ -349,12 +373,16 @@ class IoMapEntry(Element):
 
 @dataclass(frozen=True, slots=True)
 class Platform(Element):
+    """The controller and bus coupler the module's control runs on."""
+
     controller_type: str = param()
     bus_coupler_type: str = param()
 
 
 @dataclass(frozen=True, slots=True)
 class ControlDescription(Element):
+    """The module's control functions, variables, io mapping and platform."""
+
     control_functions: tuple[ControlFunction, ...] = ()
     variables: tuple[Variable, ...] = ()
     io_mapping: tuple[IoMapEntry, ...] = ()
@@ -363,6 +391,8 @@ class ControlDescription(Element):
 
 @dataclass(frozen=True, slots=True)
 class Component(Element):
+    """One sensor, actuator, conveyor or switch of the module."""
+
     name: str
     kind: str = param("sensor", check=_enum(*COMPONENT_KINDS))
     component_type: str = param()
@@ -373,6 +403,8 @@ class Component(Element):
 
 @dataclass(frozen=True, slots=True)
 class DocumentReference(Element):
+    """A document of one discipline and stage, and the element it is assigned to."""
+
     id: str
     discipline: str = param("logistics", check=_enum(*DISCIPLINES))
     stage: str = param("logistics_planning", check=_enum(*STAGES))
@@ -383,6 +415,8 @@ class DocumentReference(Element):
 
 @dataclass(frozen=True, slots=True)
 class CrossReference:
+    """A link from one element path to another, with its kind."""
+
     source: str
     target: str
     kind: str = ""
@@ -510,8 +544,11 @@ SUBTREES = tuple(spec.path[0] for spec in SCHEMA if len(spec.path) == 1 and spec
 
 
 def spec_of(node: object) -> ElementSpec:
-    """The schema record of an element node."""
-    return _BY_TYPE[type(node)]
+    """The schema record of an element or entry node; ModelError for any other value."""
+    try:
+        return _BY_TYPE[type(node)]
+    except KeyError:
+        raise ModelError(f"{type(node).__name__} is not a node of the meta model") from None
 
 
 def get(model: ModuleModel, spec: ElementSpec):
@@ -522,11 +559,12 @@ def get(model: ModuleModel, spec: ElementSpec):
     return node
 
 
-def _put(node, path: tuple[str, ...], value):
-    if not path:
-        return value
-    head = path[0]
-    return replace(node, **{head: _put(getattr(node, head), path[1:], value)})
+def _put(node, path: tuple[str, ...], value, position: int | None = None):
+    """`node` with `value` at attribute `path`, or as entry `position` of the list there."""
+    if path:
+        head = path[0]
+        return replace(node, **{head: _put(getattr(node, head), path[1:], value, position)})
+    return value if position is None else node[:position] + (value,) + node[position + 1:]
 
 
 def keyed(spec: ElementSpec, items: tuple) -> list[tuple[str, object]]:
@@ -564,7 +602,8 @@ def check_value(spec: ElementSpec, param: Param, value):
 
 def check_node(spec: ElementSpec, node, taken=()):
     """Validate an element or entry and return the node to store: its key
-    name first, its parameter values and its annotation (as with_roles and
+    name first, its parameter values, its open attribute set (each attribute
+    as add_static_attribute checks it) and its annotation (as with_roles and
     with_external_ref check theirs), then the rest of check_shape."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
@@ -574,6 +613,9 @@ def check_node(spec: ElementSpec, node, taken=()):
         stored = check_value(spec, param, value)
         if stored is not value:
             changes[param.name] = stored
+    names: set[str] = set()
+    for attr in getattr(node, spec.extra) if spec.extra else ():
+        names.add(check_attribute(spec, names, attr.name, attr.value, attr.unit).name)
     given = node.annotation
     if given.roles or given.external_refs:
         ann = check_roles(Annotation(), given.roles)
@@ -675,14 +717,28 @@ def new_module(id: str, name: str) -> ModuleModel:
 
 def set_element(model: ModuleModel, node) -> ModuleModel:
     """Replace a single element (the root, a container or a singleton) by a
-    validated `node` of the same type."""
+    validated `node` of the same type. It sets that element alone: the
+    node's child elements and entry lists, and the root's id and cross
+    references, must be the model's, since each is edited by its own builder."""
     spec = spec_of(node)
+    if spec.key:
+        raise ModelError(f"set_element sets an element, not a {spec.label} entry")
+    held = get(model, spec)
+    fixed = (*CHILDREN[spec.path], *(() if spec.path else ("id", "cross_refs")))
+    changed = [name for name in fixed if getattr(node, name) != getattr(held, name)]
+    if changed:
+        raise ModelError(f"set_element sets the {spec.label} alone; its "
+                         f"{', '.join(changed)} must be the model's")
     return _put(model, spec.path, check_node(spec, node))
 
 
 def add_entry(model: ModuleModel, entry) -> ModuleModel:
     """Append a validated entry to the list its type belongs to."""
     spec = spec_of(entry)
+    if spec is _CROSS_REFS:
+        raise ModelError("a cross reference is added with add_cross_ref, not add_entry")
+    if not spec.key:
+        raise ModelError(f"add_entry appends an entry, not the {spec.label} element")
     items = get(model, spec)
     taken = () if spec.key == "index" else map(attrgetter(spec.key), items)
     return _put(model, spec.path, items + (check_node(spec, entry, taken),))
@@ -705,9 +761,8 @@ def set_main_dimensions(model: ModuleModel, dims: str) -> ModuleModel:
 
 def add_static_attribute(model: ModuleModel, name: str, value: str, unit: str = "") -> ModuleModel:
     attrs = model.general.static_attributes
-    attribute = check_attribute(
-        spec_of(model.general), (p.name for p in attrs), name, value, unit)
-    return replace(model, general=replace(model.general, static_attributes=attrs + (attribute,)))
+    added = check_attribute(spec_of(model.general), (p.name for p in attrs), name, value, unit)
+    return _put(model, ("general", "static_attributes"), attrs + (added,))
 
 
 def _adder(node_type: type, name: str):
@@ -746,13 +801,11 @@ def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     """Swap an existing document reference (matched by id) for `doc`,
     validated as check_node validates it; the stored annotation is kept."""
     spec = spec_of(doc)
-    edit = Resolver(model)
-    index = edit.position(spec, doc.id)
+    index = Resolver(model).position(spec, doc.id)
     if index is None:
         raise ModelError(f"unknown document id {doc.id!r}")
     doc = replace(doc, annotation=model.documents[index].annotation)
-    edit.put(spec, index, check_node(spec, doc))
-    return edit.model()
+    return _put(model, spec.path, check_node(spec, doc), index)
 
 
 def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> ModuleModel:
@@ -770,7 +823,7 @@ def add_cross_ref(model: ModuleModel, source: str, target: str, kind: str) -> Mo
     fields = attrgetter("source", "target", "kind")
     if ref.source in map(attrgetter("source"), refs) and fields(ref) in map(fields, refs):
         return model
-    return replace(model, cross_refs=refs + (ref,))
+    return _put(model, _CROSS_REFS.path, refs + (ref,))
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +843,7 @@ def _annotate(model: ModuleModel, path: str, change) -> ModuleModel:
             raise ModelError(f"path does not resolve: {path!r}")
         raise ModelError(f"path does not address an element: {path!r}")
     spec, index, node = found[:3]
-    node = replace(node, annotation=change(node.annotation))
-    if index is not None:
-        items = get(model, spec)
-        node = items[:index] + (node,) + items[index + 1:]
-    return _put(model, spec.path, node)
+    return _put(model, spec.path, replace(node, annotation=change(node.annotation)), index)
 
 
 def with_roles(model: ModuleModel, path: str, *roles: str) -> ModuleModel:
@@ -919,7 +968,7 @@ def resolve(model: ModuleModel, path: str):
 
 class Resolver:
     """resolve() for a batch of paths of one model, and the working copy of
-    a bulk edit of it.
+    a batch of edits of it (a file read, a table import).
 
     The first lookup of a key in a keyed list finds it by a C-level scan of
     the list's keys, so a resolver made for one lookup does no Python-level
@@ -936,7 +985,7 @@ class Resolver:
     updates that list's index; each list is copied once, on its first
     write. Lookups see every edit, except that an element's fields holding
     its child elements and lists are not refreshed: read those by their own
-    paths. model() builds the edited model once.
+    paths. model() reassembles the model with one _put per edited part.
     """
 
     def __init__(self, model: ModuleModel):
@@ -1035,15 +1084,13 @@ class Resolver:
         return len(entries) - 1
 
     def model(self) -> ModuleModel:
-        """The model with every edit."""
-        return self._build(ROOT) if self._parts else self._model
-
-    def _build(self, spec: ElementSpec):
-        part = self.part(spec)
-        if spec.key:
-            return tuple(part)
-        children = {name: self._build(child) for name, child in CHILDREN[spec.path].items()}
-        return replace(part, **children) if children else part
+        """The model with every edit, each element stored before the parts below it."""
+        model = self._model
+        for path, spec in _BY_PATH.items():
+            part = self._parts.get(path)
+            if part is not None:
+                model = _put(model, path, tuple(part) if spec.key else part)
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -1057,15 +1104,13 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     parameter name creates a new static attribute (the table workflow may
     request attributes that do not exist yet).
     """
-    edit = Resolver(model)
-    found = edit.locate(element_path)
+    found = Resolver(model).locate(element_path)
     if _value(found) is None:
         raise ModelError(f"unknown element path {element_path!r}")
     spec, index, node = found[:3]
     if not found.is_element or not spec.surface or not (spec.params or spec.extra):
         raise ModelError(f"element {element_path!r} has no writable parameters")
-    edit.put(spec, index, write_parameter(spec, node, name, value))
-    return edit.model()
+    return _put(model, spec.path, write_parameter(spec, node, name, value), index)
 
 
 def write_parameter(spec: ElementSpec, node, name: str, value: str):

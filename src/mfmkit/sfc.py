@@ -41,6 +41,8 @@ class BindingError(SfcError):
 
 @dataclass(frozen=True, slots=True)
 class SfcVariable:
+    """One declared variable of an SFC program."""
+
     name: str
     data_type: str = ""
     kind: str = ""
@@ -48,6 +50,8 @@ class SfcVariable:
 
 @dataclass(frozen=True, slots=True)
 class SfcStep:
+    """One step of an SFC program, with the actions it sets."""
+
     name: str
     initial: bool = False
     actions: tuple[str, ...] = ()
@@ -55,6 +59,8 @@ class SfcStep:
 
 @dataclass(frozen=True, slots=True)
 class SfcTransition:
+    """A transition between two SFC steps and its condition text."""
+
     source: str
     target: str
     condition: str
@@ -62,6 +68,8 @@ class SfcTransition:
 
 @dataclass(frozen=True, slots=True)
 class SfcProgram:
+    """An SFC program: its steps, transitions and variables."""
+
     name: str
     steps: tuple[SfcStep, ...]
     transitions: tuple[SfcTransition, ...]

@@ -185,8 +185,8 @@ def test_criterion_7_cli_contract(tmp_path):
         functions = tuple(
             replace(f, annotation=mm.Annotation(roles=("DiscManufacturingEquipment",)))
             if f.name == "route" else f for f in clean_model.control.control_functions)
-        tampered_model = mm.set_element(
-            clean_model, replace(clean_model.control, control_functions=functions))
+        tampered_model = replace(
+            clean_model, control=replace(clean_model.control, control_functions=functions))
         tampered = tmp_path / "tampered.aml"
         tampered.write_bytes(caex_io.serialize(caex_io.from_model(tampered_model)))
 

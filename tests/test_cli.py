@@ -38,7 +38,7 @@ def _tampered_model() -> mm.ModuleModel:
     functions = tuple(
         replace(f, annotation=replace(f.annotation, roles=("DiscManufacturingEquipment",)))
         if f.name == "route" else f for f in m.control.control_functions)
-    return mm.set_element(m, replace(m.control, control_functions=functions))
+    return replace(m, control=replace(m.control, control_functions=functions))
 
 
 def _stripped_model() -> mm.ModuleModel:

@@ -33,6 +33,27 @@ def test_the_exponent_comes_from_the_median_of_the_per_round_size_ratios():
     assert layers.exponent([1.0], [16.0], 800, 3200) == 2.0
 
 
+def test_the_models_are_timed_at_five_sizes_with_an_exponent_between_neighbours():
+    assert layers.SIZES == (100, 400, 800, 1600, 3200)
+    # per-round ratios 4, 4, 8 (median 4^1) and 4, 4, 1 (median 2^2): a knee at 400
+    by_n = {100: [1.0, 1.0, 1.0], 400: [4.0, 4.0, 8.0], 800: [16.0, 16.0, 8.0]}
+    assert layers.step_exponents(by_n) == {"100-400": 1.0, "400-800": 2.0}
+    assert layers.step_exponents({800: [1.0]}) == {}
+
+
+def test_the_table_prints_the_largest_step_exponent_on_the_last_line_of_a_layer():
+    row = {"parent": {"median_s": 0.001}, "change": {"median_s": 0.002}, "equal": True,
+           "change/parent": {"median": 2.0, "q1": 1.5, "q3": 2.5, "wins": 0}}
+    record = {"layers": {"sized_model": {100: row, 400: row, 800: row}},
+              "exponents": {"sized_model": {"parent": 1.5, "change": 1.25}},
+              "step_exponents": {"sized_model": {
+                  "parent": {"100-400": 1.0, "400-800": 2.0},
+                  "change": {"100-400": 1.75, "400-800": 0.5}}}}
+    lines = layers.report(record).splitlines()[1:]
+    assert [line.endswith("  1.500/1.250  2.000/1.750") for line in lines] == [
+        False, False, True]
+
+
 def test_one_round_of_one_layer_on_this_checkout_as_both_sides(tmp_path, capsys):
     out = tmp_path / "BENCH.json"
     layers.main([str(TOOL.parents[1]), str(out), "1", "to_iml"])
@@ -44,8 +65,8 @@ def test_one_round_of_one_layer_on_this_checkout_as_both_sides(tmp_path, capsys)
     assert row["equal"] is True
     assert set(row["parent"]) == set(row["change"]) == {"median_s", "q1_s", "q3_s", "best_s"}
     assert row["change/parent"]["wins"] in (0, 1)
-    assert (record["exponents"], record["to_model_calls"], record["importtime_self_us"]) == (
-        {}, {}, {})
+    assert (record["exponents"], record["step_exponents"], record["to_model_calls"],
+            record["importtime_self_us"]) == ({}, {}, {}, {})
     assert "to_iml" in capsys.readouterr().out
 
 

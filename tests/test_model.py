@@ -1,6 +1,8 @@
 """Meta-model construction, resolution, and removal."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from dataclasses import replace
@@ -368,6 +370,97 @@ def test_store_copies_each_list_once_and_agrees_with_set_parameter():
     assert m == _populated()  # the given model is left as it was
     with pytest.raises(mm.ModelError, match="must be strictly positive"):
         mm.write_parameter(mm.spec_of(m.general), m.general, "main_dimensions", "(0,1,1)")
+
+
+def _batch_edits():
+    """(builder edit, the same edit on a Resolver) pairs: elements at three
+    depths, a whole list and entries, each on a part of its own."""
+    components = mm.CHILDREN[()]["components"]
+    variables = mm.CHILDREN[("control",)]["variables"]
+
+    def entry(find, path, name, value):
+        spec, index, node = find.locate(path)[:3]
+        find.put(spec, index, mm.write_parameter(spec, node, name, value))
+
+    def element(find, spec, **values):
+        find.put(spec, None, replace(find.part(spec), **values))
+
+    return [
+        (lambda m: mm.set_element(m, replace(m, name="Renamed")),
+         lambda find: element(find, mm.ROOT, name="Renamed")),
+        (lambda m: mm.set_main_dimensions(m, "(7,8,9)"),
+         lambda find: element(find, mm.CHILDREN[()]["general"], main_dimensions="(7,8,9)")),
+        (lambda m: mm.set_platform(m, "CX", "EK"),
+         lambda find: element(find, mm.CHILDREN[("control",)]["platform"],
+                              controller_type="CX", bus_coupler_type="EK")),
+        (lambda m: mm.remove_element(m, "m/components/A1"),
+         lambda find: find.put(components, None, find.part(components)[:1])),
+        (lambda m: mm.set_parameter(m, "m/control/io_mapping/1", "logical_address", "%Q1.1"),
+         lambda find: entry(find, "m/control/io_mapping/1", "logical_address", "%Q1.1")),
+        (lambda m: mm.add_variable(m, "extra", "BOOL"),
+         lambda find: find.append(variables, mm.Variable("extra", "BOOL"))),
+    ]
+
+
+def test_a_batch_in_any_order_stores_what_the_builders_store_one_by_one():
+    m = _populated()
+    edits = _batch_edits()
+    expected = m
+    for build, _batch in edits:
+        expected = build(expected)
+    for order in itertools.permutations(range(len(edits))):
+        find = mm.Resolver(m)
+        for k in order:
+            edits[k][1](find)
+        assert find.model() == expected, order
+    assert m == _populated()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: mm.set_element(m, mm.Port("p")),
+    lambda m: mm.set_element(m, mm.CrossReference("m/general", "m/status")),
+    lambda m: mm.set_element(
+        m, replace(m.control, variables=(mm.Variable("x"), mm.Variable("x")))),
+    lambda m: mm.set_element(m, replace(m.general, identification=mm.Identification("N"))),
+    lambda m: mm.set_element(m, replace(m, components=(mm.Component("c", kind="bogus"),))),
+    lambda m: mm.set_element(m, replace(m, id="")),
+    lambda m: mm.set_element(m, replace(m, cross_refs=(mm.CrossReference("m/a", "m/a"),))),
+    lambda m: mm.add_entry(m, mm.CrossReference("m/general", "m/status")),
+    lambda m: mm.add_entry(m, mm.Platform()),
+    lambda m: mm.add_entry(m, m),
+    lambda m: mm.add_entry(m, "x"),
+    lambda m: mm.set_element(m, "x"),
+], ids=["entry", "cross reference", "entry list", "child element", "root list", "root id",
+        "root cross references", "add cross reference", "add element", "add root",
+        "add str", "set str"])
+def test_a_builder_given_the_wrong_kind_of_node_raises_a_model_error(edit):
+    m = mm.new_module("m", "M")
+    with pytest.raises(mm.ModelError):
+        edit(m)
+
+
+def test_add_entry_names_add_cross_ref_and_set_element_names_the_fields_it_keeps():
+    m = mm.new_module("m", "M")
+    with pytest.raises(mm.ModelError, match="added with add_cross_ref"):
+        mm.add_entry(m, mm.CrossReference("m/general", "m/status"))
+    with pytest.raises(mm.ModelError, match="its id, cross_refs must be the model's"):
+        mm.set_element(m, replace(m, id="n", cross_refs=(mm.CrossReference("m/a", "m/b"),)))
+    assert mm.set_element(m, replace(m, name="N")) == replace(m, name="N")
+
+
+@pytest.mark.parametrize("attributes, message", [
+    ((mm.Parameter("w", "1"), mm.Parameter("w", "2")), "duplicate static attribute 'w'"),
+    ((mm.Parameter("main_dimensions", "x"),), "built-in parameter"),
+    ((mm.Parameter("a b", "1"),), "invalid attribute name"),
+    ((mm.Parameter("w", "1\r2"),), "carriage returns"),
+], ids=["duplicate", "built-in", "bad name", "carriage return"])
+def test_set_element_checks_the_open_attribute_set(attributes, message):
+    m = mm.new_module("m", "M")
+    with pytest.raises(mm.ModelError, match=message):
+        mm.set_element(m, replace(m.general, static_attributes=attributes))
+    given = (mm.Parameter("w", "1", "kg"), mm.Parameter("v", "2"))
+    set_ = mm.set_element(m, replace(m.general, static_attributes=given))
+    assert set_ == mm.add_static_attribute(mm.add_static_attribute(m, "w", "1", "kg"), "v", "2")
 
 
 def test_remove_structural_container_rejected():

@@ -27,10 +27,12 @@ OUT.json keeps, for each layer and n, each side's median, quartiles and best
 time, the change/parent ratio (median and quartiles of the per-round ratios,
 and the rounds the change won) and whether both sides' results were equal
 (by a digest of their repr); per side, the exponent k of time ~ n^k from a
-layer's smallest to its largest n, from the median of the per-round size
-ratios (1.0 is linear); with `startup`, the `-X importtime` self times of
+layer's smallest to its largest n and between each pair of neighbouring n,
+so that a knee shows, each from the median of the per-round size ratios
+(1.0 is linear); with `startup`, the `-X importtime` self times of
 the mfmkit modules (median over the rounds, in us); with `to_model`, its
-cProfile count of function calls. The ratio table is printed.
+cProfile count of function calls. The ratio table, with the largest
+neighbouring-n exponent of each layer, is printed.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
-SIZES = (800, 3200)
+SIZES = (100, 400, 800, 1600, 3200)
 COMPONENTS = 200
 BRANCHES = 12
 PASSES = (170, 425, 1070, 2690, 6760, 17000)
@@ -362,6 +364,12 @@ def exponent(small: list, large: list, n_small: int, n_large: int) -> float:
     return round(math.log(middle) / math.log(n_large / n_small), 3)
 
 
+def step_exponents(by_n: dict) -> dict:
+    """{"a-b": k} between each pair of neighbouring n of one side's per-round times by n."""
+    ns = list(by_n)
+    return {f"{a}-{b}": exponent(by_n[a], by_n[b], a, b) for a, b in zip(ns, ns[1:])}
+
+
 def measure(parent: Path, rounds: int, layers: list) -> dict:
     """Run the rounds; returns the record OUT.json holds."""
     sides = {side: subprocess.Popen(
@@ -396,7 +404,7 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
                   "repeats": REPEATS, "rounds": rounds, "python": platform.python_version(),
                   "cpus": os.cpu_count(), "machine": platform.machine(),
                   "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE")},
-        "layers": {}, "exponents": {}, "to_model_calls": calls,
+        "layers": {}, "exponents": {}, "step_exponents": {}, "to_model_calls": calls,
         "importtime_self_us": {side: {
             command: {module: statistics.median(run[command][module] for run in runs)
                       for module in sorted(runs[0][command])}
@@ -412,22 +420,28 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
             record["exponents"][layer] = {side: exponent(
                 timed[layer, ns[0], side], timed[layer, ns[-1], side], ns[0], ns[-1])
                 for side in SIDES}
+            record["step_exponents"][layer] = {side: step_exponents(
+                {n: timed[layer, n, side] for n in ns}) for side in SIDES}
     return record
 
 
 def report(record: dict) -> str:
-    """The ratio table: one line per layer and n, a layer's exponents on the line of its last n."""
+    """The ratio table: one line per layer and n; on the line of a layer's
+    last n, its exponents and its largest neighbouring-n exponents."""
     lines = ["layer, n: change/parent ratio [q1, q3], wins, parent and change ms, results, "
-             "exponent (parent/change)"]
+             "exponent (parent/change), largest step exponent (parent/change)"]
     for layer, by_n in record["layers"].items():
         k = record["exponents"].get(layer)
+        top = {side: max(steps.values())
+               for side, steps in record["step_exponents"].get(layer, {}).items()}
         for n, row in by_n.items():
             r, same = row["change/parent"], "equal" if row["equal"] else "DIFFERENT"
             lines.append(
                 f"{layer:30} {n!s:>15} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}] "
                 f"{r['wins']:>3} {row['parent']['median_s'] * 1e3:9.1f} "
                 f"{row['change']['median_s'] * 1e3:9.1f}  {same}"
-                + (f"  {k['parent']:.3f}/{k['change']:.3f}" if k and n == list(by_n)[-1] else ""))
+                + (f"  {k['parent']:.3f}/{k['change']:.3f}  {top['parent']:.3f}/"
+                   f"{top['change']:.3f}" if k and n == list(by_n)[-1] else ""))
     return "\n".join(lines)
 
 
