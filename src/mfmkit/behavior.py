@@ -397,8 +397,9 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
     value; on a miss it translates the value (each distinct one once), works
     the update out and fills the row. The rows and their entries share
     _MAX_MEMO, and up to _MAX_MEMO translations are kept; once the rows are
-    full, the rest of the updates are worked out one by one. An error is
-    never kept. None of this changes the result, only its cost.
+    full, the walk still follows the rows it has and works out each other
+    update alone, filling nothing. An error is never kept. None of this
+    changes the result, only its cost.
     """
     bits: dict[Hashable, int] = {}
     for arcs in outgoing.values():
@@ -474,7 +475,7 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
     # mask and the fields of that step, all that a following update reads.
     row = rows[live] = {}
     for update in updates:
-        if room > 0:
+        if row is not None:
             hit = row.get(update)
             if hit is not None:
                 actions, row, current, live, shared_care, shared_want, watch, rows = hit
@@ -508,6 +509,8 @@ def walk(outgoing: dict[str, list[Arc]], current: str, updates: Iterable[Hashabl
             row[update] = actions, after, current, live, shared_care, shared_want, watch, rows
             row = after
             room -= 1
+        else:  # no room for a new row or entry: follow the rows there are
+            row = rows.get(live)
     return emitted
 
 

@@ -147,7 +147,7 @@ TAGS: dict[str, Tag] = {
         ("Name",), ("DataType", "Unit"), ("Value", "Attribute"),
         lambda attrs, kids, text: _new(CaexAttribute, (
             attrs["Name"], text, attrs.get("DataType", ""), attrs.get("Unit", ""),
-            tuple(kids.get("Attribute", ())))),
+            tuple(kids["Attribute"]) if kids else ())),  # the Value is folded into `text`
         lambda attribute: (
             (attribute.name, attribute.data_type, attribute.unit),
             ((), attribute.children), attribute.value)),

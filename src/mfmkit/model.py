@@ -103,6 +103,11 @@ def _require_clean(value: str, what: str) -> None:
         raise ModelError(f"{what} must not contain the character {bad}, which XML cannot carry")
 
 
+def _require_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise ModelError(f"{what} must be of type {kind.__name__}, not {type(value).__name__}")
+
+
 def _require_name(name: str, what: str) -> None:
     if not isinstance(name, str) or not is_name(name):
         raise ModelError(f"invalid {what} name {name!r}")
@@ -602,9 +607,10 @@ def check_value(spec: ElementSpec, param: Param, value):
 
 def check_node(spec: ElementSpec, node, taken=()):
     """Validate an element or entry and return the node to store: its key
-    name first, its parameter values, its open attribute set (each attribute
-    as add_static_attribute checks it) and its annotation (as with_roles and
-    with_external_ref check theirs), then the rest of check_shape."""
+    name first, its parameter values, its open attribute set (each a
+    Parameter, checked as add_static_attribute checks it) and its annotation
+    (an Annotation whose references are ExternalRefs, checked as with_roles
+    and with_external_ref check theirs), then the rest of check_shape."""
     if spec.key in ("name", "id"):
         _require_name(getattr(node, spec.key), spec.label)
     changes = {}
@@ -615,11 +621,14 @@ def check_node(spec: ElementSpec, node, taken=()):
             changes[param.name] = stored
     names: set[str] = set()
     for attr in getattr(node, spec.extra) if spec.extra else ():
+        _require_type(attr, Parameter, "attribute")
         names.add(check_attribute(spec, names, attr.name, attr.value, attr.unit).name)
     given = node.annotation
+    _require_type(given, Annotation, "annotation")
     if given.roles or given.external_refs:
         ann = check_roles(Annotation(), given.roles)
         for ref in given.external_refs:
+            _require_type(ref, ExternalRef, "external reference")
             ann = check_external_ref(ann, spec.label, ref)
         changes["annotation"] = ann
     if changes:
@@ -800,6 +809,7 @@ def set_platform(model: ModuleModel, controller_type: str, bus_coupler_type: str
 def replace_document(model: ModuleModel, doc: DocumentReference) -> ModuleModel:
     """Swap an existing document reference (matched by id) for `doc`,
     validated as check_node validates it; the stored annotation is kept."""
+    _require_type(doc, DocumentReference, "document")
     spec = spec_of(doc)
     index = Resolver(model).position(spec, doc.id)
     if index is None:
@@ -853,6 +863,7 @@ def with_roles(model: ModuleModel, path: str, *roles: str) -> ModuleModel:
 
 def with_external_ref(model: ModuleModel, path: str, ref: ExternalRef) -> ModuleModel:
     """Attach an external document reference to the element at `path`."""
+    _require_type(ref, ExternalRef, "external reference")
     return _annotate(model, path, lambda ann: check_external_ref(ann, path, ref))
 
 

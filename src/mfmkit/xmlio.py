@@ -13,16 +13,17 @@ value back into attributes, children and text. parse_tree reads a document
 against such a table and serialize_tree writes one; neither knows a format.
 A text element that only carries its parent's value (CAEX `Value`) is
 declared folded: it is checked as an element and may occur once in its
-parent, and its text is its parent's.
+parent, and its text is its parent's; the reader keeps no record for it.
 
-Reading is one strict pass of expat over the bytes. The byte-level rules
-exist only here: UTF-8 or ASCII encoding, no DOCTYPE declarations or
-processing instructions, nesting at most MAX_DEPTH deep, non-whitespace
-text only inside text elements, no text element mixing text with child
-elements, and expat's own errors. The structural rules come from the
-table: the root tag, each element's tag within its parent, its attribute
-names, at most one folded child, unique keys, and whatever a `build`
-raises. Every error is an XmlError with the source line and column. The
+The byte-level rules exist only here: UTF-8 or ASCII encoding, no DOCTYPE
+declarations or processing instructions, nesting at most MAX_DEPTH deep,
+non-whitespace text only inside text elements, no text element mixing text
+with child elements, and expat's own errors. The structural rules come
+from the table: the root tag, each element's tag within its parent, its
+attribute names, at most one folded child, unique keys, and whatever a
+`build` raises. Every error is an XmlError with the source line and column:
+reading is one pass of expat that reads a position only for an error it
+meets where it stands, and any other error is placed by a second pass. The
 writer escapes only an attribute value that holds `&`, `<`, `>`, `"`, a tab,
 line feed or carriage return, and only text that holds `&`, `<`, `>` or a
 carriage return.
@@ -74,10 +75,11 @@ class Tag:
     `key`, the keys of an element's values must differ among its siblings
     of the same tag, checked at the end of the second one.
 
-    A `folded` text element (never the root) has no build or split: its
-    text is its parent's `text` for `build` and from `split`, which gives
-    the folded child an empty sequence; an empty text is not written. It
-    occurs at most once in its parent, checked at the start of the second.
+    A `folded` text element (never the root) has no attributes, build or
+    split: its text is its parent's `text` for `build` and from `split`,
+    which gives the folded child an empty sequence; an empty text is not
+    written. It occurs at most once in its parent, checked at the start of
+    the second.
     """
 
     required: tuple[str, ...]
@@ -94,6 +96,8 @@ class Tag:
     child_tags: frozenset[str] = field(init=False)
 
     def __post_init__(self):
+        if self.folded and (self.required or self.optional):
+            raise ValueError("a folded element takes no attributes")
         object.__setattr__(self, "attrs", self.required + self.optional)
         object.__setattr__(self, "allowed", frozenset(self.attrs))
         object.__setattr__(self, "needed", frozenset(self.required))
@@ -105,160 +109,181 @@ class Tag:
 # ---------------------------------------------------------------------------
 
 class _Unplaced(Exception):
-    """A text or expat error seen by the buffered pass, which cannot place it."""
+    """What the fast pass does not read: the placing pass reads the document."""
 
 
 class _Reader:
-    """One strict pass of expat over a document, building its value.
+    """Strict passes of expat over a document, building its value.
 
-    Each open element is a record [tag, Tag (None if unknown), attrs, line,
-    column, child values by tag, keys of the children, text parts (None
-    unless a text element), has children, folded child's text]. The start
-    of an element checks it against its parent and its attributes (`_error`
-    names a failure); the end builds its value, or takes a folded element's
-    text, for the parent. The first structural error stops the building but
-    not the pass: it is raised only after the whole input has passed the
-    byte-level rules, so a byte-level error anywhere wins over a structural
-    error before it.
+    Each open element is a record [tag, Tag (None if unknown), attrs, child
+    values by tag, keys of the children, text parts (None unless a text
+    element), has children, folded child's text, start position] on a stack
+    whose bottom record takes the root as its one child. A text element's
+    character data goes straight to the C-level `append` of its parts. The
+    start of an element checks it against its parent and its attributes;
+    the end builds its value, or takes a folded element's text, for the
+    parent. The first structural error stops the building but not the pass,
+    so a byte-level error anywhere wins over a structural error before it.
 
-    Character data is buffered: a run of text between two tags costs one
-    callback. Expat delivers a run only when the markup after it arrives and
-    drops a pending run when it fails, so a buffered pass can neither place
-    a text error nor tell whether one precedes an expat error. When it meets
-    either, parse_tree runs the byte-level rules again without buffering
-    (and without building), which reports the first error at its exact
-    position.
+    The fast pass buffers character data (one callback per run of text
+    between two tags) and keeps the distinct runs outside text elements in
+    a set, checked for stray text at its end and before any error it
+    places. A folded element gets no record: its start checks it against
+    the parent record, its end hands the parent the joined text. The pass
+    places only an error it meets where expat stands (at an element's
+    start, a DOCTYPE, a processing instruction, too deep a nesting); on any
+    other, or a child of a text element, it gives up with _Unplaced and the
+    placing pass scans again with the same reader, unbuffered, recording
+    each element's start and checking each run of text where it stands.
     """
 
     def __init__(self, root: str, tags: dict[str, Tag]):
         self.root = root
         self.tags = tags
-        self.value = None
-        self.failure: XmlError | None = None
+        self.value = self.failure = None
 
-    def scan(self, data: bytes, buffered: bool) -> None:
-        self._stack: list[list] = []
-        self._text: list[str] | None = None   # parts of the innermost text element
-        self._building = buffered
-        self._buffered = buffered
-        self._parser = parser = expat.ParserCreate()
-        parser.buffer_text = buffered
-        parser.StartElementHandler = self._start
-        parser.EndElementHandler = self._end
-        parser.CharacterDataHandler = self._chars
-        parser.StartDoctypeDeclHandler = self._doctype
-        parser.ProcessingInstructionHandler = self._pi
+    def scan(self, data: bytes, placing: bool) -> None:
+        root, tags, spec_of = self.root, self.tags, self.tags.get
+        stack = [[None, Tag((), (), (root,), None, None), {}, {}, None, None, False, None, ()]]
+        texts = {tag for tag, spec in tags.items() if spec.text}
+        folded = {tag for tag in texts if tags[tag].folded}
+        parser = expat.ParserCreate()
+        parser.buffer_text = not placing
+        building = True
+        text = loose = None  # the parts of the innermost text element, and of a folded one
+        runs = set()  # the fast pass's distinct runs of text outside text elements
+        self.failure = None
+
+        def stray():
+            return not placing and any(run.strip() for run in runs)
+
+        def here():
+            return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+
+        def refuse(message):  # a byte-level error where expat stands
+            if stray():  # stray text before it comes first
+                raise _Unplaced
+            raise XmlError(message, *here())
+
+        def fail(error):  # the first structural error; unplaced, the fast pass gives up
+            nonlocal building
+            if error.line is None and not placing:
+                raise _Unplaced
+            self.failure = error
+            building = False
+
+        def chars(data):
+            if data.strip():
+                refuse(f"unexpected text inside <{stack[-1][0]}>")
+        other = chars if placing else runs.add  # the handler outside text elements
+
+        def start(tag, attrs):
+            nonlocal text, loose
+            if text is not None:  # a child of a text element
+                if not placing:
+                    raise _Unplaced
+                stack[-1][6] = True
+                text = None
+                parser.CharacterDataHandler = other
+            if len(stack) > MAX_DEPTH:
+                refuse(f"elements nested deeper than {MAX_DEPTH} levels")
+            parent = stack[-1]
+            if tag in folded:
+                if building and (attrs or parent[7] is not None
+                                 or tag not in parent[1].child_tags):
+                    fail(XmlError(self._error(tag, tags[tag], attrs, parent), *here()))
+                if not placing:
+                    text = loose = []
+                    parser.CharacterDataHandler = loose.append
+                    return
+                spec = tags[tag]
+            else:
+                spec = spec_of(tag)
+                keys = attrs.keys()
+                if building and not (tag in parent[1].child_tags
+                                     and keys <= spec.allowed and keys >= spec.needed):
+                    fail(XmlError(self._error(tag, spec, attrs, parent), *here()))
+            record = [tag, spec, attrs, {}, None, None, False, None, here() if placing else ()]
+            if tag in texts:
+                text = record[5] = []
+                parser.CharacterDataHandler = text.append
+            stack.append(record)
+
+        def end(tag):
+            nonlocal text, loose
+            if loose is not None:  # a folded element, which has no record
+                value = "".join(loose)
+                text = loose = None
+                parser.CharacterDataHandler = other
+                if building:
+                    stack[-1][7] = value
+                return
+            tag, spec, attrs, kids, _keys, parts, mixed, value, where = stack.pop()
+            parent = stack[-1]
+            if parts is None and not placing:
+                value = value or ""
+            else:  # a text element, or any element of the placing pass
+                if parts and mixed:  # which only the placing pass sees
+                    raise XmlError(f"element <{tag}> mixes text and child elements", *where)
+                value = (value or "") if parts is None else "".join(parts)
+                text = parent[5]
+                parser.CharacterDataHandler = other if text is None else text.append
+                if building and spec.folded:  # which only the placing pass keeps a record of
+                    parent[7] = value
+                    return
+            if not building:
+                return
+            try:
+                value = spec.build(attrs, kids, value)
+            except XmlError as error:
+                return fail(error if error.line is not None else XmlError(error.args[0], *where))
+            if spec.key is not None:
+                key, keys = (tag, spec.key(value)), parent[4] or set()
+                if key in keys:
+                    return fail(XmlError(f"duplicate {tag} name {key[1]!r}", *where))
+                keys.add(key)
+                parent[4] = keys
+            parent[3].setdefault(tag, []).append(value)
+
+        parser.StartElementHandler, parser.EndElementHandler = start, end
+        parser.CharacterDataHandler = other
+        parser.StartDoctypeDeclHandler = lambda *args: refuse(
+            "DOCTYPE declarations are not supported")
+        parser.ProcessingInstructionHandler = lambda target, data: refuse(
+            f"processing instruction <?{target}?> is not supported")
         parser.XmlDeclHandler = self._decl
         try:
             parser.Parse(data, True)
+            if stray():
+                raise _Unplaced
         except expat.ExpatError as exc:
-            if buffered:
+            if not placing:
                 raise _Unplaced from None
             raise XmlError(expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from None
-        finally:  # its handlers hold this reader, and with it the value
-            self._parser = None
+        finally:  # the handlers hold the parser, and through it this reader
+            parser = None
+        if building:
+            self.value = stack[0][3][root][0]
 
-    def _fail(self, error: XmlError) -> None:
-        self.failure = error
-        self._building = False
-
-    def _pos(self) -> tuple[int, int]:
-        return self._parser.CurrentLineNumber, self._parser.CurrentColumnNumber + 1
-
-    def _decl(self, version, encoding, standalone):
+    @staticmethod
+    def _decl(version, encoding, standalone):
         if encoding is not None and encoding.lower() not in ("utf-8", "us-ascii"):
             raise XmlError(f"unsupported encoding {encoding!r}; files must be UTF-8", 1, 1)
 
-    def _doctype(self, *args):
-        raise XmlError("DOCTYPE declarations are not supported", *self._pos())
-
-    def _pi(self, target, data):
-        raise XmlError(f"processing instruction <?{target}?> is not supported", *self._pos())
-
-    def _start(self, tag, attrs):
-        parser = self._parser
-        line = parser.CurrentLineNumber
-        column = parser.CurrentColumnNumber + 1
-        stack = self._stack
-        if len(stack) == MAX_DEPTH:
-            raise XmlError(f"elements nested deeper than {MAX_DEPTH} levels", line, column)
-        if self._text is not None:
-            stack[-1][8] = True
-        spec = self.tags.get(tag)
-        self._text = [] if spec is not None and spec.text else None
-        if self._building:
-            if stack:
-                parent = stack[-1]
-                known = tag in parent[1].child_tags and (not spec.folded or parent[9] is None)
-            else:
-                known = tag == self.root
-            keys = attrs.keys()
-            if not (known and keys <= spec.allowed and keys >= spec.needed):
-                self._fail(self._error(tag, spec, attrs, line, column, known))
-        stack.append([tag, spec, attrs, line, column, {}, None, self._text, False, None])
-
-    def _error(self, tag, spec, attrs, line, column, known) -> XmlError:
-        """The error `_start` found; `known`: the tag may stand where it is."""
-        if not known:
-            if not self._stack:
-                return XmlError(f"unsupported root element <{tag}>", line, column)
-            record = self._stack[-1]
-            if tag not in record[1].child_tags:
-                return XmlError(f"unsupported element <{tag}> in {record[0]}", line, column)
-            return XmlError(f"multiple <{tag}> children", line, column)
+    @staticmethod
+    def _error(tag, spec, attrs, parent) -> str:
+        """The error a start found in an element below the record `parent`."""
+        if tag not in parent[1].child_tags:
+            if parent[0] is None:
+                return f"unsupported root element <{tag}>"
+            return f"unsupported element <{tag}> in {parent[0]}"
+        if spec.folded and parent[7] is not None:
+            return f"multiple <{tag}> children"
         for key in attrs:
             if key not in spec.allowed:
-                return XmlError(f"unsupported attribute {key!r} on <{tag}>", line, column)
+                return f"unsupported attribute {key!r} on <{tag}>"
         key = next(key for key in spec.required if key not in attrs)
-        return XmlError(f"missing attribute {key!r} on <{tag}>", line, column)
-
-    def _end(self, tag):
-        stack = self._stack
-        tag, spec, attrs, line, column, kids, _keys, parts, mixed, folded = stack.pop()
-        if parts is None:
-            text = folded or ""
-        else:
-            if parts and mixed:
-                raise XmlError(f"element <{tag}> mixes text and child elements", line, column)
-            text = "".join(parts)
-        parent = stack[-1] if stack else None
-        self._text = parent[7] if parent is not None else None
-        if not self._building:
-            return
-        if spec.folded:
-            parent[9] = text
-            return
-        try:
-            value = spec.build(attrs, kids, text)
-            if parent is None:
-                self.value = value
-                return
-            if spec.key is not None:
-                key = (tag, spec.key(value))
-                keys = parent[6]
-                if keys is None:
-                    keys = parent[6] = set()
-                if key in keys:
-                    raise XmlError(f"duplicate {tag} name {key[1]!r}", line, column)
-                keys.add(key)
-        except XmlError as error:
-            if error.line is None:
-                error = XmlError(error.args[0], line, column)
-            self._fail(error)
-            return
-        siblings = parent[5]
-        if tag in siblings:
-            siblings[tag].append(value)
-        else:
-            siblings[tag] = [value]
-
-    def _chars(self, data):
-        if self._text is not None:
-            self._text.append(data)
-        elif self._stack and data.strip():
-            if self._buffered:
-                raise _Unplaced
-            raise XmlError(f"unexpected text inside <{self._stack[-1][0]}>", *self._pos())
+        return f"missing attribute {key!r} on <{tag}>"
 
 
 def every(kids: dict, tag: str) -> tuple:
@@ -274,10 +299,9 @@ def parse_tree(data: bytes, root: str, tags: dict[str, Tag]):
         raise TypeError("expected bytes")
     reader = _Reader(root, tags)
     try:
-        reader.scan(data, buffered=True)
+        reader.scan(data, placing=False)
     except _Unplaced:
-        _Reader(root, tags).scan(data, buffered=False)
-        raise AssertionError("the unbuffered pass found no error") from None
+        reader.scan(data, placing=True)
     if reader.failure is not None:
         raise reader.failure
     return reader.value

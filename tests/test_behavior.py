@@ -1,6 +1,7 @@
 """Behavior graph parsing, IML conversion, and token simulation."""
 from __future__ import annotations
 
+import random
 from importlib import resources
 from unittest import mock
 
@@ -439,6 +440,23 @@ def test_walk_agrees_with_the_reference_walk(case):
         for memo in (0, 2, bh._MAX_MEMO):
             with mock.patch.object(bh, "_MAX_MEMO", memo):
                 assert _walk_outcome(outgoing, writes, updates) == expected, memo
+
+
+def test_walk_agrees_with_the_reference_walk_after_its_memo_fills():
+    # A loop q0 -> q1 -> q2 -> q0 driven by x and y, plus updates of keys
+    # that no arc reads: the walk revisits its states long after a small
+    # memo is full, so it keeps following the rows it filled before.
+    outgoing = {"q0": [("q1", frozenset({"x"}), frozenset({"y"}))],
+                "q1": [("q2", frozenset({"y"}), frozenset())],
+                "q2": [("q0", frozenset(), frozenset({"x", "y"}))]}
+    writes = {"q0": [], "q1": [("z", True)], "q2": [("z", False)]}
+    rng = random.Random(7)
+    updates = [(rng.choice(("x", "y", "u0", "u1")), rng.random() < 0.5) for _ in range(600)]
+    expected = _reference_outcome(outgoing, writes, updates)
+    assert expected[0] == "emitted" and len(expected[1]) > 50
+    for memo in (1, 2, 3, 5, 8, 13, 40):
+        with mock.patch.object(bh, "_MAX_MEMO", memo):
+            assert _walk_outcome(outgoing, writes, updates) == expected, memo
 
 
 def test_simulate_nonterminating_loop_is_an_error():

@@ -184,6 +184,10 @@ def _attribute_file(body: bytes) -> bytes:
     (b'<Attribute Name="b"><Value>x</Value></Attribute><Value>y</Value>', "y",
      (CaexAttribute("b", "x"),)),
     (b"<Value>a&#13;b</Value>", "a\rb", ()),
+    (b"<Value>a<!-- c -->b</Value>", "ab", ()),
+    (b"<Value><![CDATA[<x> & y]]></Value>", "<x> & y", ()),
+    (b"<Value> \n\t </Value>", " \n\t ", ()),
+    ("<Value>\u00e9\u4e2d\U0001f600</Value>".encode(), "\u00e9\u4e2d\U0001f600", ()),
 ])
 def test_a_value_is_read_as_the_text_of_its_attribute(body, value, children):
     attribute = caex_io.parse(_attribute_file(body)).instance_hierarchies[0].elements[0] \

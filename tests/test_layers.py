@@ -70,6 +70,22 @@ def test_one_round_of_one_layer_on_this_checkout_as_both_sides(tmp_path, capsys)
     assert "to_iml" in capsys.readouterr().out
 
 
+def test_the_contract_checks_count_a_file_that_does_not_read_back_unchanged():
+    import mfmkit
+    data = mfmkit.caex_io.serialize(mfmkit.caex_io.from_model(mfmkit.fixture.tjunction_model()))
+    assert layers.contract(mfmkit, data) == {
+        "bytes read": len(data), "bytes written": len(data),
+        "checks": {"round trip": True, "double write": True}, "failed": 0}
+    spaced = data.replace(b"<CAEXFile>", b"<CAEXFile >")
+    assert layers.contract(mfmkit, spaced)["checks"] == {"round trip": False, "double write": True}
+    assert layers.contract(mfmkit, spaced)["failed"] == 1
+    record = {"contract": {"seed": 1, "n": 3200, "parent": layers.contract(mfmkit, data),
+                           "change": layers.contract(mfmkit, spaced)}, "layers": {}}
+    assert layers.report(record).splitlines()[-1] == (
+        f"contract, seed 1, n 3200, change: {len(spaced)} bytes read, {len(data)} written; "
+        "round trip FAILED, double write ok")
+
+
 def test_the_gate_command_layers_run_the_cli_on_the_written_model_files(monkeypatch):
     import mfmkit
     monkeypatch.syspath_prepend(str(TOOL.parents[1] / "bench"))

@@ -439,6 +439,25 @@ def test_a_builder_given_the_wrong_kind_of_node_raises_a_model_error(edit):
         edit(m)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: mm.replace_document(m, mm.Component("x")),
+     "document must be of type DocumentReference, not Component"),
+    (lambda m: mm.with_external_ref(m, "m/general", "x"),
+     "external reference must be of type ExternalRef, not str"),
+    (lambda m: mm.set_element(m, replace(m.general, static_attributes=("x",))),
+     "attribute must be of type Parameter, not str"),
+    (lambda m: mm.add_component(m, mm.Component("y", annotation="r")),
+     "annotation must be of type Annotation, not str"),
+    (lambda m: mm.add_component(m, mm.Component("y", annotation=mm.Annotation(
+        external_refs=("r",)))), "external reference must be of type ExternalRef, not str"),
+], ids=["replaced document", "external reference", "open attribute", "annotation",
+        "annotated reference"])
+def test_a_node_field_of_the_wrong_type_raises_a_model_error(edit, message):
+    m = mm.add_component(mm.new_module("m", "M"), mm.Component("x"))
+    with pytest.raises(mm.ModelError, match=message):
+        edit(m)
+
+
 def test_add_entry_names_add_cross_ref_and_set_element_names_the_fields_it_keeps():
     m = mm.new_module("m", "M")
     with pytest.raises(mm.ModelError, match="added with add_cross_ref"):

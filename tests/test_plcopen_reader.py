@@ -178,6 +178,27 @@ def test_malformed_input_gets_its_message_and_position(case):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+#: 150 valid steps, 450 lines, before the first step: the reader places an
+#: error first seen at an element's end by reading the file a second time.
+STEPS = b"".join(b'        <step name="s%d">\n          <action>x := %d</action>\n'
+                 b"        </step>\n" % (i, i) for i in range(150))
+
+
+@pytest.mark.parametrize("tail, message, line, column", [
+    (b"", "bad initial flag 'yes'", 459, 9),
+    (b"      x\n", "unexpected text inside <sfc>", 464, 1),
+    (b"      <?pi?>\n", "processing instruction <?pi?> is not supported", 464, 7),
+], ids=["build error", "then text", "then processing instruction"])
+def test_a_build_error_after_many_elements_keeps_its_position_and_precedence(
+        tail, message, line, column):
+    data = _sub(b'        <step name="a" initial="true"/>\n',
+                STEPS + b'        <step name="a" initial="yes"/>\n')
+    data = data.replace(b"      </sfc>", tail + b"      </sfc>")
+    with pytest.raises(XmlError) as err:
+        sfc.parse_plcopen(data)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
 def test_the_first_error_met_is_reported():
     # an element's tag and attributes are met at its start, its value (here
     # the initial flag and the single interface) at its end

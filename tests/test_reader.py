@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from mfmkit import caex_io
-from mfmkit.xmlio import MAX_DEPTH, XmlError, parse_tree
+from mfmkit.xmlio import MAX_DEPTH, Tag, XmlError, parse_tree
 
 DECL = b'<?xml version="1.0" encoding="utf-8"?>\n'
 
@@ -249,3 +249,48 @@ def test_a_structural_error_stops_building_but_not_the_byte_level_checks():
         caex_io.parse(data)
     with pytest.raises(XmlError, match=r"unsupported element <X> in RoleRequirements \(line 5,"):
         caex_io.parse(data.replace(b"loose", b""))
+
+
+#: 200 valid elements, 600 lines, before a defect: the reader places an
+#: error first seen at an element's end by reading the file a second time.
+PADDING = b"".join(b'    <InternalElement Name="p%d">\n      <Attribute Name="a" DataType="s">'
+                   b"<Value>%d</Value></Attribute>\n    </InternalElement>\n" % (i, i)
+                   for i in range(200))
+DUPLICATE = b'    <InternalElement Name="a"/>\n    <InternalElement Name="a"/>\n'
+MIXED = (b'    <InternalElement Name="m">\n'
+         b'      <Attribute Name="p"><Value>1<b/></Value></Attribute>\n    </InternalElement>\n')
+STRAY = b'    <InternalElement Name="z">stray</InternalElement>\n'
+
+AT_AN_END = {
+    "duplicate": (_doc(PADDING + DUPLICATE), "duplicate InternalElement name 'a'", 605, 5),
+    "mixed": (_doc(PADDING + MIXED), "element <Value> mixes text and child elements", 605, 27),
+    "duplicate-then-text": (
+        _doc(PADDING + DUPLICATE + STRAY), "unexpected text inside <InternalElement>", 606, 31),
+    "mixed-then-text": (
+        _doc(PADDING + MIXED + STRAY), "element <Value> mixes text and child elements", 605, 27),
+    "duplicate-then-truncation": (
+        _doc(PADDING + DUPLICATE)[:-30], "unclosed token", 606, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AT_AN_END))
+def test_an_error_seen_at_an_element_end_keeps_its_position_and_precedence(case):
+    data, message, line, column = AT_AN_END[case]
+    with pytest.raises(XmlError) as err:
+        caex_io.parse(data)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert caex_io.parse(_doc(PADDING)).instance_hierarchies[0].elements[199].name == "p199"
+
+
+def test_a_text_element_with_a_child_is_read_as_the_format_allows():
+    # no format in mfmkit declares one; the reader gives it to its placing pass
+    tags = {"r": Tag((), (), ("t",), lambda attrs, kids, text: kids["t"], None),
+            "t": Tag((), (), ("x",), lambda attrs, kids, text: (text, len(kids.get("x", ()))),
+                     None, text=True),
+            "x": Tag((), (), (), lambda attrs, kids, text: "x", None)}
+    assert parse_tree(b"<r><t>ab</t><t><x/></t></r>", "r", tags) == [("ab", 0), ("", 1)]
+    with pytest.raises(XmlError, match=r"element <t> mixes text and child elements \(line 1, "
+                                       r"column 4\)"):
+        parse_tree(b"<r><t>ab<x/></t></r>", "r", tags)
+    with pytest.raises(ValueError, match="a folded element takes no attributes"):
+        Tag((), ("a",), (), None, None, text=True, folded=True)

@@ -250,3 +250,37 @@ def test_a_walk_through_new_states_keeps_its_memory_within_the_memo_cap():
     # Without the cap, the memo would hold every state.
     with mock.patch.object(behavior, "_MAX_MEMO", 10**6):
         assert _walk_peak(50_000) > full * 4
+
+
+def _gray_toggles(keys: list) -> list:
+    """Updates that walk the keys (all off) through every other on/off
+    combination in Gray code order, one key each, and back in reverse."""
+    forward = []
+    for i in range(1, 2 ** len(keys)):
+        bit = (i & -i).bit_length() - 1
+        forward.append((keys[bit], bool((i ^ i >> 1) >> bit & 1)))
+    return forward + [(key, not level) for key, level in reversed(forward)]
+
+
+def test_a_walk_follows_the_rows_it_has_once_the_memo_is_full():
+    # The same arcs as _walk_peak's: every update of x0-x7 is tested, none enables an arc.
+    keys = [f"x{i}" for i in range(8)]
+    outgoing = {"idle": [("a", frozenset(keys + ["g0"]), frozenset()),
+                         ("b", frozenset(["g1"]), frozenset(keys))],
+                "a": [], "b": []}
+    toggles = [("x0", True), ("x0", False)]
+    tail = toggles * 2_000
+
+    def lines(trace):
+        def run():
+            assert behavior.walk(outgoing, "idle", trace, lambda step: ((), (), ())) == []
+        return _line_events(run)
+
+    # Two rows with the toggles' entries, then far more new states than the
+    # memo has room for, then back to the first row: the tail is served from
+    # rows as if it came alone.
+    with mock.patch.object(behavior, "_MAX_MEMO", 64):
+        prefix = toggles + _gray_toggles(keys[1:])
+        after_prefix = lines(prefix + tail) - lines(prefix)
+        alone = lines(toggles + tail) - lines(toggles)
+    assert after_prefix <= alone * 1.05, (after_prefix, alone)

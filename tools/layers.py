@@ -31,8 +31,12 @@ layer's smallest to its largest n and between each pair of neighbouring n,
 so that a knee shows, each from the median of the per-round size ratios
 (1.0 is linear); with `startup`, the `-X importtime` self times of
 the mfmkit modules (median over the rounds, in us); with `to_model`, its
-cProfile count of function calls. The ratio table, with the largest
-neighbouring-n exponent of each layer, is printed.
+cProfile count of function calls; with `parse`, each side's contract checks
+on the seed 1 model of the largest n: the file reads and writes back to the
+same bytes, and reading it into a model and writing that model out, done
+twice, gives the same bytes both times. The ratio table, with the largest
+neighbouring-n exponent of each layer, and the contract checks are printed;
+the exit status is 1 when a contract check fails on either side.
 """
 from __future__ import annotations
 
@@ -291,10 +295,24 @@ LAYERS = {
 }
 
 
+def contract(m, data: bytes) -> dict:
+    """The contract checks on one model file, with their sizes: it reads and
+    writes back to the same bytes, and writing the model read from it gives
+    the same bytes twice."""
+    caex = m.caex_io
+    written = [caex.serialize(caex.from_model(caex.to_model(caex.parse(data))[0]))
+               for _ in range(2)]
+    checks = {"round trip": caex.serialize(caex.parse(data)) == data,
+              "double write": written[0] == written[1]}
+    return {"bytes read": len(data), "bytes written": len(written[0]), "checks": checks,
+            "failed": sum(not ok for ok in checks.values())}
+
+
 def worker(src: str) -> None:
     """Serve requests on stdin, one JSON line each: ["sizes", layer] for the
     layer's n, [layer, n] for a timing and the digest of its result,
-    ["importtime"] and ["calls", n] for the records beside the timings."""
+    ["importtime"], ["calls", n] and ["contract"] for the records beside the
+    timings."""
     sys.path[:0] = [src, str(ROOT / "bench"), str(ROOT / "tests")]
     import mfmkit as m
     built = functools.cache(lambda build: build(m))  # each input set, built on first use
@@ -312,6 +330,8 @@ def worker(src: str) -> None:
                     own, _cumulative, module = row.removeprefix("import time:").split("|")
                     if module.strip().startswith("mfmkit") and own.strip().isdigit():
                         answer[name][module.strip()] = int(own)
+        elif kind == "contract":
+            answer = contract(m, built(_models)[SIZES[-1]]["data"])
         elif kind == "calls":
             profile = cProfile.Profile()
             profile.runcall(m.caex_io.to_model, built(_models)[args[0]]["doc"])
@@ -394,6 +414,8 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
             print(f"round {number + 1} of {rounds} done", file=sys.stderr, flush=True)
         calls = {side: {n: _ask(sides[side], ["calls", n]) for n in SIZES}
                  for side in SIDES} if "to_model" in layers else {}
+        checked = {side: _ask(sides[side], ["contract"])
+                   for side in SIDES} if "parse" in layers else {}
     finally:
         for process in sides.values():
             process.stdin.close()
@@ -405,6 +427,7 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
                   "cpus": os.cpu_count(), "machine": platform.machine(),
                   "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "layers": {}, "exponents": {}, "step_exponents": {}, "to_model_calls": calls,
+        "contract": {"seed": SEED, "n": SIZES[-1], **checked} if checked else {},
         "importtime_self_us": {side: {
             command: {module: statistics.median(run[command][module] for run in runs)
                       for module in sorted(runs[0][command])}
@@ -442,6 +465,13 @@ def report(record: dict) -> str:
                 f"{row['change']['median_s'] * 1e3:9.1f}  {same}"
                 + (f"  {k['parent']:.3f}/{k['change']:.3f}  {top['parent']:.3f}/"
                    f"{top['change']:.3f}" if k and n == list(by_n)[-1] else ""))
+    for side in SIDES if record.get("contract") else ():
+        checked = record["contract"][side]
+        lines.append(f"contract, seed {record['contract']['seed']}, n {record['contract']['n']}, "
+                     f"{side}: {checked['bytes read']} bytes read, {checked['bytes written']} "
+                     f"written; " + ", ".join(
+                         f"{name} {'ok' if ok else 'FAILED'}"
+                         for name, ok in checked["checks"].items()))
     return "\n".join(lines)
 
 
@@ -462,6 +492,8 @@ def main(argv: list) -> None:
     record = measure(parent, rounds, layers)
     Path(argv[1]).write_text(json.dumps(record, indent=2) + "\n", "utf-8")
     print(report(record))
+    if any(record["contract"][side]["failed"] for side in SIDES if record["contract"]):
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
