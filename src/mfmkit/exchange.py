@@ -273,10 +273,12 @@ def import_table(
 ) -> tuple[mm.ModuleModel, list[Violation]]:
     """Merge a completed table; returns the updated model plus row violations.
 
-    Structural problems (encoding, header, column count, unbalanced quotes)
-    raise ExchangeError and apply nothing. A row that cannot be applied is
-    skipped whole with exactly one violation; empty value cells are requests
-    and are never written. Importing the same table twice is a no-op the
+    Structural problems raise ExchangeError and apply nothing: a table that
+    is not UTF-8, a wrong header, a row with the wrong column count (which
+    is what an unbalanced quote gives), a lone carriage return in an
+    unquoted cell, or a cell over the csv module's limit of 131 072
+    characters. A row that cannot be applied is skipped whole with exactly
+    one violation; empty value cells are requests and are never written. Importing the same table twice is a no-op the
     second time. The rows edit one working copy of the model (a
     mm.Resolver), which finds their elements and checks new keys through
     its index, copies each list the rows write to once, and builds the

@@ -22,11 +22,11 @@ with child elements, and expat's own errors. The structural rules come
 from the table: the root tag, each element's tag within its parent, its
 attribute names, at most one folded child, unique keys, and whatever a
 `build` raises. Every error is an XmlError with the source line and column:
-reading is one pass of expat that reads a position only for an error it
-meets where it stands, and any other error is placed by a second pass. The
-writer escapes only an attribute value that holds `&`, `<`, `>`, `"`, a tab,
-line feed or carriage return, and only text that holds `&`, `<`, `>` or a
-carriage return.
+a fast pass of expat builds the value or gives up, and a placing pass then
+reads the document again and reports the first error with its line and
+column. The writer escapes only an attribute value that holds `&`, `<`,
+`>`, `"`, a tab, line feed or carriage return, and only text that holds
+`&`, `<`, `>` or a carriage return.
 """
 from __future__ import annotations
 
@@ -109,11 +109,11 @@ class Tag:
 # ---------------------------------------------------------------------------
 
 class _Unplaced(Exception):
-    """What the fast pass does not read: the placing pass reads the document."""
+    """The fast pass gives up: the placing pass reads the document and reports."""
 
 
-class _Reader:
-    """Strict passes of expat over a document, building its value.
+def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
+    """The value of a document read in one strict pass of expat against `tags`.
 
     Each open element is a record [tag, Tag (None if unknown), attrs, child
     values by tag, keys of the children, text parts (None unless a text
@@ -122,168 +122,157 @@ class _Reader:
     character data goes straight to the C-level `append` of its parts. The
     start of an element checks it against its parent and its attributes;
     the end builds its value, or takes a folded element's text, for the
-    parent. The first structural error stops the building but not the pass,
-    so a byte-level error anywhere wins over a structural error before it.
+    parent.
 
-    The fast pass buffers character data (one callback per run of text
-    between two tags) and keeps the distinct runs outside text elements in
-    a set, checked for stray text at its end and before any error it
-    places. A folded element gets no record: its start checks it against
-    the parent record, its end hands the parent the joined text. The pass
-    places only an error it meets where expat stands (at an element's
-    start, a DOCTYPE, a processing instruction, too deep a nesting); on any
-    other, or a child of a text element, it gives up with _Unplaced and the
-    placing pass scans again with the same reader, unbuffered, recording
-    each element's start and checking each run of text where it stands.
+    The fast pass builds or gives up. It buffers character data (one
+    callback per run of text between two tags) and keeps the distinct runs
+    outside text elements in a set, checked for stray text at its end. A
+    folded element gets no record: its start checks it against the parent
+    record, its end hands the parent the joined text. On any error but the
+    XML declaration's encoding, on stray text or on a child of a text
+    element, it raises _Unplaced.
+
+    The placing pass reports the first error with its line and column. It
+    reads unbuffered, records each element's start position and checks each
+    run of text where it stands. A byte-level error is raised where it is
+    met; the first structural error stops the building but not the pass, so
+    a byte-level error anywhere wins over a structural error before it.
     """
+    spec_of = tags.get
+    stack = [[None, Tag((), (), (root,), None, None), {}, {}, None, None, False, None, ()]]
+    texts = {tag for tag, spec in tags.items() if spec.text}
+    folded = {tag for tag in texts if tags[tag].folded}
+    parser = expat.ParserCreate()
+    parser.buffer_text = not placing
+    failure = None  # the placing pass's first structural error, a truthy XmlError
+    text = loose = None  # the parts of the innermost text element, and of a folded one
+    runs = set()  # the fast pass's distinct runs of text outside text elements
 
-    def __init__(self, root: str, tags: dict[str, Tag]):
-        self.root = root
-        self.tags = tags
-        self.value = self.failure = None
+    def here():
+        return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
 
-    def scan(self, data: bytes, placing: bool) -> None:
-        root, tags, spec_of = self.root, self.tags, self.tags.get
-        stack = [[None, Tag((), (), (root,), None, None), {}, {}, None, None, False, None, ()]]
-        texts = {tag for tag, spec in tags.items() if spec.text}
-        folded = {tag for tag in texts if tags[tag].folded}
-        parser = expat.ParserCreate()
-        parser.buffer_text = not placing
-        building = True
-        text = loose = None  # the parts of the innermost text element, and of a folded one
-        runs = set()  # the fast pass's distinct runs of text outside text elements
-        self.failure = None
+    def refuse(message):  # a byte-level error where expat stands
+        if not placing:
+            raise _Unplaced
+        raise XmlError(message, *here())
 
-        def stray():
-            return not placing and any(run.strip() for run in runs)
+    def fail(error):  # a structural error, which stops the building but not the pass
+        nonlocal failure
+        if not placing:
+            raise _Unplaced
+        failure = error
 
-        def here():
-            return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+    def chars(data):
+        if data.strip():
+            refuse(f"unexpected text inside <{stack[-1][0]}>")
+    other = chars if placing else runs.add  # the handler outside text elements
 
-        def refuse(message):  # a byte-level error where expat stands
-            if stray():  # stray text before it comes first
-                raise _Unplaced
-            raise XmlError(message, *here())
-
-        def fail(error):  # the first structural error; unplaced, the fast pass gives up
-            nonlocal building
-            if error.line is None and not placing:
-                raise _Unplaced
-            self.failure = error
-            building = False
-
-        def chars(data):
-            if data.strip():
-                refuse(f"unexpected text inside <{stack[-1][0]}>")
-        other = chars if placing else runs.add  # the handler outside text elements
-
-        def start(tag, attrs):
-            nonlocal text, loose
-            if text is not None:  # a child of a text element
-                if not placing:
-                    raise _Unplaced
-                stack[-1][6] = True
-                text = None
-                parser.CharacterDataHandler = other
-            if len(stack) > MAX_DEPTH:
-                refuse(f"elements nested deeper than {MAX_DEPTH} levels")
-            parent = stack[-1]
-            if tag in folded:
-                if building and (attrs or parent[7] is not None
-                                 or tag not in parent[1].child_tags):
-                    fail(XmlError(self._error(tag, tags[tag], attrs, parent), *here()))
-                if not placing:
-                    text = loose = []
-                    parser.CharacterDataHandler = loose.append
-                    return
-                spec = tags[tag]
-            else:
-                spec = spec_of(tag)
-                keys = attrs.keys()
-                if building and not (tag in parent[1].child_tags
-                                     and keys <= spec.allowed and keys >= spec.needed):
-                    fail(XmlError(self._error(tag, spec, attrs, parent), *here()))
-            record = [tag, spec, attrs, {}, None, None, False, None, here() if placing else ()]
-            if tag in texts:
-                text = record[5] = []
-                parser.CharacterDataHandler = text.append
-            stack.append(record)
-
-        def end(tag):
-            nonlocal text, loose
-            if loose is not None:  # a folded element, which has no record
-                value = "".join(loose)
-                text = loose = None
-                parser.CharacterDataHandler = other
-                if building:
-                    stack[-1][7] = value
-                return
-            tag, spec, attrs, kids, _keys, parts, mixed, value, where = stack.pop()
-            parent = stack[-1]
-            if parts is None and not placing:
-                value = value or ""
-            else:  # a text element, or any element of the placing pass
-                if parts and mixed:  # which only the placing pass sees
-                    raise XmlError(f"element <{tag}> mixes text and child elements", *where)
-                value = (value or "") if parts is None else "".join(parts)
-                text = parent[5]
-                parser.CharacterDataHandler = other if text is None else text.append
-                if building and spec.folded:  # which only the placing pass keeps a record of
-                    parent[7] = value
-                    return
-            if not building:
-                return
-            try:
-                value = spec.build(attrs, kids, value)
-            except XmlError as error:
-                return fail(error if error.line is not None else XmlError(error.args[0], *where))
-            if spec.key is not None:
-                key, keys = (tag, spec.key(value)), parent[4] or set()
-                if key in keys:
-                    return fail(XmlError(f"duplicate {tag} name {key[1]!r}", *where))
-                keys.add(key)
-                parent[4] = keys
-            parent[3].setdefault(tag, []).append(value)
-
-        parser.StartElementHandler, parser.EndElementHandler = start, end
-        parser.CharacterDataHandler = other
-        parser.StartDoctypeDeclHandler = lambda *args: refuse(
-            "DOCTYPE declarations are not supported")
-        parser.ProcessingInstructionHandler = lambda target, data: refuse(
-            f"processing instruction <?{target}?> is not supported")
-        parser.XmlDeclHandler = self._decl
-        try:
-            parser.Parse(data, True)
-            if stray():
-                raise _Unplaced
-        except expat.ExpatError as exc:
+    def start(tag, attrs):
+        nonlocal text, loose
+        if text is not None:  # a child of a text element
             if not placing:
-                raise _Unplaced from None
-            raise XmlError(expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from None
-        finally:  # the handlers hold the parser, and through it this reader
-            parser = None
-        if building:
-            self.value = stack[0][3][root][0]
+                raise _Unplaced
+            stack[-1][6] = True
+            text = None
+            parser.CharacterDataHandler = other
+        if len(stack) > MAX_DEPTH:
+            refuse(f"elements nested deeper than {MAX_DEPTH} levels")
+        parent = stack[-1]
+        if tag in folded:
+            if not failure and (attrs or parent[7] is not None
+                                or tag not in parent[1].child_tags):
+                fail(XmlError(_error(tag, tags[tag], attrs, parent), *here()))
+            if not placing:
+                text = loose = []
+                parser.CharacterDataHandler = loose.append
+                return
+            spec = tags[tag]
+        else:
+            spec = spec_of(tag)
+            keys = attrs.keys()
+            if not failure and not (tag in parent[1].child_tags
+                                    and keys <= spec.allowed and keys >= spec.needed):
+                fail(XmlError(_error(tag, spec, attrs, parent), *here()))
+        record = [tag, spec, attrs, {}, None, None, False, None, here() if placing else ()]
+        if tag in texts:
+            text = record[5] = []
+            parser.CharacterDataHandler = text.append
+        stack.append(record)
 
-    @staticmethod
-    def _decl(version, encoding, standalone):
-        if encoding is not None and encoding.lower() not in ("utf-8", "us-ascii"):
-            raise XmlError(f"unsupported encoding {encoding!r}; files must be UTF-8", 1, 1)
+    def end(tag):
+        nonlocal text, loose
+        if loose is not None:  # a folded element of the fast pass, which has no record
+            stack[-1][7] = "".join(loose)
+            text = loose = None
+            parser.CharacterDataHandler = other
+            return
+        tag, spec, attrs, kids, _keys, parts, mixed, value, where = stack.pop()
+        parent = stack[-1]
+        if parts is None and not placing:
+            value = value or ""
+        else:  # a text element, or any element of the placing pass
+            if parts and mixed:  # which only the placing pass sees
+                raise XmlError(f"element <{tag}> mixes text and child elements", *where)
+            value = (value or "") if parts is None else "".join(parts)
+            text = parent[5]
+            parser.CharacterDataHandler = other if text is None else text.append
+            if not failure and spec.folded:  # which only the placing pass keeps a record of
+                parent[7] = value
+                return
+        if failure:
+            return
+        try:
+            value = spec.build(attrs, kids, value)
+        except XmlError as error:
+            return fail(error if error.line is not None else XmlError(error.args[0], *where))
+        if spec.key is not None:
+            key, keys = (tag, spec.key(value)), parent[4] or set()
+            if key in keys:
+                return fail(XmlError(f"duplicate {tag} name {key[1]!r}", *where))
+            keys.add(key)
+            parent[4] = keys
+        parent[3].setdefault(tag, []).append(value)
 
-    @staticmethod
-    def _error(tag, spec, attrs, parent) -> str:
-        """The error a start found in an element below the record `parent`."""
-        if tag not in parent[1].child_tags:
-            if parent[0] is None:
-                return f"unsupported root element <{tag}>"
-            return f"unsupported element <{tag}> in {parent[0]}"
-        if spec.folded and parent[7] is not None:
-            return f"multiple <{tag}> children"
-        for key in attrs:
-            if key not in spec.allowed:
-                return f"unsupported attribute {key!r} on <{tag}>"
-        key = next(key for key in spec.required if key not in attrs)
-        return f"missing attribute {key!r} on <{tag}>"
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.CharacterDataHandler = other
+    parser.StartDoctypeDeclHandler = lambda *args: refuse(
+        "DOCTYPE declarations are not supported")
+    parser.ProcessingInstructionHandler = lambda target, data: refuse(
+        f"processing instruction <?{target}?> is not supported")
+    parser.XmlDeclHandler = _decl
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        if not placing:
+            raise _Unplaced from None
+        raise XmlError(expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from None
+    finally:  # the handlers hold the parser: break the cycle
+        parser = None
+    if any(run.strip() for run in runs):
+        raise _Unplaced
+    if failure:
+        raise failure
+    return stack[0][3][root][0]
+
+
+def _decl(version, encoding, standalone):
+    if encoding is not None and encoding.lower() not in ("utf-8", "us-ascii"):
+        raise XmlError(f"unsupported encoding {encoding!r}; files must be UTF-8", 1, 1)
+
+
+def _error(tag, spec, attrs, parent) -> str:
+    """The error a start found in an element below the record `parent`."""
+    if tag not in parent[1].child_tags:
+        if parent[0] is None:
+            return f"unsupported root element <{tag}>"
+        return f"unsupported element <{tag}> in {parent[0]}"
+    if spec.folded and parent[7] is not None:
+        return f"multiple <{tag}> children"
+    for key in attrs:
+        if key not in spec.allowed:
+            return f"unsupported attribute {key!r} on <{tag}>"
+    key = next(key for key in spec.required if key not in attrs)
+    return f"missing attribute {key!r} on <{tag}>"
 
 
 def every(kids: dict, tag: str) -> tuple:
@@ -297,14 +286,10 @@ def parse_tree(data: bytes, root: str, tags: dict[str, Tag]):
     is raised as XmlError."""
     if not isinstance(data, bytes):
         raise TypeError("expected bytes")
-    reader = _Reader(root, tags)
     try:
-        reader.scan(data, placing=False)
+        return _scan(data, root, tags, placing=False)
     except _Unplaced:
-        reader.scan(data, placing=True)
-    if reader.failure is not None:
-        raise reader.failure
-    return reader.value
+        return _scan(data, root, tags, placing=True)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,18 @@ def test_parse_edge_to_missing_step_fails_with_line():
         bh.parse_behavior(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("step a\n", 'line 1: expected: step <id> "<description>" ...'),
+    ('step a "first"\nedge a b\n', "line 2: expected: edge <a> -> <b>"),
+    ("graph a b\n", "line 1: expected: graph <name>"),
+    ('step a "first"\nedge b -> a\n', "line 2: unknown edge source 'b'"),
+], ids=["step", "edge", "graph", "edge source"])
+def test_parse_names_the_line_of_a_malformed_step_edge_or_graph(text, message):
+    with pytest.raises(BehaviorParseError) as caught:
+        bh.parse_behavior(text)
+    assert str(caught.value) == message
+
+
 def test_parse_duplicate_step_id_fails_with_both_lines():
     text = 'step a "one"\nstep a "again"\n'
     with pytest.raises(BehaviorParseError, match="line 2.*line 1"):

@@ -840,6 +840,32 @@ def test_an_index_addressed_entry_is_read_at_its_position_whatever_its_name():
          f"entry name '{name}' ignored") for n, name in ((3, 4), (4, 3))]
 
 
+_PLATFORM = b'<InternalElement Name="platform">\n'
+_COMPONENTS = b'<InternalElement Name="components">\n'
+
+
+@pytest.mark.parametrize("after, line, warning", [
+    (_PLATFORM, b'<Attribute Name="extra"><Attribute Name="inner"/></Attribute>',
+     ("unknown-parameter", "tjunction-01/control/platform", "nested attribute 'extra' ignored")),
+    (_COMPONENTS, b'<Attribute Name="vendor"><Value>x</Value></Attribute>',
+     ("unknown-parameter", "tjunction-01/components",
+      "attributes on list container 'components' ignored")),
+    (_COMPONENTS,
+     b'<RoleRequirements RefBaseRoleClassPath="AutomationMLBaseRoleClassLib/Sensor"/>',
+     ("unknown-element", "tjunction-01/components",
+      "annotations on list container 'components' are not supported")),
+])
+def test_what_a_nested_attribute_or_a_list_container_carries_is_dropped_with_a_warning(
+        after, line, warning):
+    m = fixture.tjunction_model()
+    data = caex_io.serialize(caex_io.from_model(m))
+    assert data.count(after) == 1
+    model, warnings = caex_io.to_model(caex_io.parse(data.replace(after, after + line + b"\n")))
+    assert model == m
+    assert [(w.rule_id, w.severity, w.element_path, w.message) for w in warnings] == [
+        (warning[0], "warning", *warning[1:])]
+
+
 def _documented(doc: CaexDocument) -> CaexDocument:
     """`doc` less what docs/format.md says the reader derives again or merges."""
 

@@ -447,6 +447,20 @@ def test_import_table_wrong_header_is_operational(work, tmp_path):
     assert "wrong header" in result.stderr
 
 
+@pytest.mark.parametrize("cell", [b"RAL\r5010", b"x" * 131_073],
+                         ids=["carriage return", "oversized"])
+def test_import_table_a_table_csv_cannot_read_is_operational(work, tmp_path, cell):
+    table = tmp_path / "malformed.csv"
+    table.write_bytes(
+        ",".join(exchange.HEADER).encode() + b"\nm/general,color," + cell + b",,,\n")
+    merged = tmp_path / "m.aml"
+    result = run("import-table", work["model"], str(table), "-o", str(merged))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"mfmkit: {table}: malformed table: ")
+    assert "Traceback" not in result.stderr
+    assert not merged.exists()
+
+
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------

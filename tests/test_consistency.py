@@ -308,6 +308,9 @@ def test_load_matrix_rejects_unknown_stage_and_selector():
         cc.load_matrix("mechanical_eng | bogus | x")
     with pytest.raises(MatrixError, match="line 1"):
         cc.load_matrix("just-one-field")
+    with pytest.raises(MatrixError, match=re.escape(
+            "line 1: unsupported matrix row: status | foo") + "$"):
+        cc.load_matrix("process_planning | status | foo")
 
 
 def test_custom_matrix_replaces_default():

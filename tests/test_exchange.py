@@ -289,6 +289,27 @@ def test_short_row_rejected():
         exchange.import_table(m, data)
 
 
+#: Tables the csv module cannot read: a lone carriage return in an unquoted
+#: cell, and a cell over its field limit of 131 072 characters.
+MALFORMED_TABLES = {
+    "lone carriage return": (
+        _table() + b"m/general,color,RAL\r5010,,,\n",
+        "malformed table: new-line character seen in unquoted field - "
+        "do you need to open the file in universal-newline mode?"),
+    "oversized cell": (
+        _table() + b"m/general,color," + b"x" * 131_073 + b",,,\n",
+        "malformed table: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+def test_a_table_the_csv_module_cannot_read_is_rejected(case):
+    data, message = MALFORMED_TABLES[case]
+    with pytest.raises(ExchangeError) as caught:
+        exchange.import_table(fixture.tjunction_model(), data)
+    assert str(caught.value) == message
+
+
 def test_non_utf8_rejected():
     with pytest.raises(ExchangeError, match="not UTF-8"):
         exchange.import_table(fixture.tjunction_model(), b"\xff\xfe\x00a")

@@ -97,3 +97,19 @@ def test_the_gate_command_layers_run_the_cli_on_the_written_model_files(monkeypa
     code, out, err = layers.LAYERS["cli complete-check"][1](mfmkit, inputs[800])
     assert (code, err) == (1, "")
     assert out.startswith(b"model-800.aml: ERROR missing-parameter ")
+
+
+def test_the_reader_errors_layer_gives_each_defect_s_message_as_its_result(monkeypatch):
+    # `equal` compares the digests of the sides' results: here the message,
+    # with its line and column
+    import mfmkit
+    monkeypatch.syspath_prepend(str(TOOL.parents[1] / "bench"))
+    build, call = layers.LAYERS["reader errors"]
+    results = {name: call(mfmkit, given) for name, given in build(mfmkit).items()}
+    assert results == {
+        "early attribute":
+            "unsupported attribute 'Bogus' on <InternalElement> (line 11, column 5)",
+        "late element": "unsupported element <Bogus> in CAEXFile (line 128452, column 1)",
+        "late text": "unexpected text inside <CAEXFile> (line 128452, column 1)"}
+    assert call(mfmkit, {"data": mfmkit.caex_io.serialize(mfmkit.caex_io.CaexDocument())}) == (
+        "no error")

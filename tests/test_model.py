@@ -458,6 +458,13 @@ def test_a_node_field_of_the_wrong_type_raises_a_model_error(edit, message):
         edit(m)
 
 
+def test_replace_document_refuses_an_unknown_id():
+    m = mm.add_document(mm.new_module("m", "M"), mm.DocumentReference("doc-1", name="plan"))
+    with pytest.raises(mm.ModelError) as caught:
+        mm.replace_document(m, mm.DocumentReference("doc-2", name="plan"))
+    assert str(caught.value) == "unknown document id 'doc-2'"
+
+
 def test_add_entry_names_add_cross_ref_and_set_element_names_the_fields_it_keeps():
     m = mm.new_module("m", "M")
     with pytest.raises(mm.ModelError, match="added with add_cross_ref"):

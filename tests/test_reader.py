@@ -294,3 +294,9 @@ def test_a_text_element_with_a_child_is_read_as_the_format_allows():
         parse_tree(b"<r><t>ab<x/></t></r>", "r", tags)
     with pytest.raises(ValueError, match="a folded element takes no attributes"):
         Tag((), ("a",), (), None, None, text=True, folded=True)
+
+
+def test_the_reader_takes_bytes_only():
+    with pytest.raises(TypeError) as caught:
+        parse_tree("<CAEXFile/>", "CAEXFile", caex_io.TAGS)
+    assert str(caught.value) == "expected bytes"

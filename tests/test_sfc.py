@@ -1,6 +1,8 @@
 """Binding IML to module i/o, PLCopen-style emission, and program simulation."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -438,6 +440,23 @@ def test_simulation_rejects_dangling_transitions():
         variables=())
     with pytest.raises(SfcError, match="references unknown steps"):
         sfc.simulate_sfc(program, [], _mini_model())
+
+
+@pytest.mark.parametrize("action, error, message", [
+    ("q_a1 = TRUE", SfcError, "unreadable step action 'q_a1 = TRUE'"),
+    ("q_a1 := ON", SfcError, "unreadable step action 'q_a1 := ON'"),
+    ("i_s1 := TRUE", BindingError,
+     "no io_mapping entry maps variable 'i_s1' back to an actuator"),
+], ids=["no assignment", "no level", "no actuator"])
+def test_simulation_refuses_a_step_action_it_cannot_turn_into_an_actuator_event(
+        action, error, message):
+    program = _mini_program()
+    program = replace(program, steps=tuple(
+        replace(s, actions=(action,)) if s.name == "b" else s for s in program.steps))
+    entering_b = [TraceEvent("sensor", "S1", True), TraceEvent("order", "out", True)]
+    with pytest.raises(SfcError) as caught:
+        sfc.simulate_sfc(program, entering_b, _mini_model())
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ three adversarial replays of the token walk and the longest trace as
 fresh, equal event objects; the builder chain of the T-junction demo model
 (n: its components); whole start-up processes in an `init-example` demo
 (n: the command); whole gate commands run in process through
-`mfmkit.cli.main` on the seed 1 model files, their output captured.
+`mfmkit.cli.main` on the seed 1 model files, their output captured; the
+read of the largest seed 1 model with one defect early or late in the file,
+whose result is the error message with its line and column.
 
 A round times every named layer (default: all), every n of a layer back to
 back, both sides one right after the other, and alternates which side goes
@@ -214,6 +216,28 @@ def _model_files(m) -> dict:
     return inputs
 
 
+def _reader_errors(m) -> dict:
+    """The seed 1 model of the largest n with one defect each: an unsupported
+    attribute on its first element, and an unsupported element or stray text
+    just before the root's end."""
+    import gen
+    n = SIZES[-1]
+    data = gen.build_model(SEED, n, gen.Faults(withheld=n // 4), tag="layers").data
+    first, end = data.index(b"<InternalElement "), data.rindex(b"</CAEXFile>")
+    edits = {"early attribute": (first + len(b"<InternalElement "), b'Bogus="1" '),
+             "late element": (end, b"<Bogus/>\n"), "late text": (end, b"x\n")}
+    return {name: {"data": data[:at] + text + data[at:]} for name, (at, text) in edits.items()}
+
+
+def _reader_error(m, i) -> str:
+    """The message, with its line and column, of the XmlError the read raises."""
+    try:
+        m.caex_io.parse(i["data"])
+    except m.xmlio.XmlError as error:
+        return str(error)
+    return "no error"
+
+
 def _command(command: str, *flags: str):
     """A layer's call: `mfmkit <command> <model file> <flags>` through
     `mfmkit.cli.main` in the files' directory; its exit code, stdout (bytes:
@@ -286,6 +310,7 @@ LAYERS = {
     "simulate_sfc copied events": (_copied, _simulate_sfc),
     "tjunction_model": (_tjunction, lambda m, i: m.fixture.tjunction_model()),
     "startup": (_demo, lambda m, i: _run(i, i["argv"])),
+    "reader errors": (_reader_errors, _reader_error),
     "cli validate": (_model_files, _command("validate")),
     "cli link-check": (_model_files, _command("link-check")),
     "cli complete-check": (
