@@ -217,36 +217,32 @@ _INTERFACE = mm.ElementSpec((), "", ExternalInterface, "")
 
 
 class _ModelBuilder:
-    """Mutable assembly state for one to_model run.
+    """The warnings of one to_model run, and the reading that reports them.
 
-    The reader walks the document along the schema (mm.SCHEMA) once. Each
-    element is built with its annotation, validated by the same
-    model.check_* functions the public builders use (the annotation by
-    `annotation`, once), and stored in a working copy of the
-    new module (a mm.Resolver), whose key index checks entry keys; cross
-    references are kept in insertion order. The working copy builds the
-    model once at the end, so reading costs one pass over the file instead
-    of a copy of a list per entry.
+    The reader walks the document along the schema (mm.SCHEMA) once and
+    builds the model bottom-up, as from_model writes it: `read` returns an
+    element with the elements and lists read below it, `read_list` a list
+    with its entries. Each element is built with its annotation and
+    validated by the same model.check_* functions the public builders use
+    (the annotation by `annotation`, once); `read_list` checks entry keys
+    against the keys of the list so far.
 
     A value that fails its validator, or whose Unit is given and differs
     from its parameter's unit, is reported and left out, so the element
     keeps the default; an interface's refURI is read as such a value, of a
     parameter without a unit. An entry that cannot be added (bad or
     duplicate key, missing component path, broken invariant) is reported
-    and dropped with its annotations. Absent and empty values take the
-    default silently. What the model has no place for is reported as
-    ignored: an element's ID, a DataType other than xs:string, the name of
-    an index-addressed entry other than its position, all that the wrapper
-    elements above the module root and the InstanceHierarchies hold besides
-    the way down to it, and a hierarchy name other than the writer's.
-    `values` checks each given value once and no default, which is valid by
-    declaration; model.check_shape checks the rest of the element.
+    and dropped with its annotations, which are not read. Absent and empty
+    values take the default silently. What the model has no place for is
+    reported as ignored: an element's ID, a DataType other than xs:string,
+    the name of an index-addressed entry other than its position, all that
+    the wrapper elements above the module root and the InstanceHierarchies
+    hold besides the way down to it, and a hierarchy name other than the
+    writer's. `values` checks each given value once and no default, which
+    is valid by declaration; model.check_shape checks the rest of the element.
     """
 
-    def __init__(self, model: mm.ModuleModel):
-        """Start from `model`, a new module: its lists are empty."""
-        self.edit = mm.Resolver(model)
-        self.cross_refs: dict[mm.CrossReference, None] = {}
+    def __init__(self):
         self.violations: list[Violation] = []
 
     def warn(self, rule: str, path: str, message: str) -> None:
@@ -283,19 +279,16 @@ class _ModelBuilder:
             return None
 
     def annotation(self, ann: mm.Annotation, roles: tuple[str, ...],
-                   interfaces: tuple[CaexInterface, ...], path: str):
+                   interfaces: tuple[CaexInterface, ...], path: str) -> mm.Annotation:
         """`ann` with the valid roles and interfaces of the element at `path`
-        added, and the warnings about the others, which the caller reports
-        after the element's own."""
-        reported, self.violations = self.violations, []
+        added; the others are reported."""
         if roles:
             ann = self.checked(path, mm.check_roles, ann, roles) or ann
         for name, interface_class, attributes in interfaces:
             uri = self.values(_INTERFACE, attributes, path)[0].get("refURI", "")
             ann = self.checked(path, mm.check_external_ref, ann, path,
                                mm.ExternalRef(name, interface_class, uri)) or ann
-        notes, self.violations = self.violations, reported
-        return ann, notes
+        return ann
 
     def values(self, spec: mm.ElementSpec, attributes: tuple[CaexAttribute, ...], path: str):
         """The given values of one element's parameters that pass their
@@ -337,30 +330,45 @@ class _ModelBuilder:
                 fields[param.name] = value
         return fields, extra
 
-    def read(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
-        """Read a single element (root, container or singleton) and its children."""
+    def read(self, spec: mm.ElementSpec, element: CaexElement, path: str, node):
+        """`node`, the element (root, container or singleton) at `spec`,
+        with what `element` gives it: its values, its open attributes, its
+        annotation and the elements and lists read below it."""
         if element.id:
             self.ignored_id(element.id, path)
         fields, extra = self.values(spec, element.attributes, path)
-        node = self.edit.part(spec)
-        fields["annotation"], notes = self.annotation(
-            node.annotation, element.role_requirements, element.external_interfaces, path)
-        node = self.checked(path, mm.check_shape, spec, replace(node, **fields)) or node
         if extra:
-            attrs = list(getattr(node, spec.extra))
-            taken = {a.name for a in attrs}
+            attrs = {a.name: a for a in getattr(node, spec.extra)}
             for attribute in extra:
-                added = self.checked(path, mm.check_attribute, spec, taken,
+                added = self.checked(path, mm.check_attribute, spec, attrs,
                                      attribute.name, attribute.value, attribute.unit)
                 if added is not None:
-                    attrs.append(added)
-                    taken.add(added.name)
-            node = replace(node, **{spec.extra: tuple(attrs)})
-        self.violations += notes
-        self.edit.put(spec, None, node)
-        self.children(spec, element.children, path)
+                    attrs[added.name] = added
+            fields[spec.extra] = tuple(attrs.values())
+        node = self.checked(path, mm.check_shape, spec, replace(node, **fields)) or node
+        parts = {"annotation": self.annotation(
+            node.annotation, element.role_requirements, element.external_interfaces, path)}
+        known = mm.CHILDREN[spec.path]
+        for child in element.children:
+            child_spec = known.get(child.name)
+            if child_spec is None:
+                self.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
+                continue
+            reader = self.read_list if child_spec.key else self.read
+            # a repeated element continues from what the earlier one read
+            parts[child.name] = reader(child_spec, child, join_path(path, child.name),
+                                       parts.get(child.name, getattr(node, child.name)))
+        owner = spec.path[-1] if spec.path else "module"
+        for name, child_spec in known.items():
+            if not child_spec.key and name not in parts:
+                self.warn(RULE_MISSING_CONTAINER, join_path(path, name),
+                          f"{owner} has no {name} element")
+        return replace(node, **parts)
 
-    def read_list(self, spec: mm.ElementSpec, element: CaexElement, path: str) -> None:
+    def read_list(self, spec: mm.ElementSpec, element: CaexElement, path: str,
+                  entries: tuple) -> tuple:
+        """`entries`, the list at `spec`, with the entries of `element` that
+        can be added."""
         if element.id:
             self.ignored_id(element.id, path)
         if element.role_requirements or element.external_interfaces:
@@ -370,7 +378,8 @@ class _ModelBuilder:
             self.warn(RULE_UNKNOWN_PARAMETER, path,
                       f"attributes on list container '{element.name}' ignored")
         indexed = spec.key == "index"
-        taken = () if indexed else self.edit.keys(spec)
+        entries = list(entries)
+        taken = () if indexed else {getattr(entry, spec.key) for entry in entries}
         for position, entry in enumerate(element.children):
             name, element_id, attributes, roles, interfaces, children = entry
             # warnings name the entry's position in the file; annotation
@@ -384,40 +393,21 @@ class _ModelBuilder:
             if fields is not None:
                 if not indexed:
                     fields[spec.key] = name
-                notes = ()
-                if roles or interfaces:
-                    at = join_path(path, str(len(self.edit.part(spec)))) if indexed else entry_path
-                    fields["annotation"], notes = self.annotation(
-                        mm.Annotation(), roles, interfaces, at)
                 node = self.checked(
                     entry_path, mm.check_shape, spec, spec.node_type(**fields), taken)
                 if node is not None:
-                    self.edit.append(spec, node)
-                    self.violations += notes
-            self.children(spec, children, entry_path)
-
-    def children(self, spec: mm.ElementSpec, elements: tuple[CaexElement, ...],
-                 path: str) -> None:
-        known = mm.CHILDREN[spec.path]
-        seen: set[str] = set()
-        for child in elements:
-            child_spec = known.get(child.name)
-            if child_spec is None:
-                self.warn(RULE_UNKNOWN_ELEMENT, path, f"unknown element '{child.name}' ignored")
-                continue
-            seen.add(child.name)
-            reader = self.read_list if child_spec.key else self.read
-            reader(child_spec, child, join_path(path, child.name))
-        owner = spec.path[-1] if spec.path else "module"
-        for name, child_spec in known.items():
-            if not child_spec.key and name not in seen:
-                self.warn(RULE_MISSING_CONTAINER, join_path(path, name),
-                          f"{owner} has no {name} element")
-
-    def build(self) -> mm.ModuleModel:
-        self.edit.put(mm.ROOT, None, replace(
-            self.edit.part(mm.ROOT), cross_refs=tuple(self.cross_refs)))
-        return self.edit.model()
+                    if roles or interfaces:
+                        fields["annotation"] = self.annotation(
+                            mm.Annotation(), roles, interfaces,
+                            join_path(path, str(len(entries))) if indexed else entry_path)
+                        node = spec.node_type(**fields)
+                    entries.append(node)
+                    if not indexed:
+                        taken.add(name)
+            for child in children:  # an entry has no known children
+                self.warn(RULE_UNKNOWN_ELEMENT, entry_path,
+                          f"unknown element '{child.name}' ignored")
+        return tuple(entries)
 
 
 def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
@@ -427,6 +417,8 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     with role requirements and no role-carrying ancestor. Non-fatal
     irregularities (missing containers, unknown attributes, invalid values)
     are returned as warnings; structural problems raise StructureError.
+    A repeated container or element (only a document built in code has one)
+    continues from what the earlier one read: entries append, values set.
     """
     roots: list[tuple[tuple[str, ...], CaexElement]] = []
     wrappers: list = []
@@ -445,7 +437,7 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     except (mm.ModelError, PathError) as exc:
         raise StructureError(f"module id unusable: {exc}") from None
 
-    builder = _ModelBuilder(model)
+    builder = _ModelBuilder()
     for name, holds_root, bare in hierarchies:  # reported at the module's path
         if not holds_root:
             builder.warn(RULE_UNKNOWN_ELEMENT, mid,
@@ -456,13 +448,11 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
         builder.wrapper(mid, CaexElement(name), bare)
     for path, element, bare in wrappers:
         builder.wrapper("/".join(path), element, bare)
-    builder.read(mm.ROOT, root, mid)
-    for link in doc.internal_links:
-        ref = builder.checked(join_path(mid, "cross_refs"), mm.check_cross_ref,
-                              link.side_a, link.side_b, link.name)
-        if ref is not None:
-            builder.cross_refs[ref] = None
-    return builder.build(), builder.violations
+    model = builder.read(mm.ROOT, root, mid, model)
+    refs = [builder.checked(join_path(mid, "cross_refs"), mm.check_cross_ref,
+                            link.side_a, link.side_b, link.name) for link in doc.internal_links]
+    refs = dict.fromkeys(ref for ref in refs if ref is not None)  # a repeat reads as one
+    return replace(model, cross_refs=tuple(refs)), builder.violations
 
 
 # ---------------------------------------------------------------------------

@@ -274,15 +274,16 @@ def import_table(
     """Merge a completed table; returns the updated model plus row violations.
 
     Structural problems raise ExchangeError and apply nothing: a table that
-    is not UTF-8, a wrong header, a row with the wrong column count (which
-    is what an unbalanced quote gives), a lone carriage return in an
-    unquoted cell, or a cell over the csv module's limit of 131 072
-    characters. A row that cannot be applied is skipped whole with exactly
-    one violation; empty value cells are requests and are never written. Importing the same table twice is a no-op the
-    second time. The rows edit one working copy of the model (a
-    mm.Resolver), which finds their elements and checks new keys through
-    its index, copies each list the rows write to once, and builds the
-    merged model once at the end.
+    is not UTF-8, a wrong header, or a row, named "row N" (records counted
+    from the header as row 1), with the wrong column count (which is what
+    an unbalanced quote gives), a lone carriage return in an unquoted cell
+    or a cell over the csv module's limit of 131 072 characters. A row that
+    cannot be applied is skipped whole with exactly one violation; empty
+    value cells are requests and are never written. Importing the same
+    table twice is a no-op the second time. The rows edit one working copy
+    of the model (a mm.Resolver), which finds their elements and checks new
+    keys through its index, copies each list the rows write to once, and
+    builds the merged model once at the end.
     """
     if ownership is None:
         ownership = default_ownership()
@@ -291,10 +292,17 @@ def import_table(
     except UnicodeDecodeError as error:
         raise ExchangeError(f"table is not UTF-8: {error}") from None
     text = text.replace("\r\n", "\n")
+    records: list[list[str]] = []
     try:
-        records = list(csv.reader(io.StringIO(text)))
+        for record in csv.reader(io.StringIO(text)):
+            records.append(record)
     except csv.Error as error:
-        raise ExchangeError(f"malformed table: {error}") from None
+        cause = str(error)
+        if cause.startswith("new-line character"):  # "\r\n" is "\n" by now
+            cause = "carriage return inside an unquoted cell"
+        elif cause.startswith("field larger than field limit"):
+            cause = f"cell longer than {csv.field_size_limit()} characters"
+        raise ExchangeError(f"malformed table: row {len(records) + 1}: {cause}") from None
     if not records or tuple(records[0]) != HEADER:
         raise ExchangeError(
             "wrong header; expected " + ",".join(HEADER))

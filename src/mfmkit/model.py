@@ -31,8 +31,9 @@ Resolver.locate alone decodes a path string; every reader of a path reads
 the record it returns, so a path is decoded once for each use. _put alone
 copies a changed part (an element, a whole list or one entry) into a model:
 a single edit (a builder call, set_parameter, assign_document) is one _put,
-and a Resolver, the working copy of a batch (a file read, a table import),
-reassembles the model with one _put per edited part.
+and a Resolver, the working copy of a table import, reassembles the model
+with one _put per edited part. The file reader needs no working copy: it
+builds the model bottom-up, each element with the parts below it.
 
 Every element carries its own annotation (roles and external interfaces),
 which moves and disappears with it; edits that replace an element keep it.
@@ -979,13 +980,13 @@ def resolve(model: ModuleModel, path: str):
 
 class Resolver:
     """resolve() for a batch of paths of one model, and the working copy of
-    a batch of edits of it (a file read, a table import).
+    a batch of edits of it (a table import).
 
     The first lookup of a key in a keyed list finds it by a C-level scan of
     the list's keys, so a resolver made for one lookup does no Python-level
     work per entry. From the second lookup on, the list is indexed (key ->
     position) and a lookup costs a dictionary probe; one resolver per
-    operation keeps a whole check, table or file read linear.
+    operation keeps a whole check or table import linear.
     A resolver that is never edited looks up the model it was given, and
     model() is that model.
 

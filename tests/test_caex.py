@@ -487,6 +487,36 @@ def test_to_model_reports_children_of_entries_at_the_entry():
     assert warnings == [("unknown-element", "m/interface/ports/p1")]
 
 
+def test_a_repeated_container_or_element_continues_from_the_earlier_one():
+    # only a document built in code can repeat a sibling name: a file cannot
+    m = fixture.tjunction_model()
+    doc = caex_io.from_model(m)
+    hierarchy = doc.instance_hierarchies[0]
+    root = hierarchy.elements[0]
+    children = {child.name: child for child in root.children}
+    lb_in = children["components"].children[0]
+    assert lb_in.name == "LB_in"
+    components = CaexElement("components", children=(
+        CaexElement("Extra", attributes=(CaexAttribute("kind", "sensor"),)), lb_in))
+    general = CaexElement("general", attributes=(
+        CaexAttribute("main_dimensions", "(1,2,3)", unit="mm"),
+        CaexAttribute("manufacturer", "Other")),
+        external_interfaces=children["general"].external_interfaces)
+    root = root._replace(children=root.children + (components, general))
+    read, warnings = caex_io.to_model(
+        doc._replace(instance_hierarchies=(hierarchy._replace(elements=(root,)),)))
+    assert read == replace(
+        m, general=replace(m.general, main_dimensions="(1,2,3)"),
+        components=m.components + (mm.Component("Extra", kind="sensor"),))
+    assert [(v.rule_id, v.element_path, v.message) for v in warnings] == [
+        ("invalid-value", "tjunction-01/components/LB_in", "duplicate component 'LB_in'"),
+        ("invalid-value", "tjunction-01/general", "duplicate static attribute 'manufacturer'"),
+        ("invalid-value", "tjunction-01/general",
+         "duplicate external reference 'collada' at 'tjunction-01/general'"),
+        ("missing-container", "tjunction-01/general/identification",
+         "general has no identification element")]
+
+
 def _unit_file(unit: bytes) -> bytes:
     """A module with a component position in mm, its Unit attribute replaced by `unit`."""
     m = mm.add_component(mm.new_module("m", ""), mm.Component("c1", position="(1,2,3)"))

@@ -294,11 +294,10 @@ def test_short_row_rejected():
 MALFORMED_TABLES = {
     "lone carriage return": (
         _table() + b"m/general,color,RAL\r5010,,,\n",
-        "malformed table: new-line character seen in unquoted field - "
-        "do you need to open the file in universal-newline mode?"),
+        "malformed table: row 2: carriage return inside an unquoted cell"),
     "oversized cell": (
         _table() + b"m/general,color," + b"x" * 131_073 + b",,,\n",
-        "malformed table: field larger than field limit (131072)"),
+        "malformed table: row 2: cell longer than 131072 characters"),
 }
 
 
@@ -308,6 +307,15 @@ def test_a_table_the_csv_module_cannot_read_is_rejected(case):
     with pytest.raises(ExchangeError) as caught:
         exchange.import_table(fixture.tjunction_model(), data)
     assert str(caught.value) == message
+
+
+def test_a_csv_error_names_the_record_as_the_row_messages_do():
+    # the quoted cell spans two lines, so the bad cell is on line 4 of row 3
+    data = (_table(("m/general", "note", "two\nlines", "", "", "")) + b"m/general,color,"
+            + b"x" * 131_073 + b",,,\n")
+    with pytest.raises(ExchangeError) as caught:
+        exchange.import_table(fixture.tjunction_model(), data)
+    assert str(caught.value) == "malformed table: row 3: cell longer than 131072 characters"
 
 
 def test_non_utf8_rejected():

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from mfmkit import caex_io
+from mfmkit import caex_io, fixture
+from mfmkit import model as mm
 from mfmkit.xmlio import MAX_DEPTH, Tag, XmlError, parse_tree
 
 DECL = b'<?xml version="1.0" encoding="utf-8"?>\n'
@@ -300,3 +301,50 @@ def test_the_reader_takes_bytes_only():
     with pytest.raises(TypeError) as caught:
         parse_tree("<CAEXFile/>", "CAEXFile", caex_io.TAGS)
     assert str(caught.value) == "expected bytes"
+
+
+#: One code point at each end of every range that model._NOT_XML matches.
+NOT_XML = (0x0, 0x1, 0x8, 0xB, 0xC, 0xE, 0x1F, 0xD800, 0xDFFF, 0xFFFE, 0xFFFF)
+
+
+def _tjunction_name(inserted: bytes) -> bytes:
+    """The T-junction file with `inserted` inside its module name's Value."""
+    data = caex_io.serialize(caex_io.from_model(fixture.tjunction_model()))
+    return data.replace(b"<Value>T-Junction<", b"<Value>T-" + inserted + b"Junction<", 1)
+
+
+@pytest.mark.parametrize("code", NOT_XML, ids=lambda code: f"U+{code:04X}")
+def test_no_character_the_model_refuses_reaches_a_value_through_parse(code):
+    # a raw surrogate is its UTF-8 form, ED A0 80 for U+D800
+    assert mm._NOT_XML.fullmatch(chr(code))
+    for inserted, message in (
+            (chr(code).encode("utf-8", "surrogatepass"), "not well-formed (invalid token)"),
+            (b"&#%d;" % code, "reference to invalid character number")):
+        with pytest.raises(XmlError) as err:
+            caex_io.parse(_tjunction_name(inserted))
+        assert str(err.value) == f"{message} (line 14, column 18)"
+
+
+def test_a_carriage_return_reference_reaches_to_model_which_reports_it():
+    model, warnings = caex_io.to_model(caex_io.parse(_tjunction_name(b"&#13;")))
+    assert model.name == ""
+    assert [(v.rule_id, v.element_path, v.message) for v in warnings] == [
+        ("invalid-value", "tjunction-01", "module model name must not contain carriage returns")]
+
+
+def test_to_model_reports_a_character_xml_cannot_carry_in_a_document_built_in_code():
+    # expat never sees such a document, so the reader's own value check must stay
+    doc = caex_io.from_model(fixture.tjunction_model())
+    hierarchy = doc.instance_hierarchies[0]
+    root = hierarchy.elements[0]
+    general = root.children[0]
+    assert general.attributes[0].name == "main_dimensions"
+    general = general._replace(attributes=(
+        general.attributes[0]._replace(value="(1,2,\x013)"),) + general.attributes[1:])
+    root = root._replace(children=(general,) + root.children[1:])
+    model, warnings = caex_io.to_model(
+        doc._replace(instance_hierarchies=(hierarchy._replace(elements=(root,)),)))
+    assert model.general.main_dimensions == ""
+    assert [(v.rule_id, v.element_path, v.message) for v in warnings] == [
+        ("invalid-value", "tjunction-01/general", "general description main_dimensions must "
+         "not contain the character U+0001, which XML cannot carry")]
