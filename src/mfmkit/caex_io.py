@@ -183,22 +183,15 @@ def serialize(doc: CaexDocument) -> bytes:
 # Document -> model
 # ---------------------------------------------------------------------------
 
-def _find_module_roots(element: CaexElement, prefix: tuple[str, ...], roots: list,
-                       wrappers: list) -> bool:
-    """Add the module roots at or below `element` to `roots`; whether there
-    is one. Each wrapper element above a root goes to `wrappers`, outermost
-    first, as (path, element, names of the children with no root below)."""
-    path = prefix + (element.name,)
-    if element.role_requirements:
-        roots.append((path, element))
-        return True
-    mark = len(wrappers)
-    bare = [child.name for child in element.children
-            if not _find_module_roots(child, path, roots, wrappers)]
-    if len(bare) == len(element.children):
-        return False
-    wrappers.insert(mark, (path, element, bare))
-    return True
+def _module_roots(elements: tuple[CaexElement, ...], above: tuple[CaexElement, ...]):
+    """Yield (the elements above it, outermost first; root) for each module
+    root in or below `elements`: an element with role requirements and no
+    role-carrying element above it."""
+    for element in elements:
+        if element.role_requirements:
+            yield above, element
+        else:
+            yield from _module_roots(element.children, above + (element,))
 
 
 _NO_ATTRIBUTE = CaexAttribute("")
@@ -255,9 +248,9 @@ class _ModelBuilder:
         self.warn(RULE_UNKNOWN_PARAMETER, path, f"DataType '{attribute.data_type}' "
                   f"of attribute '{attribute.name}' ignored")
 
-    def wrapper(self, path: str, element: CaexElement, bare: list[str]) -> None:
+    def wrapper(self, path: str, element: CaexElement, way: CaexElement) -> None:
         """Report what a wrapper element above the module root holds besides
-        the way down to the root."""
+        `way`, its child on the way down to the root."""
         if element.id:
             self.ignored_id(element.id, path)
         for attribute in element.attributes:
@@ -266,9 +259,10 @@ class _ModelBuilder:
         for interface in element.external_interfaces:
             self.warn(RULE_UNKNOWN_ELEMENT, path,
                       f"interface '{interface.name}' above the module root ignored")
-        for name in bare:
-            self.warn(RULE_UNKNOWN_ELEMENT, path,
-                      f"element '{name}' holds no module root and is ignored")
+        for child in element.children:
+            if child is not way:
+                self.warn(RULE_UNKNOWN_ELEMENT, path,
+                          f"element '{child.name}' holds no module root and is ignored")
 
     def checked(self, path: str, check, *args):
         """The result of a model check, or None after reporting its error."""
@@ -420,35 +414,30 @@ def to_model(doc: CaexDocument) -> tuple[mm.ModuleModel, list[Violation]]:
     A repeated container or element (only a document built in code has one)
     continues from what the earlier one read: entries append, values set.
     """
-    roots: list[tuple[tuple[str, ...], CaexElement]] = []
-    wrappers: list = []
-    hierarchies = []  # (name, whether it holds a root, its elements with none below)
-    for hierarchy in doc.instance_hierarchies:
-        found = len(roots)
-        bare = [element.name for element in hierarchy.elements
-                if not _find_module_roots(element, (), roots, wrappers)]
-        hierarchies.append((hierarchy.name, len(roots) > found, bare))
-    if len(roots) != 1:
-        raise StructureError(f"expected exactly one module root, found {len(roots)}")
-    id_segments, root = roots[0]
-    mid = "/".join(id_segments)
+    found = [(hierarchy, above + (root,)) for hierarchy in doc.instance_hierarchies
+             for above, root in _module_roots(hierarchy.elements, ())]
+    if len(found) != 1:
+        raise StructureError(f"expected exactly one module root, found {len(found)}")
+    (home, way), = found
+    mid = "/".join([element.name for element in way])
     try:
         model = mm.new_module(mid, "")
     except (mm.ModelError, PathError) as exc:
         raise StructureError(f"module id unusable: {exc}") from None
 
     builder = _ModelBuilder()
-    for name, holds_root, bare in hierarchies:  # reported at the module's path
-        if not holds_root:
-            builder.warn(RULE_UNKNOWN_ELEMENT, mid,
-                         f"instance hierarchy '{name}' holds no module root and is ignored")
+    for hierarchy in doc.instance_hierarchies:  # reported at the module's path
+        if hierarchy is not home:
+            builder.warn(RULE_UNKNOWN_ELEMENT, mid, f"instance hierarchy "
+                         f"'{hierarchy.name}' holds no module root and is ignored")
             continue
-        if name != "modules":
-            builder.warn(RULE_UNKNOWN_PARAMETER, mid, f"instance hierarchy name '{name}' ignored")
-        builder.wrapper(mid, CaexElement(name), bare)
-    for path, element, bare in wrappers:
-        builder.wrapper("/".join(path), element, bare)
-    model = builder.read(mm.ROOT, root, mid, model)
+        if hierarchy.name != "modules":
+            builder.warn(RULE_UNKNOWN_PARAMETER, mid,
+                         f"instance hierarchy name '{hierarchy.name}' ignored")
+        builder.wrapper(mid, CaexElement(hierarchy.name, children=hierarchy.elements), way[0])
+    for depth, element in enumerate(way[:-1], 1):  # the wrappers, outermost first
+        builder.wrapper("/".join([step.name for step in way[:depth]]), element, way[depth])
+    model = builder.read(mm.ROOT, way[-1], mid, model)
     refs = [builder.checked(join_path(mid, "cross_refs"), mm.check_cross_ref,
                             link.side_a, link.side_b, link.name) for link in doc.internal_links]
     refs = dict.fromkeys(ref for ref in refs if ref is not None)  # a repeat reads as one

@@ -27,7 +27,9 @@ Each command imports the modules it runs when it runs: reading and checking
 a model loads `caex_io`, `consistency` and `model`, while `mapping`,
 `exchange`, `behavior`, `sfc` and `fixture` are imported inside the
 commands that use them. They stay attributes of this module (`cli.mapping`),
-loaded on first access.
+loaded on first access, because code outside the package reads them there:
+the start-up probe of `bench/run.py` times the configuration load through
+`cli.mapping` and `cli.cc`.
 """
 from __future__ import annotations
 

@@ -167,7 +167,7 @@ class _Merge:
             found = self.edit.locate(element_path)
         except PathError as error:
             raise _RowError(RULE_UNKNOWN_PATH, str(error)) from None
-        node = None if found is None else found.node if found.is_element else found.value
+        node = found and found.value
         if node is None:
             raise _RowError(RULE_UNKNOWN_ELEMENT, f"unknown element path {element_path!r}")
         if isinstance(node, (str, tuple)):

@@ -1086,14 +1086,13 @@ class Resolver:
         else:
             self._entries(spec)[position] = node
 
-    def append(self, spec: ElementSpec, entry) -> int:
-        """Add `entry`, stored as given, to the list of `spec`; returns its position."""
+    def append(self, spec: ElementSpec, entry) -> None:
+        """Add `entry`, stored as given, to the list of `spec`."""
         entries = self._entries(spec)
         entries.append(entry)
         positions = self._positions.get(spec.path)
         if positions is not None:
             positions.setdefault(getattr(entry, spec.key), len(entries) - 1)
-        return len(entries) - 1
 
     def model(self) -> ModuleModel:
         """The model with every edit, each element stored before the parts below it."""

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfmkit import caex_io, fixture, sfc, xmlio
+from mfmkit import consistency as cc
 from mfmkit import model as mm
 from mfmkit.caex_io import (
     CaexAttribute,
@@ -547,6 +548,18 @@ def test_to_model_refuses_a_unit_on_a_parameter_that_has_none():
         ("invalid-value", "route priority has unit 's'; expected none")]
 
 
+def test_an_absent_route_port_reads_as_empty_and_the_link_check_reports_it():
+    m = mm.add_route(fixture.tjunction_model(), "input", "output_1")
+    data, dropped = re.subn(rb'\s*<Attribute Name="from_port".*?</Attribute>', b"",
+                            caex_io.serialize(caex_io.from_model(m)), flags=re.S)
+    assert dropped == 1
+    model, warnings = caex_io.to_model(caex_io.parse(data))
+    assert model.function.routes == (mm.Route("", "output_1", 0),)
+    assert warnings == []
+    assert [(v.rule_id, v.element_path, v.message) for v in cc.check_links(model)] == [
+        ("route-unknown-port", "tjunction-01/function/routes/0", "port '' is not declared")]
+
+
 def test_to_model_drops_an_unusable_io_entry_and_annotates_the_right_index():
     model, warnings = _read_lists(CaexElement(name="io_mapping", children=(
         _entry("0", ("logical_address", "%I0.0")),
@@ -1021,6 +1034,19 @@ def test_the_reader_reports_what_the_model_has_no_place_for():
         ("unknown-parameter", "warning", "plant/line/m",
          "DataType 'xs:anyURI' of attribute 'refURI' ignored"),
     ]
+
+
+def test_a_wrapper_reports_a_sibling_named_as_the_way_down():
+    m = mm.new_module("plant/line/m", "M")
+    doc = caex_io.from_model(m)
+    hierarchy = doc.instance_hierarchies[0]
+    plant = hierarchy.elements[0]
+    plant = plant._replace(children=plant.children + (CaexElement("line"),))
+    doc = doc._replace(instance_hierarchies=(hierarchy._replace(elements=(plant,)),))
+    model, warnings = caex_io.to_model(doc)
+    assert model == m
+    assert [(w.rule_id, w.element_path, w.message) for w in warnings] == [
+        ("unknown-element", "plant", "element 'line' holds no module root and is ignored")]
 
 
 def test_the_reader_reports_a_renamed_or_further_instance_hierarchy():

@@ -133,6 +133,24 @@ def test_validate_reports_illegal_role(work):
     assert "DiscManufacturingEquipment" in result.stdout
 
 
+def test_validate_reports_a_missing_role_in_both_formats(tmp_path, capsys):
+    m = fixture.tjunction_model()
+    functions = tuple(replace(f, annotation=replace(f.annotation, roles=()))
+                      if f.name == "route" else f for f in m.control.control_functions)
+    m = replace(m, control=replace(m.control, control_functions=functions))
+    path = tmp_path / "unassigned.aml"
+    path.write_bytes(caex_io.serialize(caex_io.from_model(m)))
+    permitted = ["AutomationMLCSRoleClassLib", "ControlEquipment"]
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{path}: ERROR missing_role tjunction-01/control/control_functions/route: "
+        f"no role assigned; permitted: {', '.join(permitted)}")
+    assert cli.main(["validate", str(path), "--format", "structured"]) == 1
+    record = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (record["rule"], record["found"], record["permitted"]) == (
+        "missing_role", "", permitted)
+
+
 def test_validate_missing_file_fails_operationally(work):
     result = run("validate", os.path.join(work["root"], "nope.aml"))
     assert result.returncode == 2

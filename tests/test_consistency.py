@@ -311,6 +311,9 @@ def test_load_matrix_rejects_unknown_stage_and_selector():
     with pytest.raises(MatrixError, match=re.escape(
             "line 1: unsupported matrix row: status | foo") + "$"):
         cc.load_matrix("process_planning | status | foo")
+    with pytest.raises(MatrixError, match=re.escape(
+            "line 1: unsupported matrix row: control/io_mapping | address") + "$"):
+        cc.load_matrix("electrical_eng | control/io_mapping | address")
 
 
 def test_custom_matrix_replaces_default():
