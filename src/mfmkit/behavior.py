@@ -213,7 +213,6 @@ def parse_behavior(text: str) -> BehaviorGraph:
     edges: list[tuple[str, str]] = []
     loops: list[tuple[str, str]] = []
     edge_lines: list[tuple[tuple[str, str], int]] = []
-    seen_graph_line = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -227,12 +226,11 @@ def parse_behavior(text: str) -> BehaviorGraph:
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "graph":
-            if seen_graph_line:
+            if graph_id:
                 raise BehaviorParseError(f"line {lineno}: duplicate graph line")
             if not rest or len(rest.split()) != 1:
                 raise BehaviorParseError(f"line {lineno}: expected: graph <name>")
             graph_id = rest
-            seen_graph_line = True
         elif keyword == "step":
             step = _parse_step(rest, lineno)
             if step.id in step_lines:
@@ -252,11 +250,10 @@ def parse_behavior(text: str) -> BehaviorGraph:
         else:
             raise BehaviorParseError(f"line {lineno}: unknown keyword {keyword!r}")
 
-    known = set(step_lines)
     for (source, target), lineno in edge_lines:
-        if source not in known:
+        if source not in step_lines:
             raise BehaviorParseError(f"line {lineno}: unknown edge source {source!r}")
-        if target not in known:
+        if target not in step_lines:
             raise BehaviorParseError(f"line {lineno}: unknown edge target {target!r}")
     seen_pairs: set[tuple[str, str]] = set()
     for pair, lineno in edge_lines:

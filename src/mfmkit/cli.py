@@ -378,27 +378,24 @@ def _cmd_report(args: argparse.Namespace, out: _Output) -> None:
         out.violation(args.file, cc.Violation(
             cc.RULE_UNOWNABLE_ENDPOINT, cc.SEVERITY_ERROR, model.id, str(error)))
         return
-    refs, workload = report.ref_shares(), report.workload_shares()
-    if out.structured:
-        for source, target, count, share in refs:
-            print(_json({"record": "dependency", "source": source, "target": target,
-                         "refs": count, "share": round(share, 6)}))
-        for discipline, count, share in workload:
-            print(_json({"record": "workload", "discipline": discipline,
-                         "parameters": count, "share": round(share, 6)}))
-        print(_json({"record": "summary", "total_refs": report.total_refs,
-                     "total_params": report.total_params}))
-        return
-    print("dependencies (cross-references between disciplines):")
-    if report.total_refs == 0:
-        print("  no references")
-    for source, target, count, share in refs:
-        print(f"  {source} -> {target}: {count} ({share:.3f})")
-    print(f"  total: {report.total_refs}")
-    print("workload (populated parameters per discipline):")
-    for discipline, count, share in workload:
-        print(f"  {discipline}: {count} ({share:.3f})")
-    print(f"  total: {report.total_params}")
+    text = not out.structured
+    if text:
+        print("dependencies (cross-references between disciplines):")
+        if report.total_refs == 0:
+            print("  no references")
+    for source, target, count, share in report.ref_shares():
+        out.emit({"record": "dependency", "source": source, "target": target,
+                  "refs": count, "share": round(share, 6)},
+                 f"  {source} -> {target}: {count} ({share:.3f})")
+    if text:
+        print(f"  total: {report.total_refs}")
+        print("workload (populated parameters per discipline):")
+    for discipline, count, share in report.workload_shares():
+        out.emit({"record": "workload", "discipline": discipline,
+                  "parameters": count, "share": round(share, 6)},
+                 f"  {discipline}: {count} ({share:.3f})")
+    out.emit({"record": "summary", "total_refs": report.total_refs,
+              "total_params": report.total_params}, f"  total: {report.total_params}")
 
 
 def _cmd_init_example(args: argparse.Namespace, out: _Output) -> None:

@@ -264,10 +264,11 @@ def _referenced_components(model: mm.ModuleModel) -> set[str]:
 
 
 def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str):
-    """Yield (violation, unit) for each cell one matrix row finds missing."""
+    """Yield (violation, unit) for each cell one matrix row finds missing;
+    the unit is None for a structural demand, which no cell can satisfy."""
     mid = model.id
 
-    def miss(path: str, message: str, unit: str = ""):
+    def miss(path: str, message: str, unit: str | None = ""):
         return Violation(RULE_MISSING_PARAMETER, SEVERITY_ERROR, path, message,
                          stage=stage, parameter=parameter), unit
 
@@ -288,11 +289,11 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str):
         for component_path, component in _signal_components(model):
             if component.name not in referenced:
                 yield miss(component_path, f"{component.kind} {component.name} "
-                           "is not referenced by any cross reference")
+                           "is not referenced by any cross reference", None)
     else:
         cells = row_cells(model, selector, parameter)
         if cells is None and not mm.get(model, _row_target(selector, parameter)[1]):
-            yield miss(join_path(mid, selector), f"no {parameter} declared")
+            yield miss(join_path(mid, selector), f"no {parameter} declared", None)
         for path, name, node in cells or ():
             value = mm.cell(mm.spec_of(node), node, parameter)
             if not (value and value[0]):
@@ -301,7 +302,8 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str):
 
 def missing_cells(model: mm.ModuleModel, stage: str, matrix: StageCoverageMatrix):
     """Yield (violation, unit) for each check_completeness violation, in its
-    order: the unit of the cell it finds missing, "" where none is declared."""
+    order: the unit of the cell it finds missing, "" where none is declared,
+    None for a structural demand (a cross reference, a list entry)."""
     active = set(mm.STAGES[: mm.STAGES.index(stage) + 1])
     seen: set[tuple[str, str]] = set()
     for row_stage, selector, parameter in matrix.rows:

@@ -42,9 +42,6 @@ from .paths import PathError, join_path
 HEADER = ("element_path", "parameter_name", "value", "unit",
           "document_name", "document_path")
 
-#: Sub-trees accepted as a class filter on export.
-CLASS_FILTERS = mm.SUBTREES
-
 #: Stage a table-created document is filed under, by owning discipline.
 _STAGE_FOR_DISCIPLINE = {
     "mechanical": "mechanical_eng",
@@ -83,11 +80,12 @@ def export_table(
     """Render a parameter table (UTF-8, comma-separated, RFC-4180 quoting).
 
     Plain exports dump the filled parameters, optionally narrowed to one
-    stage's matrix cells or one sub-tree (`cls`); missing_only exports the
-    check_completeness request set for `stage` (default: the final stage)
-    with empty value cells. Rows are sorted by element_path, parameter_name.
-    A stage export reads each cell from the element row_cells gives; a
-    request takes each unit from the check that finds the cell missing.
+    stage's matrix cells or one sub-tree (`cls`); missing_only exports, with
+    empty value cells, the cells check_completeness finds missing for `stage`
+    (default: the final stage), but not its structural demands, which no row
+    can fill. Rows are sorted by element_path, parameter_name. A stage export
+    reads each cell from the element row_cells gives; a request takes each
+    unit from the check that finds the cell missing.
     """
     if stage and cls:
         raise ExchangeError("stage and class filters are mutually exclusive")
@@ -96,16 +94,17 @@ def export_table(
     if cls:
         if missing_only:
             raise ExchangeError("missing_only exports select by stage, not by class")
-        if cls not in CLASS_FILTERS:
+        if cls not in mm.SUBTREES:
             raise ExchangeError(
-                f"unknown class filter {cls!r}; expected one of {', '.join(CLASS_FILTERS)}")
+                f"unknown class filter {cls!r}; expected one of {', '.join(mm.SUBTREES)}")
     if matrix is None:
         matrix = default_matrix()
 
     rows: list[tuple[str, str, str, str]] = []
     if missing_only:
         for violation, unit in missing_cells(model, stage or mm.STAGES[-1], matrix):
-            rows.append((violation.element_path, violation.parameter, "", unit))
+            if unit is not None:
+                rows.append((violation.element_path, violation.parameter, "", unit))
     elif stage:
         cells: dict[tuple[str, str], object] = {}
         for row_stage, selector, parameter in matrix.rows:

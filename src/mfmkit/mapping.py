@@ -59,9 +59,7 @@ def load_table(text: str) -> MappingRuleTable:
     Repeated identical lines collapse; each class must end up with at least
     one role and one interface identifier.
     """
-    roles: dict[str, list[str]] = {}
-    interfaces: dict[str, list[str]] = {}
-    order: list[str] = []
+    classes: dict[str, tuple[set[str], set[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -74,23 +72,14 @@ def load_table(text: str) -> MappingRuleTable:
             raise RuleTableError(f"line {lineno}: expected 'class_path -> role|iface : identifier'")
         if kind not in ("role", "iface"):
             raise RuleTableError(f"line {lineno}: unknown kind {kind!r}")
-        if class_path not in order:
-            order.append(class_path)
-            roles[class_path] = []
-            interfaces[class_path] = []
-        bucket = roles[class_path] if kind == "role" else interfaces[class_path]
-        if identifier not in bucket:
-            bucket.append(identifier)
+        roles, interfaces = classes.setdefault(class_path, (set(), set()))
+        (roles if kind == "role" else interfaces).add(identifier)
     entries = []
-    for class_path in sorted(order):
-        if not roles[class_path] or not interfaces[class_path]:
+    for class_path, (roles, interfaces) in sorted(classes.items()):
+        if not roles or not interfaces:
             raise RuleTableError(
                 f"class {class_path!r} needs at least one role and one interface identifier")
-        entries.append(RuleEntry(
-            class_path=class_path,
-            permitted_interfaces=tuple(sorted(interfaces[class_path])),
-            permitted_roles=tuple(sorted(roles[class_path])),
-        ))
+        entries.append(RuleEntry(class_path, tuple(sorted(interfaces)), tuple(sorted(roles))))
     return MappingRuleTable(entries=tuple(entries))
 
 

@@ -722,6 +722,33 @@ def test_a_failed_write_leaves_no_temp_file(work, tmp_path, command):
     assert not any((target / "model.aml").iterdir())
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_init_example_into_a_file_is_operational(tmp_path, capsys, below):
+    existing = tmp_path / "file"
+    existing.write_bytes(b"kept")
+    target = existing / below if below else existing
+    assert cli.main(["init-example", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"mfmkit: cannot write into {target}: ")
+    assert existing.read_bytes() == b"kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("command", ["gen-plcopen", "export-table", "import-table"])
+def test_an_output_that_is_a_directory_is_operational(work, tmp_path, capsys, command):
+    # in process, so that the removal of the temp file is seen to run
+    target = tmp_path / "out"
+    target.mkdir()
+    args = {
+        "gen-plcopen": ["gen-plcopen", work["model"], work["behavior"]],
+        "export-table": ["export-table", work["model"]],
+        "import-table": ["import-table", work["stripped"], work["filled"]],
+    }[command]
+    assert cli.main([*args, "-o", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"mfmkit: cannot write {target}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not any(target.iterdir())
+
+
 def test_an_overwritten_output_keeps_its_permissions(work, tmp_path):
     out = tmp_path / "table.csv"
     out.write_bytes(b"old")

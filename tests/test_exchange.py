@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 from generators import sized_model
@@ -547,6 +548,10 @@ def test_a_request_takes_its_units_from_the_completeness_check(monkeypatch):
     expected = [HEADER]
     for violation in cc.check_completeness(m, mm.STAGES[-1]):
         found = find.locate(violation.element_path)
+        # structural demands (a cross reference, a list entry) are not requested
+        if (violation.parameter == "sensor_actuator_refs"
+                or violation.parameter in mm.CHILDREN[found.spec.path]):
+            continue
         cell = found.is_element and mm.cell(found.spec, found.node, violation.parameter)
         expected.append((violation.element_path, violation.parameter, "",
                          cell[1] if cell else "", "", ""))
@@ -563,3 +568,19 @@ def test_a_request_takes_its_units_from_the_completeness_check(monkeypatch):
          docs[path].server_path if path in docs else "")
         for path, name, value, unit, _doc, _server in expected[1:])
     assert {unit for _path, _name, _value, unit, _doc, _server in rows[1:]} == {"", "mm"}
+
+
+def test_a_request_leaves_out_the_demands_no_row_can_fill():
+    m = fixture.tjunction_model()
+    m = replace(
+        m, cross_refs=tuple(r for r in m.cross_refs if "/Conv1" not in r.source + r.target),
+        interface=replace(m.interface, ports=()), function=replace(m.function, routes=()))
+    assert {(v.element_path, v.parameter) for v in cc.check_completeness(m, mm.STAGES[-1])} == {
+        (f"{m.id}/components/Conv1", "sensor_actuator_refs"), (f"{m.id}/interface", "ports")}
+    request = exchange.export_table(m, missing_only=True)
+    rows = list(csv.reader(io.StringIO(request.decode("utf-8"))))
+    filled = _table(*((path, name, "x", *rest) for path, name, _value, *rest in rows[1:]))
+    _merged, violations = exchange.import_table(m, filled)
+    assert not {v.rule_id for v in violations} & {
+        cc.RULE_UNKNOWN_PARAMETER, cc.RULE_UNKNOWN_ELEMENT}
+    assert rows == [list(HEADER)]
