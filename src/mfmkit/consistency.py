@@ -11,8 +11,9 @@ stage, broken matrix file).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
+from operator import attrgetter
 
 from . import model as mm
 from .paths import is_name, join_path
@@ -70,82 +71,73 @@ def has_errors(violations) -> bool:
 # Reference integrity
 # ---------------------------------------------------------------------------
 
-def check_links(model: mm.ModuleModel) -> list[Violation]:
-    """One violation per stored reference endpoint that fails to resolve.
+_ELEMENT, _COMPONENT = "element path", "component path"
+#: Every stored reference, in report order, by the list holding it: its
+#: field, the rule and message of a broken one, and what it must name: any
+#: element path that resolves, a component, or the key of an entry of the
+#: keyed list at a path below the module id.
+_LINKS = {
+    "cross_refs": (("source", RULE_DANGLING_SOURCE, "source '{}' does not resolve", _ELEMENT),
+                   ("target", RULE_DANGLING_TARGET, "target '{}' does not resolve", _ELEMENT)),
+    "documents": (("assigned_element", RULE_DANGLING_ASSIGNMENT,
+                   "assigned element '{}' does not resolve", _ELEMENT),),
+    "control/io_mapping": (
+        ("component_path", RULE_IO_UNKNOWN_COMPONENT,
+         "component '{}' does not resolve to a component", _COMPONENT),
+        ("variable_name", RULE_IO_UNKNOWN_VARIABLE, "variable '{}' is not declared",
+         "control/variables")),
+    "function/routes": tuple((name, RULE_ROUTE_UNKNOWN_PORT, "port '{}' is not declared",
+                              "interface/ports") for name in ("from_port", "to_port")),
+    "function/logistic_functions": (("behavior_ref", RULE_DANGLING_BEHAVIOR_REF,
+                                     "behavior document '{}' is not registered", "documents"),),
+    "control/control_functions": (("body_ref", RULE_DANGLING_BODY_REF,
+                                   "body document '{}' is not registered", "documents"),),
+}
 
-    Covers cross-reference endpoints, document assignments, io_mapping
-    component/variable references and direction legality, route ports, and
-    behavior/body document references. Each path is looked up through one
-    resolver, and each io entry's component in mm.component_paths, so the
-    check is linear in the size of the model; a malformed path does not resolve.
+
+def _walked(where: str, rows: tuple) -> tuple:
+    """`where`, its spec and, for each reference the list holds, a getter,
+    whether an empty value is checked (the field has no default) and its row."""
+    spec = mm.spec_at(where)
+    defaults = {f.name: f.default for f in fields(spec.node_type)}
+    return where, spec, [(attrgetter(row[0]), defaults[row[0]] is MISSING, row) for row in rows]
+
+
+_WALK = tuple(map(_walked, _LINKS, _LINKS.values()))
+
+
+def check_links(model: mm.ModuleModel) -> list[Violation]:
+    """One violation per stored reference that names nothing, and per io
+    entry whose component cannot carry its direction: one walk over _LINKS,
+    list by list, entry by entry, field by field, an io entry's io-direction
+    right after its component. An element path is looked up through one
+    resolver, where a malformed one does not resolve; a component path in
+    mm.component_paths, undecoded; a key in that resolver's index of its
+    list; so the check is linear in the size of the model.
     """
     out: list[Violation] = []
-    mid = model.id
     find = mm.Resolver(model)
-
-    for i, ref in enumerate(model.cross_refs):
-        anchor = join_path(mid, "cross_refs", str(i))
-        if find.resolved(ref.source) is None:
-            out.append(Violation(
-                RULE_DANGLING_SOURCE, SEVERITY_ERROR, anchor,
-                f"source '{ref.source}' does not resolve"))
-        if find.resolved(ref.target) is None:
-            out.append(Violation(
-                RULE_DANGLING_TARGET, SEVERITY_ERROR, anchor,
-                f"target '{ref.target}' does not resolve"))
-
-    for doc in model.documents:
-        if doc.assigned_element and find.resolved(doc.assigned_element) is None:
-            out.append(Violation(
-                RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR,
-                join_path(mid, "documents", doc.id),
-                f"assigned element '{doc.assigned_element}' does not resolve"))
-
-    variable_names = {v.name for v in model.control.variables}
-    components = mm.component_paths(model)
-    for i, entry in enumerate(model.control.io_mapping):
-        anchor = join_path(mid, "control", "io_mapping", str(i))
-        component = components.get(entry.component_path)
-        if component is None:
-            out.append(Violation(
-                RULE_IO_UNKNOWN_COMPONENT, SEVERITY_ERROR, anchor,
-                f"component '{entry.component_path}' does not resolve to a component"))
-        elif component.kind not in mm.SIGNAL_DIRECTIONS:
-            out.append(Violation(
-                RULE_IO_DIRECTION, SEVERITY_ERROR, anchor,
-                f"component kind '{component.kind}' cannot carry an i/o signal"))
-        elif entry.direction != mm.SIGNAL_DIRECTIONS[component.kind]:
-            out.append(Violation(
-                RULE_IO_DIRECTION, SEVERITY_ERROR, anchor,
-                f"{component.kind} '{component.name}' must map to direction "
-                f"{mm.SIGNAL_DIRECTIONS[component.kind]}"))
-        if entry.variable_name and entry.variable_name not in variable_names:
-            out.append(Violation(
-                RULE_IO_UNKNOWN_VARIABLE, SEVERITY_ERROR, anchor,
-                f"variable '{entry.variable_name}' is not declared"))
-
-    port_names = {p.name for p in model.interface.ports}
-    for i, route in enumerate(model.function.routes):
-        anchor = join_path(mid, "function", "routes", str(i))
-        for endpoint in (route.from_port, route.to_port):
-            if endpoint not in port_names:
-                out.append(Violation(
-                    RULE_ROUTE_UNKNOWN_PORT, SEVERITY_ERROR, anchor,
-                    f"port '{endpoint}' is not declared"))
-
-    doc_ids = {d.id for d in model.documents}
-    for function in model.function.logistic_functions:
-        if function.behavior_ref and function.behavior_ref not in doc_ids:
-            out.append(Violation(
-                RULE_DANGLING_BEHAVIOR_REF, SEVERITY_ERROR,
-                join_path(mid, "function", "logistic_functions", function.name),
-                f"behavior document '{function.behavior_ref}' is not registered"))
-    for function in model.control.control_functions:
-        if function.body_ref and function.body_ref not in doc_ids:
-            out.append(Violation(
-                RULE_DANGLING_BODY_REF, SEVERITY_ERROR,
-                join_path(mid, "control", "control_functions", function.name),
-                f"body document '{function.body_ref}' is not registered"))
+    components = mm.component_paths(model).get
+    lookups = {_ELEMENT: find.resolved, _COMPONENT: components}
+    signals = mm.SIGNAL_DIRECTIONS
+    for where, spec, links in _WALK:
+        entries = mm.get(model, spec)
+        checks = [(get, required, lookups.get(row[3]) or find.keys(mm.spec_at(row[3])).__contains__,
+                   row) for get, required, row in links]
+        for i, entry in enumerate(entries):
+            for get, required, lookup, row in checks:
+                value = get(entry)
+                hit = lookup(value) if value or required else True
+                if not hit:
+                    rule, message = row[1], row[2].format(value)
+                elif lookup is components and (direction := signals.get(hit.kind)) != entry.direction:
+                    rule, message = RULE_IO_DIRECTION, (
+                        f"{hit.kind} '{hit.name}' must map to direction {direction}" if direction
+                        else f"component kind '{hit.kind}' cannot carry an i/o signal")
+                else:
+                    continue
+                key = str(i) if spec.key == "index" else getattr(entry, spec.key)
+                out.append(Violation(rule, SEVERITY_ERROR, f"{model.id}/{where}/{key}", message))
     return out
 
 
@@ -417,9 +409,8 @@ def assign_document(
             RULE_DOCUMENT_REASSIGNED, SEVERITY_INFO, anchor,
             f"assignment moved from '{doc.assigned_element}' to '{element_path}'"))
     if found is None or found.value is None:
-        violations.append(Violation(
-            RULE_DANGLING_ASSIGNMENT, SEVERITY_ERROR, anchor,
-            f"assigned element '{element_path}' does not resolve"))
+        _field, rule, message, _target = _LINKS["documents"][0]
+        violations.append(Violation(rule, SEVERITY_ERROR, anchor, message.format(element_path)))
     return mm.replace_document(model, replace(doc, assigned_element=element_path)), violations
 
 

@@ -557,6 +557,11 @@ def spec_of(node: object) -> ElementSpec:
         raise ModelError(f"{type(node).__name__} is not a node of the meta model") from None
 
 
+def spec_at(path: str) -> ElementSpec:
+    """The schema record of the element or list at `path` below the module id."""
+    return _BY_PATH[tuple(path.split("/"))]
+
+
 def get(model: ModuleModel, spec: ElementSpec):
     """The element, or the tuple of entries, at `spec` in `model`."""
     node = model
@@ -1012,6 +1017,8 @@ class Resolver:
     def part(self, spec: ElementSpec):
         """The current element, or sequence of entries, at `spec`: as last
         put, else the field of its parent's current part."""
+        if not self._parts:  # nothing put: one getattr chain, not a call per level
+            return get(self._model, spec)
         part = self._parts.get(spec.path)
         if part is not None:
             return part

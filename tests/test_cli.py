@@ -348,6 +348,17 @@ def test_simulate_unbound_trace_subject_is_a_finding(work, tmp_path):
         assert "LB_zzz" in result.stdout
 
 
+def test_simulate_with_a_graph_that_does_not_bind_reports_it_and_no_event(
+        work, tmp_path, capsys):
+    graph = tmp_path / "ghost.bhv"
+    graph.write_text('step a "idle"\nstep b "go" do activate Ghost\nedge a -> b\n')
+    assert cli.main(["simulate", work["model"], str(graph), work["route1"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (f"{graph}: ERROR unbound-subject tjunction-01: no io_mapping entry "
+                            "binds actuator 'Ghost' to an output variable\n")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_simulate_reports_a_program_that_drops_an_action_as_a_mismatch(work, fmt, capsys):
     replay = sfc.simulate_sfc

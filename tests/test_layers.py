@@ -113,3 +113,12 @@ def test_the_reader_errors_layer_gives_each_defect_s_message_as_its_result(monke
         "late text": "unexpected text inside <CAEXFile> (line 128452, column 1)"}
     assert call(mfmkit, {"data": mfmkit.caex_io.serialize(mfmkit.caex_io.CaexDocument())}) == (
         "no error")
+
+
+def test_the_check_links_dangling_layer_finds_the_planted_dangling_targets(monkeypatch):
+    import mfmkit
+    monkeypatch.syspath_prepend(str(TOOL.parents[1] / "bench"))
+    build, call = layers.LAYERS["check_links dangling"]
+    given = build(mfmkit)
+    assert list(given) == list(layers.SIZES)
+    assert [v.rule_id for v in call(mfmkit, given[100])] == ["dangling-target"] * 12

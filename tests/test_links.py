@@ -2,7 +2,9 @@
 rule, and docs/rules.md's link table against the declared references."""
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 from mfmkit import consistency as cc
 from mfmkit import model as mm
@@ -67,3 +69,20 @@ def test_check_links_reports_every_rule_list_by_list_entry_by_entry_field_by_fie
          "body document 'missing' is not registered"),
     ]
     assert {v.severity for v in cc.check_links(_every_link_rule())} == {cc.SEVERITY_ERROR}
+
+
+def test_the_reference_integrity_table_matches_the_declaration():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "rules.md").read_text("utf-8")
+    table = text[text.index("### Reference integrity"):text.index("### Stage completeness")]
+    rows = re.findall(r"^\| `([a-z-]+)` \| `…/([a-z_/]+)/<([a-z]+)>` \|", table, re.MULTILINE)
+    declared = []
+    for where, links in cc._LINKS.items():
+        key = mm.spec_at(where).key
+        for _field, rule, _message, target in links:
+            row = (rule, where, "i" if key == "index" else key)
+            if row not in declared:  # route-unknown-port: one row for both ports
+                declared.append(row)
+            if target == cc._COMPONENT:
+                declared.append((cc.RULE_IO_DIRECTION, where, row[2]))
+    assert rows == declared
+    assert len(rows) == 9

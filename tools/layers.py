@@ -8,8 +8,9 @@ time it alone). Each side is a worker process that imports `mfmkit`, and so
 its data files, from its own `src/`. Both build each set of inputs on its
 first use with this checkout's `bench/gen.py` and `tests/generators.py`.
 LAYERS gives each layer with the builder of its inputs by n: seed 1 models
-of n components with a quarter of the cells withheld; a looped 12-arm graph
-on a 200-component model (n: the arms) and its traces (n: the events);
+of n components with a quarter of the cells withheld, and the same with
+n // 8 cross references dangling; a looped 12-arm graph on a 200-component
+model (n: the arms) and its traces (n: the events);
 three adversarial replays of the token walk and the longest trace as
 fresh, equal event objects; the builder chain of the T-junction demo model
 (n: its components); whole start-up processes in an `init-example` demo
@@ -103,6 +104,15 @@ def _models(m) -> dict:
                      "ownership": m.consistency.default_ownership(),
                      "sized_model": generators.sized_model}
     return inputs
+
+
+def _dangling(m) -> dict:
+    """The seed 1 models of `_models` with n // 8 cross references dangling."""
+    import gen
+    planted = {n: gen.build_model(SEED, n, gen.Faults(withheld=n // 4, dangling=n // 8),
+                                  tag="layers") for n in SIZES}
+    return {n: {"model": m.caex_io.to_model(m.caex_io.parse(p.data))[0]}
+            for n, p in planted.items()}
 
 
 def _replay_model(m):
@@ -279,6 +289,7 @@ LAYERS = {
     "from_model": (_models, lambda m, i: m.caex_io.from_model(i["model"])),
     "serialize": (_models, lambda m, i: m.caex_io.serialize(i["rendered"])),
     "check_links": (_models, lambda m, i: m.consistency.check_links(i["model"])),
+    "check_links dangling": (_dangling, lambda m, i: m.consistency.check_links(i["model"])),
     "check_completeness": (
         _models, lambda m, i: m.consistency.check_completeness(i["model"], "control_hmi_eng")),
     "dependency_report": (
