@@ -366,12 +366,13 @@ def owners(ownership: OwnershipMap):
 
     A document owns itself: the record's node carries its discipline. Any
     other element is owned by the longest rule selector that its segments
-    below the module id equal or start with. No path is decoded again.
+    below the module id equal or start with; no rule covers the module
+    root. No path is decoded again.
     """
     rules = dict(reversed(ownership.rules))  # the first of repeated selectors wins
 
     def owner(path: str, found, mid: str) -> str:
-        if found is None or not found[4]:
+        if found is None:
             raise OwnershipError(f"path {path!r} is not inside module {mid!r}")
         spec, _index, node, tail, segments = found
         if spec.path == ("documents",):

@@ -65,6 +65,15 @@ class _RowError(Exception):
         self.parameter = parameter
 
 
+def _checked(call, *args, parameter: str = ""):
+    """call(*args); a ModelError, PathError or OwnershipError it raises is
+    an invalid-value row error."""
+    try:
+        return call(*args)
+    except (mm.ModelError, PathError, OwnershipError) as error:
+        raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
+
+
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -146,11 +155,12 @@ class _Merge:
     mm.Resolver), the ownership decoder, and the number of io
     entries per component path, kept in step with the applied rows.
 
-    A row is checked whole first; only then are its edits applied to the
-    working copy, so a row that fails changes nothing and later rows see the
-    edits of earlier ones. New io entries, variables and documents are
-    checked against the working copy's key index, so a row costs the same
-    however many entries the rows before it added.
+    A row is checked whole first; only then are its edits stored in the
+    working copy's model, so a row that fails changes nothing and every
+    later row, reading any element or list, sees the edits of earlier ones.
+    New io entries, variables and documents are checked against the working
+    copy's key index, so a row costs the same however many entries the rows
+    before it added.
     """
 
     def __init__(self, model: mm.ModuleModel, ownership: OwnershipMap):
@@ -206,10 +216,7 @@ class _Merge:
         variable = mm.Variable(("i_" if direction == "input" else "q_") + node.name.lower(),
                                "BOOL", direction)
         entry = mm.IoMapEntry(element_path, value, variable.name, "BOOL", direction)
-        try:
-            entry = mm.check_node(mm.spec_of(entry), entry)
-        except mm.ModelError as error:
-            raise _RowError(RULE_INVALID_VALUE, str(error), "logical_address") from None
+        entry = _checked(mm.check_node, mm.spec_of(entry), entry, parameter="logical_address")
         edits = [partial(self.edit.append, mm.spec_of(entry), entry)]
         if variable.name not in self.edit.keys(mm.spec_of(variable)):
             edits.append(partial(self.edit.append, mm.spec_of(variable), variable))
@@ -239,28 +246,19 @@ class _Merge:
         spec = mm.CHILDREN[()]["documents"]
         position = self.edit.position(spec, doc_name)
         if position is None:
-            try:
-                discipline = self.owner(element_path, found, self.edit.id)
-            except OwnershipError as error:
-                raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+            discipline = _checked(self.owner, element_path, found, self.edit.id)
             doc = mm.DocumentReference(
                 id=doc_name, discipline=discipline,
                 stage=_STAGE_FOR_DISCIPLINE[discipline],
                 server_path=doc_path, assigned_element=element_path)
-            try:
-                doc = mm.check_node(spec, doc, self.edit.keys(spec))
-            except mm.ModelError as error:
-                raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+            doc = _checked(mm.check_node, spec, doc, self.edit.keys(spec))
             return [partial(self.edit.append, spec, doc)]
         doc = self.edit.part(spec)[position]
         refreshed = replace(
             doc, server_path=doc_path or doc.server_path, assigned_element=element_path)
         if refreshed == doc:
             return []
-        try:
-            refreshed = mm.check_node(spec, refreshed)
-        except (mm.ModelError, PathError) as error:
-            raise _RowError(RULE_INVALID_VALUE, str(error)) from None
+        refreshed = _checked(mm.check_node, spec, refreshed)
         return [partial(self.edit.put, spec, position, refreshed)]
 
 
@@ -281,8 +279,9 @@ def import_table(
     value cells are requests and are never written. Importing the same
     table twice is a no-op the second time. The rows edit one working copy
     of the model (a mm.Resolver), which finds their elements and checks new
-    keys through its index, copies each list the rows write to once, and
-    builds the merged model once at the end.
+    keys through its index. It stores an element a row writes at once, with
+    one copy of the path down to it, and copies each list the rows write to
+    once; the merged model is the working copy with those lists as tuples.
     """
     if ownership is None:
         ownership = default_ownership()

@@ -31,9 +31,10 @@ Resolver.locate alone decodes a path string; every reader of a path reads
 the record it returns, so a path is decoded once for each use. _put alone
 copies a changed part (an element, a whole list or one entry) into a model:
 a single edit (a builder call, set_parameter, assign_document) is one _put,
-and a Resolver, the working copy of a table import, reassembles the model
-with one _put per edited part. The file reader needs no working copy: it
-builds the model bottom-up, each element with the parts below it.
+and a Resolver, the working copy of a table import, stores each element
+with one _put and each written list once, then edits that list in place.
+The file reader needs no working copy: it builds the model bottom-up, each
+element with the parts below it.
 
 Every element carries its own annotation (roles and external interfaces),
 which moves and disappears with it; edits that replace an element keep it.
@@ -992,17 +993,14 @@ class Resolver:
     work per entry. From the second lookup on, the list is indexed (key ->
     position) and a lookup costs a dictionary probe; one resolver per
     operation keeps a whole check or table import linear.
-    A resolver that is never edited looks up the model it was given, and
-    model() is that model.
 
     locate() decodes a path once into the _Located record that resolution,
     the edits, ownership, rule classes and table rows all read.
 
-    put() replaces an element or an entry, append() adds an entry and
-    updates that list's index; each list is copied once, on its first
-    write. Lookups see every edit, except that an element's fields holding
-    its child elements and lists are not refreshed: read those by their own
-    paths. model() reassembles the model with one _put per edited part.
+    The edits are stored in the model the resolver holds, so every lookup
+    sees every edit: an element with one _put, a list on its first write as
+    a Python-list copy, which later writes change in place. model() gives
+    those lists as tuples; a resolver never edited gives the model it got.
     """
 
     def __init__(self, model: ModuleModel):
@@ -1010,21 +1008,13 @@ class Resolver:
         self.id = model.id
         self._prefix = model.id + "/"
         self._depth = model.id.count("/") + 1
-        self._parts: dict[tuple[str, ...], Any] = {}  # edited elements and lists
+        self._lists: dict[tuple[str, ...], list] = {}  # the written lists, held in _model
         self._positions: dict[tuple[str, ...], dict[str, int]] = {}
         self._scanned: set[tuple[str, ...]] = set()  # lists searched once, unindexed
 
     def part(self, spec: ElementSpec):
-        """The current element, or sequence of entries, at `spec`: as last
-        put, else the field of its parent's current part."""
-        if not self._parts:  # nothing put: one getattr chain, not a call per level
-            return get(self._model, spec)
-        part = self._parts.get(spec.path)
-        if part is not None:
-            return part
-        if not spec.path:
-            return self._model
-        return getattr(self.part(_BY_PATH[spec.path[:-1]]), spec.path[-1])
+        """The current element, or sequence of entries, at `spec`."""
+        return get(self._model, spec)
 
     def keys(self, spec: ElementSpec) -> dict[str, int]:
         """Key -> position of the current entries of a name- or id-keyed list."""
@@ -1066,7 +1056,7 @@ class Resolver:
         return _new(_Located, (spec, index, node, tail, rest))
 
     def __call__(self, path: str):
-        """resolve(self.model(), path)"""
+        """resolve() on the current model"""
         return _value(self.locate(path))
 
     def resolved(self, path: str) -> _Located | None:
@@ -1078,20 +1068,28 @@ class Resolver:
             return None
         return found if _value(found) is not None else None
 
+    def _hold(self, spec: ElementSpec, entries) -> list:
+        """Store a list copy of `entries` as the list of `spec`, to be written in place."""
+        held = self._lists[spec.path] = list(entries)
+        self._model = _put(self._model, spec.path, held)
+        return held
+
     def _entries(self, spec: ElementSpec) -> list:
-        entries = self._parts.get(spec.path)
-        if entries is None:
-            entries = self._parts[spec.path] = list(self.part(spec))
-        return entries
+        held = self._lists.get(spec.path)
+        return self._hold(spec, self.part(spec)) if held is None else held
 
     def put(self, spec: ElementSpec, position: int | None, node) -> None:
-        """Store `node` as given: as the element at `spec` when `position`
-        is None, else as the entry at `position` of its list, whose key it
-        keeps."""
-        if position is None:
-            self._parts[spec.path] = node
-        else:
+        """Store `node` as given: as the element or whole list at `spec` when
+        `position` is None, else as the entry at `position` of its list,
+        whose key it keeps. An element must keep the written lists below it,
+        as one read here does; a whole list drops its key index."""
+        if position is not None:
             self._entries(spec)[position] = node
+        elif spec.key:
+            self._hold(spec, node)
+            self._positions.pop(spec.path, None)
+        else:
+            self._model = _put(self._model, spec.path, node)
 
     def append(self, spec: ElementSpec, entry) -> None:
         """Add `entry`, stored as given, to the list of `spec`."""
@@ -1102,12 +1100,10 @@ class Resolver:
             positions.setdefault(getattr(entry, spec.key), len(entries) - 1)
 
     def model(self) -> ModuleModel:
-        """The model with every edit, each element stored before the parts below it."""
+        """The model with every edit, its written lists as tuples."""
         model = self._model
-        for path, spec in _BY_PATH.items():
-            part = self._parts.get(path)
-            if part is not None:
-                model = _put(model, path, tuple(part) if spec.key else part)
+        for path, entries in self._lists.items():
+            model = _put(model, path, tuple(entries))
         return model
 
 

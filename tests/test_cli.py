@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -691,7 +692,7 @@ def test_unknown_subcommand_is_operational():
 
 
 def test_a_child_of_a_leaf_element_is_operational(work, tmp_path):
-    data = open(work["model"], "rb").read()
+    data = Path(work["model"]).read_bytes()
     role = b'<RoleRequirements RefBaseRoleClassPath="ControlEquipment"/>'
     assert role in data
     leaf = tmp_path / "leaf.aml"
@@ -705,10 +706,10 @@ def test_a_child_of_a_leaf_element_is_operational(work, tmp_path):
 
 def test_import_table_may_write_over_its_input(work, tmp_path):
     model = tmp_path / "m.aml"
-    model.write_bytes(open(work["stripped"], "rb").read())
+    model.write_bytes(Path(work["stripped"]).read_bytes())
     result = run("import-table", str(model), work["filled"], "-o", str(model))
     assert result.returncode == 0, result.stderr
-    assert model.read_bytes() == open(work["model"], "rb").read()
+    assert model.read_bytes() == Path(work["model"]).read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.aml"]
 
 

@@ -406,6 +406,24 @@ def test_root_and_foreign_paths_are_not_ownable():
         owner("other/general")
 
 
+def test_no_rule_covers_the_module_root_and_a_foreign_path_is_outside_the_module():
+    m = fixture.tjunction_model()
+    owner = _owner(m)
+    with pytest.raises(OwnershipError, match="^no ownership rule covers 'tjunction-01'$"):
+        owner("tjunction-01")
+    with pytest.raises(OwnershipError,
+                       match="^path 'other/general' is not inside module 'tjunction-01'$"):
+        owner("other/general")
+    linked = mm.add_cross_ref(m, "tjunction-01", "tjunction-01/general", "")
+    with pytest.raises(OwnershipError, match="^no ownership rule covers 'tjunction-01'$"):
+        cc.dependency_report(linked)
+    table = ",".join(exchange.HEADER) + "\ntjunction-01,name,,,docX,\n"
+    merged, violations = exchange.import_table(m, table.encode())
+    assert merged is m
+    assert [(v.rule_id, v.message) for v in violations] == [
+        ("invalid-value", "no ownership rule covers 'tjunction-01'")]
+
+
 def test_load_ownership_requires_full_coverage():
     with pytest.raises(OwnershipError, match="components"):
         cc.load_ownership("general | logistics\nstatus | software\nfunction | logistics\n"

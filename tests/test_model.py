@@ -416,6 +416,30 @@ def test_a_batch_in_any_order_stores_what_the_builders_store_one_by_one():
     assert m == _populated()
 
 
+def test_a_container_lookup_sees_the_edits_of_its_child_elements_and_lists():
+    m = mm.add_variable(mm.new_module("m", "Demo"), "a")
+    find = mm.Resolver(m)
+    identification = mm.Identification("Renamed")
+    find.put(mm.CHILDREN[("general",)]["identification"], None, identification)
+    assert find.locate("m/general").node.identification is identification
+    find.append(mm.CHILDREN[("control",)]["variables"], mm.Variable("b"))
+    assert [v.name for v in find("m/control").variables] == ["a", "b"]
+    assert find.model() == mm.add_variable(mm.set_identification(m, name="Renamed"), "b")
+
+
+def test_a_whole_list_put_replaces_the_written_list_and_its_key_index():
+    m = _populated()
+    find = mm.Resolver(m)
+    variables = mm.CHILDREN[("control",)]["variables"]
+    find.append(variables, mm.Variable("extra"))
+    assert find.keys(variables)["extra"] == 2
+    find.put(variables, None, (mm.Variable("extra"),))
+    assert find.keys(variables) == {"extra": 0}
+    find.append(variables, mm.Variable("more"))
+    expected = (mm.Variable("extra"), mm.Variable("more"))
+    assert find.model() == replace(m, control=replace(m.control, variables=expected))
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: mm.set_element(m, mm.Port("p")),
     lambda m: mm.set_element(m, mm.CrossReference("m/general", "m/status")),

@@ -43,6 +43,7 @@ the exit status is 1 when a contract check fails on either side.
 """
 from __future__ import annotations
 
+import atexit
 import contextlib
 import cProfile
 import functools
@@ -205,7 +206,8 @@ def _tjunction(m) -> dict:
 
 
 def _demo(m) -> dict:
-    scratch = tempfile.TemporaryDirectory()  # removed when the worker exits
+    scratch = tempfile.TemporaryDirectory()
+    atexit.register(scratch.cleanup)  # removed when the process exits
     place = {"cwd": Path(scratch.name) / "demo", "scratch": scratch,
              "env": dict(os.environ, PYTHONPATH=str(Path(m.__file__).parents[1]))}
     subprocess.run([sys.executable, "-m", "mfmkit", "init-example", str(place["cwd"])],
@@ -216,7 +218,8 @@ def _demo(m) -> dict:
 def _model_files(m) -> dict:
     """The seed 1 models of `_models` written once, as files in one directory."""
     import gen
-    scratch = tempfile.TemporaryDirectory()  # removed when the worker exits
+    scratch = tempfile.TemporaryDirectory()
+    atexit.register(scratch.cleanup)  # removed when the process exits
     inputs = {}
     for n in SIZES:
         name = f"model-{n}.aml"
@@ -456,6 +459,7 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
         for process in sides.values():
             process.stdin.close()
             process.wait()
+            process.stdout.close()
     record = {
         "input": {"seed": SEED, "sizes": SIZES, "components": COMPONENTS, "arms": BRANCHES,
                   "passes": PASSES, "adversarial_updates": ADVERSARIAL_UPDATES,
