@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Hashable, Iterable
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .model import non_xml_char
+from .records import record
 
 ACTION_KINDS = ("activate", "deactivate")
 
@@ -51,7 +51,7 @@ class SimulationError(ValueError):
     """Token walk failure: ambiguous branch or nonterminating cascade."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Condition:
     """One guard of a step: a sensor level (sensor_true, sensor_false) or an order request."""
 
@@ -59,7 +59,7 @@ class Condition:
     subject: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Action:
     """One action a step emits: its kind and the subject it acts on."""
 
@@ -67,7 +67,7 @@ class Action:
     subject: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BehaviorStep:
     """One step of a behavior graph, with the guards that enable it and its actions."""
 
@@ -77,7 +77,7 @@ class BehaviorStep:
     actions: tuple[Action, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BehaviorGraph:
     """A parsed behavior graph: its steps, forward edges and loop edges."""
 
@@ -87,7 +87,7 @@ class BehaviorGraph:
     loop_edges: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceEvent:
     """One trace line: a sensor level change or an order request."""
 
@@ -96,7 +96,7 @@ class TraceEvent:
     value: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ImlEntry:
     """One step of an IML document, with its guard expression and predecessors."""
 
@@ -108,7 +108,7 @@ class ImlEntry:
     predecessors: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ImlDocument:
     """The IML form of a behavior graph: one entry per step, in order."""
 

@@ -11,12 +11,13 @@ stage, broken matrix file).
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, fields, replace
 from importlib import resources
 from operator import attrgetter
 
 from . import model as mm
 from .paths import is_name, join_path
+from .records import record
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -46,7 +47,7 @@ RULE_PIPELINE_MISMATCH = "pipeline-mismatch"
 RULE_UNOWNABLE_ENDPOINT = "unownable-endpoint"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Violation:
     """One consistency finding."""
 
@@ -157,7 +158,7 @@ _REFS_DEMAND = ("control", "sensor_actuator_refs")
 _IO_DEMAND = ("control/io_mapping", "logical_address")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StageCoverageMatrix:
     """Which (element, parameter) pairs each stage must have populated."""
 
@@ -329,7 +330,7 @@ def check_completeness(
 # Ownership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class OwnershipMap:
     """Longest-prefix rules mapping element paths to owning disciplines."""
 
@@ -419,7 +420,7 @@ def assign_document(
 # Dependency report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class DependencyReport:
     """Cross-reference counts between disciplines plus workload shares.
 

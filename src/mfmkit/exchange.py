@@ -279,9 +279,9 @@ def import_table(
     value cells are requests and are never written. Importing the same
     table twice is a no-op the second time. The rows edit one working copy
     of the model (a mm.Resolver), which finds their elements and checks new
-    keys through its index. It stores an element a row writes at once, with
-    one copy of the path down to it, and copies each list the rows write to
-    once; the merged model is the working copy with those lists as tuples.
+    keys through its index. It holds the last value of each element the rows
+    write and a copy of each list they write to; the merged model stores
+    each of those once, however many rows wrote it.
     """
     if ownership is None:
         ownership = default_ownership()

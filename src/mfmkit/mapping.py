@@ -7,17 +7,17 @@ classes without an entry are not checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from . import model as mm
+from .records import record
 
 KIND_ILLEGAL_ROLE = "illegal_role"
 KIND_ILLEGAL_INTERFACE = "illegal_interface"
 KIND_MISSING_ROLE = "missing_role"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RuleEntry:
     """The roles and interfaces permitted on one rule-table class."""
 
@@ -26,7 +26,7 @@ class RuleEntry:
     permitted_roles: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MappingRuleTable:
     """The role/interface rule table: one entry per class path."""
 
@@ -39,7 +39,7 @@ class MappingRuleTable:
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AssignmentViolation:
     """An identifier outside (or missing from) its class's permitted set."""
 

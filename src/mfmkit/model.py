@@ -31,8 +31,9 @@ Resolver.locate alone decodes a path string; every reader of a path reads
 the record it returns, so a path is decoded once for each use. _put alone
 copies a changed part (an element, a whole list or one entry) into a model:
 a single edit (a builder call, set_parameter, assign_document) is one _put,
-and a Resolver, the working copy of a table import, stores each element
-with one _put and each written list once, then edits that list in place.
+and a Resolver, the working copy of a table import, holds each element and
+list it writes (a list as a copy it edits in place) and stores each with one
+_put when its model is asked for.
 The file reader needs no working copy: it builds the model bottom-up, each
 element with the parts below it.
 
@@ -44,11 +45,12 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, field, fields, replace
 from operator import attrgetter, indexOf
 from typing import Any, Callable, NamedTuple
 
 from .paths import PathError, is_name, join_path, split_path
+from .records import record
 
 COMPONENT_KINDS = ("sensor", "actuator", "conveyor", "switch")
 FUNCTION_CATEGORIES = ("material_flow", "handling", "waiting")
@@ -229,7 +231,7 @@ def param(default: Any = "", unit: str = "", check: Callable[[Any, str], Any] | 
     return field(default=default, metadata={"param": (unit, text, check)})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Parameter:
     """A named engineering-time value with an optional unit."""
 
@@ -238,7 +240,7 @@ class Parameter:
     unit: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExternalRef:
     """Reference to an external document via an interface class."""
 
@@ -247,7 +249,7 @@ class ExternalRef:
     ref_uri: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Annotation:
     """Role and interface identifiers attached to one element."""
 
@@ -255,14 +257,14 @@ class Annotation:
     external_refs: tuple[ExternalRef, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Element:
     """Base of the element and entry types: the element's own annotation."""
 
     annotation: Annotation = field(default=Annotation(), repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Identification(Element):
     """The module's name, identifier and type."""
 
@@ -271,7 +273,7 @@ class Identification(Element):
     module_type: str = param()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GeneralDescription(Element):
     """Static, engineering-time information about the module."""
 
@@ -280,7 +282,7 @@ class GeneralDescription(Element):
     static_attributes: tuple[Parameter, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RuntimeVariable(Element):
     """Declaration of a runtime value (no engineering-time valuation)."""
 
@@ -290,14 +292,14 @@ class RuntimeVariable(Element):
     description: str = param()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StatusDescription(Element):
     """The runtime variables the module exposes."""
 
     runtime_variables: tuple[RuntimeVariable, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LogisticFunction(Element):
     """One logistic function of the module, with its behavior reference."""
 
@@ -306,7 +308,7 @@ class LogisticFunction(Element):
     behavior_ref: str = param()  # document id of a behavior description
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Route(Element):
     """A route of material between two ports, with its priority."""
 
@@ -315,7 +317,7 @@ class Route(Element):
     priority: int = param(0, check=_integer)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FunctionDescription(Element):
     """The module's logistic functions and routes."""
 
@@ -323,7 +325,7 @@ class FunctionDescription(Element):
     routes: tuple[Route, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Port(Element):
     """A named point where material enters or leaves the module."""
 
@@ -332,7 +334,7 @@ class Port(Element):
     position: str = param(unit="mm", check=_triple)  # "(x,y,z)"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InteractionSpace(Element):
     """A named box, by its corners, where the module meets its neighbours."""
 
@@ -341,7 +343,7 @@ class InteractionSpace(Element):
     max_corner: str = param(unit="mm", check=_triple)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InterfaceDescription(Element):
     """The module's ports and interaction spaces."""
 
@@ -349,7 +351,7 @@ class InterfaceDescription(Element):
     interaction_spaces: tuple[InteractionSpace, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ControlFunction(Element):
     """One control function and the document holding its code body."""
 
@@ -358,7 +360,7 @@ class ControlFunction(Element):
     body_ref: str = param()  # document id of the code body
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Variable(Element):
     """One control variable of the module's program."""
 
@@ -367,7 +369,7 @@ class Variable(Element):
     scope: str = param()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IoMapEntry(Element):
     """Mapping of one electrical signal to a control variable."""
 
@@ -378,7 +380,7 @@ class IoMapEntry(Element):
     direction: str = param("input", check=_enum(*IO_DIRECTIONS))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Platform(Element):
     """The controller and bus coupler the module's control runs on."""
 
@@ -386,7 +388,7 @@ class Platform(Element):
     bus_coupler_type: str = param()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ControlDescription(Element):
     """The module's control functions, variables, io mapping and platform."""
 
@@ -396,7 +398,7 @@ class ControlDescription(Element):
     platform: Platform = field(default_factory=Platform)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Component(Element):
     """One sensor, actuator, conveyor or switch of the module."""
 
@@ -408,7 +410,7 @@ class Component(Element):
     latency: str = param(unit="s", check=_seconds)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DocumentReference(Element):
     """A document of one discipline and stage, and the element it is assigned to."""
 
@@ -420,7 +422,7 @@ class DocumentReference(Element):
     assigned_element: str = param(check=_optional_path)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CrossReference:
     """A link from one element path to another, with its kind."""
 
@@ -429,7 +431,7 @@ class CrossReference:
     kind: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ModuleModel(Element):
     """Root aggregate for one module."""
 
@@ -449,7 +451,7 @@ class ModuleModel(Element):
 # The meta-model schema
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class Param:
     """One parameter as its param() field declares it: name, unit, default text, validator."""
 
@@ -459,7 +461,7 @@ class Param:
     check: Callable[[Any, str], Any] | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ElementSpec:
     """One element of the meta model, or one list of entries.
 
@@ -997,10 +999,12 @@ class Resolver:
     locate() decodes a path once into the _Located record that resolution,
     the edits, ownership, rule classes and table rows all read.
 
-    The edits are stored in the model the resolver holds, so every lookup
-    sees every edit: an element with one _put, a list on its first write as
-    a Python-list copy, which later writes change in place. model() gives
-    those lists as tuples; a resolver never edited gives the model it got.
+    The edits are held by path: an element as last put, a list on its first
+    write as a Python-list copy, which later writes change in place. Every
+    lookup sees every edit: a part with written parts below it is read with
+    those in place. model() stores each held part once, parents before
+    children, the lists as tuples; a resolver never edited gives the model
+    it got.
     """
 
     def __init__(self, model: ModuleModel):
@@ -1008,13 +1012,29 @@ class Resolver:
         self.id = model.id
         self._prefix = model.id + "/"
         self._depth = model.id.count("/") + 1
-        self._lists: dict[tuple[str, ...], list] = {}  # the written lists, held in _model
+        self._held: dict[tuple[str, ...], Any] = {}  # the written elements and lists
+        self._below: dict[tuple[str, ...], set[str]] = {}  # children holding written parts
         self._positions: dict[tuple[str, ...], dict[str, int]] = {}
         self._scanned: set[tuple[str, ...]] = set()  # lists searched once, unindexed
 
     def part(self, spec: ElementSpec):
         """The current element, or sequence of entries, at `spec`."""
-        return get(self._model, spec)
+        return self._current(spec.path) if self._held else get(self._model, spec)
+
+    def _current(self, path: tuple[str, ...]):
+        """The part at `path`: read below the nearest held part at or above
+        it, with the current parts in place of its children that hold edits."""
+        held = self._held
+        depth = len(path)
+        while depth and path[:depth] not in held:  # the nearest held part at or above
+            depth -= 1
+        node = held.get(path[:depth], self._model)
+        for name in path[depth:]:
+            node = getattr(node, name)
+        below = self._below.get(path)
+        if below:
+            node = replace(node, **{name: self._current(path + (name,)) for name in below})
+        return node
 
     def keys(self, spec: ElementSpec) -> dict[str, int]:
         """Key -> position of the current entries of a name- or id-keyed list."""
@@ -1068,28 +1088,30 @@ class Resolver:
             return None
         return found if _value(found) is not None else None
 
-    def _hold(self, spec: ElementSpec, entries) -> list:
-        """Store a list copy of `entries` as the list of `spec`, to be written in place."""
-        held = self._lists[spec.path] = list(entries)
-        self._model = _put(self._model, spec.path, held)
-        return held
+    def _hold(self, path: tuple[str, ...], part):
+        """Hold `part` as the element or list at `path`."""
+        if path not in self._held:
+            for depth in range(len(path)):
+                self._below.setdefault(path[:depth], set()).add(path[depth])
+        self._held[path] = part
+        return part
 
     def _entries(self, spec: ElementSpec) -> list:
-        held = self._lists.get(spec.path)
-        return self._hold(spec, self.part(spec)) if held is None else held
+        held = self._held.get(spec.path)
+        return self._hold(spec.path, list(self.part(spec))) if held is None else held
 
     def put(self, spec: ElementSpec, position: int | None, node) -> None:
         """Store `node` as given: as the element or whole list at `spec` when
         `position` is None, else as the entry at `position` of its list,
-        whose key it keeps. An element must keep the written lists below it,
-        as one read here does; a whole list drops its key index."""
+        whose key it keeps. An element must keep the parts below it as one
+        read here has them; a whole list drops its key index."""
         if position is not None:
             self._entries(spec)[position] = node
         elif spec.key:
-            self._hold(spec, node)
+            self._hold(spec.path, list(node))
             self._positions.pop(spec.path, None)
         else:
-            self._model = _put(self._model, spec.path, node)
+            self._hold(spec.path, node)
 
     def append(self, spec: ElementSpec, entry) -> None:
         """Add `entry`, stored as given, to the list of `spec`."""
@@ -1100,10 +1122,12 @@ class Resolver:
             positions.setdefault(getattr(entry, spec.key), len(entries) - 1)
 
     def model(self) -> ModuleModel:
-        """The model with every edit, its written lists as tuples."""
+        """The model with every edit: each held part stored with one _put,
+        parents before children, the lists as tuples."""
         model = self._model
-        for path, entries in self._lists.items():
-            model = _put(model, path, tuple(entries))
+        for path in sorted(self._held, key=len):
+            part = self._held[path]
+            model = _put(model, path, tuple(part) if type(part) is list else part)
         return model
 
 

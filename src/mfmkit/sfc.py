@@ -14,7 +14,7 @@ outside the subset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import model as mm
 from .behavior import (
@@ -28,6 +28,7 @@ from .behavior import (
     event_value,
     walk,
 )
+from .records import record
 from .xmlio import Tag, XmlError, every, parse_tree, serialize_tree
 
 
@@ -39,7 +40,7 @@ class BindingError(SfcError):
     """A behavior subject has no io_mapping binding in the module model."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SfcVariable:
     """One declared variable of an SFC program."""
 
@@ -48,7 +49,7 @@ class SfcVariable:
     kind: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SfcStep:
     """One step of an SFC program, with the actions it sets."""
 
@@ -57,7 +58,7 @@ class SfcStep:
     actions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SfcTransition:
     """A transition between two SFC steps and its condition text."""
 
@@ -66,7 +67,7 @@ class SfcTransition:
     condition: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SfcProgram:
     """An SFC program: its steps, transitions and variables."""
 

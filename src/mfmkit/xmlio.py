@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import field
 from xml.parsers import expat
+
+from .records import record
 
 DECLARATION = '<?xml version="1.0" encoding="utf-8"?>'
 
@@ -54,7 +56,7 @@ class XmlError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Tag:
     """One element of a format, for reading and for writing.
 

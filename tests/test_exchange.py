@@ -538,6 +538,38 @@ def test_an_import_decodes_each_rows_element_path_once(monkeypatch):
     assert calls == [row[0] for row in csv.reader(io.StringIO(table.decode()))][1:]
 
 
+def test_an_import_stores_each_written_part_once_however_many_rows_write_it(monkeypatch):
+    m = sized_model(40)
+    component = m.components[0].name
+    rows = [(f"{m.id}/general", "main_dimensions", "(7,8,9)", "mm", "", ""),
+            (f"{m.id}/general/identification", "name", "Renamed", "", "", ""),
+            (f"{m.id}/control/platform", "controller_type", "CX", "", "", ""),
+            (f"{m.id}/general", "colour", "red", "", "", ""),
+            (f"{m.id}/components/{component}", "position", "(1,2,3)", "mm", "", "")]
+    expected = m
+    for path, name, value, _unit, _doc, _server in rows:
+        expected = mm.set_parameter(expected, path, name, value)
+    calls = []
+    put = mm._put
+
+    def counted(node, path, *rest):
+        if type(node) is mm.ModuleModel:  # not the calls _put makes on the parts below
+            calls.append(path)
+        return put(node, path, *rest)
+
+    monkeypatch.setattr(mm, "_put", counted)
+    counts = []
+    for repeats in (1, 20):
+        calls.clear()
+        merged, violations = exchange.import_table(m, _table(*rows * repeats))
+        assert violations == [] and merged == expected
+        counts.append(len(calls))
+    # one _put per written part: general, identification, platform, components
+    assert counts == [4, 4]
+    assert sorted(calls) == [("components",), ("control", "platform"), ("general",),
+                             ("general", "identification")]
+
+
 def test_a_request_takes_its_units_from_the_completeness_check(monkeypatch):
     m = sized_model(40)
     for component in m.components[:3]:

@@ -14,7 +14,7 @@ def _dataclasses(tree: ast.Module):
         if isinstance(node, ast.ClassDef):
             for decorator in node.decorator_list:
                 target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                if getattr(target, "id", getattr(target, "attr", None)) in ("dataclass", "record"):
                     yield node
 
 

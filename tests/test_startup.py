@@ -55,6 +55,21 @@ print(json.dumps({"code": code,
                   "loaded": sorted(m for m in sys.modules if m.startswith("mfmkit."))}))
 """
 
+_COMPILES = """
+import json, sys
+compiled = []
+def hook(event, args):
+    if event == "compile" and not str(args[1]).endswith(".py"):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        compiled.append(frame.f_globals["__name__"])
+sys.addaudithook(hook)
+for name in sys.argv[1:]:
+    __import__(name)
+print(json.dumps({"mfmkit": sum(name.startswith("mfmkit.") for name in compiled)}))
+"""
+
 
 def _fresh(script: str, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -98,3 +113,22 @@ def test_cli_keeps_its_module_attributes():
     assert cli.mapping.default_table() == mapping.default_table()
     with pytest.raises(AttributeError):
         cli.no_such_module
+
+
+# The code compiled while a module body of mfmkit runs, other than the source
+# files: one __init__ per record class (records.record), one __new__ per
+# NamedTuple and, since the modules' annotations are strings, one
+# typing.ForwardRef per NamedTuple field. From Python 3.13 on, dataclass()
+# compiles one more unit per class even when asked for no method: one per
+# record, and one for caex_io.ExternalInterface on the command path.
+#   mfmkit.cli: 30 records (model 25, consistency 4, xmlio 1); 7 NamedTuples
+#     (caex_io 6 with 23 fields, model's _Located with 5): 30 + 7 + 28 = 65.
+#   mfmkit.behavior, mfmkit.sfc: 37 records (model 25, behavior 7, sfc 4,
+#     xmlio 1); _Located: 37 + 1 + 5 = 43.
+@pytest.mark.parametrize("modules, compiled, dataclasses", [
+    (("mfmkit.cli",), 65, 31),
+    (("mfmkit.behavior", "mfmkit.sfc"), 43, 37),
+], ids=["cli", "behavior+sfc"])
+def test_import_compiles_one_function_per_record_class(modules, compiled, dataclasses):
+    extra = dataclasses if sys.version_info >= (3, 13) else 0
+    assert _fresh(_COMPILES, *modules) == {"mfmkit": compiled + extra}
