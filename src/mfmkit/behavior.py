@@ -125,11 +125,13 @@ def format_condition(condition: Condition) -> str:
     return f"order({condition.subject})"
 
 
-def guard_expr(guards: tuple[Condition, ...]) -> str:
-    """Normalized conjunction: sorted terms joined by AND, TRUE when empty."""
+def guard_expr(guards: tuple[Condition, ...],
+               term: Callable[[Condition], str] = format_condition) -> str:
+    """Normalized conjunction: the sorted `term` of each guard joined by AND,
+    TRUE when empty."""
     if not guards:
         return "TRUE"
-    return " AND ".join(sorted(format_condition(g) for g in guards))
+    return " AND ".join(sorted(term(g) for g in guards))
 
 
 # ---------------------------------------------------------------------------

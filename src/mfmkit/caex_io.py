@@ -19,7 +19,6 @@ Serialization is canonical (see docs/format.md): fixed attribute order,
 2-space indent, UTF-8, LF, optional attributes omitted when empty. Equal
 documents produce equal bytes, and attribute values are never re-formatted.
 """
-from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple

@@ -223,11 +223,12 @@ def _row_target(selector: str, parameter: str, where: str = "") -> tuple | None:
 
 
 def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tuple] | None:
-    """(element path, display name, element) of each element whose cell
-    (mm.cell of `parameter`) a matrix row demands. None for rows that demand
-    no cell: the cross-reference demand, lists (`function | logistic_functions`)
-    and child elements (`general | identification`). The io demand's cells
-    are the io_mapping entries' addresses. Unsupported rows raise MatrixError.
+    """(element path, display name, value, unit) of each cell (mm.cell of
+    `parameter`) a matrix row demands; value and unit are "" where the element
+    has no such cell. None for rows that demand no cell: the cross-reference
+    demand, lists (`function | logistic_functions`) and child elements
+    (`general | identification`). The io demand's cells are the io_mapping
+    entries' addresses. Unsupported rows raise MatrixError.
     """
     target = _row_target(selector, parameter)
     if target is None or target[1] is not None:
@@ -236,8 +237,10 @@ def row_cells(model: mm.ModuleModel, selector: str, parameter: str) -> list[tupl
     path = join_path(model.id, *spec.path)
     node = mm.get(model, spec)
     if not spec.key:
-        return [(path, spec.path[-1], node)]
-    return [(f"{path}/{key}", f"{spec.label} {key}", entry) for key, entry in mm.keyed(spec, node)]
+        return [(path, spec.path[-1], *(mm.cell(spec, node, parameter) or ("", "")))]
+    return [(f"{path}/{key}", f"{spec.label} {key}",
+             *(mm.cell(spec, entry, parameter) or ("", "")))
+            for key, entry in mm.keyed(spec, node)]
 
 
 def _signal_components(model: mm.ModuleModel) -> list[tuple[str, mm.Component]]:
@@ -287,10 +290,9 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str):
         cells = row_cells(model, selector, parameter)
         if cells is None and not mm.get(model, _row_target(selector, parameter)[1]):
             yield miss(join_path(mid, selector), f"no {parameter} declared", None)
-        for path, name, node in cells or ():
-            value = mm.cell(mm.spec_of(node), node, parameter)
-            if not (value and value[0]):
-                yield miss(path, f"{name} has no {parameter}", value[1] if value else "")
+        for path, name, value, unit in cells or ():
+            if not value:
+                yield miss(path, f"{name} has no {parameter}", unit)
 
 
 def missing_cells(model: mm.ModuleModel, stage: str, matrix: StageCoverageMatrix):

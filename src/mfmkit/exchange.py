@@ -93,8 +93,8 @@ def export_table(
     empty value cells, the cells check_completeness finds missing for `stage`
     (default: the final stage), but not its structural demands, which no row
     can fill. Rows are sorted by element_path, parameter_name. A stage export
-    reads each cell from the element row_cells gives; a request takes each
-    unit from the check that finds the cell missing.
+    takes each cell as row_cells reads it; a request takes each unit from the
+    check that finds the cell missing.
     """
     if stage and cls:
         raise ExchangeError("stage and class filters are mutually exclusive")
@@ -115,15 +115,11 @@ def export_table(
             if unit is not None:
                 rows.append((violation.element_path, violation.parameter, "", unit))
     elif stage:
-        cells: dict[tuple[str, str], object] = {}
-        for row_stage, selector, parameter in matrix.rows:
-            if row_stage == stage:
-                for element_path, _name, node in row_cells(model, selector, parameter) or ():
-                    cells[(element_path, parameter)] = node
-        for (element_path, parameter), node in cells.items():
-            found = mm.cell(mm.spec_of(node), node, parameter)
-            if found and found[0]:
-                rows.append((element_path, parameter, *found))
+        rows.extend({  # a cell two rows demand, once
+            (element_path, parameter, value, unit)
+            for row_stage, selector, parameter in matrix.rows if row_stage == stage
+            for element_path, _name, value, unit in row_cells(model, selector, parameter) or ()
+            if value})
     else:
         prefix = join_path(model.id, cls) if cls else ""
         for element_path, parameter, value, unit in mm.iter_parameters(model):
@@ -156,8 +152,10 @@ class _Merge:
     entries per component path, kept in step with the applied rows.
 
     A row is checked whole first; only then are its edits stored in the
-    working copy's model, so a row that fails changes nothing and every
-    later row, reading any element or list, sees the edits of earlier ones.
+    working copy's model (an element with one _put, an entry in the list
+    copy its first write stored there), so a row that fails changes nothing
+    and every later row, reading any element or list, sees the edits of
+    earlier ones.
     New io entries, variables and documents are checked against the working
     copy's key index, so a row costs the same however many entries the rows
     before it added.
@@ -279,9 +277,10 @@ def import_table(
     value cells are requests and are never written. Importing the same
     table twice is a no-op the second time. The rows edit one working copy
     of the model (a mm.Resolver), which finds their elements and checks new
-    keys through its index. It holds the last value of each element the rows
-    write and a copy of each list they write to; the merged model stores
-    each of those once, however many rows wrote it.
+    keys through its index. It stores each element a row writes at once,
+    with one copy of the path down to it, and copies each list the rows
+    write to once; the merged model is the working copy with those lists as
+    tuples.
     """
     if ownership is None:
         ownership = default_ownership()

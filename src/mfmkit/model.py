@@ -31,9 +31,9 @@ Resolver.locate alone decodes a path string; every reader of a path reads
 the record it returns, so a path is decoded once for each use. _put alone
 copies a changed part (an element, a whole list or one entry) into a model:
 a single edit (a builder call, set_parameter, assign_document) is one _put,
-and a Resolver, the working copy of a table import, holds each element and
-list it writes (a list as a copy it edits in place) and stores each with one
-_put when its model is asked for.
+and a Resolver, the working copy of a table import, stores each element it
+writes with one _put and each list it writes once, as a copy it then edits
+in place.
 The file reader needs no working copy: it builds the model bottom-up, each
 element with the parts below it.
 
@@ -999,12 +999,10 @@ class Resolver:
     locate() decodes a path once into the _Located record that resolution,
     the edits, ownership, rule classes and table rows all read.
 
-    The edits are held by path: an element as last put, a list on its first
-    write as a Python-list copy, which later writes change in place. Every
-    lookup sees every edit: a part with written parts below it is read with
-    those in place. model() stores each held part once, parents before
-    children, the lists as tuples; a resolver never edited gives the model
-    it got.
+    The edits are stored in the model the resolver holds, so every lookup
+    sees every edit: an element with one _put, a list on its first write as
+    a Python-list copy, which later writes change in place. model() gives
+    those lists as tuples; a resolver never edited gives the model it got.
     """
 
     def __init__(self, model: ModuleModel):
@@ -1012,29 +1010,14 @@ class Resolver:
         self.id = model.id
         self._prefix = model.id + "/"
         self._depth = model.id.count("/") + 1
-        self._held: dict[tuple[str, ...], Any] = {}  # the written elements and lists
-        self._below: dict[tuple[str, ...], set[str]] = {}  # children holding written parts
+        self._lists: dict[tuple[str, ...], list] = {}  # the written lists, held in _model
         self._positions: dict[tuple[str, ...], dict[str, int]] = {}
         self._scanned: set[tuple[str, ...]] = set()  # lists searched once, unindexed
 
     def part(self, spec: ElementSpec):
-        """The current element, or sequence of entries, at `spec`."""
-        return self._current(spec.path) if self._held else get(self._model, spec)
-
-    def _current(self, path: tuple[str, ...]):
-        """The part at `path`: read below the nearest held part at or above
-        it, with the current parts in place of its children that hold edits."""
-        held = self._held
-        depth = len(path)
-        while depth and path[:depth] not in held:  # the nearest held part at or above
-            depth -= 1
-        node = held.get(path[:depth], self._model)
-        for name in path[depth:]:
-            node = getattr(node, name)
-        below = self._below.get(path)
-        if below:
-            node = replace(node, **{name: self._current(path + (name,)) for name in below})
-        return node
+        """The current element, or sequence of entries, at `spec`; a written
+        list is found with one probe, and no probe is made before a write."""
+        return (self._lists and self._lists.get(spec.path)) or get(self._model, spec)
 
     def keys(self, spec: ElementSpec) -> dict[str, int]:
         """Key -> position of the current entries of a name- or id-keyed list."""
@@ -1088,30 +1071,23 @@ class Resolver:
             return None
         return found if _value(found) is not None else None
 
-    def _hold(self, path: tuple[str, ...], part):
-        """Hold `part` as the element or list at `path`."""
-        if path not in self._held:
-            for depth in range(len(path)):
-                self._below.setdefault(path[:depth], set()).add(path[depth])
-        self._held[path] = part
-        return part
-
     def _entries(self, spec: ElementSpec) -> list:
-        held = self._held.get(spec.path)
-        return self._hold(spec.path, list(self.part(spec))) if held is None else held
+        """The list of `spec` to write in place: on its first write, a list
+        copy stored in the model."""
+        held = self._lists.get(spec.path)
+        if held is None:
+            held = self._lists[spec.path] = list(get(self._model, spec))
+            self._model = _put(self._model, spec.path, held)
+        return held
 
     def put(self, spec: ElementSpec, position: int | None, node) -> None:
-        """Store `node` as given: as the element or whole list at `spec` when
-        `position` is None, else as the entry at `position` of its list,
-        whose key it keeps. An element must keep the parts below it as one
-        read here has them; a whole list drops its key index."""
-        if position is not None:
-            self._entries(spec)[position] = node
-        elif spec.key:
-            self._hold(spec.path, list(node))
-            self._positions.pop(spec.path, None)
+        """Store `node` as given: as the element at `spec` when `position` is
+        None, else as the entry at `position` of its list, whose key it keeps.
+        An element must keep the written lists below it, as one read here does."""
+        if position is None:
+            self._model = _put(self._model, spec.path, node)
         else:
-            self._hold(spec.path, node)
+            self._entries(spec)[position] = node
 
     def append(self, spec: ElementSpec, entry) -> None:
         """Add `entry`, stored as given, to the list of `spec`."""
@@ -1122,12 +1098,10 @@ class Resolver:
             positions.setdefault(getattr(entry, spec.key), len(entries) - 1)
 
     def model(self) -> ModuleModel:
-        """The model with every edit: each held part stored with one _put,
-        parents before children, the lists as tuples."""
+        """The model with every edit, its written lists as tuples."""
         model = self._model
-        for path in sorted(self._held, key=len):
-            part = self._held[path]
-            model = _put(model, path, tuple(part) if type(part) is list else part)
+        for path, entries in self._lists.items():
+            model = _put(model, path, tuple(entries))
         return model
 
 

@@ -26,6 +26,7 @@ from .behavior import (
     SimulationError,
     TraceEvent,
     event_value,
+    guard_expr,
     walk,
 )
 from .records import record
@@ -139,12 +140,6 @@ class _Binding:
         return mirrored + tuple(self.extra[k] for k in sorted(self.extra))
 
 
-def _condition_expr(guards: tuple[Condition, ...], binding: _Binding) -> str:
-    if not guards:
-        return "TRUE"
-    return " AND ".join(sorted(binding.term(g) for g in guards))
-
-
 def iml_to_sfc(iml: ImlDocument, model: mm.ModuleModel) -> SfcProgram:
     """Bind an IML document against a module model.
 
@@ -155,7 +150,7 @@ def iml_to_sfc(iml: ImlDocument, model: mm.ModuleModel) -> SfcProgram:
     if not iml.entries:
         raise SfcError("no entry step")
     binding = _Binding(model)
-    conditions = {e.step_id: _condition_expr(e.guards, binding) for e in iml.entries}
+    conditions = {e.step_id: guard_expr(e.guards, binding.term) for e in iml.entries}
     steps = tuple(
         SfcStep(
             name=entry.step_id,

@@ -59,6 +59,7 @@ def test_one_round_of_one_layer_on_this_checkout_as_both_sides(tmp_path, capsys)
     layers.main([str(TOOL.parents[1]), str(out), "1", "to_iml"])
     record = json.loads(out.read_text("utf-8"))
     assert record["input"]["rounds"] == 1
+    assert record["input"]["hash_seed"] == 0
     assert list(record["layers"]) == ["to_iml"]
     (n, row), = record["layers"]["to_iml"].items()
     assert n == str(layers.BRANCHES)

@@ -374,8 +374,7 @@ def test_store_copies_each_list_once_and_agrees_with_set_parameter():
 
 def _batch_edits():
     """(builder edit, the same edit on a Resolver) pairs: elements at three
-    depths, a whole list and entries, each on a part of its own."""
-    components = mm.CHILDREN[()]["components"]
+    depths and entries, each on a part of its own."""
     variables = mm.CHILDREN[("control",)]["variables"]
 
     def entry(find, path, name, value):
@@ -393,8 +392,6 @@ def _batch_edits():
         (lambda m: mm.set_platform(m, "CX", "EK"),
          lambda find: element(find, mm.CHILDREN[("control",)]["platform"],
                               controller_type="CX", bus_coupler_type="EK")),
-        (lambda m: mm.remove_element(m, "m/components/A1"),
-         lambda find: find.put(components, None, find.part(components)[:1])),
         (lambda m: mm.set_parameter(m, "m/control/io_mapping/1", "logical_address", "%Q1.1"),
          lambda find: entry(find, "m/control/io_mapping/1", "logical_address", "%Q1.1")),
         (lambda m: mm.add_variable(m, "extra", "BOOL"),
@@ -425,19 +422,6 @@ def test_a_container_lookup_sees_the_edits_of_its_child_elements_and_lists():
     find.append(mm.CHILDREN[("control",)]["variables"], mm.Variable("b"))
     assert [v.name for v in find("m/control").variables] == ["a", "b"]
     assert find.model() == mm.add_variable(mm.set_identification(m, name="Renamed"), "b")
-
-
-def test_a_whole_list_put_replaces_the_written_list_and_its_key_index():
-    m = _populated()
-    find = mm.Resolver(m)
-    variables = mm.CHILDREN[("control",)]["variables"]
-    find.append(variables, mm.Variable("extra"))
-    assert find.keys(variables)["extra"] == 2
-    find.put(variables, None, (mm.Variable("extra"),))
-    assert find.keys(variables) == {"extra": 0}
-    find.append(variables, mm.Variable("more"))
-    expected = (mm.Variable("extra"), mm.Variable("more"))
-    assert find.model() == replace(m, control=replace(m.control, variables=expected))
 
 
 @pytest.mark.parametrize("edit", [

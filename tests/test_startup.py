@@ -117,16 +117,18 @@ def test_cli_keeps_its_module_attributes():
 
 # The code compiled while a module body of mfmkit runs, other than the source
 # files: one __init__ per record class (records.record), one __new__ per
-# NamedTuple and, since the modules' annotations are strings, one
-# typing.ForwardRef per NamedTuple field. From Python 3.13 on, dataclass()
-# compiles one more unit per class even when asked for no method: one per
-# record, and one for caex_io.ExternalInterface on the command path.
+# NamedTuple and, where a module's annotations are strings (model's are),
+# one typing.ForwardRef per NamedTuple field. From Python 3.13 on,
+# dataclass() compiles one more unit per class even when asked for no
+# method: one per record, and one for caex_io.ExternalInterface on the
+# command path.
 #   mfmkit.cli: 30 records (model 25, consistency 4, xmlio 1); 7 NamedTuples
-#     (caex_io 6 with 23 fields, model's _Located with 5): 30 + 7 + 28 = 65.
+#     (caex_io 6, whose fields are types, and model's _Located, whose 5 are
+#     strings): 30 + 7 + 5 = 42.
 #   mfmkit.behavior, mfmkit.sfc: 37 records (model 25, behavior 7, sfc 4,
 #     xmlio 1); _Located: 37 + 1 + 5 = 43.
 @pytest.mark.parametrize("modules, compiled, dataclasses", [
-    (("mfmkit.cli",), 65, 31),
+    (("mfmkit.cli",), 42, 31),
     (("mfmkit.behavior", "mfmkit.sfc"), 43, 37),
 ], ids=["cli", "behavior+sfc"])
 def test_import_compiles_one_function_per_record_class(modules, compiled, dataclasses):

@@ -5,8 +5,10 @@
 The change is the checkout holding this script; PARENT_CHECKOUT is another
 one, such as a `git archive` of the parent commit (pass this checkout to
 time it alone). Each side is a worker process that imports `mfmkit`, and so
-its data files, from its own `src/`. Both build each set of inputs on its
-first use with this checkout's `bench/gen.py` and `tests/generators.py`.
+its data files, from its own `src/`. Both run with one PYTHONHASHSEED
+(HASH_SEED), so that neither side's string hashes lay out its sets and
+dicts differently in every round of a run. Both build each set of inputs on
+their first use with this checkout's `bench/gen.py` and `tests/generators.py`.
 LAYERS gives each layer with the builder of its inputs by n: seed 1 models
 of n components with a quarter of the cells withheld, and the same with
 n // 8 cross references dangling; a looped 12-arm graph on a 200-component
@@ -72,6 +74,7 @@ PASSES = (170, 425, 1070, 2690, 6760, 17000)
 ADVERSARIAL_UPDATES = 200_000
 REPEATS = 3
 ROUNDS = 21
+HASH_SEED = 0
 SIDES = ("parent", "change")
 #: The start-up commands, run in the demo directory.
 STARTUP = {"python3 -c pass": ["-c", "pass"]} | {
@@ -433,7 +436,8 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
     """Run the rounds; returns the record OUT.json holds."""
     sides = {side: subprocess.Popen(
         [sys.executable, "-B", __file__, "worker", str(checkout / "src")],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=str(HASH_SEED)))
         for side, checkout in zip(SIDES, (parent, ROOT))}
     timed: dict[tuple, list] = {}
     digests: dict[tuple, set] = {}
@@ -463,7 +467,8 @@ def measure(parent: Path, rounds: int, layers: list) -> dict:
     record = {
         "input": {"seed": SEED, "sizes": SIZES, "components": COMPONENTS, "arms": BRANCHES,
                   "passes": PASSES, "adversarial_updates": ADVERSARIAL_UPDATES,
-                  "repeats": REPEATS, "rounds": rounds, "python": platform.python_version(),
+                  "repeats": REPEATS, "rounds": rounds, "hash_seed": HASH_SEED,
+                  "python": platform.python_version(),
                   "cpus": os.cpu_count(), "machine": platform.machine(),
                   "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "layers": {}, "exponents": {}, "step_exponents": {}, "to_model_calls": calls,
