@@ -64,5 +64,12 @@ def __getattr__(name: str):
     return value
 
 
+def _data_text(name: str) -> str:
+    """The text of the shipped data file `data/<name>`."""
+    from importlib import resources
+
+    return resources.files(__name__).joinpath(f"data/{name}").read_text("utf-8")
+
+
 def __dir__() -> list[str]:
     return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

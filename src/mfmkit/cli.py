@@ -38,10 +38,9 @@ import json
 import os
 import stat
 import sys
-from importlib import resources
 from pathlib import Path
 
-from . import caex_io
+from . import _data_text, caex_io
 from . import consistency as cc
 from . import model as mm
 from .caex_io import StructureError
@@ -85,13 +84,9 @@ def _read_bytes(path: str) -> bytes:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as error:
+        return _read_bytes(path).decode("utf-8-sig")
+    except UnicodeDecodeError as error:
         raise _CliFailure(f"cannot read {path}: {error}") from None
-
-
-def _data_text(filename: str) -> str:
-    return resources.files("mfmkit").joinpath(f"data/{filename}").read_text("utf-8")
 
 
 #: Each config file by its flag's name: its file name (in $MFMKIT_RULES_DIR
@@ -269,9 +264,7 @@ def _cmd_validate(args: argparse.Namespace, out: _Output) -> None:
 
 
 def _cmd_complete_check(args: argparse.Namespace, out: _Output) -> None:
-    if args.stage not in mm.STAGES:
-        raise _CliFailure(
-            f"unknown stage {args.stage!r}; expected one of {', '.join(mm.STAGES)}")
+    cc.require_stage(args.stage, _CliFailure)
     matrix = _config(args, "matrix")
     model = _load_model(args.file, out)
     for violation in cc.check_completeness(model, args.stage, matrix):

@@ -12,9 +12,9 @@ stage, broken matrix file).
 from __future__ import annotations
 
 from dataclasses import MISSING, fields, replace
-from importlib import resources
 from operator import attrgetter
 
+from . import _data_text
 from . import model as mm
 from .paths import is_name, join_path
 from .records import record
@@ -201,8 +201,7 @@ def load_matrix(text: str) -> StageCoverageMatrix:
 
 
 def default_matrix() -> StageCoverageMatrix:
-    text = resources.files("mfmkit").joinpath("data/coverage_matrix.txt").read_text("utf-8")
-    return load_matrix(text)
+    return load_matrix(_data_text("coverage_matrix.txt"))
 
 
 def _row_target(selector: str, parameter: str, where: str = "") -> tuple | None:
@@ -295,6 +294,12 @@ def _eval_row(model: mm.ModuleModel, stage: str, selector: str, parameter: str):
                 yield miss(path, f"{name} has no {parameter}", unit)
 
 
+def require_stage(stage: str, error: type[Exception] = ValueError) -> None:
+    """Raise `error` naming the known stages unless `stage` is one of them."""
+    if stage not in mm.STAGES:
+        raise error(f"unknown stage {stage!r}; expected one of {', '.join(mm.STAGES)}")
+
+
 def missing_cells(model: mm.ModuleModel, stage: str, matrix: StageCoverageMatrix):
     """Yield (violation, unit) for each check_completeness violation, in its
     order: the unit of the cell it finds missing, "" where none is declared,
@@ -321,8 +326,7 @@ def check_completeness(
     Each row reads the elements it selects once, so the check is linear in
     the size of the model.
     """
-    if stage not in mm.STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
+    require_stage(stage)
     if matrix is None:
         matrix = default_matrix()
     return [violation for violation, _unit in missing_cells(model, stage, matrix)]
@@ -359,8 +363,7 @@ def load_ownership(text: str) -> OwnershipMap:
 
 
 def default_ownership() -> OwnershipMap:
-    text = resources.files("mfmkit").joinpath("data/ownership.txt").read_text("utf-8")
-    return load_ownership(text)
+    return load_ownership(_data_text("ownership.txt"))
 
 
 def owners(ownership: OwnershipMap):

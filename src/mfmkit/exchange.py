@@ -34,6 +34,7 @@ from .consistency import (
     default_ownership,
     missing_cells,
     owners,
+    require_stage,
     row_cells,
 )
 from .paths import PathError, join_path
@@ -98,8 +99,8 @@ def export_table(
     """
     if stage and cls:
         raise ExchangeError("stage and class filters are mutually exclusive")
-    if stage and stage not in mm.STAGES:
-        raise ExchangeError(f"unknown stage {stage!r}")
+    if stage:
+        require_stage(stage, ExchangeError)
     if cls:
         if missing_only:
             raise ExchangeError("missing_only exports select by stage, not by class")
@@ -151,6 +152,8 @@ class _Merge:
     mm.Resolver), the ownership decoder, and the number of io
     entries per component path, kept in step with the applied rows.
 
+    A row's value goes through mm.write_parameter, which checks a given unit
+    against the cell's and gives a new attribute that unit.
     A row is checked whole first; only then are its edits stored in the
     working copy's model (an element with one _put, an entry in the list
     copy its first write stored there), so a row that fails changes nothing
@@ -221,22 +224,11 @@ class _Merge:
         return edits
 
     def _write(self, spec: mm.ElementSpec, node: object, parameter: str, value: str, unit: str):
-        """`node`, an element of `spec`, with one parameter written. A given unit
-        must be the unit the cell exports with; a new attribute takes it as its own."""
         if not spec.writable(parameter):
             raise _RowError(RULE_UNKNOWN_PARAMETER,
                             f"element has no parameter {parameter!r}", parameter)
-        try:
-            if unit:
-                found = mm.cell(spec, node, parameter)
-                if found is None:  # a new attribute
-                    added = mm.check_attribute(spec, (), parameter, value, unit)
-                    return replace(node, **{spec.extra: getattr(node, spec.extra) + (added,)})
-                if unit != found[1]:
-                    raise mm.ModelError(mm.unit_mismatch(spec, parameter, unit, found[1]))
-            return mm.write_parameter(spec, node, parameter, value)
-        except (mm.ModelError, PathError) as error:
-            raise _RowError(RULE_INVALID_VALUE, str(error), parameter) from None
+        return _checked(mm.write_parameter, spec, node, parameter, value, unit,
+                        parameter=parameter)
 
     def _document(self, element_path: str, found, doc_name: str, doc_path: str) -> list:
         """The edits that add the document keyed `doc_name` or assign it to
@@ -268,19 +260,21 @@ def import_table(
 ) -> tuple[mm.ModuleModel, list[Violation]]:
     """Merge a completed table; returns the updated model plus row violations.
 
-    Structural problems raise ExchangeError and apply nothing: a table that
-    is not UTF-8, a wrong header, or a row, named "row N" (records counted
-    from the header as row 1), with the wrong column count (which is what
-    an unbalanced quote gives), a lone carriage return in an unquoted cell
-    or a cell over the csv module's limit of 131 072 characters. A row that
-    cannot be applied is skipped whole with exactly one violation; empty
-    value cells are requests and are never written. Importing the same
-    table twice is a no-op the second time. The rows edit one working copy
-    of the model (a mm.Resolver), which finds their elements and checks new
-    keys through its index. It stores each element a row writes at once,
-    with one copy of the path down to it, and copies each list the rows
-    write to once; the merged model is the working copy with those lists as
-    tuples.
+    The table is read as UTF-8 without a leading BOM, its CRLF line ends as
+    LF ones. Structural problems raise ExchangeError and apply nothing: a
+    table that is not UTF-8, a wrong header, or a row, named "row N"
+    (records counted from the header as row 1), with the wrong column count
+    (which is what an unbalanced quote gives), a lone carriage return in an
+    unquoted cell or a cell over the csv module's limit of 131 072
+    characters. A row that cannot be applied is skipped whole with exactly
+    one violation; empty value cells are requests and are never written. A
+    row's unit, if given, must be the unit of the cell it writes; a new
+    attribute takes it. Importing the same table twice is a no-op the
+    second time. The rows edit one working copy of the model (a
+    mm.Resolver), which finds their elements and checks new keys through
+    its index. It stores each element a row writes at once, with one copy
+    of the path down to it, and copies each list the rows write to once;
+    the merged model is the working copy with those lists as tuples.
     """
     if ownership is None:
         ownership = default_ownership()

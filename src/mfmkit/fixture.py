@@ -12,8 +12,7 @@ baseline for tamper tests and as the `init-example` scaffold.
 """
 from __future__ import annotations
 
-from importlib import resources
-
+from . import _data_text
 from . import model as mm
 from .caex_io import attach_external_document
 
@@ -55,12 +54,12 @@ _IO_TABLE = (
 
 def behavior_text() -> str:
     """The routing behavior shipped with the fixture."""
-    return resources.files("mfmkit").joinpath("data/tjunction.bhv").read_text("utf-8")
+    return _data_text("tjunction.bhv")
 
 
 def trace_text(name: str) -> str:
     """A recorded trace; `name` is `route-1` or `route-2`."""
-    return resources.files("mfmkit").joinpath(f"data/traces/{name}.trace").read_text("utf-8")
+    return _data_text(f"traces/{name}.trace")
 
 
 def tjunction_model() -> mm.ModuleModel:

@@ -7,8 +7,7 @@ classes without an entry are not checked.
 """
 from __future__ import annotations
 
-from importlib import resources
-
+from . import _data_text
 from . import model as mm
 from .records import record
 
@@ -95,8 +94,7 @@ def save_table(table: MappingRuleTable) -> str:
 
 
 def default_table() -> MappingRuleTable:
-    text = resources.files("mfmkit").joinpath("data/rules.txt").read_text("utf-8")
-    return load_table(text)
+    return load_table(_data_text("rules.txt"))
 
 
 # ---------------------------------------------------------------------------

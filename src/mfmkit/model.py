@@ -1125,10 +1125,14 @@ def set_parameter(model: ModuleModel, element_path: str, name: str, value: str) 
     return _put(model, spec.path, write_parameter(spec, node, name, value), index)
 
 
-def write_parameter(spec: ElementSpec, node, name: str, value: str):
+def write_parameter(spec: ElementSpec, node, name: str, value: str, unit: str = ""):
     """`node`, an element of `spec`, with one parameter written and validated
     as set_parameter() validates it; an unknown name in an open attribute
-    set (`spec.extra`) adds a static attribute."""
+    set (`spec.extra`) adds a static attribute in `unit`. A given unit must
+    be the unit of the cell the name already has, checked before the value."""
+    found = unit and cell(spec, node, name)
+    if found and unit != found[1]:
+        raise ModelError(unit_mismatch(spec, name, unit, found[1]))
     _require_clean(value, "parameter value")
     if not spec.writable(name):
         raise ModelError(f"unknown {spec.label} parameter {name!r}")
@@ -1138,7 +1142,7 @@ def write_parameter(spec: ElementSpec, node, name: str, value: str):
             if param.name == name:
                 attrs = attrs[:i] + (replace(param, value=value),) + attrs[i + 1:]
                 return replace(node, **{spec.extra: attrs})
-        added = check_attribute(spec, (p.name for p in attrs), name, value, "")
+        added = check_attribute(spec, (p.name for p in attrs), name, value, unit)
         return replace(node, **{spec.extra: attrs + (added,)})
     updated = replace(node, **{name: check_value(spec, spec.names[name], value)})
     if spec.invariant:

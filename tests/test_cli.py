@@ -1,6 +1,7 @@
 """The mfmkit command: exit codes, determinism, and output formats."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -798,3 +799,71 @@ def test_an_unsupported_matrix_row_is_rejected_at_load_whatever_the_stage(
         assert out == "" and err == (
             f"mfmkit: bad coverage matrix: line {line}: "
             "unsupported matrix row: control | platform\n"), command
+
+
+def _main_bytes(argv: list[str]) -> tuple[int, bytes, str]:
+    """Exit code, stdout bytes and stderr of one in-process run."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+        stdout.flush()
+    return code, stdout.buffer.getvalue(), stderr.getvalue()
+
+
+# FILE is the copy under test; a config command line without its flag finds
+# the copy through $MFMKIT_RULES_DIR.
+@pytest.mark.parametrize("name, argv", [
+    ("rules.txt", ["validate", "MODEL", "--rules", "FILE"]),
+    ("rules.txt", ["validate", "MODEL"]),
+    ("coverage_matrix.txt",
+     ["complete-check", "STRIPPED", "--stage", "control_hmi_eng", "--matrix", "FILE"]),
+    ("coverage_matrix.txt", ["complete-check", "STRIPPED", "--stage", "control_hmi_eng"]),
+    ("ownership.txt", ["report", "MODEL", "--ownership", "FILE"]),
+    ("ownership.txt", ["report", "MODEL"]),
+    ("behavior.bhv", ["simulate", "MODEL", "FILE", "TRACE"]),
+    ("behavior.bhv", ["gen-plcopen", "MODEL", "FILE", "-o", "OUT"]),
+    ("traces/route-1.trace", ["simulate", "MODEL", "BEHAVIOR", "FILE"]),
+], ids=["rules-flag", "rules-dir", "matrix-flag", "matrix-dir", "ownership-flag",
+        "ownership-dir", "behavior-simulate", "behavior-gen-plcopen", "trace-simulate"])
+def test_a_bom_or_crlf_copy_of_a_text_input_reads_as_the_original(
+        work, tmp_path, monkeypatch, name, argv):
+    original = (Path(work["demo"]) / name).read_bytes()
+    copies = {"original": original, "bom": b"\xef\xbb\xbf" + original,
+              "crlf": original.replace(b"\n", b"\r\n")}
+    out = tmp_path / "out.xml"
+    outcomes = {}
+    for kind, data in copies.items():
+        file = tmp_path / kind / Path(name).name
+        file.parent.mkdir()
+        file.write_bytes(data)
+        monkeypatch.setenv("MFMKIT_RULES_DIR", str(file.parent))
+        fill = {"MODEL": work["model"], "STRIPPED": work["stripped"], "FILE": str(file),
+                "BEHAVIOR": work["behavior"], "TRACE": work["route1"], "OUT": str(out)}
+        outcomes[kind] = _main_bytes([fill.get(arg, arg) for arg in argv])
+        if "OUT" in argv:
+            outcomes[kind] += (out.read_bytes(),)
+    code, stdout, stderr = outcomes["original"][:3]
+    assert code in (0, 1) and stdout and stderr == ""
+    assert outcomes["bom"] == outcomes["original"]
+    assert outcomes["crlf"] == outcomes["original"]
+
+
+def test_a_directory_given_as_an_input_is_reported_in_one_form(work, tmp_path, capsys):
+    errors = []
+    for argv in (["validate", str(tmp_path)],
+                 ["validate", work["model"], "--rules", str(tmp_path)],
+                 ["simulate", work["model"], str(tmp_path), work["route1"]]):
+        assert cli.main(argv) == 2, argv
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"mfmkit: cannot read {tmp_path}: ")
+    assert errors[1:] == errors[:1] * 2
+
+
+def test_export_table_words_an_unknown_stage_as_complete_check_does(work, capsys):
+    message = f"unknown stage 'bogus'; expected one of {', '.join(mm.STAGES)}"
+    for command in ("export-table", "complete-check"):
+        assert cli.main([command, work["model"], "--stage", "bogus"]) == 2
+        assert capsys.readouterr() == ("", f"mfmkit: {message}\n")
+    with pytest.raises(ValueError) as raised:
+        cli.cc.check_completeness(fixture.tjunction_model(), "bogus")
+    assert str(raised.value) == message

@@ -600,3 +600,27 @@ def test_a_request_leaves_out_the_demands_no_row_can_fill():
     assert not {v.rule_id for v in violations} & {
         cc.RULE_UNKNOWN_PARAMETER, cc.RULE_UNKNOWN_ELEMENT}
     assert rows == [list(HEADER)]
+
+
+def test_a_new_attributes_unwritable_value_reads_the_same_with_or_without_a_unit():
+    m = fixture.tjunction_model()
+    outcomes = []
+    for unit in ("kg", ""):
+        table = _table((f"{m.id}/general", "newattr", "a\x01b", unit, "", ""))
+        updated, violations = exchange.import_table(m, table)
+        assert updated == m
+        outcomes.append([(v.rule_id, v.parameter, v.message) for v in violations])
+    assert outcomes[0] == outcomes[1]
+    assert [outcome[:2] for outcome in outcomes[0]] == [("invalid-value", "newattr")]
+
+
+@pytest.mark.parametrize("element, parameter, unit, message", [
+    ("components/LB_in", "position", "cm", "component position has unit 'cm'; expected 'mm'"),
+    ("general", "weight", "g", "general description weight has unit 'g'; expected 'kg'"),
+], ids=["parameter", "attribute"])
+def test_a_wrong_unit_is_reported_before_an_unwritable_value(element, parameter, unit, message):
+    m = fixture.tjunction_model()
+    table = _table((f"{m.id}/{element}", parameter, "a\x01b", unit, "", ""))
+    updated, violations = exchange.import_table(m, table)
+    assert [(v.rule_id, v.message) for v in violations] == [("invalid-value", message)]
+    assert updated == m

@@ -1,11 +1,12 @@
 """Seeded byte mutations of the demo set through the commands, in process.
 
 Each input file of the init-example demo (the model, the behavior graph,
-both traces and an exported request table) is mutated a fixed number of
-times: a span is flipped bit-wise, deleted, duplicated or the file is
-truncated there. Every command that reads the file runs on each mutant,
-twice. Whatever the bytes, a command exits 0, 1 or 2, raises nothing but
-SystemExit, writes no traceback, and prints the same stdout both times.
+both traces, the three config files and an exported request table) is
+mutated a fixed number of times: a span is flipped bit-wise, deleted,
+duplicated or the file is truncated there. Every command that reads the
+file runs on each mutant, twice. Whatever the bytes, a command exits 0, 1
+or 2, raises nothing but SystemExit, writes no traceback, and prints the
+same stdout both times.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from mfmkit import cli
 
 #: Mutants per input file.
 MUTANTS = {"model.aml": 14, "behavior.bhv": 10, "traces/route-1.trace": 5,
-           "traces/route-2.trace": 5, "request.csv": 10}
+           "traces/route-2.trace": 5, "request.csv": 10, "rules.txt": 10,
+           "coverage_matrix.txt": 10, "ownership.txt": 10}
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
@@ -54,6 +56,14 @@ def commands(name: str, file: str, demo: Path, out: Path) -> list[list[str]]:
                 ["simulate", model, file, trace, "--format", "structured"]]
     if name.startswith("traces/"):
         return [["simulate", model, bhv, file]]
+    if name == "rules.txt":
+        return [["validate", model, "--rules", file]]
+    if name == "coverage_matrix.txt":
+        return [["complete-check", model, "--stage", "control_hmi_eng", "--matrix", file],
+                ["export-table", model, "--missing-only", "--matrix", file]]
+    if name == "ownership.txt":
+        return [["report", model, "--ownership", file],
+                ["import-table", model, table, "--ownership", file, "-o", str(out)]]
     return [["import-table", model, file, "-o", str(out)]]
 
 
