@@ -224,13 +224,14 @@ class _ModelBuilder:
     keeps the default; an interface's refURI is read as such a value, of a
     parameter without a unit. An entry that cannot be added (bad or
     duplicate key, missing component path, broken invariant) is reported
-    and dropped with its annotations, which are not read. Absent and empty
-    values take the default silently. What the model has no place for is
-    reported as ignored: an element's ID, a DataType other than xs:string,
-    the name of an index-addressed entry other than its position, all that
-    the wrapper elements above the module root and the InstanceHierarchies
-    hold besides the way down to it, and a hierarchy name other than the
-    writer's. `values` checks each given value once and no default, which
+    and dropped with its annotations. An entry is built once, with its
+    annotation read first; a dropped entry's annotation warnings go with it.
+    Absent and empty values take the default silently. What the model has
+    no place for is reported as ignored: an element's ID, a DataType other
+    than xs:string, the name of an index-addressed entry other than its
+    position, all that the wrapper elements above the module root and the
+    InstanceHierarchies hold besides the way down to it, and a hierarchy
+    name other than the writer's. `values` checks each given value once and no default, which
     is valid by declaration; model.check_shape checks the rest of the element.
     """
 
@@ -386,14 +387,16 @@ class _ModelBuilder:
             if fields is not None:
                 if not indexed:
                     fields[spec.key] = name
+                read = len(self.violations)
+                if roles or interfaces:  # read first, so that the entry is built once
+                    fields["annotation"] = self.annotation(
+                        mm.Annotation(), roles, interfaces,
+                        join_path(path, str(len(entries))) if indexed else entry_path)
                 node = self.checked(
                     entry_path, mm.check_shape, spec, spec.node_type(**fields), taken)
-                if node is not None:
-                    if roles or interfaces:
-                        fields["annotation"] = self.annotation(
-                            mm.Annotation(), roles, interfaces,
-                            join_path(path, str(len(entries))) if indexed else entry_path)
-                        node = spec.node_type(**fields)
+                if node is None:  # dropped: only the shape's warning is kept
+                    del self.violations[read:-1]
+                else:
                     entries.append(node)
                     if not indexed:
                         taken.add(name)

@@ -98,6 +98,18 @@ def non_xml_char(value: str) -> str | None:
 
 
 def _require_clean(value: str, what: str) -> None:
+    """ModelError unless `value` is a str that XML can carry and that holds
+    no carriage return.
+
+    A printable string passes in one C call: str.isprintable() is false for
+    every control character (carriage return included), every surrogate
+    and U+FFFE and U+FFFF, since Unicode classes them as Cc, Cs or Cn. A
+    string that is not printable (one with a tab, a line feed or a space
+    other than U+0020, say) takes the full checks, which give the verdict
+    and word the error.
+    """
+    if isinstance(value, str) and value.isprintable():
+        return
     if not isinstance(value, str):
         raise ModelError(f"{what} must be a string, not {type(value).__name__}")
     if "\r" in value:
@@ -127,7 +139,10 @@ def _number(text: str) -> float:
 
 
 def parse_triple(text: str) -> tuple[float, float, float]:
-    """Parse a "(x,y,z)" string into three finite floats."""
+    """Parse a "(x,y,z)" string into three finite floats, each read as
+    _number reads it. An ASCII text without an underscore, the common case,
+    is read with the C-level float() alone: on such a part _number does
+    nothing but call float()."""
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ModelError(f"not a triple: {text!r}")
@@ -135,7 +150,7 @@ def parse_triple(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ModelError(f"not a triple: {text!r}")
     try:
-        x, y, z = map(_number, parts)
+        x, y, z = map(float if text.isascii() and "_" not in text else _number, parts)
     except ValueError:
         raise ModelError(f"not a triple: {text!r}") from None
     if not all(map(math.isfinite, (x, y, z))):
@@ -542,6 +557,10 @@ _CROSS_REFS = ElementSpec(("cross_refs",), "index", CrossReference, "", surface=
 _BY_PATH = {spec.path: spec for spec in SCHEMA + (_CROSS_REFS,)}
 _BY_TYPE = {spec.node_type: spec for spec in SCHEMA + (_CROSS_REFS,)}
 
+#: The message label ("port position") of each schema parameter, keyed by
+#: the identity of its Param record, which SCHEMA keeps alive.
+_LABELS = {id(p): f"{spec.label} {p.name}" for spec in SCHEMA for p in spec.params}
+
 #: Child specs of each spec by name, in document order.
 CHILDREN: dict[tuple[str, ...], dict[str, ElementSpec]] = {
     spec.path: {c.path[-1]: c for c in SCHEMA if c.path and c.path[:-1] == spec.path}
@@ -607,11 +626,14 @@ def check_value(spec: ElementSpec, param: Param, value):
     """Validate one parameter value; returns the value to store. A value is
     a str, except that an int-declared parameter (a route priority) also
     takes an int, never a bool or a float: any other value could not be
-    written to a file and read back equal."""
-    what = f"{spec.label} {param.name}"
-    if param.check is not _integer:
+    written to a file and read back equal. The label of a schema parameter
+    ("port position") is looked up in _LABELS, made once with the schema;
+    any other spec's is formatted here."""
+    what = _LABELS.get(id(param)) or f"{spec.label} {param.name}"
+    check = param.check
+    if check is not _integer:
         _require_clean(value, what)
-    return param.check(value, what) if param.check else value
+    return check(value, what) if check else value
 
 
 def check_node(spec: ElementSpec, node, taken=()):
@@ -678,7 +700,7 @@ def check_roles(ann: Annotation, roles) -> Annotation:
     for role in roles:
         _require_name(role, "role identifier")
         merged[role] = None
-    return replace(ann, roles=tuple(merged))
+    return Annotation(tuple(merged), ann.external_refs)
 
 
 def check_external_ref(ann: Annotation, path: str, ref: ExternalRef) -> Annotation:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import field
+from types import MappingProxyType
 from xml.parsers import expat
 
 from .records import record
@@ -66,12 +67,12 @@ class Tag:
     child elements in canonical order.
 
     `build(attrs, kids, text)` makes the element's value from its
-    attributes (a dict), its children's values (a dict from tag to the list
-    of values, in document order; tags that do not occur are absent) and
-    its text. It may raise XmlError without a position; the reader places
-    it at the element. `split(value)` is the inverse: the attribute values
-    in canonical order, one sequence of child values per entry of
-    `children`, and the text.
+    attributes (a dict), its children's values (a mapping from tag to the
+    list of values, in document order; tags that do not occur are absent;
+    read-only and shared when there are none) and its text. It may raise
+    XmlError without a position; the reader places it at the element.
+    `split(value)` is the inverse: the attribute values in canonical order,
+    one sequence of child values per entry of `children`, and the text.
 
     `text` marks an element whose character data is significant. With a
     `key`, the keys of an element's values must differ among its siblings
@@ -114,13 +115,22 @@ class _Unplaced(Exception):
     """The fast pass gives up: the placing pass reads the document and reports."""
 
 
+#: What `build` gets as the children of an element that has none.
+_NO_KIDS = MappingProxyType({})
+
+
 def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
     """The value of a document read in one strict pass of expat against `tags`.
 
     Each open element is a record [tag, Tag (None if unknown), attrs, child
-    values by tag, keys of the children, text parts (None unless a text
-    element), has children, folded child's text, start position] on a stack
-    whose bottom record takes the root as its one child. A text element's
+    values by tag (None until the first child ends), keys of the children
+    (None until the first keyed child ends), text parts (None unless a text
+    element), has children, folded child's text (None unless one was read),
+    start position (() in the fast pass)] on a stack whose bottom record
+    takes the root as its one child. Most elements are leaves, so a record
+    allocates no dict or list of its own: the end of its first child makes
+    the child dict with that child's list in it, and `build` is handed the
+    shared, read-only _NO_KIDS when no child came. A text element's
     character data goes straight to the C-level `append` of its parts. The
     start of an element checks it against its parent and its attributes;
     the end builds its value, or takes a folded element's text, for the
@@ -141,7 +151,7 @@ def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
     a byte-level error anywhere wins over a structural error before it.
     """
     spec_of = tags.get
-    stack = [[None, Tag((), (), (root,), None, None), {}, {}, None, None, False, None, ()]]
+    stack = [[None, Tag((), (), (root,), None, None), {}, None, None, None, False, None, ()]]
     texts = {tag for tag, spec in tags.items() if spec.text}
     folded = {tag for tag in texts if tags[tag].folded}
     parser = expat.ParserCreate()
@@ -195,7 +205,7 @@ def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
             if not failure and not (tag in parent[1].child_tags
                                     and keys <= spec.allowed and keys >= spec.needed):
                 fail(XmlError(_error(tag, spec, attrs, parent), *here()))
-        record = [tag, spec, attrs, {}, None, None, False, None, here() if placing else ()]
+        record = [tag, spec, attrs, None, None, None, False, None, here() if placing else ()]
         if tag in texts:
             text = record[5] = []
             parser.CharacterDataHandler = text.append
@@ -224,7 +234,7 @@ def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
         if failure:
             return
         try:
-            value = spec.build(attrs, kids, value)
+            value = spec.build(attrs, kids or _NO_KIDS, value)
         except XmlError as error:
             return fail(error if error.line is not None else XmlError(error.args[0], *where))
         if spec.key is not None:
@@ -233,7 +243,13 @@ def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
                 return fail(XmlError(f"duplicate {tag} name {key[1]!r}", *where))
             keys.add(key)
             parent[4] = keys
-        parent[3].setdefault(tag, []).append(value)
+        siblings = parent[3]
+        if siblings is None:
+            parent[3] = {tag: [value]}
+        elif tag in siblings:
+            siblings[tag].append(value)
+        else:
+            siblings[tag] = [value]
 
     parser.StartElementHandler, parser.EndElementHandler = start, end
     parser.CharacterDataHandler = other

@@ -602,6 +602,18 @@ def test_annotation_warnings_follow_the_entry_and_name_its_index():
     assert mm.annotation_at(model, "m/control/io_mapping/0") == mm.Annotation()
 
 
+def test_a_dropped_entry_reports_only_why_it_was_dropped():
+    bad = (CaexInterface("x y", "AttachmentInterface"),)
+    model, warnings = _read_lists(CaexElement(name="ports", children=(
+        _entry("bad name", roles=("bad role",))._replace(external_interfaces=bad),
+        _entry("p1", roles=("R",)),
+        _entry("p1", roles=("bad role",))._replace(external_interfaces=bad))))
+    assert [port.name for port in model.interface.ports] == ["p1"]
+    assert mm.annotation_at(model, "m/interface/ports/p1").roles == ("R",)
+    assert warnings == [("invalid-value", "m/interface/ports/bad name"),
+                        ("invalid-value", "m/interface/ports/p1")]  # the duplicate
+
+
 def test_reading_a_model_validates_each_annotation_once(monkeypatch):
     calls: Counter = Counter()
     for name in ("check_roles", "check_external_ref"):

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import itertools
+import string
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
@@ -89,6 +93,57 @@ def test_resolve_malformed_path_raises():
         mm.resolve(m, "m/comp onents")
     with pytest.raises(PathError):
         mm.resolve(m, "")
+
+
+_SEGMENT_CHARS = set(string.ascii_letters + string.digits + "_.-")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="aZ09_.-é \n+", max_size=3), min_size=1, max_size=4))
+def test_split_path_accepts_exactly_the_paths_whose_every_segment_is_valid(segments):
+    # split_path settles a path with one match over the whole path; the
+    # segment grammar, checked here segment by segment, is what it must mean
+    path = "/".join(segments)
+    bad = [seg for seg in segments if not seg or not set(seg) <= _SEGMENT_CHARS]
+    if not bad:
+        assert split_path(path) == tuple(segments)
+        return
+    with pytest.raises(PathError) as error:
+        split_path(path)
+    assert str(error.value) == (
+        "empty path" if not path else f"malformed path segment {bad[0]!r} in {path!r}")
+
+
+def test_split_path_names_the_first_bad_segment():
+    with pytest.raises(PathError, match="^malformed path segment '' in 'm//x'$"):
+        split_path("m//x")
+    with pytest.raises(PathError, match="^malformed path segment 'a b' in 'm/a b/c d'$"):
+        split_path("m/a b/c d")
+
+
+def test_no_printable_character_is_one_a_model_value_may_not_hold():
+    # _require_clean passes a printable string without its full checks; the
+    # Unicode tables behind str.isprintable() differ between Python versions
+    printable = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isprintable()]
+    assert [f"U+{ord(ch):04X}" for ch in printable if ch == "\r" or mm.non_xml_char(ch)] == []
+
+
+@pytest.mark.parametrize("value, message", [
+    ("a\rb", "x must not contain carriage returns"),
+    ("a\x00", "x must not contain the character U+0000, which XML cannot carry"),
+    ("\ud800", "x must not contain the character U+D800, which XML cannot carry"),
+    ("\uffff", "x must not contain the character U+FFFF, which XML cannot carry"),
+    (b"a", "x must be a string, not bytes"),
+])
+def test_require_clean_words_each_unclean_value(value, message):
+    with pytest.raises(mm.ModelError) as error:
+        mm._require_clean(value, "x")
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("value", ["", "a b", "tab\there", "line\nfeed", "\x85\u00a0\u2028"])
+def test_require_clean_passes_what_xml_can_carry(value):
+    mm._require_clean(value, "x")
 
 
 @pytest.mark.parametrize("build", [

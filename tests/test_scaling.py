@@ -82,12 +82,14 @@ def _component_table(m: mm.ModuleModel, document) -> bytes:
 
 def _operations(n: int) -> dict:
     m = sized_model(n)
-    doc = caex_io.parse(caex_io.serialize(caex_io.from_model(m)))
+    data = caex_io.serialize(caex_io.from_model(m))
+    doc = caex_io.parse(data)
     table = _filled_table(m)
     new_documents = _component_table(m, lambda i: f"new-{i}")
     reassigned = _component_table(m, lambda i: m.documents[i % len(m.documents)].id)
     return {
         "builders (sized_model)": lambda: sized_model(n),
+        "parse": lambda: caex_io.parse(data),
         "to_model": lambda: caex_io.to_model(doc),
         "check_links": lambda: cc.check_links(m),
         "check_completeness": lambda: cc.check_completeness(m, "control_hmi_eng"),
@@ -105,7 +107,7 @@ def counts() -> dict:
 
 
 @pytest.mark.parametrize("operation", [
-    "builders (sized_model)", "to_model", "check_links", "check_completeness",
+    "builders (sized_model)", "parse", "to_model", "check_links", "check_completeness",
     "export_table --missing-only", "import_table", "import_table new document per row",
     "import_table reassign per row"])
 def test_work_grows_linearly_with_model_size(counts, operation):
