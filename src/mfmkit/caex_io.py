@@ -193,9 +193,6 @@ def _module_roots(elements: tuple[CaexElement, ...], above: tuple[CaexElement, .
             yield from _module_roots(element.children, above + (element,))
 
 
-_NO_ATTRIBUTE = CaexAttribute("")
-
-
 @dataclass(init=False, repr=False, eq=False)
 class ExternalInterface:
     """The one attribute of an ExternalInterface, declared as a parameter
@@ -307,7 +304,10 @@ class _ModelBuilder:
                 self.warn(RULE_UNKNOWN_PARAMETER, path, f"unknown attribute '{name}' ignored")
         fields = {}
         for param in spec.params:
-            _name, text, _data_type, unit, _children = given.get(param.name, _NO_ATTRIBUTE)
+            attribute = given.get(param.name)
+            if attribute is None:
+                continue
+            _name, text, _data_type, unit, _children = attribute
             if unit and unit != param.unit:
                 self.warn(RULE_INVALID_VALUE, path,
                           mm.unit_mismatch(spec, param.name, unit, param.unit))
@@ -378,7 +378,7 @@ class _ModelBuilder:
             name, element_id, attributes, roles, interfaces, children = entry
             # warnings name the entry's position in the file; annotation
             # warnings name the index the entry gets
-            entry_path = join_path(path, str(position) if indexed else name)
+            entry_path = f"{path}/{position}" if indexed else f"{path}/{name}"
             if indexed and name != str(position):
                 self.warn(RULE_UNKNOWN_PARAMETER, entry_path, f"entry name '{name}' ignored")
             if element_id:
@@ -391,13 +391,14 @@ class _ModelBuilder:
                 if roles or interfaces:  # read first, so that the entry is built once
                     fields["annotation"] = self.annotation(
                         mm.Annotation(), roles, interfaces,
-                        join_path(path, str(len(entries))) if indexed else entry_path)
-                node = self.checked(
-                    entry_path, mm.check_shape, spec, spec.node_type(**fields), taken)
-                if node is None:  # dropped: only the shape's warning is kept
-                    del self.violations[read:-1]
+                        f"{path}/{len(entries)}" if indexed else entry_path)
+                node = spec.node_type(**fields)
+                try:
+                    entries.append(mm.check_shape(spec, node, taken))
+                except (mm.ModelError, PathError) as exc:
+                    del self.violations[read:]  # dropped: only the shape's warning is kept
+                    self.warn(RULE_INVALID_VALUE, entry_path, str(exc))
                 else:
-                    entries.append(node)
                     if not indexed:
                         taken.add(name)
             for child in children:  # an entry has no known children

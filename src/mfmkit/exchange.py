@@ -153,7 +153,8 @@ class _Merge:
     entries per component path, kept in step with the applied rows.
 
     A row's value goes through mm.write_parameter, which checks a given unit
-    against the cell's and gives a new attribute that unit.
+    against the cell's and gives a new attribute that unit; a checked value
+    equal to the stored one stores nothing.
     A row is checked whole first; only then are its edits stored in the
     working copy's model (an element with one _put, an entry in the list
     copy its first write stored there), so a row that fails changes nothing
@@ -197,7 +198,8 @@ class _Merge:
                 created = True
             else:
                 updated = self._write(found.spec, node, parameter, value, unit)
-                edits.append(partial(self.edit.put, found.spec, found.index, updated))
+                if updated is not node:
+                    edits.append(partial(self.edit.put, found.spec, found.index, updated))
         if doc_name:
             edits += self._document(element_path, found, doc_name, doc_path)
         elif doc_path:

@@ -169,8 +169,19 @@ def _enum(*allowed: str) -> Callable[[str, str], str]:
     return check
 
 
+_NUMBER = r"\s*[+-]?(?:\d{1,20}(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d{1,2})?\s*"
+_PLAIN_TRIPLE = re.compile(rf"\s*\({_NUMBER}(?:,{_NUMBER}){{2}}\)\s*", re.ASCII)
+
+
 def _triple(value: str, what: str) -> str:
-    if value:
+    """`value`, empty or a triple parse_triple accepts. A plain triple passes
+    in one fullmatch of _PLAIN_TRIPLE: ASCII whitespace, which strip() and
+    float() skip, around three ASCII decimals without `_`, which float()
+    reads as _number does; at most 20 integer digits (the fraction adds
+    less than 1) and a 2-digit exponent keep each below 1e120, so finite.
+    Any other text takes parse_triple, which gives the verdict and words
+    the error."""
+    if value and not _PLAIN_TRIPLE.fullmatch(value):
         parse_triple(value)
     return value
 
@@ -626,12 +637,17 @@ def check_value(spec: ElementSpec, param: Param, value):
     """Validate one parameter value; returns the value to store. A value is
     a str, except that an int-declared parameter (a route priority) also
     takes an int, never a bool or a float: any other value could not be
-    written to a file and read back equal. The label of a schema parameter
-    ("port position") is looked up in _LABELS, made once with the schema;
-    any other spec's is formatted here."""
-    what = _LABELS.get(id(param)) or f"{spec.label} {param.name}"
+    written to a file and read back equal. A printable str passes
+    _require_clean (see there) without a call: one of a parameter without a
+    validator is returned at once, and one with a validator goes straight to
+    it. The label of a schema parameter ("port position") is looked up in
+    _LABELS, made once with the schema; any other spec's is formatted here."""
     check = param.check
-    if check is not _integer:
+    clean = isinstance(value, str) and value.isprintable()
+    if clean and check is None:
+        return value
+    what = _LABELS.get(id(param)) or f"{spec.label} {param.name}"
+    if not clean and check is not _integer:
         _require_clean(value, what)
     return check(value, what) if check else value
 
@@ -1151,7 +1167,9 @@ def write_parameter(spec: ElementSpec, node, name: str, value: str, unit: str = 
     """`node`, an element of `spec`, with one parameter written and validated
     as set_parameter() validates it; an unknown name in an open attribute
     set (`spec.extra`) adds a static attribute in `unit`. A given unit must
-    be the unit of the cell the name already has, checked before the value."""
+    be the unit of the cell the name already has, checked before the value.
+    A checked value equal to the stored one (of the same type) gives `node`
+    itself, still checked against the invariant."""
     found = unit and cell(spec, node, name)
     if found and unit != found[1]:
         raise ModelError(unit_mismatch(spec, name, unit, found[1]))
@@ -1162,11 +1180,17 @@ def write_parameter(spec: ElementSpec, node, name: str, value: str, unit: str = 
         attrs = getattr(node, spec.extra)
         for i, param in enumerate(attrs):
             if param.name == name:
+                if param.value == value:
+                    return node
                 attrs = attrs[:i] + (replace(param, value=value),) + attrs[i + 1:]
                 return replace(node, **{spec.extra: attrs})
         added = check_attribute(spec, (p.name for p in attrs), name, value, unit)
         return replace(node, **{spec.extra: attrs + (added,)})
-    updated = replace(node, **{name: check_value(spec, spec.names[name], value)})
+    checked, stored = check_value(spec, spec.names[name], value), getattr(node, name)
+    if checked == stored and type(checked) is type(stored):
+        updated = node
+    else:
+        updated = replace(node, **{name: checked})
     if spec.invariant:
         spec.invariant(updated)
     return updated

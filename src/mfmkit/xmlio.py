@@ -21,12 +21,14 @@ non-whitespace text only inside text elements, no text element mixing text
 with child elements, and expat's own errors. The structural rules come
 from the table: the root tag, each element's tag within its parent, its
 attribute names, at most one folded child, unique keys, and whatever a
-`build` raises. Every error is an XmlError with the source line and column:
-a fast pass of expat builds the value or gives up, and a placing pass then
-reads the document again and reports the first error with its line and
-column. The writer escapes only an attribute value that holds `&`, `<`,
-`>`, `"`, a tab, line feed or carriage return, and only text that holds
-`&`, `<`, `>` or a carriage return.
+`build` raises. The start rules are kept once, in _refusal. Every error is
+an XmlError with the source line and column: a fast pass of expat builds
+the value or gives up, asking _refusal once per element shape (parent tag,
+tag, attribute names) in a document, and a placing pass then reads the
+document again, asks _refusal at every element and reports the first error
+with its line and column. The writer escapes only an attribute value that
+holds `&`, `<`, `>`, `"`, a tab, line feed or carriage return, and only
+text that holds `&`, `<`, `>` or a carriage return.
 """
 from __future__ import annotations
 
@@ -125,131 +127,165 @@ def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
     Each open element is a record [tag, Tag (None if unknown), attrs, child
     values by tag (None until the first child ends), keys of the children
     (None until the first keyed child ends), text parts (None unless a text
-    element), has children, folded child's text (None unless one was read),
-    start position (() in the fast pass)] on a stack whose bottom record
-    takes the root as its one child. Most elements are leaves, so a record
-    allocates no dict or list of its own: the end of its first child makes
-    the child dict with that child's list in it, and `build` is handed the
-    shared, read-only _NO_KIDS when no child came. A text element's
+    element), folded child's text (None unless one was read)] on a stack
+    whose bottom record takes the root as its one child; the placing pass
+    adds [has children, start position]. Most elements are leaves, so a
+    record allocates no dict or list of its own: the end of its first child
+    makes the child dict with that child's list in it, and `build` is handed
+    the shared, read-only _NO_KIDS when no child came. A text element's
     character data goes straight to the C-level `append` of its parts. The
-    start of an element checks it against its parent and its attributes;
-    the end builds its value, or takes a folded element's text, for the
-    parent.
+    start of an element checks it against its parent and its attributes
+    (_refusal); the end builds its value, or takes a folded element's text,
+    for the parent. The two passes have handlers of their own, picked once.
 
-    The fast pass builds or gives up. It buffers character data (one
-    callback per run of text between two tags) and keeps the distinct runs
-    outside text elements in a set, checked for stray text at its end. A
-    folded element gets no record: its start checks it against the parent
-    record, its end hands the parent the joined text. On any error but the
-    XML declaration's encoding, on stray text or on a child of a text
-    element, it raises _Unplaced.
+    The fast pass builds or raises. It buffers character data (one callback
+    per run of text between two tags) and keeps the distinct runs outside
+    text elements in a set, checked for stray text at its end. It asks
+    _refusal only for a signature (parent tag, tag, attribute names in
+    document order) it has not admitted yet in this document, or for a
+    folded element whose parent already holds a folded child's text:
+    _refusal reads nothing else (the parent's Tag is the parent tag's, and
+    the bottom record's tag is None), so an admitted signature has the
+    verdict _refusal would give. `admitted` maps it, one part per level, to
+    the tag's Tag, which the start reads from there. A folded element gets
+    no record: its end hands the parent the joined text. It raises
+    _Unplaced on expat's own errors, a DOCTYPE declaration, a processing
+    instruction, too deep a nesting, a child of a text element, stray text,
+    a refused start or a repeated key; the XML declaration's encoding error
+    and `build`'s errors pass through as they are.
 
     The placing pass reports the first error with its line and column. It
-    reads unbuffered, records each element's start position and checks each
+    reads unbuffered, asks _refusal at every start until the first
+    structural error, records each element's start position and checks each
     run of text where it stands. A byte-level error is raised where it is
     met; the first structural error stops the building but not the pass, so
     a byte-level error anywhere wins over a structural error before it.
     """
     spec_of = tags.get
-    stack = [[None, Tag((), (), (root,), None, None), {}, None, None, None, False, None, ()]]
-    texts = {tag for tag, spec in tags.items() if spec.text}
-    folded = {tag for tag in texts if tags[tag].folded}
+    stack = [[None, Tag((), (), (root,), None, None), {}, None, None, None, None, False, ()]]
+    depth = MAX_DEPTH
     parser = expat.ParserCreate()
     parser.buffer_text = not placing
-    failure = None  # the placing pass's first structural error, a truthy XmlError
-    text = loose = None  # the parts of the innermost text element, and of a folded one
-    runs = set()  # the fast pass's distinct runs of text outside text elements
+    text = None  # the parts of the innermost text element
 
-    def here():
-        return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+    if not placing:
+        admitted = {}  # parent tag -> tag -> attribute names -> the Tag, once admitted
+        runs = set()  # the distinct runs of text outside text elements
+        other = runs.add  # the character data handler outside text elements
+        loose = None  # the parts of a folded element, which has no record
 
-    def refuse(message):  # a byte-level error where expat stands
-        if not placing:
-            raise _Unplaced
-        raise XmlError(message, *here())
+        def start(tag, attrs):
+            nonlocal text, loose
+            if text is not None or len(stack) > depth:
+                raise _Unplaced  # a child of a text element, or too deep
+            parent = stack[-1]
+            names = tuple(attrs)
+            try:
+                spec = admitted[parent[0]][tag][names]
+            except KeyError:  # a signature not admitted yet
+                spec = None
+            if spec is None or parent[6] is not None and spec.folded:
+                spec = spec_of(tag)
+                if _refusal(tag, spec, attrs, parent) is not None:
+                    raise _Unplaced
+                admitted.setdefault(parent[0], {}).setdefault(tag, {})[names] = spec
+            if spec.text:
+                text = []
+                parser.CharacterDataHandler = text.append
+                if spec.folded:
+                    loose = text
+                    return
+            stack.append([tag, spec, attrs, None, None, text, None])
 
-    def fail(error):  # a structural error, which stops the building but not the pass
-        nonlocal failure
-        if not placing:
-            raise _Unplaced
-        failure = error
-
-    def chars(data):
-        if data.strip():
-            refuse(f"unexpected text inside <{stack[-1][0]}>")
-    other = chars if placing else runs.add  # the handler outside text elements
-
-    def start(tag, attrs):
-        nonlocal text, loose
-        if text is not None:  # a child of a text element
-            if not placing:
+        def end(tag):
+            nonlocal text, loose
+            if loose is not None:
+                stack[-1][6] = "".join(loose)
+                text = loose = None
+                parser.CharacterDataHandler = other
+                return
+            tag, spec, attrs, kids, _keys, parts, value = stack.pop()
+            if parts is not None:
+                value = "".join(parts)
+                text = None
+                parser.CharacterDataHandler = other
+            value = spec.build(attrs, kids or _NO_KIDS, value or "")
+            parent = stack[-1]
+            if spec.key is not None and not _new_key(parent, tag, spec, value):
                 raise _Unplaced
-            stack[-1][6] = True
-            text = None
-            parser.CharacterDataHandler = other
-        if len(stack) > MAX_DEPTH:
-            refuse(f"elements nested deeper than {MAX_DEPTH} levels")
-        parent = stack[-1]
-        if tag in folded:
-            if not failure and (attrs or parent[7] is not None
-                                or tag not in parent[1].child_tags):
-                fail(XmlError(_error(tag, tags[tag], attrs, parent), *here()))
-            if not placing:
-                text = loose = []
-                parser.CharacterDataHandler = loose.append
-                return
-            spec = tags[tag]
-        else:
-            spec = spec_of(tag)
-            keys = attrs.keys()
-            if not failure and not (tag in parent[1].child_tags
-                                    and keys <= spec.allowed and keys >= spec.needed):
-                fail(XmlError(_error(tag, spec, attrs, parent), *here()))
-        record = [tag, spec, attrs, None, None, None, False, None, here() if placing else ()]
-        if tag in texts:
-            text = record[5] = []
-            parser.CharacterDataHandler = text.append
-        stack.append(record)
+            siblings = parent[3]
+            if siblings is None:
+                parent[3] = {tag: [value]}
+            elif tag in siblings:
+                siblings[tag].append(value)
+            else:
+                siblings[tag] = [value]
 
-    def end(tag):
-        nonlocal text, loose
-        if loose is not None:  # a folded element of the fast pass, which has no record
-            stack[-1][7] = "".join(loose)
-            text = loose = None
-            parser.CharacterDataHandler = other
-            return
-        tag, spec, attrs, kids, _keys, parts, mixed, value, where = stack.pop()
-        parent = stack[-1]
-        if parts is None and not placing:
-            value = value or ""
-        else:  # a text element, or any element of the placing pass
-            if parts and mixed:  # which only the placing pass sees
-                raise XmlError(f"element <{tag}> mixes text and child elements", *where)
-            value = (value or "") if parts is None else "".join(parts)
-            text = parent[5]
-            parser.CharacterDataHandler = other if text is None else text.append
-            if not failure and spec.folded:  # which only the placing pass keeps a record of
-                parent[7] = value
+        def refuse(_message):
+            raise _Unplaced
+    else:
+        failure = None  # the first structural error, a truthy XmlError
+        texts = {tag for tag, spec in tags.items() if spec.text}
+
+        def here():
+            return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+
+        def refuse(message):  # a byte-level error where expat stands
+            raise XmlError(message, *here())
+
+        def other(data):
+            if data.strip():
+                refuse(f"unexpected text inside <{stack[-1][0]}>")
+
+        def start(tag, attrs):
+            nonlocal text, failure
+            if text is not None:  # a child of a text element
+                stack[-1][7] = True
+                text = None
+                parser.CharacterDataHandler = other
+            if len(stack) > depth:
+                refuse(f"elements nested deeper than {depth} levels")
+            parent, spec, where = stack[-1], spec_of(tag), here()
+            if not failure:
+                message = _refusal(tag, spec, attrs, parent)
+                if message is not None:
+                    failure = XmlError(message, *where)
+            record = [tag, spec, attrs, None, None, None, None, False, where]
+            if tag in texts:
+                text = record[5] = []
+                parser.CharacterDataHandler = text.append
+            stack.append(record)
+
+        def end(tag):
+            nonlocal text, failure
+            tag, spec, attrs, kids, _keys, parts, value, mixed, where = stack.pop()
+            parent = stack[-1]
+            if parts is not None:
+                if parts and mixed:
+                    raise XmlError(f"element <{tag}> mixes text and child elements", *where)
+                value = "".join(parts)
+                text = parent[5]
+                parser.CharacterDataHandler = other if text is None else text.append
+            if failure:
                 return
-        if failure:
-            return
-        try:
-            value = spec.build(attrs, kids or _NO_KIDS, value)
-        except XmlError as error:
-            return fail(error if error.line is not None else XmlError(error.args[0], *where))
-        if spec.key is not None:
-            key, keys = (tag, spec.key(value)), parent[4] or set()
-            if key in keys:
-                return fail(XmlError(f"duplicate {tag} name {key[1]!r}", *where))
-            keys.add(key)
-            parent[4] = keys
-        siblings = parent[3]
-        if siblings is None:
-            parent[3] = {tag: [value]}
-        elif tag in siblings:
-            siblings[tag].append(value)
-        else:
-            siblings[tag] = [value]
+            if spec.folded:
+                parent[6] = value
+                return
+            try:
+                value = spec.build(attrs, kids or _NO_KIDS, value or "")
+            except XmlError as error:
+                failure = error if error.line is not None else XmlError(error.args[0], *where)
+                return
+            if spec.key is not None and not _new_key(parent, tag, spec, value):
+                failure = XmlError(f"duplicate {tag} name {spec.key(value)!r}", *where)
+                return
+            siblings = parent[3]
+            if siblings is None:
+                parent[3] = {tag: [value]}
+            elif tag in siblings:
+                siblings[tag].append(value)
+            else:
+                siblings[tag] = [value]
 
     parser.StartElementHandler, parser.EndElementHandler = start, end
     parser.CharacterDataHandler = other
@@ -266,10 +302,11 @@ def _scan(data: bytes, root: str, tags: dict[str, Tag], placing: bool):
         raise XmlError(expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from None
     finally:  # the handlers hold the parser: break the cycle
         parser = None
-    if any(run.strip() for run in runs):
+    if placing:
+        if failure:
+            raise failure
+    elif any(run.strip() for run in runs):
         raise _Unplaced
-    if failure:
-        raise failure
     return stack[0][3][root][0]
 
 
@@ -278,19 +315,42 @@ def _decl(version, encoding, standalone):
         raise XmlError(f"unsupported encoding {encoding!r}; files must be UTF-8", 1, 1)
 
 
-def _error(tag, spec, attrs, parent) -> str:
-    """The error a start found in an element below the record `parent`."""
+def _refusal(tag: str, spec: Tag | None, attrs: dict, parent: list) -> str | None:
+    """Why the start of a `tag` element (Tag `spec`, None if unknown) with
+    `attrs` below the record `parent` is refused, or None: the one copy of
+    the structural start rules, in the order they are reported. The
+    verdict reads the parent's tag and Tag, the attribute names and, for a
+    folded element, whether the parent already holds a folded child's
+    text; the attribute values play no part. So a None for one (parent tag,
+    tag, attribute names) holds for every later element of that signature
+    below a parent without a folded child's text, which the fast pass
+    relies on."""
     if tag not in parent[1].child_tags:
         if parent[0] is None:
             return f"unsupported root element <{tag}>"
         return f"unsupported element <{tag}> in {parent[0]}"
-    if spec.folded and parent[7] is not None:
+    if spec.folded and parent[6] is not None:
         return f"multiple <{tag}> children"
     for key in attrs:
         if key not in spec.allowed:
             return f"unsupported attribute {key!r} on <{tag}>"
-    key = next(key for key in spec.required if key not in attrs)
-    return f"missing attribute {key!r} on <{tag}>"
+    for key in spec.required:
+        if key not in attrs:
+            return f"missing attribute {key!r} on <{tag}>"
+    return None
+
+
+def _new_key(parent: list, tag: str, spec: Tag, value) -> bool:
+    """Record the key of `value`, a new `tag` child of the record `parent`;
+    False when a sibling of the same tag already has it."""
+    key, keys = (tag, spec.key(value)), parent[4]
+    if keys is None:
+        parent[4] = {key}
+    elif key in keys:
+        return False
+    else:
+        keys.add(key)
+    return True
 
 
 def every(kids: dict, tag: str) -> tuple:
@@ -301,12 +361,14 @@ def every(kids: dict, tag: str) -> tuple:
 def parse_tree(data: bytes, root: str, tags: dict[str, Tag]):
     """The value of a document whose root element is `root`, read against
     `tags`: the first byte-level error, else the first structural error,
-    is raised as XmlError."""
+    is raised as XmlError. A document the fast pass cannot build, for
+    whatever reason it raises, is read again by the placing pass, which
+    gives the error its place."""
     if not isinstance(data, bytes):
         raise TypeError("expected bytes")
     try:
         return _scan(data, root, tags, placing=False)
-    except _Unplaced:
+    except (_Unplaced, XmlError):
         return _scan(data, root, tags, placing=True)
 
 

@@ -489,6 +489,17 @@ def test_a_row_in_a_unit_other_than_its_cells_is_skipped():
     assert updated == m
 
 
+def test_a_row_equal_to_an_invalid_stored_value_is_still_checked():
+    # a row that changes nothing stores nothing, but only after its value passed
+    m = fixture.tjunction_model()
+    bad = replace(m, components=(replace(m.components[0], position="(1,2)"),) + m.components[1:])
+    table = _table((f"{m.id}/components/{m.components[0].name}", "position", "(1,2)", "", "", ""))
+    updated, violations = exchange.import_table(bad, table)
+    assert [(v.rule_id, v.parameter, v.message) for v in violations] == [
+        ("invalid-value", "position", "not a triple: '(1,2)'")]
+    assert updated == bad
+
+
 @pytest.mark.parametrize("unit", ["mm", ""])
 def test_a_row_in_its_cells_unit_or_with_no_unit_applies(unit):
     m = fixture.tjunction_model()

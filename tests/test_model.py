@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import string
 import sys
 
@@ -681,6 +682,44 @@ def test_a_latency_must_be_a_plain_ascii_number(text):
 def test_a_triple_must_hold_plain_ascii_numbers(text):
     with pytest.raises(mm.ModelError, match="not a triple"):
         mm.add_component(mm.new_module("m", "M"), mm.Component("A1", "actuator", position=text))
+
+
+TRIPLE_CHARS = "0123456789+-.eE_,() \u2009\u3000\u0665"
+TRIPLE_PARTS = st.one_of(st.text(TRIPLE_CHARS.replace(",", ""), max_size=10),
+                         st.floats().map(repr), st.integers(-10**25, 10**25).map(str))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(st.text(TRIPLE_CHARS, max_size=30),
+                 st.builds("{}({},{},{}){}".format, st.text(" \t", max_size=2), TRIPLE_PARTS,
+                           TRIPLE_PARTS, TRIPLE_PARTS, st.text(" \u2009\u3000", max_size=2))))
+def test_the_one_call_triple_match_is_a_triple_parse_triple_accepts(text):
+    def refusal(check):
+        try:
+            check(text)
+        except mm.ModelError as error:
+            return str(error)
+        return None
+    if mm._PLAIN_TRIPLE.fullmatch(text):
+        assert all(map(math.isfinite, mm.parse_triple(text)))
+    # the validator, which tries the match first, keeps parse_triple's verdict and message
+    assert refusal(lambda t: mm._triple(t, "x")) == (refusal(mm.parse_triple) if text else None)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1e400,0,0)", "not a triple of finite numbers: '(1e400,0,0)'"),
+    ("(" + "9" * 400 + ",0,0)", "not a triple of finite numbers: '(" + "9" * 400 + ",0,0)'"),
+    ("(0,٥,0)", "not a triple: '(0,٥,0)'"),
+    ("( 1 , 2,3)", None),
+])
+def test_a_triple_keeps_its_verdict_and_message(text, message):
+    module, component = mm.new_module("m", "M"), mm.Component("A1", "actuator", position=text)
+    if message is None:
+        assert mm.add_component(module, component).components[0].position == text
+        return
+    with pytest.raises(mm.ModelError) as error:
+        mm.add_component(module, component)
+    assert str(error.value) == message
 
 
 def test_whitespace_around_a_number_stays_allowed():

@@ -283,6 +283,50 @@ def test_an_error_seen_at_an_element_end_keeps_its_position_and_precedence(case)
     assert caex_io.parse(_doc(PADDING)).instance_hierarchies[0].elements[199].name == "p199"
 
 
+def _after_padding(body: bytes) -> bytes:
+    """A file whose element `x`, after PADDING, holds `body`, from line 605 on."""
+    return _doc(PADDING + b'    <InternalElement Name="x">\n' + body + b"    </InternalElement>\n")
+
+
+#: Each defect follows elements of its tag that the reader already admitted
+#: under the same kind of parent (PADDING's), or under another parent.
+ADMITTED = {
+    "unknown-attribute": (
+        _after_padding(b'      <Attribute Name="q" DataType="s" Bogus="1"/>\n'),
+        "unsupported attribute 'Bogus' on <Attribute>", 605, 7),
+    "missing-name": (
+        _after_padding(b'      <Attribute DataType="s"><Value>1</Value></Attribute>\n'),
+        "missing attribute 'Name' on <Attribute>", 605, 7),
+    "second-value": (
+        _after_padding(b'      <Attribute Name="q" DataType="s"><Value>1</Value>'
+                       b"<Value>2</Value></Attribute>\n"),
+        "multiple <Value> children", 605, 56),
+    "tag-under-another-parent": (
+        _after_padding(b'      <RoleRequirements RefBaseRoleClassPath="r"/>\n'
+                       b'      <Attribute Name="q"><RoleRequirements RefBaseRoleClassPath="r"/>'
+                       b"</Attribute>\n"),
+        "unsupported element <RoleRequirements> in Attribute", 606, 27),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADMITTED))
+def test_an_admitted_element_shape_admits_no_other(case):
+    data, message, line, column = ADMITTED[case]
+    with pytest.raises(XmlError) as err:
+        caex_io.parse(data)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+def test_attribute_names_in_another_order_read_the_same():
+    canonical = _doc(PADDING + b'    <InternalElement Name="x" ID="i">\n'
+                     b'      <Attribute Name="q" DataType="s" Unit="mm"><Value>1</Value>'
+                     b"</Attribute>\n    </InternalElement>\n")
+    turned = (canonical.replace(b'Name="x" ID="i"', b'ID="i" Name="x"')
+              .replace(b'Name="q" DataType="s" Unit="mm"', b'Unit="mm" Name="q" DataType="s"'))
+    assert turned != canonical
+    assert caex_io.parse(turned) == caex_io.parse(canonical)
+
+
 def test_a_text_element_with_a_child_is_read_as_the_format_allows():
     # no format in mfmkit declares one; the reader gives it to its placing pass
     tags = {"r": Tag((), (), ("t",), lambda attrs, kids, text: kids["t"], None),

@@ -10,7 +10,8 @@ its data files, from its own `src/`. Both run with one PYTHONHASHSEED
 dicts differently in every round of a run. Both build each set of inputs on
 their first use with this checkout's `bench/gen.py` and `tests/generators.py`.
 LAYERS gives each layer with the builder of its inputs by n: seed 1 models
-of n components with a quarter of the cells withheld, and the same with
+of n components with a quarter of the cells withheld (with their full
+export-table dumps, imported back as a no-op), and the same with
 n // 8 cross references dangling; a looped 12-arm graph on a 200-component
 model (n: the arms) and its traces (n: the events);
 three adversarial replays of the token walk and the longest trace as
@@ -103,6 +104,7 @@ def _models(m) -> dict:
             for i, c in enumerate(model.components)]
         inputs[n] = {"n": n, "data": planted.data, "doc": doc, "model": model,
                      "rendered": m.caex_io.from_model(model), "filled": filled,
+                     "dump": m.exchange.export_table(model),
                      "renamed": "\n".join(renamed + [""]).encode(),
                      "table": m.mapping.default_table(),
                      "ownership": m.consistency.default_ownership(),
@@ -311,6 +313,7 @@ LAYERS = {
         _models, lambda m, i: m.exchange.import_table(i["model"], i["filled"])),
     "import_table new documents": (
         _models, lambda m, i: m.exchange.import_table(i["model"], i["renamed"])),
+    "import_table dump": (_models, lambda m, i: m.exchange.import_table(i["model"], i["dump"])),
     "sized_model": (_models, lambda m, i: i["sized_model"](i["n"])),
     "parse_trace": (_traces, lambda m, i: m.behavior.parse_trace(i["trace text"])),
     "simulate": (_traces, _simulate),
